@@ -67,7 +67,10 @@ def _field_from_string(s: str) -> Field:
         raise SpecError(f"unrecognized field {s!r}; use Q or GF(p)")
     if m.group(1) == "Q":
         return QQ
-    return GF(int(m.group(2)))
+    try:
+        return GF(int(m.group(2)))
+    except ValueError as e:
+        raise SpecError(str(e)) from e
 
 
 def _split_bracket_list(value: str, line: int, sep: str):

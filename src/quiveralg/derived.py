@@ -1084,8 +1084,10 @@ def amiot_hom(A: BoundQuiverAlgebra, n: int, X: ComplexOfModules,
             raise WindowInconclusive(window_cap)
     if with_multiplication:
         alg = amiot_endomorphism_algebra(A, n, window_cap, cap)
-        out.mult_table = {(i, j): alg.table(i, j)
-                          for i in range(alg.dim) for j in range(alg.dim)}
+        out.mult_table = {(i, j): {} for i in range(alg.dim)
+                          for j in range(alg.dim)}
+        for i, j, k, c in zip(*alg.constants):
+            out.mult_table[(int(i), int(j))][int(k)] = c
         out.basis_labels = list(alg.labels)
     return out
 
@@ -1234,14 +1236,9 @@ def amiot_endomorphism_algebra(A: BoundQuiverAlgebra, n: int,
             hit = cm
         return hit
 
-    table: dict[tuple[int, int], dict[int, object]] = {}
-
     def mult(i: int, j: int) -> dict[int, object]:
         """Product x_i x_j in the tensor-algebra orientation: x_j acts
         first, x_i is transported past it by S_n^{-deg(x_j)}."""
-        hit = table.get((i, j))
-        if hit is not None:
-            return hit
         gi = basis_info[i][0]
         gj = basis_info[j][0]
         out: dict[int, object] = {}
@@ -1263,7 +1260,6 @@ def amiot_endomorphism_algebra(A: BoundQuiverAlgebra, n: int,
                 for t in range(piece_dims[gi + gj]):
                     if cvec[t] != f.zero:
                         out[base + t] = cvec[t]
-        table[(i, j)] = out
         return out
 
     idems = []

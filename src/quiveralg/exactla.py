@@ -173,10 +173,6 @@ class Field:
         r, pivots = self.rref(a)
         return r[: len(pivots)]
 
-    def in_row_space(self, a: np.ndarray, v: np.ndarray) -> bool:
-        stacked = np.concatenate([a, v.reshape(1, -1)], axis=0)
-        return self.rank(stacked) == self.rank(a)
-
 
 class PrimeField(Field):
     kind = "GF"
@@ -184,6 +180,10 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
+        if p >= 2**31:
+            # rref and the structure-constant kernels multiply two entries
+            # in int64, which holds (p-1)^2 only for p < 2^31
+            raise ValueError(f"GF({p}): the prime must be below 2^31")
         self.p = p
         self.zero = np.int64(0)
         self.one = np.int64(1)

@@ -1,7 +1,12 @@
 """Abstract finite-dimensional algebras and quiver presentations.
 
-A FinDimAlgebra is a basis, a multiplication table and a complete list
-of orthogonal idempotents, optionally graded.  ``quiver_presentation``
+A FinDimAlgebra is a basis, its structure constants and a complete list
+of orthogonal idempotents, optionally graded.  Each product of basis
+elements is computed once, when the algebra is built, and only the
+nonzero constants c_{ij}^k are kept, as four flat arrays.  Products,
+left and right multiplication matrices are scatter-adds over them, and
+the trace form that gives the radical is one sparse join of them with
+themselves.  ``quiver_presentation``
 recovers a bound quiver algebra from it: Gabriel quiver from rad/rad^2,
 arrow lifts, and relation generators of the kernel of the induced path
 algebra surjection, computed degree by degree up to the nilpotency
@@ -22,39 +27,49 @@ __all__ = ["FinDimAlgebra", "quiver_presentation"]
 
 
 class FinDimAlgebra:
-    """Associative unital algebra given by structure constants."""
+    """Associative unital algebra given by structure constants.
 
-    def __init__(self, field: Field, dim: int, mult_table,
+    ``mult(i, j)`` gives the product of basis elements i and j as a sparse
+    dict {k: coeff}.  The constructor evaluates it once per pair and keeps
+    only the nonzero constants c_{ij}^k, as four flat arrays
+    ``constants = (i, j, k, c)``; every product after that is a
+    scatter-add over those arrays.
+    """
+
+    def __init__(self, field: Field, dim: int, mult,
                  idempotents: list[np.ndarray],
                  grading: list[int] | None = None,
                  labels: list[str] | None = None):
         self.field = field
         self.dim = dim
-        self._table = mult_table  # (i, j) -> dict[k, coeff]
+        self._mult = mult
         self.idempotents = [np.array(e) for e in idempotents]
         self.grading = grading
         self.labels = labels or [f"b{i}" for i in range(dim)]
+        ii, jj, kk, cc = [], [], [], []
+        for i in range(dim):
+            for j in range(dim):
+                for k, c in self.table(i, j).items():
+                    if c != field.zero:
+                        ii.append(i)
+                        jj.append(j)
+                        kk.append(k)
+                        cc.append(c)
+        idx = [np.array(a, dtype=np.int64) for a in (ii, jj, kk)]
+        self.constants = (*idx, field.array(cc))
 
     def __repr__(self):
         return f"FinDimAlgebra(dim={self.dim}, e={len(self.idempotents)})"
 
     def table(self, i: int, j: int) -> dict[int, object]:
-        t = self._table
-        return t(i, j) if callable(t) else t.get((i, j), {})
+        """Product of basis elements i and j, from the builder's function."""
+        return self._mult(i, j)
 
     def mult_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        f = self.field
-        out = f.zeros(1, self.dim)[0]
-        for i in range(self.dim):
-            if x[i] == f.zero:
-                continue
-            for j in range(self.dim):
-                if y[j] == f.zero:
-                    continue
-                for k, c in self.table(i, j).items():
-                    v = out[k] + x[i] * y[j] * c
-                    out[k] = v % f.p if f.kind == "GF" else v
-        return out
+        i, j, k, c = self.constants
+        xy = _mod(self.field, x[i] * y[j])
+        return _scatter(self.field, self.field.zeros(1, self.dim)[0], k,
+                        xy * c)
 
     def unit(self) -> np.ndarray:
         f = self.field
@@ -65,56 +80,39 @@ class FinDimAlgebra:
 
     def left_mult_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of y -> x*y on basis coordinates (columns = images)."""
-        f = self.field
-        m = f.zeros(self.dim, self.dim)
-        for j in range(self.dim):
-            col = f.zeros(1, self.dim)[0]
-            for i in range(self.dim):
-                if x[i] == f.zero:
-                    continue
-                for k, c in self.table(i, j).items():
-                    v = col[k] + x[i] * c
-                    col[k] = v % f.p if f.kind == "GF" else v
-            m[:, j] = col
-        return m
+        i, j, k, c = self.constants
+        return _scatter(self.field, self.field.zeros(self.dim, self.dim),
+                        (k, j), x[i] * c)
 
     def right_mult_matrix(self, x: np.ndarray) -> np.ndarray:
-        f = self.field
-        m = f.zeros(self.dim, self.dim)
-        for i in range(self.dim):
-            col = f.zeros(1, self.dim)[0]
-            for j in range(self.dim):
-                if x[j] == f.zero:
-                    continue
-                for k, c in self.table(i, j).items():
-                    v = col[k] + x[j] * c
-                    col[k] = v % f.p if f.kind == "GF" else v
-            m[:, i] = col
-        return m
+        i, j, k, c = self.constants
+        return _scatter(self.field, self.field.zeros(self.dim, self.dim),
+                        (k, i), x[j] * c)
 
-    def check_associativity(self, triples=None) -> bool:
+    def check_associativity(self) -> bool:
+        """L_{e_i e_j} = L_{e_i} L_{e_j} for every pair of basis elements."""
         f = self.field
-        idx = triples if triples is not None else [
-            (i, j, k) for i in range(self.dim) for j in range(self.dim)
-            for k in range(self.dim)]
-        basis = [f.zeros(1, self.dim)[0] for _ in range(self.dim)]
-        for i in range(self.dim):
-            basis[i][i] = f.one
-        for (i, j, k) in idx:
-            lhs = self.mult_vec(self.mult_vec(basis[i], basis[j]), basis[k])
-            rhs = self.mult_vec(basis[i], self.mult_vec(basis[j], basis[k]))
-            if not f.equal(lhs, rhs):
-                return False
-        return True
+        basis = f.eye(self.dim)
+        lmats = [self.left_mult_matrix(e) for e in basis]
+        return all(
+            f.equal(self.left_mult_matrix(self.mult_vec(basis[i], basis[j])),
+                    f.matmul(lmats[i], lmats[j]))
+            for i in range(self.dim) for j in range(self.dim))
+
+
+def _mod(f: Field, a: np.ndarray) -> np.ndarray:
+    return a % f.p if f.kind == "GF" else a
+
+
+def _scatter(f: Field, out: np.ndarray, index, vals: np.ndarray) -> np.ndarray:
+    """out[index] += vals, each value and each sum reduced mod p."""
+    np.add.at(out, index, _mod(f, vals))
+    return _mod(f, out)
 
 
 def algebra_from_bqa(A: BoundQuiverAlgebra) -> FinDimAlgebra:
     """The structure-constant view of a bound quiver algebra."""
     f = A.field
-
-    def table(i, j):
-        return A.mult_basis(i, j)
-
     idems = []
     for v in range(A.quiver.n_vertices):
         e = f.zeros(1, A.dim)[0]
@@ -123,7 +121,7 @@ def algebra_from_bqa(A: BoundQuiverAlgebra) -> FinDimAlgebra:
         idems.append(e)
     grading = [A.path_degree(p) for p in A.basis] \
         if A.arrow_degrees is not None else None
-    return FinDimAlgebra(f, A.dim, table, idems, grading)
+    return FinDimAlgebra(f, A.dim, A.mult_basis, idems, grading)
 
 
 def _radical_rows(B: FinDimAlgebra) -> np.ndarray:
@@ -136,18 +134,17 @@ def _radical_rows(B: FinDimAlgebra) -> np.ndarray:
     if f.kind == "GF" and f.p <= n:
         raise NotSplit("field characteristic too small for the trace-form "
                        "radical; use a larger prime")
-    lmats = []
-    for i in range(n):
-        e = f.zeros(1, n)[0]
-        e[i] = f.one
-        lmats.append(B.left_mult_matrix(e))
-    # tr(L_i L_j) = <flatten(L_i), flatten(L_j^T)>: one (n x n^2) matmul
-    if n:
-        flat = np.stack([m.reshape(-1) for m in lmats])
-        flat_t = np.stack([m.T.reshape(-1) for m in lmats])
-        g = f.matmul(flat, flat_t.T)
-    else:
-        g = f.zeros(0, 0)
+    # tr(L_a L_b) = sum over j, k of c_{aj}^k c_{bk}^j: pair each stored
+    # constant (a, j, k) with every stored constant (b, k, j)
+    i, j, k, c = B.constants
+    key, key_t = j * n + k, k * n + j
+    order = np.argsort(key_t, kind="stable")
+    lo = np.searchsorted(key_t[order], key, side="left")
+    cnt = np.searchsorted(key_t[order], key, side="right") - lo
+    left = np.repeat(np.arange(len(key)), cnt)
+    right = order[np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+                  + np.arange(int(cnt.sum()))]
+    g = _scatter(f, f.zeros(n, n), (i[left], i[right]), c[left] * c[right])
     return f.kernel(g)
 
 
@@ -193,11 +190,11 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
 
     # -- basic & split checks on S = B/rad --------------------------------
     corner_rows = {}
+    rmats = [B.right_mult_matrix(e) for e in idems]
     for i in range(m):
         Li = B.left_mult_matrix(idems[i])
         for j in range(m):
-            Rj = B.right_mult_matrix(idems[j])
-            img = f.matmul(Li, Rj)
+            img = f.matmul(Li, rmats[j])
             corner_rows[(i, j)] = f.row_space(img.T)
     for i in range(m):
         for j in range(m):

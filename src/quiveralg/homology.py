@@ -95,10 +95,6 @@ def strip_projectives(M: Representation) -> Representation:
     return direct_sum(keep)[0]
 
 
-def strip_injectives(M: Representation) -> Representation:
-    return dual(strip_projectives(dual(M)))
-
-
 def syzygy(M: Representation, i: int) -> Representation:
     """Omega^i for i>0, Omega^{-|i|} via cosyzygies for i<0.
 

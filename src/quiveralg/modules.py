@@ -532,7 +532,6 @@ def injective_envelope(M: Representation) -> ModuleMap:
     """Minimal embedding into a sum of indecomposable injectives."""
     cov = projective_cover(dual(M))
     emb = dual_map(cov)  # D(M-dual) -> D(P'); D(D(M)) is literally M again
-    src = Representation(M.algebra, M.dims, M.action)
     tgt = emb.target
     tgt.summands = cov.source.summands
     return ModuleMap(M, tgt, emb.blocks)
@@ -663,7 +662,8 @@ def _coprime_split(f, m, rng):
 
 
 def _pquo(f, a, b):
-    """Exact quotient a/b (remainder assumed zero)."""
+    """Quotient of the polynomial long division a / b; the remainder is
+    dropped."""
     a = list(a)
     out = [f.zero] * max(1, len(a) - len(b) + 1)
     inv = f.inv_el(b[-1])
@@ -914,7 +914,7 @@ def _pxgcd(f, a, b):
     s0, s1 = [f.one], [f.zero]
     t0, t1 = [f.zero], [f.one]
     while any(x != f.zero for x in r1):
-        q = _pdivmod_q(f, r0, r1)
+        q = _pquo(f, r0, r1)
         r0, r1 = r1, _psub(f, r0, _pmul(f, q, r1))
         s0, s1 = s1, _psub(f, s0, _pmul(f, q, s1))
         t0, t1 = t1, _psub(f, t0, _pmul(f, q, t1))
@@ -928,25 +928,6 @@ def _psub(f, a, b):
     for i, x in enumerate(b):
         v = out[i] - x
         out[i] = v % f.p if f.kind == "GF" else v
-    return _pnorm(f, out)
-
-
-def _pdivmod_q(f, a, b):
-    a = list(a)
-    out = [f.zero] * max(1, len(a) - len(b) + 1)
-    inv = f.inv_el(b[-1])
-    while len(a) >= len(b) and any(x != f.zero for x in a):
-        c = a[-1] * inv
-        if f.kind == "GF":
-            c = c % f.p
-        k = len(a) - len(b)
-        out[k] = c
-        for i in range(len(b)):
-            v = a[k + i] - c * b[i]
-            a[k + i] = v % f.p if f.kind == "GF" else v
-        a = _pnorm(f, a)
-        if all(x == f.zero for x in a):
-            break
     return _pnorm(f, out)
 
 

@@ -6,7 +6,9 @@ postcomposition with left multiplication on the regular module, the
 right action by precomposition with a comparison lift of left
 multiplication on D A.  The tensor algebra over A is built iteratively
 as quotients T_i = T_{i-1} (x)_A E with explicit projection/section
-pairs, so multiplication is concatenation followed by reduction.
+pairs.  Its structure constants are computed grade by grade, once: the
+products into grade g_i + g_j come from the products into grade
+g_i + g_j - 1, concatenated with E and projected.
 """
 
 from __future__ import annotations
@@ -130,22 +132,6 @@ class ExtBimodule:
     dim: int
     left_mats: list[np.ndarray]   # action of each algebra basis element
     right_mats: list[np.ndarray]
-
-    def left_idempotent_dims(self) -> list[int]:
-        f = self.algebra.field
-        out = []
-        for v in range(self.algebra.quiver.n_vertices):
-            e = self.algebra.idempotent(v)
-            m = self._combo(self.left_mats, e)
-            out.append(f.rank(m))
-        return out
-
-    def _combo(self, mats, elem):
-        f = self.algebra.field
-        acc = f.zeros(self.dim, self.dim)
-        for b, c in elem.items():
-            acc = f.add(acc, f.smul(c, mats[b]))
-        return acc
 
 
 def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
@@ -291,27 +277,28 @@ def preprojective_module(A: BoundQuiverAlgebra, n: int,
 
 def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
                           cap: int = 32) -> FinDimAlgebra:
-    """T_A E as a graded algebra: degree-i part is E^{(x)_A i}."""
+    """T_A E as a graded algebra: degree-i part is E^{(x)_A i}.
+
+    Grade g > 0 is the quotient of T_{g-1} (x)_k E by the balancing
+    relations, with a section ``sigma`` and a projection ``proj``.  The
+    products are computed grade by grade: x y with y in grade g > 0 is the
+    projection of (x u) (x) e summed over the lift u (x) e of y, where the
+    products x u into grade g-1 are already known.
+    """
     E = ext_bimodule(A, n)
     f = A.field
     adim = A.dim
 
-    # degree 0: A itself with its regular actions
-    lmats0 = []
+    # degree 0: A itself with its right regular action
     rmats0 = []
     for b in range(adim):
-        lm = f.zeros(adim, adim)
         rm = f.zeros(adim, adim)
         for j in range(adim):
-            for t, c in A.mult_basis(b, j).items():
-                lm[t, j] = c
             for t, c in A.mult_basis(j, b).items():
                 rm[t, j] = c
-        lmats0.append(lm)
         rmats0.append(rm)
 
-    grades = [{"dim": adim, "L": lmats0, "R": rmats0,
-               "pi": None, "sigma": None}]
+    grades = [{"dim": adim, "R": rmats0}]
     if E.dim > 0:
         while True:
             prev = grades[-1]
@@ -340,31 +327,19 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
             total = f.eye(V)
             comp = _complement_rows(f, W, total)
             full = np.concatenate([W, comp], axis=0) if W.size else comp
-            n_w = W.shape[0]
             inv = f.solve(full.T, f.eye(V))
             assert inv is not None
-
-            def project(vec, inv=inv, n_w=n_w):
-                return f.matmul(inv, vec.reshape(-1, 1))[n_w:, 0]
-
+            proj = inv[W.shape[0]:].copy()  # frees the V x V inverse
             sigma = comp.T  # columns: representatives of the new basis
-            L = []
+            # (u (x) y) b = u (x) (y b), on all representatives at once
+            reps = sigma.reshape(t, e, newdim).transpose(0, 2, 1)
             R = []
             for b in range(adim):
-                lb = f.zeros(newdim, newdim)
-                rb = f.zeros(newdim, newdim)
-                Lb_prev = prev["L"][b]
-                Rb_E = E.right_mats[b]
-                for k in range(newdim):
-                    rep_vec = sigma[:, k].reshape(t, e)
-                    lv = f.matmul(Lb_prev, rep_vec)
-                    rv = f.matmul(rep_vec, Rb_E.T)
-                    lb[:, k] = project(lv.reshape(-1))
-                    rb[:, k] = project(rv.reshape(-1))
-                L.append(lb)
-                R.append(rb)
-            grades.append({"dim": newdim, "L": L, "R": R,
-                           "pi": project, "sigma": sigma})
+                rv = f.matmul(reps.reshape(t * newdim, e), E.right_mats[b].T)
+                rv = rv.reshape(t, newdim, e).transpose(0, 2, 1)
+                R.append(f.matmul(proj, rv.reshape(V, newdim)))
+            grades.append({"dim": newdim, "R": R, "proj": proj,
+                           "sigma": sigma})
 
     dims = [g["dim"] for g in grades]
     offsets = np.cumsum([0] + dims)
@@ -373,60 +348,28 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
     for gi, d in enumerate(dims):
         grading.extend([gi] * d)
 
-    # multiplication by recursion on the grade of the right factor
-    memo: dict[tuple[int, int], dict[int, object]] = {}
+    # prods[gi][gj][li, :, lj]: coordinates in grade gi + gj of the product
+    # of basis element li of grade gi with basis element lj of grade gj
+    prods = []
+    for gi in range(len(grades)):
+        row = [np.stack(grades[gi]["R"], axis=2).transpose(1, 0, 2)]
+        for gj in range(1, len(grades) - gi):
+            t_prev, d = dims[gj - 1], dims[gj]
+            sig = grades[gj]["sigma"].reshape(t_prev, E.dim * d)
+            proj = grades[gi + gj]["proj"]
+            row.append(np.stack([
+                f.matmul(proj, f.matmul(lower, sig).reshape(-1, d))
+                for lower in row[gj - 1]]))
+        prods.append(row)
 
     def mult_basis(i: int, j: int) -> dict[int, object]:
-        hit = memo.get((i, j))
-        if hit is not None:
-            return hit
         gi = int(np.searchsorted(offsets, i, side="right") - 1)
         gj = int(np.searchsorted(offsets, j, side="right") - 1)
-        li, lj = i - int(offsets[gi]), j - int(offsets[gj])
-        out: dict[int, object] = {}
-        if gi + gj < len(grades):
-            vec = _mult_vec_grade(gi, _unit(f, dims[gi], li), gj,
-                                  _unit(f, dims[gj], lj))
-            if vec is not None:
-                base = int(offsets[gi + gj])
-                for k in range(dims[gi + gj]):
-                    if vec[k] != f.zero:
-                        out[base + k] = vec[k]
-        memo[(i, j)] = out
-        return out
-
-    def _mult_vec_grade(gi: int, x: np.ndarray, gj: int,
-                        y: np.ndarray):
-        """x in T_gi times y in T_gj, valued in T_{gi+gj}."""
         if gi + gj >= len(grades):
-            return None
-        if gj == 0:
-            # right action of a degree-0 element
-            acc = f.zeros(1, dims[gi])[0]
-            for b in range(adim):
-                if y[b] == f.zero:
-                    continue
-                acc = f.add(acc, f.smul(y[b], f.matmul(
-                    grades[gi]["R"][b], x.reshape(-1, 1))[:, 0]))
-            return acc
-        g = grades[gj]
-        t_prev, e = grades[gj - 1]["dim"], E.dim
-        lifted = f.matmul(g["sigma"], y.reshape(-1, 1))[:, 0].reshape(
-            t_prev, e)
-        acc = f.zeros(1, dims[gi + gj])[0]
-        target = grades[gi + gj]
-        for b2 in range(t_prev):
-            col = lifted[b2]
-            if f.is_zero(col.reshape(1, -1)):
-                continue
-            part = _mult_vec_grade(gi, x, gj - 1, _unit(f, t_prev, b2))
-            if part is None:
-                return None
-            w = np.outer(part, col)
-            if f.kind == "GF":
-                w = w % f.p
-            acc = f.add(acc, target["pi"](w.reshape(-1)))
-        return acc
+            return {}
+        col = prods[gi][gj][i - int(offsets[gi]), :, j - int(offsets[gj])]
+        base = int(offsets[gi + gj])
+        return {base + int(k): col[k] for k in np.flatnonzero(col != f.zero)}
 
     idems = []
     for v in range(A.quiver.n_vertices):
@@ -512,44 +455,25 @@ def _hom_algebra(X: Representation, modulo_projectives: bool):
             off += sz
         basis_maps.append(ModuleMap(X, X, blocks))
 
-    table: dict[tuple[int, int], dict[int, object]] = {}
-
     def mult(i, j):
-        hit = table.get((i, j))
-        if hit is None:
-            # f * g = g after f (covariant composition order)
-            coords = express(basis_maps[i].compose(basis_maps[j]))
-            hit = {k: coords[k] for k in range(dim)
-                   if coords[k] != f.zero}
-            table[(i, j)] = hit
-        return hit
+        # f * g = g after f (covariant composition order)
+        coords = express(basis_maps[i].compose(basis_maps[j]))
+        return {k: coords[k] for k in range(dim) if coords[k] != f.zero}
 
-    return basis_maps, express, mult, dim
+    return express, mult, dim
 
 
 def end_algebra(X: Representation, incls: list[ModuleMap],
                 projs: list[ModuleMap],
                 keep: list[bool] | None = None,
-                modulo_projectives: bool = False,
-                grades: list[int] | None = None) -> FinDimAlgebra:
-    f = X.field
-    basis_maps, express, mult, dim = _hom_algebra(X, modulo_projectives)
+                modulo_projectives: bool = False) -> FinDimAlgebra:
+    express, mult, dim = _hom_algebra(X, modulo_projectives)
     idems = []
     for k, (inc, prj) in enumerate(zip(incls, projs)):
         if keep is not None and not keep[k]:
             continue
         idems.append(express(prj.compose(inc)))
-    grading = None
-    if grades is not None:
-        grading = _grading_from_blocks(f, basis_maps, express, incls, projs,
-                                       grades, dim)
-    return FinDimAlgebra(f, dim, mult, idems, grading)
-
-
-def _grading_from_blocks(f, basis_maps, express, incls, projs, grades, dim):
-    # Hom(X_i, X_j) sits in degree grades[j] - grades[i]; only correct when
-    # the basis happens to be block-homogeneous, so callers must check.
-    return None
+    return FinDimAlgebra(X.field, dim, mult, idems)
 
 
 def stable_endomorphism(A: BoundQuiverAlgebra, n: int,

@@ -94,6 +94,14 @@ def test_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("field", ["GF(4)", "GF(4294967311)"])
+def test_bad_field_is_an_error(field):
+    code, out = _run(["check", "tau-finite", "--n", "1", "--field", field],
+                     stdin_text=A2_SPEC)
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
 def test_family_auslander_gamma():
     code, spec = _run(["family", "auslander", "A3-nonlinear"])
     assert code == 0

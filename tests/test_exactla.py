@@ -114,3 +114,22 @@ def test_rank_nullity_over_q(rows, cols, seed):
     rng = random.Random(seed)
     a = _random_matrix(QQ, rng, rows, cols)
     assert QQ.rank(a) + QQ.kernel(a).shape[0] == cols
+
+
+def test_prime_just_below_int64_bound_gives_exact_kernels():
+    p = 2**31 - 1
+    f = GF(p)
+    rng = random.Random(11)
+    for _ in range(20):
+        a = [[rng.randrange(p) for _ in range(6)] for _ in range(5)]
+        k = f.kernel(f.array(a))
+        assert k.shape[0] >= 1
+        for row in k.tolist():
+            assert any(row)
+            assert all(sum(x * y for x, y in zip(r, row)) % p == 0
+                       for r in a)
+
+
+def test_prime_above_int64_bound_is_refused():
+    with pytest.raises(ValueError, match="2\\^31"):
+        GF(4294967311)
