@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (AboveCap, AboveCapError, TermNotInjective,
     TermNotProjective, WindowInconclusive)
+from .exactla import QuotientBasis
 from .homology import min_proj_resolution, op_element
 from .modules import (ModuleMap, Representation, dual, dual_map,
                       injectives_sum, map_from_projectives, op_algebra,
@@ -167,16 +168,42 @@ class ChainMap:
         return True
 
     def induces_cohomology_iso(self) -> bool:
-        """Quasi-isomorphism verification by dimension comparison on both
-        sides plus rank of the induced map on cocycles."""
+        """Quasi-isomorphism verification: at every degree and vertex the
+        map induced on cocycles modulo coboundaries is square and of full
+        rank."""
         f = self.source.algebra.field
         for i in range(min(self.source.lo, self.target.lo),
                        max(self.source.hi, self.target.hi) + 1):
-            hs = self.source.cohomology(i)
-            ht = self.target.cohomology(i)
-            if hs.total_dim != ht.total_dim:
-                return False
+            part = self.parts.get(i)
+            for v in range(self.source.algebra.quiver.n_vertices):
+                hs = _cohomology_basis(self.source, i, v)
+                ht = _cohomology_basis(self.target, i, v)
+                if hs.dim != ht.dim:
+                    return False
+                if hs.dim == 0:
+                    continue
+                if part is None:
+                    return False
+                images = f.matmul(part.blocks[v], hs.comp.T).T
+                if f.rank(ht.coords(images)) < ht.dim:
+                    return False
         return True
+
+
+def _cohomology_basis(C: ComplexOfModules, i: int, v: int):
+    """H^i(C) at vertex v: the cocycles modulo the coboundaries, as a
+    QuotientBasis whose ``comp`` rows are cocycle representatives."""
+    f = C.algebra.field
+    dim = C.term(i).dims[v]
+    d = C.diffs.get(i)
+    cycles = f.kernel(d.blocks[v]) if d is not None else f.eye(dim)
+    dprev = C.diffs.get(i - 1)
+    bounds = f.row_space(dprev.blocks[v].T) if dprev is not None else \
+        f.zeros(0, dim)
+    H = QuotientBasis(f, bounds, cycles)
+    assert bounds.shape[0] + H.dim == cycles.shape[0], \
+        "boundaries must lie in the cycles"
+    return H
 
 
 def module_complex(M: Representation, degree: int = 0) -> ComplexOfModules:
@@ -1101,68 +1128,23 @@ class _H0Coords:
     out of the regular module."""
 
     def __init__(self, C: ComplexOfModules):
-        A = C.algebra
-        f = A.field
-        self.C = C
-        self.f = f
-        nv = A.quiver.n_vertices
-        C0 = C.term(0)
-        d0 = C.diffs.get(0)
-        dm1 = C.diffs.get(-1)
-        self.zbases = []
-        self.bcoords = []
-        self.hdims = []
-        self.fulls = []
-        for v in range(nv):
-            if C0.total_dim == 0:
-                self.zbases.append(f.zeros(0, 0))
-                self.bcoords.append(f.zeros(0, 0))
-                self.hdims.append(0)
-                self.fulls.append(f.zeros(0, 0))
-                continue
-            if d0 is not None:
-                z = f.kernel(d0.blocks[v])  # rows
-            else:
-                z = f.eye(C0.dims[v])
-            if dm1 is not None and z.shape[0]:
-                img = dm1.blocks[v].T  # rows spanning the boundaries
-                b_in_z = f.solve(z.T, img.T)
-                assert b_in_z is not None
-                b = f.row_space(b_in_z.T)
-            else:
-                b = f.zeros(0, z.shape[0])
-            from .findim import _complement_rows
-            comp = _complement_rows(f, b, f.eye(z.shape[0]))
-            self.zbases.append(z)
-            self.bcoords.append(b)
-            self.hdims.append(comp.shape[0])
-            full = np.concatenate([b, comp], axis=0) if b.size else comp
-            self.fulls.append(full)
+        self.H = [_cohomology_basis(C, 0, v)
+                  for v in range(C.algebra.quiver.n_vertices)]
 
     def dim(self) -> int:
-        return sum(self.hdims)
+        return sum(H.dim for H in self.H)
 
     def coords(self, gen_images: list[np.ndarray]) -> np.ndarray:
         """H^0 class of the chain map with the given generator images."""
-        f = self.f
         outs = []
-        for v, img in enumerate(gen_images):
-            z = self.zbases[v]
-            if z.shape[0] == 0:
-                continue
-            zc = f.solve(z.T, img)
-            assert zc is not None, "image must be a cocycle"
-            hc = f.solve(self.fulls[v].T, zc)
-            assert hc is not None
-            outs.append(hc[self.fulls[v].shape[0] - self.hdims[v]:, 0])
-        return np.concatenate(outs) if outs else f.zeros(1, 0)[0]
+        for H, img in zip(self.H, gen_images):
+            assert H.spans(img.T).all(), "image must be a cocycle"
+            outs.append(H.coords(img.T)[0])
+        return np.concatenate(outs)
 
     def representative(self, v: int, k: int) -> np.ndarray:
         """Generator image (at vertex v) of the k-th basis class there."""
-        f = self.f
-        full = self.fulls[v]
-        row = full[full.shape[0] - self.hdims[v] + k]
-        return f.matmul(self.zbases[v].T, row.reshape(-1, 1))
+        return self.H[v].comp[k].reshape(-1, 1)
 
 
 def amiot_endomorphism_algebra(A: BoundQuiverAlgebra, n: int,
@@ -1196,7 +1178,7 @@ def amiot_endomorphism_algebra(A: BoundQuiverAlgebra, n: int,
     basis_info = []  # (grade, vertex, local index within vertex block)
     for g, c in enumerate(coords):
         for v in range(nv):
-            for k2 in range(c.hdims[v]):
+            for k2 in range(c.H[v].dim):
                 grading.append(g)
                 labels.append(f"g{g}v{v}k{k2}")
                 basis_info.append((g, v, k2))

@@ -1,23 +1,24 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
 Everything downstream (module homomorphism spaces, resolutions, derived
-Hom complexes) reduces to the three kernels in this module: ``rref``,
-``kernel`` and ``solve``.  Arithmetic is exact everywhere; no floating
-point result is ever returned.  The prime-field path stores entries as
-int64 numpy arrays and multiplies through float64 BLAS, which is exact as
-long as ``inner_dim * (p-1)**2 < 2**53`` (checked, with an object-dtype
-fallback).
+Hom complexes) reduces to the ``Field`` kernels ``rref``, ``kernel`` and
+``solve``, and to ``QuotientBasis``: a subspace taken modulo another and
+written in coordinates, which is how Ext, the tensor-algebra grades,
+stable Hom and cohomology are all represented.  Arithmetic is exact
+everywhere; no floating point result is ever returned.  The prime-field
+path stores entries as int64 numpy arrays and multiplies through float64
+BLAS, which is exact as long as ``inner_dim * (p-1)**2 < 2**53``
+(checked, with an object-dtype fallback).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["Field", "PrimeField", "RationalField", "GF", "QQ", "Matrix",
-           "rref", "kernel", "solve"]
+__all__ = ["Field", "PrimeField", "RationalField", "GF", "QQ",
+           "complement_rows", "QuotientBasis"]
 
 
 def _is_prime(n: int) -> bool:
@@ -47,9 +48,8 @@ def _is_prime(n: int) -> bool:
 class Field:
     """Common interface of the two coefficient fields.
 
-    Matrices are plain numpy arrays (int64 mod p, or object-dtype
-    Fraction); the wrapper type `Matrix` below is the serialization-facing
-    view.  All methods are pure.
+    Matrices are plain numpy arrays: int64 reduced mod p, or object-dtype
+    Fraction.  All methods are pure.
     """
 
     kind: str
@@ -346,47 +346,6 @@ def GF(p: int) -> PrimeField:
 DEFAULT_FIELD = GF(32003)
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Serialization-facing dense matrix: row-major entries over a field."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entries length must equal rows*cols")
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "Matrix":
-        return cls(a.shape[0], a.shape[1], tuple(a.reshape(-1).tolist()))
-
-    def to_array(self, field: Field) -> np.ndarray:
-        if self.rows * self.cols == 0:
-            return field.zeros(self.rows, self.cols)
-        return field.array(
-            [list(self.entries[i * self.cols:(i + 1) * self.cols])
-             for i in range(self.rows)])
-
-
-def rref(m: Matrix, field: Field = DEFAULT_FIELD):
-    """RREF of ``m``: (reduced matrix, pivot columns, rank)."""
-    r, pivots = field.rref(m.to_array(field))
-    return Matrix.from_array(r), pivots, len(pivots)
-
-
-def kernel(m: Matrix, field: Field = DEFAULT_FIELD) -> Matrix:
-    """Null-space basis of ``m``, one basis vector per row."""
-    return Matrix.from_array(field.kernel(m.to_array(field)))
-
-
-def solve(m: Matrix, b: Matrix, field: Field = DEFAULT_FIELD):
-    """A particular solution of m@x = b per column of b, or None."""
-    x = field.solve(m.to_array(field), b.to_array(field))
-    return None if x is None else Matrix.from_array(x)
-
-
 class EchelonState:
     """Incremental row-echelon tracker: feed rows, learn which extend the
     span; reduction against accumulated pivots is a vector operation."""
@@ -422,3 +381,69 @@ class EchelonState:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+
+def complement_rows(field: Field, sub: np.ndarray,
+                    total: np.ndarray) -> np.ndarray:
+    """Rows of `total` extending rowspace(sub) to rowspace(sub) +
+    rowspace(total), picked greedily in order."""
+    st = EchelonState(field, total.shape[1])
+    for row in sub:
+        st.add(row)
+    out = []
+    for row in total:
+        if st.rank == st.width:
+            break
+        if st.add(row):
+            out.append(row)
+    return np.stack(out) if out else field.zeros(0, total.shape[1])
+
+
+class QuotientBasis:
+    """Coordinates on rowspace(sub) + rowspace(total) modulo rowspace(sub).
+
+    ``sub`` must have independent rows.  ``comp`` holds the rows of
+    ``total`` that extend them (``complement_rows``); their classes are the
+    basis of the quotient.  One rref of ``[sub; comp | I]`` gives the pivot
+    columns of ``[sub; comp]`` and the inverse of that pivot block, so
+    coordinates cost one matmul.
+    """
+
+    def __init__(self, field: Field, sub: np.ndarray, total: np.ndarray):
+        self.field = field
+        self.comp = complement_rows(field, sub, total)
+        full = np.concatenate([sub, self.comp])
+        k, n = full.shape
+        aug = field.zeros(k, n + k)
+        aug[:, :n] = full
+        aug[:, n:] = field.eye(k)
+        r, piv = field.rref(aug)
+        if piv and piv[-1] >= n:
+            raise ValueError("the rows of sub are linearly dependent")
+        self._piv = piv
+        self._echelon = r[:, :n]
+        # columns of the pivot-block inverse that give comp coordinates
+        self._inv = r[:, n + sub.shape[0]:]
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the quotient."""
+        return self.comp.shape[0]
+
+    def coords(self, vecs: np.ndarray) -> np.ndarray:
+        """comp coordinates of each row of `vecs`, which must lie in the
+        span (see ``spans``); one row of coordinates per row."""
+        return self.field.matmul(vecs[:, self._piv], self._inv)
+
+    @property
+    def proj(self) -> np.ndarray:
+        """The map of ``coords`` as a matrix acting on columns:
+        ``proj @ vecs.T == coords(vecs).T``."""
+        out = self.field.zeros(self.dim, self._echelon.shape[1])
+        out[:, self._piv] = self._inv.T
+        return out
+
+    def spans(self, vecs: np.ndarray) -> np.ndarray:
+        """For each row of `vecs`: does it lie in rowspace([sub; comp])?"""
+        back = self.field.matmul(vecs[:, self._piv], self._echelon)
+        return np.all(vecs == back, axis=1)

@@ -10,8 +10,9 @@ themselves.  ``quiver_presentation``
 recovers a bound quiver algebra from it: Gabriel quiver from rad/rad^2,
 arrow lifts, and relation generators of the kernel of the induced path
 algebra surjection, computed degree by degree up to the nilpotency
-degree of the radical.  The returned algebra must match in dimension;
-anything else raises.
+degree of the radical; the arrow lifts and the new relation generators
+are complements picked by ``exactla.complement_rows``.  The returned
+algebra must match in dimension; anything else raises.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotBasic, NotSplit
-from .exactla import Field
+from .exactla import Field, complement_rows
 from .quivers import (BoundQuiverAlgebra, Path, PathElement, Quiver,
                       complete_basis)
 
@@ -167,19 +168,6 @@ def _sum_rows(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return f.row_space(np.concatenate([a, b], axis=0))
 
 
-def _complement_rows(f, sub: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Rows of `total` extending rowspace(sub) to rowspace(total)."""
-    from .exactla import EchelonState
-    st = EchelonState(f, total.shape[1])
-    for r in range(sub.shape[0]):
-        st.add(sub[r])
-    out = []
-    for r in range(total.shape[0]):
-        if st.add(total[r]):
-            out.append(total[r])
-    return np.stack(out) if out else f.zeros(0, total.shape[1])
-
-
 def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
     """Bound quiver algebra isomorphic to the basic split algebra B."""
     f = B.field
@@ -238,7 +226,7 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
         for j in range(m):
             corner = _intersect_rows(f, corner_rows[(i, j)], rad)
             corner2 = _intersect_rows(f, corner, rad2)
-            lifts = _complement_rows(f, corner2, corner)
+            lifts = complement_rows(f, corner2, corner)
             if graded:
                 # re-pick the complement degree by degree so lifts are
                 # homogeneous
@@ -250,7 +238,7 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
                             if _is_homog(f, B, r, dg)]
                     if not rows:
                         continue
-                    ext = _complement_rows(f, base, np.stack(rows))
+                    ext = complement_rows(f, base, np.stack(rows))
                     for r in ext:
                         hom_lifts.append((r, dg))
                     base = _sum_rows(f, base, ext)
@@ -308,7 +296,7 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
         # span of the ideal generated by the current relations, within pool
         idx = {p: k for k, p in enumerate(pool)}
         ideal_rows = _ideal_span(f, quiver, relations, pool, idx)
-        new = _complement_rows(f, ideal_rows, ker)
+        new = complement_rows(f, ideal_rows, ker)
         for r in new:
             terms = {}
             for k, p in enumerate(pool):

@@ -14,6 +14,7 @@ import random
 import numpy as np
 
 from .errors import NonSplitEndo
+from .exactla import QuotientBasis
 from .quivers import BoundQuiverAlgebra, Path, opposite
 
 __all__ = ["Representation", "ModuleMap", "zero_rep", "simple", "projective",
@@ -359,36 +360,13 @@ def quotient(M: Representation, spaces):
     f = M.field
     projs = []
     sections = []
-    dims = []
     for v in range(q.n_vertices):
+        # extend the columns of S to a basis by standard vectors
         S = _column_space(f, spaces[v])
-        d = M.dims[v]
-        # greedily extend columns of S to a basis by standard vectors
-        cur = S
-        comp_idx = []
-        rank = f.rank(cur.T) if cur.size else 0
-        for e in range(d):
-            if rank == d:
-                break
-            cand = f.zeros(d, 1)
-            cand[e, 0] = f.one
-            test = np.concatenate([cur, cand], axis=1) if cur.size else cand
-            rk = f.rank(test.T)
-            if rk > rank:
-                cur = test
-                rank = rk
-                comp_idx.append(e)
-        C = f.zeros(d, len(comp_idx))
-        for k, e in enumerate(comp_idx):
-            C[e, k] = f.one
-        T = np.concatenate([S, C], axis=1) if S.size else C
-        if T.shape[1] != d and d > 0:
-            raise ValueError("failed to complete basis")
-        Tinv = f.solve(T, f.eye(d)) if d else f.zeros(0, 0)
-        k0 = S.shape[1]
-        projs.append(Tinv[k0:, :] if d else f.zeros(0, 0))
-        sections.append(C)
-        dims.append(len(comp_idx))
+        quot = QuotientBasis(f, S.T, f.eye(M.dims[v]))
+        projs.append(quot.proj)
+        sections.append(quot.comp.T)
+    dims = [c.shape[1] for c in sections]
     action = []
     for a in range(q.n_arrows):
         s, t = q.source(a), q.target(a)
@@ -707,37 +685,6 @@ def _rational_root_split(f, m, sf):
     return None
 
 
-def endo_algebra(M: Representation):
-    """(basis maps, structure-constant multiplier, coordinates solver)."""
-    basis = hom_space(M, M)
-    f = M.field
-    n = len(basis)
-    flat = np.concatenate([b.flatten() for b in basis], axis=0) if n else \
-        f.zeros(0, 0)
-    cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def coords(phi: ModuleMap) -> np.ndarray:
-        x = f.solve(flat.T, phi.flatten().T)
-        assert x is not None
-        return x[:, 0]
-
-    def mul(i: int, j: int) -> np.ndarray:
-        # basis[i] * basis[j] := basis[j] after basis[i]  (apply i first)
-        hit = cache.get((i, j))
-        if hit is None:
-            hit = coords(basis[i].compose(basis[j]))
-            cache[(i, j)] = hit
-        return hit
-
-    return basis, mul, coords
-
-
-def _identity_coords(M, basis, coords):
-    f = M.field
-    eye_blocks = [f.eye(d) for d in M.dims]
-    return coords(ModuleMap(M, M, eye_blocks))
-
-
 def decompose(M: Representation, seed: int = 11,
               _depth: int = 0) -> list[tuple[Representation, int]]:
     """Indecomposable direct summands with multiplicities.
@@ -752,41 +699,39 @@ def decompose(M: Representation, seed: int = 11,
         raise NonSplitEndo("field characteristic too small for the "
                            "trace-form radical; use a larger prime")
     rng = random.Random(seed + _depth)
-    basis, mul, coords = endo_algebra(M)
+    basis = hom_space(M, M)
     n = len(basis)
     rad_rows = _gram_radical(f, basis)
     sdim = n - rad_rows.shape[0]
     if sdim == 1:
         return [(M, 1)]
 
-    # quotient S = End/rad in explicit coordinates
-    rad_basis = rad_rows  # rows: coordinates of a basis of rad
-    # choose a complement of rad inside End by extending to a basis
-    comp = []
-    cur = rad_basis
-    for e in range(n):
-        if cur.shape[0] == n:
-            break
-        cand = f.zeros(1, n)
-        cand[0, e] = f.one
-        test = np.concatenate([cur, cand], axis=0) if cur.size else cand
-        if f.rank(test) > f.rank(cur):
-            cur = test
-            comp.append(e)
-    # projection to S-coordinates: solve against [rad; comp] basis
-    full = np.concatenate(
-        [rad_basis, np.stack([_unit_row(f, n, e) for e in comp])], axis=0) \
-        if rad_basis.size else np.stack([_unit_row(f, n, e) for e in comp])
+    # End(M) in coordinates of `basis`, and S = End/rad on the standard
+    # basis vectors that complete rad
+    end = QuotientBasis(f, f.zeros(0, sum(d * d for d in M.dims)),
+                        np.concatenate([b.flatten() for b in basis]))
+    S = QuotientBasis(f, rad_rows, f.eye(n))
+    S_proj = S.proj
+    products: dict[tuple[int, int], np.ndarray] = {}
+
+    def end_coords(phi: ModuleMap) -> np.ndarray:
+        vec = phi.flatten()
+        assert end.spans(vec).all()
+        return end.coords(vec)[0]
+
+    def mul(i: int, j: int) -> np.ndarray:
+        # basis[i] * basis[j] := basis[j] after basis[i]  (apply i first)
+        hit = products.get((i, j))
+        if hit is None:
+            hit = end_coords(basis[i].compose(basis[j]))
+            products[(i, j)] = hit
+        return hit
 
     def to_S(vec: np.ndarray) -> np.ndarray:
-        x = f.solve(full.T, vec.reshape(-1, 1))
-        return x[rad_basis.shape[0]:, 0]
+        return f.matmul(S_proj, vec.reshape(-1, 1))[:, 0]
 
     def S_to_end(svec: np.ndarray) -> np.ndarray:
-        out = f.zeros(1, n)[0]
-        for k, e in enumerate(comp):
-            out = f.add(out, f.smul(svec[k], _unit_row(f, n, e)))
-        return out
+        return f.matmul(svec.reshape(1, -1), S.comp)[0]
 
     def S_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         ex, ey = S_to_end(x), S_to_end(y)
@@ -800,7 +745,7 @@ def decompose(M: Representation, seed: int = 11,
                 acc = f.add(acc, f.smul(ex[i] * ey[j], mul(i, j)))
         return to_S(acc)
 
-    one_S = to_S(_identity_coords(M, basis, coords))
+    one_S = to_S(end_coords(ModuleMap(M, M, [f.eye(d) for d in M.dims])))
 
     idem = None
     for _ in range(32):
@@ -850,12 +795,6 @@ def decompose(M: Representation, seed: int = 11,
         else:
             grouped.append((rep, mult))
     return grouped
-
-
-def _unit_row(f, n, e):
-    r = f.zeros(1, n)[0]
-    r[e] = f.one
-    return r
 
 
 def _combine(M, basis, coeffs) -> ModuleMap:

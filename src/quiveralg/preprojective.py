@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GldimTooLarge, NotTauFinite, AboveCap
-from .findim import FinDimAlgebra, _complement_rows
+from .exactla import QuotientBasis
+from .findim import FinDimAlgebra
 from .homology import (ProjResolution, ext_data, global_dimension,
                        min_proj_resolution, op_element, tau_n_inv)
 from .modules import (ModuleMap, Representation, coregular, decompose,
@@ -146,14 +147,14 @@ def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
     if dim == 0:
         return ExtBimodule(A, n, 0, [f.zeros(0, 0)] * A.dim,
                            [f.zeros(0, 0)] * A.dim)
-    basis_rows = _complement_rows(f, cob, cocycles)
-    assert basis_rows.shape[0] == dim
-    full = np.concatenate([cob, basis_rows], axis=0) if cob.size else basis_rows
+    ext = QuotientBasis(f, cob, cocycles)
+    basis_rows = ext.comp
+    assert ext.dim == dim
 
-    def express(vec: np.ndarray) -> np.ndarray:
-        x = f.solve(full.T, vec.reshape(-1, 1))
-        assert x is not None, "vector must be a cocycle"
-        return x[cob.shape[0]:, 0]
+    def action(images: np.ndarray) -> np.ndarray:
+        """Matrix whose column r is the class of row r of `images`."""
+        assert ext.spans(images).all(), "vector must be a cocycle"
+        return ext.coords(images).T
 
     Pn = res.terms[n] if n <= res.length else None
     if Pn is None:
@@ -177,20 +178,20 @@ def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
     left_mats = []
     for b in range(A.dim):
         lm = left_mult_map(A, {b: f.one}, R)
-        cols = []
+        images = []
         for r in range(dim):
             ys = split_coords(basis_rows[r])
             ys2 = [f.matmul(lm.blocks[v], y)
                    for v, y in zip(Pn.summands, ys)]
-            cols.append(express(join_coords(ys2)))
-        left_mats.append(np.stack(cols, axis=1) if cols else f.zeros(0, 0))
+            images.append(join_coords(ys2))
+        left_mats.append(action(np.stack(images)))
 
     # right action: precompose with the lift of left multiplication on D(A)
     right_mats = []
     for b in range(A.dim):
         lam = left_mult_on_coregular(A, {b: f.one}, DL)
         lift_n = lift_through_resolution(res, lam, n)[n]
-        cols = []
+        images = []
         for r in range(dim):
             ys = split_coords(basis_rows[r])
             ys2 = []
@@ -199,8 +200,8 @@ def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
                 gen[Pn.offsets[s][v], 0] = f.one
                 moved = f.matmul(lift_n.blocks[v], gen)
                 ys2.append(_yoneda_eval(Pn, ys, v, moved, R))
-            cols.append(express(join_coords(ys2)))
-        right_mats.append(np.stack(cols, axis=1) if cols else f.zeros(0, 0))
+            images.append(join_coords(ys2))
+        right_mats.append(action(np.stack(images)))
 
     return ExtBimodule(A, n, dim, left_mats, right_mats)
 
@@ -324,13 +325,10 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
                 break
             if len(grades) > cap:
                 raise NotTauFinite(cap, newdim)
-            total = f.eye(V)
-            comp = _complement_rows(f, W, total)
-            full = np.concatenate([W, comp], axis=0) if W.size else comp
-            inv = f.solve(full.T, f.eye(V))
-            assert inv is not None
-            proj = inv[W.shape[0]:].copy()  # frees the V x V inverse
-            sigma = comp.T  # columns: representatives of the new basis
+            quot = QuotientBasis(f, W, f.eye(V))
+            proj = quot.proj
+            sigma = quot.comp.T  # columns: representatives of the new basis
+            del quot  # frees the V x 2V echelon form
             # (u (x) y) b = u (x) (y b), on all representatives at once
             reps = sigma.reshape(t, e, newdim).transpose(0, 2, 1)
             R = []
@@ -391,76 +389,56 @@ def _unit(f, n, k):
 # stable Hom and the stable endomorphism algebra
 # ---------------------------------------------------------------------------
 
-def stable_hom(M: Representation, N: Representation) -> list[ModuleMap]:
-    """Basis of Hom(M,N) modulo maps factoring through projectives."""
-    homs = hom_space(M, N)
-    if not homs:
-        return []
+def _hom_quotient(M: Representation, N: Representation,
+                  modulo_projectives: bool):
+    """Hom(M, N), modulo the maps that factor through the projective cover
+    of N when asked: the quotient basis on flattened maps, and its basis
+    maps."""
     f = M.field
-    flat = np.stack([h.flatten()[0] for h in homs])
-    cov = projective_cover(N)
-    through = hom_space(M, cov.source)
-    rows = [t.compose(cov).flatten()[0] for t in through]
-    frows = f.row_space(np.stack(rows)) if rows else f.zeros(0, flat.shape[1])
-    reps = _complement_rows(f, frows, flat)
-    out = []
-    for r in range(reps.shape[0]):
+    homs = hom_space(M, N)
+    width = sum(m * n for m, n in zip(M.dims, N.dims))
+    flat = np.stack([h.flatten()[0] for h in homs]) if homs else \
+        f.zeros(0, width)
+    frows = f.zeros(0, width)
+    if modulo_projectives and homs:
+        cov = projective_cover(N)
+        rows = [t.compose(cov).flatten()[0]
+                for t in hom_space(M, cov.source)]
+        if rows:
+            frows = f.row_space(np.stack(rows))
+    quot = QuotientBasis(f, frows, flat)
+    maps = []
+    for row in quot.comp:
         blocks = []
         off = 0
         for v in range(len(M.dims)):
             sz = N.dims[v] * M.dims[v]
-            blocks.append(reps[r, off:off + sz].reshape(N.dims[v], M.dims[v]))
+            blocks.append(row[off:off + sz].reshape(N.dims[v], M.dims[v]))
             off += sz
-        out.append(ModuleMap(M, N, blocks))
-    return out
+        maps.append(ModuleMap(M, N, blocks))
+    return quot, maps
+
+
+def stable_hom(M: Representation, N: Representation) -> list[ModuleMap]:
+    """Basis of Hom(M,N) modulo maps factoring through projectives."""
+    return _hom_quotient(M, N, modulo_projectives=True)[1]
 
 
 def _hom_algebra(X: Representation, modulo_projectives: bool):
     """End(X) or stable End(X) as a FinDimAlgebra, with idempotents from
     the block structure of X (X must carry block incls/projs)."""
     f = X.field
-    homs = hom_space(X, X)
-    flat = np.stack([h.flatten()[0] for h in homs]) if homs else \
-        f.zeros(0, 0)
-    if modulo_projectives:
-        cov = projective_cover(X)
-        through = hom_space(X, cov.source)
-        rows = [t.compose(cov).flatten()[0] for t in through]
-        frows = f.row_space(np.stack(rows)) if rows else \
-            f.zeros(0, flat.shape[1])
-    else:
-        frows = f.zeros(0, flat.shape[1] if homs else 0)
-    reps = _complement_rows(f, frows, flat) if homs else f.zeros(0, 0)
-    dim = reps.shape[0]
-    full = np.concatenate([frows, reps], axis=0) if frows.size else reps
-    # precomputed pivot-column inverse: coefficients of any vector in the
-    # row space come from one matmul instead of one solve per product
-    if full.shape[0]:
-        _, piv = f.rref(full)
-        inv_piv = f.solve(full.T[piv, :], f.eye(full.shape[0]))
-        assert inv_piv is not None
+    quot, basis_maps = _hom_quotient(X, X, modulo_projectives)
 
     def express(phi: ModuleMap) -> np.ndarray:
-        vec = phi.flatten()[0]
-        x = f.matmul(inv_piv, vec[piv].reshape(-1, 1))
-        return x[frows.shape[0]:, 0]
-
-    basis_maps = []
-    for r in range(dim):
-        blocks = []
-        off = 0
-        for v in range(len(X.dims)):
-            sz = X.dims[v] * X.dims[v]
-            blocks.append(reps[r, off:off + sz].reshape(X.dims[v], X.dims[v]))
-            off += sz
-        basis_maps.append(ModuleMap(X, X, blocks))
+        return quot.coords(phi.flatten())[0]
 
     def mult(i, j):
         # f * g = g after f (covariant composition order)
         coords = express(basis_maps[i].compose(basis_maps[j]))
-        return {k: coords[k] for k in range(dim) if coords[k] != f.zero}
+        return {k: coords[k] for k in range(quot.dim) if coords[k] != f.zero}
 
-    return express, mult, dim
+    return express, mult, quot.dim
 
 
 def end_algebra(X: Representation, incls: list[ModuleMap],

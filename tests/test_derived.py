@@ -1,7 +1,7 @@
 import random
 
 
-from quiveralg.derived import (ComplexOfModules, SerreContext, amiot_endomorphism_algebra,
+from quiveralg.derived import (ChainMap, ComplexOfModules, SerreContext, amiot_endomorphism_algebra,
                                amiot_hom, hom_d, inj_resolve_complex,
                                module_complex, nakayama, nakayama_inv,
                                proj_resolve_complex, serre_n_power,
@@ -55,6 +55,18 @@ def test_resolve_two_term_complex():
     assert eps.induces_cohomology_iso()
     assert X.cohomology_dims() == {0: 1, 1: 1}
     assert P.cohomology_dims() == {0: 1, 1: 1}
+
+
+def test_cohomology_iso_needs_the_induced_map_to_be_invertible():
+    A = a2()
+    f = A.field
+    from quiveralg.modules import ModuleMap
+    S = simple(A, 0)
+    X = module_complex(S)
+    zero = ModuleMap(S, S, [f.zeros(d, d) for d in S.dims])
+    one = ModuleMap(S, S, [f.eye(d) for d in S.dims])
+    assert not ChainMap(X, X, {0: zero}).induces_cohomology_iso()
+    assert ChainMap(X, X, {0: one}).induces_cohomology_iso()
 
 
 def test_inj_resolve():

@@ -1,76 +1,76 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiveralg.exactla import GF, QQ, Matrix, kernel, rref, solve
+from quiveralg.exactla import GF, QQ, QuotientBasis, complement_rows
 
 F = GF(32003)
 
 
 def test_rref_identity():
-    m = Matrix.from_array(F.eye(2))
-    r, pivots, rank = rref(m, F)
-    assert r == m
+    r, pivots = F.rref(F.eye(2))
+    assert F.equal(r, F.eye(2))
     assert pivots == [0, 1]
-    assert rank == 2
+    assert len(pivots) == 2
 
 
 def test_rref_zero():
-    m = Matrix(2, 2, (0, 0, 0, 0))
-    r, pivots, rank = rref(m, F)
-    assert r == m
+    m = F.zeros(2, 2)
+    r, pivots = F.rref(m)
+    assert F.equal(r, m)
     assert pivots == []
-    assert rank == 0
+    assert len(pivots) == 0
 
 
 def test_rref_rank_one_over_q():
-    m = Matrix(2, 2, (Fraction(1), Fraction(2), Fraction(2), Fraction(4)))
-    r, pivots, rank = rref(m, QQ)
-    assert rank == 1
-    assert r.entries == (Fraction(1), Fraction(2), Fraction(0), Fraction(0))
+    m = QQ.array([[1, 2], [2, 4]])
+    r, pivots = QQ.rref(m)
+    assert len(pivots) == 1
+    assert r.reshape(-1).tolist() == [Fraction(1), Fraction(2),
+                                      Fraction(0), Fraction(0)]
 
 
 def test_kernel_injective():
-    assert kernel(Matrix.from_array(F.eye(3)), F).rows == 0
+    assert F.kernel(F.eye(3)).shape[0] == 0
 
 
 def test_kernel_zero_map():
-    k = kernel(Matrix(3, 3, (0,) * 9), F)
-    assert k.rows == 3
+    k = F.kernel(F.zeros(3, 3))
+    assert k.shape[0] == 3
     assert QQ is not None
 
 
 def test_kernel_rank_one_over_q():
-    m = Matrix(2, 2, (Fraction(1), Fraction(2), Fraction(2), Fraction(4)))
-    k = kernel(m, QQ)
-    assert k.rows == 1
-    v = k.entries
+    k = QQ.kernel(QQ.array([[1, 2], [2, 4]]))
+    assert k.shape[0] == 1
+    v = k.reshape(-1).tolist()
     # spanned by (-2, 1) up to scalar
     assert v[0] * 1 == v[1] * -2
 
 
 def test_solve_identity():
-    b = Matrix(2, 1, (5, 7))
-    x = solve(Matrix.from_array(F.eye(2)), b, F)
-    assert x == b
+    b = F.array([[5], [7]])
+    x = F.solve(F.eye(2), b)
+    assert F.equal(x, b)
 
 
 def test_solve_absent():
-    assert solve(Matrix(2, 2, (0,) * 4), Matrix(2, 1, (1, 0)), F) is None
+    assert F.solve(F.zeros(2, 2), F.array([[1], [0]])) is None
 
 
 def test_solve_back_substitution_over_q():
-    m = Matrix(2, 2, (Fraction(1), Fraction(1), Fraction(0), Fraction(1)))
-    b = Matrix(2, 1, (Fraction(3), Fraction(1)))
-    x = solve(m, b, QQ)
-    assert x.entries == (Fraction(2), Fraction(1))
+    m = QQ.array([[1, 1], [0, 1]])
+    b = QQ.array([[3], [1]])
+    x = QQ.solve(m, b)
+    assert x.reshape(-1).tolist() == [Fraction(2), Fraction(1)]
 
 
 def test_solve_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        solve(Matrix(2, 2, (1, 0, 0, 1)), Matrix(3, 1, (1, 1, 1)), F)
+        F.solve(F.eye(2), F.array([[1], [1], [1]]))
 
 
 def _random_matrix(field, rng, rows, cols):
@@ -133,3 +133,53 @@ def test_prime_just_below_int64_bound_gives_exact_kernels():
 def test_prime_above_int64_bound_is_refused():
     with pytest.raises(ValueError, match="2\\^31"):
         GF(4294967311)
+
+
+def _independent_rows(field, rng, rows, cols):
+    """`rows` random, linearly independent rows (needs rows <= cols)."""
+    while True:
+        a = _random_matrix(field, rng, rows, cols)
+        if field.rank(a) == rows:
+            return a
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_quotient_basis_coords_proj_spans(field, nsub, ntotal, cols, seed):
+    rng = random.Random(seed)
+    nsub = min(nsub, cols)
+    sub = _independent_rows(field, rng, nsub, cols)
+    total = _random_matrix(field, rng, ntotal, cols)
+    if ntotal > 1:
+        # a repeated row is never picked twice
+        total[-1] = total[0]
+    quot = QuotientBasis(field, sub, total)
+    full = np.concatenate([sub, quot.comp])
+    assert field.rank(full) == full.shape[0]
+    assert field.rank(np.concatenate([sub, total])) == full.shape[0]
+    # vectors inside the span: random combinations of sub and comp rows
+    vecs = field.matmul(_random_matrix(field, rng, 3, full.shape[0]), full)
+    assert quot.spans(vecs).all()
+    x = field.solve(full.T, vecs.T)
+    assert field.equal(quot.coords(vecs), x[nsub:].T)
+    assert field.equal(field.matmul(quot.proj, vecs.T), quot.coords(vecs).T)
+    # a unit vector lies in the span iff it leaves the rank unchanged
+    units = field.eye(cols)
+    inside = [field.rank(np.concatenate([full, units[j:j + 1]]))
+              == full.shape[0] for j in range(cols)]
+    assert quot.spans(units).tolist() == inside
+    assert all(inside) == (full.shape[0] == cols)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+def test_quotient_basis_refuses_dependent_sub(field):
+    sub = field.array([[1, 2, 0], [2, 4, 0]])
+    with pytest.raises(ValueError):
+        QuotientBasis(field, sub, field.eye(3))
+
+
+def test_complement_rows_of_e0_in_identity():
+    comp = complement_rows(F, F.eye(3)[:1], F.eye(3))
+    assert F.equal(comp, F.eye(3)[1:])
