@@ -80,8 +80,8 @@ def is_n_rep_finite(A: BoundQuiverAlgebra, n: int, cap: int = 32) -> Verdict:
 
 
 def socle_vertex(A: BoundQuiverAlgebra, M: Representation):
-    from .modules import structure
-    soc = structure(M)["socle"][0]
+    from .modules import socle
+    soc = socle(M)[0]
     verts = [v for v, d in enumerate(soc.dims) if d]
     if len(verts) == 1 and soc.total_dim == 1:
         return verts[0]

@@ -1218,31 +1218,31 @@ def amiot_endomorphism_algebra(A: BoundQuiverAlgebra, n: int,
             hit = cm
         return hit
 
-    def mult(i: int, j: int) -> dict[int, object]:
-        """Product x_i x_j in the tensor-algebra orientation: x_j acts
+    def mult(i: int) -> np.ndarray:
+        """Products x_i x_j in the tensor-algebra orientation: x_j acts
         first, x_i is transported past it by S_n^{-deg(x_j)}."""
         gi = basis_info[i][0]
-        gj = basis_info[j][0]
-        out: dict[int, object] = {}
-        if gi + gj < len(coords):
+        row = f.zeros(total, total)
+        for j in range(total):
+            gj = basis_info[j][0]
+            if gi + gj >= len(coords):
+                continue
             fmap = chain_of(j)
             gmap = transported(i, gj)  # S^{-gj}(x_i): C_gj -> C_{gi+gj}
             g0 = gmap.parts.get(0)
-            if g0 is not None and fmap.parts.get(0) is not None:
-                comp = fmap.parts[0].compose(
-                    ModuleMap(gmap.source.term(0), gmap.target.term(0),
-                              g0.blocks))
-                R = fmap.parts[0].source
-                gen_imgs = []
-                for w in range(nv):
-                    col = R.offsets[w][w]
-                    gen_imgs.append(comp.blocks[w][:, col:col + 1])
-                cvec = coords[gi + gj].coords(gen_imgs)
-                base = int(offsets[gi + gj])
-                for t in range(piece_dims[gi + gj]):
-                    if cvec[t] != f.zero:
-                        out[base + t] = cvec[t]
-        return out
+            if g0 is None or fmap.parts.get(0) is None:
+                continue
+            comp = fmap.parts[0].compose(
+                ModuleMap(gmap.source.term(0), gmap.target.term(0),
+                          g0.blocks))
+            R = fmap.parts[0].source
+            gen_imgs = []
+            for w in range(nv):
+                col = R.offsets[w][w]
+                gen_imgs.append(comp.blocks[w][:, col:col + 1])
+            row[j, offsets[gi + gj]:offsets[gi + gj + 1]] = \
+                coords[gi + gj].coords(gen_imgs)
+        return row
 
     idems = []
     for v in range(nv):

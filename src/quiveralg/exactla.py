@@ -169,9 +169,11 @@ class Field:
         return x
 
     def row_space(self, a: np.ndarray) -> np.ndarray:
-        """Row-reduced basis of the row space (rref with zero rows dropped)."""
+        """Row-reduced basis of the row space (rref with zero rows dropped).
+
+        A copy, so that a kept basis does not pin the whole rref buffer."""
         r, pivots = self.rref(a)
-        return r[: len(pivots)]
+        return r[: len(pivots)].copy()
 
 
 class PrimeField(Field):
@@ -387,6 +389,8 @@ def complement_rows(field: Field, sub: np.ndarray,
                     total: np.ndarray) -> np.ndarray:
     """Rows of `total` extending rowspace(sub) to rowspace(sub) +
     rowspace(total), picked greedily in order."""
+    if total.shape[0] == 0:
+        return field.zeros(0, total.shape[1])
     st = EchelonState(field, total.shape[1])
     for row in sub:
         st.add(row)
@@ -443,7 +447,13 @@ class QuotientBasis:
         out[:, self._piv] = self._inv.T
         return out
 
+    def residual(self, vecs: np.ndarray) -> np.ndarray:
+        """Each row of `vecs` reduced against the echelon form of
+        ``[sub; comp]``: zero at its pivot columns, and zero exactly on the
+        rows that lie in its span.  A linear map with kernel that span."""
+        f = self.field
+        return f.sub(vecs, f.matmul(vecs[:, self._piv], self._echelon))
+
     def spans(self, vecs: np.ndarray) -> np.ndarray:
         """For each row of `vecs`: does it lie in rowspace([sub; comp])?"""
-        back = self.field.matmul(vecs[:, self._piv], self._echelon)
-        return np.all(vecs == back, axis=1)
+        return np.all(self.residual(vecs) == self.field.zero, axis=1)

@@ -1,18 +1,21 @@
 """Abstract finite-dimensional algebras and quiver presentations.
 
 A FinDimAlgebra is a basis, its structure constants and a complete list
-of orthogonal idempotents, optionally graded.  Each product of basis
-elements is computed once, when the algebra is built, and only the
-nonzero constants c_{ij}^k are kept, as four flat arrays.  Products,
-left and right multiplication matrices are scatter-adds over them, and
-the trace form that gives the radical is one sparse join of them with
-themselves.  ``quiver_presentation``
-recovers a bound quiver algebra from it: Gabriel quiver from rad/rad^2,
-arrow lifts, and relation generators of the kernel of the induced path
-algebra surjection, computed degree by degree up to the nilpotency
-degree of the radical; the arrow lifts and the new relation generators
-are complements picked by ``exactla.complement_rows``.  The returned
-algebra must match in dimension; anything else raises.
+of orthogonal idempotents, optionally graded.  The builder's function
+gives the products one basis row at a time: ``mult(i)`` is a dim x dim
+array whose row j holds the coordinates of b_i b_j.  It is called once
+per i, when the algebra is built, and only the nonzero constants
+c_{ij}^k are kept, as four flat arrays.  Products, left and right
+multiplication matrices are scatter-adds over them, and the trace form
+that gives the radical is one sparse join of them with themselves.
+``quiver_presentation`` recovers a bound quiver algebra from it: Gabriel
+quiver from rad/rad^2, arrow lifts, and relation generators of the
+kernel of the induced path algebra surjection, computed degree by degree
+up to the nilpotency degree of the radical.  Each corner e_i B e_j is
+taken modulo one echelon form of rad (and of rad^2); the arrow lifts and
+the new relation generators are complements picked by
+``exactla.complement_rows``.  The returned algebra must match in
+dimension; anything else raises.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotBasic, NotSplit
-from .exactla import Field, complement_rows
+from .exactla import Field, QuotientBasis, complement_rows
 from .quivers import (BoundQuiverAlgebra, Path, PathElement, Quiver,
                       complete_basis)
 
@@ -30,9 +33,10 @@ __all__ = ["FinDimAlgebra", "quiver_presentation"]
 class FinDimAlgebra:
     """Associative unital algebra given by structure constants.
 
-    ``mult(i, j)`` gives the product of basis elements i and j as a sparse
-    dict {k: coeff}.  The constructor evaluates it once per pair and keeps
-    only the nonzero constants c_{ij}^k, as four flat arrays
+    ``mult(i)`` gives the products of basis element i with every basis
+    element, as a dim x dim array whose row j holds the coordinates of
+    b_i b_j.  The constructor calls it once per i and keeps only the
+    nonzero constants c_{ij}^k, as four flat arrays
     ``constants = (i, j, k, c)``; every product after that is a
     scatter-add over those arrays.
     """
@@ -47,24 +51,24 @@ class FinDimAlgebra:
         self.idempotents = [np.array(e) for e in idempotents]
         self.grading = grading
         self.labels = labels or [f"b{i}" for i in range(dim)]
-        ii, jj, kk, cc = [], [], [], []
+        # the empty first entry keeps the concatenation defined for dim 0
+        empty = np.zeros(0, dtype=np.int64)
+        nonzero = [(empty, empty, empty, field.zeros(1, 0)[0])]
         for i in range(dim):
-            for j in range(dim):
-                for k, c in self.table(i, j).items():
-                    if c != field.zero:
-                        ii.append(i)
-                        jj.append(j)
-                        kk.append(k)
-                        cc.append(c)
-        idx = [np.array(a, dtype=np.int64) for a in (ii, jj, kk)]
-        self.constants = (*idx, field.array(cc))
+            row = self.table(i)
+            j, k = np.nonzero(row != field.zero)
+            nonzero.append((np.full(len(j), i, dtype=np.int64), j, k,
+                            row[j, k]))
+        i, j, k, c = (np.concatenate(a) for a in zip(*nonzero))
+        self.constants = (i, j, k, field.array(c))
 
     def __repr__(self):
         return f"FinDimAlgebra(dim={self.dim}, e={len(self.idempotents)})"
 
-    def table(self, i: int, j: int) -> dict[int, object]:
-        """Product of basis elements i and j, from the builder's function."""
-        return self._mult(i, j)
+    def table(self, i: int) -> np.ndarray:
+        """Products of basis element i, from the builder's function: row j
+        holds the coordinates of b_i b_j."""
+        return self._mult(i)
 
     def mult_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         i, j, k, c = self.constants
@@ -122,7 +126,15 @@ def algebra_from_bqa(A: BoundQuiverAlgebra) -> FinDimAlgebra:
         idems.append(e)
     grading = [A.path_degree(p) for p in A.basis] \
         if A.arrow_degrees is not None else None
-    return FinDimAlgebra(f, A.dim, A.mult_basis, idems, grading)
+
+    def mult(i: int) -> np.ndarray:
+        row = f.zeros(A.dim, A.dim)
+        for j in range(A.dim):
+            for k, c in A.mult_basis(i, j).items():
+                row[j, k] = c
+        return row
+
+    return FinDimAlgebra(f, A.dim, mult, idems, grading)
 
 
 def _radical_rows(B: FinDimAlgebra) -> np.ndarray:
@@ -149,15 +161,16 @@ def _radical_rows(B: FinDimAlgebra) -> np.ndarray:
     return f.kernel(g)
 
 
-def _intersect_rows(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row basis of rowspace(a) ∩ rowspace(b)."""
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return f.zeros(0, a.shape[1])
-    stacked = np.concatenate([a, b], axis=0)
-    ker = f.kernel(stacked.T)  # combos of columns... rows act as vectors
-    # ker rows: coefficients (x | y) with x*a + y*b = 0 -> x*a = -(y*b)
-    xa = f.matmul(ker[:, :a.shape[0]], a)
-    return f.row_space(xa)
+def _meet(f: Field, rows: np.ndarray, space: QuotientBasis) -> np.ndarray:
+    """Canonical row basis (rref) of rowspace(rows) ∩ the span of `space`.
+
+    ``rows`` must be independent.  The combinations x with x @ rows in the
+    span are the kernel of the residual of `rows` modulo `space`'s echelon
+    form, so rows.shape[0] minus the result's rank is the dimension of
+    rowspace(rows) modulo that span.
+    """
+    ker = f.kernel(space.residual(rows).T)
+    return f.row_space(f.matmul(ker, rows))
 
 
 def _sum_rows(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,17 +190,16 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
     rad = _radical_rows(B)
 
     # -- basic & split checks on S = B/rad --------------------------------
-    corner_rows = {}
+    # e_i B e_j is the image of x -> e_i x e_j; keep only its part in rad
+    rad_space = QuotientBasis(f, rad, f.zeros(0, n))
+    corners = {}
     rmats = [B.right_mult_matrix(e) for e in idems]
     for i in range(m):
         Li = B.left_mult_matrix(idems[i])
         for j in range(m):
-            img = f.matmul(Li, rmats[j])
-            corner_rows[(i, j)] = f.row_space(img.T)
-    for i in range(m):
-        for j in range(m):
-            inter = _sum_rows(f, corner_rows[(i, j)], rad)
-            excess = inter.shape[0] - rad.shape[0]
+            rows = f.row_space(f.matmul(Li, rmats[j]).T)
+            corners[(i, j)] = _meet(f, rows, rad_space)
+            excess = rows.shape[0] - corners[(i, j)].shape[0]
             if i == j and excess != 1:
                 raise NotBasic(
                     f"e_{i} B e_{i} mod rad has dimension {excess}, not 1")
@@ -197,14 +209,11 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
 
     # -- radical powers and nilpotency degree ------------------------------
     def mult_spaces(rows_a, rows_b):
-        prods = []
-        for ra in rows_a:
-            lm = B.left_mult_matrix(ra)
-            for rb in rows_b:
-                prods.append(f.matmul(lm, rb.reshape(-1, 1))[:, 0])
-        if not prods:
+        if not len(rows_a) or not len(rows_b):
             return f.zeros(0, n)
-        return f.row_space(np.stack(prods))
+        prods = [f.matmul(B.left_mult_matrix(ra), rows_b.T).T
+                 for ra in rows_a]
+        return f.row_space(np.concatenate(prods))
 
     rad_pows = [rad]
     while rad_pows[-1].shape[0]:
@@ -215,6 +224,7 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
     nilp = len(rad_pows)  # rad^nilp = 0
 
     rad2 = rad_pows[1] if len(rad_pows) > 1 else f.zeros(0, n)
+    rad2_space = QuotientBasis(f, rad2, f.zeros(0, n))
 
     # -- arrows: graded lifts of rad/rad^2 inside each corner ---------------
     vertices = [str(i + 1) for i in range(m)]
@@ -224,8 +234,8 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
     graded = B.grading is not None
     for i in range(m):
         for j in range(m):
-            corner = _intersect_rows(f, corner_rows[(i, j)], rad)
-            corner2 = _intersect_rows(f, corner, rad2)
+            corner = corners[(i, j)]
+            corner2 = _meet(f, corner, rad2_space)
             lifts = complement_rows(f, corner2, corner)
             if graded:
                 # re-pick the complement degree by degree so lifts are
@@ -259,37 +269,39 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
     quiver = Quiver(vertices, arrow_list)
 
     # -- kernel of the presentation map, degree by degree -------------------
-    def eval_path(p: Path) -> np.ndarray:
-        vec = idems[p.source]
-        for a in p.arrows:
-            vec = f.matmul(B.left_mult_matrix(vec),
-                           arrow_elems[a].reshape(-1, 1))[:, 0]
-        return vec
-
+    # a path's value extends its prefix's value: (x a) = x R_a^T on rows
+    arrow_rmats = [B.right_mult_matrix(x) for x in arrow_elems]
     paths_by_len: dict[int, list[Path]] = {0: [Path(v, ()) for v in range(m)],
                                            1: []}
     for a, (_, s, t) in enumerate(arrow_list):
         paths_by_len[1].append(Path(quiver.vindex[s], (a,)))
+    # the lifts lie in e_s B, so e_s a = a
+    values = {1: np.stack(arrow_elems) if arrow_elems else f.zeros(0, n)}
 
     relations: list[PathElement] = []
-    gen_vectors: list[tuple[dict[Path, object], int]] = []
 
     maxdeg = nilp  # rad^nilp = 0, so all paths of that length die
     for d in range(2, maxdeg + 1):
         paths_by_len[d] = []
-        for p in paths_by_len[d - 1]:
-            at = p.target(quiver)
-            for a in quiver.arrows_from(at):
+        # for each last arrow: the new paths' rows and their prefixes' rows
+        extend: dict[int, tuple[list[int], list[int]]] = {}
+        for r, p in enumerate(paths_by_len[d - 1]):
+            for a in quiver.arrows_from(p.target(quiver)):
+                rows, prefixes = extend.setdefault(a, ([], []))
+                rows.append(len(paths_by_len[d]))
+                prefixes.append(r)
                 paths_by_len[d].append(Path(p.source, p.arrows + (a,)))
+        values[d] = f.zeros(len(paths_by_len[d]), n)
+        for a, (rows, prefixes) in extend.items():
+            values[d][rows] = f.matmul(values[d - 1][prefixes],
+                                       arrow_rmats[a].T)
         # kernel of evaluation on paths of length 2..d
         pool: list[Path] = []
         for dd in range(2, d + 1):
             pool.extend(paths_by_len[dd])
         if not pool:
             break
-        ev = f.zeros(len(pool), n)
-        for r, p in enumerate(pool):
-            ev[r] = eval_path(p)
+        ev = np.concatenate([values[dd] for dd in range(2, d + 1)])
         ker = f.kernel(ev.T)  # rows: coefficient vectors over pool
         if ker.shape[0] == 0:
             continue
@@ -303,7 +315,6 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
                 if r[k] != f.zero:
                     terms[p] = r[k]
             relations.append(PathElement(quiver, terms))
-            gen_vectors.append((terms, d))
 
     out = complete_basis(quiver, f, relations, cap=cap,
                          arrow_degrees=arrow_degs if graded else None)

@@ -19,7 +19,7 @@ from .quivers import BoundQuiverAlgebra, Path, opposite
 
 __all__ = ["Representation", "ModuleMap", "zero_rep", "simple", "projective",
            "injective", "projectives_sum", "injectives_sum", "regular",
-           "coregular", "direct_sum", "hom_space", "dual", "structure",
+           "coregular", "direct_sum", "hom_space", "dual", "top", "socle",
            "projective_cover", "injective_envelope", "decompose",
            "is_isomorphic", "op_algebra", "random_module"]
 
@@ -467,10 +467,14 @@ def radical_series(M: Representation):
     return subrepresentation(M, spaces)
 
 
-def structure(M: Representation) -> dict:
-    """radical (with inclusion), top (with projection), socle (with incl.)."""
-    rad, rad_incl = radical_series(M)
-    top, top_proj = quotient(M, [ri for ri in rad_incl.blocks])
+def top(M: Representation):
+    """M/rad M, with the projection onto it."""
+    _, rad_incl = radical_series(M)
+    return quotient(M, [ri for ri in rad_incl.blocks])
+
+
+def socle(M: Representation):
+    """soc M, the vectors killed by every arrow, with its inclusion."""
     q = M.algebra.quiver
     f = M.field
     soc_spaces = []
@@ -480,21 +484,18 @@ def structure(M: Representation) -> dict:
             soc_spaces.append(f.kernel(np.concatenate(outs, axis=0)).T)
         else:
             soc_spaces.append(f.eye(M.dims[v]))
-    soc, soc_incl = subrepresentation(M, soc_spaces)
-    return {"radical": (rad, rad_incl), "top": (top, top_proj),
-            "socle": (soc, soc_incl)}
+    return subrepresentation(M, soc_spaces)
 
 
 def projective_cover(M: Representation) -> ModuleMap:
     """Minimal surjection from a sum of indecomposable projectives."""
     A = M.algebra
     f = M.field
-    st = structure(M)
-    top, top_proj = st["top"]
+    top_M, top_proj = top(M)
     slots = []
     gens = []
     for v in range(A.quiver.n_vertices):
-        mu = top.dims[v]
+        mu = top_M.dims[v]
         if mu == 0:
             continue
         # lift the standard top basis back to M

@@ -305,21 +305,20 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
             prev = grades[-1]
             t, e = prev["dim"], E.dim
             V = t * e
+            # the balancing relations of each lam, all (x, y) at once: row
+            # (x, y) is R_lam[:, x] (x) e_y - e_x (x) L_lam[:, y], as
+            # broadcast products indexed [x, y, a, b] (einsum takes object
+            # arrays only from numpy 1.25)
+            eye_t = f.eye(t)[:, None, :, None]
+            eye_e = f.eye(e)[None, :, None, :]
             rows = []
             for lam in range(adim):
-                Rl = prev["R"][lam]
-                Ll = E.left_mats[lam]
-                for x in range(t):
-                    rx = Rl[:, x]
-                    for y in range(e):
-                        ly = Ll[:, y]
-                        w = np.outer(rx, _unit(f, e, y)) - \
-                            np.outer(_unit(f, t, x), ly)
-                        if f.kind == "GF":
-                            w = w % f.p
-                        if np.any(w != f.zero):
-                            rows.append(w.reshape(-1))
-            W = f.row_space(np.stack(rows)) if rows else f.zeros(0, V)
+                w = f.sub(prev["R"][lam].T[:, None, :, None] * eye_e,
+                          eye_t * E.left_mats[lam].T[None, :, None, :])
+                w = w.reshape(V, V)
+                rows.append(w[np.any(w != f.zero, axis=1)])
+            rows = np.concatenate(rows)
+            W = f.row_space(rows) if rows.shape[0] else f.zeros(0, V)
             newdim = V - W.shape[0]
             if newdim == 0:
                 break
@@ -360,14 +359,14 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
                 for lower in row[gj - 1]]))
         prods.append(row)
 
-    def mult_basis(i: int, j: int) -> dict[int, object]:
+    def mult(i: int) -> np.ndarray:
         gi = int(np.searchsorted(offsets, i, side="right") - 1)
-        gj = int(np.searchsorted(offsets, j, side="right") - 1)
-        if gi + gj >= len(grades):
-            return {}
-        col = prods[gi][gj][i - int(offsets[gi]), :, j - int(offsets[gj])]
-        base = int(offsets[gi + gj])
-        return {base + int(k): col[k] for k in np.flatnonzero(col != f.zero)}
+        li = i - int(offsets[gi])
+        row = f.zeros(total_dim, total_dim)
+        for gj in range(len(grades) - gi):
+            row[offsets[gj]:offsets[gj + 1],
+                offsets[gi + gj]:offsets[gi + gj + 1]] = prods[gi][gj][li].T
+        return row
 
     idems = []
     for v in range(A.quiver.n_vertices):
@@ -376,13 +375,7 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
             vec[k] = c
         idems.append(vec)
 
-    return FinDimAlgebra(f, total_dim, mult_basis, idems, grading)
-
-
-def _unit(f, n, k):
-    v = f.zeros(1, n)[0]
-    v[k] = f.one
-    return v
+    return FinDimAlgebra(f, total_dim, mult, idems, grading)
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +422,22 @@ def _hom_algebra(X: Representation, modulo_projectives: bool):
     the block structure of X (X must carry block incls/projs)."""
     f = X.field
     quot, basis_maps = _hom_quotient(X, X, modulo_projectives)
+    dim = quot.dim
+    # the blocks at v of every basis map, one above the other
+    stacks = [(v, np.concatenate([phi.blocks[v] for phi in basis_maps]))
+              for v in range(len(X.dims)) if X.dims[v] and dim]
 
     def express(phi: ModuleMap) -> np.ndarray:
         return quot.coords(phi.flatten())[0]
 
-    def mult(i, j):
-        # f * g = g after f (covariant composition order)
-        coords = express(basis_maps[i].compose(basis_maps[j]))
-        return {k: coords[k] for k in range(quot.dim) if coords[k] != f.zero}
+    def mult(i: int) -> np.ndarray:
+        # b_i b_j = b_j after b_i (covariant composition order): at each
+        # vertex, every B_j^v @ B_i^v at once, flattened like ModuleMap
+        parts = [f.matmul(stack, basis_maps[i].blocks[v]).reshape(dim, -1)
+                 for v, stack in stacks]
+        return quot.coords(np.concatenate(parts, axis=1))
 
-    return express, mult, quot.dim
+    return express, mult, dim
 
 
 def end_algebra(X: Representation, incls: list[ModuleMap],

@@ -180,6 +180,14 @@ def test_quotient_basis_refuses_dependent_sub(field):
         QuotientBasis(field, sub, field.eye(3))
 
 
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+def test_row_space_owns_its_rows(field):
+    # a view would keep the whole rref buffer alive
+    basis = field.row_space(field.array([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
+    assert basis.shape == (2, 3)
+    assert basis.base is None
+
+
 def test_complement_rows_of_e0_in_identity():
     comp = complement_rows(F, F.eye(3)[:1], F.eye(3))
     assert F.equal(comp, F.eye(3)[1:])

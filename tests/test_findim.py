@@ -4,10 +4,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quiveralg.exactla import GF, QQ
-from quiveralg.families import canonical_2222, linear_nakayama
-from quiveralg.findim import FinDimAlgebra, algebra_from_bqa
+from quiveralg.exactla import GF, QQ, QuotientBasis
+from quiveralg.families import (canonical_2222, dynkin_path_algebra,
+                                knit_indecomposables, linear_nakayama)
+from quiveralg.findim import FinDimAlgebra, _meet, algebra_from_bqa
+from quiveralg.modules import direct_sum
+from quiveralg.preprojective import _hom_quotient, end_algebra
 
 P31 = 2**31 - 1
 
@@ -72,7 +76,54 @@ def test_check_associativity_detects_non_associative_table():
     # e0 e0 = e1 and e1 e0 = e1, all else 0: (e0 e0) e0 = e1 but
     # e0 (e0 e0) = e0 e1 = 0
     f = GF(32003)
-    table = {(0, 0): {1: f.one}, (1, 0): {1: f.one}}
-    B = FinDimAlgebra(f, 2, lambda i, j: table.get((i, j), {}),
+    # row j of mult(i) is e_i e_j: both rows have e_i e0 = e1, e_i e1 = 0
+    B = FinDimAlgebra(f, 2, lambda i: f.array([[0, 1], [0, 0]]),
                       [f.eye(2)[0], f.eye(2)[1]])
     assert B.check_associativity() is False
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF", "QQ"])
+def test_end_algebra_rows_match_pairwise_compositions(field):
+    """Aus(A3): each constant of End(X), built a row at a time, is the
+    coordinate of one composition of basis maps."""
+    A = dynkin_path_algebra(3, None, field)
+    X, incls, projs = direct_sum(knit_indecomposables(A))
+    B = end_algebra(X, incls, projs)
+    quot, maps = _hom_quotient(X, X, modulo_projectives=False)
+    assert B.dim == quot.dim == len(maps)
+    stored = {}
+    for i, j, k, c in zip(*B.constants):
+        stored.setdefault((int(i), int(j)), {})[int(k)] = c
+    for i in range(B.dim):
+        for j in range(B.dim):
+            # b_i b_j is b_j after b_i
+            coords = quot.coords(maps[i].compose(maps[j]).flatten())[0]
+            want = {k: c for k, c in enumerate(coords) if c != field.zero}
+            assert stored.get((i, j), {}) == want
+
+
+def _random_rows(f, rng, rows, cols):
+    return f.array([[rng.randrange(-3, 4) for _ in range(cols)]
+                    for _ in range(rows)]).reshape(rows, cols)
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF", "QQ"])
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+       st.integers(1, 7), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_corner_meet_is_the_intersection(field, shared, only_c, only_r, cols,
+                                         seed):
+    f = field
+    rng = random.Random(seed)
+    common = _random_rows(f, rng, shared, cols)
+    C = f.row_space(np.concatenate(
+        [common, _random_rows(f, rng, only_c, cols)]))
+    R = f.row_space(np.concatenate(
+        [common, _random_rows(f, rng, only_r, cols)]))
+    meet = _meet(f, C, QuotientBasis(f, R, f.zeros(0, cols)))
+    both = f.rank(np.concatenate([C, R]))
+    assert meet.shape[0] == C.shape[0] + R.shape[0] - both
+    # inside both spaces, and already the canonical rref
+    assert f.rank(np.concatenate([C, meet])) == C.shape[0]
+    assert f.rank(np.concatenate([R, meet])) == R.shape[0]
+    assert f.equal(f.row_space(meet), meet)

@@ -5,8 +5,9 @@ from quiveralg.exactla import GF
 from quiveralg.modules import (coregular, decompose, direct_sum, dual,
                                hom_space, injective, injective_envelope,
                                is_isomorphic, map_kernel, op_algebra,
-                               projective, projective_cover, random_module,
-                               regular, simple, structure, zero_rep)
+                               projective, projective_cover, radical_series,
+                               random_module, regular, simple, socle, top,
+                               zero_rep)
 from quiveralg.quivers import PathElement, Path, Quiver, complete_basis
 
 F = GF(32003)
@@ -100,18 +101,18 @@ def test_dual_duality_hom_dims():
 
 def test_structure_simple():
     A = a2()
-    st = structure(simple(A, 0))
-    assert st["radical"][0].total_dim == 0
-    assert st["top"][0].dims == (1, 0)
-    assert st["socle"][0].dims == (1, 0)
+    S = simple(A, 0)
+    assert radical_series(S)[0].total_dim == 0
+    assert top(S)[0].dims == (1, 0)
+    assert socle(S)[0].dims == (1, 0)
 
 
 def test_structure_p1_a2():
     A = a2()
-    st = structure(projective(A, 0))
-    assert st["top"][0].dims == (1, 0)
-    assert st["radical"][0].dims == (0, 1)
-    assert st["socle"][0].dims == (0, 1)
+    P = projective(A, 0)
+    assert top(P)[0].dims == (1, 0)
+    assert radical_series(P)[0].dims == (0, 1)
+    assert socle(P)[0].dims == (0, 1)
 
 
 def test_projective_cover_of_simple():

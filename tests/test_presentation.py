@@ -2,7 +2,8 @@ import pytest
 
 from quiveralg.errors import NotBasic
 from quiveralg.exactla import GF
-from quiveralg.findim import algebra_from_bqa, quiver_presentation
+from quiveralg.findim import (FinDimAlgebra, algebra_from_bqa,
+                              quiver_presentation)
 from quiveralg.modules import direct_sum, projective
 from quiveralg.preprojective import end_algebra
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
@@ -39,6 +40,20 @@ def test_non_basic_rejected():
     total, incls, projs = direct_sum([p1, p1])
     B = end_algebra(total, incls, projs)
     with pytest.raises(NotBasic):
+        quiver_presentation(B)
+
+
+def test_matrix_algebra_with_only_the_unit_rejected():
+    # M_2(k) on the matrix units E_ab = b[2a + b]: E_ab E_cd = d_bc E_ad
+    def mult(i):
+        a, b = divmod(i, 2)
+        row = F.zeros(4, 4)
+        for d in range(2):
+            row[2 * b + d, 2 * a + d] = F.one
+        return row
+
+    B = FinDimAlgebra(F, 4, mult, [F.array([1, 0, 0, 1])])
+    with pytest.raises(NotBasic, match="dimension 4, not 1"):
         quiver_presentation(B)
 
 
