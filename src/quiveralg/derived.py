@@ -104,11 +104,26 @@ class ComplexOfModules:
         return H
 
     def cohomology_dims(self) -> dict[int, int]:
+        """The nonzero total dimensions of H^i: at each vertex v,
+        dim ker d^i_v - rank d^{i-1}_v, after checking d^i_v d^{i-1}_v = 0
+        so that the boundaries lie in the cycles."""
+        f = self.algebra.field
+        ranks = {i: [f.rank(b) for b in d.blocks]
+                 for i, d in self.diffs.items()}
         out = {}
         for i in range(self.lo, self.hi + 1):
-            h = self.cohomology(i)
-            if h.total_dim:
-                out[i] = h.total_dim
+            d, dprev = self.diffs.get(i), self.diffs.get(i - 1)
+            h = self.term(i).total_dim
+            if d is not None:
+                h -= sum(ranks[i])
+            if dprev is not None:
+                h -= sum(ranks[i - 1])
+            if d is not None and dprev is not None:
+                assert all(f.is_zero(f.matmul(a, b)) for a, b in
+                           zip(d.blocks, dprev.blocks)), \
+                    "image must lie inside the kernel"
+            if h:
+                out[i] = h
         return out
 
     def support_bounds(self) -> tuple[int, int] | None:
@@ -1194,18 +1209,7 @@ def amiot_endomorphism_algebra(A: BoundQuiverAlgebra, n: int,
         gen_images[v] = coords[g].representative(v, k2)
         from .modules import regular
         R = regular(A)
-        blocks = []
-        for w in range(nv):
-            m = f.zeros(C0.dims[w], R.dims[w])
-            for s, sv in enumerate(R.summands):
-                base = R.offsets[s][w]
-                for p_i, b in enumerate(A.basis_between(sv, w)):
-                    pth = A.basis[b]
-                    vec = f.matmul(C0.act_word(pth.arrows, sv),
-                                   gen_images[sv])
-                    m[:, base + p_i] = vec[:, 0]
-            blocks.append(m)
-        part0 = ModuleMap(R, C0, blocks)
+        part0 = map_from_projectives(R, C0, gen_images)
         return ChainMap(module_complex(R), C, {0: part0}, check=False)
 
     def transported(idx: int, steps: int) -> ChainMap:

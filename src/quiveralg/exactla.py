@@ -140,10 +140,8 @@ class Field:
         r, pivots = self.rref(a)
         free = [c for c in range(n) if c not in pivots]
         out = self.zeros(len(free), n)
-        for i, f in enumerate(free):
-            out[i, f] = self.one
-            for j, pc in enumerate(pivots):
-                out[i, pc] = self.neg(r[j, f])
+        out[np.arange(len(free)), free] = self.one
+        out[:, pivots] = self.neg(r[:len(pivots), free].T)
         return out
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -388,9 +386,18 @@ class EchelonState:
 def complement_rows(field: Field, sub: np.ndarray,
                     total: np.ndarray) -> np.ndarray:
     """Rows of `total` extending rowspace(sub) to rowspace(sub) +
-    rowspace(total), picked greedily in order."""
+    rowspace(total), picked greedily in order.
+
+    When `total` is the identity, e_i is picked iff no vector of
+    rowspace(sub) has its last nonzero entry at i, so the picks are the
+    columns that are not pivots of one rref of `sub` with its columns
+    reversed."""
+    n = total.shape[1]
     if total.shape[0] == 0:
-        return field.zeros(0, total.shape[1])
+        return field.zeros(0, n)
+    if total.shape[0] == n and field.equal(total, field.eye(n)):
+        last = {n - 1 - c for c in field.rref(sub[:, ::-1])[1]}
+        return total[[i for i in range(n) if i not in last]]
     st = EchelonState(field, total.shape[1])
     for row in sub:
         st.add(row)

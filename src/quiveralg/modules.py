@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from .errors import NonSplitEndo
-from .exactla import QuotientBasis
+from .exactla import QuotientBasis, complement_rows
 from .quivers import BoundQuiverAlgebra, Path, opposite
 
 __all__ = ["Representation", "ModuleMap", "zero_rep", "simple", "projective",
@@ -179,43 +179,28 @@ def simple(A: BoundQuiverAlgebra, v: int) -> Representation:
     return Representation(A, dims, action)
 
 
-def _arrow_path_index(A: BoundQuiverAlgebra, a: int) -> int:
-    return A.bindex[Path(A.quiver.source(a), (a,))]
-
-
 def projectives_sum(A: BoundQuiverAlgebra, vertices) -> Representation:
     """Direct sum of indecomposable projectives e_v A, with bookkeeping.
 
     Vertex-j basis: concatenation over summand slots s of the reduced
-    paths vertices[s] -> j.
+    paths vertices[s] -> j.  Each arrow matrix is a fresh array holding the
+    algebra's ``projective_blocks`` on its diagonal.
     """
     q = A.quiver
     f = A.field
     vertices = list(vertices)
-    per_slot = [[A.basis_between(v, j) for j in range(q.n_vertices)]
-                for v in vertices]
+    projs = [A.projective_blocks(v) for v in vertices]
+    ends = [(q.source(a), q.target(a)) for a in range(q.n_arrows)]
     offsets = []
     dims = [0] * q.n_vertices
-    for s, rows in enumerate(per_slot):
-        offsets.append({})
-        for j in range(q.n_vertices):
-            offsets[s][j] = dims[j]
-            dims[j] += len(rows[j])
-    action = []
-    for a in range(q.n_arrows):
-        s_v, t_v = q.source(a), q.target(a)
-        m = f.zeros(dims[t_v], dims[s_v])
-        apath = _arrow_path_index(A, a)
-        for s, rows in enumerate(per_slot):
-            src_paths = rows[s_v]
-            tgt_paths = rows[t_v]
-            tgt_pos = {b: k for k, b in enumerate(tgt_paths)}
-            for col, b in enumerate(src_paths):
-                prod = A.mult_basis(b, apath)
-                for tb, c in prod.items():
-                    m[offsets[s][t_v] + tgt_pos[tb],
-                      offsets[s][s_v] + col] = f.el(c)
-        action.append(m)
+    for pb in projs:
+        offsets.append(dict(enumerate(dims)))
+        dims = [d + e for d, e in zip(dims, pb.dims)]
+    action = [f.zeros(dims[t], dims[s]) for s, t in ends]
+    for off, pb in zip(offsets, projs):
+        for m, blk, (s, t) in zip(action, pb.action, ends):
+            r, c = off[t], off[s]
+            m[r:r + blk.shape[0], c:c + blk.shape[1]] = blk
     rep = Representation(A, dims, action)
     rep.summands = tuple(vertices)
     rep.offsets = offsets
@@ -266,19 +251,27 @@ def map_from_projectives(P: Representation, M: Representation,
                          gen_images) -> ModuleMap:
     """Module map out of a tagged projective sum, from generator images.
 
-    gen_images[s]: column vector in M at vertex P.summands[s].
+    gen_images[s]: column vector in M at vertex P.summands[s].  The column
+    of basis path p from v is M(p) applied to that image.  Basis paths are
+    prefix-closed and sorted by length, so each path's value is one matmul
+    of its last arrow with its prefix's value, for all slots at v at once.
     """
     A = P.algebra
     f = P.field
-    q = A.quiver
-    blocks = [f.zeros(M.dims[j], P.dims[j]) for j in range(q.n_vertices)]
-    for s, v in enumerate(P.summands):
-        img = gen_images[s]
-        for j in range(q.n_vertices):
-            for k, b in enumerate(A.basis_between(v, j)):
-                p = A.basis[b]
-                vec = f.matmul(M.act_word(p.arrows, v), img)
-                blocks[j][:, P.offsets[s][j] + k] = vec[:, 0]
+    nv = A.quiver.n_vertices
+    blocks = [f.zeros(M.dims[j], P.dims[j]) for j in range(nv)]
+    for v in dict.fromkeys(P.summands):
+        slots = [s for s, w in enumerate(P.summands) if w == v]
+        values = {}
+        for b, j, k in A.projective_blocks(v).paths:
+            word = A.basis[b].arrows
+            if word:
+                prefix = A.bindex[Path(v, word[:-1])]
+                values[b] = f.matmul(M.action[word[-1]], values[prefix])
+            else:
+                values[b] = np.concatenate([gen_images[s] for s in slots],
+                                           axis=1)
+            blocks[j][:, [P.offsets[s][j] + k for s in slots]] = values[b]
     return ModuleMap(P, M, blocks)
 
 
@@ -488,21 +481,24 @@ def socle(M: Representation):
 
 
 def projective_cover(M: Representation) -> ModuleMap:
-    """Minimal surjection from a sum of indecomposable projectives."""
+    """Minimal surjection from a sum of indecomposable projectives.
+
+    At each vertex v the generators are the unit vectors that
+    ``complement_rows`` picks to extend rad M at v, the column space of
+    the arrows into v; their classes are a basis of the top at v.
+    """
     A = M.algebra
     f = M.field
-    top_M, top_proj = top(M)
+    q = A.quiver
     slots = []
     gens = []
-    for v in range(A.quiver.n_vertices):
-        mu = top_M.dims[v]
-        if mu == 0:
-            continue
-        # lift the standard top basis back to M
-        sec = f.solve(top_proj.blocks[v], f.eye(mu))
-        for r in range(mu):
+    for v in range(q.n_vertices):
+        ins = [M.action[a] for a in q.arrows_into(v)]
+        rad = (np.concatenate(ins, axis=1).T if ins
+               else f.zeros(0, M.dims[v]))
+        for row in complement_rows(f, rad, f.eye(M.dims[v])):
             slots.append(v)
-            gens.append(sec[:, r:r + 1])
+            gens.append(row.reshape(-1, 1))
     P = projectives_sum(A, slots)
     return map_from_projectives(P, M, gens)
 

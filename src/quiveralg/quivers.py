@@ -18,7 +18,7 @@ from .errors import NonAdmissible, RelationIllFormed
 from .exactla import Field
 
 __all__ = ["Quiver", "Path", "PathElement", "BoundQuiverAlgebra",
-           "complete_basis", "multiply", "opposite"]
+           "ProjectiveBlocks", "complete_basis", "multiply", "opposite"]
 
 
 class Quiver:
@@ -279,6 +279,16 @@ def _irreducible_paths(q: Quiver, reducer: _Reducer, cap: int) -> list[Path]:
     return basis
 
 
+class ProjectiveBlocks(NamedTuple):
+    """An indecomposable projective e_v A, as stored by its algebra."""
+    dims: tuple[int, ...]
+    # one read-only matrix per arrow
+    action: tuple[np.ndarray, ...]
+    # (b, j, k) for each basis path b from v, in basis order:
+    # b = basis_between(v, j)[k]
+    paths: tuple[tuple[int, int, int], ...]
+
+
 class BoundQuiverAlgebra:
     """Finite-dimensional path algebra modulo an admissible ideal.
 
@@ -295,8 +305,13 @@ class BoundQuiverAlgebra:
         self._reducer = reducer
         self.basis = basis
         self.bindex = {p: i for i, p in enumerate(basis)}
+        between: dict[tuple[int, int], list[int]] = {}
+        for i, p in enumerate(basis):
+            between.setdefault((p.source, p.target(quiver)), []).append(i)
+        self._between = {k: tuple(v) for k, v in between.items()}
         self.arrow_degrees = arrow_degrees
         self._mult_cache: dict[tuple[int, int], dict[int, object]] = {}
+        self._projective_blocks: dict[int, ProjectiveBlocks] = {}
 
     @property
     def dim(self) -> int:
@@ -311,15 +326,10 @@ class BoundQuiverAlgebra:
     def vertex_idx(self, label) -> int:
         return self.quiver.vindex[label]
 
-    def basis_by_source(self, v: int) -> list[int]:
-        return [i for i, p in enumerate(self.basis) if p.source == v]
-
-    def basis_by_target(self, v: int) -> list[int]:
-        return [i for i, p in enumerate(self.basis) if p.target(self.quiver) == v]
-
-    def basis_between(self, s: int, t: int) -> list[int]:
-        return [i for i, p in enumerate(self.basis)
-                if p.source == s and p.target(self.quiver) == t]
+    def basis_between(self, s: int, t: int) -> tuple[int, ...]:
+        """Indices of the basis paths from s to t, in basis order; a lookup
+        in an index built with the algebra."""
+        return self._between.get((s, t), ())
 
     def path_degree(self, p: Path) -> int:
         if self.arrow_degrees is None:
@@ -347,6 +357,35 @@ class BoundQuiverAlgebra:
             out = self.reduce_path(Path(p1.source, p1.arrows + p2.arrows))
         self._mult_cache[key] = out
         return out
+
+    def projective_blocks(self, v: int) -> ProjectiveBlocks:
+        """The indecomposable projective e_v A, whose basis at vertex j is
+        ``basis_between(v, j)``.
+
+        Computed from ``mult_basis`` on first use and kept for the life of
+        the algebra, so the arrays are read-only: copy before writing."""
+        hit = self._projective_blocks.get(v)
+        if hit is not None:
+            return hit
+        f = self.field
+        q = self.quiver
+        between = [self.basis_between(v, j) for j in range(q.n_vertices)]
+        action = []
+        for a in range(q.n_arrows):
+            s, t = q.source(a), q.target(a)
+            apath = self.bindex[Path(s, (a,))]
+            pos = {b: k for k, b in enumerate(between[t])}
+            m = f.zeros(len(between[t]), len(between[s]))
+            for col, b in enumerate(between[s]):
+                for tb, c in self.mult_basis(b, apath).items():
+                    m[pos[tb], col] = f.el(c)
+            m.setflags(write=False)
+            action.append(m)
+        paths = sorted((b, j, k) for j, bs in enumerate(between)
+                       for k, b in enumerate(bs))
+        hit = self._projective_blocks[v] = ProjectiveBlocks(
+            tuple(map(len, between)), tuple(action), tuple(paths))
+        return hit
 
     def mult(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
         field = self.field

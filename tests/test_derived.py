@@ -1,12 +1,13 @@
 import random
 
+import pytest
 
 from quiveralg.derived import (ChainMap, ComplexOfModules, SerreContext, amiot_endomorphism_algebra,
                                amiot_hom, hom_d, inj_resolve_complex,
                                module_complex, nakayama, nakayama_inv,
                                proj_resolve_complex, serre_n_power,
                                to_symbolic, u_window)
-from quiveralg.exactla import GF
+from quiveralg.exactla import GF, QQ
 from quiveralg.homology import ext, tau_n, tau_n_inv
 from quiveralg.modules import (coregular, injective, is_isomorphic,
                                projective, random_module, regular, simple)
@@ -290,3 +291,48 @@ def test_hom_d_vanishes_on_acyclic_complex():
     lam = module_complex(regular(A))
     for j in range(-2, 3):
         assert hom_d(lam, X, j) == 0
+
+
+def _complexes(A, rng):
+    """The kinds of complex built above: modules, two-term complexes,
+    resolutions, Nakayama and Serre images and window members."""
+    from quiveralg.modules import ModuleMap
+    f = A.field
+    s1, s2, p1 = simple(A, 0), simple(A, 1), projective(A, 0)
+    zero = ModuleMap(s1, s2, [f.zeros(s2.dims[v], s1.dims[v])
+                              for v in range(3)])
+    ident = ModuleMap(p1, p1, [f.eye(d) for d in p1.dims])
+    out = [module_complex(s1),
+           ComplexOfModules(A, {0: s1, 1: s2}, {0: zero}),
+           ComplexOfModules(A, {0: p1, 1: p1}, {0: ident})]
+    P, _ = proj_resolve_complex(module_complex(s1))
+    I, _ = inj_resolve_complex(module_complex(s1))
+    out += [P, I, nakayama(P), nakayama_inv(nakayama(P)),
+            serre_n_power(A, 2, module_complex(regular(A)), 1),
+            serre_n_power(A, 2, module_complex(projective(A, 2)), -1)]
+    for _ in range(3):
+        m = module_complex(random_module(A, rng))
+        out += [serre_n_power(A, 2, m, 1), serre_n_power(A, 2, m, -1)]
+    out += [c for (_, _, c) in u_window(A, 2, -2, 2)]
+    return out
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+def test_cohomology_dims_match_the_cohomology_modules(field):
+    q = Quiver(["1", "2", "3"], [("a1", "1", "2"), ("a2", "2", "3")])
+    A = complete_basis(q, field, [PathElement(q, {Path(0, (0, 1)): 1})])
+    for C in _complexes(A, random.Random(33)):
+        want = {i: C.cohomology(i).total_dim
+                for i in range(C.lo, C.hi + 1)}
+        assert C.cohomology_dims() == {i: h for i, h in want.items() if h}
+
+
+def test_cohomology_dims_checks_that_boundaries_are_cycles():
+    from quiveralg.modules import ModuleMap
+    A = nak_a3()
+    p1 = projective(A, 0)
+    ident = ModuleMap(p1, p1, [A.field.eye(d) for d in p1.dims])
+    X = ComplexOfModules(A, {0: p1, 1: p1, 2: p1}, {0: ident, 1: ident},
+                         check=False)
+    with pytest.raises(AssertionError):
+        X.cohomology_dims()

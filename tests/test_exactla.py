@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiveralg.exactla import GF, QQ, QuotientBasis, complement_rows
+from quiveralg.exactla import (GF, QQ, EchelonState, QuotientBasis,
+                               complement_rows)
 
 F = GF(32003)
 
@@ -191,3 +192,58 @@ def test_row_space_owns_its_rows(field):
 def test_complement_rows_of_e0_in_identity():
     comp = complement_rows(F, F.eye(3)[:1], F.eye(3))
     assert F.equal(comp, F.eye(3)[1:])
+
+
+def _sparse_low_rank(field, rng, rows, cols, rank):
+    """A product of two sparse random factors: rank at most `rank`, with
+    zero columns and repeated pivots that dense random matrices lack."""
+    def factor(r, c):
+        a = field.zeros(r, c)
+        for i in range(r):
+            for j in range(c):
+                if rng.random() < 0.5:
+                    a[i, j] = field.rand_el(rng)
+        return a
+    return field.matmul(factor(rows, rank), factor(rank, cols))
+
+
+def _kernel_loop(field, a):
+    """Field.kernel's basis filled one entry at a time, the reference."""
+    r, pivots = field.rref(a)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    out = field.zeros(len(free), a.shape[1])
+    for i, fc in enumerate(free):
+        out[i, fc] = field.one
+        for j, pc in enumerate(pivots):
+            out[i, pc] = field.neg(r[j, fc])
+    return out
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 4),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_loop_reference(field, rows, cols, rank, seed):
+    a = _sparse_low_rank(field, random.Random(seed), rows, cols, rank)
+    got, want = field.kernel(a), _kernel_loop(field, a)
+    assert got.dtype == want.dtype and field.equal(got, want)
+
+
+def _greedy_units(field, sub, n):
+    """The unit vectors that extend rowspace(sub), picked one at a time."""
+    state = EchelonState(field, n)
+    for row in sub:
+        state.add(row)
+    return [i for i, row in enumerate(field.eye(n)) if state.add(row)]
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@given(st.integers(0, 5), st.integers(1, 6), st.integers(0, 4),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_complement_of_identity_matches_greedy_loop(field, rows, cols, rank,
+                                                    seed):
+    sub = _sparse_low_rank(field, random.Random(seed), rows, cols, rank)
+    comp = complement_rows(field, sub, field.eye(cols))
+    want = field.eye(cols)[_greedy_units(field, sub, cols)]
+    assert comp.dtype == want.dtype and field.equal(comp, want)

@@ -1,13 +1,16 @@
 import random
 
+import pytest
 
-from quiveralg.exactla import GF
-from quiveralg.modules import (coregular, decompose, direct_sum, dual,
-                               hom_space, injective, injective_envelope,
-                               is_isomorphic, map_kernel, op_algebra,
-                               projective, projective_cover, radical_series,
-                               random_module, regular, simple, socle, top,
-                               zero_rep)
+from quiveralg.exactla import GF, QQ
+from quiveralg.families import canonical_2222, linear_nakayama
+from quiveralg.modules import (Representation, coregular, decompose,
+                               direct_sum, dual, hom_space, injective,
+                               injective_envelope, is_isomorphic,
+                               map_from_projectives, map_kernel, op_algebra,
+                               projective, projective_cover, projectives_sum,
+                               radical_series, random_module, regular, simple,
+                               socle, top, zero_rep)
 from quiveralg.quivers import PathElement, Path, Quiver, complete_basis
 
 F = GF(32003)
@@ -203,3 +206,157 @@ def test_coregular_is_sum_of_injectives():
     assert d.total_dim == A.dim
     parts = decompose(d)
     assert len(parts) == 3
+
+
+# -- per-algebra projective blocks, against the per-call constructions ----
+
+FIELDS = pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+
+
+def _algebras(field):
+    return [canonical_2222(3, field), linear_nakayama(4, field)]
+
+
+def _projectives_sum_reference(A, vertices):
+    """Every arrow block from mult_basis, one basis pair at a time."""
+    q, f = A.quiver, A.field
+    per_slot = [[A.basis_between(v, j) for j in range(q.n_vertices)]
+                for v in vertices]
+    offsets, dims = [], [0] * q.n_vertices
+    for rows in per_slot:
+        offsets.append({})
+        for j in range(q.n_vertices):
+            offsets[-1][j] = dims[j]
+            dims[j] += len(rows[j])
+    action = []
+    for a in range(q.n_arrows):
+        s_v, t_v = q.source(a), q.target(a)
+        m = f.zeros(dims[t_v], dims[s_v])
+        apath = A.bindex[Path(s_v, (a,))]
+        for s, rows in enumerate(per_slot):
+            tgt_pos = {b: k for k, b in enumerate(rows[t_v])}
+            for col, b in enumerate(rows[s_v]):
+                for tb, c in A.mult_basis(b, apath).items():
+                    m[offsets[s][t_v] + tgt_pos[tb],
+                      offsets[s][s_v] + col] = f.el(c)
+        action.append(m)
+    return dims, offsets, action
+
+
+def _map_from_projectives_reference(P, M, gen_images):
+    """Each basis path's column from its own act_word matmul chain."""
+    A, f = P.algebra, P.field
+    nv = A.quiver.n_vertices
+    blocks = [f.zeros(M.dims[j], P.dims[j]) for j in range(nv)]
+    for s, v in enumerate(P.summands):
+        for j in range(nv):
+            for k, b in enumerate(A.basis_between(v, j)):
+                vec = f.matmul(M.act_word(A.basis[b].arrows, v),
+                               gen_images[s])
+                blocks[j][:, P.offsets[s][j] + k] = vec[:, 0]
+    return blocks
+
+
+def _projective_cover_reference(M):
+    """The unit basis of M/rad M, lifted back to M by a solve."""
+    A, f = M.algebra, M.field
+    top_M, top_proj = top(M)
+    slots, gens = [], []
+    for v in range(A.quiver.n_vertices):
+        mu = top_M.dims[v]
+        if mu:
+            sec = f.solve(top_proj.blocks[v], f.eye(mu))
+            slots += [v] * mu
+            gens += [sec[:, r:r + 1] for r in range(mu)]
+    P = projectives_sum(A, slots)
+    return map_from_projectives(P, M, gens)
+
+
+def _random_column(f, rng, n):
+    col = f.zeros(n, 1)
+    for r in range(n):
+        col[r, 0] = f.rand_el(rng)
+    return col
+
+
+def _twist(M, rng):
+    """M with a random change of basis at every vertex, so that rad M is
+    not spanned by unit vectors."""
+    f, q = M.field, M.algebra.quiver
+    gs = []
+    for d in M.dims:
+        while True:
+            g = f.zeros(d, d)
+            for r in range(d):
+                g[r] = _random_column(f, rng, d)[:, 0]
+            if f.rank(g) == d:
+                break
+        gs.append(g)
+    inv = [f.solve(g, f.eye(g.shape[0])) for g in gs]
+    return Representation(M.algebra, M.dims, [
+        f.matmul(gs[q.target(a)], f.matmul(m, inv[q.source(a)]))
+        for a, m in enumerate(M.action)], validate=True)
+
+
+def _equal_blocks(f, got, want):
+    return len(got) == len(want) and all(
+        a.dtype == b.dtype and f.equal(a, b) for a, b in zip(got, want))
+
+
+@FIELDS
+def test_projectives_sum_matches_mult_basis_reference(field):
+    for A in _algebras(field):
+        nv = A.quiver.n_vertices
+        for verts in ([0], list(range(nv)), [nv - 1, 0, nv - 1, 1]):
+            P = projectives_sum(A, verts)
+            dims, offsets, action = _projectives_sum_reference(A, verts)
+            assert P.dims == tuple(dims) and P.offsets == offsets
+            assert _equal_blocks(field, P.action, action)
+            assert P.summands == tuple(verts)
+
+
+@FIELDS
+def test_map_from_projectives_matches_act_word_reference(field):
+    rng = random.Random(41)
+    for A in _algebras(field):
+        nv = A.quiver.n_vertices
+        for _ in range(6):
+            M = _twist(random_module(A, rng), rng)
+            slots = [rng.randrange(nv) for _ in range(rng.randint(1, 4))]
+            P = projectives_sum(A, slots)
+            gens = [_random_column(field, rng, M.dims[v]) for v in slots]
+            phi = map_from_projectives(P, M, gens)
+            assert _equal_blocks(field, phi.blocks,
+                                 _map_from_projectives_reference(P, M, gens))
+            assert phi.is_morphism()
+
+
+@FIELDS
+def test_projective_cover_matches_top_and_solve_reference(field):
+    rng = random.Random(43)
+    for A in _algebras(field):
+        mods = [regular(A), coregular(A), zero_rep(A)]
+        for _ in range(6):
+            M = random_module(A, rng)
+            mods += [M, _twist(M, rng)]
+        mods.append(direct_sum(mods[-3:])[0])
+        for M in mods:
+            got, want = projective_cover(M), _projective_cover_reference(M)
+            assert got.source.summands == want.source.summands
+            assert _equal_blocks(field, got.blocks, want.blocks)
+            assert _equal_blocks(field, got.source.action,
+                                 want.source.action)
+
+
+@FIELDS
+def test_writing_to_a_projective_leaves_the_next_one_unchanged(field):
+    A = canonical_2222(3, field)
+    first = projectives_sum(A, [0, 1])
+    kept = [m.copy() for m in first.action]
+    for m in first.action:
+        m[...] = field.one
+    again = projectives_sum(A, [0, 1])
+    assert _equal_blocks(field, again.action, kept)
+    blk = next(m for m in A.projective_blocks(0).action if m.size)
+    with pytest.raises(ValueError):
+        blk[0, 0] = field.one
