@@ -700,63 +700,60 @@ def to_symbolic(X: ComplexOfModules, kind: str = "P") -> SymbolicComplex:
         terms[i] = tuple(t.summands)
     diffs = {}
     for i, d in X.diffs.items():
-        src, tgt = X.terms[i], X.terms[i + 1]
-        entries = {}
-        for u, bu in enumerate(src.summands):
-            for w, cw in enumerate(tgt.summands):
-                elem = _extract_component(A, kind, d, src, u, tgt, w)
-                if elem:
-                    entries[(w, u)] = elem
-        diffs[i] = entries
+        diffs[i] = _components(A, kind, d, X.terms[i], X.terms[i + 1])
     return SymbolicComplex(A, kind, terms, diffs)
 
 
-def _extract_component(A, kind, d, src, u, tgt, w):
+def _components(A, kind, d, src, tgt) -> dict[tuple[int, int], dict]:
+    """The nonzero components (w, u) of a map d between tagged projective
+    sums (kind 'P') or tagged injective sums (kind 'I'), each an element
+    of A in basis coordinates, inserted in the order of u, then of w.
+
+    Kind 'P' reads the image of the generator of each source slot u: one
+    column of the block at its vertex, which holds every target slot.
+    Kind 'I' reads the dual, one row per target slot w, over A^op, and
+    maps each element back to A."""
     f = A.field
-    bu = src.summands[u]
-    cw = tgt.summands[w]
     if kind == "P":
-        # read the generator image of slot u inside slot w
-        col = src.offsets[u][bu]
-        paths = A.basis_between(cw, bu)
-        start = tgt.offsets[w][bu]
+        slots, B = tgt, A
+        reads = [(u, bu, d.blocks[bu][:, src.offsets[u][bu]])
+                 for u, bu in enumerate(src.summands)]
+    else:
+        slots, B = src, op_algebra(A)
+        reads = [(w, cw, d.blocks[cw][tgt.offsets[w][cw], :])
+                 for w, cw in enumerate(tgt.summands)]
+    # at each vertex v: the slot and basis path of each position of `slots`
+    where = {}
+    found = {}
+    for r, v, line in reads:
+        if v not in where:
+            where[v] = {slots.offsets[s][v] + k: (s, b)
+                        for s, sv in enumerate(slots.summands)
+                        for k, b in enumerate(B.basis_between(sv, v))}
+        for k in np.flatnonzero(line):
+            s, b = where[v][k]
+            key = (s, r) if kind == "P" else (r, s)
+            found.setdefault(key, {})[b] = line[k]
+    if kind == "P":
+        return found
+    entries = {}
+    for key in sorted(found, key=lambda wu: (wu[1], wu[0])):
         elem = {}
-        for k, b in enumerate(paths):
-            c = d.blocks[bu][start + k, col]
-            if c != f.zero:
-                elem[b] = c
-        return elem
-    # injective case: dualize the (w, u) component and read it over op
-    Aop = op_algebra(A)
-    opel = {}
-    # block of the dual map from I-slot layout: transpose the block of d
-    # restricted to the two slots
-    # dual map: P^op_{cw} -> P^op_{bu} over Aop; its generator sits at
-    # vertex cw, and the transpose of the d-block reads its image
-    col = tgt.offsets[w][cw]
-    start = src.offsets[u][cw]
-    pathsop = Aop.basis_between(bu, cw)
-    elem_op = {}
-    for k, b in enumerate(pathsop):
-        c = d.blocks[cw][col, start + k]
-        if c != f.zero:
-            elem_op[b] = c
-    # map back to an element of e_cw A e_bu
-    elem = {}
-    for b, c in elem_op.items():
-        p = Aop.basis[b]
-        word = tuple(reversed(p.arrows))
-        srcv = p.target(Aop.quiver)
-        red = A.reduce_path(Path(srcv, word))
-        for bb, cc in red.items():
-            v = elem.get(bb, f.zero) + c * cc
-            if f.kind == "GF":
-                v = v % f.p
-            if v == f.zero:
-                elem.pop(bb, None)
-            else:
-                elem[bb] = v
-    return elem
+        for b, c in found[key].items():
+            p = B.basis[b]
+            red = A.reduce_path(Path(p.target(B.quiver),
+                                     tuple(reversed(p.arrows))))
+            for bb, cc in red.items():
+                v = elem.get(bb, f.zero) + c * cc
+                if f.kind == "GF":
+                    v = v % f.p
+                if v == f.zero:
+                    elem.pop(bb, None)
+                else:
+                    elem[bb] = v
+        if elem:
+            entries[key] = elem
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -899,14 +896,7 @@ def _extract_chain_entries(A, kind, phi: ChainMap, src: ComplexOfModules,
         s, t = src.terms.get(i), tgt.terms.get(i)
         if s is None or t is None:
             continue
-        entries = {}
-        pm = ModuleMap(s, t, p.blocks)
-        for u in range(len(s.summands)):
-            for w in range(len(t.summands)):
-                elem = _extract_component(A, kind, pm, s, u, t, w)
-                if elem:
-                    entries[(w, u)] = elem
-        out[i] = entries
+        out[i] = _components(A, kind, p, s, t)
     return out
 
 
@@ -1034,17 +1024,20 @@ def _hom_delta(P: ComplexOfModules, Y: ComplexOfModules, m: int) -> np.ndarray:
                 out[ro:ro + drow, co:co + dcol], dY.blocks[v])
     # the second summand - (-1)^m f_{i+1} d_P couples degree-(i+1)
     # columns to degree-i rows:
+    comps = {}
     for (i1, w), (co, vw, dcol) in coff.items():
         i = i1 - 1
         dP = P.diffs.get(i)
         if dP is None or i not in P.terms:
             continue
         Pt, Pt1 = P.terms[i], P.terms[i1]
+        if i not in comps:
+            comps[i] = _components(A, "P", dP, Pt, Pt1)
         for s, v in enumerate(Pt.summands):
             if (i, s) not in roff:
                 continue
             ro, _, drow = roff[(i, s)]
-            elem = _extract_component(A, "P", dP, Pt, s, Pt1, w)
+            elem = comps[i].get((w, s))
             if not elem:
                 continue
             Yt = Y.terms.get(i + m + 1)

@@ -112,12 +112,11 @@ class Field:
             if pr != r:
                 a[[r, pr]] = a[[pr, r]]
             a[r] = self.smul(self.inv_el(a[r, c]), a[r])
-            col = a[:, c].copy()
-            col[r] = self.zero
-            if np.any(col != self.zero):
-                a = self.sub(a, self._outer(col, a[r]))
-                a[:, c] = self.zero
-                a[r, c] = self.one
+            # only the rows with a nonzero entry in the pivot column change
+            rows = np.nonzero(a[:, c] != self.zero)[0]
+            rows = rows[rows != r]
+            if len(rows):
+                a[rows] = self.sub(a[rows], self._outer(a[rows, c], a[r]))
             pivots.append(c)
             r += 1
         return a, pivots

@@ -4,16 +4,26 @@ The bimodule E = Ext^n(D A, A) is computed from a minimal resolution of
 D A with its two A-actions realized exactly: the left action by
 postcomposition with left multiplication on the regular module, the
 right action by precomposition with a comparison lift of left
-multiplication on D A.  The tensor algebra over A is built iteratively
-as quotients T_i = T_{i-1} (x)_A E with explicit projection/section
-pairs.  Its structure constants are computed grade by grade, once: the
-products into grade g_i + g_j come from the products into grade
-g_i + g_j - 1, concatenated with E and projected.
+multiplication on D A.  Only the trivial paths and the arrows take that
+route; every longer basis path acts by the product of its prefix's and
+its last arrow's matrices.
+
+The tensor algebra over A is built iteratively as quotients
+T_g = T_{g-1} (x)_A E.  A is generated by its arrows over A_0 = k^{Q_0},
+so T_{g-1} (x)_A E is T_{g-1} (x)_{A_0} E modulo the relations of the
+arrows alone.  The bases of E and of each grade are vertex-adapted, so
+(x)_{A_0} keeps only the matched pairs x (x) y with right(x) = left(y),
+and each grade is a quotient of the span of those, with a projection
+onto the quotient and a pure tensor representing each of its basis
+elements.  The structure constants are computed grade by grade, once:
+the products into grade g_i + g_j come from the products into grade
+g_i + g_j - 1, tensored with E and projected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +36,7 @@ from .modules import (ModuleMap, Representation, coregular, decompose,
                       direct_sum, dual_map, hom_space, injective,
                       is_isomorphic, map_from_projectives, op_algebra,
                       projective, projective_cover, regular, zero_rep)
-from .quivers import BoundQuiverAlgebra
+from .quivers import BoundQuiverAlgebra, Path, trivial
 
 __all__ = ["ExtBimodule", "ext_bimodule", "PreprojectiveSplit",
            "preprojective_module", "preprojective_algebra", "stable_hom",
@@ -128,6 +138,15 @@ def _yoneda_eval(P: Representation, ys: list[np.ndarray], v: int,
 
 @dataclass
 class ExtBimodule:
+    """E = Ext^n(D A, A) with the action of each basis path of A.
+
+    ``left_mats[b]`` and ``right_mats[b]`` are the left and right actions
+    of basis path b (columns are images).  Only the trivial paths and the
+    arrows go through the resolution; each longer path p = p' a gets its
+    matrices from its prefix, L_p = L_{p'} L_a and R_p = R_a R_{p'}.  The
+    basis of E is vertex-adapted: each vertex idempotent acts on either
+    side by a 0/1 diagonal matrix.
+    """
     algebra: BoundQuiverAlgebra
     n: int
     dim: int
@@ -135,7 +154,31 @@ class ExtBimodule:
     right_mats: list[np.ndarray]
 
 
-def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
+def _path_actions(A: BoundQuiverAlgebra, action, left: bool
+                  ) -> list[np.ndarray]:
+    """The matrix of every basis path acting on one side of a bimodule.
+
+    ``action(b)`` gives it for the trivial paths and the arrows.  A longer
+    basis path p = p' a comes after its prefix p' in the (length-ordered,
+    prefix-closed) basis, and its matrix is one product: L_{p'} L_a on
+    the left, R_a R_{p'} on the right."""
+    f = A.field
+    q = A.quiver
+    mats: list[np.ndarray] = []
+    for b, p in enumerate(A.basis):
+        if len(p.arrows) < 2:
+            mats.append(action(b))
+            continue
+        pre = mats[A.bindex[Path(p.source, p.arrows[:-1])]]
+        last = mats[A.bindex[Path(q.source(p.arrows[-1]), p.arrows[-1:])]]
+        mats.append(f.matmul(pre, last) if left else f.matmul(last, pre))
+    return mats
+
+
+def _ext_actions(A: BoundQuiverAlgebra, n: int):
+    """dim Ext^n(D A, A) and two functions giving the left and the right
+    action matrix of one basis element through the resolution of D A
+    (``(0, None, None)`` when Ext vanishes)."""
     gl = global_dimension(A, cap=n + 1)
     if isinstance(gl, AboveCap) or gl > n:
         raise GldimTooLarge(f"gldim(A) = {gl} exceeds n = {n}")
@@ -144,9 +187,9 @@ def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
     R = regular(A)
     res = min_proj_resolution(DL, n + 1)
     dim, cocycles, (res, cob) = ext_data(DL, R, n, res)
-    if dim == 0:
-        return ExtBimodule(A, n, 0, [f.zeros(0, 0)] * A.dim,
-                           [f.zeros(0, 0)] * A.dim)
+    Pn = res.terms[n] if n <= res.length else None
+    if dim == 0 or Pn is None:
+        return 0, None, None
     ext = QuotientBasis(f, cob, cocycles)
     basis_rows = ext.comp
     assert ext.dim == dim
@@ -155,11 +198,6 @@ def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
         """Matrix whose column r is the class of row r of `images`."""
         assert ext.spans(images).all(), "vector must be a cocycle"
         return ext.coords(images).T
-
-    Pn = res.terms[n] if n <= res.length else None
-    if Pn is None:
-        return ExtBimodule(A, n, 0, [f.zeros(0, 0)] * A.dim,
-                           [f.zeros(0, 0)] * A.dim)
 
     def split_coords(row: np.ndarray) -> list[np.ndarray]:
         ys = []
@@ -174,9 +212,8 @@ def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
         return np.concatenate([y[:, 0] for y in ys]) if ys else \
             f.zeros(1, 0)[0]
 
-    # left action: postcompose with left multiplication on R
-    left_mats = []
-    for b in range(A.dim):
+    def left(b: int) -> np.ndarray:
+        # postcompose with left multiplication on R
         lm = left_mult_map(A, {b: f.one}, R)
         images = []
         for r in range(dim):
@@ -184,11 +221,10 @@ def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
             ys2 = [f.matmul(lm.blocks[v], y)
                    for v, y in zip(Pn.summands, ys)]
             images.append(join_coords(ys2))
-        left_mats.append(action(np.stack(images)))
+        return action(np.stack(images))
 
-    # right action: precompose with the lift of left multiplication on D(A)
-    right_mats = []
-    for b in range(A.dim):
+    def right(b: int) -> np.ndarray:
+        # precompose with the lift of left multiplication on D(A)
         lam = left_mult_on_coregular(A, {b: f.one}, DL)
         lift_n = lift_through_resolution(res, lam, n)[n]
         images = []
@@ -201,9 +237,19 @@ def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
                 moved = f.matmul(lift_n.blocks[v], gen)
                 ys2.append(_yoneda_eval(Pn, ys, v, moved, R))
             images.append(join_coords(ys2))
-        right_mats.append(action(np.stack(images)))
+        return action(np.stack(images))
 
-    return ExtBimodule(A, n, dim, left_mats, right_mats)
+    return dim, left, right
+
+
+def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
+    dim, left, right = _ext_actions(A, n)
+    if dim == 0:
+        f = A.field
+        return ExtBimodule(A, n, 0, [f.zeros(0, 0)] * A.dim,
+                           [f.zeros(0, 0)] * A.dim)
+    return ExtBimodule(A, n, dim, _path_actions(A, left, left=True),
+                       _path_actions(A, right, left=False))
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +322,128 @@ def preprojective_module(A: BoundQuiverAlgebra, n: int,
 # the tensor algebra
 # ---------------------------------------------------------------------------
 
+def _vertex_labels(f, mats: list[np.ndarray], idems: list[int],
+                   what: str) -> np.ndarray:
+    """The vertex of each basis element: the one v whose idempotent, acting
+    by ``mats[idems[v]]``, fixes it.
+
+    The basis must be vertex-adapted: every idempotent acts by a 0/1
+    diagonal matrix and each element is fixed by exactly one of them.
+    Anything else raises."""
+    fixed = []
+    for v, i in enumerate(idems):
+        off = mats[i].copy()
+        diag = np.diagonal(mats[i])
+        np.fill_diagonal(off, f.zero)
+        if not (f.is_zero(off) and
+                np.all((diag == f.zero) | (diag == f.one))):
+            raise ValueError(f"vertex {v} does not act on the {what} by a "
+                             "0/1 diagonal matrix")
+        fixed.append(diag == f.one)
+    fixed = np.stack(fixed)
+    if not np.all(fixed.sum(axis=0) == 1):
+        raise ValueError(f"a basis element of the {what} is not fixed by "
+                         "exactly one vertex idempotent")
+    return fixed.argmax(axis=0)
+
+
+class MatchedPairs(NamedTuple):
+    """The pairs (x, y) with right(x) = left(y) of a basis x of T_{g-1}
+    and a basis y of E, in the order x * dim E + y of T_{g-1} (x)_k E.
+    Every other pure tensor x (x) y lies in the balancing relations."""
+    index: np.ndarray    # x * dim E + y of each matched pair
+    pos: np.ndarray      # (dim T_{g-1}, dim E): position of (x, y), or -1
+
+
+def _matched_pairs(right: np.ndarray, left: np.ndarray) -> MatchedPairs:
+    match = right[:, None] == left[None, :]
+    pos = np.full(match.shape, -1, dtype=np.int64)
+    pos[match] = np.arange(int(match.sum()))
+    return MatchedPairs(np.flatnonzero(match), pos)
+
+
+def _arrow_relations(A: BoundQuiverAlgebra, alpha: int, R: np.ndarray,
+                     L: np.ndarray, right: np.ndarray, left: np.ndarray,
+                     pairs: MatchedPairs) -> np.ndarray:
+    """The relations x alpha (x) y - x (x) alpha y of the arrow
+    alpha = e_a alpha e_b, which acts by ``R`` on T_{g-1} and by ``L`` on
+    E, on the matched pairs.
+
+    Only the rows with right(x) = a and left(y) = b are nonzero there; the
+    first term lies in the block of vertex b, the second in that of a."""
+    f = A.field
+    a, b = A.quiver.source(alpha), A.quiver.target(alpha)
+    xa, xb = np.flatnonzero(right == a), np.flatnonzero(right == b)
+    ya, yb = np.flatnonzero(left == a), np.flatnonzero(left == b)
+    pos, width = pairs.pos, len(pairs.index)
+    w = f.zeros(len(xa) * len(yb), width).reshape(len(xa), len(yb), width)
+    i = np.arange(len(xa))[:, None, None]
+    j = np.arange(len(yb))[None, :, None]
+    # x alpha = sum of R[x', x] x' over right(x') = b
+    w[i, j, pos[np.ix_(xb, yb)].T[None]] = R[np.ix_(xb, xa)].T[:, None, :]
+    # alpha y = sum of L[y', y] y' over left(y') = a
+    k = pos[np.ix_(xa, ya)][:, None, :]
+    w[i, j, k] = f.sub(w[i, j, k], L[np.ix_(ya, yb)].T[None])
+    return w.reshape(len(xa) * len(yb), width)
+
+
+def _balancing_relations(A: BoundQuiverAlgebra, E: ExtBimodule,
+                         R: list[np.ndarray]
+                         ) -> tuple[np.ndarray, MatchedPairs]:
+    """Row basis of the relations of T_{g-1} (x)_A E on the matched pairs,
+    where ``R`` is the right action of A on T_{g-1}, and those pairs.
+
+    A is generated over A_0 = k^{Q_0} by its arrows, and the relation of a
+    path p q at (x, y) is that of q at (x p, y) plus that of p at
+    (x, q y), so the relations of the arrows, with the pure tensors of the
+    unmatched pairs, span them all."""
+    f = A.field
+    q = A.quiver
+    idems = [A.bindex[trivial(v)] for v in range(q.n_vertices)]
+    right = _vertex_labels(f, R, idems, "previous grade")
+    left = _vertex_labels(f, E.left_mats, idems, "Ext bimodule")
+    pairs = _matched_pairs(right, left)
+    rows = [f.zeros(0, len(pairs.index))]
+    for a in range(q.n_arrows):
+        lam = A.bindex[Path(q.source(a), (a,))]
+        w = _arrow_relations(A, a, R[lam], E.left_mats[lam], right, left,
+                             pairs)
+        rows.append(w[np.any(w != f.zero, axis=1)])
+    return f.row_space(np.concatenate(rows)), pairs
+
+
+def _on_pairs(f, size: int, rows: np.ndarray, vals: np.ndarray
+              ) -> np.ndarray:
+    """Vectors on the matched pairs, one per column k: entry
+    ``vals[i, k, ...]`` goes to the pair at ``rows[i, k]``.  Entries at
+    unmatched pairs (``rows[i, k] == -1``) vanish on a vertex-adapted
+    basis and are dropped."""
+    out = f.zeros(size, int(np.prod(vals.shape[1:])))
+    out = out.reshape((size,) + vals.shape[1:])
+    ok = rows >= 0
+    cols = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)
+    out[rows[ok], cols[ok]] = vals[ok]
+    return out
+
+
 def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
                           cap: int = 32) -> FinDimAlgebra:
     """T_A E as a graded algebra: degree-i part is E^{(x)_A i}.
 
-    Grade g > 0 is the quotient of T_{g-1} (x)_k E by the balancing
-    relations, with a section ``sigma`` and a projection ``proj``.  The
-    products are computed grade by grade: x y with y in grade g > 0 is the
-    projection of (x u) (x) e summed over the lift u (x) e of y, where the
-    products x u into grade g-1 are already known.
+    Grade g > 0 is T_{g-1} (x)_k E modulo the balancing relations
+    x lam (x) y - x (x) lam y.  The bases of T_{g-1} and E are
+    vertex-adapted, so every pure tensor x (x) y with right(x) != left(y)
+    is a relation, and the rest are spanned by the relations of the arrows
+    on the matched pairs right(x) = left(y).  Those give ``proj``, the
+    coordinates of the grade on the matched pairs.  The complement picks
+    unit vectors, so basis element k of the grade is the class of the pure
+    tensor x_k (x) y_k, and ``xs``, ``ys`` record the pairs.
+
+    The right action of each grade comes from E's, for the trivial paths
+    and the arrows; a longer path's is a product, as in ``ExtBimodule``.
+    The products are computed grade by grade: x y with y = x_k (x) y_k in
+    grade g > 0 is the class of (x x_k) (x) y_k, where the products x x_k
+    into grade g-1 are already known.
     """
     E = ext_bimodule(A, n)
     f = A.field
@@ -303,40 +462,27 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
     if E.dim > 0:
         while True:
             prev = grades[-1]
-            t, e = prev["dim"], E.dim
-            V = t * e
-            # the balancing relations of each lam, all (x, y) at once: row
-            # (x, y) is R_lam[:, x] (x) e_y - e_x (x) L_lam[:, y], as
-            # broadcast products indexed [x, y, a, b] (einsum takes object
-            # arrays only from numpy 1.25)
-            eye_t = f.eye(t)[:, None, :, None]
-            eye_e = f.eye(e)[None, :, None, :]
-            rows = []
-            for lam in range(adim):
-                w = f.sub(prev["R"][lam].T[:, None, :, None] * eye_e,
-                          eye_t * E.left_mats[lam].T[None, :, None, :])
-                w = w.reshape(V, V)
-                rows.append(w[np.any(w != f.zero, axis=1)])
-            rows = np.concatenate(rows)
-            W = f.row_space(rows) if rows.shape[0] else f.zeros(0, V)
-            newdim = V - W.shape[0]
+            W, pairs = _balancing_relations(A, E, prev["R"])
+            width = len(pairs.index)
+            newdim = width - W.shape[0]
             if newdim == 0:
                 break
             if len(grades) > cap:
                 raise NotTauFinite(cap, newdim)
-            quot = QuotientBasis(f, W, f.eye(V))
+            quot = QuotientBasis(f, W, f.eye(width))
             proj = quot.proj
-            sigma = quot.comp.T  # columns: representatives of the new basis
-            del quot  # frees the V x 2V echelon form
-            # (u (x) y) b = u (x) (y b), on all representatives at once
-            reps = sigma.reshape(t, e, newdim).transpose(0, 2, 1)
-            R = []
-            for b in range(adim):
-                rv = f.matmul(reps.reshape(t * newdim, e), E.right_mats[b].T)
-                rv = rv.reshape(t, newdim, e).transpose(0, 2, 1)
-                R.append(f.matmul(proj, rv.reshape(V, newdim)))
-            grades.append({"dim": newdim, "R": R, "proj": proj,
-                           "sigma": sigma})
+            xs, ys = np.divmod(pairs.index[np.nonzero(quot.comp)[1]], E.dim)
+            del quot  # frees the echelon form
+
+            def right(b: int) -> np.ndarray:
+                # (x_k (x) y_k) b = x_k (x) (y_k b)
+                tens = _on_pairs(f, width, pairs.pos[xs].T,
+                                 E.right_mats[b][:, ys])
+                return f.matmul(proj, tens)
+
+            grades.append({"dim": newdim, "proj": proj, "pos": pairs.pos,
+                           "xs": xs, "ys": ys,
+                           "R": _path_actions(A, right, left=False)})
 
     dims = [g["dim"] for g in grades]
     offsets = np.cumsum([0] + dims)
@@ -351,12 +497,14 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
     for gi in range(len(grades)):
         row = [np.stack(grades[gi]["R"], axis=2).transpose(1, 0, 2)]
         for gj in range(1, len(grades) - gi):
-            t_prev, d = dims[gj - 1], dims[gj]
-            sig = grades[gj]["sigma"].reshape(t_prev, E.dim * d)
-            proj = grades[gi + gj]["proj"]
-            row.append(np.stack([
-                f.matmul(proj, f.matmul(lower, sig).reshape(-1, d))
-                for lower in row[gj - 1]]))
+            g, h = grades[gj], grades[gi + gj]
+            # (b_li x_k) (x) y_k for every li and k, on the pairs of h
+            lower = row[gj - 1][:, :, g["xs"]].transpose(1, 2, 0)
+            tens = _on_pairs(f, h["proj"].shape[1], h["pos"][:, g["ys"]],
+                             lower)
+            tens = f.matmul(h["proj"], tens.reshape(tens.shape[0], -1))
+            row.append(tens.reshape(-1, g["dim"], dims[gi])
+                       .transpose(2, 0, 1))
         prods.append(row)
 
     def mult(i: int) -> np.ndarray:

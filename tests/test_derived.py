@@ -10,7 +10,8 @@ from quiveralg.derived import (ChainMap, ComplexOfModules, SerreContext, amiot_e
 from quiveralg.exactla import GF, QQ
 from quiveralg.homology import ext, tau_n, tau_n_inv
 from quiveralg.modules import (coregular, injective, is_isomorphic,
-                               projective, random_module, regular, simple)
+                               op_algebra, projective, random_module,
+                               regular, simple)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
 
 F = GF(32003)
@@ -336,3 +337,75 @@ def test_cohomology_dims_checks_that_boundaries_are_cycles():
                          check=False)
     with pytest.raises(AssertionError):
         X.cohomology_dims()
+
+
+def _extract_component(A, kind, d, src, u, tgt, w):
+    """Component (w, u) of d read one entry at a time: the reference for
+    the slot-at-once reading of to_symbolic."""
+    f = A.field
+    bu, cw = src.summands[u], tgt.summands[w]
+    if kind == "P":
+        col = src.offsets[u][bu]
+        start = tgt.offsets[w][bu]
+        elem = {}
+        for k, b in enumerate(A.basis_between(cw, bu)):
+            c = d.blocks[bu][start + k, col]
+            if c != f.zero:
+                elem[b] = c
+        return elem
+    Aop = op_algebra(A)
+    col = tgt.offsets[w][cw]
+    start = src.offsets[u][cw]
+    elem = {}
+    for k, b in enumerate(Aop.basis_between(bu, cw)):
+        c = d.blocks[cw][col, start + k]
+        if c == f.zero:
+            continue
+        p = Aop.basis[b]
+        red = A.reduce_path(Path(p.target(Aop.quiver),
+                                 tuple(reversed(p.arrows))))
+        for bb, cc in red.items():
+            v = elem.get(bb, f.zero) + c * cc
+            if f.kind == "GF":
+                v = v % f.p
+            if v == f.zero:
+                elem.pop(bb, None)
+            else:
+                elem[bb] = v
+    return elem
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+def test_to_symbolic_equals_the_per_entry_reading(field):
+    from quiveralg.families import auslander_algebra, dynkin_path_algebra
+    q = Quiver(["1", "2", "3"], [("a1", "1", "2"), ("a2", "2", "3")])
+    A = complete_basis(q, field, [PathElement(q, {Path(0, (0, 1)): 1})])
+    cases = [(A, C) for C in _complexes(A, random.Random(5))]
+    # parallel paths, so that some components have several terms; in the
+    # last case the (w, u) keys out of order u, then w, are not sorted
+    L = auslander_algebra(dynkin_path_algebra(3, ["f", "b"], field))
+    for k in (1, -1):
+        cases.append((L, serre_n_power(L, 2, module_complex(regular(L)), k)))
+    P, _ = proj_resolve_complex(module_complex(coregular(L)))
+    cases.append((L, nakayama(P)))
+    kinds = set()
+    for B, C in cases:
+        tags = {t.tag_kind for t in C.terms.values()}
+        if len(tags) != 1 or None in tags or not C.diffs:
+            continue
+        kind = tags.pop()
+        kinds.add(kind)
+        want = {}
+        for i, d in C.diffs.items():
+            src, tgt = C.terms[i], C.terms[i + 1]
+            want[i] = {(w, u): e for u in range(len(src.summands))
+                       for w in range(len(tgt.summands))
+                       for e in [_extract_component(B, kind, d, src, u,
+                                                    tgt, w)] if e}
+        got = to_symbolic(C, kind).diffs
+        assert [(i, list(e.items())) for i, e in got.items()] == \
+            [(i, list(e.items())) for i, e in want.items()]
+        assert all(type(c) is type(field.one)
+                   for e in got.values() for el in e.values()
+                   for c in el.values())
+    assert kinds == {"P", "I"}

@@ -247,3 +247,32 @@ def test_complement_of_identity_matches_greedy_loop(field, rows, cols, rank,
     comp = complement_rows(field, sub, field.eye(cols))
     want = field.eye(cols)[_greedy_units(field, sub, cols)]
     assert comp.dtype == want.dtype and field.equal(comp, want)
+
+
+def _rref_every_row(field, a):
+    """Gauss-Jordan elimination that subtracts a multiple of the pivot row
+    from every row at every pivot, the reference for Field.rref."""
+    a = a.copy()
+    m, n = a.shape
+    pivots, r = [], 0
+    for c in range(n):
+        nz = [i for i in range(r, m) if a[i, c] != field.zero]
+        if r == m or not nz:
+            continue
+        a[[r, nz[0]]] = a[[nz[0], r]]
+        a[r] = field.smul(field.inv_el(a[r, c]), a[r])
+        for i in range(m):
+            if i != r:
+                a[i] = field.sub(a[i], field.smul(a[i, c], a[r]))
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+@given(st.integers(0, 6), st.integers(1, 7), st.integers(0, 5),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_rational_rref_matches_every_row_elimination(rows, cols, rank, seed):
+    a = _sparse_low_rank(QQ, random.Random(seed), rows, cols, rank)
+    (got, gp), (want, wp) = QQ.rref(a), _rref_every_row(QQ, a)
+    assert gp == wp and got.dtype == want.dtype and QQ.equal(got, want)

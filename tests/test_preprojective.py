@@ -1,8 +1,15 @@
 
+import functools
+
+import numpy as np
 import pytest
 
-from quiveralg.exactla import GF
-from quiveralg.findim import quiver_presentation
+from quiveralg import preprojective as pp
+from quiveralg.errors import NotTauFinite
+from quiveralg.exactla import GF, QQ, QuotientBasis
+from quiveralg.families import (auslander_algebra, dynkin_path_algebra,
+                                linear_nakayama, thm39_type2)
+from quiveralg.findim import FinDimAlgebra, quiver_presentation
 from quiveralg.homology import tau_n_inv
 from quiveralg.modules import (regular, simple,
                                projective)
@@ -172,3 +179,268 @@ def test_ext_bimodule_dim_on_knitted_auslander():
     L = auslander_algebra(dynkin_path_algebra(3, ["f", "b"]))
     E = ext_bimodule(L, 2)
     assert E.dim == 5
+
+
+# ---------------------------------------------------------------------------
+# the tensor grades from the arrows, against the dense construction
+# ---------------------------------------------------------------------------
+
+def _nak_a3(field):
+    q = Quiver(["1", "2", "3"], [("a1", "1", "2"), ("a2", "2", "3")])
+    return complete_basis(q, field, [PathElement(q, {Path(0, (0, 1)): 1})])
+
+
+def _aus_a3_nonlinear(field):
+    return auslander_algebra(dynkin_path_algebra(3, ["f", "b"], field))
+
+
+def _linear_nakayama_4(field):
+    return linear_nakayama(4, field)
+
+
+def _linear_nakayama_5(field):
+    return linear_nakayama(5, field)
+
+
+def _a4(field):
+    return dynkin_path_algebra(4, None, field)
+
+
+# (algebra, n).  A3 and A4 at n = 1 have three and four grades, the others
+# two; on A4 a path of length 2 acts nonzero on E and on grade 1.
+W_CASES = [(_nak_a3, 2), (_aus_a3_nonlinear, 2),
+           (lambda field: thm39_type2(2, ["gamma"], field), 2),
+           (lambda field: dynkin_path_algebra(3, None, field), 1),
+           (_a4, 1)]
+W_IDS = ["nak_a3", "aus_a3_nonlinear", "thm39_type2_2", "A3_n1", "A4_n1"]
+FIELDS = [pytest.param(F, id="GF32003"), pytest.param(QQ, id="QQ")]
+
+
+@functools.lru_cache(maxsize=None)
+def _route_bimodule(make, n, field):
+    """One algebra A of a case, and E with the actions of every basis
+    element taken through the resolution of D A."""
+    A = make(field)
+    dim, left, right = pp._ext_actions(A, n)
+    return A, pp.ExtBimodule(A, n, dim, [left(b) for b in range(A.dim)],
+                             [right(b) for b in range(A.dim)])
+
+
+def _right_regular(A):
+    f = A.field
+    mats = []
+    for b in range(A.dim):
+        rm = f.zeros(A.dim, A.dim)
+        for j in range(A.dim):
+            for t, c in A.mult_basis(j, b).items():
+                rm[t, j] = c
+        mats.append(rm)
+    return mats
+
+
+def _dense_relations(f, E, R):
+    """Row-reduced balancing relations on all of T (x)_k E, one dense
+    V x V block per basis element lam of A: row (x, y) of a block is
+    x lam (x) y - x (x) lam y."""
+    t, e = R[0].shape[0], E.dim
+    eye_t = f.eye(t)[:, None, :, None]
+    eye_e = f.eye(e)[None, :, None, :]
+    blocks = [f.sub(R[lam].T[:, None, :, None] * eye_e,
+                    eye_t * E.left_mats[lam].T[None, :, None, :])
+              .reshape(t * e, t * e) for lam in range(len(R))]
+    rows = np.concatenate([w[np.any(w != f.zero, axis=1)] for w in blocks])
+    return f.row_space(rows)
+
+
+def _embedded(f, W, pairs, V):
+    """Row-reduced W on all of T (x)_k E: the unit vectors of the unmatched
+    pairs together with W placed on the matched ones."""
+    unmatched = np.setdiff1d(np.arange(V), pairs.index)
+    full = f.zeros(W.shape[0], V)
+    full[:, pairs.index] = W
+    return f.row_space(np.concatenate([f.eye(V)[unmatched], full]))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(make, n, field):
+    """One algebra A of a case, T_A E built from the dense relations of
+    every basis element with proj and sigma on all of T (x)_k E, and the
+    row-reduced relations W of each grade it tried."""
+    A, E = _route_bimodule(make, n, field)
+    f = A.field
+    grades = [{"dim": A.dim, "R": _right_regular(A)}]
+    Ws = []
+    while True:
+        prev = grades[-1]
+        t, e = prev["dim"], E.dim
+        V = t * e
+        W = _dense_relations(f, E, prev["R"])
+        Ws.append(W)
+        newdim = V - W.shape[0]
+        if newdim == 0:
+            break
+        quot = QuotientBasis(f, W, f.eye(V))
+        proj, sigma = quot.proj, quot.comp.T
+        reps = sigma.reshape(t, e, newdim).transpose(0, 2, 1)
+        R = []
+        for b in range(A.dim):
+            rv = f.matmul(reps.reshape(t * newdim, e), E.right_mats[b].T)
+            rv = rv.reshape(t, newdim, e).transpose(0, 2, 1)
+            R.append(f.matmul(proj, rv.reshape(V, newdim)))
+        grades.append({"dim": newdim, "R": R, "proj": proj,
+                       "sigma": sigma})
+    dims = [g["dim"] for g in grades]
+    offsets = np.cumsum([0] + dims)
+    total = int(offsets[-1])
+    prods = []
+    for gi in range(len(grades)):
+        row = [np.stack(grades[gi]["R"], axis=2).transpose(1, 0, 2)]
+        for gj in range(1, len(grades) - gi):
+            sig = grades[gj]["sigma"].reshape(dims[gj - 1], e * dims[gj])
+            proj = grades[gi + gj]["proj"]
+            row.append(np.stack([
+                f.matmul(proj, f.matmul(lower, sig).reshape(-1, dims[gj]))
+                for lower in row[gj - 1]]))
+        prods.append(row)
+
+    def mult(i):
+        gi = int(np.searchsorted(offsets, i, side="right") - 1)
+        out = f.zeros(total, total)
+        for gj in range(len(grades) - gi):
+            out[offsets[gj]:offsets[gj + 1],
+                offsets[gi + gj]:offsets[gi + gj + 1]] = \
+                prods[gi][gj][i - offsets[gi]].T
+        return out
+
+    idems = [f.eye(total)[k] for v in range(A.quiver.n_vertices)
+             for k in A.idempotent(v)]
+    grading = [gi for gi, d in enumerate(dims) for _ in range(d)]
+    return A, FinDimAlgebra(f, total, mult, idems, grading), Ws
+
+
+def _same_constants(B, C):
+    return (B.dim == C.dim and B.grading == C.grading and
+            all(np.array_equal(x, y)
+                for x, y in zip(B.constants, C.constants)))
+
+
+def _spy_grades(monkeypatch):
+    """Record (E, R, W, pairs) of every grade that preprojective_algebra
+    builds."""
+    seen = []
+    build = pp._balancing_relations
+
+    def spy(A, E, R):
+        W, pairs = build(A, E, R)
+        seen.append((E, R, W, pairs))
+        return W, pairs
+
+    monkeypatch.setattr(pp, "_balancing_relations", spy)
+    return seen
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("make,n", W_CASES, ids=W_IDS)
+def test_w_from_arrows_equals_dense_relations(make, n, field, monkeypatch):
+    A, reference, dense = _reference(make, n, field)
+    f = A.field
+    seen = _spy_grades(monkeypatch)
+    B = pp.preprojective_algebra(A, n)
+    # every grade, and the last, empty one
+    assert len(seen) == len(dense) == max(B.grading) + 1
+    for (E, R, W, pairs), W_ref in zip(seen, dense):
+        V = R[0].shape[0] * E.dim
+        assert f.equal(_embedded(f, W, pairs, V), W_ref)
+    assert _same_constants(B, reference)
+
+
+def _drop_arrow(monkeypatch, alpha, contributes):
+    """Leave out the relations of arrow alpha; record in `contributes`
+    whether any of them was nonzero."""
+    build = pp._arrow_relations
+
+    def dropped(A, a, *rest):
+        rows = build(A, a, *rest)
+        if a != alpha:
+            return rows
+        contributes.append(bool(np.any(rows != A.field.zero)))
+        return rows[:0]
+
+    monkeypatch.setattr(pp, "_arrow_relations", dropped)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("make,n", W_CASES, ids=W_IDS)
+def test_dropping_one_arrow_breaks_w(make, n, field, monkeypatch):
+    """Leaving out the relations of any arrow that has some on the first
+    grade changes W there; for the first such arrow, the algebra too."""
+    A, reference, (dense, *_) = _reference(make, n, field)
+    f = A.field
+    E = ext_bimodule(A, n)
+    R = _right_regular(A)
+    broken = []
+    for alpha in range(A.quiver.n_arrows):
+        contributes = []
+        with monkeypatch.context() as m:
+            _drop_arrow(m, alpha, contributes)
+            W, pairs = pp._balancing_relations(A, E, R)
+            same = f.equal(_embedded(f, W, pairs, R[0].shape[0] * E.dim),
+                           dense)
+            assert same != contributes[0], alpha
+            if not same and not broken:
+                try:
+                    B = pp.preprojective_algebra(A, n, cap=4)
+                except NotTauFinite:
+                    B = None
+                assert B is None or not _same_constants(B, reference), alpha
+        if not same:
+            broken.append(alpha)
+    assert broken
+
+
+def test_vertex_labels_refuse_a_basis_that_is_not_vertex_adapted():
+    f = F
+    e0 = f.array([[1, 0], [0, 0]])
+    e1 = f.array([[0, 0], [0, 1]])
+    assert list(pp._vertex_labels(f, [e0, e1], [0, 1], "test")) == [0, 1]
+    with pytest.raises(ValueError, match="0/1 diagonal"):
+        pp._vertex_labels(f, [f.array([[1, 1], [0, 0]]), e1], [0, 1], "test")
+    with pytest.raises(ValueError, match="exactly one"):
+        pp._vertex_labels(f, [e0, f.eye(2)], [0, 1], "test")
+    with pytest.raises(ValueError, match="exactly one"):
+        pp._vertex_labels(f, [e0, e0], [0, 1], "test")
+
+
+# ---------------------------------------------------------------------------
+# the Ext actions from prefixes, against the resolution route
+# ---------------------------------------------------------------------------
+
+# on linear_nakayama 5 and A4, unlike the first two, a path of length 2
+# acts nonzero on E, so the order of the prefix products matters there
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("make,n", [(_aus_a3_nonlinear, 2),
+                                    (_linear_nakayama_4, 2),
+                                    (_linear_nakayama_5, 2), (_a4, 1)],
+                         ids=["aus_a3_nonlinear", "linear_nakayama_4",
+                              "linear_nakayama_5", "A4_n1"])
+def test_ext_actions_from_prefixes_equal_the_resolution_route(make, n,
+                                                              field):
+    A, ref = _route_bimodule(make, n, field)
+    f = A.field
+    assert any(len(p.arrows) >= 2 for p in A.basis)
+    E = ext_bimodule(A, n)
+    assert E.dim == ref.dim > 0
+    for b in range(A.dim):
+        assert f.equal(E.left_mats[b], ref.left_mats[b]), b
+        assert f.equal(E.right_mats[b], ref.right_mats[b]), b
+
+
+def test_ext_bimodule_actions_commute_aus_a3_nonlinear():
+    A = _aus_a3_nonlinear(F)
+    E = ext_bimodule(A, 2)
+    f = A.field
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = f.matmul(E.left_mats[i], E.right_mats[j])
+            rhs = f.matmul(E.right_mats[j], E.left_mats[i])
+            assert f.equal(lhs, rhs)
