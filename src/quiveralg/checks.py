@@ -15,10 +15,10 @@ from .derived import SerreContext, amiot_hom, module_complex
 from .errors import AboveCap, GldimTooLarge, WindowInconclusive
 from .findim import quiver_presentation
 from .homology import (ext, global_dimension, injective_dimension,
-                       syzygy, tau_n_inv)
-from .modules import (ModuleMap, Representation, injective, injectives_sum, is_isomorphic,
-                      map_cokernel, op_algebra, projective, projective_cover,
-                      regular, simple, zero_rep)
+                       nakayama_presentation, syzygy, tau_n_inv)
+from .modules import (Representation, injective, injectives_sum,
+                      is_isomorphic, map_cokernel, op_algebra, projective,
+                      regular, simple)
 from .preprojective import (preprojective_algebra, preprojective_module,
                             stable_endomorphism)
 from .quivers import BoundQuiverAlgebra
@@ -165,33 +165,9 @@ def rigidity(M: Representation, n: int) -> bool:
 def nu_module(M: Representation) -> Representation:
     """Module-level Nakayama functor: coker of nu applied to a minimal
     projective presentation (nu is right exact)."""
-    from .derived import _component_map
-    A = M.algebra
-    f = A.field
-    if M.is_zero():
-        return zero_rep(A)
-    aug = projective_cover(M)
-    P0 = aug.source
-    from .modules import map_kernel
-    ker, incl = map_kernel(aug)
-    I0 = injectives_sum(A, P0.summands)
-    if ker.is_zero():
-        return I0
-    cov1 = projective_cover(ker)
-    d = cov1.compose(incl)
-    P1 = cov1.source
-    from .homology import ProjResolution
-    res = ProjResolution(M, [P0, P1], aug, [d], True, False)
-    elems = res.element_matrix(0)
-    I1 = injectives_sum(A, P1.summands)
-    blocks = [f.zeros(I0.dims[v], I1.dims[v])
-              for v in range(A.quiver.n_vertices)]
-    from .derived import _add_block
-    for (v_slot, u_slot), elem in elems.items():
-        comp = _component_map(A, "I", P1.summands[u_slot],
-                              P0.summands[v_slot], elem)
-        _add_block(f, blocks, I1, u_slot, I0, v_slot, comp)
-    nu_d = ModuleMap(I1, I0, blocks)
+    nu_d = nakayama_presentation(M)
+    if nu_d.source.is_zero():
+        return nu_d.target
     out, _ = map_cokernel(nu_d)
     return out
 

@@ -8,6 +8,12 @@ only flips the term kind), projective resolutions of arbitrary bounded
 complexes are built by iterated mapping cones with strict comparison
 lifts through degreewise-surjective quasi-isomorphisms, and contractible
 summands are stripped by Gaussian cancellation on unit entries.
+
+The symbolic and concrete forms convert through ``homology``'s
+``elements_of_map`` and ``map_of_elements``, which alone know how an
+algebra element lies in the blocks of a map between tagged sums.  A chain
+map is a quasi-isomorphism iff its mapping cone is acyclic, which is
+checked from the ranks of the cone blocks at each vertex.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 from .errors import (AboveCap, AboveCapError, TermNotInjective,
     TermNotProjective, WindowInconclusive)
 from .exactla import QuotientBasis
-from .homology import min_proj_resolution, op_element
+from .homology import elements_of_map, map_of_elements, min_proj_resolution
 from .modules import (ModuleMap, Representation, dual, dual_map,
                       injectives_sum, map_from_projectives, op_algebra,
                       projectives_sum, quotient, subrepresentation, zero_rep)
@@ -183,25 +189,22 @@ class ChainMap:
         return True
 
     def induces_cohomology_iso(self) -> bool:
-        """Quasi-isomorphism verification: at every degree and vertex the
-        map induced on cocycles modulo coboundaries is square and of full
-        rank."""
-        f = self.source.algebra.field
-        for i in range(min(self.source.lo, self.target.lo),
-                       max(self.source.hi, self.target.hi) + 1):
-            part = self.parts.get(i)
-            for v in range(self.source.algebra.quiver.n_vertices):
-                hs = _cohomology_basis(self.source, i, v)
-                ht = _cohomology_basis(self.target, i, v)
-                if hs.dim != ht.dim:
+        """Quasi-isomorphism test: the mapping cone is acyclic.  At every
+        vertex v, after checking d^i_v d^{i-1}_v = 0 for the cone
+        differentials, dim cone^i_v = rank d^i_v + rank d^{i-1}_v."""
+        X, Y = self.source, self.target
+        f = X.algebra.field
+        for v in range(X.algebra.quiver.n_vertices):
+            prev, prev_rank = None, 0
+            for i in range(min(X.lo - 1, Y.lo), max(X.hi - 1, Y.hi) + 1):
+                d = _cone_block(self, i, v)
+                if prev is not None:
+                    assert f.is_zero(f.matmul(d, prev)), \
+                        "cone differential must square to zero"
+                rank = f.rank(d)
+                if d.shape[1] != rank + prev_rank:
                     return False
-                if hs.dim == 0:
-                    continue
-                if part is None:
-                    return False
-                images = f.matmul(part.blocks[v], hs.comp.T).T
-                if f.rank(ht.coords(images)) < ht.dim:
-                    return False
+                prev, prev_rank = d, rank
         return True
 
 
@@ -324,6 +327,27 @@ def _strict_lift(C: ComplexOfModules, f_map: ChainMap,
     return ChainMap(C, P, parts, check=False)
 
 
+def _cone_block(phi: ChainMap, i: int, v: int) -> np.ndarray:
+    """d^i of cone(phi: X -> Y) at vertex v, on X^{i+1}_v (+) Y^i_v:
+    [[-d_X^{i+1}, 0], [phi^{i+1}, d_Y^i]]."""
+    X, Y = phi.source, phi.target
+    f = X.algebra.field
+
+    def dim(C, j):  # without building a zero module for a missing term
+        return C.terms[j].dims[v] if j in C.terms else 0
+
+    a_rows, a_cols = dim(X, i + 2), dim(X, i + 1)
+    m = f.zeros(a_rows + dim(Y, i + 1), a_cols + dim(Y, i))
+    dX, part, dY = X.diffs.get(i + 1), phi.parts.get(i + 1), Y.diffs.get(i)
+    if dX is not None:
+        m[:a_rows, :a_cols] = f.neg(dX.blocks[v])
+    if part is not None:
+        m[a_rows:, :a_cols] = part.blocks[v]
+    if dY is not None:
+        m[a_rows:, a_cols:] = dY.blocks[v]
+    return m
+
+
 def _cone(v: ChainMap) -> tuple[ComplexOfModules, dict]:
     """cone(v: A -> B): term^i = A^{i+1} (+) B^i, d(a,b) = (-da, v(a)+db).
 
@@ -332,7 +356,6 @@ def _cone(v: ChainMap) -> tuple[ComplexOfModules, dict]:
     """
     A_cx, B_cx = v.source, v.target
     alg = A_cx.algebra
-    fld = alg.field
     terms = {}
     layout = {}
     for i in range(min(A_cx.lo - 1, B_cx.lo), max(A_cx.hi - 1, B_cx.hi) + 1):
@@ -343,29 +366,10 @@ def _cone(v: ChainMap) -> tuple[ComplexOfModules, dict]:
             continue
         terms[i] = projectives_sum(alg, verts)
         layout[i] = (At, Bt)
-    diffs = {}
-    for i in terms:
-        if i + 1 not in terms:
-            continue
-        At, Bt = layout[i]
-        At1, Bt1 = layout[i + 1]
-        src, tgt = terms[i], terms[i + 1]
-        blocks = []
-        for vx in range(alg.quiver.n_vertices):
-            m = fld.zeros(tgt.dims[vx], src.dims[vx])
-            a_rows = At1.dims[vx]
-            a_cols = At.dims[vx]
-            dA = A_cx.diffs.get(i + 1)
-            if dA is not None and a_rows and a_cols:
-                m[:a_rows, :a_cols] = fld.neg(dA.blocks[vx])
-            vm = v.parts.get(i + 1)
-            if vm is not None and a_cols and Bt1.dims[vx]:
-                m[a_rows:, :a_cols] = vm.blocks[vx]
-            dB = B_cx.diffs.get(i)
-            if dB is not None and Bt.dims[vx] and Bt1.dims[vx]:
-                m[a_rows:, a_cols:] = dB.blocks[vx]
-            blocks.append(m)
-        diffs[i] = ModuleMap(src, tgt, blocks)
+    diffs = {i: ModuleMap(terms[i], terms[i + 1],
+                          [_cone_block(v, i, vx)
+                           for vx in range(alg.quiver.n_vertices)])
+             for i in terms if i + 1 in terms}
     return ComplexOfModules(alg, terms, diffs, check=False), layout
 
 
@@ -504,25 +508,12 @@ class SymbolicComplex:
 
     def materialize(self) -> ComplexOfModules:
         A = self.algebra
-        f = A.field
-        terms = {}
-        for i, verts in self.terms.items():
-            if not verts:
-                continue
-            terms[i] = projectives_sum(A, verts) if self.kind == "P" \
-                else injectives_sum(A, verts)
-        diffs = {}
-        for i, entries in self.diffs.items():
-            if i not in terms or i + 1 not in terms:
-                continue
-            src, tgt = terms[i], terms[i + 1]
-            blocks = [f.zeros(tgt.dims[v], src.dims[v])
-                      for v in range(A.quiver.n_vertices)]
-            for (w, u), elem in entries.items():
-                comp = _component_map(A, self.kind, self.terms[i][u],
-                                      self.terms[i + 1][w], elem)
-                _add_block(f, blocks, src, u, tgt, w, comp)
-            diffs[i] = ModuleMap(src, tgt, blocks)
+        make = projectives_sum if self.kind == "P" else injectives_sum
+        terms = {i: make(A, verts) for i, verts in self.terms.items() if verts}
+        diffs = {i: map_of_elements(A, self.kind, entries, terms[i],
+                                    terms[i + 1])
+                 for i, entries in self.diffs.items()
+                 if i in terms and i + 1 in terms}
         return ComplexOfModules(A, terms, diffs, check=True)
 
     def minimize(self) -> "SymbolicComplex":
@@ -649,44 +640,6 @@ def _drop_summand(sym: SymbolicComplex, degree: int, slot: int):
         sym.diffs[degree - 1] = fix(sym.diffs[degree - 1], False)
 
 
-def _component_map(A, kind, bvert, cvert, elem):
-    """Concrete map P_b -> P_c (resp. I_b -> I_c) given by an algebra
-    element x in e_c A e_b."""
-    f = A.field
-    if kind == "P":
-        src = projectives_sum(A, [bvert])
-        tgt = projectives_sum(A, [cvert])
-        img = f.zeros(tgt.dims[bvert], 1)
-        paths = A.basis_between(cvert, bvert)
-        pos = {b: k for k, b in enumerate(paths)}
-        for b, c in elem.items():
-            img[pos[b], 0] = c
-        return map_from_projectives(src, tgt, [img])
-    Aop = op_algebra(A)
-    srcop = projectives_sum(Aop, [cvert])
-    tgtop = projectives_sum(Aop, [bvert])
-    opel = op_element(A, elem)
-    img = f.zeros(tgtop.dims[cvert], 1)
-    paths = Aop.basis_between(bvert, cvert)
-    pos = {b: k for k, b in enumerate(paths)}
-    for b, c in opel.items():
-        img[pos[b], 0] = c
-    m = map_from_projectives(srcop, tgtop, [img])
-    dm = dual_map(m)  # I_b -> I_c over A
-    return dm
-
-
-def _add_block(f, blocks, src, u, tgt, w, comp):
-    for v in range(len(blocks)):
-        b = comp.blocks[v]
-        if b.size == 0:
-            continue
-        ro = tgt.offsets[w][v]
-        co = src.offsets[u][v]
-        blocks[v][ro:ro + b.shape[0], co:co + b.shape[1]] = f.add(
-            blocks[v][ro:ro + b.shape[0], co:co + b.shape[1]], b)
-
-
 def to_symbolic(X: ComplexOfModules, kind: str = "P") -> SymbolicComplex:
     """Extract the symbolic form of a complex of tagged projective sums
     (kind 'P') or tagged injective sums (kind 'I')."""
@@ -700,60 +653,8 @@ def to_symbolic(X: ComplexOfModules, kind: str = "P") -> SymbolicComplex:
         terms[i] = tuple(t.summands)
     diffs = {}
     for i, d in X.diffs.items():
-        diffs[i] = _components(A, kind, d, X.terms[i], X.terms[i + 1])
+        diffs[i] = elements_of_map(A, kind, d, X.terms[i], X.terms[i + 1])
     return SymbolicComplex(A, kind, terms, diffs)
-
-
-def _components(A, kind, d, src, tgt) -> dict[tuple[int, int], dict]:
-    """The nonzero components (w, u) of a map d between tagged projective
-    sums (kind 'P') or tagged injective sums (kind 'I'), each an element
-    of A in basis coordinates, inserted in the order of u, then of w.
-
-    Kind 'P' reads the image of the generator of each source slot u: one
-    column of the block at its vertex, which holds every target slot.
-    Kind 'I' reads the dual, one row per target slot w, over A^op, and
-    maps each element back to A."""
-    f = A.field
-    if kind == "P":
-        slots, B = tgt, A
-        reads = [(u, bu, d.blocks[bu][:, src.offsets[u][bu]])
-                 for u, bu in enumerate(src.summands)]
-    else:
-        slots, B = src, op_algebra(A)
-        reads = [(w, cw, d.blocks[cw][tgt.offsets[w][cw], :])
-                 for w, cw in enumerate(tgt.summands)]
-    # at each vertex v: the slot and basis path of each position of `slots`
-    where = {}
-    found = {}
-    for r, v, line in reads:
-        if v not in where:
-            where[v] = {slots.offsets[s][v] + k: (s, b)
-                        for s, sv in enumerate(slots.summands)
-                        for k, b in enumerate(B.basis_between(sv, v))}
-        for k in np.flatnonzero(line):
-            s, b = where[v][k]
-            key = (s, r) if kind == "P" else (r, s)
-            found.setdefault(key, {})[b] = line[k]
-    if kind == "P":
-        return found
-    entries = {}
-    for key in sorted(found, key=lambda wu: (wu[1], wu[0])):
-        elem = {}
-        for b, c in found[key].items():
-            p = B.basis[b]
-            red = A.reduce_path(Path(p.target(B.quiver),
-                                     tuple(reversed(p.arrows))))
-            for bb, cc in red.items():
-                v = elem.get(bb, f.zero) + c * cc
-                if f.kind == "GF":
-                    v = v % f.p
-                if v == f.zero:
-                    elem.pop(bb, None)
-                else:
-                    elem[bb] = v
-        if elem:
-            entries[key] = elem
-    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -855,19 +756,21 @@ class SerreContext:
         dlift = dual_chain_map(lifted)          # D(PDU) -> D(PDV)
         symU = _inj_retag_complex(self.A, dual_complex(PDU), PDU)
         symV = _inj_retag_complex(self.A, dual_complex(PDV), PDV)
-        dl = ChainMap(symU, symV,
-                      {i: ModuleMap(symU.term(i), symV.term(i), p.blocks)
-                       for i, p in dlift.parts.items()}, check=False)
-        entries = _extract_chain_entries(self.A, "I", dl, symU, symV)
         PU = to_symbolic(symU, "I").flip().materialize()
         PV = to_symbolic(symV, "I").flip().materialize()
-        parts = _materialize_chain_entries(self.A, "P", entries, PU, PV)
         src = PU.shift(self.n)
         tgt = PV.shift(self.n)
-        return ChainMap(src, tgt,
-                        {i - self.n: ModuleMap(src.term(i - self.n),
-                                               tgt.term(i - self.n), p.blocks)
-                         for i, p in parts.items()}, check=False)
+        parts = {}
+        for i, p in dlift.parts.items():
+            if i not in symU.terms or i not in symV.terms:
+                continue
+            entries = elements_of_map(self.A, "I", p, symU.terms[i],
+                                      symV.terms[i])
+            m = map_of_elements(self.A, "P", entries, PU.terms[i],
+                                PV.terms[i])
+            parts[i - self.n] = ModuleMap(src.term(i - self.n),
+                                          tgt.term(i - self.n), m.blocks)
+        return ChainMap(src, tgt, parts, check=False)
 
 
 def _compose_chain(first: ChainMap, then: ChainMap) -> dict[int, ModuleMap]:
@@ -887,34 +790,6 @@ def _inj_retag_complex(A, I: ComplexOfModules,
         tagged = injectives_sum(A, src.summands)
         terms[i] = _retag(t, tagged)
     return ComplexOfModules(A, terms, I.diffs, check=False)
-
-
-def _extract_chain_entries(A, kind, phi: ChainMap, src: ComplexOfModules,
-                           tgt: ComplexOfModules):
-    out = {}
-    for i, p in phi.parts.items():
-        s, t = src.terms.get(i), tgt.terms.get(i)
-        if s is None or t is None:
-            continue
-        out[i] = _components(A, kind, p, s, t)
-    return out
-
-
-def _materialize_chain_entries(A, kind, entries, src: ComplexOfModules,
-                               tgt: ComplexOfModules):
-    f = A.field
-    parts = {}
-    for i, ent in entries.items():
-        s, t = src.terms.get(i), tgt.terms.get(i)
-        if s is None or t is None:
-            continue
-        blocks = [f.zeros(t.dims[v], s.dims[v])
-                  for v in range(A.quiver.n_vertices)]
-        for (w, u), elem in ent.items():
-            comp = _component_map(A, kind, s.summands[u], t.summands[w], elem)
-            _add_block(f, blocks, s, u, t, w, comp)
-        parts[i] = ModuleMap(s, t, blocks)
-    return parts
 
 
 def serre_n_power(A: BoundQuiverAlgebra, n: int, X: ComplexOfModules,
@@ -1032,7 +907,7 @@ def _hom_delta(P: ComplexOfModules, Y: ComplexOfModules, m: int) -> np.ndarray:
             continue
         Pt, Pt1 = P.terms[i], P.terms[i1]
         if i not in comps:
-            comps[i] = _components(A, "P", dP, Pt, Pt1)
+            comps[i] = elements_of_map(A, "P", dP, Pt, Pt1)
         for s, v in enumerate(Pt.summands):
             if (i, s) not in roff:
                 continue
@@ -1165,12 +1040,13 @@ def amiot_endomorphism_algebra(A: BoundQuiverAlgebra, n: int,
     ctx = SerreContext(A, n, cap)
     nv = A.quiver.n_vertices
     # collect pieces until support separation (as in amiot_hom)
+    gl = _gldim(A, cap)
     coords = []
     k = 0
     while True:
         C = ctx.orbit_neg(k)
         hb = C.support_bounds()
-        if hb is None or hb[1] < 0 - _gldim(A, cap):
+        if hb is None or hb[1] < -gl:
             break
         coords.append(_H0Coords(C))
         if k >= window_cap:

@@ -4,14 +4,23 @@ The transpose is taken from a minimal projective presentation, so tau
 and tau_inv kill projective (resp. injective) direct summands without
 any explicit stripping; the higher translates are the composites
 tau . syzygy^(n-1) and tau^- . cosyzygy^(n-1) with minimal steps.
+
+A map between sums of indecomposable projectives (or injectives) is a
+matrix of algebra elements.  ``elements_of_map`` reads that matrix off
+the blocks of a map between tagged sums and ``map_of_elements`` writes
+it back; no other code knows that layout.  The Nakayama functor nu and
+the transpose share one presentation, ``nakayama_presentation``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AboveCap
-from .modules import (ModuleMap, Representation, decompose, dual, injective_envelope, is_isomorphic,
+from .modules import (ModuleMap, Representation, decompose, dual, dual_map,
+                      injective_envelope, injectives_sum, is_isomorphic,
                       map_cokernel, map_from_projectives, map_kernel,
                       op_algebra, projective, projectives_sum,
                       projective_cover, zero_rep)
@@ -37,28 +46,83 @@ class ProjResolution:
     def length(self) -> int:
         return len(self.terms) - 1
 
-    def element_matrix(self, i: int) -> dict[tuple[int, int], dict]:
-        """Differential i as algebra elements: (target slot, source slot)
-        -> element of e_{a_v} A e_{b_u}."""
-        d = self.differentials[i]
-        P1, P0 = d.source, d.target
-        A = P0.algebra
-        out: dict[tuple[int, int], dict] = {}
-        for u, bu in enumerate(P1.summands):
-            col = P1.offsets[u][bu]  # generator position of slot u
-            for v, av in enumerate(P0.summands):
-                paths = A.basis_between(av, bu)
-                if not paths:
-                    continue
-                start = P0.offsets[v][bu]
-                elem = {}
-                for k, bidx in enumerate(paths):
-                    c = d.blocks[bu][start + k, col]
-                    if c != A.field.zero:
-                        elem[bidx] = c
-                if elem:
-                    out[(v, u)] = elem
-        return out
+
+# ---------------------------------------------------------------------------
+# maps between tagged sums as matrices of algebra elements
+# ---------------------------------------------------------------------------
+
+def elements_of_map(A: BoundQuiverAlgebra, kind: str, d: ModuleMap,
+                    src: Representation, tgt: Representation
+                    ) -> dict[tuple[int, int], dict]:
+    """The nonzero entries (w, u) of a map d: src -> tgt between tagged
+    projective sums (kind 'P') or tagged injective sums (kind 'I'), in the
+    order of u, then of w.  The entry from source slot u (vertex b) to
+    target slot w (vertex c) is an element x of e_c A e_b in basis
+    coordinates: for kind 'P' that component is left multiplication
+    e_b A -> e_c A by x, and for kind 'I' its image D(A e_b) -> D(A e_c)
+    under the Nakayama functor.
+
+    Kind 'P' reads the image of the generator of each source slot u: one
+    column of the block at its vertex, which holds every target slot.
+    Kind 'I' reads the dual, one row per target slot w, over A^op, and
+    maps each element back to A with ``op_element``."""
+    if kind == "P":
+        slots, B = tgt, A
+        reads = [(u, bu, d.blocks[bu][:, src.offsets[u][bu]])
+                 for u, bu in enumerate(src.summands)]
+    else:
+        slots, B = src, op_algebra(A)
+        reads = [(w, cw, d.blocks[cw][tgt.offsets[w][cw], :])
+                 for w, cw in enumerate(tgt.summands)]
+    # at each vertex v: the slot and basis path of each position of `slots`
+    where = {}
+    found = {}
+    for r, v, line in reads:
+        if v not in where:
+            where[v] = {slots.offsets[s][v] + k: (s, b)
+                        for s, sv in enumerate(slots.summands)
+                        for k, b in enumerate(B.basis_between(sv, v))}
+        for k in np.flatnonzero(line):
+            s, b = where[v][k]
+            key = (s, r) if kind == "P" else (r, s)
+            found.setdefault(key, {})[b] = line[k]
+    if kind == "P":
+        return found
+    entries = {}
+    for key in sorted(found, key=lambda wu: (wu[1], wu[0])):
+        elem = op_element(B, found[key])
+        if elem:
+            entries[key] = elem
+    return entries
+
+
+def map_of_elements(A: BoundQuiverAlgebra, kind: str,
+                    entries: dict[tuple[int, int], dict],
+                    src: Representation, tgt: Representation) -> ModuleMap:
+    """The map src -> tgt between tagged projective sums (kind 'P') or
+    tagged injective sums (kind 'I') with the given entries, laid out as
+    ``elements_of_map`` reads them back.
+
+    Kind 'P' writes each entry into the generator image of its source
+    slot and extends from the generators.  Kind 'I' is the k-dual of the
+    map between projectives over A^op whose entry (u, w) is the image of
+    entry (w, u) under ``op_element``."""
+    if kind == "I":
+        Aop = op_algebra(A)
+        swapped = {(u, w): op_element(A, elem)
+                   for (w, u), elem in entries.items()}
+        m = map_of_elements(Aop, "P", swapped,
+                            projectives_sum(Aop, tgt.summands),
+                            projectives_sum(Aop, src.summands))
+        return ModuleMap(src, tgt, dual_map(m).blocks)
+    gens = [A.field.zeros(tgt.dims[bu], 1) for bu in src.summands]
+    for (w, u), elem in entries.items():
+        bu = src.summands[u]
+        start = tgt.offsets[w][bu]
+        paths = A.basis_between(tgt.summands[w], bu)
+        for b, c in elem.items():
+            gens[u][start + paths.index(b), 0] = c
+    return map_from_projectives(src, tgt, gens)
 
 
 def min_proj_resolution(M: Representation, length_cap: int = 32) -> ProjResolution:
@@ -135,7 +199,7 @@ def _hom_complex_matrices(res: ProjResolution, N: Representation):
         rows = sum(N.dims[v] for v in P1.summands)
         cols = sum(N.dims[v] for v in P0.summands)
         m = f.zeros(rows, cols)
-        elems = res.element_matrix(i)
+        elems = elements_of_map(N.algebra, "P", d, P1, P0)
         roff = [0]
         for v in P1.summands:
             roff.append(roff[-1] + N.dims[v])
@@ -235,43 +299,24 @@ def op_element(A: BoundQuiverAlgebra, elem: dict[int, object]) -> dict[int, obje
     return out
 
 
+def nakayama_presentation(M: Representation) -> ModuleMap:
+    """nu d: nu P1 -> nu P0, a map of tagged injective sums over A, for the
+    minimal projective presentation d: P1 -> P0 of M.  Its cokernel is
+    nu M; the cokernel of its k-dual Hom(P0, A) -> Hom(P1, A) is Tr M.
+    nu P1 is zero when M is projective."""
+    A = M.algebra
+    aug = projective_cover(M)
+    ker, incl = map_kernel(aug)
+    d = projective_cover(ker).compose(incl)
+    P1, P0 = d.source, aug.source
+    return map_of_elements(A, "I", elements_of_map(A, "P", d, P1, P0),
+                           injectives_sum(A, P1.summands),
+                           injectives_sum(A, P0.summands))
+
+
 def transpose(M: Representation) -> Representation:
     """Cokernel of Hom(P0, A) -> Hom(P1, A) over the opposite algebra."""
-    A = M.algebra
-    Aop = op_algebra(A)
-    if M.is_zero():
-        return zero_rep(Aop)
-    aug = projective_cover(M)
-    P0 = aug.source
-    ker, incl = map_kernel(aug)
-    if ker.is_zero():
-        return zero_rep(Aop)
-    cov1 = projective_cover(ker)
-    d = cov1.compose(incl)
-    P1 = cov1.source
-    res = ProjResolution(M, [P0, P1], aug, [d], True, False)
-    elems = res.element_matrix(0)
-    P0op = projectives_sum(Aop, P0.summands)
-    P1op = projectives_sum(Aop, P1.summands)
-    f = A.field
-    gen_images = []
-    for v, av in enumerate(P0.summands):
-        img = f.zeros(P1op.dims[av], 1)
-        for u, bu in enumerate(P1.summands):
-            elem = elems.get((v, u))
-            if not elem:
-                continue
-            opel = op_element(A, elem)
-            paths = Aop.basis_between(bu, av)
-            pos = {b: k for k, b in enumerate(paths)}
-            start = P1op.offsets[u][av]
-            for bidx, c in opel.items():
-                img[start + pos[bidx], 0] = img[start + pos[bidx], 0] + c
-        if f.kind == "GF":
-            img = img % f.p
-        gen_images.append(img)
-    F = map_from_projectives(P0op, P1op, gen_images)
-    coker, _ = map_cokernel(F)
+    coker, _ = map_cokernel(dual_map(nakayama_presentation(M)))
     return coker
 
 

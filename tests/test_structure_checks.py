@@ -162,13 +162,20 @@ def test_stable_auslander_recursion():
 
 
 def test_stable_end_identified_with_end_of_projective_free_part():
-    from quiveralg.preprojective import stable_endomorphism
+    from quiveralg.modules import direct_sum, hom_space, regular
+    from quiveralg.preprojective import end_algebra
     A = auslander_algebra(dynkin_path_algebra(3, ["f", "b"]))
     gamma = stable_endomorphism(A, 2)
     assert gamma.dim == 5
-    assert gamma.alt is not None and gamma.alt.dim == 5
+    split = gamma.split
+    # no map back to A, so no endomorphism factors through a projective
+    assert not hom_space(split.P_free, regular(A))
+    Xp, incls, projs = direct_sum(
+        [r for r, g in zip(split.summand_reps, split.summand_grades) if g > 0])
+    end = end_algebra(Xp, incls, projs)
+    assert end.dim == 5
     p1 = quiver_presentation(gamma)
-    p2 = quiver_presentation(gamma.alt)
+    p2 = quiver_presentation(end)
     assert digraph_isomorphic(p1.quiver, p2.quiver)
 
 
