@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .derived import SerreContext, amiot_hom, module_complex
+from .derived import amiot_hom, module_complex, serre_context
 from .errors import AboveCap, GldimTooLarge, WindowInconclusive
 from .findim import quiver_presentation
 from .homology import (ext, global_dimension, injective_dimension,
-                       nakayama_presentation, syzygy, tau_n_inv)
+                       nakayama_presentation, syzygy, tau_n_orbit)
 from .modules import (Representation, injective, injectives_sum,
                       is_isomorphic, map_cokernel, op_algebra, projective,
                       regular, simple)
@@ -42,9 +42,8 @@ def is_tau_n_finite(A: BoundQuiverAlgebra, n: int, cap: int = 32) -> Verdict:
     if isinstance(gl, AboveCap) or gl > n:
         raise GldimTooLarge(f"gldim(A) = {gl} exceeds n = {n}")
     trace = []
-    cur = regular(A)
     for i in range(1, cap + 1):
-        cur = tau_n_inv(cur, n)
+        cur = tau_n_orbit(A, n, i)
         trace.append(cur.total_dim)
         if cur.is_zero():
             return Verdict(True, {"vanishing_index": i, "trace": trace})
@@ -55,7 +54,7 @@ def is_n_rep_finite(A: BoundQuiverAlgebra, n: int, cap: int = 32) -> Verdict:
     gl = global_dimension(A, cap=max(n + 1, 4))
     if isinstance(gl, AboveCap) or gl > n:
         return Verdict(False, {"reason": "gldim", "gldim": str(gl)})
-    ctx = SerreContext(A, n, cap)
+    ctx = serre_context(A, n, cap)
     witnesses = {}
     for v in range(A.quiver.n_vertices):
         # minimized projective form: support {0} iff the object is a
@@ -118,21 +117,19 @@ def vosnex(A: BoundQuiverAlgebra, n: int, cap: int = 32,
     tf = is_tau_n_finite(A, n, cap)
     if tf.value is not True:
         return Verdict("unknown", {"reason": "tau-finiteness unknown"})
-    ctx = SerreContext(A, n, cap)
-    cur = module_complex(regular(A))
+    ctx = serre_context(A, n, cap)
+    cur = ctx.regular_complex()
     ell = 0
     while True:
         hdims = cur.cohomology_dims()
         for i in range(1, n - 1):
             if hdims.get(-i, 0):
                 return Verdict(False, {"i": i, "orbit_index": ell})
-        if hdims and max(hdims) < -(n - 2):
-            return Verdict(True, {"separation_at": ell})
-        if not hdims:
+        if not hdims or max(hdims) < -(n - 2):
             return Verdict(True, {"separation_at": ell})
         if ell >= window_cap:
             raise WindowInconclusive(window_cap)
-        cur = ctx.minimized(ctx.step_neg(cur))
+        cur = ctx.next_neg(cur)
         ell += 1
 
 
@@ -243,8 +240,8 @@ def analyze(A: BoundQuiverAlgebra, n: int, cap: int = 32,
             igv = iwanaga_gorenstein_dim(tilde_pres, cap)
             ig = igv if not isinstance(igv, AboveCap) else "unknown"
             rig = rigidity(split.whole, n)
-            gh = amiot_hom(A, n, module_complex(regular(A)),
-                           module_complex(regular(A)), window_cap, cap)
+            reg = serre_context(A, n, cap).regular_complex()
+            gh = amiot_hom(A, n, reg, reg, window_cap, cap)
             cross = {
                 "preprojective_module_dim": split.dim,
                 "preprojective_algebra_dim": tilde_alg.dim,

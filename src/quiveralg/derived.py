@@ -25,7 +25,8 @@ import numpy as np
 from .errors import (AboveCap, AboveCapError, TermNotInjective,
     TermNotProjective, WindowInconclusive)
 from .exactla import QuotientBasis
-from .homology import elements_of_map, map_of_elements, min_proj_resolution
+from .homology import (elements_of_map, global_dimension, map_of_elements,
+                       min_proj_resolution)
 from .modules import (ModuleMap, Representation, dual, dual_map,
                       injectives_sum, map_from_projectives, op_algebra,
                       projectives_sum, quotient, subrepresentation, zero_rep)
@@ -34,7 +35,8 @@ from .quivers import BoundQuiverAlgebra, Path
 __all__ = ["ComplexOfModules", "ChainMap", "module_complex",
            "proj_resolve_complex", "inj_resolve_complex", "SymbolicComplex",
            "to_symbolic", "nakayama", "nakayama_inv", "serre_n_power",
-           "u_window", "amiot_hom", "hom_d", "GradedHom", "SerreContext"]
+           "u_window", "amiot_hom", "hom_d", "GradedHom", "SerreContext",
+           "serre_context"]
 
 
 class ComplexOfModules:
@@ -45,6 +47,7 @@ class ComplexOfModules:
                  diffs: dict[int, ModuleMap], check: bool = True):
         self.algebra = algebra
         self.terms = {i: t for i, t in terms.items() if t.total_dim > 0}
+        self._zero = None  # the term of every missing degree, built once
         self.diffs = {}
         for i, d in diffs.items():
             if i in self.terms and (i + 1) in self.terms:
@@ -62,7 +65,11 @@ class ComplexOfModules:
 
     def term(self, i: int) -> Representation:
         t = self.terms.get(i)
-        return t if t is not None else zero_rep(self.algebra)
+        if t is not None:
+            return t
+        if self._zero is None:
+            self._zero = zero_rep(self.algebra)
+        return self._zero
 
     def diff(self, i: int) -> ModuleMap | None:
         return self.diffs.get(i)
@@ -435,16 +442,7 @@ def proj_resolve_complex(X: ComplexOfModules, cap: int = 32,
 def inj_resolve_complex(X: ComplexOfModules, cap: int = 32):
     """(I, eta): bounded complex of injectives with quasi-iso eta: X -> I."""
     DP, Deps = proj_resolve_complex(dual_complex(X), cap, verify=False)
-    I = dual_complex(DP)
-    # relabel terms as tagged injective sums over the original algebra
-    terms = {}
-    for i, t in I.terms.items():
-        src = DP.term(-i)
-        tagged = injectives_sum(X.algebra, src.summands)
-        # dual of projectives_sum over op is literally this layout
-        assert tagged.dims == t.dims
-        terms[i] = _retag(t, tagged)
-    I2 = ComplexOfModules(X.algebra, terms, I.diffs, check=False)
+    I2 = _inj_retag_complex(X.algebra, dual_complex(DP), DP)
     eta_parts = {}
     for i, p in Deps.parts.items():
         dm = dual_map(p)
@@ -682,13 +680,21 @@ def nakayama_inv(X: ComplexOfModules) -> ComplexOfModules:
 
 class SerreContext:
     """Deterministic, memoized single steps of S_n^{+-1} so that iterated
-    objects are literally shared (needed to compose orbit morphisms)."""
+    objects are literally shared (needed to compose orbit morphisms).
+
+    ``serre_context`` keeps one context per (A, n, cap) in the algebra's
+    memo, so every caller walks the same objects: the regular complex,
+    the minimized negative steps ``next_neg`` and the literal orbit
+    ``orbit_neg``.  They are shared, so callers must not change them."""
 
     def __init__(self, A: BoundQuiverAlgebra, n: int, cap: int = 32):
         self.A = A
         self.n = n
         self.cap = cap
-        self._neg: dict[int, ComplexOfModules] = {}
+        self._neg: list[ComplexOfModules] = []
+        self._regular: ComplexOfModules | None = None
+        # id(X) -> (X, next_neg(X)); holding X keeps its id from reuse
+        self._next_neg: dict[int, tuple] = {}
 
     # -- single steps -------------------------------------------------------
     def step_neg(self, X: ComplexOfModules) -> ComplexOfModules:
@@ -719,27 +725,32 @@ class SerreContext:
         """Minimized complex of projectives quasi-isomorphic to X; unlike
         ``minimized`` this always converts to projective terms, so support
         concentrated in degree 0 certifies a projective module."""
-        P, _ = proj_resolve_complex(X, self.cap)
-        before = P.cohomology_dims()
-        out = to_symbolic(P, "P").minimize().materialize()
-        assert out.cohomology_dims() == before, \
-            "minimization must preserve cohomology"
-        return out
+        return self.minimized(proj_resolve_complex(X, self.cap)[0])
+
+    def next_neg(self, X: ComplexOfModules) -> ComplexOfModules:
+        """minimized(step_neg(X)), computed once per object X."""
+        hit = self._next_neg.get(id(X))
+        if hit is None:
+            hit = self._next_neg[id(X)] = (
+                X, self.minimized(self.step_neg(X)))
+        return hit[1]
 
     # -- the memoized orbit of the regular module ---------------------------
     def regular_complex(self) -> ComplexOfModules:
-        from .modules import regular
-        return module_complex(regular(self.A))
+        """A as a complex in degree 0, the same object on every call."""
+        if self._regular is None:
+            from .modules import regular
+            self._regular = module_complex(regular(self.A))
+        return self._regular
 
     def orbit_neg(self, k: int) -> ComplexOfModules:
-        """The literal iterate S_n^{-k}(A-as-complex), minimized copies
-        cached separately by callers."""
+        """The literal iterate S_n^{-k}(A-as-complex), not minimized (the
+        minimized steps are ``next_neg``)."""
         assert k >= 0
-        if k == 0 and 0 not in self._neg:
-            self._neg[0] = self.regular_complex()
-        for j in range(1, k + 1):
-            if j not in self._neg:
-                self._neg[j] = self.step_neg(self._neg[j - 1])
+        if not self._neg:
+            self._neg.append(self.regular_complex())
+        while len(self._neg) <= k:
+            self._neg.append(self.step_neg(self._neg[-1]))
         return self._neg[k]
 
     # -- transport of chain maps through one negative step -------------------
@@ -773,6 +784,15 @@ class SerreContext:
         return ChainMap(src, tgt, parts, check=False)
 
 
+def serre_context(A: BoundQuiverAlgebra, n: int,
+                  cap: int = 32) -> SerreContext:
+    """The one SerreContext of (A, n, cap), kept in the algebra's memo."""
+    ctx = A.memo.get(("serre", n, cap))
+    if ctx is None:
+        ctx = A.memo[("serre", n, cap)] = SerreContext(A, n, cap)
+    return ctx
+
+
 def _compose_chain(first: ChainMap, then: ChainMap) -> dict[int, ModuleMap]:
     parts = {}
     for i, p in first.parts.items():
@@ -784,10 +804,13 @@ def _compose_chain(first: ChainMap, then: ChainMap) -> dict[int, ModuleMap]:
 
 def _inj_retag_complex(A, I: ComplexOfModules,
                        PD: ComplexOfModules) -> ComplexOfModules:
+    """I = D(PD) with each term relabelled as the tagged injective sum over
+    A of the summands of PD (over A^op) in the mirrored degree."""
     terms = {}
     for i, t in I.terms.items():
-        src = PD.term(-i)
-        tagged = injectives_sum(A, src.summands)
+        tagged = injectives_sum(A, PD.term(-i).summands)
+        # the dual of projectives_sum over A^op is literally this layout
+        assert tagged.dims == t.dims
         terms[i] = _retag(t, tagged)
     return ComplexOfModules(A, terms, I.diffs, check=False)
 
@@ -795,11 +818,10 @@ def _inj_retag_complex(A, I: ComplexOfModules,
 def serre_n_power(A: BoundQuiverAlgebra, n: int, X: ComplexOfModules,
                   e: int, cap: int = 32) -> ComplexOfModules:
     """S_n^e X, reduced (contractible summands stripped)."""
-    ctx = SerreContext(A, n, cap)
+    ctx = serre_context(A, n, cap)
     cur = X
     for _ in range(abs(e)):
-        cur = ctx.step_pos(cur) if e > 0 else ctx.step_neg(cur)
-        cur = ctx.minimized(cur)
+        cur = ctx.minimized(ctx.step_pos(cur)) if e > 0 else ctx.next_neg(cur)
     return cur
 
 
@@ -807,7 +829,7 @@ def u_window(A: BoundQuiverAlgebra, n: int, lo: int, hi: int,
              cap: int = 32) -> list[tuple[int, int, ComplexOfModules]]:
     """The objects S_n^i(e_v A) for i in [lo, hi], one indecomposable
     complex per (i, vertex): (i, vertex, complex)."""
-    ctx = SerreContext(A, n, cap)
+    ctx = serre_context(A, n, cap)
     out = []
     for v in range(A.quiver.n_vertices):
         base = module_complex(projectives_sum(A, [v]))
@@ -818,7 +840,7 @@ def u_window(A: BoundQuiverAlgebra, n: int, lo: int, hi: int,
             cur = ctx.minimized(ctx.step_pos(cur))
         cur = base
         for i in range(-1, lo - 1, -1):
-            cur = ctx.minimized(ctx.step_neg(cur))
+            cur = ctx.next_neg(cur)
             if i <= hi:
                 out.append((i, v, cur))
     return out
@@ -950,11 +972,8 @@ def amiot_hom(A: BoundQuiverAlgebra, n: int, X: ComplexOfModules,
     module in degree 0) the orbit composition is attached as structure
     constants.
     """
-    from .homology import global_dimension
-    gl = global_dimension(A, cap)
-    if isinstance(gl, AboveCap):
-        raise WindowInconclusive(cap)
-    ctx = SerreContext(A, n, cap)
+    gl = _gldim(A, cap)
+    ctx = serre_context(A, n, cap)
     out = GradedHom()
     xb = X.support_bounds()
     if xb is None:
@@ -974,7 +993,7 @@ def amiot_hom(A: BoundQuiverAlgebra, n: int, X: ComplexOfModules,
             out.pieces[i] = d
         if i >= window_cap:
             raise WindowInconclusive(window_cap)
-        cur = ctx.minimized(ctx.step_neg(cur))
+        cur = ctx.next_neg(cur)
         i += 1
     cur = Y
     i = 0
@@ -1037,7 +1056,7 @@ def amiot_endomorphism_algebra(A: BoundQuiverAlgebra, n: int,
     transported chain maps."""
     from .findim import FinDimAlgebra
     f = A.field
-    ctx = SerreContext(A, n, cap)
+    ctx = serre_context(A, n, cap)
     nv = A.quiver.n_vertices
     # collect pieces until support separation (as in amiot_hom)
     gl = _gldim(A, cap)
@@ -1143,7 +1162,6 @@ def _regular_unit_index(A: BoundQuiverAlgebra, v: int) -> int:
 
 
 def _gldim(A: BoundQuiverAlgebra, cap: int) -> int:
-    from .homology import global_dimension
     g = global_dimension(A, cap)
     if isinstance(g, AboveCap):
         raise WindowInconclusive(cap)

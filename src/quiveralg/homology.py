@@ -10,6 +10,9 @@ matrix of algebra elements.  ``elements_of_map`` reads that matrix off
 the blocks of a map between tagged sums and ``map_of_elements`` writes
 it back; no other code knows that layout.  The Nakayama functor nu and
 the transpose share one presentation, ``nakayama_presentation``.
+
+The global dimension and the tau_n^- orbit of A are kept in the
+algebra's ``memo``, so each is computed once per algebra.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from .quivers import BoundQuiverAlgebra
 
 __all__ = ["ProjResolution", "min_proj_resolution", "syzygy", "ext",
            "ext_data", "transpose", "tau", "tau_inv", "tau_n", "tau_n_inv",
-           "global_dimension", "injective_dimension", "proj_dimension"]
+           "tau_n_orbit", "global_dimension", "injective_dimension",
+           "proj_dimension", "hom_matrix"]
 
 
 @dataclass
@@ -186,32 +190,19 @@ def syzygy(M: Representation, i: int) -> Representation:
 # Ext groups via Hom(resolution, N) in Yoneda coordinates
 # ---------------------------------------------------------------------------
 
-def _hom_complex_matrices(res: ProjResolution, N: Representation):
-    """Coordinate spaces Hom(P_i, N) = sum_slots N_{a_slot} and the induced
-    differential matrices D_i: Hom(P_i,N) -> Hom(P_{i+1},N)."""
-    f = N.field
-    spaces = []
-    for P in res.terms:
-        spaces.append([N.dims[v] for v in P.summands])
-    mats = []
-    for i, d in enumerate(res.differentials):
-        P1, P0 = d.source, d.target
-        rows = sum(N.dims[v] for v in P1.summands)
-        cols = sum(N.dims[v] for v in P0.summands)
-        m = f.zeros(rows, cols)
-        elems = elements_of_map(N.algebra, "P", d, P1, P0)
-        roff = [0]
-        for v in P1.summands:
-            roff.append(roff[-1] + N.dims[v])
-        coff = [0]
-        for v in P0.summands:
-            coff.append(coff[-1] + N.dims[v])
-        for (v, u), elem in elems.items():
-            av, bu = P0.summands[v], P1.summands[u]
-            block = N.act_element(elem, av, bu)
-            m[roff[u]:roff[u + 1], coff[v]:coff[v + 1]] = block
-        mats.append(m)
-    return spaces, mats
+def hom_matrix(d: ModuleMap, N: Representation) -> np.ndarray:
+    """Hom(d, N): Hom(P0, N) -> Hom(P1, N), y -> y d, for a map d: P1 -> P0
+    between tagged projective sums.  A map out of a tagged projective sum
+    is given by its generator images, one vector of N at the vertex of each
+    slot, concatenated; the matrix acts on such columns."""
+    P1, P0 = d.source, d.target
+    roff = np.cumsum([0] + [N.dims[v] for v in P1.summands])
+    coff = np.cumsum([0] + [N.dims[v] for v in P0.summands])
+    m = N.field.zeros(int(roff[-1]), int(coff[-1]))
+    for (w, u), elem in elements_of_map(N.algebra, "P", d, P1, P0).items():
+        m[roff[u]:roff[u + 1], coff[w]:coff[w + 1]] = \
+            N.act_element(elem, P0.summands[w], P1.summands[u])
+    return m
 
 
 def ext_data(M: Representation, N: Representation, i: int,
@@ -229,17 +220,18 @@ def ext_data(M: Representation, N: Representation, i: int,
         res = min_proj_resolution(M, length_cap=i + 1)
     if i > res.length:
         return 0, None, (res, None)
-    spaces, mats = _hom_complex_matrices(res, N)
-    dim_i = sum(spaces[i])
+    dim_i = sum(N.dims[v] for v in res.terms[i].summands)
     if dim_i == 0:
         return 0, f.zeros(0, 0), (res, f.zeros(0, 0))
-    if i < len(mats):
-        cocycles = f.kernel(mats[i])  # rows
+    diffs = res.differentials
+    if i < len(diffs):
+        cocycles = f.kernel(hom_matrix(diffs[i], N))  # rows
     else:
         cocycles = f.eye(dim_i)
     if i == 0:
         return cocycles.shape[0], cocycles, (res, f.zeros(0, dim_i))
-    cob = f.row_space(mats[i - 1].T)  # rows spanning the coboundaries
+    # rows spanning the coboundaries
+    cob = f.row_space(hom_matrix(diffs[i - 1], N).T)
     dim = cocycles.shape[0] - cob.shape[0]
     return dim, cocycles, (res, cob)
 
@@ -259,14 +251,25 @@ def proj_dimension(M: Representation, cap: int = 32):
 
 
 def global_dimension(A: BoundQuiverAlgebra, cap: int = 32):
+    """gldim A if it is at most cap, else AboveCap(cap).
+
+    The algebra's memo keeps either the exact value or the largest cap
+    known to be exceeded (pd S > cap is what truncates a resolution at
+    that cap), so only a cap above every cap seen so far computes."""
     from .modules import simple
-    best = 0
-    for v in range(A.quiver.n_vertices):
-        pd = proj_dimension(simple(A, v), cap)
-        if isinstance(pd, AboveCap):
-            return pd
-        best = max(best, pd)
-    return best
+    known = A.memo.get(("gldim",))
+    if known is None or isinstance(known, AboveCap) and cap > known.cap:
+        known = 0
+        for v in range(A.quiver.n_vertices):
+            pd = proj_dimension(simple(A, v), cap)
+            if isinstance(pd, AboveCap):
+                known = pd
+                break
+            known = max(known, pd)
+        A.memo[("gldim",)] = known
+    if isinstance(known, AboveCap) or known > cap:
+        return AboveCap(cap)
+    return known
 
 
 def injective_dimension(M: Representation, cap: int = 32):
@@ -331,18 +334,23 @@ def tau_inv(M: Representation) -> Representation:
 def tau_n(M: Representation, n: int) -> Representation:
     if n < 1:
         raise ValueError("n must be >= 1")
-    cur = M
-    for _ in range(n - 1):
-        cov = projective_cover(cur)
-        cur, _ = map_kernel(cov)
-    return tau(cur)
+    return tau(syzygy(M, n - 1) if n > 1 else M)
 
 
 def tau_n_inv(M: Representation, n: int) -> Representation:
     if n < 1:
         raise ValueError("n must be >= 1")
-    cur = M
-    for _ in range(n - 1):
-        env = injective_envelope(cur)
-        cur, _ = map_cokernel(env)
-    return tau_inv(cur)
+    return tau_inv(syzygy(M, 1 - n) if n > 1 else M)
+
+
+def tau_n_orbit(A: BoundQuiverAlgebra, n: int, i: int) -> Representation:
+    """tau_n^{-i}(A), the regular module at i = 0.  The iterates are kept
+    in the algebra's memo and built one at a time, on first use; the
+    modules are shared, so callers must not change them."""
+    from .modules import regular
+    orbit = A.memo.setdefault(("tau_orbit", n), [])
+    if not orbit:
+        orbit.append(regular(A))
+    while len(orbit) <= i:
+        orbit.append(tau_n_inv(orbit[-1], n))
+    return orbit[i]

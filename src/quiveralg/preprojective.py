@@ -31,7 +31,8 @@ from .errors import GldimTooLarge, NotTauFinite, AboveCap
 from .exactla import QuotientBasis
 from .findim import FinDimAlgebra
 from .homology import (ProjResolution, ext_data, global_dimension,
-                       min_proj_resolution, op_element, tau_n_inv)
+                       hom_matrix, min_proj_resolution, op_element,
+                       tau_n_orbit)
 from .modules import (ModuleMap, Representation, coregular, decompose,
                       direct_sum, dual_map, hom_space, injective,
                       is_isomorphic, map_from_projectives, op_algebra,
@@ -75,65 +76,39 @@ def left_mult_map(A: BoundQuiverAlgebra, elem: dict[int, object],
 
 
 def left_mult_on_coregular(A: BoundQuiverAlgebra, elem: dict[int, object],
-                           DL: Representation) -> ModuleMap:
-    """Left multiplication by an element on D(A) as a right-module map."""
+                           DL: Representation,
+                           Rop: Representation | None = None) -> ModuleMap:
+    """Left multiplication by an element on D(A) as a right-module map;
+    ``Rop`` is the regular module of A^op, built when not given."""
     Aop = op_algebra(A)
-    mu = left_mult_map(Aop, op_element(A, elem))
+    mu = left_mult_map(Aop, op_element(A, elem), Rop)
     lam = dual_map(mu)
     return ModuleMap(DL, DL, lam.blocks)
 
 
 def lift_through_resolution(res: ProjResolution, g: ModuleMap,
                             depth: int) -> list[ModuleMap]:
-    """Chain lifts g_i: P_i -> P_i of g: M -> M along a minimal resolution."""
+    """Chain lifts g_i: P_i -> P_i of g: M -> M along a minimal resolution.
+
+    The generator images of all slots at one vertex come from one solve;
+    each column gets the particular solution it would get alone."""
     f = g.field
     lifts = []
-    prev = None
     for i in range(depth + 1):
         P = res.terms[i]
-        gen_images = []
-        if i == 0:
-            for s, v in enumerate(P.summands):
-                gen = f.zeros(P.dims[v], 1)
-                gen[P.offsets[s][v], 0] = f.one
-                target_vec = f.matmul(g.blocks[v], f.matmul(
-                    res.augmentation.blocks[v], gen))
-                x = f.solve(res.augmentation.blocks[v], target_vec)
-                assert x is not None, "augmentation is surjective"
-                gen_images.append(x)
-        else:
-            d = res.differentials[i - 1]
-            rhs = d.compose(prev)  # P_i -> P_{i-1}
-            for s, v in enumerate(P.summands):
-                gen = f.zeros(P.dims[v], 1)
-                gen[P.offsets[s][v], 0] = f.one
-                target_vec = f.matmul(rhs.blocks[v], gen)
-                x = f.solve(d.blocks[v], target_vec)
-                assert x is not None, "comparison lift must exist"
-                gen_images.append(x)
-        lift = map_from_projectives(P, P, gen_images)
-        lifts.append(lift)
-        prev = lift
+        # g_i lifts rhs = g_{i-1} d along d: P_i -> P_{i-1} (P_0 -> M at 0)
+        d = res.differentials[i - 1] if i else res.augmentation
+        rhs = d.compose(lifts[-1] if i else g)
+        gen_images = [None] * len(P.summands)
+        for v in dict.fromkeys(P.summands):
+            slots = [s for s, w in enumerate(P.summands) if w == v]
+            cols = [P.offsets[s][v] for s in slots]
+            x = f.solve(d.blocks[v], rhs.blocks[v][:, cols])
+            assert x is not None, "comparison lift must exist"
+            for k, s in enumerate(slots):
+                gen_images[s] = x[:, k:k + 1]
+        lifts.append(map_from_projectives(P, P, gen_images))
     return lifts
-
-
-def _yoneda_eval(P: Representation, ys: list[np.ndarray], v: int,
-                 vec: np.ndarray, N: Representation) -> np.ndarray:
-    """Evaluate the map with Yoneda data ys at an element of P at vertex v."""
-    A = P.algebra
-    f = P.field
-    out = f.zeros(N.dims[v], 1)
-    for s, sv in enumerate(P.summands):
-        paths = A.basis_between(sv, v)
-        off = P.offsets[s][v]
-        for k, b in enumerate(paths):
-            c = vec[off + k, 0]
-            if c == f.zero:
-                continue
-            p = A.basis[b]
-            out = f.add(out, f.smul(c, f.matmul(
-                N.act_word(p.arrows, sv), ys[s])))
-    return out
 
 
 @dataclass
@@ -193,51 +168,29 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
     ext = QuotientBasis(f, cob, cocycles)
     basis_rows = ext.comp
     assert ext.dim == dim
+    # the columns of the generator image of each slot of P_n in a cocycle
+    offs = np.cumsum([0] + [R.dims[v] for v in Pn.summands])
+    Rop = regular(op_algebra(A))
 
     def action(images: np.ndarray) -> np.ndarray:
         """Matrix whose column r is the class of row r of `images`."""
         assert ext.spans(images).all(), "vector must be a cocycle"
         return ext.coords(images).T
 
-    def split_coords(row: np.ndarray) -> list[np.ndarray]:
-        ys = []
-        off = 0
-        for v in Pn.summands:
-            d = R.dims[v]
-            ys.append(row[off:off + d].reshape(-1, 1))
-            off += d
-        return ys
-
-    def join_coords(ys: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate([y[:, 0] for y in ys]) if ys else \
-            f.zeros(1, 0)[0]
-
     def left(b: int) -> np.ndarray:
-        # postcompose with left multiplication on R
+        # postcompose with left multiplication on R, slot by slot
         lm = left_mult_map(A, {b: f.one}, R)
-        images = []
-        for r in range(dim):
-            ys = split_coords(basis_rows[r])
-            ys2 = [f.matmul(lm.blocks[v], y)
-                   for v, y in zip(Pn.summands, ys)]
-            images.append(join_coords(ys2))
-        return action(np.stack(images))
+        images = f.zeros(dim, int(offs[-1]))
+        for s, v in enumerate(Pn.summands):
+            images[:, offs[s]:offs[s + 1]] = f.matmul(
+                basis_rows[:, offs[s]:offs[s + 1]], lm.blocks[v].T)
+        return action(images)
 
     def right(b: int) -> np.ndarray:
         # precompose with the lift of left multiplication on D(A)
-        lam = left_mult_on_coregular(A, {b: f.one}, DL)
+        lam = left_mult_on_coregular(A, {b: f.one}, DL, Rop)
         lift_n = lift_through_resolution(res, lam, n)[n]
-        images = []
-        for r in range(dim):
-            ys = split_coords(basis_rows[r])
-            ys2 = []
-            for s, v in enumerate(Pn.summands):
-                gen = f.zeros(Pn.dims[v], 1)
-                gen[Pn.offsets[s][v], 0] = f.one
-                moved = f.matmul(lift_n.blocks[v], gen)
-                ys2.append(_yoneda_eval(Pn, ys, v, moved, R))
-            images.append(join_coords(ys2))
-        return action(np.stack(images))
+        return action(f.matmul(basis_rows, hom_matrix(lift_n, R).T))
 
     return dim, left, right
 
@@ -275,6 +228,14 @@ class PreprojectiveSplit:
 
 def preprojective_module(A: BoundQuiverAlgebra, n: int,
                          cap: int = 32) -> PreprojectiveSplit:
+    """The split of the preprojective module, the sum of the iterates
+    tau_n^{-i} A up to the first zero one; NotTauFinite when iterate
+    cap + 1 is nonzero.  Kept in the algebra's memo per (n, cap), so
+    callers share one split and must not change it; a call that raises
+    keeps nothing."""
+    hit = A.memo.get(("split", n, cap))
+    if hit is not None:
+        return hit
     gl = global_dimension(A, cap=n + 1)
     if isinstance(gl, AboveCap) or gl > n:
         raise GldimTooLarge(f"gldim(A) = {gl} exceeds n = {n}")
@@ -285,11 +246,10 @@ def preprojective_module(A: BoundQuiverAlgebra, n: int,
         reps.append(projective(A, v))
         grades.append(0)
     grade_dims.append(sum(r.total_dim for r in reps))
-    cur = regular(A)
     i = 0
     while True:
-        cur = tau_n_inv(cur, n)
         i += 1
+        cur = tau_n_orbit(A, n, i)
         if cur.is_zero():
             break
         if i > cap:
@@ -314,8 +274,10 @@ def preprojective_module(A: BoundQuiverAlgebra, n: int,
         i_free, _, _ = direct_sum(noninj)
     else:
         i_free = zero_rep(A)
-    return PreprojectiveSplit(whole, proj_part, p_free, i_free, reps, grades,
-                              grade_dims, incls, projs)
+    hit = A.memo[("split", n, cap)] = PreprojectiveSplit(
+        whole, proj_part, p_free, i_free, reps, grades, grade_dims, incls,
+        projs)
+    return hit
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,10 @@ class BoundQuiverAlgebra:
         self.arrow_degrees = arrow_degrees
         self._mult_cache: dict[tuple[int, int], dict[int, object]] = {}
         self._projective_blocks: dict[int, ProjectiveBlocks] = {}
+        # invariants computed once per algebra, by the function that owns
+        # each key: global_dimension, tau_n_orbit, preprojective_module
+        # and serre_context
+        self.memo: dict[tuple, object] = {}
 
     @property
     def dim(self) -> int:
