@@ -515,51 +515,51 @@ class SymbolicComplex:
         return ComplexOfModules(A, terms, diffs, check=True)
 
     def minimize(self) -> "SymbolicComplex":
-        """Strip contractible summands by unit-entry Gaussian cancellation."""
+        """Strip contractible summands by unit-entry Gaussian cancellation.
+
+        Degrees are cleared in increasing order.  A cancellation in degree
+        i only removes entries of degrees i - 1 and i + 1, so a degree
+        that has no unit entry never gains one later.  Within a degree the
+        pivot is the first unit entry in dict order, and each cancellation
+        leaves the entries in (w, u) order."""
         A = self.algebra
         f = A.field
         out = self.copy()
-        changed = True
-        while changed:
-            changed = False
-            for i in sorted(out.diffs):
+        for i in sorted(out.diffs):
+            while True:
                 entries = out.diffs[i]
                 hit = None
                 for (w, u), elem in entries.items():
-                    bu = out.terms[i][u]
-                    cw = out.terms[i + 1][w]
-                    if bu != cw:
-                        continue
-                    lam = _trivial_coeff(A, elem, bu)
-                    if lam != f.zero:
-                        hit = (w, u, elem, bu, lam)
+                    vtx = out.terms[i][u]
+                    if vtx == out.terms[i + 1][w] and \
+                            _trivial_coeff(A, elem, vtx) != f.zero:
+                        hit = (w, u, elem, vtx)
                         break
                 if hit is None:
-                    continue
-                w0, u0, x, vtx, lam = hit
+                    break
+                w0, u0, x, vtx = hit
                 xinv = _local_inverse(A, x, vtx)
                 # Gaussian cancellation: e' = e - c . x^{-1} . b where
-                # b = entry (w0, u), c = entry (w, u0)
-                new_entries = {}
-                for w in range(len(out.terms[i + 1])):
-                    if w == w0:
-                        continue
-                    for u in range(len(out.terms[i])):
-                        if u == u0:
-                            continue
-                        elem = entries.get((w, u), {})
-                        c_part = entries.get((w, u0))
-                        b_part = entries.get((w0, u))
-                        if c_part and b_part:
-                            corr = A.mult(A.mult(c_part, xinv), b_part)
-                            elem = _elem_sub(f, elem, corr)
+                # b = entry (w0, u), c = entry (w, u0); only the pairs with
+                # both change
+                new_entries = {key: elem for key, elem in entries.items()
+                               if key[0] != w0 and key[1] != u0 and elem}
+                b_parts = [(u, b) for (w, u), b in entries.items()
+                           if w == w0 and u != u0 and b]
+                c_parts = [(w, c) for (w, u), c in entries.items()
+                           if u == u0 and w != w0 and c]
+                for w, c in c_parts:
+                    cx = A.mult(c, xinv)
+                    for u, b in b_parts:
+                        elem = _elem_sub(f, new_entries.get((w, u), {}),
+                                         A.mult(cx, b))
                         if elem:
                             new_entries[(w, u)] = elem
-                out.diffs[i] = new_entries
+                        else:
+                            new_entries.pop((w, u), None)
+                out.diffs[i] = dict(sorted(new_entries.items()))
                 _drop_summand(out, i, u0)
                 _drop_summand(out, i + 1, w0)
-                changed = True
-                break
         # drop empty degrees
         out.terms = {i: v for i, v in out.terms.items() if v}
         out.diffs = {i: d for i, d in out.diffs.items()

@@ -10,24 +10,32 @@ multiplication matrices are scatter-adds over them, and the trace form
 that gives the radical is one sparse join of them with themselves.
 ``quiver_presentation`` recovers a bound quiver algebra from it: Gabriel
 quiver from rad/rad^2, arrow lifts, and relation generators of the
-kernel of the induced path algebra surjection, computed degree by degree
-up to the nilpotency degree of the radical.  Each corner e_i B e_j is
-taken modulo one echelon form of rad (and of rad^2); the arrow lifts and
-the new relation generators are complements picked by
-``exactla.complement_rows``.  The returned algebra must match in
+kernel of the induced path algebra surjection, computed degree by degree.
+The basis must be vertex-adapted: each idempotent acts by a 0/1 diagonal
+matrix, so every basis element lies in one corner e_i B e_j and the
+corners are index sets (``vertex_labels`` reads them).  Each corner is
+taken modulo one echelon form of rad; rad^2 is built corner by corner
+from the products (e_i rad e_k)(e_k rad e_j).  The arrow lifts and the
+new relation generators are complements picked by
+``exactla.complement_rows``.  The loop stops at the first degree whose
+paths all vanish, or earlier, once the relations found so far present an
+algebra of dimension dim B (a bounded completion checks this after each
+degree that adds relations).  The returned algebra must match in
 dimension; anything else raises.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .errors import NotBasic, NotSplit
+from .errors import NonAdmissible, NotBasic, NotSplit
 from .exactla import Field, QuotientBasis, complement_rows
 from .quivers import (BoundQuiverAlgebra, Path, PathElement, Quiver,
                       complete_basis)
 
-__all__ = ["FinDimAlgebra", "quiver_presentation"]
+__all__ = ["FinDimAlgebra", "quiver_presentation", "vertex_labels"]
 
 
 class FinDimAlgebra:
@@ -37,8 +45,13 @@ class FinDimAlgebra:
     element, as a dim x dim array whose row j holds the coordinates of
     b_i b_j.  The constructor calls it once per i and keeps only the
     nonzero constants c_{ij}^k, as four flat arrays
-    ``constants = (i, j, k, c)``; every product after that is a
-    scatter-add over those arrays.
+    ``constants = (i, j, k, c)``, in order of i; every product after
+    that is a scatter-add over those arrays.
+
+    ``quiver_presentation`` needs a vertex-adapted basis: each idempotent
+    acts on the left and on the right by a 0/1 diagonal matrix, so each
+    basis element b has one left label i and one right label j with
+    b = e_i b e_j.  Every builder in the package gives such a basis.
     """
 
     def __init__(self, field: Field, dim: int, mult,
@@ -75,6 +88,26 @@ class FinDimAlgebra:
         xy = _mod(self.field, x[i] * y[j])
         return _scatter(self.field, self.field.zeros(1, self.dim)[0], k,
                         xy * c)
+
+    def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """x y for each row x of xs and y of ys, as an array of shape
+        (len(xs), len(ys), dim).  Each x reads only the constants c_{ij}^k
+        with i in its support; the constructor stores them in order of i,
+        so those are one contiguous run per i."""
+        f = self.field
+        i, j, k, c = self.constants
+        starts = np.searchsorted(i, np.arange(self.dim + 1))
+        out = f.zeros(len(xs) * len(ys), self.dim).reshape(
+            len(xs), len(ys), self.dim)
+        rows = np.arange(len(ys))[:, None]
+        for a, x in enumerate(xs):
+            sel = np.concatenate(
+                [np.zeros(0, dtype=np.int64)]
+                + [np.arange(starts[b], starts[b + 1])
+                   for b in np.flatnonzero(x != f.zero)])
+            coef = _mod(f, x[i[sel]] * c[sel])
+            np.add.at(out[a], (rows, k[sel]), _mod(f, ys[:, j[sel]] * coef))
+        return _mod(f, out)
 
     def unit(self) -> np.ndarray:
         f = self.field
@@ -137,6 +170,31 @@ def algebra_from_bqa(A: BoundQuiverAlgebra) -> FinDimAlgebra:
     return FinDimAlgebra(f, A.dim, mult, idems, grading)
 
 
+def vertex_labels(f, mats: list[np.ndarray], idems: list[int],
+                   what: str) -> np.ndarray:
+    """The vertex of each basis element: the one v whose idempotent, acting
+    by ``mats[idems[v]]``, fixes it.
+
+    The basis must be vertex-adapted: every idempotent acts by a 0/1
+    diagonal matrix and each element is fixed by exactly one of them.
+    Anything else raises."""
+    fixed = []
+    for v, i in enumerate(idems):
+        off = mats[i].copy()
+        diag = np.diagonal(mats[i])
+        np.fill_diagonal(off, f.zero)
+        if not (f.is_zero(off) and
+                np.all((diag == f.zero) | (diag == f.one))):
+            raise ValueError(f"vertex {v} does not act on the {what} by a "
+                             "0/1 diagonal matrix")
+        fixed.append(diag == f.one)
+    fixed = np.stack(fixed)
+    if not np.all(fixed.sum(axis=0) == 1):
+        raise ValueError(f"a basis element of the {what} is not fixed by "
+                         "exactly one vertex idempotent")
+    return fixed.argmax(axis=0)
+
+
 def _radical_rows(B: FinDimAlgebra) -> np.ndarray:
     """Row basis of rad B via the trace form of the regular representation.
 
@@ -182,22 +240,37 @@ def _sum_rows(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
-    """Bound quiver algebra isomorphic to the basic split algebra B."""
+    """Bound quiver algebra isomorphic to the basic split algebra B.
+
+    B's basis must be vertex-adapted, so each corner e_i B e_j is spanned
+    by the basis elements with labels (i, j); ``vertex_labels`` raises a
+    ValueError naming the vertex otherwise.
+    rad^2 is built corner by corner from the products
+    (e_i rad e_k)(e_k rad e_j).  Relations are found degree by degree.
+    The loop stops at the first degree d whose paths all vanish
+    (rad^d = 0), or earlier, after a degree that adds relations, once
+    the relations so far present an algebra of dimension dim B: kQ/I -> B
+    is onto, so I is then the whole kernel.
+    """
     f = B.field
     n = B.dim
     idems = B.idempotents
     m = len(idems)
     rad = _radical_rows(B)
+    left = vertex_labels(f, [B.left_mult_matrix(e) for e in idems],
+                         list(range(m)), "basis")
+    right = vertex_labels(f, [B.right_mult_matrix(e) for e in idems],
+                          list(range(m)), "basis")
+    units = f.eye(n)
 
     # -- basic & split checks on S = B/rad --------------------------------
-    # e_i B e_j is the image of x -> e_i x e_j; keep only its part in rad
+    # e_i B e_j is spanned by the basis elements labelled (i, j); keep
+    # only its part in rad
     rad_space = QuotientBasis(f, rad, f.zeros(0, n))
     corners = {}
-    rmats = [B.right_mult_matrix(e) for e in idems]
     for i in range(m):
-        Li = B.left_mult_matrix(idems[i])
         for j in range(m):
-            rows = f.row_space(f.matmul(Li, rmats[j]).T)
+            rows = units[(left == i) & (right == j)]
             corners[(i, j)] = _meet(f, rows, rad_space)
             excess = rows.shape[0] - corners[(i, j)].shape[0]
             if i == j and excess != 1:
@@ -207,24 +280,22 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
                 raise NotBasic(
                     f"e_{i} B e_{j} mod rad is nonzero; B is not basic split")
 
-    # -- radical powers and nilpotency degree ------------------------------
-    def mult_spaces(rows_a, rows_b):
-        if not len(rows_a) or not len(rows_b):
-            return f.zeros(0, n)
-        prods = [f.matmul(B.left_mult_matrix(ra), rows_b.T).T
-                 for ra in rows_a]
-        return f.row_space(np.concatenate(prods))
-
-    rad_pows = [rad]
-    while rad_pows[-1].shape[0]:
-        rad_pows.append(mult_spaces(rad, rad_pows[-1]))
-        if len(rad_pows) > n + 2:
-            raise NotSplit("radical is not nilpotent; trace-form radical "
-                           "computation is invalid here")
-    nilp = len(rad_pows)  # rad^nilp = 0
-
-    rad2 = rad_pows[1] if len(rad_pows) > 1 else f.zeros(0, n)
-    rad2_space = QuotientBasis(f, rad2, f.zeros(0, n))
+    # -- rad^2 = sum over k of (e_i rad e_k)(e_k rad e_j), corner by corner -
+    prods: dict[tuple[int, int], list[np.ndarray]] = {}
+    for k in range(m):
+        outs = [j for j in range(m) if corners[(k, j)].shape[0]]
+        if not outs:
+            continue
+        ys = np.concatenate([corners[(k, j)] for j in outs])
+        ends = np.cumsum([corners[(k, j)].shape[0] for j in outs])[:-1]
+        for i in range(m):
+            if not corners[(i, k)].shape[0]:
+                continue
+            xy = B.products(corners[(i, k)], ys)
+            for j, rows in zip(outs, np.split(xy, ends, axis=1)):
+                prods.setdefault((i, j), []).append(rows.reshape(-1, n))
+    corners2 = {key: f.row_space(np.concatenate(rows))
+                for key, rows in prods.items()}
 
     # -- arrows: graded lifts of rad/rad^2 inside each corner ---------------
     vertices = [str(i + 1) for i in range(m)]
@@ -235,7 +306,7 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
     for i in range(m):
         for j in range(m):
             corner = corners[(i, j)]
-            corner2 = _meet(f, corner, rad2_space)
+            corner2 = corners2.get((i, j), f.zeros(0, n))
             lifts = complement_rows(f, corner2, corner)
             if graded:
                 # re-pick the complement degree by degree so lifts are
@@ -267,6 +338,7 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
                     arrow_elems.append(r)
 
     quiver = Quiver(vertices, arrow_list)
+    arrow_degrees = arrow_degs if graded else None
 
     # -- kernel of the presentation map, degree by degree -------------------
     # a path's value extends its prefix's value: (x a) = x R_a^T on rows
@@ -279,9 +351,8 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
     values = {1: np.stack(arrow_elems) if arrow_elems else f.zeros(0, n)}
 
     relations: list[PathElement] = []
-
-    maxdeg = nilp  # rad^nilp = 0, so all paths of that length die
-    for d in range(2, maxdeg + 1):
+    out = None
+    for d in itertools.count(2):
         paths_by_len[d] = []
         # for each last arrow: the new paths' rows and their prefixes' rows
         extend: dict[int, tuple[list[int], list[int]]] = {}
@@ -295,6 +366,12 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
         for a, (rows, prefixes) in extend.items():
             values[d][rows] = f.matmul(values[d - 1][prefixes],
                                        arrow_rmats[a].T)
+        # the paths of length d span rad^d: d is the nilpotency degree
+        # once they all vanish, and this is the last degree
+        last = f.is_zero(values[d])
+        if not last and d >= n + 2:
+            raise NotSplit("radical is not nilpotent; trace-form radical "
+                           "computation is invalid here")
         # kernel of evaluation on paths of length 2..d
         pool: list[Path] = []
         for dd in range(2, d + 1):
@@ -303,21 +380,30 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
             break
         ev = np.concatenate([values[dd] for dd in range(2, d + 1)])
         ker = f.kernel(ev.T)  # rows: coefficient vectors over pool
-        if ker.shape[0] == 0:
-            continue
-        # span of the ideal generated by the current relations, within pool
-        idx = {p: k for k, p in enumerate(pool)}
-        ideal_rows = _ideal_span(f, quiver, relations, pool, idx)
-        new = complement_rows(f, ideal_rows, ker)
-        for r in new:
-            terms = {}
-            for k, p in enumerate(pool):
-                if r[k] != f.zero:
-                    terms[p] = r[k]
-            relations.append(PathElement(quiver, terms))
+        new = ker[:0]
+        if ker.shape[0]:
+            # span of the ideal generated by the current relations, within
+            # pool
+            idx = {p: k for k, p in enumerate(pool)}
+            ideal_rows = _ideal_span(f, quiver, relations, pool, idx)
+            new = complement_rows(f, ideal_rows, ker)
+            for r in new:
+                terms = {}
+                for k, p in enumerate(pool):
+                    if r[k] != f.zero:
+                        terms[p] = r[k]
+                relations.append(PathElement(quiver, terms))
+        if last:
+            break
+        if new.shape[0]:
+            out = _presentation_of_dim(quiver, f, relations, n, cap,
+                                       arrow_degrees)
+            if out is not None:
+                break
 
-    out = complete_basis(quiver, f, relations, cap=cap,
-                         arrow_degrees=arrow_degs if graded else None)
+    if out is None:
+        out = complete_basis(quiver, f, relations, cap=cap,
+                             arrow_degrees=arrow_degrees)
     if out.dim != B.dim:
         raise NotSplit(
             f"presentation dimension {out.dim} differs from algebra "
@@ -325,6 +411,24 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
     out.presented_from = B
     out.arrow_elements = arrow_elems
     return out
+
+
+def _presentation_of_dim(quiver: Quiver, f: Field,
+                         relations: list[PathElement], n: int, cap: int,
+                         arrow_degrees: list[int] | None
+                         ) -> BoundQuiverAlgebra | None:
+    """kQ/(relations) if it has dimension n, else None.
+
+    A quotient of dimension n has no irreducible path of length >= n, so
+    the completion runs with the cap min(cap, n) and stops once it has
+    enumerated more than n irreducible paths; the NonAdmissible that
+    either bound raises means "not yet"."""
+    try:
+        out = complete_basis(quiver, f, relations, cap=min(cap, n),
+                             arrow_degrees=arrow_degrees, _max_paths=n)
+    except NonAdmissible:
+        return None
+    return out if out.dim == n else None
 
 
 def _is_homog(f, B, row: np.ndarray, deg: int) -> bool:

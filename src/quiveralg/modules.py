@@ -912,12 +912,26 @@ def is_isomorphic(M: Representation, N: Representation, seed: int = 7,
         for j, (rep2, mult2) in enumerate(dn):
             if used[j] or mult != mult2 or rep.dims != rep2.dims:
                 continue
-            if any(invertible(h) for h in hom_space(rep, rep2)[:4]):
+            if _indecomposables_isomorphic(rep, rep2, invertible):
                 used[j] = True
                 break
         else:
             return False
     return True
+
+
+def _indecomposables_isomorphic(M: Representation, N: Representation,
+                                invertible) -> bool:
+    """Whether indecomposable M and N of equal dimension vectors are
+    isomorphic.
+
+    End(M) is local, so its non-units form a subspace.  If M = N, the
+    identity of M lies in the span of the products g h, with h in a basis
+    of Hom(M, N) and g in one of Hom(N, M); so some g h is invertible.
+    Conversely, an invertible g h makes h injective, hence bijective."""
+    back = hom_space(N, M)
+    return any(invertible(h.compose(g))
+               for h in hom_space(M, N) for g in back)
 
 
 def random_module(A: BoundQuiverAlgebra, rng: random.Random,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import GldimTooLarge, NotTauFinite, AboveCap
 from .exactla import QuotientBasis
-from .findim import FinDimAlgebra
+from .findim import FinDimAlgebra, vertex_labels
 from .homology import (ProjResolution, ext_data, global_dimension,
                        hom_matrix, min_proj_resolution, op_element,
                        tau_n_orbit)
@@ -284,31 +284,6 @@ def preprojective_module(A: BoundQuiverAlgebra, n: int,
 # the tensor algebra
 # ---------------------------------------------------------------------------
 
-def _vertex_labels(f, mats: list[np.ndarray], idems: list[int],
-                   what: str) -> np.ndarray:
-    """The vertex of each basis element: the one v whose idempotent, acting
-    by ``mats[idems[v]]``, fixes it.
-
-    The basis must be vertex-adapted: every idempotent acts by a 0/1
-    diagonal matrix and each element is fixed by exactly one of them.
-    Anything else raises."""
-    fixed = []
-    for v, i in enumerate(idems):
-        off = mats[i].copy()
-        diag = np.diagonal(mats[i])
-        np.fill_diagonal(off, f.zero)
-        if not (f.is_zero(off) and
-                np.all((diag == f.zero) | (diag == f.one))):
-            raise ValueError(f"vertex {v} does not act on the {what} by a "
-                             "0/1 diagonal matrix")
-        fixed.append(diag == f.one)
-    fixed = np.stack(fixed)
-    if not np.all(fixed.sum(axis=0) == 1):
-        raise ValueError(f"a basis element of the {what} is not fixed by "
-                         "exactly one vertex idempotent")
-    return fixed.argmax(axis=0)
-
-
 class MatchedPairs(NamedTuple):
     """The pairs (x, y) with right(x) = left(y) of a basis x of T_{g-1}
     and a basis y of E, in the order x * dim E + y of T_{g-1} (x)_k E.
@@ -362,8 +337,8 @@ def _balancing_relations(A: BoundQuiverAlgebra, E: ExtBimodule,
     f = A.field
     q = A.quiver
     idems = [A.bindex[trivial(v)] for v in range(q.n_vertices)]
-    right = _vertex_labels(f, R, idems, "previous grade")
-    left = _vertex_labels(f, E.left_mats, idems, "Ext bimodule")
+    right = vertex_labels(f, R, idems, "previous grade")
+    left = vertex_labels(f, E.left_mats, idems, "Ext bimodule")
     pairs = _matched_pairs(right, left)
     rows = [f.zeros(0, len(pairs.index))]
     for a in range(q.n_arrows):

@@ -253,7 +253,8 @@ def _complete(reducer: _Reducer, cap: int):
                 pairs.extend((t, newidx) for t in range(len(reducer.gens) - 1))
 
 
-def _irreducible_paths(q: Quiver, reducer: _Reducer, cap: int) -> list[Path]:
+def _irreducible_paths(q: Quiver, reducer: _Reducer, cap: int,
+                       max_paths: int | None = None) -> list[Path]:
     lts = [_lt(g).arrows for g in reducer.gens]
 
     def reducible(word: tuple) -> bool:
@@ -273,6 +274,8 @@ def _irreducible_paths(q: Quiver, reducer: _Reducer, cap: int) -> list[Path]:
                 if len(word) > cap:
                     raise NonAdmissible(cap)
                 nxt.append(Path(p.source, word))
+                if max_paths is not None and len(basis) + len(nxt) > max_paths:
+                    raise NonAdmissible(cap)
         basis.extend(nxt)
         frontier = nxt
     basis.sort(key=ordkey)
@@ -423,11 +426,14 @@ class BoundQuiverAlgebra:
 
 def complete_basis(quiver: Quiver, field: Field,
                    relations: list[PathElement], cap: int = 64,
-                   arrow_degrees: list[int] | None = None) -> BoundQuiverAlgebra:
+                   arrow_degrees: list[int] | None = None, *,
+                   _max_paths: int | None = None) -> BoundQuiverAlgebra:
     """Bound quiver algebra with explicit finite path basis.
 
     Raises NonAdmissible(cap) when irreducible paths of length > cap keep
-    appearing, RelationIllFormed for malformed relations.
+    appearing, RelationIllFormed for malformed relations.  The private
+    ``_max_paths`` also raises NonAdmissible(cap) once more irreducible
+    paths than that have been enumerated.
     """
     for rel in relations:
         for p in rel.terms:
@@ -438,7 +444,7 @@ def complete_basis(quiver: Quiver, field: Field,
     for rel in relations:
         reducer.add({p: field.el(c) for p, c in rel.terms.items()})
     _complete(reducer, cap)
-    basis = _irreducible_paths(quiver, reducer, cap)
+    basis = _irreducible_paths(quiver, reducer, cap, _max_paths)
     return BoundQuiverAlgebra(quiver, field, relations, reducer, basis,
                               arrow_degrees)
 

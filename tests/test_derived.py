@@ -2,7 +2,10 @@ import random
 
 import pytest
 
-from quiveralg.derived import (ChainMap, ComplexOfModules, SerreContext, amiot_endomorphism_algebra,
+from quiveralg.derived import (ChainMap, ComplexOfModules, SerreContext,
+                               SymbolicComplex, _drop_summand, _elem_sub,
+                               _local_inverse, _trivial_coeff,
+                               amiot_endomorphism_algebra,
                                amiot_hom, hom_d, inj_resolve_complex,
                                module_complex, nakayama, nakayama_inv,
                                proj_resolve_complex, serre_n_power,
@@ -409,3 +412,144 @@ def test_to_symbolic_equals_the_per_entry_reading(field):
                    for e in got.values() for el in e.values()
                    for c in el.values())
     assert kinds == {"P", "I"}
+
+
+def _reference_minimize(sym):
+    """Unit-entry cancellation that rescans from the lowest degree and
+    rebuilds every W x U entry after each cancellation: the reference for
+    ``SymbolicComplex.minimize``."""
+    A = sym.algebra
+    f = A.field
+    out = sym.copy()
+    changed = True
+    while changed:
+        changed = False
+        for i in sorted(out.diffs):
+            entries = out.diffs[i]
+            hit = None
+            for (w, u), elem in entries.items():
+                bu = out.terms[i][u]
+                if bu == out.terms[i + 1][w] and \
+                        _trivial_coeff(A, elem, bu) != f.zero:
+                    hit = (w, u, elem, bu)
+                    break
+            if hit is None:
+                continue
+            w0, u0, x, vtx = hit
+            xinv = _local_inverse(A, x, vtx)
+            new_entries = {}
+            for w in range(len(out.terms[i + 1])):
+                if w == w0:
+                    continue
+                for u in range(len(out.terms[i])):
+                    if u == u0:
+                        continue
+                    elem = entries.get((w, u), {})
+                    c_part = entries.get((w, u0))
+                    b_part = entries.get((w0, u))
+                    if c_part and b_part:
+                        corr = A.mult(A.mult(c_part, xinv), b_part)
+                        elem = _elem_sub(f, elem, corr)
+                    if elem:
+                        new_entries[(w, u)] = elem
+            out.diffs[i] = new_entries
+            _drop_summand(out, i, u0)
+            _drop_summand(out, i + 1, w0)
+            changed = True
+            break
+    out.terms = {i: v for i, v in out.terms.items() if v}
+    out.diffs = {i: d for i, d in out.diffs.items()
+                 if d and i in out.terms and i + 1 in out.terms}
+    return out
+
+
+def _ordered(sym):
+    """Terms and differentials with every dict in its iteration order."""
+    return (sorted(sym.terms.items()),
+            [(i, [(key, list(e.items())) for key, e in d.items()])
+             for i, d in sorted(sym.diffs.items())])
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF32003", "QQ"])
+def test_minimize_equals_the_rescanning_reference(monkeypatch, field):
+    """Every complex that the Serre functor, the window and the orbit Hom
+    minimize on A2, nak_a3 and Aus(A3-nonlinear), plus a contractible
+    pair, gives the same terms, entries and dict orders as the
+    reference."""
+    seen = []
+    real = SymbolicComplex.minimize
+
+    def spy(self):
+        seen.append(self.copy())
+        return real(self)
+
+    monkeypatch.setattr(SymbolicComplex, "minimize", spy)
+    q2 = Quiver(["1", "2"], [("a", "1", "2")])
+    A2 = complete_basis(q2, field, [])
+    q3 = Quiver(["1", "2", "3"], [("a1", "1", "2"), ("a2", "2", "3")])
+    A3 = complete_basis(q3, field, [PathElement(q3, {Path(0, (0, 1)): 1})])
+    q6 = Quiver(["1", "2", "3", "4", "5", "6"],
+                [("a1", "1", "5"), ("a2", "2", "1"), ("a3", "2", "3"),
+                 ("a4", "3", "5"), ("a5", "5", "4"), ("a6", "5", "6")])
+    aus = complete_basis(q6, field, [
+        PathElement(q6, {Path(0, (0, 4)): 1}),
+        PathElement(q6, {Path(1, (1, 0)): 1, Path(1, (2, 3)): 1}),
+        PathElement(q6, {Path(2, (3, 5)): 1})])
+    for A, n in [(A2, 1), (A3, 2), (aus, 2)]:
+        lam = module_complex(regular(A))
+        serre_n_power(A, n, lam, 1)
+        u_window(A, n, -2, 1)
+        amiot_hom(A, n, lam, lam)
+        rng = random.Random(31)
+        for _ in range(3):
+            m = module_complex(random_module(A, rng))
+            serre_n_power(A, n, m, 1)
+            serre_n_power(A, n, m, -1)
+    monkeypatch.setattr(SymbolicComplex, "minimize", real)
+    from quiveralg.modules import ModuleMap, projectives_sum
+    src, tgt = projectives_sum(A2, [0, 1]), projectives_sum(A2, [0])
+    blocks = [field.zeros(tgt.dims[v], src.dims[v]) for v in range(2)]
+    for m in blocks:
+        m[0, 0] = field.one  # the identity onto the P1 part
+    d = ModuleMap(src, tgt, blocks)
+    seen.append(to_symbolic(ComplexOfModules(A2, {0: src, 1: tgt}, {0: d}),
+                            "P"))
+    assert len(seen) > 20
+    cancelled = 0
+    for sym in seen:
+        got = sym.minimize()
+        assert _ordered(got) == _ordered(_reference_minimize(sym))
+        cancelled += sum(map(len, sym.terms.values())) \
+            - sum(map(len, got.terms.values()))
+    assert cancelled > 0
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF32003", "QQ"])
+def test_minimize_equals_the_reference_on_random_entries(field):
+    """Random entries in e_c A e_b of linear kA3 fill in new (w, u) pairs
+    and leave several unit entries in a degree, so both the pivot order
+    and the dict order of the result are tested."""
+    q = Quiver(["1", "2", "3"], [("a1", "1", "2"), ("a2", "2", "3")])
+    A = complete_basis(q, field, [])
+    rng = random.Random(11)
+    cancelled = 0
+    for _ in range(40):
+        terms = {i: tuple(rng.randrange(3) for _ in range(rng.randint(1, 4)))
+                 for i in range(3)}
+        diffs = {}
+        for i in range(2):
+            entries = {}
+            for w, c in enumerate(terms[i + 1]):
+                for u, b in enumerate(terms[i]):
+                    elem = {k: field.el(rng.randint(1, 5))
+                            for k in A.basis_between(c, b)
+                            if rng.random() < 0.7}
+                    if elem:
+                        entries[(w, u)] = elem
+            diffs[i] = dict(rng.sample(list(entries.items()), len(entries)))
+        sym = SymbolicComplex(A, "P", terms, diffs)
+        got = sym.minimize()
+        assert _ordered(got) == _ordered(_reference_minimize(sym))
+        cancelled += sum(map(len, terms.values())) \
+            - sum(map(len, got.terms.values()))
+    assert cancelled > 40

@@ -360,3 +360,39 @@ def test_writing_to_a_projective_leaves_the_next_one_unchanged(field):
     blk = next(m for m in A.projective_blocks(0).action if m.size)
     with pytest.raises(ValueError):
         blk[0, 0] = field.one
+
+
+def truncated_polynomials(length, field):
+    """k[x]/(x^length)."""
+    q = Quiver(["1"], [("x", "1", "1")])
+    return complete_basis(
+        q, field, [PathElement(q, {Path(0, (0,) * length): 1})])
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF32003", "QQ"])
+@pytest.mark.parametrize("length", [5, 6])
+def test_is_isomorphic_without_random_trials(field, length):
+    """Hom(P, P) of P = k[x]/(x^L) has the identity as its L-th basis map,
+    past the first four; with no random trials the deterministic
+    summand test must still find it."""
+    P = projective(truncated_polynomials(length, field), 0)
+    assert len(hom_space(P, P)) == length
+    assert is_isomorphic(P, P, trials=0)
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF32003", "QQ"])
+def test_is_isomorphic_refuses_nonisomorphic_indecomposables(field):
+    """On k<x, y>/(x, y)^2, the modules of dimension 2 on which x, resp.
+    y, acts by a nonzero nilpotent are indecomposable and not isomorphic,
+    though each maps to the other (top onto socle)."""
+    f = field
+    q = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    A = complete_basis(q, f, [PathElement(q, {Path(0, w): 1})
+                              for w in [(0, 0), (0, 1), (1, 0), (1, 1)]])
+    nil = f.array([[0, 0], [1, 0]])
+    Mx = Representation(A, [2], [nil, f.zeros(2, 2)], validate=True)
+    My = Representation(A, [2], [f.zeros(2, 2), nil], validate=True)
+    assert len(hom_space(Mx, My)) == len(hom_space(My, Mx)) == 1
+    assert [m for _, m in decompose(Mx)] == [1]
+    assert not is_isomorphic(Mx, My, trials=0)
+    assert is_isomorphic(Mx, Mx, trials=0)

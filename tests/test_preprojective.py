@@ -9,7 +9,8 @@ from quiveralg.errors import NotTauFinite
 from quiveralg.exactla import GF, QQ, QuotientBasis
 from quiveralg.families import (auslander_algebra, dynkin_path_algebra,
                                 linear_nakayama, thm39_type2)
-from quiveralg.findim import FinDimAlgebra, quiver_presentation
+from quiveralg.findim import (FinDimAlgebra, quiver_presentation,
+                              vertex_labels)
 from quiveralg.homology import ext_data, min_proj_resolution, tau_n_inv
 from quiveralg.modules import (coregular, map_from_projectives, projective,
                                regular, simple)
@@ -489,13 +490,13 @@ def test_vertex_labels_refuse_a_basis_that_is_not_vertex_adapted():
     f = F
     e0 = f.array([[1, 0], [0, 0]])
     e1 = f.array([[0, 0], [0, 1]])
-    assert list(pp._vertex_labels(f, [e0, e1], [0, 1], "test")) == [0, 1]
+    assert list(vertex_labels(f, [e0, e1], [0, 1], "test")) == [0, 1]
     with pytest.raises(ValueError, match="0/1 diagonal"):
-        pp._vertex_labels(f, [f.array([[1, 1], [0, 0]]), e1], [0, 1], "test")
+        vertex_labels(f, [f.array([[1, 1], [0, 0]]), e1], [0, 1], "test")
     with pytest.raises(ValueError, match="exactly one"):
-        pp._vertex_labels(f, [e0, f.eye(2)], [0, 1], "test")
+        vertex_labels(f, [e0, f.eye(2)], [0, 1], "test")
     with pytest.raises(ValueError, match="exactly one"):
-        pp._vertex_labels(f, [e0, e0], [0, 1], "test")
+        vertex_labels(f, [e0, e0], [0, 1], "test")
 
 
 # ---------------------------------------------------------------------------

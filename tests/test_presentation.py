@@ -1,19 +1,28 @@
+import itertools
+import random
+
+import numpy as np
 import pytest
 
+from quiveralg import quivers
+from quiveralg.derived import amiot_endomorphism_algebra
 from quiveralg.errors import NotBasic
-from quiveralg.exactla import GF
-from quiveralg.findim import (FinDimAlgebra, algebra_from_bqa,
+from quiveralg.exactla import GF, QQ, QuotientBasis, complement_rows
+from quiveralg.families import linear_nakayama, thm39_type2
+from quiveralg.findim import (FinDimAlgebra, _ideal_span, _is_homog, _meet,
+                              _radical_rows, _sum_rows, algebra_from_bqa,
                               quiver_presentation)
 from quiveralg.modules import direct_sum, projective
-from quiveralg.preprojective import end_algebra
+from quiveralg.preprojective import (end_algebra, preprojective_algebra,
+                                     stable_endomorphism)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
 
 F = GF(32003)
 
 
-def nak_a3():
+def nak_a3(field=F):
     q = Quiver(["1", "2", "3"], [("a1", "1", "2"), ("a2", "2", "3")])
-    return complete_basis(q, F, [PathElement(q, {Path(0, (0, 1)): 1})])
+    return complete_basis(q, field, [PathElement(q, {Path(0, (0, 1)): 1})])
 
 
 def test_k_times_k():
@@ -58,8 +67,7 @@ def test_matrix_algebra_with_only_the_unit_rejected():
 
 
 def test_loop_algebra_presentation():
-    q = Quiver(["1"], [("x", "1", "1")])
-    A = complete_basis(q, F, [PathElement(q, {Path(0, (0, 0, 0)): 1})])
+    A = cube_loop(F)
     P = quiver_presentation(algebra_from_bqa(A))
     assert P.dim == 3
     assert P.quiver.n_arrows == 1
@@ -69,12 +77,287 @@ def test_loop_algebra_presentation():
 
 
 def test_mixed_length_relation_presentation():
-    # commutative square with a composite identified to a longer path
-    q = Quiver(["1", "2", "3", "4"],
-               [("x", "1", "2"), ("y", "2", "4"),
-                ("u", "1", "3"), ("v", "3", "2"), ("w", "2", "4")])
-    A = complete_basis(q, F, [PathElement(
-        q, {Path(0, (0, 1)): 1, Path(0, (2, 3, 4)): -1})])
+    A = mixed_square(F)
     P = quiver_presentation(algebra_from_bqa(A))
     assert P.dim == A.dim
     assert P.quiver.n_arrows == 5
+
+
+# ---------------------------------------------------------------------------
+# the presentation against the full-loop reference
+# ---------------------------------------------------------------------------
+
+_irreducible_paths = quivers._irreducible_paths
+
+
+def _limit_paths(monkeypatch, limit, counts=None):
+    """Make each enumeration of irreducible paths fail at once when it
+    makes more than `limit` paths, rather than run on: without its bound,
+    an incomplete ideal has exponentially many.  Appends each
+    enumeration's count of paths to `counts`."""
+    def spy(*args):
+        made = 0
+
+        def counting_path(*fields):
+            nonlocal made
+            made += 1
+            if made > limit:
+                raise AssertionError(f"more than {limit} irreducible paths "
+                                     "enumerated")
+            return Path(*fields)
+
+        quivers.Path = counting_path
+        try:
+            return _irreducible_paths(*args)
+        finally:
+            quivers.Path = Path
+            if counts is not None:
+                counts.append(made)
+
+    monkeypatch.setattr(quivers, "_irreducible_paths", spy)
+
+
+@pytest.fixture(autouse=True)
+def _bounded_enumeration(monkeypatch):
+    _limit_paths(monkeypatch, 1000)
+
+
+FIELDS = [pytest.param(GF(32003), id="GF32003"), pytest.param(QQ, id="QQ")]
+
+
+def _reference_presentation(B, cap=64):
+    """The presentation as the full degree loop finds it: corners from
+    L_{e_i} R_{e_j}, the radical powers rad . rad^k until they vanish, and
+    relations at every degree up to the nilpotency degree.  The reference
+    for ``quiver_presentation``."""
+    f = B.field
+    n = B.dim
+    idems = B.idempotents
+    m = len(idems)
+    rad = _radical_rows(B)
+    rad_space = QuotientBasis(f, rad, f.zeros(0, n))
+    corners = {}
+    rmats = [B.right_mult_matrix(e) for e in idems]
+    for i in range(m):
+        Li = B.left_mult_matrix(idems[i])
+        for j in range(m):
+            rows = f.row_space(f.matmul(Li, rmats[j]).T)
+            corners[(i, j)] = _meet(f, rows, rad_space)
+            excess = rows.shape[0] - corners[(i, j)].shape[0]
+            if excess != (1 if i == j else 0):
+                raise NotBasic(f"corner ({i}, {j}) mod rad has dimension "
+                               f"{excess}")
+
+    def mult_spaces(rows_a, rows_b):
+        if not len(rows_a) or not len(rows_b):
+            return f.zeros(0, n)
+        prods = [f.matmul(B.left_mult_matrix(ra), rows_b.T).T
+                 for ra in rows_a]
+        return f.row_space(np.concatenate(prods))
+
+    rad_pows = [rad]
+    while rad_pows[-1].shape[0]:
+        rad_pows.append(mult_spaces(rad, rad_pows[-1]))
+        assert len(rad_pows) <= n + 2
+    nilp = len(rad_pows)
+    rad2 = rad_pows[1] if len(rad_pows) > 1 else f.zeros(0, n)
+    rad2_space = QuotientBasis(f, rad2, f.zeros(0, n))
+
+    vertices = [str(i + 1) for i in range(m)]
+    arrow_list, arrow_elems, arrow_degs = [], [], []
+    graded = B.grading is not None
+    for i in range(m):
+        for j in range(m):
+            corner = corners[(i, j)]
+            corner2 = _meet(f, corner, rad2_space)
+            lifts = complement_rows(f, corner2, corner)
+            picked = [(r, None) for r in lifts]
+            if graded:
+                picked = []
+                base = corner2
+                for dg in sorted(set(B.grading)):
+                    rows = [r for r in corner if _is_homog(f, B, r, dg)]
+                    if not rows:
+                        continue
+                    ext = complement_rows(f, base, np.stack(rows))
+                    picked.extend((r, dg) for r in ext)
+                    base = _sum_rows(f, base, ext)
+                assert len(picked) == lifts.shape[0]
+            for r, dg in picked:
+                arrow_list.append((f"a{len(arrow_list) + 1}", vertices[i],
+                                   vertices[j]))
+                arrow_elems.append(r)
+                arrow_degs.append(dg)
+    quiver = Quiver(vertices, arrow_list)
+
+    arrow_rmats = [B.right_mult_matrix(x) for x in arrow_elems]
+    paths_by_len = {0: [Path(v, ()) for v in range(m)], 1: []}
+    for a, (_, s, t) in enumerate(arrow_list):
+        paths_by_len[1].append(Path(quiver.vindex[s], (a,)))
+    values = {1: np.stack(arrow_elems) if arrow_elems else f.zeros(0, n)}
+    relations = []
+    for d in range(2, nilp + 1):
+        paths_by_len[d] = []
+        prefix_rows = []
+        for r, p in enumerate(paths_by_len[d - 1]):
+            for a in quiver.arrows_from(p.target(quiver)):
+                prefix_rows.append((r, a))
+                paths_by_len[d].append(Path(p.source, p.arrows + (a,)))
+        values[d] = f.zeros(len(paths_by_len[d]), n)
+        for k, (r, a) in enumerate(prefix_rows):
+            values[d][k] = f.matmul(values[d - 1][r:r + 1],
+                                    arrow_rmats[a].T)[0]
+        pool = [p for dd in range(2, d + 1) for p in paths_by_len[dd]]
+        if not pool:
+            break
+        ev = np.concatenate([values[dd] for dd in range(2, d + 1)])
+        ker = f.kernel(ev.T)
+        if ker.shape[0] == 0:
+            continue
+        idx = {p: k for k, p in enumerate(pool)}
+        ideal_rows = _ideal_span(f, quiver, relations, pool, idx)
+        for r in complement_rows(f, ideal_rows, ker):
+            relations.append(PathElement(quiver, {
+                p: r[k] for k, p in enumerate(pool) if r[k] != f.zero}))
+    out = complete_basis(quiver, f, relations, cap=cap,
+                         arrow_degrees=arrow_degs if graded else None)
+    assert out.dim == B.dim
+    out.arrow_elements = arrow_elems
+    return out
+
+
+def _assert_same_presentation(P, R):
+    f = P.field
+    assert P.quiver.vertices == R.quiver.vertices
+    assert P.quiver.arrows == R.quiver.arrows
+    assert len(P.arrow_elements) == len(R.arrow_elements)
+    for x, y in zip(P.arrow_elements, R.arrow_elements):
+        assert f.equal(x, y)
+    assert ([list(r.terms.items()) for r in P.relations]
+            == [list(r.terms.items()) for r in R.relations])
+    assert P.basis == R.basis
+    assert P.arrow_degrees == R.arrow_degrees
+
+
+def cube_loop(field):
+    q = Quiver(["1"], [("x", "1", "1")])
+    return complete_basis(q, field, [PathElement(q, {Path(0, (0, 0, 0)): 1})])
+
+
+def mixed_square(field):
+    """A square with a composite identified to a longer path."""
+    q = Quiver(["1", "2", "3", "4"],
+               [("x", "1", "2"), ("y", "2", "4"),
+                ("u", "1", "3"), ("v", "3", "2"), ("w", "2", "4")])
+    return complete_basis(q, field, [PathElement(
+        q, {Path(0, (0, 1)): 1, Path(0, (2, 3, 4)): -1})])
+
+
+def x_squared_and_words(length, field):
+    """k<x, y>/(x^2, every word of the given length)."""
+    q = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    rels = [PathElement(q, {Path(0, (0, 0)): 1})]
+    rels += [PathElement(q, {Path(0, w): 1})
+             for w in itertools.product((0, 1), repeat=length)]
+    return complete_basis(q, field, rels)
+
+
+def aus_a3_nonlinear(field):
+    """Aus(A3) with one sink and one source inside, from its presentation."""
+    q = Quiver(["1", "2", "3", "4", "5", "6"],
+               [("a1", "1", "5"), ("a2", "2", "1"), ("a3", "2", "3"),
+                ("a4", "3", "5"), ("a5", "5", "4"), ("a6", "5", "6")])
+    return complete_basis(q, field, [
+        PathElement(q, {Path(0, (0, 4)): 1}),
+        PathElement(q, {Path(1, (1, 0)): 1, Path(1, (2, 3)): 1}),
+        PathElement(q, {Path(2, (3, 5)): 1})])
+
+
+ALGEBRAS = {
+    "nak_a3": lambda f: algebra_from_bqa(nak_a3(f)),
+    "x^3 loop": lambda f: algebra_from_bqa(cube_loop(f)),
+    "mixed-length square": lambda f: algebra_from_bqa(mixed_square(f)),
+    **{f"x^2 and words of length {L}":
+       (lambda f, L=L: algebra_from_bqa(x_squared_and_words(L, f)))
+       for L in (4, 5, 6, 7)},
+    "tilde Pi linear_nakayama 3":
+        lambda f: preprojective_algebra(linear_nakayama(3, f), 2),
+    "tilde Pi linear_nakayama 4":
+        lambda f: preprojective_algebra(linear_nakayama(4, f), 2),
+    "tilde Pi thm39_type2 2":
+        lambda f: preprojective_algebra(thm39_type2(2, ["gamma"], f), 2),
+    "tilde Pi Aus(A3-nonlinear)":
+        lambda f: preprojective_algebra(aus_a3_nonlinear(f), 2),
+    "Gamma Aus(A3-nonlinear)":
+        lambda f: stable_endomorphism(aus_a3_nonlinear(f), 2),
+    "orbit algebra linear_nakayama 3":
+        lambda f: amiot_endomorphism_algebra(linear_nakayama(3, f), 2),
+}
+
+
+# over Q the reference's dense Fraction products of the radical powers take
+# about 4 minutes at length 7, so that case runs over GF(32003) only
+CASES = [pytest.param(name, field, id=f"{name}-{field.id}")
+         for name in ALGEBRAS for field in FIELDS
+         if not (name.endswith("length 7") and field.id == "QQ")]
+
+
+@pytest.mark.parametrize("name, field", CASES)
+def test_presentation_equals_the_full_loop_reference(name, field):
+    B = ALGEBRAS[name](field.values[0])
+    _assert_same_presentation(quiver_presentation(B),
+                              _reference_presentation(B))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_early_check_enumerates_at_most_dim_plus_one_paths(monkeypatch,
+                                                           field):
+    """k<x, y>/(x^2, words of length 6) has dim 32, but x^2 alone leaves
+    about 1.6^L irreducible words of each length L.  Every completion that
+    the presentation runs, the intermediate check included, may enumerate
+    at most dim B + 1 paths."""
+    B = algebra_from_bqa(x_squared_and_words(6, field))
+    assert B.dim == 32
+    counts = []
+    _limit_paths(monkeypatch, B.dim + 1, counts)
+    P = quiver_presentation(B)
+    # the check after degree 2 (x^2) stops at dim B + 1 paths; degree 6,
+    # the last, then enumerates exactly the 32 basis paths
+    assert counts == [B.dim + 1, B.dim]
+    # x^2 and the 21 words of length 6 without xx
+    assert P.dim == B.dim and len(P.relations) == 22
+
+
+def _inverse(f, T):
+    n = T.shape[0]
+    r, pivots = f.rref(np.concatenate([T, f.eye(n)], axis=1))
+    assert list(pivots[:n]) == list(range(n))
+    return r[:, n:]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_basis_that_is_not_vertex_adapted_is_refused(field):
+    """A random change of basis b'_i = sum_k T_ik b_k of nak_a3: the
+    idempotents no longer act by 0/1 diagonal matrices."""
+    f = field
+    B = algebra_from_bqa(nak_a3(f))
+    rng = random.Random(3)
+    while True:
+        T = f.array([[rng.randrange(-3, 4) for _ in range(B.dim)]
+                     for _ in range(B.dim)])
+        if f.rank(T) == B.dim:
+            break
+    Tinv = _inverse(f, T)
+
+    def mult(i):
+        # row j: coordinates of b'_i b'_j in the new basis
+        P = f.zeros(B.dim, B.dim)
+        for a in range(B.dim):
+            P = f.add(P, f.smul(T[i, a], B.table(a)))
+        return f.matmul(f.matmul(T, P), Tinv)
+
+    C = FinDimAlgebra(f, B.dim, mult,
+                      [f.matmul(e[None, :], Tinv)[0] for e in B.idempotents])
+    with pytest.raises(ValueError, match=r"vertex \d does not act on the "
+                                         "basis by a 0/1 diagonal matrix"):
+        quiver_presentation(C)
