@@ -14,6 +14,13 @@ The symbolic and concrete forms convert through ``homology``'s
 algebra element lies in the blocks of a map between tagged sums.  A chain
 map is a quasi-isomorphism iff its mapping cone is acyclic, which is
 checked from the ranks of the cone blocks at each vertex.
+
+A complex whose terms are tagged injective sums (every step of S_n and of
+the injective resolutions behind S_n^{-1}) resolves term by term from
+``homology``'s per-summand resolutions of the indecomposable injectives,
+each computed once per algebra.  The k-dual carries the tags, so the dual
+of a complex of tagged projectives over A^op is a complex of tagged
+injectives over A as it stands.
 """
 
 from __future__ import annotations
@@ -25,11 +32,12 @@ import numpy as np
 from .errors import (AboveCap, AboveCapError, TermNotInjective,
     TermNotProjective, WindowInconclusive)
 from .exactla import QuotientBasis
-from .homology import (elements_of_map, global_dimension, map_of_elements,
+from .homology import (elements_of_map, global_dimension,
+                       injectives_sum_resolution, map_of_elements,
                        min_proj_resolution)
-from .modules import (ModuleMap, Representation, dual, dual_map,
-                      injectives_sum, map_from_projectives, op_algebra,
-                      projectives_sum, quotient, subrepresentation, zero_rep)
+from .modules import (ModuleMap, Representation, dual, injectives_sum,
+                      map_from_projectives, op_algebra, projectives_sum,
+                      quotient, subrepresentation, zero_rep)
 from .quivers import BoundQuiverAlgebra, Path
 
 __all__ = ["ComplexOfModules", "ChainMap", "module_complex",
@@ -236,12 +244,12 @@ def module_complex(M: Representation, degree: int = 0) -> ComplexOfModules:
 
 
 def dual_complex(X: ComplexOfModules) -> ComplexOfModules:
+    """D X over A^op: (D X)^i = D(X^{-i}), tags carried by ``dual``."""
     terms = {-i: dual(t) for i, t in X.terms.items()}
-    diffs = {}
-    for i, d in X.diffs.items():
-        diffs[-i - 1] = dual_map(d)
-    A = op_algebra(X.algebra)
-    return ComplexOfModules(A, terms, diffs, check=False)
+    diffs = {-i - 1: ModuleMap(terms[-i - 1], terms[-i],
+                               [b.T.copy() for b in d.blocks])
+             for i, d in X.diffs.items()}
+    return ComplexOfModules(op_algebra(X.algebra), terms, diffs, check=False)
 
 
 def dual_chain_map(phi: ChainMap) -> ChainMap:
@@ -250,7 +258,7 @@ def dual_chain_map(phi: ChainMap) -> ChainMap:
     parts = {}
     for i, p in phi.parts.items():
         parts[-i] = ModuleMap(src.term(-i), tgt.term(-i),
-                              dual_map(p).blocks)
+                              [b.T.copy() for b in p.blocks])
     return ChainMap(src, tgt, parts, check=False)
 
 
@@ -259,7 +267,8 @@ def dual_chain_map(phi: ChainMap) -> ChainMap:
 # ---------------------------------------------------------------------------
 
 def _single_module_resolution(M: Representation, degree: int, cap: int):
-    res = min_proj_resolution(M, cap)
+    res = (injectives_sum_resolution(M, cap) if M.tag_kind == "I"
+           else min_proj_resolution(M, cap))
     if res.truncated:
         raise AboveCapError(cap)
     terms = {}
@@ -284,8 +293,9 @@ def _strict_lift(C: ComplexOfModules, f_map: ChainMap,
                  eps: ChainMap) -> ChainMap:
     """Strict chain lift g: C -> P of f: C -> X through a degreewise
     surjective quasi-isomorphism eps: P -> X (C bounded, projective terms).
-    Built descending from the top degree by solving [d; eps]-stacked
-    systems on generators."""
+    Built descending from the top degree: the generator images of all
+    slots at one vertex solve one [d_P; eps]-stacked system, one column
+    per slot, each column getting the solution it would get alone."""
     P = eps.source
     X = eps.target
     fld = C.algebra.field
@@ -295,26 +305,25 @@ def _strict_lift(C: ComplexOfModules, f_map: ChainMap,
         if Ct.total_dim == 0:
             continue
         Pt = P.term(i)
-        gen_images = []
+        gen_images = [None] * len(Ct.summands)
         dP = P.diffs.get(i)
         gnext = parts.get(i + 1)
         dC = C.diffs.get(i)
         fi = f_map.parts.get(i)
-        for s, v in enumerate(Ct.summands):
-            gen = fld.zeros(Ct.dims[v], 1)
-            gen[Ct.offsets[s][v], 0] = fld.one
-            # target under eps at vertex v
-            tvec = fld.matmul(fi.blocks[v], gen) if fi is not None else \
-                fld.zeros(X.term(i).dims[v], 1)
-            # target under d_P: h = g_{i+1} d_C applied to the generator
-            if dC is not None and gnext is not None:
-                hvec = fld.matmul(gnext.blocks[v],
-                                  fld.matmul(dC.blocks[v], gen))
+        for v in dict.fromkeys(Ct.summands):
+            slots = [s for s, w in enumerate(Ct.summands) if w == v]
+            cols = [Ct.offsets[s][v] for s in slots]
+            if not Pt.total_dim:
+                x = fld.zeros(0, len(slots))
             else:
-                hvec = fld.zeros(P.term(i + 1).dims[v], 1)
-            rows = []
-            rhs = []
-            if Pt.total_dim:
+                # the targets: f under eps, h = g_{i+1} d_C under d_P
+                tvec = fi.blocks[v][:, cols] if fi is not None else \
+                    fld.zeros(X.term(i).dims[v], len(slots))
+                if dC is not None and gnext is not None:
+                    hvec = fld.matmul(gnext.blocks[v], dC.blocks[v][:, cols])
+                else:
+                    hvec = fld.zeros(P.term(i + 1).dims[v], len(slots))
+                rows, rhs = [], []
                 if dP is not None:
                     rows.append(dP.blocks[v])
                     rhs.append(hvec)
@@ -323,13 +332,11 @@ def _strict_lift(C: ComplexOfModules, f_map: ChainMap,
                 rows.append(eps.parts[i].blocks[v] if i in eps.parts else
                             fld.zeros(X.term(i).dims[v], Pt.dims[v]))
                 rhs.append(tvec)
-                sysm = np.concatenate(rows, axis=0)
-                sysr = np.concatenate(rhs, axis=0)
-                x = fld.solve(sysm, sysr)
+                x = fld.solve(np.concatenate(rows, axis=0),
+                              np.concatenate(rhs, axis=0))
                 assert x is not None, "comparison lift system must be solvable"
-            else:
-                x = fld.zeros(0, 1)
-            gen_images.append(x)
+            for k, s in enumerate(slots):
+                gen_images[s] = x[:, k:k + 1]
         parts[i] = map_from_projectives(Ct, Pt, gen_images)
     return ChainMap(C, P, parts, check=False)
 
@@ -442,24 +449,15 @@ def proj_resolve_complex(X: ComplexOfModules, cap: int = 32,
 def inj_resolve_complex(X: ComplexOfModules, cap: int = 32):
     """(I, eta): bounded complex of injectives with quasi-iso eta: X -> I."""
     DP, Deps = proj_resolve_complex(dual_complex(X), cap, verify=False)
-    I2 = _inj_retag_complex(X.algebra, dual_complex(DP), DP)
-    eta_parts = {}
-    for i, p in Deps.parts.items():
-        dm = dual_map(p)
-        eta_parts[-i] = ModuleMap(X.term(-i), I2.term(-i), dm.blocks)
-    eta = ChainMap(X, I2, eta_parts, check=False)
+    I = dual_complex(DP)  # tagged injective sums over A
+    eta_parts = {-i: ModuleMap(X.term(-i), I.term(-i),
+                               [b.T.copy() for b in p.blocks])
+                 for i, p in Deps.parts.items()}
+    eta = ChainMap(X, I, eta_parts, check=False)
     assert eta.is_chain_map()
     assert eta.induces_cohomology_iso(), \
         "coresolution must be a quasi-isomorphism"
-    return I2, eta
-
-
-def _retag(rep: Representation, tagged: Representation) -> Representation:
-    out = Representation(rep.algebra, rep.dims, rep.action)
-    out.summands = tagged.summands
-    out.offsets = tagged.offsets
-    out.tag_kind = tagged.tag_kind
-    return out
+    return I, eta
 
 
 # ---------------------------------------------------------------------------
@@ -765,8 +763,7 @@ class SerreContext:
         fmap = ChainMap(PDV, DU, _compose_chain(epsV, Dg), check=False)
         lifted = _strict_lift(PDV, fmap, epsU)  # PDV -> PDU
         dlift = dual_chain_map(lifted)          # D(PDU) -> D(PDV)
-        symU = _inj_retag_complex(self.A, dual_complex(PDU), PDU)
-        symV = _inj_retag_complex(self.A, dual_complex(PDV), PDV)
+        symU, symV = dual_complex(PDU), dual_complex(PDV)
         PU = to_symbolic(symU, "I").flip().materialize()
         PV = to_symbolic(symV, "I").flip().materialize()
         src = PU.shift(self.n)
@@ -800,19 +797,6 @@ def _compose_chain(first: ChainMap, then: ChainMap) -> dict[int, ModuleMap]:
         if q is not None:
             parts[i] = p.compose(q)
     return parts
-
-
-def _inj_retag_complex(A, I: ComplexOfModules,
-                       PD: ComplexOfModules) -> ComplexOfModules:
-    """I = D(PD) with each term relabelled as the tagged injective sum over
-    A of the summands of PD (over A^op) in the mirrored degree."""
-    terms = {}
-    for i, t in I.terms.items():
-        tagged = injectives_sum(A, PD.term(-i).summands)
-        # the dual of projectives_sum over A^op is literally this layout
-        assert tagged.dims == t.dims
-        terms[i] = _retag(t, tagged)
-    return ComplexOfModules(A, terms, I.diffs, check=False)
 
 
 def serre_n_power(A: BoundQuiverAlgebra, n: int, X: ComplexOfModules,

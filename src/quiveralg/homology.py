@@ -11,13 +11,18 @@ the blocks of a map between tagged sums and ``map_of_elements`` writes
 it back; no other code knows that layout.  The Nakayama functor nu and
 the transpose share one presentation, ``nakayama_presentation``.
 
-The global dimension and the tau_n^- orbit of A are kept in the
-algebra's ``memo``, so each is computed once per algebra.
+The global dimension, the tau_n^- orbit of A and the minimal resolution
+of each indecomposable injective D(A e_v) (key ``("inj_res", v, cap)``,
+with the entries of its differentials) are kept in the algebra's
+``memo``, so each is computed once per algebra.
+``injectives_sum_resolution`` resolves any tagged injective sum as the
+direct sum of those resolutions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,7 +34,8 @@ from .modules import (ModuleMap, Representation, decompose, dual, dual_map,
                       projective_cover, zero_rep)
 from .quivers import BoundQuiverAlgebra
 
-__all__ = ["ProjResolution", "min_proj_resolution", "syzygy", "ext",
+__all__ = ["ProjResolution", "min_proj_resolution",
+           "injectives_sum_resolution", "syzygy", "ext",
            "ext_data", "transpose", "tau", "tau_inv", "tau_n", "tau_n_inv",
            "tau_n_orbit", "global_dimension", "injective_dimension",
            "proj_dimension", "hom_matrix"]
@@ -109,16 +115,13 @@ def map_of_elements(A: BoundQuiverAlgebra, kind: str,
 
     Kind 'P' writes each entry into the generator image of its source
     slot and extends from the generators.  Kind 'I' is the k-dual of the
-    map between projectives over A^op whose entry (u, w) is the image of
-    entry (w, u) under ``op_element``."""
+    map D(tgt) -> D(src) between the tagged projective sums over A^op
+    whose entry (u, w) is the image of entry (w, u) under ``op_element``."""
     if kind == "I":
-        Aop = op_algebra(A)
         swapped = {(u, w): op_element(A, elem)
                    for (w, u), elem in entries.items()}
-        m = map_of_elements(Aop, "P", swapped,
-                            projectives_sum(Aop, tgt.summands),
-                            projectives_sum(Aop, src.summands))
-        return ModuleMap(src, tgt, dual_map(m).blocks)
+        m = map_of_elements(op_algebra(A), "P", swapped, dual(tgt), dual(src))
+        return ModuleMap(src, tgt, [b.T.copy() for b in m.blocks])
     gens = [A.field.zeros(tgt.dims[bu], 1) for bu in src.summands]
     for (w, u), elem in entries.items():
         bu = src.summands[u]
@@ -146,16 +149,71 @@ def min_proj_resolution(M: Representation, length_cap: int = 32) -> ProjResoluti
     return ProjResolution(M, terms, aug, diffs, True, truncated)
 
 
+def _injective_resolution(A: BoundQuiverAlgebra, v: int, cap: int):
+    """(min_proj_resolution of D(A e_v) at this cap, the entries of its
+    differentials), kept in the algebra's memo; shared, so callers must not
+    change them."""
+    key = ("inj_res", v, cap)
+    hit = A.memo.get(key)
+    if hit is None:
+        res = min_proj_resolution(injectives_sum(A, [v]), cap)
+        entries = [elements_of_map(A, "P", d, d.source, d.target)
+                   for d in res.differentials]
+        hit = A.memo[key] = (res, entries)
+    return hit
+
+
+def injectives_sum_resolution(M: Representation,
+                              length_cap: int = 32) -> ProjResolution:
+    """Minimal projective resolution of a tagged injective sum M, as the
+    direct sum of the memoized resolutions of its summands D(A e_v).
+
+    Term j holds the summands of every part's term j in slot order, each
+    differential is the parts' entries moved to their slots, and the
+    augmentation places each part's augmentation at M's offsets.  A direct
+    sum of minimal resolutions is minimal."""
+    A = M.algebra
+    f = A.field
+    nv = A.quiver.n_vertices
+    parts = [_injective_resolution(A, v, length_cap) for v in M.summands]
+    length = max((len(res.terms) for res, _ in parts), default=1)
+    verts = [[res.terms[j].summands if j < len(res.terms) else ()
+              for res, _ in parts] for j in range(length)]
+    terms = [projectives_sum(A, [v for vs in row for v in vs])
+             for row in verts]
+    starts = [list(accumulate((len(vs) for vs in row), initial=0))
+              for row in verts]
+    diffs = []
+    for j in range(length - 1):
+        entries = {}
+        for s, (_, ents) in enumerate(parts):
+            if j < len(ents):
+                for (w, u), elem in ents[j].items():
+                    entries[(w + starts[j][s], u + starts[j + 1][s])] = elem
+        diffs.append(map_of_elements(A, "P", entries, terms[j + 1],
+                                     terms[j]))
+    blocks = [f.zeros(M.dims[x], terms[0].dims[x]) for x in range(nv)]
+    col = [0] * nv
+    for s, (res, _) in enumerate(parts):
+        for x, b in enumerate(res.augmentation.blocks):
+            r = M.offsets[s][x]
+            blocks[x][r:r + b.shape[0], col[x]:col[x] + b.shape[1]] = b
+            col[x] += b.shape[1]
+    aug = ModuleMap(terms[0], M, blocks)
+    return ProjResolution(M, terms, aug, diffs, True,
+                          any(res.truncated for res, _ in parts))
+
+
 def strip_projectives(M: Representation) -> Representation:
     from .modules import direct_sum
     if M.is_zero():
         return M
     A = M.algebra
-    projs = [projective(A, v) for v in range(A.quiver.n_vertices)]
     keep = []
     for rep, mult in decompose(M):
-        if any(is_isomorphic(rep, p) for p in projs
-               if p.dims == rep.dims):
+        if any(is_isomorphic(rep, projective(A, v))
+               for v in range(A.quiver.n_vertices)
+               if A.projective_blocks(v).dims == rep.dims):
             continue
         keep.extend([rep] * mult)
     if not keep:

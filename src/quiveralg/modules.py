@@ -218,12 +218,9 @@ def regular(A: BoundQuiverAlgebra) -> Representation:
 
 
 def injectives_sum(A: BoundQuiverAlgebra, vertices) -> Representation:
-    src = projectives_sum(op_algebra(A), vertices)
-    rep = dual(src)
-    rep.summands = tuple(vertices)
-    rep.offsets = src.offsets  # dual keeps the per-vertex layout
-    rep.tag_kind = "I"
-    return rep
+    """Direct sum of indecomposable injectives D(A e_v), with bookkeeping:
+    the k-dual of the tagged projective sum over A^op."""
+    return dual(projectives_sum(op_algebra(A), vertices))
 
 
 def injective(A: BoundQuiverAlgebra, v: int) -> Representation:
@@ -438,9 +435,17 @@ def hom_dim(M, N) -> int:
 
 
 def dual(M: Representation) -> Representation:
-    """k-dual over the opposite algebra: transposed arrow actions."""
-    return Representation(op_algebra(M.algebra), M.dims,
-                          [m.T.copy() for m in M.action])
+    """k-dual over the opposite algebra: transposed arrow actions.
+
+    The dual of a tagged projective sum is the tagged injective sum over
+    the opposite algebra with the same summands and offsets, and the
+    reverse: the transposed blocks keep their per-vertex places."""
+    D = Representation(op_algebra(M.algebra), M.dims,
+                       [m.T.copy() for m in M.action])
+    if M.tag_kind is not None:
+        D.summands, D.offsets = M.summands, M.offsets
+        D.tag_kind = "I" if M.tag_kind == "P" else "P"
+    return D
 
 
 def dual_map(phi: ModuleMap) -> ModuleMap:
@@ -507,9 +512,7 @@ def injective_envelope(M: Representation) -> ModuleMap:
     """Minimal embedding into a sum of indecomposable injectives."""
     cov = projective_cover(dual(M))
     emb = dual_map(cov)  # D(M-dual) -> D(P'); D(D(M)) is literally M again
-    tgt = emb.target
-    tgt.summands = cov.source.summands
-    return ModuleMap(M, tgt, emb.blocks)
+    return ModuleMap(M, emb.target, emb.blocks)
 
 
 # ---------------------------------------------------------------------------

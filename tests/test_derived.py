@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from quiveralg.derived import (ChainMap, ComplexOfModules, SerreContext,
@@ -553,3 +554,88 @@ def test_minimize_equals_the_reference_on_random_entries(field):
         cancelled += sum(map(len, terms.values())) \
             - sum(map(len, got.terms.values()))
     assert cancelled > 40
+
+
+def _strict_lift_per_generator(C, f_map, eps):
+    """Reference for ``_strict_lift``: one solve per generator."""
+    from quiveralg.modules import map_from_projectives
+    P = eps.source
+    X = eps.target
+    fld = C.algebra.field
+    parts = {}
+    for i in range(C.hi, C.lo - 1, -1):
+        Ct = C.term(i)
+        if Ct.total_dim == 0:
+            continue
+        Pt = P.term(i)
+        gen_images = []
+        dP = P.diffs.get(i)
+        gnext = parts.get(i + 1)
+        dC = C.diffs.get(i)
+        fi = f_map.parts.get(i)
+        for s, v in enumerate(Ct.summands):
+            gen = fld.zeros(Ct.dims[v], 1)
+            gen[Ct.offsets[s][v], 0] = fld.one
+            tvec = fld.matmul(fi.blocks[v], gen) if fi is not None else \
+                fld.zeros(X.term(i).dims[v], 1)
+            if dC is not None and gnext is not None:
+                hvec = fld.matmul(gnext.blocks[v],
+                                  fld.matmul(dC.blocks[v], gen))
+            else:
+                hvec = fld.zeros(P.term(i + 1).dims[v], 1)
+            if Pt.total_dim:
+                rows, rhs = [], []
+                if dP is not None:
+                    rows.append(dP.blocks[v])
+                    rhs.append(hvec)
+                rows.append(eps.parts[i].blocks[v] if i in eps.parts else
+                            fld.zeros(X.term(i).dims[v], Pt.dims[v]))
+                rhs.append(tvec)
+                x = fld.solve(np.concatenate(rows, axis=0),
+                              np.concatenate(rhs, axis=0))
+                assert x is not None
+            else:
+                x = fld.zeros(0, 1)
+            gen_images.append(x)
+        parts[i] = map_from_projectives(Ct, Pt, gen_images)
+    return ChainMap(C, P, parts, check=False)
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF32003", "QQ"])
+def test_strict_lift_equals_the_per_generator_reference(monkeypatch, field):
+    """Every lift that resolving complexes and transporting orbit maps
+    make on nak_a3 and Aus(A3-nonlinear) equals the one-solve-per-generator
+    lift, block for block."""
+    from quiveralg import derived
+    seen = []
+    real = derived._strict_lift
+
+    def spy(C, f_map, eps):
+        got = real(C, f_map, eps)
+        seen.append((C, f_map, eps, got))
+        return got
+
+    monkeypatch.setattr(derived, "_strict_lift", spy)
+    q3 = Quiver(["1", "2", "3"], [("a1", "1", "2"), ("a2", "2", "3")])
+    A3 = complete_basis(q3, field, [PathElement(q3, {Path(0, (0, 1)): 1})])
+    q6 = Quiver(["1", "2", "3", "4", "5", "6"],
+                [("a1", "1", "5"), ("a2", "2", "1"), ("a3", "2", "3"),
+                 ("a4", "3", "5"), ("a5", "5", "4"), ("a6", "5", "6")])
+    aus = complete_basis(q6, field, [
+        PathElement(q6, {Path(0, (0, 4)): 1}),
+        PathElement(q6, {Path(1, (1, 0)): 1, Path(1, (2, 3)): 1}),
+        PathElement(q6, {Path(2, (3, 5)): 1})])
+    for A in (A3, aus):
+        lam = module_complex(regular(A))
+        amiot_hom(A, 2, lam, lam)
+        amiot_endomorphism_algebra(A, 2)
+    multi = 0
+    for C, f_map, eps, got in seen:
+        ref = _strict_lift_per_generator(C, f_map, eps)
+        assert sorted(got.parts) == sorted(ref.parts)
+        for i, part in got.parts.items():
+            assert all(field.equal(a, b) for a, b in
+                       zip(part.blocks, ref.parts[i].blocks))
+        multi += any(len(set(C.terms[i].summands)) < len(C.terms[i].summands)
+                     for i in C.terms)
+    assert len(seen) > 10 and multi > 0
