@@ -37,7 +37,7 @@ from .homology import (elements_of_map, global_dimension,
                        min_proj_resolution)
 from .modules import (ModuleMap, Representation, dual, injectives_sum,
                       map_from_projectives, op_algebra, projectives_sum,
-                      quotient, subrepresentation, zero_rep)
+                      zero_rep)
 from .quivers import BoundQuiverAlgebra, Path
 
 __all__ = ["ComplexOfModules", "ChainMap", "module_complex",
@@ -79,9 +79,6 @@ class ComplexOfModules:
             self._zero = zero_rep(self.algebra)
         return self._zero
 
-    def diff(self, i: int) -> ModuleMap | None:
-        return self.diffs.get(i)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -99,30 +96,6 @@ class ComplexOfModules:
                 comp = self.diffs[i].compose(self.diffs[i + 1])
                 if not comp.is_zero():
                     raise ValueError("d.d != 0")
-
-    def cohomology(self, i: int) -> Representation:
-        f = self.algebra.field
-        X = self.term(i)
-        if X.total_dim == 0:
-            return zero_rep(self.algebra)
-        d = self.diffs.get(i)
-        if d is not None:
-            kspaces = [f.kernel(b).T for b in d.blocks]
-        else:
-            kspaces = [f.eye(dv) for dv in X.dims]
-        K, incl = subrepresentation(X, kspaces)
-        dprev = self.diffs.get(i - 1)
-        if dprev is None:
-            return K
-        # boundaries land inside the kernel; express them in K-coordinates
-        bspaces = []
-        for v in range(len(X.dims)):
-            img = dprev.blocks[v]
-            x = f.solve(incl.blocks[v], img)
-            assert x is not None, "image must lie inside the kernel"
-            bspaces.append(x)
-        H, _ = quotient(K, bspaces)
-        return H
 
     def cohomology_dims(self) -> dict[int, int]:
         """The nonzero total dimensions of H^i: at each vertex v,

@@ -415,8 +415,8 @@ class QuotientBasis:
     ``sub`` must have independent rows.  ``comp`` holds the rows of
     ``total`` that extend them (``complement_rows``); their classes are the
     basis of the quotient.  One rref of ``[sub; comp | I]`` gives the pivot
-    columns of ``[sub; comp]`` and the inverse of that pivot block, so
-    coordinates cost one matmul.
+    columns ``piv`` of ``[sub; comp]`` and the inverse of that pivot block,
+    so coordinates cost one matmul: ``vecs[:, piv] @ inv``.
     """
 
     def __init__(self, field: Field, sub: np.ndarray, total: np.ndarray):
@@ -430,10 +430,10 @@ class QuotientBasis:
         r, piv = field.rref(aug)
         if piv and piv[-1] >= n:
             raise ValueError("the rows of sub are linearly dependent")
-        self._piv = piv
+        self.piv = piv
         self._echelon = r[:, :n]
         # columns of the pivot-block inverse that give comp coordinates
-        self._inv = r[:, n + sub.shape[0]:]
+        self.inv = r[:, n + sub.shape[0]:]
 
     @property
     def dim(self) -> int:
@@ -443,14 +443,14 @@ class QuotientBasis:
     def coords(self, vecs: np.ndarray) -> np.ndarray:
         """comp coordinates of each row of `vecs`, which must lie in the
         span (see ``spans``); one row of coordinates per row."""
-        return self.field.matmul(vecs[:, self._piv], self._inv)
+        return self.field.matmul(vecs[:, self.piv], self.inv)
 
     @property
     def proj(self) -> np.ndarray:
         """The map of ``coords`` as a matrix acting on columns:
         ``proj @ vecs.T == coords(vecs).T``."""
         out = self.field.zeros(self.dim, self._echelon.shape[1])
-        out[:, self._piv] = self._inv.T
+        out[:, self.piv] = self.inv.T
         return out
 
     def residual(self, vecs: np.ndarray) -> np.ndarray:
@@ -458,7 +458,7 @@ class QuotientBasis:
         ``[sub; comp]``: zero at its pivot columns, and zero exactly on the
         rows that lie in its span.  A linear map with kernel that span."""
         f = self.field
-        return f.sub(vecs, f.matmul(vecs[:, self._piv], self._echelon))
+        return f.sub(vecs, f.matmul(vecs[:, self.piv], self._echelon))
 
     def spans(self, vecs: np.ndarray) -> np.ndarray:
         """For each row of `vecs`: does it lie in rowspace([sub; comp])?"""

@@ -13,7 +13,7 @@ from .errors import QuiverAlgError
 from .exactla import DEFAULT_FIELD, Field
 from .findim import quiver_presentation
 from .homology import global_dimension, tau_inv
-from .modules import (direct_sum, is_isomorphic, projective)
+from .modules import is_isomorphic, projective
 from .preprojective import end_algebra, preprojective_module
 from .quivers import (BoundQuiverAlgebra, Path, PathElement, Quiver,
                       complete_basis)
@@ -190,10 +190,7 @@ def knit_indecomposables(A: BoundQuiverAlgebra, cap: int = 200):
 def auslander_algebra(A: BoundQuiverAlgebra,
                       cap: int = 200) -> BoundQuiverAlgebra:
     """quiver_presentation of End of the sum of all indecomposables."""
-    reps = knit_indecomposables(A, cap)
-    total, incls, projs = direct_sum(reps)
-    B = end_algebra(total, incls, projs)
-    return quiver_presentation(B)
+    return quiver_presentation(end_algebra(A, knit_indecomposables(A, cap)))
 
 
 def higher_auslander_chain(s: int, m: int, field: Field = DEFAULT_FIELD,
@@ -213,6 +210,6 @@ def higher_auslander_chain(s: int, m: int, field: Field = DEFAULT_FIELD,
                 f"stage {j}: algebra is not {j}-representation-finite "
                 f"({verdict.witness})")
         split = preprojective_module(prev, j, cap)
-        B = end_algebra(split.whole, split.incls, split.projs)
-        chain.append(quiver_presentation(B))
+        chain.append(quiver_presentation(end_algebra(prev,
+                                                     split.summand_reps)))
     return chain

@@ -45,8 +45,9 @@ class FinDimAlgebra:
     element, as a dim x dim array whose row j holds the coordinates of
     b_i b_j.  The constructor calls it once per i and keeps only the
     nonzero constants c_{ij}^k, as four flat arrays
-    ``constants = (i, j, k, c)``, in order of i; every product after
-    that is a scatter-add over those arrays.
+    ``constants = (i, j, k, c)``, in order of (i, j, k); every product
+    after that is a scatter-add over those arrays.  A caller that has
+    the constants in that form passes them instead, with ``mult`` None.
 
     ``quiver_presentation`` needs a vertex-adapted basis: each idempotent
     acts on the left and on the right by a 0/1 diagonal matrix, so each
@@ -57,13 +58,16 @@ class FinDimAlgebra:
     def __init__(self, field: Field, dim: int, mult,
                  idempotents: list[np.ndarray],
                  grading: list[int] | None = None,
-                 labels: list[str] | None = None):
+                 labels: list[str] | None = None, constants=None):
         self.field = field
         self.dim = dim
         self._mult = mult
         self.idempotents = [np.array(e) for e in idempotents]
         self.grading = grading
         self.labels = labels or [f"b{i}" for i in range(dim)]
+        if constants is not None:
+            self.constants = constants
+            return
         # the empty first entry keeps the concatenation defined for dim 0
         empty = np.zeros(0, dtype=np.int64)
         nonzero = [(empty, empty, empty, field.zeros(1, 0)[0])]
@@ -79,9 +83,15 @@ class FinDimAlgebra:
         return f"FinDimAlgebra(dim={self.dim}, e={len(self.idempotents)})"
 
     def table(self, i: int) -> np.ndarray:
-        """Products of basis element i, from the builder's function: row j
-        holds the coordinates of b_i b_j."""
-        return self._mult(i)
+        """Products of basis element i, from ``mult`` or the constants: row
+        j holds the coordinates of b_i b_j."""
+        if self._mult is not None:
+            return self._mult(i)
+        a, j, k, c = self.constants
+        lo, hi = np.searchsorted(a, [i, i + 1])
+        row = self.field.zeros(self.dim, self.dim)
+        row[j[lo:hi], k[lo:hi]] = c[lo:hi]
+        return row
 
     def mult_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         i, j, k, c = self.constants

@@ -218,7 +218,7 @@ def strip_projectives(M: Representation) -> Representation:
         keep.extend([rep] * mult)
     if not keep:
         return zero_rep(A)
-    return direct_sum(keep)[0]
+    return direct_sum(keep)
 
 
 def syzygy(M: Representation, i: int) -> Representation:

@@ -19,7 +19,7 @@ from .quivers import BoundQuiverAlgebra, Path, opposite
 
 __all__ = ["Representation", "ModuleMap", "zero_rep", "simple", "projective",
            "injective", "projectives_sum", "injectives_sum", "regular",
-           "coregular", "direct_sum", "hom_space", "dual", "top", "socle",
+           "coregular", "direct_sum", "hom_space", "dual", "socle",
            "projective_cover", "injective_envelope", "decompose",
            "is_isomorphic", "op_algebra", "random_module"]
 
@@ -232,18 +232,6 @@ def coregular(A: BoundQuiverAlgebra) -> Representation:
     return injectives_sum(A, range(A.quiver.n_vertices))
 
 
-def generator_vectors(P: Representation) -> list[tuple[int, np.ndarray]]:
-    """For a tagged sum of projectives: (vertex, generator column) per slot."""
-    assert P.summands is not None
-    f = P.field
-    out = []
-    for s, v in enumerate(P.summands):
-        col = f.zeros(P.dims[v], 1)
-        col[P.offsets[s][v], 0] = f.one
-        out.append((v, col))
-    return out
-
-
 def map_from_projectives(P: Representation, M: Representation,
                          gen_images) -> ModuleMap:
     """Module map out of a tagged projective sum, from generator images.
@@ -272,8 +260,9 @@ def map_from_projectives(P: Representation, M: Representation,
     return ModuleMap(P, M, blocks)
 
 
-def direct_sum(reps: list[Representation]):
-    """(sum, inclusions, projections)."""
+def direct_sum(reps: list[Representation]) -> Representation:
+    """The direct sum, each summand's block after the previous ones' at
+    every vertex."""
     assert reps
     A = reps[0].algebra
     q = A.quiver
@@ -289,24 +278,7 @@ def direct_sum(reps: list[Representation]):
             ro += r.dims[t]
             co += r.dims[s]
         action.append(m)
-    total = Representation(A, dims, action)
-    incls, projs = [], []
-    off = [0] * q.n_vertices
-    for r in reps:
-        iblocks, pblocks = [], []
-        for v in range(q.n_vertices):
-            i = f.zeros(dims[v], r.dims[v])
-            p = f.zeros(r.dims[v], dims[v])
-            for k in range(r.dims[v]):
-                i[off[v] + k, k] = f.one
-                p[k, off[v] + k] = f.one
-            iblocks.append(i)
-            pblocks.append(p)
-        incls.append(ModuleMap(r, total, iblocks))
-        projs.append(ModuleMap(total, r, pblocks))
-        for v in range(q.n_vertices):
-            off[v] += r.dims[v]
-    return total, incls, projs
+    return Representation(A, dims, action)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +357,13 @@ def map_cokernel(phi: ModuleMap):
 # Hom, duality, socle series
 # ---------------------------------------------------------------------------
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices as one broadcast product, without
+    np.kron's per-call overhead on the small blocks of ``hom_space``."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def hom_space(M: Representation, N: Representation) -> list[ModuleMap]:
     """k-basis of the intertwiner space Hom(M, N)."""
     if M.algebra is not N.algebra:
@@ -406,12 +385,12 @@ def hom_space(M: Representation, N: Representation) -> list[ModuleMap]:
         block = f.zeros(r, U)
         # vec_rowmajor(phi_t @ M_a) = kron(I, M_a^T) vec(phi_t)
         if sizes[t]:
-            block[:, offs[t]:offs[t + 1]] = np.kron(
+            block[:, offs[t]:offs[t + 1]] = _kron(
                 f.eye(N.dims[t]), M.action[a].T)
         if sizes[s]:
             block[:, offs[s]:offs[s + 1]] = f.sub(
                 block[:, offs[s]:offs[s + 1]],
-                np.kron(N.action[a], f.eye(M.dims[s])))
+                _kron(N.action[a], f.eye(M.dims[s])))
         if f.kind == "GF":
             block = block % f.p
         rows.append(block)
@@ -428,10 +407,6 @@ def hom_space(M: Representation, N: Representation) -> list[ModuleMap]:
                 N.dims[v], M.dims[v]))
         out.append(ModuleMap(M, N, blocks))
     return out
-
-
-def hom_dim(M, N) -> int:
-    return len(hom_space(M, N))
 
 
 def dual(M: Representation) -> Representation:
@@ -463,12 +438,6 @@ def radical_series(M: Representation):
         spaces.append(np.concatenate(ins, axis=1) if ins
                       else f.zeros(M.dims[v], 0))
     return subrepresentation(M, spaces)
-
-
-def top(M: Representation):
-    """M/rad M, with the projection onto it."""
-    _, rad_incl = radical_series(M)
-    return quotient(M, [ri for ri in rad_incl.blocks])
 
 
 def socle(M: Representation):

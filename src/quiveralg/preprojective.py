@@ -40,7 +40,7 @@ from .modules import (ModuleMap, Representation, coregular, decompose,
 from .quivers import BoundQuiverAlgebra, Path, trivial
 
 __all__ = ["ExtBimodule", "ext_bimodule", "PreprojectiveSplit",
-           "preprojective_module", "preprojective_algebra", "stable_hom",
+           "preprojective_module", "preprojective_algebra",
            "stable_endomorphism", "end_algebra"]
 
 
@@ -212,14 +212,11 @@ def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
 @dataclass
 class PreprojectiveSplit:
     whole: Representation
-    projective_part: Representation
     P_free: Representation
     I_free: Representation
     summand_reps: list[Representation]
     summand_grades: list[int]
     grade_dims: list[int]
-    incls: list[ModuleMap]
-    projs: list[ModuleMap]
 
     @property
     def dim(self) -> int:
@@ -259,24 +256,16 @@ def preprojective_module(A: BoundQuiverAlgebra, n: int,
             for _ in range(mult):
                 reps.append(rep)
                 grades.append(i)
-    whole, incls, projs = direct_sum(reps)
-    proj_part, _, _ = direct_sum(reps[:A.quiver.n_vertices])
+    whole = direct_sum(reps)
     nonproj = [r for r, g in zip(reps, grades) if g > 0]
-    if nonproj:
-        p_free, _, _ = direct_sum(nonproj)
-    else:
-        p_free = zero_rep(A)
+    p_free = direct_sum(nonproj) if nonproj else zero_rep(A)
     injs = [injective(A, v) for v in range(A.quiver.n_vertices)]
     noninj = [r for r in reps
               if not any(r.dims == i0.dims and is_isomorphic(r, i0)
                          for i0 in injs)]
-    if noninj:
-        i_free, _, _ = direct_sum(noninj)
-    else:
-        i_free = zero_rep(A)
+    i_free = direct_sum(noninj) if noninj else zero_rep(A)
     hit = A.memo[("split", n, cap)] = PreprojectiveSplit(
-        whole, proj_part, p_free, i_free, reps, grades, grade_dims, incls,
-        projs)
+        whole, p_free, i_free, reps, grades, grade_dims)
     return hit
 
 
@@ -464,99 +453,167 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
 
 
 # ---------------------------------------------------------------------------
-# stable Hom and the stable endomorphism algebra
+# End algebras corner by corner, and the stable endomorphism algebra
 # ---------------------------------------------------------------------------
 
-def _hom_quotient(M: Representation, N: Representation,
-                  modulo_projectives: bool):
-    """Hom(M, N), modulo the maps that factor through the projective cover
-    of N when asked: the quotient basis on flattened maps, and its basis
-    maps."""
-    f = M.field
-    homs = hom_space(M, N)
-    width = sum(m * n for m, n in zip(M.dims, N.dims))
-    flat = np.stack([h.flatten()[0] for h in homs]) if homs else \
-        f.zeros(0, width)
-    frows = f.zeros(0, width)
-    if modulo_projectives and homs:
-        cov = projective_cover(N)
-        rows = [t.compose(cov).flatten()[0]
-                for t in hom_space(M, cov.source)]
-        if rows:
-            frows = f.row_space(np.stack(rows))
-    quot = QuotientBasis(f, frows, flat)
-    maps = []
-    for row in quot.comp:
-        blocks = []
-        off = 0
-        for v in range(len(M.dims)):
-            sz = N.dims[v] * M.dims[v]
-            blocks.append(row[off:off + sz].reshape(N.dims[v], M.dims[v]))
-            off += sz
-        maps.append(ModuleMap(M, N, blocks))
-    return quot, maps
+class _Corner(NamedTuple):
+    """A basis of e_i End e_j = Hom(X_j, X_i), or of a quotient of it:
+    ``maps[v]`` stacks the basis maps' blocks at v, and the coordinates of
+    a map are its entries at the places ``read``, times ``to_coords``
+    unless that is None.  Places are (v, row, column) arrays."""
+    maps: list[np.ndarray]
+    read: tuple
+    to_coords: np.ndarray | None
+    free: tuple
 
 
-def stable_hom(M: Representation, N: Representation) -> list[ModuleMap]:
-    """Basis of Hom(M,N) modulo maps factoring through projectives."""
-    return _hom_quotient(M, N, modulo_projectives=True)[1]
+def _places(pos: np.ndarray, di: np.ndarray, dj: np.ndarray):
+    """(v, row, column) of flat positions of maps X_j -> X_i, in the
+    layout of ``ModuleMap.flatten``."""
+    ends = np.cumsum(di * dj)
+    v = np.searchsorted(ends, pos, side="right")
+    r, c = np.divmod(pos - (ends - di * dj)[v], dj[v])
+    return v, r, c
 
 
-def _hom_algebra(X: Representation, modulo_projectives: bool):
-    """End(X) or stable End(X) as a FinDimAlgebra, with idempotents from
-    the block structure of X (X must carry block incls/projs)."""
-    f = X.field
-    quot, basis_maps = _hom_quotient(X, X, modulo_projectives)
-    dim = quot.dim
-    # the blocks at v of every basis map, one above the other
-    stacks = [(v, np.concatenate([phi.blocks[v] for phi in basis_maps]))
-              for v in range(len(X.dims)) if X.dims[v] and dim]
+def _corner(f, homs: list[ModuleMap], sub: list[np.ndarray], di, dj):
+    """The span of ``homs`` modulo that of the flat maps ``sub``; None if
+    zero.  Each kernel vector of ``hom_space``'s RREF is 1 at its free
+    column, its last nonzero entry, and 0 at the other free columns, so
+    without a quotient the coordinates are the values there."""
+    if not homs:
+        return None
+    rows = np.stack([h.flatten()[0] for h in homs])
+    read = to_coords = None
+    if sub:
+        quot = QuotientBasis(f, f.row_space(np.stack(sub)), rows)
+        if not quot.dim:
+            return None
+        rows, to_coords = quot.comp, quot.inv
+        read = _places(np.array(quot.piv, dtype=np.int64), di, dj)
+    last = rows.shape[1] - 1 - np.argmax((rows != f.zero)[:, ::-1], axis=1)
+    free = _places(last, di, dj)
+    maps = np.split(rows, np.cumsum(di * dj)[:-1], axis=1)
+    return _Corner([a.reshape(len(rows), di[v], dj[v])
+                    for v, a in enumerate(maps)],
+                   free if read is None else read, to_coords, free)
 
-    def express(phi: ModuleMap) -> np.ndarray:
-        return quot.coords(phi.flatten())[0]
 
-    def mult(i: int) -> np.ndarray:
-        # b_i b_j = b_j after b_i (covariant composition order): at each
-        # vertex, every B_j^v @ B_i^v at once, flattened like ModuleMap
-        parts = [f.matmul(stack, basis_maps[i].blocks[v]).reshape(dim, -1)
-                 for v, stack in stacks]
-        return quot.coords(np.concatenate(parts, axis=1))
-
-    return express, mult, dim
-
-
-def end_algebra(X: Representation, incls: list[ModuleMap],
-                projs: list[ModuleMap],
-                keep: list[bool] | None = None,
+def end_algebra(A: BoundQuiverAlgebra, summands: list[Representation],
                 modulo_projectives: bool = False) -> FinDimAlgebra:
-    express, mult, dim = _hom_algebra(X, modulo_projectives)
-    idems = []
-    for k, (inc, prj) in enumerate(zip(incls, projs)):
-        if keep is not None and not keep[k]:
+    """End(X) of X = the sum of ``summands``, or its stable End modulo the
+    maps that factor through projectives, with the summands' identities
+    as idempotents.
+
+    End(X) is the matrix of the corners e_i End e_j = Hom(X_j, X_i)
+    (Auslander-Reiten-Smalo, *Representation Theory of Artin Algebras*,
+    1995).  Hom(X, X) solved in one system gives the same basis: each of
+    its equations involves one summand pair, so each kernel vector lies in
+    one corner, and the corner bases merge in the order of their free
+    columns in X's flattened coordinates.  Modulo projectives, corner
+    (i, j) is taken modulo the image of Hom(X_j, P(X_i)) under the
+    projective cover of X_i, with the greedy basis of ``QuotientBasis``
+    that one quotient over all of X picks corner by corner; a source with
+    no map to A needs none.  Projective summands vanish there, so the
+    caller leaves them out.
+
+    The products through a middle summand b take one matmul per vertex v:
+    the blocks at v of the basis maps out of b, one above the other, times
+    those of the maps into b, side by side.  b_x b_y is b_y after b_x.
+    """
+    f = A.field
+    m, nv = len(summands), A.quiver.n_vertices
+    dims = np.array([X.dims for X in summands], dtype=np.int64).reshape(m, nv)
+    starts = np.cumsum(dims, axis=0) - dims      # where X_i starts at v
+    total = dims.sum(axis=0)
+    flat_start = np.cumsum(total ** 2) - total ** 2
+    regular_A = regular(A) if modulo_projectives else None
+    covers: dict[int, ModuleMap] = {}
+    corners: dict[tuple[int, int], _Corner] = {}
+    places = [np.zeros(0, dtype=np.int64)]
+    for j, Xj in enumerate(summands):
+        modulo = modulo_projectives and bool(hom_space(Xj, regular_A))
+        for i, Xi in enumerate(summands):
+            homs, sub = hom_space(Xj, Xi), []
+            if homs and modulo:
+                if i not in covers:
+                    covers[i] = projective_cover(Xi)
+                sub = [t.compose(covers[i]).flatten()[0]
+                       for t in hom_space(Xj, covers[i].source)]
+            corner = _corner(f, homs, sub, dims[i], dims[j])
+            if corner is not None:
+                corners[(i, j)] = corner
+                v, r, c = corner.free
+                places.append(flat_start[v] + (starts[i][v] + r) * total[v]
+                              + starts[j][v] + c)
+    # each corner's basis numbers, in the order of its free columns in X
+    number = np.argsort(np.argsort(np.concatenate(places)))
+    index = dict(zip(corners, np.split(number, np.cumsum(
+        [len(c.maps[0]) for c in corners.values()])[:-1])))
+    dim = len(number)
+
+    def coords(corner: _Corner, vals: np.ndarray) -> np.ndarray:
+        return vals if corner.to_coords is None else \
+            f.matmul(vals, corner.to_coords)
+
+    idems = [f.zeros(1, dim)[0] for _ in range(m)]
+    for s, e in enumerate(idems):
+        if (s, s) in corners:
+            _, r, c = corners[(s, s)].read
+            ident = np.where(r == c, f.one, f.zero)
+            e[index[(s, s)]] = coords(corners[(s, s)], ident[None, :])[0]
+
+    parts = [(number[:0],) * 3 + (f.zeros(1, 0)[0],)]
+    for b in range(m):
+        outs = [i for i in range(m) if (i, b) in corners]
+        ins = [j for j in range(m) if (b, j) in corners]
+        if not outs or not ins:
             continue
-        idems.append(express(prj.compose(inc)))
-    return FinDimAlgebra(X.field, dim, mult, idems)
+        # rows (i, y, r) of the out blocks at v, columns (j, x, c) of the
+        # in blocks; every vertex's product in one flat array
+        height = np.array([[a.shape[0] * a.shape[1]
+                            for a in corners[(i, b)].maps] for i in outs])
+        width = np.array([[a.shape[0] * a.shape[2]
+                           for a in corners[(b, j)].maps] for j in ins])
+        row0, col0 = np.cumsum(height, 0) - height, np.cumsum(width, 0) - width
+        row_len = width.sum(0)
+        size = height.sum(0) * row_len
+        base = np.cumsum(size) - size
+        prods = np.concatenate([f.matmul(
+            np.concatenate([corners[(i, b)].maps[v].reshape(h[v], dims[b][v])
+                            for i, h in zip(outs, height)]),
+            np.concatenate([corners[(b, j)].maps[v].transpose(1, 0, 2)
+                            .reshape(dims[b][v], w[v])
+                            for j, w in zip(ins, width)], axis=1)).reshape(-1)
+            for v in range(nv)])
+        for p, i in enumerate(outs):
+            for q, j in enumerate(ins):
+                if (i, j) not in corners:
+                    continue
+                v, r, c = corners[(i, j)].read
+                ny, nx = len(index[(i, b)]), len(index[(b, j)])
+                y = np.arange(ny)[:, None]
+                x = np.arange(nx)[:, None, None]
+                at = (base[v] + col0[q][v] + x * dims[j][v] + c
+                      + (row0[p][v] + y * dims[i][v] + r) * row_len[v])
+                vals = coords(corners[(i, j)], prods[at].reshape(-1, len(r)))
+                xy, k = np.nonzero(vals != f.zero)
+                parts.append((index[(b, j)][xy // ny], index[(i, b)][xy % ny],
+                              index[(i, j)][k], vals[xy, k]))
+    i, j, k, c = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((k, j, i))
+    return FinDimAlgebra(f, dim, None, idems, constants=(
+        i[order], j[order], k[order], f.array(c[order])))
 
 
 def stable_endomorphism(A: BoundQuiverAlgebra, n: int,
                         cap: int = 32) -> FinDimAlgebra:
-    """Stable endomorphism algebra of the preprojective module.
-
-    When no map from the non-projective part back to the algebra exists
-    (checked), that part has no nonzero maps factoring through projectives,
-    so its plain endomorphism algebra has the same dimension; this is
-    asserted.
-    """
+    """Stable endomorphism algebra of the preprojective module: End of its
+    non-projective summands modulo the maps that factor through
+    projectives."""
     split = preprojective_module(A, n, cap)
-    X = split.whole
-    keep = [g > 0 for g in split.summand_grades]
-    gamma = end_algebra(X, split.incls, split.projs, keep=keep,
-                        modulo_projectives=True)
+    gamma = end_algebra(
+        A, [r for r, g in zip(split.summand_reps, split.summand_grades)
+            if g > 0], modulo_projectives=True)
     gamma.split = split
-    nonproj = [r for r, g in zip(split.summand_reps, split.summand_grades)
-               if g > 0]
-    if nonproj and not hom_space(split.P_free, regular(A)):
-        Xp = direct_sum(nonproj)[0]
-        assert _hom_quotient(Xp, Xp, False)[0].dim == gamma.dim, \
-            "stable End must agree with End of the projective-free part"
     return gamma

@@ -98,12 +98,6 @@ def ordkey(p: Path):
     return (len(p.arrows), p.arrows, p.source)
 
 
-def concat(q: Quiver, p1: Path, p2: Path) -> Path | None:
-    if p1.target(q) != p2.source:
-        return None
-    return Path(p1.source, p1.arrows + p2.arrows)
-
-
 class PathElement:
     """A k-linear combination of parallel paths (same source and target)."""
 
@@ -330,9 +324,6 @@ class BoundQuiverAlgebra:
                 f"{self.field})")
 
     # -- bookkeeping -------------------------------------------------------
-    def vertex_idx(self, label) -> int:
-        return self.quiver.vindex[label]
-
     def basis_between(self, s: int, t: int) -> tuple[int, ...]:
         """Indices of the basis paths from s to t, in basis order; a lookup
         in an index built with the algebra."""
@@ -416,12 +407,6 @@ class BoundQuiverAlgebra:
 
     def idempotent(self, v: int) -> dict[int, object]:
         return {self.bindex[trivial(v)]: self.field.one}
-
-    def element_vector(self, x: dict[int, object]) -> np.ndarray:
-        vec = self.field.zeros(1, self.dim)[0]
-        for i, c in x.items():
-            vec[i] = c
-        return vec
 
 
 def complete_basis(quiver: Quiver, field: Field,

@@ -1,0 +1,123 @@
+"""Reference routes that the package no longer runs, kept as test oracles.
+
+- ``hom_quotient`` and ``whole_end_algebra`` solve Hom(X, X) over all of
+  X in one system and take coordinates with one ``QuotientBasis`` on the
+  flattened maps.  ``preprojective.end_algebra`` builds the same algebra
+  corner by corner.
+- ``stable_hom`` is Hom(M, N) modulo the maps that factor through
+  projectives, on the same route.
+- ``top`` is M / rad M with its projection.
+- ``cohomology`` is H^i of a complex of modules as a representation.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from quiveralg.exactla import QuotientBasis
+from quiveralg.findim import FinDimAlgebra
+from quiveralg.modules import (ModuleMap, Representation, direct_sum,
+                               hom_space, projective_cover, quotient,
+                               radical_series, subrepresentation, zero_rep)
+
+
+def hom_quotient(M: Representation, N: Representation,
+                 modulo_projectives: bool):
+    """Hom(M, N), modulo the maps that factor through the projective cover
+    of N when asked: the quotient basis on flattened maps, and its basis
+    maps."""
+    f = M.field
+    homs = hom_space(M, N)
+    width = sum(m * n for m, n in zip(M.dims, N.dims))
+    flat = np.stack([h.flatten()[0] for h in homs]) if homs else \
+        f.zeros(0, width)
+    frows = f.zeros(0, width)
+    if modulo_projectives and homs:
+        cov = projective_cover(N)
+        rows = [t.compose(cov).flatten()[0]
+                for t in hom_space(M, cov.source)]
+        if rows:
+            frows = f.row_space(np.stack(rows))
+    quot = QuotientBasis(f, frows, flat)
+    maps = []
+    for row in quot.comp:
+        blocks = []
+        off = 0
+        for v in range(len(M.dims)):
+            sz = N.dims[v] * M.dims[v]
+            blocks.append(row[off:off + sz].reshape(N.dims[v], M.dims[v]))
+            off += sz
+        maps.append(ModuleMap(M, N, blocks))
+    return quot, maps
+
+
+def stable_hom(M: Representation, N: Representation) -> list[ModuleMap]:
+    """Basis of Hom(M,N) modulo maps factoring through projectives."""
+    return hom_quotient(M, N, modulo_projectives=True)[1]
+
+
+def whole_end_algebra(summands: list[Representation],
+                      keep: list[bool] | None = None,
+                      modulo_projectives: bool = False) -> FinDimAlgebra:
+    """End(X), or its stable End, of X = the sum of ``summands``, from one
+    Hom(X, X); the idempotents are the identities of the summands that
+    ``keep`` marks (all by default)."""
+    X = direct_sum(summands)
+    f = X.field
+    quot, basis_maps = hom_quotient(X, X, modulo_projectives)
+    dim = quot.dim
+    # the blocks at v of every basis map, one above the other
+    stacks = [(v, np.concatenate([phi.blocks[v] for phi in basis_maps]))
+              for v in range(len(X.dims)) if X.dims[v] and dim]
+
+    def mult(i: int) -> np.ndarray:
+        # b_i b_j = b_j after b_i (covariant composition order): at each
+        # vertex, every B_j^v @ B_i^v at once, flattened like ModuleMap
+        parts = [f.matmul(stack, basis_maps[i].blocks[v]).reshape(dim, -1)
+                 for v, stack in stacks]
+        return quot.coords(np.concatenate(parts, axis=1))
+
+    idems = []
+    start = [0] * len(X.dims)
+    for k, r in enumerate(summands):
+        # the identity of summand k, zero on the others
+        blocks = [f.zeros(d, d) for d in X.dims]
+        for v, d in enumerate(r.dims):
+            blocks[v][start[v]:start[v] + d, start[v]:start[v] + d] = \
+                f.eye(d)
+            start[v] += d
+        if keep is None or keep[k]:
+            idems.append(quot.coords(ModuleMap(X, X, blocks).flatten())[0])
+    return FinDimAlgebra(f, dim, mult, idems)
+
+
+def top(M: Representation):
+    """M/rad M, with the projection onto it."""
+    _, rad_incl = radical_series(M)
+    return quotient(M, [ri for ri in rad_incl.blocks])
+
+
+def cohomology(C, i: int) -> Representation:
+    """H^i of the complex of modules C."""
+    f = C.algebra.field
+    X = C.term(i)
+    if X.total_dim == 0:
+        return zero_rep(C.algebra)
+    d = C.diffs.get(i)
+    if d is not None:
+        kspaces = [f.kernel(b).T for b in d.blocks]
+    else:
+        kspaces = [f.eye(dv) for dv in X.dims]
+    K, incl = subrepresentation(X, kspaces)
+    dprev = C.diffs.get(i - 1)
+    if dprev is None:
+        return K
+    # boundaries land inside the kernel; express them in K-coordinates
+    bspaces = []
+    for v in range(len(X.dims)):
+        img = dprev.blocks[v]
+        x = f.solve(incl.blocks[v], img)
+        assert x is not None, "image must lie inside the kernel"
+        bspaces.append(x)
+    H, _ = quotient(K, bspaces)
+    return H

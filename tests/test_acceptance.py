@@ -190,7 +190,7 @@ def test_criterion_6_homological_bounds(aus_a3, corpus):
     ok = True
     for label, A, n in corpus:
         split = preprojective_module(A, n)
-        B = end_algebra(split.whole, split.incls, split.projs)
+        B = end_algebra(A, split.summand_reps)
         g1 = global_dimension(quiver_presentation(B))
         ok = ok and isinstance(g1, int) and g1 <= n + 1
         gamma = stable_endomorphism(A, n)

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 
 import pytest
@@ -191,3 +192,25 @@ relations []
     code, out = _run(["analyze", "--n", "1", "--cap", "5"], stdin_text=spec)
     assert code == 3
     assert json.loads(out)["report"]["tau_n_finite"]["value"] == "unknown"
+
+
+# Goldens written by `quiveralg family ... | quiveralg gamma --n 2 --format
+# spec` before Gamma was built corner by corner; the relations depend on
+# the basis of Gamma, so these bytes pin it.
+GAMMA_GOLDENS = [("auslander", "A3-nonlinear"), ("auslander", "A4"),
+                 ("linear_nakayama", "9")]
+
+
+@pytest.mark.parametrize("family, param", GAMMA_GOLDENS,
+                         ids=[f"{f}_{p}" for f, p in GAMMA_GOLDENS])
+def test_gamma_spec_matches_golden(family, param):
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        f"gamma_{family}_{param}_n2.spec")
+    with open(path) as fh:
+        want = fh.read()
+    code, spec = _run(["family", family, param])
+    assert code == 0
+    code, out = _run(["gamma", "--n", "2", "--format", "spec"],
+                     stdin_text=spec)
+    assert code == 0
+    assert out == want

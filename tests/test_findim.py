@@ -11,7 +11,8 @@ from quiveralg.families import (canonical_2222, dynkin_path_algebra,
                                 knit_indecomposables, linear_nakayama)
 from quiveralg.findim import FinDimAlgebra, _meet, algebra_from_bqa
 from quiveralg.modules import direct_sum
-from quiveralg.preprojective import _hom_quotient, end_algebra
+from quiveralg.preprojective import end_algebra
+from references import hom_quotient
 
 P31 = 2**31 - 1
 
@@ -87,9 +88,10 @@ def test_end_algebra_rows_match_pairwise_compositions(field):
     """Aus(A3): each constant of End(X), built a row at a time, is the
     coordinate of one composition of basis maps."""
     A = dynkin_path_algebra(3, None, field)
-    X, incls, projs = direct_sum(knit_indecomposables(A))
-    B = end_algebra(X, incls, projs)
-    quot, maps = _hom_quotient(X, X, modulo_projectives=False)
+    reps = knit_indecomposables(A)
+    X = direct_sum(reps)
+    B = end_algebra(A, reps)
+    quot, maps = hom_quotient(X, X, modulo_projectives=False)
     assert B.dim == quot.dim == len(maps)
     stored = {}
     for i, j, k, c in zip(*B.constants):

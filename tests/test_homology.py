@@ -7,8 +7,8 @@ from quiveralg.homology import (ext, global_dimension, injective_dimension,
                                 tau, tau_inv, tau_n, tau_n_inv, transpose)
 from quiveralg.modules import (hom_space, injective, is_isomorphic,
                                op_algebra, projective, random_module, simple)
-from quiveralg.preprojective import stable_hom  # noqa: F401  (AR duality test)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
+from references import stable_hom
 
 F = GF(32003)
 

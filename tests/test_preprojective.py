@@ -15,9 +15,9 @@ from quiveralg.homology import ext_data, min_proj_resolution, tau_n_inv
 from quiveralg.modules import (coregular, map_from_projectives, projective,
                                regular, simple)
 from quiveralg.preprojective import (ext_bimodule, preprojective_algebra,
-                                     preprojective_module, stable_endomorphism,
-                                     stable_hom)
+                                     preprojective_module, stable_endomorphism)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
+from references import stable_hom
 
 F = GF(32003)
 

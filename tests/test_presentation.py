@@ -12,7 +12,7 @@ from quiveralg.families import linear_nakayama, thm39_type2
 from quiveralg.findim import (FinDimAlgebra, _ideal_span, _is_homog, _meet,
                               _radical_rows, _sum_rows, algebra_from_bqa,
                               quiver_presentation)
-from quiveralg.modules import direct_sum, projective
+from quiveralg.modules import projective
 from quiveralg.preprojective import (end_algebra, preprojective_algebra,
                                      stable_endomorphism)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
@@ -46,8 +46,7 @@ def test_non_basic_rejected():
     # End(P1 + P1) over kA2 contains a 2x2 matrix corner
     A = complete_basis(Quiver(["1", "2"], [("a", "1", "2")]), F, [])
     p1 = projective(A, 0)
-    total, incls, projs = direct_sum([p1, p1])
-    B = end_algebra(total, incls, projs)
+    B = end_algebra(A, [p1, p1])
     with pytest.raises(NotBasic):
         quiver_presentation(B)
 

@@ -162,7 +162,7 @@ def test_stable_auslander_recursion():
 
 
 def test_stable_end_identified_with_end_of_projective_free_part():
-    from quiveralg.modules import direct_sum, hom_space, regular
+    from quiveralg.modules import hom_space, regular
     from quiveralg.preprojective import end_algebra
     A = auslander_algebra(dynkin_path_algebra(3, ["f", "b"]))
     gamma = stable_endomorphism(A, 2)
@@ -170,9 +170,8 @@ def test_stable_end_identified_with_end_of_projective_free_part():
     split = gamma.split
     # no map back to A, so no endomorphism factors through a projective
     assert not hom_space(split.P_free, regular(A))
-    Xp, incls, projs = direct_sum(
-        [r for r, g in zip(split.summand_reps, split.summand_grades) if g > 0])
-    end = end_algebra(Xp, incls, projs)
+    end = end_algebra(A, [r for r, g in zip(split.summand_reps,
+                                            split.summand_grades) if g > 0])
     assert end.dim == 5
     p1 = quiver_presentation(gamma)
     p2 = quiver_presentation(end)
