@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (AboveCap, AboveCapError, TermNotInjective,
     TermNotProjective, WindowInconclusive)
 from .exactla import QuotientBasis
-from .homology import (elements_of_map, global_dimension,
+from .homology import (elements_of_map, global_dimension, hom_matrix,
                        injectives_sum_resolution, map_of_elements,
                        min_proj_resolution)
 from .modules import (ModuleMap, Representation, dual, injectives_sum,
@@ -552,37 +552,23 @@ def _local_inverse(A, x, vtx):
     e = {A.bindex[Path(vtx, ())]: f.one}
     lam = _trivial_coeff(A, x, vtx)
     lam_inv = f.inv_el(lam)
-    n = {k: (f.neg(c * lam_inv) % f.p if f.kind == "GF" else f.neg(c * lam_inv))
+    n = {k: f.neg(c * lam_inv)
          for k, c in x.items() if k != A.bindex[Path(vtx, ())]}
     # x = lam (e - n);  x^{-1} = lam^{-1} (e + n + n^2 + ...)
     acc = dict(e)
     powed = dict(n)
     guard = 0
     while powed:
-        acc = _elem_add(f, acc, powed)
+        f.accumulate(acc, powed.items())
         powed = A.mult(powed, n)
         guard += 1
         if guard > A.dim + 2:
             raise AssertionError("nilpotent expansion did not terminate")
-    return {k: (c * lam_inv) % f.p if f.kind == "GF" else c * lam_inv
-            for k, c in acc.items()}
-
-
-def _elem_add(f, a, b):
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, f.zero) + c
-        if f.kind == "GF":
-            v = v % f.p
-        if v == f.zero:
-            out.pop(k, None)
-        else:
-            out[k] = v
-    return out
+    return {k: f.smul(lam_inv, c) for k, c in acc.items()}
 
 
 def _elem_sub(f, a, b):
-    return _elem_add(f, a, {k: f.neg(c) for k, c in b.items()})
+    return f.accumulate(dict(a), ((k, -c) for k, c in b.items()))
 
 
 def _drop_summand(sym: SymbolicComplex, degree: int, slot: int):
@@ -876,30 +862,17 @@ def _hom_delta(P: ComplexOfModules, Y: ComplexOfModules, m: int) -> np.ndarray:
             ro, v2, drow = roff[(i, s)]
             out[ro:ro + drow, co:co + dcol] = f.add(
                 out[ro:ro + drow, co:co + dcol], dY.blocks[v])
-    # the second summand - (-1)^m f_{i+1} d_P couples degree-(i+1)
-    # columns to degree-i rows:
-    comps = {}
-    for (i1, w), (co, vw, dcol) in coff.items():
-        i = i1 - 1
-        dP = P.diffs.get(i)
-        if dP is None or i not in P.terms:
+    # the second summand - (-1)^m f_{i+1} d_P maps the degree-(i+1)
+    # columns to the degree-i rows by Hom(d_P^i, Y^{i+m+1}); both runs of
+    # slots are contiguous and miss the d_Y blocks above
+    for i, dP in sorted(P.diffs.items()):
+        if i not in P.terms or (i + 1, 0) not in coff:
             continue
-        Pt, Pt1 = P.terms[i], P.terms[i1]
-        if i not in comps:
-            comps[i] = elements_of_map(A, "P", dP, Pt, Pt1)
-        for s, v in enumerate(Pt.summands):
-            if (i, s) not in roff:
-                continue
-            ro, _, drow = roff[(i, s)]
-            elem = comps[i].get((w, s))
-            if not elem:
-                continue
-            Yt = Y.terms.get(i + m + 1)
-            act = Yt.act_element(elem, vw, v)
-            # f_{i+1}(gen_s . x) = Y-action of x on the (i+1, w) coordinate
-            contrib = f.smul(f.neg(sign), act)
-            out[ro:ro + drow, co:co + dcol] = f.add(
-                out[ro:ro + drow, co:co + dcol], contrib)
+        block = hom_matrix(dP, Y.terms[i + m + 1])
+        if block.size:
+            ro, co = roff[(i, 0)][0], coff[(i + 1, 0)][0]
+            out[ro:ro + block.shape[0], co:co + block.shape[1]] = \
+                f.smul(f.neg(sign), block)
     return out
 
 
@@ -910,8 +883,6 @@ def _hom_delta(P: ComplexOfModules, Y: ComplexOfModules, m: int) -> np.ndarray:
 @dataclass
 class GradedHom:
     pieces: dict[int, int] = field(default_factory=dict)
-    mult_table: dict | None = None
-    basis_labels: list | None = None
 
     @property
     def total(self) -> int:
@@ -920,14 +891,13 @@ class GradedHom:
 
 def amiot_hom(A: BoundQuiverAlgebra, n: int, X: ComplexOfModules,
               Y: ComplexOfModules, window_cap: int = 64,
-              cap: int = 32, with_multiplication: bool = False) -> GradedHom:
+              cap: int = 32) -> GradedHom:
     """Graded pieces Hom_D(X, S_n^{-i} Y) of the orbit-category Hom.
 
     Scans i >= 0 and i < 0 until cohomological support separation makes
     all further pieces vanish; WindowInconclusive if the cap is reached
-    first.  With ``with_multiplication`` (X and Y must both be the regular
-    module in degree 0) the orbit composition is attached as structure
-    constants.
+    first.  The orbit composition on the regular object is
+    ``amiot_endomorphism_algebra``.
     """
     gl = _gldim(A, cap)
     ctx = serre_context(A, n, cap)
@@ -968,13 +938,6 @@ def amiot_hom(A: BoundQuiverAlgebra, n: int, X: ComplexOfModules,
             out.pieces[i] = d
         if -i >= window_cap:
             raise WindowInconclusive(window_cap)
-    if with_multiplication:
-        alg = amiot_endomorphism_algebra(A, n, window_cap, cap)
-        out.mult_table = {(i, j): {} for i in range(alg.dim)
-                          for j in range(alg.dim)}
-        for i, j, k, c in zip(*alg.constants):
-            out.mult_table[(int(i), int(j))][int(k)] = c
-        out.basis_labels = list(alg.labels)
     return out
 
 

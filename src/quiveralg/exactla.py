@@ -9,6 +9,13 @@ everywhere; no floating point result is ever returned.  The prime-field
 path stores entries as int64 numpy arrays and multiplies through float64
 BLAS, which is exact as long as ``inner_dim * (p-1)**2 < 2**53``
 (checked, with an object-dtype fallback).
+
+Only this module knows how a field stores its values.  ``Field.reduce``
+brings any value built from field values with +, - and * back into that
+form: ``% p`` for GF(p), nothing for Q.  The field operations, ``rref``
+and the sparse-element ``accumulate`` are written once on top of it, and
+the rest of the package calls these or ``reduce`` instead of reducing
+values itself.
 """
 
 from __future__ import annotations
@@ -49,7 +56,10 @@ class Field:
     """Common interface of the two coefficient fields.
 
     Matrices are plain numpy arrays: int64 reduced mod p, or object-dtype
-    Fraction.  All methods are pure.
+    Fraction.  All methods are pure.  A subclass says only how values are
+    stored: ``el``, ``array``, ``zeros``, ``eye``, ``matmul``, ``inv_el``,
+    ``rand_el`` and ``reduce``.  Everything else is written once, on top of
+    ``reduce``.
     """
 
     kind: str
@@ -70,23 +80,9 @@ class Field:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
-        return a.shape == b.shape and bool(np.all(a == b))
-
-    def is_zero(self, a: np.ndarray) -> bool:
-        return bool(np.all(a == self.zero))
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def smul(self, c, a):
-        """Scalar times array."""
+    def reduce(self, x):
+        """The canonical value of a scalar or array that +, - and * of
+        field values produced."""
         raise NotImplementedError
 
     def inv_el(self, x):
@@ -95,10 +91,43 @@ class Field:
     def rand_el(self, rng):
         raise NotImplementedError
 
+    def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
+        return a.shape == b.shape and bool(np.all(a == b))
+
+    def is_zero(self, a: np.ndarray) -> bool:
+        return bool(np.all(a == self.zero))
+
+    def neg(self, a):
+        return self.reduce(-a)
+
+    def add(self, a, b):
+        return self.reduce(a + b)
+
+    def sub(self, a, b):
+        return self.reduce(a - b)
+
+    def smul(self, c, a):
+        """Scalar times array."""
+        return self.reduce(c * a)
+
+    def accumulate(self, out: dict, terms) -> dict:
+        """Add each ``(key, c)`` of ``terms`` into the sparse element
+        ``out`` in place; a key whose sum is zero is dropped.  Returns
+        ``out``."""
+        reduce, zero = self.reduce, self.zero
+        for k, c in terms:
+            v = reduce(out.get(k, zero) + c)
+            if v == zero:
+                out.pop(k, None)
+            else:
+                out[k] = v
+        return out
+
     # -- gaussian elimination --------------------------------------------
     def rref(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Reduced row echelon form and pivot column indices."""
         a = a.copy()
+        reduce = self.reduce
         m, n = a.shape
         pivots: list[int] = []
         r = 0
@@ -111,18 +140,15 @@ class Field:
             pr = r + int(nz[0])
             if pr != r:
                 a[[r, pr]] = a[[pr, r]]
-            a[r] = self.smul(self.inv_el(a[r, c]), a[r])
+            a[r] = reduce(a[r] * self.inv_el(a[r, c]))
             # only the rows with a nonzero entry in the pivot column change
-            rows = np.nonzero(a[:, c] != self.zero)[0]
+            rows = np.nonzero(a[:, c])[0]
             rows = rows[rows != r]
             if len(rows):
-                a[rows] = self.sub(a[rows], self._outer(a[rows, c], a[r]))
+                a[rows] = reduce(a[rows] - np.outer(a[rows, c], a[r]))
             pivots.append(c)
             r += 1
         return a, pivots
-
-    def _outer(self, col, row):
-        raise NotImplementedError
 
     def rank(self, a: np.ndarray) -> int:
         if a.size == 0:
@@ -226,14 +252,8 @@ class PrimeField(Field):
         c = a.astype(object) @ b.astype(object)
         return (c % self.p).astype(np.int64)
 
-    def neg(self, a):
-        return (-a) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def smul(self, c, a):
-        return (int(c) * a) % self.p
+    def reduce(self, x):
+        return x % self.p
 
     def inv_el(self, x):
         return np.int64(pow(int(x), self.p - 2, self.p))
@@ -241,35 +261,9 @@ class PrimeField(Field):
     def rand_el(self, rng):
         return np.int64(rng.randrange(self.p))
 
-    def _outer(self, col, row):
-        return np.outer(col, row) % self.p
-
-    def rref(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        # fused mod-p elimination touching only rows with a nonzero entry
-        # in the pivot column
-        a = a.copy()
-        p = self.p
-        m, n = a.shape
-        pivots: list[int] = []
-        r = 0
-        for c in range(n):
-            if r == m:
-                break
-            nz = np.nonzero(a[r:, c])[0]
-            if len(nz) == 0:
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
-                a[[r, pr]] = a[[pr, r]]
-            inv = pow(int(a[r, c]), p - 2, p)
-            a[r] = (a[r] * inv) % p
-            rows = np.nonzero(a[:, c])[0]
-            rows = rows[rows != r]
-            if len(rows):
-                a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
-            pivots.append(c)
-            r += 1
-        return a, pivots
+    # its own entry, so that PrimeField.rref can be looked up and wrapped
+    # apart from the rational one
+    rref = Field.rref
 
 
 class RationalField(Field):
@@ -316,23 +310,14 @@ class RationalField(Field):
             return self.zeros(a.shape[0], b.shape[1])
         return a @ b
 
-    def neg(self, a):
-        return -a
-
-    def add(self, a, b):
-        return a + b
-
-    def smul(self, c, a):
-        return c * a
+    def reduce(self, x):
+        return x
 
     def inv_el(self, x):
         return 1 / x
 
     def rand_el(self, rng):
         return Fraction(rng.randrange(-9, 10))
-
-    def _outer(self, col, row):
-        return np.outer(col, row)
 
 
 QQ = RationalField()

@@ -95,7 +95,7 @@ class FinDimAlgebra:
 
     def mult_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         i, j, k, c = self.constants
-        xy = _mod(self.field, x[i] * y[j])
+        xy = self.field.reduce(x[i] * y[j])
         return _scatter(self.field, self.field.zeros(1, self.dim)[0], k,
                         xy * c)
 
@@ -115,9 +115,9 @@ class FinDimAlgebra:
                 [np.zeros(0, dtype=np.int64)]
                 + [np.arange(starts[b], starts[b + 1])
                    for b in np.flatnonzero(x != f.zero)])
-            coef = _mod(f, x[i[sel]] * c[sel])
-            np.add.at(out[a], (rows, k[sel]), _mod(f, ys[:, j[sel]] * coef))
-        return _mod(f, out)
+            coef = f.reduce(x[i[sel]] * c[sel])
+            np.add.at(out[a], (rows, k[sel]), f.reduce(ys[:, j[sel]] * coef))
+        return f.reduce(out)
 
     def unit(self) -> np.ndarray:
         f = self.field
@@ -148,14 +148,10 @@ class FinDimAlgebra:
             for i in range(self.dim) for j in range(self.dim))
 
 
-def _mod(f: Field, a: np.ndarray) -> np.ndarray:
-    return a % f.p if f.kind == "GF" else a
-
-
 def _scatter(f: Field, out: np.ndarray, index, vals: np.ndarray) -> np.ndarray:
     """out[index] += vals, each value and each sum reduced mod p."""
-    np.add.at(out, index, _mod(f, vals))
-    return _mod(f, out)
+    np.add.at(out, index, f.reduce(vals))
+    return f.reduce(out)
 
 
 def algebra_from_bqa(A: BoundQuiverAlgebra) -> FinDimAlgebra:
@@ -481,7 +477,7 @@ def _ideal_span(f, quiver: Quiver, relations: list[PathElement],
                         break
                     vec[idx[w]] = vec[idx[w]] + c
                 if ok and np.any(vec != f.zero):
-                    rows.append(vec % f.p if f.kind == "GF" else vec)
+                    rows.append(f.reduce(vec))
     if not rows:
         return f.zeros(0, len(pool))
     return f.row_space(np.stack(rows))

@@ -32,7 +32,7 @@ from .modules import (ModuleMap, Representation, decompose, dual, dual_map,
                       map_cokernel, map_from_projectives, map_kernel,
                       op_algebra, projective, projectives_sum,
                       projective_cover, zero_rep)
-from .quivers import BoundQuiverAlgebra
+from .quivers import BoundQuiverAlgebra, Path
 
 __all__ = ["ProjResolution", "min_proj_resolution",
            "injectives_sum_resolution", "syzygy", "ext",
@@ -341,23 +341,11 @@ def injective_dimension(M: Representation, cap: int = 32):
 def op_element(A: BoundQuiverAlgebra, elem: dict[int, object]) -> dict[int, object]:
     """Image of an algebra element under the anti-isomorphism A -> A^op."""
     Aop = op_algebra(A)
-    f = A.field
-    out: dict[int, object] = {}
-    for bidx, c in elem.items():
-        p = A.basis[bidx]
-        word = tuple(reversed(p.arrows))
-        src = p.target(A.quiver)
-        from .quivers import Path
-        red = Aop.reduce_path(Path(src, word))
-        for j, c2 in red.items():
-            v = out.get(j, f.zero) + c * c2
-            if f.kind == "GF":
-                v = v % f.p
-            if v == f.zero:
-                out.pop(j, None)
-            else:
-                out[j] = v
-    return out
+    paths = ((A.basis[bidx], c) for bidx, c in elem.items())
+    return A.field.accumulate({}, (
+        (j, c * c2) for p, c in paths
+        for j, c2 in Aop.reduce_path(
+            Path(p.target(A.quiver), tuple(reversed(p.arrows)))).items()))
 
 
 def nakayama_presentation(M: Representation) -> ModuleMap:

@@ -391,8 +391,6 @@ def hom_space(M: Representation, N: Representation) -> list[ModuleMap]:
             block[:, offs[s]:offs[s + 1]] = f.sub(
                 block[:, offs[s]:offs[s + 1]],
                 _kron(N.action[a], f.eye(M.dims[s])))
-        if f.kind == "GF":
-            block = block % f.p
         rows.append(block)
     if rows:
         sys = np.concatenate(rows, axis=0)
@@ -500,8 +498,7 @@ def _gram_radical(f, basis: list[ModuleMap]) -> np.ndarray:
                 prod = f.matmul(basis[i].blocks[v], basis[j].blocks[v])
                 if prod.shape[0]:
                     tr = tr + np.trace(prod)
-            if f.kind == "GF":
-                tr = tr % f.p
+            tr = f.reduce(tr)
             g[i, j] = tr
             g[j, i] = tr
     return f.kernel(g)
@@ -515,27 +512,25 @@ def _pnorm(f, c):
     return c
 
 def _pmul(f, a, b):
+    reduce = f.reduce
     out = [f.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == f.zero:
             continue
         for j, y in enumerate(b):
-            v = out[i + j] + x * y
-            out[i + j] = v % f.p if f.kind == "GF" else v
+            out[i + j] = reduce(out[i + j] + x * y)
     return _pnorm(f, out)
 
 def _pmod(f, a, b):
+    reduce = f.reduce
     a = list(a)
     db, lb = len(b) - 1, b[-1]
     inv = f.inv_el(lb)
     while len(a) - 1 >= db and any(x != f.zero for x in a):
         da, la = len(a) - 1, a[-1]
-        c = la * inv
-        if f.kind == "GF":
-            c = c % f.p
+        c = reduce(la * inv)
         for i in range(db + 1):
-            v = a[da - db + i] - c * b[i]
-            a[da - db + i] = v % f.p if f.kind == "GF" else v
+            a[da - db + i] = reduce(a[da - db + i] - c * b[i])
         a = _pnorm(f, a)
         if len(a) - 1 < db:
             break
@@ -549,12 +544,11 @@ def _pgcd(f, a, b):
         a, b = b, _pmod(f, a, b)
     if any(x != f.zero for x in a):
         inv = f.inv_el(a[-1])
-        a = [(x * inv) % f.p if f.kind == "GF" else x * inv for x in a]
+        a = [f.smul(inv, x) for x in a]
     return a
 
 def _pderiv(f, a):
-    out = [(f.el(i) * a[i]) % f.p if f.kind == "GF" else f.el(i) * a[i]
-           for i in range(1, len(a))]
+    out = [f.smul(f.el(i), a[i]) for i in range(1, len(a))]
     return _pnorm(f, out or [f.zero])
 
 def _ppowmod(f, base, e, mod):
@@ -611,18 +605,16 @@ def _coprime_split(f, m, rng):
 def _pquo(f, a, b):
     """Quotient of the polynomial long division a / b; the remainder is
     dropped."""
+    reduce = f.reduce
     a = list(a)
     out = [f.zero] * max(1, len(a) - len(b) + 1)
     inv = f.inv_el(b[-1])
     while len(a) >= len(b) and any(x != f.zero for x in a):
-        c = a[-1] * inv
-        if f.kind == "GF":
-            c = c % f.p
+        c = reduce(a[-1] * inv)
         k = len(a) - len(b)
         out[k] = c
         for i in range(len(b)):
-            v = a[k + i] - c * b[i]
-            a[k + i] = v % f.p if f.kind == "GF" else v
+            a[k + i] = reduce(a[k + i] - c * b[i])
         a = _pnorm(f, a)
         if all(x == f.zero for x in a):
             break
@@ -718,8 +710,7 @@ def decompose(M: Representation, seed: int = 11,
 
     idem = None
     for _ in range(32):
-        svec = np.array([f.rand_el(rng) for _ in range(sdim)],
-                        dtype=np.int64 if f.kind == "GF" else object)
+        svec = f.array([f.rand_el(rng) for _ in range(sdim)])
         m = _minpoly_in(f, S_mul, one_S, svec, sdim)
         split = _coprime_split(f, m, rng)
         if split is None:
@@ -800,7 +791,7 @@ def _crt_idempotent(f, mul, one, s, m, f1, f2):
     if len(g) != 1:
         return None
     inv = f.inv_el(g[0])
-    v = [(c * inv) % f.p if f.kind == "GF" else c * inv for c in v]
+    v = [f.smul(inv, c) for c in v]
     e_poly = _pmod(f, _pmul(f, v, f2), m)
     # evaluate by horner in the algebra
     acc = np.zeros_like(one)
@@ -834,8 +825,7 @@ def _psub(f, a, b):
     for i, x in enumerate(a):
         out[i] = x
     for i, x in enumerate(b):
-        v = out[i] - x
-        out[i] = v % f.p if f.kind == "GF" else v
+        out[i] = f.sub(out[i], x)
     return _pnorm(f, out)
 
 

@@ -65,12 +65,13 @@ def left_mult_map(A: BoundQuiverAlgebra, elem: dict[int, object],
         pos = {b: k for k, b in enumerate(rows)}
         m = f.zeros(len(rows), len(rows))
         for col, x in enumerate(rows):
-            for bi, c in elem.items():
-                if A.basis[bi].target(q) != A.basis[x].source:
-                    continue
-                for t, c2 in A.mult_basis(bi, x).items():
-                    v2 = m[pos[t], col] + c * c2
-                    m[pos[t], col] = v2 % f.p if f.kind == "GF" else v2
+            src = A.basis[x].source
+            prod = f.accumulate({}, (
+                (t, c * c2) for bi, c in elem.items()
+                if A.basis[bi].target(q) == src
+                for t, c2 in A.mult_basis(bi, x).items()))
+            for t, v2 in prod.items():
+                m[pos[t], col] = v2
         blocks.append(m)
     return ModuleMap(R, R, blocks)
 

@@ -133,8 +133,7 @@ def _lt(poly: dict[Path, object]) -> Path:
 def _monic(field: Field, poly: dict[Path, object]) -> dict[Path, object]:
     lt = _lt(poly)
     inv = field.inv_el(poly[lt])
-    return {p: field.el(inv * c) if field.kind == "Q" else (inv * c) % field.p
-            for p, c in poly.items()}
+    return {p: field.smul(inv, c) for p, c in poly.items()}
 
 
 def _find_subword(word: tuple[int, ...], sub: tuple[int, ...]) -> int:
@@ -155,23 +154,13 @@ class _Reducer:
         self.field = field
         self.gens: list[dict[Path, object]] = []
 
-    def _zero(self, c) -> bool:
-        return c == self.field.zero
-
     def _addmul(self, f: dict, coef, left: tuple, g: dict, right: tuple,
                 src: int):
         # f += coef * (left . g . right); left/right are arrow words
-        for p, c in g.items():
-            word = left + p.arrows + right
-            newsrc = self.q.source(word[0]) if word else src
-            np_ = Path(newsrc, word)
-            v = f.get(np_, self.field.zero) + coef * c
-            if self.field.kind == "GF":
-                v = v % self.field.p
-            if self._zero(v):
-                f.pop(np_, None)
-            else:
-                f[np_] = v
+        words = ((left + p.arrows + right, c) for p, c in g.items())
+        self.field.accumulate(f, (
+            (Path(self.q.source(w[0]) if w else src, w), coef * c)
+            for w, c in words))
 
     def reduce(self, f: dict[Path, object]) -> dict[Path, object]:
         f = dict(f)
@@ -386,20 +375,9 @@ class BoundQuiverAlgebra:
         return hit
 
     def mult(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
-        field = self.field
-        out: dict[int, object] = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                prod = self.mult_basis(i, j)
-                for t, c in prod.items():
-                    v = out.get(t, field.zero) + ci * cj * c
-                    if field.kind == "GF":
-                        v = v % field.p
-                    if v == field.zero:
-                        out.pop(t, None)
-                    else:
-                        out[t] = v
-        return out
+        return self.field.accumulate({}, (
+            (t, ci * cj * c) for i, ci in x.items() for j, cj in y.items()
+            for t, c in self.mult_basis(i, j).items()))
 
     def unit(self) -> dict[int, object]:
         return {self.bindex[trivial(v)]: self.field.one

@@ -8,14 +8,21 @@
   projectives, on the same route.
 - ``top`` is M / rad M with its projection.
 - ``cohomology`` is H^i of a complex of modules as a representation.
+- ``hom_delta_entrywise`` is the differential of the total Hom complex
+  with its f d_P term filled one pair of slots at a time;
+  ``derived._hom_delta`` places one ``hom_matrix`` block per degree.
+- ``prime_rref`` is the mod-p elimination written out with ``% p``, which
+  ``Field.rref`` now does through ``Field.reduce``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from quiveralg.derived import _hom_total_spaces
 from quiveralg.exactla import QuotientBasis
 from quiveralg.findim import FinDimAlgebra
+from quiveralg.homology import elements_of_map
 from quiveralg.modules import (ModuleMap, Representation, direct_sum,
                                hom_space, projective_cover, quotient,
                                radical_series, subrepresentation, zero_rep)
@@ -121,3 +128,70 @@ def cohomology(C, i: int) -> Representation:
         bspaces.append(x)
     H, _ = quotient(K, bspaces)
     return H
+
+
+def prime_rref(field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(p) by fused mod-p elimination that
+    touches only the rows with a nonzero entry in the pivot column."""
+    a = a.copy()
+    p = field.p
+    m, n = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        rows = np.nonzero(a[:, c])[0]
+        rows = rows[rows != r]
+        if len(rows):
+            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def hom_delta_entrywise(P, Y, m: int) -> np.ndarray:
+    """delta^m: C^m -> C^{m+1} of Hom(P, Y), delta f = d_Y f - (-1)^m f d_P,
+    in the Yoneda coordinates of ``_hom_total_spaces``."""
+    f = P.algebra.field
+    lay_m = _hom_total_spaces(P, Y, m)
+    lay_m1 = _hom_total_spaces(P, Y, m + 1)
+    out = f.zeros(sum(x[3] for x in lay_m1), sum(x[3] for x in lay_m))
+    if out.size == 0:
+        return out
+    coff, roff = {}, {}
+    for lay, offs in ((lay_m, coff), (lay_m1, roff)):
+        off = 0
+        for (i, s, v, d) in lay:
+            offs[(i, s)] = (off, v, d)
+            off += d
+    sign = f.one if m % 2 == 0 else f.neg(f.one)
+    for (i, s), (co, v, dcol) in coff.items():
+        dY = Y.diffs.get(i + m)
+        if dY is not None and (i, s) in roff:
+            ro, _, drow = roff[(i, s)]
+            out[ro:ro + drow, co:co + dcol] = f.add(
+                out[ro:ro + drow, co:co + dcol], dY.blocks[v])
+    for (i1, w), (co, vw, dcol) in coff.items():
+        i = i1 - 1
+        dP = P.diffs.get(i)
+        if dP is None or i not in P.terms:
+            continue
+        comps = elements_of_map(P.algebra, "P", dP, P.terms[i], P.terms[i1])
+        for s, v in enumerate(P.terms[i].summands):
+            elem = comps.get((w, s))
+            if (i, s) not in roff or not elem:
+                continue
+            ro, _, drow = roff[(i, s)]
+            act = Y.terms[i + m + 1].act_element(elem, vw, v)
+            out[ro:ro + drow, co:co + dcol] = f.add(
+                out[ro:ro + drow, co:co + dcol], f.smul(f.neg(sign), act))
+    return out

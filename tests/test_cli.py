@@ -171,6 +171,49 @@ relations [x1*y1 - 1/2*x2*y2]
     assert B.dim == A.dim
 
 
+SQUARE_SPEC = """\
+{field}vertices [s m1 m2 z]
+arrows [x1: s -> m1, y1: m1 -> z, x2: s -> m2, y2: m2 -> z]
+relations [{relation}]
+"""
+
+
+@pytest.mark.parametrize("field_line", ["", "field GF(32003)\n"],
+                         ids=["default", "GF(32003)"])
+@pytest.mark.parametrize("relation", ["x1*y1 - x2*y2", "x1*y1 - 1/2*x2*y2"])
+@pytest.mark.parametrize("target", ["Q", "GF(65521)"])
+def test_field_override_reads_relations_over_the_new_field(
+        field_line, relation, target):
+    """--field gives the algebra of the spec with that field line written
+    in: the relations are read over the requested field, not converted
+    from GF(32003) residues."""
+    got = load_algebra(SQUARE_SPEC.format(field=field_line,
+                                          relation=relation), target)
+    want = load_algebra(SQUARE_SPEC.format(field=f"field {target}\n",
+                                           relation=relation))
+    assert got.field == want.field
+    assert [r.terms for r in got.relations] == \
+        [r.terms for r in want.relations]
+    assert got.dim == want.dim == 9
+
+
+@pytest.mark.parametrize("params", [
+    ["linear_nakayama"], ["linear_nakayama", "x"], ["thm39_type2"],
+    ["canonical_2222"], ["canonical_2222", "1/0"], ["dynkin"],
+    ["auslander"], ["higher_auslander_chain", "3"],
+    ["higher_auslander_chain", "3", "x"]])
+def test_bad_family_parameters_are_errors(params):
+    code, out = _run(["family"] + params)
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
+def test_selftest_passes():
+    code, out = _run(["selftest"])
+    assert code == 0
+    assert out.splitlines()[-1] == "selftest: ok"
+
+
 def test_pipe_preprojective_of_aus_a4_self_injective():
     code, spec = _run(["family", "auslander", "A4"])
     assert code == 0

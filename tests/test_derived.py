@@ -5,6 +5,7 @@ import pytest
 
 from quiveralg.derived import (ChainMap, ComplexOfModules, SerreContext,
                                SymbolicComplex, _drop_summand, _elem_sub,
+                               _hom_delta,
                                _local_inverse, _trivial_coeff,
                                amiot_endomorphism_algebra,
                                amiot_hom, hom_d, inj_resolve_complex,
@@ -17,7 +18,7 @@ from quiveralg.modules import (coregular, injective, is_isomorphic,
                                op_algebra, projective, random_module,
                                regular, simple)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import cohomology
+from references import cohomology, hom_delta_entrywise
 
 F = GF(32003)
 
@@ -181,6 +182,30 @@ def test_serre_duality_dims():
         X, Y = module_complex(m), module_complex(n_)
         SX = serre_n_power(A, 0, X, 1)  # the full Serre functor
         assert hom_d(X, Y, 0) == hom_d(Y, SX, 0)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+def test_hom_delta_matches_the_entrywise_reference(field):
+    """The f d_P term of delta placed as one Hom(d_P, Y) block per degree
+    equals the term filled one pair of slots at a time, on resolutions of
+    modules and of their Serre images against complexes spread over
+    several degrees."""
+    q = Quiver(["1", "2", "3"], [("a1", "1", "2"), ("a2", "2", "3")])
+    A = complete_basis(q, field, [PathElement(q, {Path(0, (0, 1)): 1})])
+    rng = random.Random(33)
+    mods = [random_module(A, rng) for _ in range(4)]
+    cxs = [module_complex(m) for m in mods] + \
+        [serre_n_power(A, 0, module_complex(m), 1) for m in mods] + \
+        [serre_n_power(A, 2, module_complex(m), -1) for m in mods]
+    seen = 0
+    for X in cxs:
+        P, _ = proj_resolve_complex(X, verify=False)
+        for Y in cxs[::3]:
+            for m in range(-3, 3):
+                got, want = _hom_delta(P, Y, m), hom_delta_entrywise(P, Y, m)
+                assert got.shape == want.shape and field.equal(got, want)
+                seen += int(np.any(got != field.zero))
+    assert seen > 0
 
 
 def test_u_window_a2():

@@ -3,7 +3,8 @@
 import pytest
 
 from quiveralg.checks import is_tau_n_finite
-from quiveralg.derived import amiot_hom, module_complex, proj_resolve_complex
+from quiveralg.derived import (amiot_endomorphism_algebra, amiot_hom,
+                               module_complex, proj_resolve_complex)
 from quiveralg.errors import (AboveCapError, NotTauFinite,
                               QuiverAlgError, WindowInconclusive)
 from quiveralg.exactla import GF
@@ -71,14 +72,12 @@ def test_amiot_hom_mixed_arguments_oracle():
 
 
 def test_amiot_multiplication_attached():
+    """The orbit composition on the regular object of kA2 is a
+    4-dimensional algebra, the size of its orbit Hom."""
     A = dynkin_path_algebra(2)
     lam = module_complex(regular(A))
-    gh = amiot_hom(A, 1, lam, lam, with_multiplication=True)
-    assert gh.mult_table is not None
-    assert len(gh.basis_labels) == 4
-    # unit behavior: the two degree-0 idempotent-like classes act on the
-    # degree-1 piece with total weight one
-    assert gh.total == 4
+    assert amiot_endomorphism_algebra(A, 1).dim == 4
+    assert amiot_hom(A, 1, lam, lam).total == 4
 
 
 def test_mesh_reversal_structure_of_tilde():

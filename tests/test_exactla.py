@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from quiveralg.exactla import (GF, QQ, EchelonState, QuotientBasis,
                                complement_rows)
+from references import prime_rref
 
 F = GF(32003)
 
@@ -276,3 +277,78 @@ def test_rational_rref_matches_every_row_elimination(rows, cols, rank, seed):
     a = _sparse_low_rank(QQ, random.Random(seed), rows, cols, rank)
     (got, gp), (want, wp) = QQ.rref(a), _rref_every_row(QQ, a)
     assert gp == wp and got.dtype == want.dtype and QQ.equal(got, want)
+
+
+@pytest.mark.parametrize("p", [32003, 3, 2])
+@given(st.integers(0, 7), st.integers(1, 8), st.integers(0, 5),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_prime_rref_matches_the_fused_mod_p_reference(p, rows, cols, rank,
+                                                      seed):
+    field = GF(p)
+    a = _sparse_low_rank(field, random.Random(seed), rows, cols, rank)
+    (got, gp), (want, wp) = field.rref(a), prime_rref(field, a)
+    assert gp == wp and got.dtype == want.dtype and field.equal(got, want)
+
+
+_ints = st.integers(-10**6, 10**6)
+
+
+@pytest.mark.parametrize("p", [32003, 3, 2])
+@given(st.lists(_ints, min_size=1, max_size=6), _ints, _ints)
+@settings(max_examples=60, deadline=None)
+def test_prime_field_ops_match_python_mod(p, xs, y, c):
+    """reduce, neg, add, sub and smul on arrays and scalars give Python's
+    int % p, negative inputs included."""
+    field = GF(p)
+    a = np.array(xs, dtype=np.int64)
+    ra = [x % p for x in xs]
+    assert field.reduce(a).tolist() == ra
+    assert int(field.reduce(np.int64(y))) == y % p == field.reduce(y)
+    b = field.reduce(a[::-1])
+    rb = [x % p for x in reversed(xs)]
+    a = field.reduce(a)
+    assert field.neg(a).tolist() == [-x % p for x in ra]
+    assert field.add(a, b).tolist() == [(x + z) % p for x, z in zip(ra, rb)]
+    assert field.sub(a, b).tolist() == [(x - z) % p for x, z in zip(ra, rb)]
+    assert field.smul(field.el(c), a).tolist() == [c * x % p for x in ra]
+    assert all(0 <= v < p for v in field.sub(a, b).tolist())
+
+
+_fracs = st.fractions(max_denominator=50).filter(lambda x: abs(x) < 10**6)
+
+
+@given(st.lists(_fracs, min_size=1, max_size=6), _fracs)
+@settings(max_examples=60, deadline=None)
+def test_rational_field_ops_match_fraction(xs, c):
+    a = QQ.array(xs)
+    b = a[::-1]
+    rb = list(reversed(xs))
+    assert list(QQ.reduce(a)) == xs and QQ.reduce(c) == c
+    assert list(QQ.neg(a)) == [-x for x in xs]
+    assert list(QQ.add(a, b)) == [x + z for x, z in zip(xs, rb)]
+    assert list(QQ.sub(a, b)) == [x - z for x, z in zip(xs, rb)]
+    assert list(QQ.smul(c, a)) == [c * x for x in xs]
+    assert all(isinstance(v, Fraction) for v in QQ.sub(a, b))
+
+
+@pytest.mark.parametrize("field", [F, GF(2), QQ], ids=["GF", "GF2", "QQ"])
+@given(st.lists(st.tuples(st.integers(0, 4), _ints), max_size=12),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_accumulate_matches_a_summed_dict(field, terms, seed):
+    """accumulate adds each term in place, keeps only nonzero sums and
+    returns the dict it was given."""
+    rng = random.Random(seed)
+    start = {k: field.rand_el(rng) for k in range(3) if rng.random() < 0.7}
+    start = {k: v for k, v in start.items() if v != field.zero}
+    terms = [(k, field.el(c)) for k, c in terms]
+    exact = int if field.kind == "GF" else Fraction
+    sums = {}
+    for k, c in list(start.items()) + terms:
+        sums[k] = sums.get(k, 0) + exact(c)
+    want = {k: field.el(v) for k, v in sums.items()
+            if field.el(v) != field.zero}
+    out = dict(start)
+    assert field.accumulate(out, iter(terms)) is out
+    assert out == want
