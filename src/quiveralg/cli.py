@@ -122,7 +122,13 @@ def _parse_relation(expr: str, quiver: Quiver, field: Field, line: int):
         p = Path(quiver.source(arrows[0]), tuple(arrows))
         terms[p] = terms.get(p, Fraction(0)) + coef
         expect_term = False
-    terms = {p: field.el(c) for p, c in terms.items() if c != 0}
+    try:
+        terms = {p: field.el(c) for p, c in terms.items()}
+    except ZeroDivisionError as e:
+        raise SpecError(f"a coefficient is not defined over {field}: {e}",
+                        line) from e
+    # a coefficient can vanish in the field without vanishing in Q
+    terms = {p: c for p, c in terms.items() if c != field.zero}
     if not terms:
         raise SpecError("relation is empty", line)
     return PathElement(quiver, terms)

@@ -6,9 +6,15 @@ Hom complexes) reduces to the ``Field`` kernels ``rref``, ``kernel`` and
 written in coordinates, which is how Ext, the tensor-algebra grades,
 stable Hom and cohomology are all represented.  Arithmetic is exact
 everywhere; no floating point result is ever returned.  The prime-field
-path stores entries as int64 numpy arrays and multiplies through float64
-BLAS, which is exact as long as ``inner_dim * (p-1)**2 < 2**53``
-(checked, with an object-dtype fallback).
+path stores entries as int64 numpy arrays and takes one of three routes
+to a product of inner dimension k: int64 ``matmul`` for small products
+(m*n*k at most ``_INT64_MATMUL_MNK``), exact while
+``k * (p-1)**2 < 2**63``; float64 BLAS, exact while
+``k * (p-1)**2 <= 2**53``; and object-dtype Python ints when neither
+applies (each bound checked at every product).  ``rref`` of a matrix of
+at most ``_ROW_RREF_CELLS`` cells runs on Python rows (ints mod p, or
+Fractions), which is exact at any size; larger ones use numpy row
+operations.
 
 Only this module knows how a field stores its values.  ``Field.reduce``
 brings any value built from field values with +, - and * back into that
@@ -26,6 +32,14 @@ import numpy as np
 
 __all__ = ["Field", "PrimeField", "RationalField", "GF", "QQ",
            "complement_rows", "QuotientBasis"]
+
+# Size switches of the two kernels, below which numpy's per-call overhead
+# outweighs the arithmetic (timings in CHANGES.md).  int64 products stop
+# winning near 4096 = m*n*k.  Python rows win on the sparse matrices the
+# algebra produces up to about 4096 cells, but on dense ones only up to
+# about 256; 1024 keeps nearly all of the gain and bounds the dense loss.
+_ROW_RREF_CELLS = 1024      # rref on Python rows up to this m * n
+_INT64_MATMUL_MNK = 4096    # GF(p) products in int64 up to this m * n * k
 
 
 def _is_prime(n: int) -> bool:
@@ -50,6 +64,48 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _rref_rows(a: np.ndarray, p: int | None) -> tuple[np.ndarray, list[int]]:
+    """``Field.rref`` of a small matrix, eliminated on the Python rows of
+    ``a.tolist()``: ints reduced mod ``p`` over GF(p), the Fractions as
+    they are over Q (``p`` is None).
+
+    Rows at or below the current one are zero left of the pivot column, so
+    each row update starts at that column."""
+    m, n = a.shape
+    rows = a.tolist()
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        for i in range(r, m):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i] = rows[r]
+        rows[r] = prow
+        if p is None:
+            inv = 1 / prow[c]
+            tail = prow[c:] = [x * inv for x in prow[c:]]
+            for row in rows:
+                x = row[c]
+                if x and row is not prow:
+                    row[c:] = [y - x * z for y, z in zip(row[c:], tail)]
+        else:
+            inv = pow(prow[c], p - 2, p)
+            tail = prow[c:] = [x * inv % p for x in prow[c:]]
+            for row in rows:
+                x = row[c]
+                if x and row is not prow:
+                    row[c:] = [(y - x * z) % p
+                               for y, z in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+    return np.array(rows, dtype=a.dtype).reshape(m, n), pivots
 
 
 class Field:
@@ -125,10 +181,18 @@ class Field:
 
     # -- gaussian elimination --------------------------------------------
     def rref(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Reduced row echelon form and pivot column indices."""
+        """Reduced row echelon form and pivot column indices.
+
+        A matrix of at most ``_ROW_RREF_CELLS`` cells is eliminated on
+        Python rows (``_rref_rows``), a larger one with numpy row
+        operations.  Both take the first nonzero entry at or below the
+        current row as the pivot and clear the rest of its column, and the
+        RREF is unique, so both give the same matrix and pivots."""
+        m, n = a.shape
+        if m * n <= _ROW_RREF_CELLS:
+            return _rref_rows(a, self.p if self.kind == "GF" else None)
         a = a.copy()
         reduce = self.reduce
-        m, n = a.shape
         pivots: list[int] = []
         r = 0
         for c in range(n):
@@ -212,8 +276,10 @@ class PrimeField(Field):
         self.p = p
         self.zero = np.int64(0)
         self.one = np.int64(1)
-        # float64 matmul stays exact while inner*(p-1)^2 < 2^53
+        # float64 matmul stays exact while inner*(p-1)^2 <= 2^53, int64
+        # matmul while inner*(p-1)^2 < 2^63
         self._max_inner = int(2**53 // (p - 1) ** 2) if p > 1 else 2**53
+        self._max_inner_int64 = (2**63 - 1) // (p - 1) ** 2
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -245,8 +311,14 @@ class PrimeField(Field):
             raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
         if a.shape[1] == 0 or a.shape[0] == 0 or b.shape[1] == 0:
             return self.zeros(a.shape[0], b.shape[1])
-        if a.shape[1] <= self._max_inner:
-            c = np.rint(a.astype(np.float64) @ b.astype(np.float64))
+        m, k = a.shape
+        if (m * k * b.shape[1] <= _INT64_MATMUL_MNK
+                and k <= self._max_inner_int64):
+            return (a.astype(np.int64, copy=False)
+                    @ b.astype(np.int64, copy=False)) % self.p
+        if k <= self._max_inner:
+            # exact: every partial sum is an integer of at most 2^53
+            c = a.astype(np.float64) @ b.astype(np.float64)
             return c.astype(np.int64) % self.p
         # exact fallback when the float64 bound is exceeded
         c = a.astype(object) @ b.astype(object)

@@ -486,22 +486,17 @@ def injective_envelope(M: Representation) -> ModuleMap:
 # endomorphism rings, idempotent splitting, isomorphism testing
 # ---------------------------------------------------------------------------
 
-def _gram_radical(f, basis: list[ModuleMap]) -> np.ndarray:
-    """Kernel (row basis) of the trace form on End(M); = rad End(M)
-    whenever char k = 0 or char k > dim M."""
-    n = len(basis)
-    g = f.zeros(n, n)
-    for i in range(n):
-        for j in range(i, n):
-            tr = f.zero
-            for v in range(len(basis[i].blocks)):
-                prod = f.matmul(basis[i].blocks[v], basis[j].blocks[v])
-                if prod.shape[0]:
-                    tr = tr + np.trace(prod)
-            tr = f.reduce(tr)
-            g[i, j] = tr
-            g[j, i] = tr
-    return f.kernel(g)
+def _gram_radical(f, flat: np.ndarray, dims) -> np.ndarray:
+    """Kernel (row basis) of the trace form on End(M), for the basis maps
+    whose blocks (at vertex dimensions ``dims``) are flattened into the rows
+    of ``flat``; = rad End(M) whenever char k = 0 or char k > dim M."""
+    # tr(B_i B_j) = <vec B_i, vec B_j^T>: one product with the columns of
+    # flat permuted so that each block is read transposed
+    perm, off = [], 0
+    for d in dims:
+        perm.append(off + np.arange(d * d).reshape(d, d).T.ravel())
+        off += d * d
+    return f.kernel(f.matmul(flat, flat[:, np.concatenate(perm)].T))
 
 
 # -- univariate polynomial helpers (coefficient lists, low degree first) ----
@@ -662,15 +657,15 @@ def decompose(M: Representation, seed: int = 11,
     rng = random.Random(seed + _depth)
     basis = hom_space(M, M)
     n = len(basis)
-    rad_rows = _gram_radical(f, basis)
+    flat = np.concatenate([b.flatten() for b in basis])
+    rad_rows = _gram_radical(f, flat, M.dims)
     sdim = n - rad_rows.shape[0]
     if sdim == 1:
         return [(M, 1)]
 
     # End(M) in coordinates of `basis`, and S = End/rad on the standard
     # basis vectors that complete rad
-    end = QuotientBasis(f, f.zeros(0, sum(d * d for d in M.dims)),
-                        np.concatenate([b.flatten() for b in basis]))
+    end = QuotientBasis(f, f.zeros(0, sum(d * d for d in M.dims)), flat)
     S = QuotientBasis(f, rad_rows, f.eye(n))
     S_proj = S.proj
     products: dict[tuple[int, int], np.ndarray] = {}

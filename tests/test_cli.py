@@ -95,6 +95,24 @@ def test_error_exit_code():
     assert code == 2
 
 
+def test_denominator_divisible_by_p_is_a_spec_error():
+    bad = NAK3_SPEC.replace("field GF(32003)\n", "").replace(
+        "a1*a2", "1/32003*a1*a2")
+    with pytest.raises(SpecError, match="line 3"):
+        parse_spec(bad)
+    code, out = _run(["analyze", "--n", "2"], stdin_text=bad)
+    assert code == 2
+    assert "32003" in json.loads(out)["error"]
+
+
+def test_coefficient_divisible_by_p_vanishes():
+    with pytest.raises(SpecError, match="relation is empty"):
+        parse_spec(NAK3_SPEC.replace("a1*a2", "32003*a1*a2"))
+    _, _, relations, _ = parse_spec(
+        NAK3_SPEC.replace("a1*a2", "a1*a2 + 32003*a1*a2"))
+    assert relations[0].terms == parse_spec(NAK3_SPEC)[2][0].terms
+
+
 @pytest.mark.parametrize("field", ["GF(4)", "GF(4294967311)"])
 def test_bad_field_is_an_error(field):
     code, out = _run(["check", "tau-finite", "--n", "1", "--field", field],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quiveralg import exactla
 from quiveralg.exactla import (GF, QQ, EchelonState, QuotientBasis,
                                complement_rows)
 from references import prime_rref
@@ -270,25 +271,57 @@ def _rref_every_row(field, a):
     return a, pivots
 
 
-@given(st.integers(0, 6), st.integers(1, 7), st.integers(0, 5),
-       st.integers(0, 2**32 - 1))
+def _straddling(limit, dims):
+    """Shapes of `dims` sides: small ones, empty ones among them, and ones
+    whose cell count lies just below or just above `limit`."""
+    side = round(limit ** (1 / dims))
+    small = st.tuples(*[st.integers(0, 7)] * dims)
+    near = st.tuples(*[st.integers(side - 1, side + 1)] * dims)
+    return st.one_of(small, near)
+
+
+_rref_shapes = _straddling(exactla._ROW_RREF_CELLS, 2)
+
+
+@given(_rref_shapes, st.integers(0, 12), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_rational_rref_matches_every_row_elimination(rows, cols, rank, seed):
+def test_rational_rref_matches_every_row_elimination(shape, rank, seed):
+    rows, cols = shape
     a = _sparse_low_rank(QQ, random.Random(seed), rows, cols, rank)
     (got, gp), (want, wp) = QQ.rref(a), _rref_every_row(QQ, a)
     assert gp == wp and got.dtype == want.dtype and QQ.equal(got, want)
 
 
-@pytest.mark.parametrize("p", [32003, 3, 2])
-@given(st.integers(0, 7), st.integers(1, 8), st.integers(0, 5),
-       st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("p", [32003, 3, 2, 2**31 - 1])
+@given(_rref_shapes, st.integers(0, 12), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_prime_rref_matches_the_fused_mod_p_reference(p, rows, cols, rank,
-                                                      seed):
+def test_prime_rref_matches_the_fused_mod_p_reference(p, shape, rank, seed):
+    rows, cols = shape
     field = GF(p)
     a = _sparse_low_rank(field, random.Random(seed), rows, cols, rank)
     (got, gp), (want, wp) = field.rref(a), prime_rref(field, a)
     assert gp == wp and got.dtype == want.dtype and field.equal(got, want)
+
+
+@pytest.mark.parametrize("p", [32003, 3, 2, 2**31 - 1])
+@given(_straddling(exactla._INT64_MATMUL_MNK, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_prime_matmul_matches_the_object_product(p, shape, seed):
+    m, k, n = shape
+    field = GF(p)
+    rng = random.Random(seed)
+    a, b = _random_matrix(field, rng, m, k), _random_matrix(field, rng, k, n)
+    got = field.matmul(a, b)
+    want = (a.astype(object) @ b.astype(object)) % p
+    assert got.dtype == np.int64 and got.shape == (m, n)
+    assert (got == want).all()
+
+
+def test_int64_product_is_guarded_against_overflow():
+    # 3 * (p - 1)^2 exceeds 2^63, so an unguarded int64 product wraps
+    p = 2**31 - 1
+    a = np.full((3, 3), p - 1, dtype=np.int64)
+    assert (GF(p).matmul(a, a) == 3 * (p - 1) ** 2 % p).all()
 
 
 _ints = st.integers(-10**6, 10**6)
