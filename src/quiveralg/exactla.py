@@ -11,10 +11,10 @@ to a product of inner dimension k: int64 ``matmul`` for small products
 (m*n*k at most ``_INT64_MATMUL_MNK``), exact while
 ``k * (p-1)**2 < 2**63``; float64 BLAS, exact while
 ``k * (p-1)**2 <= 2**53``; and object-dtype Python ints when neither
-applies (each bound checked at every product).  ``rref`` of a matrix of
-at most ``_ROW_RREF_CELLS`` cells runs on Python rows (ints mod p, or
-Fractions), which is exact at any size; larger ones use numpy row
-operations.
+applies (each bound checked at every product).  ``rref`` over Q, and over
+GF(p) of a matrix of at most ``_ROW_RREF_CELLS`` cells, runs on Python
+rows (Fractions, or ints mod p), which is exact at any size; larger GF(p)
+matrices use numpy row operations.
 
 Only this module knows how a field stores its values.  ``Field.reduce``
 brings any value built from field values with +, - and * back into that
@@ -35,10 +35,11 @@ __all__ = ["Field", "PrimeField", "RationalField", "GF", "QQ",
 
 # Size switches of the two kernels, below which numpy's per-call overhead
 # outweighs the arithmetic (timings in CHANGES.md).  int64 products stop
-# winning near 4096 = m*n*k.  Python rows win on the sparse matrices the
-# algebra produces up to about 4096 cells, but on dense ones only up to
-# about 256; 1024 keeps nearly all of the gain and bounds the dense loss.
-_ROW_RREF_CELLS = 1024      # rref on Python rows up to this m * n
+# winning near 4096 = m*n*k.  Over GF(p), Python rows win on the sparse
+# matrices the algebra produces up to about 4096 cells, but on dense ones
+# only up to about 256; 1024 keeps nearly all of the gain and bounds the
+# dense loss.  Over Q they win at every size, so Q ignores the switch.
+_ROW_RREF_CELLS = 1024      # GF(p) rref on Python rows up to this m * n
 _INT64_MATMUL_MNK = 4096    # GF(p) products in int64 up to this m * n * k
 
 
@@ -67,9 +68,9 @@ def _is_prime(n: int) -> bool:
 
 
 def _rref_rows(a: np.ndarray, p: int | None) -> tuple[np.ndarray, list[int]]:
-    """``Field.rref`` of a small matrix, eliminated on the Python rows of
-    ``a.tolist()``: ints reduced mod ``p`` over GF(p), the Fractions as
-    they are over Q (``p`` is None).
+    """``Field.rref`` of a Q matrix or a small GF(p) one, eliminated on
+    the Python rows of ``a.tolist()``: ints reduced mod ``p`` over GF(p),
+    the Fractions as they are over Q (``p`` is None).
 
     Rows at or below the current one are zero left of the pivot column, so
     each row update starts at that column."""
@@ -183,13 +184,15 @@ class Field:
     def rref(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Reduced row echelon form and pivot column indices.
 
-        A matrix of at most ``_ROW_RREF_CELLS`` cells is eliminated on
-        Python rows (``_rref_rows``), a larger one with numpy row
-        operations.  Both take the first nonzero entry at or below the
-        current row as the pivot and clear the rest of its column, and the
-        RREF is unique, so both give the same matrix and pivots."""
+        A matrix over Q, or one of at most ``_ROW_RREF_CELLS`` cells, is
+        eliminated on Python rows (``_rref_rows``): object-dtype numpy row
+        operations on Fractions are slower at every size measured.  A
+        larger GF(p) matrix is eliminated with numpy row operations.  Both
+        take the first nonzero entry at or below the current row as the
+        pivot and clear the rest of its column, and the RREF is unique, so
+        both give the same matrix and pivots."""
         m, n = a.shape
-        if m * n <= _ROW_RREF_CELLS:
+        if m * n <= _ROW_RREF_CELLS or self.kind == "Q":
             return _rref_rows(a, self.p if self.kind == "GF" else None)
         a = a.copy()
         reduce = self.reduce

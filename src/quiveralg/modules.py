@@ -8,13 +8,13 @@ path order (first arrow acts first).
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import numpy as np
 
 from .errors import NonSplitEndo
 from .exactla import QuotientBasis, complement_rows
+from .findim import FinDimAlgebra
 from .quivers import BoundQuiverAlgebra, Path, opposite
 
 __all__ = ["Representation", "ModuleMap", "zero_rep", "simple", "projective",
@@ -516,27 +516,25 @@ def _pmul(f, a, b):
             out[i + j] = reduce(out[i + j] + x * y)
     return _pnorm(f, out)
 
-def _pmod(f, a, b):
+def _pdivmod(f, a, b):
+    """Quotient and remainder of the polynomial long division a / b."""
     reduce = f.reduce
     a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = f.inv_el(lb)
-    while len(a) - 1 >= db and any(x != f.zero for x in a):
-        da, la = len(a) - 1, a[-1]
-        c = reduce(la * inv)
-        for i in range(db + 1):
-            a[da - db + i] = reduce(a[da - db + i] - c * b[i])
+    quo = [f.zero] * max(1, len(a) - len(b) + 1)
+    inv = f.inv_el(b[-1])
+    while len(a) >= len(b) and any(x != f.zero for x in a):
+        c = reduce(a[-1] * inv)
+        k = len(a) - len(b)
+        quo[k] = c
+        for i in range(len(b)):
+            a[k + i] = reduce(a[k + i] - c * b[i])
         a = _pnorm(f, a)
-        if len(a) - 1 < db:
-            break
-        if all(x == f.zero for x in a):
-            break
-    return _pnorm(f, a)
+    return _pnorm(f, quo), _pnorm(f, a)
 
 def _pgcd(f, a, b):
     a, b = _pnorm(f, list(a)), _pnorm(f, list(b))
     while any(x != f.zero for x in b):
-        a, b = b, _pmod(f, a, b)
+        a, b = b, _pdivmod(f, a, b)[1]
     if any(x != f.zero for x in a):
         inv = f.inv_el(a[-1])
         a = [f.smul(inv, x) for x in a]
@@ -548,12 +546,12 @@ def _pderiv(f, a):
 
 def _ppowmod(f, base, e, mod):
     result = [f.one]
-    base = _pmod(f, base, mod)
+    base = _pdivmod(f, base, mod)[1]
     while e > 0:
         if e & 1:
-            result = _pmod(f, _pmul(f, result, base), mod)
+            result = _pdivmod(f, _pmul(f, result, base), mod)[1]
         e >>= 1
-        base = _pmod(f, _pmul(f, base, base), mod)
+        base = _pdivmod(f, _pmul(f, base, base), mod)[1]
     return result
 
 
@@ -569,7 +567,7 @@ def _coprime_split(f, m, rng):
         res = _lift_split(f, m, g)
         if res is not None:
             return res
-    u = _pquo(f, m, g)  # squarefree part
+    u = _pdivmod(f, m, g)[0]  # squarefree part
     if len(u) <= 2:
         return None  # m is a power of a single irreducible
     if f.kind != "GF":
@@ -597,31 +595,12 @@ def _coprime_split(f, m, rng):
     return None
 
 
-def _pquo(f, a, b):
-    """Quotient of the polynomial long division a / b; the remainder is
-    dropped."""
-    reduce = f.reduce
-    a = list(a)
-    out = [f.zero] * max(1, len(a) - len(b) + 1)
-    inv = f.inv_el(b[-1])
-    while len(a) >= len(b) and any(x != f.zero for x in a):
-        c = reduce(a[-1] * inv)
-        k = len(a) - len(b)
-        out[k] = c
-        for i in range(len(b)):
-            a[k + i] = reduce(a[k + i] - c * b[i])
-        a = _pnorm(f, a)
-        if all(x == f.zero for x in a):
-            break
-    return _pnorm(f, out)
-
-
 def _lift_split(f, m, g):
     """Given g | m nontrivial with gcd(g, m/g) possibly nontrivial, produce
     a coprime split of m by saturating g."""
     g1 = g
     while True:
-        rest = _pquo(f, m, g1)
+        rest = _pdivmod(f, m, g1)[0]
         h = _pgcd(f, g1, rest)
         if len(h) == 1:
             return g1, rest
@@ -641,12 +620,15 @@ def _rational_root_split(f, m, sf):
     return None
 
 
-def decompose(M: Representation, seed: int = 11,
+def decompose(M: Representation,
               _depth: int = 0) -> list[tuple[Representation, int]]:
     """Indecomposable direct summands with multiplicities.
 
-    Raises NonSplitEndo when a split into matrix algebras over k cannot be
-    certified (division-algebra quotient bigger than k suspected).
+    The splitting elements of End/rad are drawn from a generator seeded
+    with 11 plus the recursion depth, so the summands, and their bases,
+    are the same on every run.  Raises NonSplitEndo when a split into
+    matrix algebras over k cannot be certified (division-algebra quotient
+    bigger than k suspected).
     """
     if M.is_zero():
         return []
@@ -654,7 +636,7 @@ def decompose(M: Representation, seed: int = 11,
     if f.kind == "GF" and f.p <= M.total_dim:
         raise NonSplitEndo("field characteristic too small for the "
                            "trace-form radical; use a larger prime")
-    rng = random.Random(seed + _depth)
+    rng = random.Random(11 + _depth)
     basis = hom_space(M, M)
     n = len(basis)
     flat = np.concatenate([b.flatten() for b in basis])
@@ -663,55 +645,32 @@ def decompose(M: Representation, seed: int = 11,
     if sdim == 1:
         return [(M, 1)]
 
-    # End(M) in coordinates of `basis`, and S = End/rad on the standard
-    # basis vectors that complete rad
+    # End(M) in coordinates of `basis`, and S = End/rad on the classes of
+    # the basis maps whose unit vectors complete rad
     end = QuotientBasis(f, f.zeros(0, sum(d * d for d in M.dims)), flat)
     S = QuotientBasis(f, rad_rows, f.eye(n))
-    S_proj = S.proj
-    products: dict[tuple[int, int], np.ndarray] = {}
+    picks = [basis[c] for c in np.nonzero(S.comp)[1]]
 
-    def end_coords(phi: ModuleMap) -> np.ndarray:
-        vec = phi.flatten()
-        assert end.spans(vec).all()
-        return end.coords(vec)[0]
+    def to_S(maps: list[ModuleMap]) -> np.ndarray:
+        vecs = np.concatenate([phi.flatten() for phi in maps])
+        assert end.spans(vecs).all()
+        return f.matmul(end.coords(vecs), S.proj.T)
 
-    def mul(i: int, j: int) -> np.ndarray:
-        # basis[i] * basis[j] := basis[j] after basis[i]  (apply i first)
-        hit = products.get((i, j))
-        if hit is None:
-            hit = end_coords(basis[i].compose(basis[j]))
-            products[(i, j)] = hit
-        return hit
-
-    def to_S(vec: np.ndarray) -> np.ndarray:
-        return f.matmul(S_proj, vec.reshape(-1, 1))[:, 0]
-
-    def S_to_end(svec: np.ndarray) -> np.ndarray:
-        return f.matmul(svec.reshape(1, -1), S.comp)[0]
-
-    def S_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        ex, ey = S_to_end(x), S_to_end(y)
-        acc = f.zeros(1, n)[0]
-        for i in range(n):
-            if ex[i] == f.zero:
-                continue
-            for j in range(n):
-                if ey[j] == f.zero:
-                    continue
-                acc = f.add(acc, f.smul(ex[i] * ey[j], mul(i, j)))
-        return to_S(acc)
-
-    one_S = to_S(end_coords(ModuleMap(M, M, [f.eye(d) for d in M.dims])))
+    one = ModuleMap(M, M, [f.eye(d) for d in M.dims])
+    # the product b_i b_j is b_j after b_i (apply b_i first)
+    S_alg = FinDimAlgebra(
+        f, sdim, lambda i: to_S([picks[i].compose(b) for b in picks]),
+        [to_S([one])[0]])
 
     idem = None
     for _ in range(32):
         svec = f.array([f.rand_el(rng) for _ in range(sdim)])
-        m = _minpoly_in(f, S_mul, one_S, svec, sdim)
+        m = _minpoly_in(S_alg, svec)
         split = _coprime_split(f, m, rng)
         if split is None:
             continue
         f1, f2 = split
-        e = _crt_idempotent(f, S_mul, one_S, svec, m, f1, f2)
+        e = _crt_idempotent(S_alg, svec, m, f1, f2)
         if e is not None:
             idem = e
             break
@@ -720,8 +679,7 @@ def decompose(M: Representation, seed: int = 11,
                            "32 trials")
 
     # lift to an exact idempotent of End(M) by Newton iteration
-    x = S_to_end(idem)
-    phi = _combine(M, basis, x)
+    phi = _combine(M, basis, f.matmul(idem.reshape(1, -1), S.comp)[0])
     for _ in range(2 * M.total_dim + 4):
         sq = phi.compose(phi)
         if all(f.equal(a, b) for a, b in zip(sq.blocks, phi.blocks)):
@@ -733,18 +691,17 @@ def decompose(M: Representation, seed: int = 11,
         raise NonSplitEndo("idempotent lifting did not converge")
 
     img1, _ = map_image(phi)
-    one = ModuleMap(M, M, [f.eye(d) for d in M.dims])
     phic = one.add(phi.scale(f.el(-1)))
     img2, _ = map_image(phic)
     assert img1.total_dim + img2.total_dim == M.total_dim
     if img1.is_zero() or img2.is_zero():
         raise NonSplitEndo("degenerate idempotent split")
-    parts = decompose(img1, seed, _depth + 1) + decompose(img2, seed, _depth + 1)
-    # group isomorphic summands
+    parts = decompose(img1, _depth + 1) + decompose(img2, _depth + 1)
+    # group isomorphic summands; each part is indecomposable
     grouped: list[tuple[Representation, int]] = []
     for rep, mult in parts:
         for k, (r0, m0) in enumerate(grouped):
-            if is_isomorphic(rep, r0, seed=seed):
+            if _has_iso(rep, r0):
                 grouped[k] = (r0, m0 + mult)
                 break
         else:
@@ -762,12 +719,14 @@ def _combine(M, basis, coeffs) -> ModuleMap:
     return out
 
 
-def _minpoly_in(f, mul, one, s, dim):
-    """Minimal polynomial of s in a unital algebra given by mul/one."""
+def _minpoly_in(alg, s):
+    """Minimal polynomial of s in the FinDimAlgebra alg."""
+    f = alg.field
+    one = alg.unit()
     rows = [one]
     cur = one
     while True:
-        cur = mul(cur, s)
+        cur = alg.mult_vec(cur, s)
         stack = np.stack(rows + [cur])
         if f.rank(stack) < len(rows) + 1:
             # solve dependence: cur = sum c_i rows[i]
@@ -776,25 +735,28 @@ def _minpoly_in(f, mul, one, s, dim):
             coeffs = [f.neg(x[i, 0]) for i in range(len(rows))] + [f.one]
             return _pnorm(f, coeffs)
         rows.append(cur)
-        if len(rows) > dim + 1:
+        if len(rows) > alg.dim + 1:
             raise AssertionError("minpoly search exceeded algebra dimension")
 
 
-def _crt_idempotent(f, mul, one, s, m, f1, f2):
-    """e = v*f2 evaluated at s, where u*f1 + v*f2 = 1."""
+def _crt_idempotent(alg, s, m, f1, f2):
+    """e = v*f2 evaluated at s in the FinDimAlgebra alg, where
+    u*f1 + v*f2 = 1."""
+    f = alg.field
+    one = alg.unit()
     g, u, v = _pxgcd(f, f1, f2)
     if len(g) != 1:
         return None
     inv = f.inv_el(g[0])
     v = [f.smul(inv, c) for c in v]
-    e_poly = _pmod(f, _pmul(f, v, f2), m)
+    e_poly = _pdivmod(f, _pmul(f, v, f2), m)[1]
     # evaluate by horner in the algebra
     acc = np.zeros_like(one)
     for c in reversed(e_poly):
-        acc = mul(acc, s)
+        acc = alg.mult_vec(acc, s)
         if c != f.zero:
             acc = f.add(acc, f.smul(c, one))
-    ee = mul(acc, acc)
+    ee = alg.mult_vec(acc, acc)
     if not f.equal(ee, acc):
         return None
     if f.is_zero(acc) or f.equal(acc, one):
@@ -808,8 +770,8 @@ def _pxgcd(f, a, b):
     s0, s1 = [f.one], [f.zero]
     t0, t1 = [f.zero], [f.one]
     while any(x != f.zero for x in r1):
-        q = _pquo(f, r0, r1)
-        r0, r1 = r1, _psub(f, r0, _pmul(f, q, r1))
+        q, r = _pdivmod(f, r0, r1)
+        r0, r1 = r1, r
         s0, s1 = s1, _psub(f, s0, _pmul(f, q, s1))
         t0, t1 = t1, _psub(f, t0, _pmul(f, q, t1))
     return r0, s0, t0
@@ -824,9 +786,31 @@ def _psub(f, a, b):
     return _pnorm(f, out)
 
 
-def is_isomorphic(M: Representation, N: Representation, seed: int = 7,
-                  trials: int = 32) -> bool:
-    """Isomorphism test: dimension vectors plus invertible-intertwiner search."""
+def _invertible(phi: ModuleMap) -> bool:
+    f = phi.field
+    return all(f.rank(b) == b.shape[0] for b in phi.blocks)
+
+
+def _has_iso(M: Representation, N: Representation) -> bool:
+    """Whether M and N have one dimension vector and some basis map of
+    Hom(M, N) is invertible.
+
+    This decides whether M and N are isomorphic, exactly, when M or N is
+    indecomposable: End(M) is then local, so if s: M -> N is an
+    isomorphism, the non-isomorphisms s rad End(M) form a proper subspace
+    of Hom(M, N), which no basis lies in.  For decomposable modules a
+    False may be wrong."""
+    return M.dims == N.dims and any(map(_invertible, hom_space(M, N)))
+
+
+def is_isomorphic(M: Representation, N: Representation) -> bool:
+    """Whether M and N are isomorphic, decided exactly.
+
+    Equal dimension vectors and an invertible basis map of Hom(M, N)
+    decide most pairs (``_has_iso``).  Otherwise M and N are isomorphic
+    only if dim Hom(M, N) = dim End(M) and M is decomposable; then their
+    indecomposable summands are matched with multiplicities.  Raises
+    NonSplitEndo where ``decompose`` does."""
     if M.algebra is not N.algebra:
         raise ValueError("modules over different algebras")
     if M.dims != N.dims:
@@ -834,61 +818,25 @@ def is_isomorphic(M: Representation, N: Representation, seed: int = 7,
     if M.total_dim == 0:
         return True
     homs = hom_space(M, N)
-    if not homs:
+    if any(map(_invertible, homs)):
+        return True
+    if len(homs) != len(hom_space(M, M)):
         return False
-    f = M.field
-    rng = random.Random(seed)
-
-    def invertible(phi: ModuleMap) -> bool:
-        return all(f.rank(b) == b.shape[0] for b in phi.blocks)
-
-    for i in range(min(len(homs), 4)):
-        if invertible(homs[i]):
-            return True
-    for _ in range(trials):
-        phi = homs[0].scale(f.rand_el(rng))
-        for h in homs[1:]:
-            phi = phi.add(h.scale(f.rand_el(rng)))
-        if invertible(phi):
-            return True
-    if f.kind == "GF" and f.p ** len(homs) <= 4096:
-        for coeffs in itertools.product(range(f.p), repeat=len(homs)):
-            phi = homs[0].scale(f.el(coeffs[0]))
-            for h, c in zip(homs[1:], coeffs[1:]):
-                phi = phi.add(h.scale(f.el(c)))
-            if invertible(phi):
-                return True
+    dm = decompose(M)
+    if dm == [(M, 1)]:
         return False
-    # structural fallback: match indecomposable summands
-    dm = decompose(M, seed=seed)
-    dn = decompose(N, seed=seed)
+    dn = decompose(N)
     if sorted(m for _, m in dm) != sorted(m for _, m in dn):
         return False
     used = [False] * len(dn)
     for rep, mult in dm:
         for j, (rep2, mult2) in enumerate(dn):
-            if used[j] or mult != mult2 or rep.dims != rep2.dims:
-                continue
-            if _indecomposables_isomorphic(rep, rep2, invertible):
+            if not used[j] and mult == mult2 and _has_iso(rep, rep2):
                 used[j] = True
                 break
         else:
             return False
     return True
-
-
-def _indecomposables_isomorphic(M: Representation, N: Representation,
-                                invertible) -> bool:
-    """Whether indecomposable M and N of equal dimension vectors are
-    isomorphic.
-
-    End(M) is local, so its non-units form a subspace.  If M = N, the
-    identity of M lies in the span of the products g h, with h in a basis
-    of Hom(M, N) and g in one of Hom(N, M); so some g h is invertible.
-    Conversely, an invertible g h makes h injective, hence bijective."""
-    back = hom_space(N, M)
-    return any(invertible(h.compose(g))
-               for h in hom_space(M, N) for g in back)
 
 
 def random_module(A: BoundQuiverAlgebra, rng: random.Random,

@@ -18,7 +18,7 @@ from .errors import NonAdmissible, RelationIllFormed
 from .exactla import Field
 
 __all__ = ["Quiver", "Path", "PathElement", "BoundQuiverAlgebra",
-           "ProjectiveBlocks", "complete_basis", "multiply", "opposite"]
+           "ProjectiveBlocks", "complete_basis", "opposite"]
 
 
 class Quiver:
@@ -410,11 +410,6 @@ def complete_basis(quiver: Quiver, field: Field,
     basis = _irreducible_paths(quiver, reducer, cap, _max_paths)
     return BoundQuiverAlgebra(quiver, field, relations, reducer, basis,
                               arrow_degrees)
-
-
-def multiply(algebra: BoundQuiverAlgebra, x: dict[int, object],
-             y: dict[int, object]) -> dict[int, object]:
-    return algebra.mult(x, y)
 
 
 def opposite(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:

@@ -11,6 +11,9 @@
 - ``hom_delta_entrywise`` is the differential of the total Hom complex
   with its f d_P term filled one pair of slots at a time;
   ``derived._hom_delta`` places one ``hom_matrix`` block per degree.
+- ``indecomposables_isomorphic`` decides M = N for indecomposable M and
+  N from the products of Hom(M, N) and Hom(N, M) basis maps;
+  ``modules._has_iso`` tests the Hom(M, N) basis maps alone.
 - ``prime_rref`` is the mod-p elimination written out with ``% p``, which
   ``Field.rref`` now does through ``Field.reduce``.
 """
@@ -128,6 +131,21 @@ def cohomology(C, i: int) -> Representation:
         bspaces.append(x)
     H, _ = quotient(K, bspaces)
     return H
+
+
+def indecomposables_isomorphic(M: Representation,
+                               N: Representation) -> bool:
+    """Whether indecomposable M and N of equal dimension vectors are
+    isomorphic.
+
+    End(M) is local, so its non-units form a subspace.  If M = N, the
+    identity of M lies in the span of the products g h, with h in a basis
+    of Hom(M, N) and g in one of Hom(N, M); so some g h is invertible.
+    Conversely, an invertible g h makes h injective, hence bijective."""
+    f = M.field
+    back = hom_space(N, M)
+    return any(all(f.rank(b) == b.shape[0] for b in h.compose(g).blocks)
+               for h in hom_space(M, N) for g in back)
 
 
 def prime_rref(field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:

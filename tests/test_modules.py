@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from quiveralg.errors import NonSplitEndo
 from quiveralg.exactla import GF, QQ
-from quiveralg.families import canonical_2222, linear_nakayama
-from quiveralg.modules import (Representation, coregular, decompose,
+from quiveralg.families import (auslander_algebra, canonical_2222,
+                                dynkin_path_algebra, linear_nakayama,
+                                thm39_type2)
+from quiveralg.modules import (Representation, _has_iso, coregular, decompose,
                                direct_sum, dual, hom_space, injective,
                                injective_envelope, is_isomorphic,
                                map_from_projectives, map_kernel, op_algebra,
@@ -12,7 +15,8 @@ from quiveralg.modules import (Representation, coregular, decompose,
                                radical_series, random_module, regular, simple,
                                socle, zero_rep)
 from quiveralg.quivers import PathElement, Path, Quiver, complete_basis
-from references import top
+from quiveralg.preprojective import preprojective_module
+from references import indecomposables_isomorphic, top
 
 F = GF(32003)
 
@@ -21,11 +25,11 @@ def a2():
     return complete_basis(Quiver(["1", "2"], [("a", "1", "2")]), F, [])
 
 
-def nak_a3():
+def nak_a3(field=F):
     """Linear A3 with the length-2 relation a1*a2 = 0."""
     q = Quiver(["1", "2", "3"], [("a1", "1", "2"), ("a2", "2", "3")])
     rel = PathElement(q, {Path(0, (0, 1)): 1})
-    return complete_basis(q, F, [rel])
+    return complete_basis(q, field, [rel])
 
 
 def test_projective_dims_a2():
@@ -374,11 +378,10 @@ def truncated_polynomials(length, field):
 @pytest.mark.parametrize("length", [5, 6])
 def test_is_isomorphic_without_random_trials(field, length):
     """Hom(P, P) of P = k[x]/(x^L) has the identity as its L-th basis map,
-    past the first four; with no random trials the deterministic
-    summand test must still find it."""
+    past the first four; the basis-map test must look at all of them."""
     P = projective(truncated_polynomials(length, field), 0)
     assert len(hom_space(P, P)) == length
-    assert is_isomorphic(P, P, trials=0)
+    assert is_isomorphic(P, P)
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF32003", "QQ"])
@@ -395,5 +398,64 @@ def test_is_isomorphic_refuses_nonisomorphic_indecomposables(field):
     My = Representation(A, [2], [f.zeros(2, 2), nil], validate=True)
     assert len(hom_space(Mx, My)) == len(hom_space(My, Mx)) == 1
     assert [m for _, m in decompose(Mx)] == [1]
-    assert not is_isomorphic(Mx, My, trials=0)
-    assert is_isomorphic(Mx, Mx, trials=0)
+    assert not is_isomorphic(Mx, My)
+    assert is_isomorphic(Mx, Mx)
+
+
+def _cubic_modules(field):
+    """P = k[x]/(x^3), Q2 = k[x]/(x^2) and S = k over k[x]/(x^3)."""
+    A = truncated_polynomials(3, field)
+    Q2 = Representation(A, [2], [field.array([[0, 0], [1, 0]])],
+                        validate=True)
+    return {"P": projective(A, 0), "Q2": Q2, "S": simple(A, 0)}
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF32003", "QQ"])
+@pytest.mark.parametrize("left, right, iso", [
+    ("P P", "P P", True),
+    ("Q2 S", "S Q2", True),
+    ("P P Q2", "P Q2 P", True),
+    ("P", "Q2 S", False),
+    ("Q2 S", "P", False),
+    # dim Hom(S^3, Q2+S) = 6 < 9 = dim End(S^3); without that check S^3
+    # would go to decompose, which raises NonSplitEndo on it over Q
+    ("S S S", "Q2 S", False),
+])
+def test_is_isomorphic_on_sums_over_cubic_polynomials(field, left, right,
+                                                      iso):
+    mods = _cubic_modules(field)
+    M = direct_sum([mods[k] for k in left.split()])
+    N = direct_sum([mods[k] for k in right.split()])
+    assert is_isomorphic(M, N) is iso
+
+
+def test_is_isomorphic_refuses_decomposable_modules_over_small_fields():
+    """Over GF(5) no basis map of End(P+P) is invertible, so the summands
+    must be matched, and decompose refuses p <= dim M."""
+    P = _cubic_modules(GF(5))["P"]
+    with pytest.raises(NonSplitEndo):
+        is_isomorphic(direct_sum([P, P]), direct_sum([P, P]))
+
+
+def _summand_algebras(field):
+    return [nak_a3(field),
+            auslander_algebra(dynkin_path_algebra(3, ["f", "b"], field)),
+            thm39_type2(2, ["gamma"], field)]
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF32003", "QQ"])
+@pytest.mark.parametrize("k", range(3), ids=["nak_a3", "aus_A3-nonlinear",
+                                             "thm39_type2_2"])
+def test_basis_map_test_equals_product_test_on_indecomposables(field, k):
+    """The summands of the preprojective module (n = 2), with the
+    indecomposable injectives and simples, which repeat some of them as
+    other objects."""
+    A = _summand_algebras(field)[k]
+    nv = A.quiver.n_vertices
+    reps = (preprojective_module(A, 2).summand_reps
+            + [injective(A, v) for v in range(nv)]
+            + [simple(A, v) for v in range(nv)])
+    pairs = [(X, Y) for X in reps for Y in reps if X.dims == Y.dims]
+    assert len(pairs) > len(reps)
+    for X, Y in pairs:
+        assert _has_iso(X, Y) == indecomposables_isomorphic(X, Y)
