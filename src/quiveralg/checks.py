@@ -89,8 +89,16 @@ def socle_vertex(A: BoundQuiverAlgebra, M: Representation):
 
 def is_self_injective(B) -> Verdict:
     """True iff every indecomposable projective is injective; witness is
-    the Nakayama permutation vertex -> socle vertex."""
+    the Nakayama permutation vertex -> socle vertex.  Kept in the
+    algebra's memo, so callers share one verdict and must not change it."""
     A = B if isinstance(B, BoundQuiverAlgebra) else quiver_presentation(B)
+    hit = A.memo.get(("self_injective",))
+    if hit is None:
+        hit = A.memo[("self_injective",)] = _self_injective(A)
+    return hit
+
+
+def _self_injective(A: BoundQuiverAlgebra) -> Verdict:
     perm = {}
     for v in range(A.quiver.n_vertices):
         P = projective(A, v)

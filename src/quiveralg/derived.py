@@ -90,7 +90,6 @@ class ComplexOfModules:
         return f"Complex({bits})"
 
     def check_d_squared(self):
-        f = self.algebra.field
         for i in self.diffs:
             if i + 1 in self.diffs:
                 comp = self.diffs[i].compose(self.diffs[i + 1])
@@ -143,9 +142,6 @@ class ChainMap:
         self.parts = dict(parts)
         if check:
             assert self.is_chain_map()
-
-    def part(self, i: int) -> ModuleMap | None:
-        return self.parts.get(i)
 
     def is_chain_map(self) -> bool:
         for i in range(min(self.source.lo, self.target.lo) - 1,
@@ -536,9 +532,6 @@ class SymbolicComplex:
         out.diffs = {i: d for i, d in out.diffs.items()
                      if d and i in out.terms and i + 1 in out.terms}
         return out
-
-    def support(self):
-        return sorted(self.terms)
 
 
 def _trivial_coeff(A, elem, vtx):
@@ -997,13 +990,11 @@ def amiot_endomorphism_algebra(A: BoundQuiverAlgebra, n: int,
     offsets = np.cumsum([0] + piece_dims)
     total = int(offsets[-1])
     grading = []
-    labels = []
     basis_info = []  # (grade, vertex, local index within vertex block)
     for g, c in enumerate(coords):
         for v in range(nv):
             for k2 in range(c.H[v].dim):
                 grading.append(g)
-                labels.append(f"g{g}v{v}k{k2}")
                 basis_info.append((g, v, k2))
 
     # transported maps cache: (grade_j, basis idx, steps) -> ChainMap
@@ -1070,7 +1061,7 @@ def amiot_endomorphism_algebra(A: BoundQuiverAlgebra, n: int,
             vec[t] = cvec[t]
         idems.append(vec)
 
-    alg = FinDimAlgebra(f, total, mult, idems, grading, labels)
+    alg = FinDimAlgebra(f, total, mult, idems, grading)
     alg.piece_dims = piece_dims
     return alg
 

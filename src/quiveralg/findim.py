@@ -10,17 +10,20 @@ multiplication matrices are scatter-adds over them, and the trace form
 that gives the radical is one sparse join of them with themselves.
 ``quiver_presentation`` recovers a bound quiver algebra from it: Gabriel
 quiver from rad/rad^2, arrow lifts, and relation generators of the
-kernel of the induced path algebra surjection, computed degree by degree.
-The basis must be vertex-adapted: each idempotent acts by a 0/1 diagonal
-matrix, so every basis element lies in one corner e_i B e_j and the
-corners are index sets (``vertex_labels`` reads them).  Each corner is
-taken modulo one echelon form of rad; rad^2 is built corner by corner
+kernel I of the induced path algebra surjection, computed degree by
+degree.  The basis must be vertex-adapted: each idempotent acts by a 0/1
+diagonal matrix, so every basis element lies in one corner e_i B e_j and
+the corners are index sets (``vertex_labels`` reads them).  Each corner
+is taken modulo one echelon form of rad; rad^2 is built corner by corner
 from the products (e_i rad e_k)(e_k rad e_j).  The arrow lifts and the
 new relation generators are complements picked by
-``exactla.complement_rows``.  The loop stops at the first degree whose
-paths all vanish, or earlier, once the relations found so far present an
-algebra of dimension dim B (a bounded completion checks this after each
-degree that adds relations).  The returned algebra must match in
+``exactla.complement_rows``.  With K_d = I on the paths of length 2..d,
+the relations found so far generate K_{d-1} + arrows K_{d-1} + K_{d-1}
+arrows there (u g w = a (u' g w) for u = a u'), and the new relations
+complement that span in K_d.  The loop stops at the first degree whose
+paths all vanish, or earlier, once the relations found so far present
+an algebra of dimension dim B (a bounded completion checks this after
+each degree that adds relations).  The returned algebra must match in
 dimension; anything else raises.
 """
 
@@ -57,14 +60,12 @@ class FinDimAlgebra:
 
     def __init__(self, field: Field, dim: int, mult,
                  idempotents: list[np.ndarray],
-                 grading: list[int] | None = None,
-                 labels: list[str] | None = None, constants=None):
+                 grading: list[int] | None = None, constants=None):
         self.field = field
         self.dim = dim
         self._mult = mult
         self.idempotents = [np.array(e) for e in idempotents]
         self.grading = grading
-        self.labels = labels or [f"b{i}" for i in range(dim)]
         if constants is not None:
             self.constants = constants
             return
@@ -252,11 +253,16 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
     by the basis elements with labels (i, j); ``vertex_labels`` raises a
     ValueError naming the vertex otherwise.
     rad^2 is built corner by corner from the products
-    (e_i rad e_k)(e_k rad e_j).  Relations are found degree by degree.
-    The loop stops at the first degree d whose paths all vanish
-    (rad^d = 0), or earlier, after a degree that adds relations, once
-    the relations so far present an algebra of dimension dim B: kQ/I -> B
-    is onto, so I is then the whole kernel.
+    (e_i rad e_k)(e_k rad e_j).  The arrows of corner (i, j) lift a basis
+    of it modulo rad^2, taken one degree of B's grading at a time, so a
+    graded B gets homogeneous arrows; a corner whose lifts cannot all be
+    homogeneous raises NotSplit.  Relations are found degree by degree:
+    at degree d, the new ones complement K_{d-1}, a K_{d-1} and K_{d-1} a
+    (a an arrow) in K_d, where K_d is the kernel of evaluation on the
+    paths of length 2..d.  The loop stops at the first degree d whose
+    paths all vanish (rad^d = 0), or earlier, after a degree that adds
+    relations, once the relations so far present an algebra of dimension
+    dim B: kQ/I -> B is onto, so I is then the whole kernel.
     """
     f = B.field
     n = B.dim
@@ -303,102 +309,91 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
     corners2 = {key: f.row_space(np.concatenate(rows))
                 for key, rows in prods.items()}
 
-    # -- arrows: graded lifts of rad/rad^2 inside each corner ---------------
+    # -- arrows: lifts of rad/rad^2 inside each corner, homogeneous for
+    # each degree of B's grading (an ungraded B has the one degree 0) -----
     vertices = [str(i + 1) for i in range(m)]
-    arrow_list = []
-    arrow_elems = []
-    arrow_degs = []
-    graded = B.grading is not None
+    arrow_list, arrow_elems, arrow_degs = [], [], []
+    grading = np.array(B.grading or [0] * n)
+    degrees = sorted(set(grading.tolist()))
     for i in range(m):
         for j in range(m):
             corner = corners[(i, j)]
-            corner2 = corners2.get((i, j), f.zeros(0, n))
-            lifts = complement_rows(f, corner2, corner)
-            if graded:
-                # re-pick the complement degree by degree so lifts are
-                # homogeneous
-                degs = sorted(set(B.grading))
-                hom_lifts = []
-                base = corner2
-                for dg in degs:
-                    rows = [r for r in corner
-                            if _is_homog(f, B, r, dg)]
-                    if not rows:
-                        continue
-                    ext = complement_rows(f, base, np.stack(rows))
-                    for r in ext:
-                        hom_lifts.append((r, dg))
+            base = corners2.get((i, j), f.zeros(0, n))
+            # rad^2 is an ideal, so its corner lies in rad's corner
+            want = corner.shape[0] - base.shape[0]
+            support = corner != f.zero
+            lifts = []
+            for k, dg in enumerate(degrees):
+                rows = corner[~np.any(support & (grading != dg), axis=1)]
+                if not rows.shape[0]:
+                    continue
+                ext = complement_rows(f, base, rows)
+                lifts.extend((r, dg) for r in ext)
+                if k < len(degrees) - 1:
                     base = _sum_rows(f, base, ext)
-                if len(hom_lifts) != lifts.shape[0]:
-                    raise NotSplit("radical corner is not graded; cannot "
-                                   "choose homogeneous arrow lifts")
-                for r, dg in hom_lifts:
-                    arrow_list.append((f"a{len(arrow_list) + 1}",
-                                       vertices[i], vertices[j]))
-                    arrow_elems.append(r)
-                    arrow_degs.append(dg)
-            else:
-                for r in lifts:
-                    arrow_list.append((f"a{len(arrow_list) + 1}",
-                                       vertices[i], vertices[j]))
-                    arrow_elems.append(r)
+            if len(lifts) != want:
+                raise NotSplit("radical corner is not graded; cannot "
+                               "choose homogeneous arrow lifts")
+            for r, dg in lifts:
+                arrow_list.append((f"a{len(arrow_list) + 1}",
+                                   vertices[i], vertices[j]))
+                arrow_elems.append(r)
+                arrow_degs.append(dg)
 
     quiver = Quiver(vertices, arrow_list)
-    arrow_degrees = arrow_degs if graded else None
+    arrow_degrees = arrow_degs if B.grading is not None else None
 
     # -- kernel of the presentation map, degree by degree -------------------
     # a path's value extends its prefix's value: (x a) = x R_a^T on rows
     arrow_rmats = [B.right_mult_matrix(x) for x in arrow_elems]
-    paths_by_len: dict[int, list[Path]] = {0: [Path(v, ()) for v in range(m)],
-                                           1: []}
-    for a, (_, s, t) in enumerate(arrow_list):
-        paths_by_len[1].append(Path(quiver.vindex[s], (a,)))
+    paths = [Path(quiver.vindex[s], (a,)) for a, (_, s, _) in
+             enumerate(arrow_list)]
     # the lifts lie in e_s B, so e_s a = a
-    values = {1: np.stack(arrow_elems) if arrow_elems else f.zeros(0, n)}
-
+    values = np.stack(arrow_elems) if arrow_elems else f.zeros(0, n)
     relations: list[PathElement] = []
+    # the index of each path of length 2..d, in order, their values, and
+    # the kernel K_{d-1} on the first ker.shape[1] of them
+    pool: dict[Path, int] = {}
+    pool_values = []
+    ker = f.zeros(0, 0)
     out = None
     for d in itertools.count(2):
-        paths_by_len[d] = []
+        longer = []
         # for each last arrow: the new paths' rows and their prefixes' rows
         extend: dict[int, tuple[list[int], list[int]]] = {}
-        for r, p in enumerate(paths_by_len[d - 1]):
+        for r, p in enumerate(paths):
             for a in quiver.arrows_from(p.target(quiver)):
                 rows, prefixes = extend.setdefault(a, ([], []))
-                rows.append(len(paths_by_len[d]))
+                rows.append(len(longer))
                 prefixes.append(r)
-                paths_by_len[d].append(Path(p.source, p.arrows + (a,)))
-        values[d] = f.zeros(len(paths_by_len[d]), n)
+                longer.append(Path(p.source, p.arrows + (a,)))
+        prev, values = values, f.zeros(len(longer), n)
         for a, (rows, prefixes) in extend.items():
-            values[d][rows] = f.matmul(values[d - 1][prefixes],
-                                       arrow_rmats[a].T)
+            values[rows] = f.matmul(prev[prefixes], arrow_rmats[a].T)
+        paths = longer
         # the paths of length d span rad^d: d is the nilpotency degree
         # once they all vanish, and this is the last degree
-        last = f.is_zero(values[d])
+        last = f.is_zero(values)
         if not last and d >= n + 2:
             raise NotSplit("radical is not nilpotent; trace-form radical "
                            "computation is invalid here")
-        # kernel of evaluation on paths of length 2..d
-        pool: list[Path] = []
-        for dd in range(2, d + 1):
-            pool.extend(paths_by_len[dd])
+        for p in paths:
+            pool[p] = len(pool)
+        pool_values.append(values)
         if not pool:
             break
-        ev = np.concatenate([values[dd] for dd in range(2, d + 1)])
-        ker = f.kernel(ev.T)  # rows: coefficient vectors over pool
+        # the ideal that the relations so far generate in the span of the
+        # pool: K_{d-1} + arrows K_{d-1} + K_{d-1} arrows, 0 while K_{d-1} = 0
+        ideal = (_ideal_rows(f, quiver, pool, ker) if ker.shape[0]
+                 else f.zeros(0, len(pool)))
+        # K_d: kernel of evaluation on the pool
+        ker = f.kernel(np.concatenate(pool_values).T)
         new = ker[:0]
         if ker.shape[0]:
-            # span of the ideal generated by the current relations, within
-            # pool
-            idx = {p: k for k, p in enumerate(pool)}
-            ideal_rows = _ideal_span(f, quiver, relations, pool, idx)
-            new = complement_rows(f, ideal_rows, ker)
-            for r in new:
-                terms = {}
-                for k, p in enumerate(pool):
-                    if r[k] != f.zero:
-                        terms[p] = r[k]
-                relations.append(PathElement(quiver, terms))
+            new = complement_rows(f, ideal, ker)
+            relations.extend(
+                PathElement(quiver, {p: r[k] for p, k in pool.items()
+                                     if r[k] != f.zero}) for r in new)
         if last:
             break
         if new.shape[0]:
@@ -414,9 +409,35 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
         raise NotSplit(
             f"presentation dimension {out.dim} differs from algebra "
             f"dimension {B.dim}; input violated the basic/split contract")
-    out.presented_from = B
     out.arrow_elements = arrow_elems
     return out
+
+
+def _ideal_rows(f: Field, quiver: Quiver, pool: dict[Path, int],
+                ker: np.ndarray) -> np.ndarray:
+    """Row basis of the span of ker, a ker and ker a for every arrow a,
+    on the paths of ``pool`` (each mapped to its index), where ker ranges
+    over the first ker.shape[1] of them.  Each product is one column
+    gather: the column of a path p = a q of the pool is the column of q
+    in ker when the first arrow of p is a, and the zero column appended
+    to ker otherwise; the same holds on the right with the last arrow."""
+    width = ker.shape[1]
+    first = np.array([p.arrows[0] for p in pool])
+    final = np.array([p.arrows[-1] for p in pool])
+    tail = np.array([pool.get(Path(quiver.target(p.arrows[0]),
+                                   p.arrows[1:]), width) for p in pool])
+    head = np.array([pool.get(Path(p.source, p.arrows[:-1]), width)
+                     for p in pool])
+    gathers = [np.minimum(np.arange(len(pool)), width)]
+    for a in range(quiver.n_arrows):
+        gathers.append(np.where(first == a, tail, width))
+        gathers.append(np.where(final == a, head, width))
+    padded = np.concatenate([ker, f.zeros(ker.shape[0], 1)], axis=1)
+    support = padded != f.zero
+    # only the rows of ker that a gather keeps nonzero
+    return f.row_space(np.concatenate(
+        [padded[np.ix_(np.flatnonzero(support[:, g].any(axis=1)), g)]
+         for g in gathers]))
 
 
 def _presentation_of_dim(quiver: Quiver, f: Field,
@@ -435,76 +456,3 @@ def _presentation_of_dim(quiver: Quiver, f: Field,
     except NonAdmissible:
         return None
     return out if out.dim == n else None
-
-
-def _is_homog(f, B, row: np.ndarray, deg: int) -> bool:
-    if B.grading is None:
-        return True
-    return all(c == f.zero or B.grading[k] == deg
-               for k, c in enumerate(row))
-
-
-def _ideal_span(f, quiver: Quiver, relations: list[PathElement],
-                pool: list[Path], idx: dict[Path, int]) -> np.ndarray:
-    """Row span, inside the coordinate space of `pool`, of all u.g.w that
-    stay inside the pool's path lengths."""
-    if not relations:
-        return f.zeros(0, len(pool))
-    maxlen = max(len(p.arrows) for p in pool)
-    rows = []
-    for g in relations:
-        glen = max(len(p.arrows) for p in g.terms)
-        # enumerate left/right path extensions within the length budget
-        buds = maxlen - min(len(p.arrows) for p in g.terms)
-        some = next(iter(g.terms))
-        gsrc = some.source
-        gtgt = some.target(quiver)
-        lefts = _paths_into(quiver, gsrc, buds)
-        for lp in lefts:
-            rights = _paths_from(quiver, gtgt, buds - len(lp.arrows))
-            for rp in rights:
-                vec = f.zeros(1, len(pool))[0]
-                ok = True
-                for p, c in g.terms.items():
-                    w = Path(lp.source if lp.arrows else p.source,
-                             lp.arrows + p.arrows + rp.arrows)
-                    if w not in idx:
-                        # for mixed-length generators a shifted copy can
-                        # stick out of the pool; it then spans nothing here
-                        # (a conservative under-approximation: extra
-                        # generators stay correct, dimension is enforced)
-                        ok = False
-                        break
-                    vec[idx[w]] = vec[idx[w]] + c
-                if ok and np.any(vec != f.zero):
-                    rows.append(f.reduce(vec))
-    if not rows:
-        return f.zeros(0, len(pool))
-    return f.row_space(np.stack(rows))
-
-
-def _paths_into(quiver: Quiver, v: int, maxlen: int) -> list[Path]:
-    out = [Path(v, ())]
-    frontier = [Path(v, ())]
-    for _ in range(maxlen):
-        nxt = []
-        for p in frontier:
-            for a in quiver.arrows_into(p.source):
-                nxt.append(Path(quiver.source(a), (a,) + p.arrows))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
-def _paths_from(quiver: Quiver, v: int, maxlen: int) -> list[Path]:
-    out = [Path(v, ())]
-    frontier = [Path(v, ())]
-    for _ in range(maxlen):
-        nxt = []
-        for p in frontier:
-            at = p.target(quiver)
-            for a in quiver.arrows_from(at):
-                nxt.append(Path(p.source, p.arrows + (a,)))
-        out.extend(nxt)
-        frontier = nxt
-    return out

@@ -45,11 +45,9 @@ __all__ = ["ProjResolution", "min_proj_resolution",
 class ProjResolution:
     """... -> P1 -> P0 -> M -> 0 with tagged projective terms."""
 
-    module: Representation
     terms: list[Representation]
     augmentation: ModuleMap              # P0 -> M
     differentials: list[ModuleMap]       # differentials[i]: P(i+1) -> P(i)
-    minimal: bool
     truncated: bool
 
     @property
@@ -146,7 +144,7 @@ def min_proj_resolution(M: Representation, length_cap: int = 32) -> ProjResoluti
         diffs.append(cov.compose(incl))
         terms.append(cov.source)
         ker, incl = map_kernel(cov)
-    return ProjResolution(M, terms, aug, diffs, True, truncated)
+    return ProjResolution(terms, aug, diffs, truncated)
 
 
 def _injective_resolution(A: BoundQuiverAlgebra, v: int, cap: int):
@@ -200,7 +198,7 @@ def injectives_sum_resolution(M: Representation,
             blocks[x][r:r + b.shape[0], col[x]:col[x] + b.shape[1]] = b
             col[x] += b.shape[1]
     aug = ModuleMap(terms[0], M, blocks)
-    return ProjResolution(M, terms, aug, diffs, True,
+    return ProjResolution(terms, aug, diffs,
                           any(res.truncated for res, _ in parts))
 
 

@@ -8,6 +8,7 @@ path order (first arrow acts first).
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -626,9 +627,12 @@ def decompose(M: Representation,
 
     The splitting elements of End/rad are drawn from a generator seeded
     with 11 plus the recursion depth, so the summands, and their bases,
-    are the same on every run.  Raises NonSplitEndo when a split into
-    matrix algebras over k cannot be certified (division-algebra quotient
-    bigger than k suspected).
+    are the same on every run.  After 32 random draws, the basis elements
+    of End/rad are tried in turn: over Q the minimal polynomial of a
+    random element of M_k(Q) rarely has a root in [-12, 12], the only
+    roots tried, but that of a matrix unit E_ii is x^2 - x.  Raises
+    NonSplitEndo when a split into matrix algebras over k cannot be
+    certified (division-algebra quotient bigger than k suspected).
     """
     if M.is_zero():
         return []
@@ -663,8 +667,9 @@ def decompose(M: Representation,
         [to_S([one])[0]])
 
     idem = None
-    for _ in range(32):
-        svec = f.array([f.rand_el(rng) for _ in range(sdim)])
+    draws = (f.array([f.rand_el(rng) for _ in range(sdim)])
+             for _ in range(32))
+    for svec in itertools.chain(draws, f.eye(sdim)):
         m = _minpoly_in(S_alg, svec)
         split = _coprime_split(f, m, rng)
         if split is None:
@@ -676,7 +681,7 @@ def decompose(M: Representation,
             break
     if idem is None:
         raise NonSplitEndo("no splitting idempotent found in End/rad after "
-                           "32 trials")
+                           "32 random trials and its basis")
 
     # lift to an exact idempotent of End(M) by Newton iteration
     phi = _combine(M, basis, f.matmul(idem.reshape(1, -1), S.comp)[0])

@@ -34,9 +34,9 @@ from .homology import (ProjResolution, ext_data, global_dimension,
                        hom_matrix, min_proj_resolution, op_element,
                        tau_n_orbit)
 from .modules import (ModuleMap, Representation, coregular, decompose,
-                      direct_sum, dual_map, hom_space, injective,
-                      is_isomorphic, map_from_projectives, op_algebra,
-                      projective, projective_cover, regular, zero_rep)
+                      direct_sum, dual_map, hom_space, map_from_projectives,
+                      op_algebra, projective, projective_cover, regular,
+                      zero_rep)
 from .quivers import BoundQuiverAlgebra, Path, trivial
 
 __all__ = ["ExtBimodule", "ext_bimodule", "PreprojectiveSplit",
@@ -214,7 +214,6 @@ def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
 class PreprojectiveSplit:
     whole: Representation
     P_free: Representation
-    I_free: Representation
     summand_reps: list[Representation]
     summand_grades: list[int]
     grade_dims: list[int]
@@ -260,13 +259,8 @@ def preprojective_module(A: BoundQuiverAlgebra, n: int,
     whole = direct_sum(reps)
     nonproj = [r for r, g in zip(reps, grades) if g > 0]
     p_free = direct_sum(nonproj) if nonproj else zero_rep(A)
-    injs = [injective(A, v) for v in range(A.quiver.n_vertices)]
-    noninj = [r for r in reps
-              if not any(r.dims == i0.dims and is_isomorphic(r, i0)
-                         for i0 in injs)]
-    i_free = direct_sum(noninj) if noninj else zero_rep(A)
     hit = A.memo[("split", n, cap)] = PreprojectiveSplit(
-        whole, p_free, i_free, reps, grades, grade_dims)
+        whole, p_free, reps, grades, grade_dims)
     return hit
 
 

@@ -14,6 +14,12 @@
 - ``indecomposables_isomorphic`` decides M = N for indecomposable M and
   N from the products of Hom(M, N) and Hom(N, M) basis maps;
   ``modules._has_iso`` tests the Hom(M, N) basis maps alone.
+- ``ideal_span`` is the part of the ideal that given relations generate
+  inside the span of some paths, from every product u g w of a relation
+  g with paths u and w, with ``paths_into`` and ``paths_from``;
+  ``findim.quiver_presentation`` takes it from the previous degree's
+  kernel and its products with one arrow.  ``is_homog`` tests one row
+  of a graded algebra for homogeneity.
 - ``prime_rref`` is the mod-p elimination written out with ``% p``, which
   ``Field.rref`` now does through ``Field.reduce``.
 """
@@ -29,6 +35,7 @@ from quiveralg.homology import elements_of_map
 from quiveralg.modules import (ModuleMap, Representation, direct_sum,
                                hom_space, projective_cover, quotient,
                                radical_series, subrepresentation, zero_rep)
+from quiveralg.quivers import Path, PathElement, Quiver
 
 
 def hom_quotient(M: Representation, N: Representation,
@@ -212,4 +219,77 @@ def hom_delta_entrywise(P, Y, m: int) -> np.ndarray:
             act = Y.terms[i + m + 1].act_element(elem, vw, v)
             out[ro:ro + drow, co:co + dcol] = f.add(
                 out[ro:ro + drow, co:co + dcol], f.smul(f.neg(sign), act))
+    return out
+
+
+def is_homog(f, B, row: np.ndarray, deg: int) -> bool:
+    if B.grading is None:
+        return True
+    return all(c == f.zero or B.grading[k] == deg
+               for k, c in enumerate(row))
+
+
+def ideal_span(f, quiver: Quiver, relations: list[PathElement],
+               pool: list[Path], idx: dict[Path, int]) -> np.ndarray:
+    """Row span, inside the coordinate space of `pool`, of all u.g.w that
+    stay inside the pool's path lengths."""
+    if not relations:
+        return f.zeros(0, len(pool))
+    maxlen = max(len(p.arrows) for p in pool)
+    rows = []
+    for g in relations:
+        glen = max(len(p.arrows) for p in g.terms)
+        # enumerate left/right path extensions within the length budget
+        buds = maxlen - min(len(p.arrows) for p in g.terms)
+        some = next(iter(g.terms))
+        gsrc = some.source
+        gtgt = some.target(quiver)
+        lefts = paths_into(quiver, gsrc, buds)
+        for lp in lefts:
+            rights = paths_from(quiver, gtgt, buds - len(lp.arrows))
+            for rp in rights:
+                vec = f.zeros(1, len(pool))[0]
+                ok = True
+                for p, c in g.terms.items():
+                    w = Path(lp.source if lp.arrows else p.source,
+                             lp.arrows + p.arrows + rp.arrows)
+                    if w not in idx:
+                        # for mixed-length generators a shifted copy can
+                        # stick out of the pool; it then spans nothing here
+                        # (a conservative under-approximation: extra
+                        # generators stay correct, dimension is enforced)
+                        ok = False
+                        break
+                    vec[idx[w]] = vec[idx[w]] + c
+                if ok and np.any(vec != f.zero):
+                    rows.append(f.reduce(vec))
+    if not rows:
+        return f.zeros(0, len(pool))
+    return f.row_space(np.stack(rows))
+
+
+def paths_into(quiver: Quiver, v: int, maxlen: int) -> list[Path]:
+    out = [Path(v, ())]
+    frontier = [Path(v, ())]
+    for _ in range(maxlen):
+        nxt = []
+        for p in frontier:
+            for a in quiver.arrows_into(p.source):
+                nxt.append(Path(quiver.source(a), (a,) + p.arrows))
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+def paths_from(quiver: Quiver, v: int, maxlen: int) -> list[Path]:
+    out = [Path(v, ())]
+    frontier = [Path(v, ())]
+    for _ in range(maxlen):
+        nxt = []
+        for p in frontier:
+            at = p.target(quiver)
+            for a in quiver.arrows_from(at):
+                nxt.append(Path(p.source, p.arrows + (a,)))
+        out.extend(nxt)
+        frontier = nxt
     return out

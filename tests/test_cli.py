@@ -262,16 +262,30 @@ GAMMA_GOLDENS = [("auslander", "A3-nonlinear"), ("auslander", "A4"),
                  ("linear_nakayama", "9")]
 
 
-@pytest.mark.parametrize("family, param", GAMMA_GOLDENS,
-                         ids=[f"{f}_{p}" for f, p in GAMMA_GOLDENS])
-def test_gamma_spec_matches_golden(family, param):
+def _assert_spec_matches_golden(command, family, param):
     path = os.path.join(os.path.dirname(__file__), "data",
-                        f"gamma_{family}_{param}_n2.spec")
+                        f"{command}_{family}_{param}_n2.spec")
     with open(path) as fh:
         want = fh.read()
     code, spec = _run(["family", family, param])
     assert code == 0
-    code, out = _run(["gamma", "--n", "2", "--format", "spec"],
+    code, out = _run([command, "--n", "2", "--format", "spec"],
                      stdin_text=spec)
     assert code == 0
     assert out == want
+
+
+@pytest.mark.parametrize("family, param", GAMMA_GOLDENS,
+                         ids=[f"{f}_{p}" for f, p in GAMMA_GOLDENS])
+def test_gamma_spec_matches_golden(family, param):
+    _assert_spec_matches_golden("gamma", family, param)
+
+
+# Goldens written by `quiveralg family ... | quiveralg preprojective --n 2
+# --format spec` while quiver_presentation still enumerated every product
+# u g w of a relation g to find the ideal; they pin the relations of the
+# (n+1)-preprojective algebra.
+@pytest.mark.parametrize("family, param", GAMMA_GOLDENS,
+                         ids=[f"{f}_{p}" for f, p in GAMMA_GOLDENS])
+def test_preprojective_spec_matches_golden(family, param):
+    _assert_spec_matches_golden("preprojective", family, param)

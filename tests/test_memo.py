@@ -1,9 +1,9 @@
 """The invariants kept in an algebra's memo answer as a fresh algebra does.
 
-Global dimension, the tau_n^- orbit, the preprojective split and the Serre
-context are computed once per algebra object.  Every answer read from the
-memo must equal the one a fresh object computes, whatever was asked
-before.
+Global dimension, the tau_n^- orbit, the preprojective split, the Serre
+context and the self-injectivity verdict are computed once per algebra
+object.  Every answer read from the memo must equal the one a fresh
+object computes, whatever was asked before.
 """
 
 import json
@@ -11,7 +11,7 @@ from dataclasses import asdict
 
 import pytest
 
-from quiveralg.checks import analyze, is_tau_n_finite
+from quiveralg.checks import analyze, is_self_injective, is_tau_n_finite
 from quiveralg.derived import module_complex, serre_context
 from quiveralg.errors import AboveCap, NotTauFinite
 from quiveralg.exactla import GF, QQ
@@ -134,6 +134,16 @@ def test_split_is_shared_per_n_and_cap():
     split = preprojective_module(A, 2)
     assert preprojective_module(A, 2) is split
     assert preprojective_module(A, 2, cap=5) is not split
+
+
+@pytest.mark.parametrize("make, value", [(two_cycle, True), (nak_a3, False)],
+                         ids=["two_cycle", "nak_a3"])
+def test_self_injective_verdict_is_kept_per_object(make, value):
+    A = make(GF(32003))
+    verdict = is_self_injective(A)
+    assert verdict.value is value
+    assert is_self_injective(A) is verdict
+    assert is_self_injective(make(GF(32003))) == verdict
 
 
 # ---------------------------------------------------------------------------

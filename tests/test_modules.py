@@ -417,8 +417,8 @@ def _cubic_modules(field):
     ("P P Q2", "P Q2 P", True),
     ("P", "Q2 S", False),
     ("Q2 S", "P", False),
-    # dim Hom(S^3, Q2+S) = 6 < 9 = dim End(S^3); without that check S^3
-    # would go to decompose, which raises NonSplitEndo on it over Q
+    # dim Hom(S^3, Q2+S) = 6 < 9 = dim End(S^3), so S^3 is refused
+    # before any decompose
     ("S S S", "Q2 S", False),
 ])
 def test_is_isomorphic_on_sums_over_cubic_polynomials(field, left, right,
@@ -427,6 +427,17 @@ def test_is_isomorphic_on_sums_over_cubic_polynomials(field, left, right,
     M = direct_sum([mods[k] for k in left.split()])
     N = direct_sum([mods[k] for k in right.split()])
     assert is_isomorphic(M, N) is iso
+
+
+@pytest.mark.parametrize("summand", ["S", "Q2", "P"])
+def test_decompose_splits_a_cube_over_rationals(summand):
+    """End/rad of X^3 is M_3(Q), whose random elements rarely have a
+    minimal polynomial with a root in [-12, 12]; decompose then splits
+    with a basis element of End/rad, such as a matrix unit (x^2 - x)."""
+    X = _cubic_modules(QQ)[summand]
+    parts = decompose(direct_sum([X, X, X]))
+    assert [(Y.dims, m) for Y, m in parts] == [(X.dims, 3)]
+    assert _has_iso(parts[0][0], X)
 
 
 def test_is_isomorphic_refuses_decomposable_modules_over_small_fields():

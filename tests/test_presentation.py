@@ -3,19 +3,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quiveralg import quivers
 from quiveralg.derived import amiot_endomorphism_algebra
 from quiveralg.errors import NotBasic
 from quiveralg.exactla import GF, QQ, QuotientBasis, complement_rows
 from quiveralg.families import linear_nakayama, thm39_type2
-from quiveralg.findim import (FinDimAlgebra, _ideal_span, _is_homog, _meet,
-                              _radical_rows, _sum_rows, algebra_from_bqa,
-                              quiver_presentation)
+from quiveralg.findim import (FinDimAlgebra, _meet, _radical_rows, _sum_rows,
+                              algebra_from_bqa, quiver_presentation)
 from quiveralg.modules import projective
 from quiveralg.preprojective import (end_algebra, preprojective_algebra,
                                      stable_endomorphism)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
+from references import ideal_span, is_homog
 
 F = GF(32003)
 
@@ -175,7 +176,7 @@ def _reference_presentation(B, cap=64):
                 picked = []
                 base = corner2
                 for dg in sorted(set(B.grading)):
-                    rows = [r for r in corner if _is_homog(f, B, r, dg)]
+                    rows = [r for r in corner if is_homog(f, B, r, dg)]
                     if not rows:
                         continue
                     ext = complement_rows(f, base, np.stack(rows))
@@ -214,7 +215,7 @@ def _reference_presentation(B, cap=64):
         if ker.shape[0] == 0:
             continue
         idx = {p: k for k, p in enumerate(pool)}
-        ideal_rows = _ideal_span(f, quiver, relations, pool, idx)
+        ideal_rows = ideal_span(f, quiver, relations, pool, idx)
         for r in complement_rows(f, ideal_rows, ker):
             relations.append(PathElement(quiver, {
                 p: r[k] for k, p in enumerate(pool) if r[k] != f.zero}))
@@ -306,6 +307,52 @@ def test_presentation_equals_the_full_loop_reference(name, field):
     B = ALGEBRAS[name](field.values[0])
     _assert_same_presentation(quiver_presentation(B),
                               _reference_presentation(B))
+
+
+@st.composite
+def bound_quiver_algebras(draw):
+    """kQ/I for an acyclic quiver Q on 2-4 vertices with at most two
+    parallel arrows per pair of vertices; I is generated by some paths of
+    length 2 and one relation p + c r between a path p of length 2 and
+    another path r of length 2 (commutativity) or 3 (mixed length) with
+    the same ends, when Q has such a pair; the monomial relations leave
+    p and r nonzero."""
+    nv = draw(st.integers(2, 4))
+    arrows = []
+    for i, j in itertools.combinations(range(nv), 2):
+        for _ in range(draw(st.integers(0, 2))):
+            arrows.append((f"a{len(arrows) + 1}", str(i + 1), str(j + 1)))
+    q = Quiver([str(v + 1) for v in range(nv)], arrows)
+    by_len = [[Path(v, ()) for v in range(nv)]]
+    for _ in range(3):
+        by_len.append([Path(p.source, p.arrows + (a,)) for p in by_len[-1]
+                       for a in q.arrows_from(p.target(q))])
+    # the pairs (p, r) of each kind: r of length 2, r of length 3
+    kinds = [[(p, r) for p in by_len[2] for r in by_len[length]
+              if r != p and (r.source, r.target(q)) == (p.source, p.target(q))]
+             for length in (2, 3)]
+    kinds = [pairs for pairs in kinds if pairs]
+    rels, kept = [], set()
+    if kinds:
+        p, r = draw(st.sampled_from(draw(st.sampled_from(kinds))))
+        c = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        rels.append(PathElement(q, {p: 1, r: c}))
+        # no monomial relation kills p or r
+        kept = {p, Path(r.source, r.arrows[:2]),
+                Path(q.target(r.arrows[0]), r.arrows[1:])}
+    rels += [PathElement(q, {p: 1}) for p in by_len[2]
+             if p not in kept and draw(st.booleans())]
+    return complete_basis(q, F, rels)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bound_quiver_algebras())
+def test_presentation_of_random_bound_quiver_algebras(A):
+    B = algebra_from_bqa(A)
+    P = quiver_presentation(B)
+    assert P.dim == A.dim
+    _assert_same_presentation(P, _reference_presentation(B))
 
 
 @pytest.mark.parametrize("field", FIELDS)
