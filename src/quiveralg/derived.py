@@ -967,7 +967,7 @@ def amiot_endomorphism_algebra(A: BoundQuiverAlgebra, n: int,
     """End of the regular object in the orbit category, as a graded
     FinDimAlgebra: degree-i piece Hom_D(A, S_n^{-i} A), composition via
     transported chain maps."""
-    from .findim import FinDimAlgebra
+    from .findim import FinDimAlgebra, sparse_constants
     f = A.field
     ctx = serre_context(A, n, cap)
     nv = A.quiver.n_vertices
@@ -1021,11 +1021,11 @@ def amiot_endomorphism_algebra(A: BoundQuiverAlgebra, n: int,
             hit = cm
         return hit
 
-    def mult(i: int) -> np.ndarray:
-        """Products x_i x_j in the tensor-algebra orientation: x_j acts
-        first, x_i is transported past it by S_n^{-deg(x_j)}."""
+    def products(i: int):
+        """Products x_i x_j as entries (i, j, k, c), in order of (j, k), in
+        the tensor-algebra orientation: x_j acts first, x_i is transported
+        past it by S_n^{-deg(x_j)}."""
         gi = basis_info[i][0]
-        row = f.zeros(total, total)
         for j in range(total):
             gj = basis_info[j][0]
             if gi + gj >= len(coords):
@@ -1043,9 +1043,8 @@ def amiot_endomorphism_algebra(A: BoundQuiverAlgebra, n: int,
             for w in range(nv):
                 col = R.offsets[w][w]
                 gen_imgs.append(comp.blocks[w][:, col:col + 1])
-            row[j, offsets[gi + gj]:offsets[gi + gj + 1]] = \
-                coords[gi + gj].coords(gen_imgs)
-        return row
+            for t, c in enumerate(coords[gi + gj].coords(gen_imgs)):
+                yield i, j, int(offsets[gi + gj]) + t, c
 
     idems = []
     for v in range(nv):
@@ -1061,7 +1060,8 @@ def amiot_endomorphism_algebra(A: BoundQuiverAlgebra, n: int,
             vec[t] = cvec[t]
         idems.append(vec)
 
-    alg = FinDimAlgebra(f, total, mult, idems, grading)
+    alg = FinDimAlgebra(f, total, None, idems, grading, constants=(
+        sparse_constants(f, (e for i in range(total) for e in products(i)))))
     alg.piece_dims = piece_dims
     return alg
 

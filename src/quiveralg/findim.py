@@ -1,11 +1,11 @@
 """Abstract finite-dimensional algebras and quiver presentations.
 
 A FinDimAlgebra is a basis, its structure constants and a complete list
-of orthogonal idempotents, optionally graded.  The builder's function
-gives the products one basis row at a time: ``mult(i)`` is a dim x dim
-array whose row j holds the coordinates of b_i b_j.  It is called once
-per i, when the algebra is built, and only the nonzero constants
-c_{ij}^k are kept, as four flat arrays.  Products, left and right
+of orthogonal idempotents, optionally graded.  Only the nonzero
+constants c_{ij}^k are kept, as four flat arrays, which the builders
+pass directly (``sparse_constants`` makes them from a list of entries);
+End/rad in ``modules.decompose`` alone gives its products one basis row
+at a time through a row callback.  Products, left and right
 multiplication matrices are scatter-adds over them, and the trace form
 that gives the radical is one sparse join of them with themselves.
 ``quiver_presentation`` recovers a bound quiver algebra from it: Gabriel
@@ -44,13 +44,13 @@ __all__ = ["FinDimAlgebra", "quiver_presentation", "vertex_labels"]
 class FinDimAlgebra:
     """Associative unital algebra given by structure constants.
 
-    ``mult(i)`` gives the products of basis element i with every basis
-    element, as a dim x dim array whose row j holds the coordinates of
-    b_i b_j.  The constructor calls it once per i and keeps only the
-    nonzero constants c_{ij}^k, as four flat arrays
-    ``constants = (i, j, k, c)``, in order of (i, j, k); every product
-    after that is a scatter-add over those arrays.  A caller that has
-    the constants in that form passes them instead, with ``mult`` None.
+    The nonzero constants c_{ij}^k are four flat arrays
+    ``constants = (i, j, k, c)``, in order of (i, j, k), and every product
+    is a scatter-add over them.  The builders pass them, with ``mult``
+    None.  Otherwise ``mult(i)`` gives the products of basis element i
+    with every basis element, as a dim x dim array whose row j holds the
+    coordinates of b_i b_j, and the constructor calls it once per i;
+    only End/rad in ``modules.decompose`` is built that way.
 
     ``quiver_presentation`` needs a vertex-adapted basis: each idempotent
     acts on the left and on the right by a 0/1 diagonal matrix, so each
@@ -167,14 +167,19 @@ def algebra_from_bqa(A: BoundQuiverAlgebra) -> FinDimAlgebra:
     grading = [A.path_degree(p) for p in A.basis] \
         if A.arrow_degrees is not None else None
 
-    def mult(i: int) -> np.ndarray:
-        row = f.zeros(A.dim, A.dim)
-        for j in range(A.dim):
-            for k, c in A.mult_basis(i, j).items():
-                row[j, k] = c
-        return row
+    return FinDimAlgebra(f, A.dim, None, idems, grading, constants=(
+        sparse_constants(f, (
+            (i, j, k, c) for i in range(A.dim) for j in range(A.dim)
+            for k, c in sorted(A.mult_basis(i, j).items())))))
 
-    return FinDimAlgebra(f, A.dim, mult, idems, grading)
+
+def sparse_constants(f: Field, entries) -> tuple:
+    """``FinDimAlgebra.constants`` from the entries (i, j, k, c) of the
+    products b_i b_j in order of (i, j, k), less the zero ones."""
+    kept = [e for e in entries if e[3] != f.zero]
+    i, j, k = (np.array([e[s] for e in kept], dtype=np.int64)
+               for s in range(3))
+    return i, j, k, f.array([e[3] for e in kept])
 
 
 def vertex_labels(f, mats: list[np.ndarray], idems: list[int],

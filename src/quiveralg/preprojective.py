@@ -17,7 +17,8 @@ and each grade is a quotient of the span of those, with a projection
 onto the quotient and a pure tensor representing each of its basis
 elements.  The structure constants are computed grade by grade, once:
 the products into grade g_i + g_j come from the products into grade
-g_i + g_j - 1, tensored with E and projected.
+g_i + g_j - 1, tensored with E and projected; only the nonzero ones
+are kept.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import GldimTooLarge, NotTauFinite, AboveCap
 from .exactla import QuotientBasis
-from .findim import FinDimAlgebra, vertex_labels
+from .findim import FinDimAlgebra, algebra_from_bqa, vertex_labels
 from .homology import (ProjResolution, ext_data, global_dimension,
                        hom_matrix, min_proj_resolution, op_element,
                        tau_n_orbit)
@@ -364,22 +365,17 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
     and the arrows; a longer path's is a product, as in ``ExtBimodule``.
     The products are computed grade by grade: x y with y = x_k (x) y_k in
     grade g > 0 is the class of (x x_k) (x) y_k, where the products x x_k
-    into grade g-1 are already known.
+    into grade g-1 are already known; only their nonzero entries are
+    kept, one grade g_i at a time.
     """
     E = ext_bimodule(A, n)
     f = A.field
     adim = A.dim
 
     # degree 0: A itself with its right regular action
-    rmats0 = []
-    for b in range(adim):
-        rm = f.zeros(adim, adim)
-        for j in range(adim):
-            for t, c in A.mult_basis(j, b).items():
-                rm[t, j] = c
-        rmats0.append(rm)
-
-    grades = [{"dim": adim, "R": rmats0}]
+    base = algebra_from_bqa(A)
+    grades = [{"dim": adim,
+               "R": [base.right_mult_matrix(e) for e in f.eye(adim)]}]
     if E.dim > 0:
         while True:
             prev = grades[-1]
@@ -412,9 +408,10 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
     for gi, d in enumerate(dims):
         grading.extend([gi] * d)
 
-    # prods[gi][gj][li, :, lj]: coordinates in grade gi + gj of the product
-    # of basis element li of grade gi with basis element lj of grade gj
-    prods = []
+    # row[gj][li, :, lj]: coordinates in grade gi + gj of the product of
+    # basis element li of grade gi with basis element lj of grade gj; only
+    # its nonzero entries outlive the row
+    parts = [(offsets[:0],) * 3 + (f.zeros(1, 0)[0],)]
     for gi in range(len(grades)):
         row = [np.stack(grades[gi]["R"], axis=2).transpose(1, 0, 2)]
         for gj in range(1, len(grades) - gi):
@@ -426,25 +423,17 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
             tens = f.matmul(h["proj"], tens.reshape(tens.shape[0], -1))
             row.append(tens.reshape(-1, g["dim"], dims[gi])
                        .transpose(2, 0, 1))
-        prods.append(row)
-
-    def mult(i: int) -> np.ndarray:
-        gi = int(np.searchsorted(offsets, i, side="right") - 1)
-        li = i - int(offsets[gi])
-        row = f.zeros(total_dim, total_dim)
-        for gj in range(len(grades) - gi):
-            row[offsets[gj]:offsets[gj + 1],
-                offsets[gi + gj]:offsets[gi + gj + 1]] = prods[gi][gj][li].T
-        return row
-
-    idems = []
-    for v in range(A.quiver.n_vertices):
-        vec = f.zeros(1, total_dim)[0]
-        for k, c in A.idempotent(v).items():
-            vec[k] = c
-        idems.append(vec)
-
-    return FinDimAlgebra(f, total_dim, mult, idems, grading)
+        for gj, block in enumerate(row):
+            li, k, lj = np.nonzero(block != f.zero)
+            parts.append((offsets[gi] + li, offsets[gj] + lj,
+                          offsets[gi + gj] + k, block[li, k, lj]))
+        del row
+    i, j, k, c = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((k, j, i))
+    idems = [np.concatenate([e, f.zeros(1, total_dim - adim)[0]])
+             for e in base.idempotents]
+    return FinDimAlgebra(f, total_dim, None, idems, grading, constants=(
+        i[order], j[order], k[order], f.array(c[order])))
 
 
 # ---------------------------------------------------------------------------

@@ -22,18 +22,23 @@
   of a graded algebra for homogeneity.
 - ``prime_rref`` is the mod-p elimination written out with ``% p``, which
   ``Field.rref`` now does through ``Field.reduce``.
+- ``self_injective_by_isomorphism`` decides P_v = I_w with
+  ``is_isomorphic`` on the injective I_w; ``checks._self_injective``
+  compares their dimension vectors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from quiveralg.checks import Verdict, socle_vertex
 from quiveralg.derived import _hom_total_spaces
 from quiveralg.exactla import QuotientBasis
 from quiveralg.findim import FinDimAlgebra
 from quiveralg.homology import elements_of_map
 from quiveralg.modules import (ModuleMap, Representation, direct_sum,
-                               hom_space, projective_cover, quotient,
+                               hom_space, injective, is_isomorphic,
+                               projective, projective_cover, quotient,
                                radical_series, subrepresentation, zero_rep)
 from quiveralg.quivers import Path, PathElement, Quiver
 
@@ -293,3 +298,24 @@ def paths_from(quiver: Quiver, v: int, maxlen: int) -> list[Path]:
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+def self_injective_by_isomorphism(A) -> Verdict:
+    """Every P_v has a simple socle S_w and is isomorphic to the injective
+    I_w, and v -> w is a permutation; the verdict and witness of
+    ``checks._self_injective``."""
+    perm = {}
+    for v in range(A.quiver.n_vertices):
+        P = projective(A, v)
+        w = socle_vertex(A, P)
+        if w is None:
+            return Verdict(False, {"projective": v,
+                                   "reason": "socle not simple"})
+        if not is_isomorphic(P, injective(A, w)):
+            return Verdict(False, {"projective": v, "socle_vertex": w,
+                                   "reason": "not injective"})
+        perm[v] = w
+    if sorted(perm.values()) != list(range(A.quiver.n_vertices)):
+        return Verdict(False, {"reason": "socle map not a permutation",
+                               "map": perm})
+    return Verdict(True, {"nakayama_permutation": perm})

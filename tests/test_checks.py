@@ -1,12 +1,19 @@
 
-from quiveralg.checks import (analyze, cy_spot_check, is_cm, is_n_rep_finite,
-                              is_self_injective, is_tau_n_finite,
-                              iwanaga_gorenstein_dim, nu_module, rigidity,
-                              vosnex)
+import pytest
+
+from quiveralg.checks import (_self_injective, analyze, cy_spot_check, is_cm,
+                              is_n_rep_finite, is_self_injective,
+                              is_tau_n_finite, iwanaga_gorenstein_dim,
+                              nu_module, rigidity, vosnex)
 from quiveralg.exactla import GF
-from quiveralg.modules import (is_isomorphic, projective, simple)
-from quiveralg.preprojective import preprojective_module
+from quiveralg.families import auslander_algebra, dynkin_path_algebra
+from quiveralg.findim import quiver_presentation
+from quiveralg.modules import (injective, is_isomorphic, projective, simple)
+from quiveralg.preprojective import (preprojective_algebra,
+                                     preprojective_module)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
+from references import self_injective_by_isomorphism
+from test_end_corners import _corpus
 
 F = GF(32003)
 
@@ -94,6 +101,41 @@ def test_self_injective_pi_a2():
 
 def test_not_self_injective_a2():
     assert is_self_injective(a2()).value is False
+
+
+# the preprojective algebras of scripts/corpus_report.py, and of Aus(A3)
+# in the other non-linear orientation; the two Aus(A3) ones are not
+# self-injective
+TILDES = [pytest.param(make, n, not label.startswith("aus-A3"), id=label)
+          for label, make, n in _corpus(F) + [
+              ("aus-A3-bf", lambda: auslander_algebra(
+                  dynkin_path_algebra(3, ["b", "f"], F)), 2)]]
+
+
+@pytest.mark.parametrize("make, n, value", TILDES)
+def test_self_injective_by_dimensions_matches_isomorphism_reference(
+        make, n, value):
+    A = quiver_presentation(preprojective_algebra(make(), n))
+    verdict = _self_injective(A)
+    assert verdict == self_injective_by_isomorphism(A)
+    assert verdict.value is value
+    if not value:
+        assert verdict.witness["reason"] == "not injective"
+    # the dimension vector of I_w is that of e_j A e_w at each vertex j
+    verts = range(A.quiver.n_vertices)
+    for w in verts:
+        assert injective(A, w).dims == \
+            tuple(len(A.basis_between(j, w)) for j in verts)
+
+
+@pytest.mark.parametrize("orientation", [None, ["f", "b"], ["b", "f"]])
+def test_simple_socle_but_not_injective_hereditary(orientation):
+    """Path algebras of A3: some P_v has a simple socle S_w but is not
+    I_w."""
+    A = dynkin_path_algebra(3, orientation, F)
+    verdict = _self_injective(A)
+    assert verdict == self_injective_by_isomorphism(A)
+    assert verdict.witness["reason"] == "not injective"
 
 
 def test_vosnex_vacuous():

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quiveralg.derived import amiot_endomorphism_algebra
 from quiveralg.exactla import GF, QQ, QuotientBasis
-from quiveralg.families import (canonical_2222, dynkin_path_algebra,
-                                knit_indecomposables, linear_nakayama)
+from quiveralg.families import (auslander_algebra, canonical_2222,
+                                dynkin_path_algebra, knit_indecomposables,
+                                linear_nakayama)
 from quiveralg.findim import FinDimAlgebra, _meet, algebra_from_bqa
 from quiveralg.modules import direct_sum
-from quiveralg.preprojective import end_algebra
+from quiveralg.preprojective import (end_algebra, preprojective_algebra,
+                                     preprojective_module)
 from references import hom_quotient
 
 P31 = 2**31 - 1
@@ -102,6 +105,27 @@ def test_end_algebra_rows_match_pairwise_compositions(field):
             coords = quot.coords(maps[i].compose(maps[j]).flatten())[0]
             want = {k: c for k, c in enumerate(coords) if c != field.zero}
             assert stored.get((i, j), {}) == want
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF", "QQ"])
+@pytest.mark.parametrize("make", [
+    lambda f: linear_nakayama(4, f),
+    lambda f: auslander_algebra(dynkin_path_algebra(3, ["f", "b"], f)),
+    lambda f: linear_nakayama(3, f),
+], ids=["linear_nakayama(4)", "Aus(A3-nonlinear)", "linear_nakayama(3)"])
+def test_builders_pass_constants_in_the_row_format(make, field):
+    """Each builder's constants are what the rows of its own table give:
+    nonzero, in order of (i, j, k), with the field's dtype; and no row
+    callback outlives the build."""
+    A = make(field)
+    for B in (preprojective_algebra(A, 2),
+              end_algebra(A, preprojective_module(A, 2).summand_reps),
+              algebra_from_bqa(A), amiot_endomorphism_algebra(A, 2)):
+        rows = FinDimAlgebra(field, B.dim, B.table, B.idempotents, B.grading)
+        for got, want in zip(rows.constants, B.constants):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+        assert not any(callable(v) for v in vars(B).values())
 
 
 def _random_rows(f, rng, rows, cols):
