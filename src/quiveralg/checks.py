@@ -145,7 +145,11 @@ def vosnex(A: BoundQuiverAlgebra, n: int, cap: int = 32,
 
 
 def iwanaga_gorenstein_dim(B, cap: int = 32):
+    """max(id A_A, id _A A), or ``AboveCap``; 0 for a self-injective
+    algebra, read off its memoized verdict without a resolution."""
     A = B if isinstance(B, BoundQuiverAlgebra) else quiver_presentation(B)
+    if is_self_injective(A).value is True:
+        return 0
     right = injective_dimension(regular(A), cap)
     if isinstance(right, AboveCap):
         return right

@@ -11,10 +11,15 @@ to a product of inner dimension k: int64 ``matmul`` for small products
 (m*n*k at most ``_INT64_MATMUL_MNK``), exact while
 ``k * (p-1)**2 < 2**63``; float64 BLAS, exact while
 ``k * (p-1)**2 <= 2**53``; and object-dtype Python ints when neither
-applies (each bound checked at every product).  ``rref`` over Q, and over
-GF(p) of a matrix of at most ``_ROW_RREF_CELLS`` cells, runs on Python
-rows (Fractions, or ints mod p), which is exact at any size; larger GF(p)
-matrices use numpy row operations.
+applies (each bound checked at every product).  A product over Q runs
+on Python rows: each row of the right factor keeps its nonzero entries,
+and each nonzero entry of a left row adds its multiple of that row into
+a Python accumulator, so the zeros that fill the algebra's matrices cost
+no Fraction arithmetic.  ``rref`` over Q, and over GF(p) of a matrix of
+at most ``_ROW_RREF_CELLS`` cells, runs on Python rows (Fractions, or
+ints mod p), which is exact at any size; a row update leaves an entry
+as it is where the pivot row is zero, and over Q so does the scaling of
+the pivot row.  Larger GF(p) matrices use numpy row operations.
 
 Only this module knows how a field stores its values.  ``Field.reduce``
 brings any value built from field values with +, - and * back into that
@@ -91,18 +96,19 @@ def _rref_rows(a: np.ndarray, p: int | None) -> tuple[np.ndarray, list[int]]:
         rows[r] = prow
         if p is None:
             inv = 1 / prow[c]
-            tail = prow[c:] = [x * inv for x in prow[c:]]
+            tail = prow[c:] = [x * inv if x else x for x in prow[c:]]
             for row in rows:
                 x = row[c]
                 if x and row is not prow:
-                    row[c:] = [y - x * z for y, z in zip(row[c:], tail)]
+                    row[c:] = [y - x * z if z else y
+                               for y, z in zip(row[c:], tail)]
         else:
             inv = pow(prow[c], p - 2, p)
             tail = prow[c:] = [x * inv % p for x in prow[c:]]
             for row in rows:
                 x = row[c]
                 if x and row is not prow:
-                    row[c:] = [(y - x * z) % p
+                    row[c:] = [(y - x * z) % p if z else y
                                for y, z in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
@@ -379,11 +385,24 @@ class RationalField(Field):
         return a
 
     def matmul(self, a, b):
+        """a @ b on Python rows: each row of b keeps only its nonzero
+        entries, and a row of a adds x * b[k] only where its entry x is
+        nonzero, so the zeros that fill these matrices cost no Fraction
+        arithmetic."""
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-        if a.shape[1] == 0 or a.shape[0] == 0 or b.shape[1] == 0:
-            return self.zeros(a.shape[0], b.shape[1])
-        return a @ b
+        m, n = a.shape[0], b.shape[1]
+        brows = [[(j, y) for j, y in enumerate(row) if y]
+                 for row in b.tolist()]
+        out = []
+        for arow in a.tolist():
+            acc = [0] * n
+            for x, brow in zip(arow, brows):
+                if x:
+                    for j, y in brow:
+                        acc[j] += x * y
+            out.append([Fraction(v) for v in acc])
+        return np.array(out, dtype=object).reshape(m, n)
 
     def reduce(self, x):
         return x

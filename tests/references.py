@@ -25,6 +25,11 @@
 - ``self_injective_by_isomorphism`` decides P_v = I_w with
   ``is_isomorphic`` on the injective I_w; ``checks._self_injective``
   compares their dimension vectors.
+- ``ig_dim_by_resolution`` is max(id A_A, id _A A) from the injective
+  resolutions of A and of its opposite algebra, also when A is
+  self-injective; ``checks.iwanaga_gorenstein_dim`` returns 0 then.
+- ``fraction_matmul`` is numpy's dense object product of Fraction
+  matrices; ``RationalField.matmul`` skips the zero terms.
 """
 
 from __future__ import annotations
@@ -33,13 +38,15 @@ import numpy as np
 
 from quiveralg.checks import Verdict, socle_vertex
 from quiveralg.derived import _hom_total_spaces
-from quiveralg.exactla import QuotientBasis
+from quiveralg.errors import AboveCap
+from quiveralg.exactla import QQ, QuotientBasis
 from quiveralg.findim import FinDimAlgebra
-from quiveralg.homology import elements_of_map
+from quiveralg.homology import elements_of_map, injective_dimension
 from quiveralg.modules import (ModuleMap, Representation, direct_sum,
                                hom_space, injective, is_isomorphic,
-                               projective, projective_cover, quotient,
-                               radical_series, subrepresentation, zero_rep)
+                               op_algebra, projective, projective_cover,
+                               quotient, radical_series, regular,
+                               subrepresentation, zero_rep)
 from quiveralg.quivers import Path, PathElement, Quiver
 
 
@@ -319,3 +326,23 @@ def self_injective_by_isomorphism(A) -> Verdict:
         return Verdict(False, {"reason": "socle map not a permutation",
                                "map": perm})
     return Verdict(True, {"nakayama_permutation": perm})
+
+
+def ig_dim_by_resolution(A, cap: int = 32):
+    """max(id A_A, id _A A) of a bound quiver algebra, or the ``AboveCap``
+    of the first resolution that does not end within ``cap``."""
+    right = injective_dimension(regular(A), cap)
+    if isinstance(right, AboveCap):
+        return right
+    left = injective_dimension(regular(op_algebra(A)), cap)
+    if isinstance(left, AboveCap):
+        return left
+    return max(right, left)
+
+
+def fraction_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of object-dtype Fraction matrices by numpy's dense product, a
+    Fraction multiply and add for every term, zeros included."""
+    if 0 in (a.shape[0], a.shape[1], b.shape[1]):
+        return QQ.zeros(a.shape[0], b.shape[1])
+    return a @ b

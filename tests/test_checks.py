@@ -12,7 +12,7 @@ from quiveralg.modules import (injective, is_isomorphic, projective, simple)
 from quiveralg.preprojective import (preprojective_algebra,
                                      preprojective_module)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import self_injective_by_isomorphism
+from references import ig_dim_by_resolution, self_injective_by_isomorphism
 from test_end_corners import _corpus
 
 F = GF(32003)
@@ -126,6 +126,14 @@ def test_self_injective_by_dimensions_matches_isomorphism_reference(
     for w in verts:
         assert injective(A, w).dims == \
             tuple(len(A.basis_between(j, w)) for j in verts)
+
+
+@pytest.mark.parametrize("make, n, value", TILDES)
+def test_ig_dimension_matches_the_resolution_reference(make, n, value):
+    A = quiver_presentation(preprojective_algebra(make(), n))
+    ig = iwanaga_gorenstein_dim(A)
+    assert ig == ig_dim_by_resolution(A)
+    assert (ig == 0) is value
 
 
 @pytest.mark.parametrize("orientation", [None, ["f", "b"], ["b", "f"]])

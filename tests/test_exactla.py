@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from quiveralg import exactla
 from quiveralg.exactla import (GF, QQ, EchelonState, QuotientBasis,
                                complement_rows)
-from references import prime_rref
+from references import fraction_matmul, prime_rref
 
 F = GF(32003)
 
@@ -315,6 +315,45 @@ def test_prime_matmul_matches_the_object_product(p, shape, seed):
     want = (a.astype(object) @ b.astype(object)) % p
     assert got.dtype == np.int64 and got.shape == (m, n)
     assert (got == want).all()
+
+
+_fractions = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)))
+
+
+@st.composite
+def _rational_matrices(draw, rows, cols):
+    """A rows x cols Fraction matrix: either dense, with no zero entry, or
+    with small integers (zero among them), large non-integer fractions and
+    some rows and columns set to zero."""
+    dense = draw(st.booleans())
+    entry = _fractions.filter(bool) if dense else _fractions
+    a = np.empty((rows, cols), dtype=object)
+    for i in range(rows):
+        for j in range(cols):
+            a[i, j] = draw(entry)
+    if not dense:
+        a[[i for i in draw(st.sets(st.integers(0, 6))) if i < rows]] = \
+            Fraction(0)
+        a[:, [j for j in draw(st.sets(st.integers(0, 6))) if j < cols]] = \
+            Fraction(0)
+    return a
+
+
+@given(st.tuples(*[st.integers(0, 6)] * 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_rational_matmul_matches_the_fraction_product(shape, data):
+    m, k, n = shape
+    a = data.draw(_rational_matrices(m, k))
+    b = data.draw(_rational_matrices(k, n))
+    a_before, b_before = a.tolist(), b.tolist()
+    got = QQ.matmul(a, b)
+    assert got.shape == (m, n) and got.dtype == object
+    assert all(type(x) is Fraction for x in got.flat)
+    assert got.tolist() == fraction_matmul(a, b).tolist()
+    assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+    assert a.tolist() == a_before and b.tolist() == b_before
 
 
 def test_int64_product_is_guarded_against_overflow():

@@ -295,11 +295,8 @@ ALGEBRAS = {
 }
 
 
-# over Q the reference's dense Fraction products of the radical powers take
-# about 4 minutes at length 7, so that case runs over GF(32003) only
 CASES = [pytest.param(name, field, id=f"{name}-{field.id}")
-         for name in ALGEBRAS for field in FIELDS
-         if not (name.endswith("length 7") and field.id == "QQ")]
+         for name in ALGEBRAS for field in FIELDS]
 
 
 @pytest.mark.parametrize("name, field", CASES)
