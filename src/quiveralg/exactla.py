@@ -388,20 +388,22 @@ class RationalField(Field):
         """a @ b on Python rows: each row of b keeps only its nonzero
         entries, and a row of a adds x * b[k] only where its entry x is
         nonzero, so the zeros that fill these matrices cost no Fraction
-        arithmetic."""
+        arithmetic.  Every accumulator starts at one shared Fraction(0),
+        so each entry is a Fraction without a second wrap."""
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
         m, n = a.shape[0], b.shape[1]
         brows = [[(j, y) for j, y in enumerate(row) if y]
                  for row in b.tolist()]
+        zero = Fraction(0)
         out = []
         for arow in a.tolist():
-            acc = [0] * n
+            acc = [zero] * n
             for x, brow in zip(arow, brows):
                 if x:
                     for j, y in brow:
                         acc[j] += x * y
-            out.append([Fraction(v) for v in acc])
+            out.append(acc)
         return np.array(out, dtype=object).reshape(m, n)
 
     def reduce(self, x):

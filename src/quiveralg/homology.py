@@ -27,11 +27,10 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import AboveCap
-from .modules import (ModuleMap, Representation, decompose, dual, dual_map,
-                      injective_envelope, injectives_sum, is_isomorphic,
-                      map_cokernel, map_from_projectives, map_kernel,
-                      op_algebra, projective, projectives_sum,
-                      projective_cover, zero_rep)
+from .modules import (ModuleMap, Representation, dual, dual_map,
+                      injective_envelope, injectives_sum, map_cokernel,
+                      map_from_projectives, map_kernel, op_algebra,
+                      projectives_sum, projective_cover)
 from .quivers import BoundQuiverAlgebra, Path
 
 __all__ = ["ProjResolution", "min_proj_resolution",
@@ -202,34 +201,15 @@ def injectives_sum_resolution(M: Representation,
                           any(res.truncated for res, _ in parts))
 
 
-def strip_projectives(M: Representation) -> Representation:
-    from .modules import direct_sum
-    if M.is_zero():
-        return M
-    A = M.algebra
-    keep = []
-    for rep, mult in decompose(M):
-        if any(is_isomorphic(rep, projective(A, v))
-               for v in range(A.quiver.n_vertices)
-               if A.projective_blocks(v).dims == rep.dims):
-            continue
-        keep.extend([rep] * mult)
-    if not keep:
-        return zero_rep(A)
-    return direct_sum(keep)
-
-
 def syzygy(M: Representation, i: int) -> Representation:
-    """Omega^i for i>0, Omega^{-|i|} via cosyzygies for i<0.
+    """Omega^i for i>0, Omega^{-|i|} via cosyzygies for i<0, M for i=0.
 
     Each step uses the minimal cover/envelope, so projective (resp.
     injective) summands of M itself never propagate; a kernel can still
     be projective (Omega S_1 = P_2 over the A2 quiver) and is returned
-    as-is.  i=0 strips projective summands.
+    as-is.
     """
-    if i == 0:
-        return strip_projectives(M)
-    if i > 0:
+    if i >= 0:
         cur = M
         for _ in range(i):
             cov = projective_cover(cur)

@@ -30,23 +30,30 @@
   self-injective; ``checks.iwanaga_gorenstein_dim`` returns 0 then.
 - ``fraction_matmul`` is numpy's dense object product of Fraction
   matrices; ``RationalField.matmul`` skips the zero terms.
+- ``cy_spot_check_by_isomorphism`` compares nu S with Omega^{-(n+2)} S
+  after stripping projective summands by ``decompose`` and
+  ``is_isomorphic``, over the opposite algebra for nu and the injective
+  envelopes; ``checks.cy_spot_check`` compares Omega^{n+2} of the simple
+  that nu sends to S_v with S_v by dimension vectors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from quiveralg.checks import Verdict, socle_vertex
+from quiveralg.checks import (Verdict, is_self_injective, nu_module,
+                              socle_vertex)
 from quiveralg.derived import _hom_total_spaces
 from quiveralg.errors import AboveCap
 from quiveralg.exactla import QQ, QuotientBasis
 from quiveralg.findim import FinDimAlgebra
-from quiveralg.homology import elements_of_map, injective_dimension
-from quiveralg.modules import (ModuleMap, Representation, direct_sum,
-                               hom_space, injective, is_isomorphic,
-                               op_algebra, projective, projective_cover,
-                               quotient, radical_series, regular,
-                               subrepresentation, zero_rep)
+from quiveralg.homology import (elements_of_map, injective_dimension,
+                                syzygy)
+from quiveralg.modules import (ModuleMap, Representation, decompose,
+                               direct_sum, hom_space, injective,
+                               is_isomorphic, op_algebra, projective,
+                               projective_cover, quotient, radical_series,
+                               regular, simple, subrepresentation, zero_rep)
 from quiveralg.quivers import Path, PathElement, Quiver
 
 
@@ -346,3 +353,38 @@ def fraction_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if 0 in (a.shape[0], a.shape[1], b.shape[1]):
         return QQ.zeros(a.shape[0], b.shape[1])
     return a @ b
+
+
+def strip_projectives(M: Representation) -> Representation:
+    """M without its projective summands, by ``decompose`` and an
+    ``is_isomorphic`` test of each summand against the projectives of its
+    dimension vector."""
+    if M.is_zero():
+        return M
+    A = M.algebra
+    keep = []
+    for rep, mult in decompose(M):
+        if any(is_isomorphic(rep, projective(A, v))
+               for v in range(A.quiver.n_vertices)
+               if A.projective_blocks(v).dims == rep.dims):
+            continue
+        keep.extend([rep] * mult)
+    if not keep:
+        return zero_rep(A)
+    return direct_sum(keep)
+
+
+def cy_spot_check_by_isomorphism(A, n: int) -> dict[int, bool]:
+    """nu S_v = Omega^{-(n+2)} S_v up to projective summands, for each
+    vertex v of a self-injective bound quiver algebra A: the dict of
+    ``checks.cy_spot_check``."""
+    if is_self_injective(A).value is not True:
+        raise ValueError("cy_spot_check requires a self-injective algebra")
+    out = {}
+    for v in range(A.quiver.n_vertices):
+        S = simple(A, v)
+        lhs = strip_projectives(nu_module(S))
+        rhs = strip_projectives(syzygy(S, -(n + 2)))
+        out[v] = (lhs.dims == rhs.dims) and \
+            (lhs.is_zero() or is_isomorphic(lhs, rhs))
+    return out

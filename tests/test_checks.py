@@ -6,13 +6,15 @@ from quiveralg.checks import (_self_injective, analyze, cy_spot_check, is_cm,
                               is_tau_n_finite, iwanaga_gorenstein_dim,
                               nu_module, rigidity, vosnex)
 from quiveralg.exactla import GF
-from quiveralg.families import auslander_algebra, dynkin_path_algebra
+from quiveralg.families import (auslander_algebra, dynkin_path_algebra,
+                                linear_nakayama)
 from quiveralg.findim import quiver_presentation
 from quiveralg.modules import (injective, is_isomorphic, projective, simple)
 from quiveralg.preprojective import (preprojective_algebra,
                                      preprojective_module)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import ig_dim_by_resolution, self_injective_by_isomorphism
+from references import (cy_spot_check_by_isomorphism, ig_dim_by_resolution,
+                        self_injective_by_isomorphism)
 from test_end_corners import _corpus
 
 F = GF(32003)
@@ -199,6 +201,80 @@ def test_cy_spot_check_negative_control():
     # k[x]/x^3 is self-injective with nu = id but Omega^{-3} S != S
     out = cy_spot_check(loop_x3(), 1)
     assert out == {0: False}
+
+
+def truncated_loops(*lengths):
+    """The product of the k[x]/(x^m) over the entries m; m = 1 gives k."""
+    loops = [i for i, m in enumerate(lengths) if m > 1]
+    q = Quiver([str(i) for i in range(len(lengths))],
+               [(f"x{i}", str(i), str(i)) for i in loops])
+    rels = [PathElement(q, {Path(i, (a,) * lengths[i]): 1})
+            for a, i in enumerate(loops)]
+    return complete_basis(q, F, rels)
+
+
+SMALL_SELF_INJECTIVE = [
+    pytest.param(make, n, id=f"{label}-n{n}")
+    for label, make in [("pi_a2", pi_a2), ("cyclic3_rad2", cyclic3_rad2),
+                        ("loop_x3", loop_x3),
+                        ("k", lambda: truncated_loops(1)),
+                        ("k-x2", lambda: truncated_loops(1, 2)),
+                        ("x2-y3", lambda: truncated_loops(2, 3))]
+    for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("make, n", SMALL_SELF_INJECTIVE)
+def test_cy_spot_check_matches_isomorphism_reference_small(make, n):
+    A = make()
+    assert cy_spot_check(A, n) == cy_spot_check_by_isomorphism(A, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cy_spot_check_on_products_of_truncated_loops(n):
+    # S of k is projective; over k[x]/(x^2) Omega S = S, and over
+    # k[y]/(y^3) Omega^2 S = S, so its vertex passes at even n only
+    assert cy_spot_check(truncated_loops(1), n) == {0: True}
+    assert cy_spot_check(truncated_loops(1, 2), n) == {0: True, 1: True}
+    assert cy_spot_check(truncated_loops(2, 3), n) == \
+        {0: True, 1: n % 2 == 0}
+
+
+# the self-injective preprojective algebras of scripts/corpus_report.py,
+# and that of the Auslander algebra of A4 in the orientation bbb
+CY_TILDES = [pytest.param(make, n, id=label)
+             for label, make, n in _corpus(F) + [
+                 ("aus-A4-bbb", lambda: auslander_algebra(
+                     dynkin_path_algebra(4, ["b", "b", "b"], F)), 2)]
+             if not label.startswith("aus-A3")]
+
+
+@pytest.mark.parametrize("make, n", CY_TILDES)
+def test_cy_spot_check_matches_isomorphism_reference(make, n):
+    A = quiver_presentation(preprojective_algebra(make(), n))
+    assert is_self_injective(A).value is True
+    out = cy_spot_check(A, n)
+    assert out == cy_spot_check_by_isomorphism(A, n)
+    assert all(out.values())
+
+
+def test_analyze_builds_no_opposite_of_the_preprojective_algebra(
+        monkeypatch):
+    import quiveralg.checks as checks
+    presentations = []
+
+    def capture(B):
+        pres = quiver_presentation(B)
+        presentations.append(pres)
+        return pres
+
+    monkeypatch.setattr(checks, "quiver_presentation", capture)
+    rep = analyze(linear_nakayama(3), 2)
+    assert rep.self_injective_tilde["value"] is True
+    assert rep.cy_spot_check == {"0": True, "1": True, "2": True}
+    # the first presentation analyze asks for is that of the tilde algebra
+    tilde = presentations[0]
+    assert is_self_injective(tilde).value is True
+    assert getattr(tilde, "_op", None) is None
 
 
 def test_analyze_report_a2():
