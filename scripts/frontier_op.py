@@ -7,11 +7,13 @@
 
 Builds the algebra as ``quiveralg family FAMILY PARAMS`` does and reads it
 back from its spec, untimed.  Then it runs one ``analyze`` at degree n and
-prints three lines: the wall seconds of the op (spec load and analyze),
-the seconds of its ``stable_endomorphism`` call (the Gamma stage without
-its presentation), and the peak RSS of the process in MB.  With
-``--max-rss-mb`` it exits with status 1 when the peak is above that
-ceiling.
+prints its stage table: one row per call that ``analyze`` makes to a
+stage function of ``checks``, in call order, with the seconds of the call
+and the peak RSS of the process after it.  The second
+``quiver_presentation`` and ``global_dimension`` rows are Gamma's.  Then
+come the wall seconds of the op (spec load and analyze) and the peak RSS
+in MB.  With ``--max-rss-mb`` it exits with status 1 when the peak is
+above that ceiling.
 """
 
 import argparse
@@ -27,6 +29,33 @@ from quiveralg import checks  # noqa: E402
 from quiveralg.cli import (_field_from_string, build_family,  # noqa: E402
                            load_algebra, serialize_spec)
 
+# the functions of the checks namespace that analyze calls
+STAGES = ["global_dimension", "is_n_rep_finite", "is_tau_n_finite",
+          "vosnex", "preprojective_module", "preprojective_algebra",
+          "quiver_presentation", "is_self_injective",
+          "iwanaga_gorenstein_dim", "rigidity", "serre_context",
+          "amiot_hom", "stable_endomorphism", "cy_spot_check"]
+
+
+def _peak_mb() -> float:
+    # ru_maxrss is in KB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _timed(name, fn, rows, depth):
+    """fn, recording (name, seconds, peak MB after it) in ``rows`` when it
+    is not called from inside another stage."""
+    def wrapper(*a, **kw):
+        depth[0] += 1
+        t0 = time.perf_counter()
+        try:
+            return fn(*a, **kw)
+        finally:
+            depth[0] -= 1
+            if not depth[0]:
+                rows.append((name, time.perf_counter() - t0, _peak_mb()))
+    return wrapper
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -41,28 +70,24 @@ def main(argv=None) -> int:
                            _field_from_string(args.field))
     text = serialize_spec(A, name=name)
 
-    gamma_s = []
-    stable_endomorphism = checks.stable_endomorphism
-
-    def timed(*a, **kw):
-        t0 = time.perf_counter()
-        try:
-            return stable_endomorphism(*a, **kw)
-        finally:
-            gamma_s.append(time.perf_counter() - t0)
-
-    checks.stable_endomorphism = timed
+    rows: list[tuple[str, float, float]] = []
+    depth = [0]
+    saved = {s: getattr(checks, s) for s in STAGES}
+    for s, fn in saved.items():
+        setattr(checks, s, _timed(s, fn, rows, depth))
     try:
         t0 = time.perf_counter()
         checks.analyze(load_algebra(text), args.n)
         wall = time.perf_counter() - t0
     finally:
-        checks.stable_endomorphism = stable_endomorphism
-    # ru_maxrss is in KB on Linux
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        for s, fn in saved.items():
+            setattr(checks, s, fn)
+    peak_mb = _peak_mb()
     print(f"op: analyze {name} n={args.n} over {args.field}")
+    print(f"{'stage':<24}{'s':>8}{'peak_rss_mb':>13}")
+    for s, secs, mb in rows:
+        print(f"{s:<24}{secs:>8.2f}{mb:>13.0f}")
     print(f"wall_s: {wall:.2f}")
-    print(f"stable_endomorphism_s: {sum(gamma_s):.2f}")
     print(f"peak_rss_mb: {peak_mb:.0f}")
     if args.max_rss_mb is not None and peak_mb > args.max_rss_mb:
         print(f"peak RSS {peak_mb:.0f} MB is above the ceiling of "

@@ -456,6 +456,8 @@ def _dispatch(args) -> int:
         return 0
     if args.command == "selftest":
         return _selftest()
+    if args.n < 1:
+        raise SpecError(f"--n must be at least 1, got {args.n}")
 
     text = _read_input(args)
     t0 = time.time()

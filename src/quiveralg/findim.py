@@ -182,6 +182,19 @@ def sparse_constants(f: Field, entries) -> tuple:
     return i, j, k, f.array([e[3] for e in kept])
 
 
+def sparse_join(a: np.ndarray, b: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of positions (s, t) with a[s] == b[t], in order of s and
+    then of t: b sorted once, and each a[s] repeated over its run."""
+    order = np.argsort(b, kind="stable")
+    lo = np.searchsorted(b[order], a, side="left")
+    cnt = np.searchsorted(b[order], a, side="right") - lo
+    s = np.repeat(np.arange(len(a)), cnt)
+    t = order[np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+              + np.arange(int(cnt.sum()))]
+    return s, t
+
+
 def vertex_labels(f, mats: list[np.ndarray], idems: list[int],
                    what: str) -> np.ndarray:
     """The vertex of each basis element: the one v whose idempotent, acting
@@ -220,13 +233,7 @@ def _radical_rows(B: FinDimAlgebra) -> np.ndarray:
     # tr(L_a L_b) = sum over j, k of c_{aj}^k c_{bk}^j: pair each stored
     # constant (a, j, k) with every stored constant (b, k, j)
     i, j, k, c = B.constants
-    key, key_t = j * n + k, k * n + j
-    order = np.argsort(key_t, kind="stable")
-    lo = np.searchsorted(key_t[order], key, side="left")
-    cnt = np.searchsorted(key_t[order], key, side="right") - lo
-    left = np.repeat(np.arange(len(key)), cnt)
-    right = order[np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
-                  + np.arange(int(cnt.sum()))]
+    left, right = sparse_join(j * n + k, k * n + j)
     g = _scatter(f, f.zeros(n, n), (i[left], i[right]), c[left] * c[right])
     return f.kernel(g)
 

@@ -15,10 +15,10 @@ arrows alone.  The bases of E and of each grade are vertex-adapted, so
 (x)_{A_0} keeps only the matched pairs x (x) y with right(x) = left(y),
 and each grade is a quotient of the span of those, with a projection
 onto the quotient and a pure tensor representing each of its basis
-elements.  The structure constants are computed grade by grade, once:
-the products into grade g_i + g_j come from the products into grade
-g_i + g_j - 1, tensored with E and projected; only the nonzero ones
-are kept.
+elements.  One pass per grade builds the grade and every product into
+it, from the nonzero structure constants into the grade before and E's
+right action alone: each product is a sum of pure tensors on the matched
+pairs, projected onto the grade; only the nonzero constants are kept.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import GldimTooLarge, NotTauFinite, AboveCap
 from .exactla import QuotientBasis
-from .findim import FinDimAlgebra, algebra_from_bqa, vertex_labels
+from .findim import (FinDimAlgebra, algebra_from_bqa, sparse_join,
+                     vertex_labels)
 from .homology import (ProjResolution, ext_data, global_dimension,
                        hom_matrix, min_proj_resolution, op_element,
                        tau_n_orbit)
@@ -310,10 +311,11 @@ def _arrow_relations(A: BoundQuiverAlgebra, alpha: int, R: np.ndarray,
 
 
 def _balancing_relations(A: BoundQuiverAlgebra, E: ExtBimodule,
-                         R: list[np.ndarray]
+                         R: dict[int, np.ndarray]
                          ) -> tuple[np.ndarray, MatchedPairs]:
     """Row basis of the relations of T_{g-1} (x)_A E on the matched pairs,
-    where ``R`` is the right action of A on T_{g-1}, and those pairs.
+    where ``R[b]`` is the right action on T_{g-1} of each vertex
+    idempotent and arrow b of A, keyed by basis index, and those pairs.
 
     A is generated over A_0 = k^{Q_0} by its arrows, and the relation of a
     path p q at (x, y) is that of q at (x p, y) plus that of p at
@@ -334,20 +336,6 @@ def _balancing_relations(A: BoundQuiverAlgebra, E: ExtBimodule,
     return f.row_space(np.concatenate(rows)), pairs
 
 
-def _on_pairs(f, size: int, rows: np.ndarray, vals: np.ndarray
-              ) -> np.ndarray:
-    """Vectors on the matched pairs, one per column k: entry
-    ``vals[i, k, ...]`` goes to the pair at ``rows[i, k]``.  Entries at
-    unmatched pairs (``rows[i, k] == -1``) vanish on a vertex-adapted
-    basis and are dropped."""
-    out = f.zeros(size, int(np.prod(vals.shape[1:])))
-    out = out.reshape((size,) + vals.shape[1:])
-    ok = rows >= 0
-    cols = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)
-    out[rows[ok], cols[ok]] = vals[ok]
-    return out
-
-
 def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
                           cap: int = 32) -> FinDimAlgebra:
     """T_A E as a graded algebra: degree-i part is E^{(x)_A i}.
@@ -361,78 +349,74 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
     unit vectors, so basis element k of the grade is the class of the pure
     tensor x_k (x) y_k, and ``xs``, ``ys`` record the pairs.
 
-    The right action of each grade comes from E's, for the trivial paths
-    and the arrows; a longer path's is a product, as in ``ExtBimodule``.
-    The products are computed grade by grade: x y with y = x_k (x) y_k in
-    grade g > 0 is the class of (x x_k) (x) y_k, where the products x x_k
-    into grade g-1 are already known; only their nonzero entries are
-    kept, one grade g_i at a time.
+    One pass per grade g builds the grade and every product into it from
+    the nonzero constants into grade g-1: the idempotents and arrows act
+    there by the constants whose right factor is theirs, u (x_k (x) y_k)
+    is (u x_k) (x) y_k for k in grades 1..g, and (x_k (x) y_k) b is
+    x_k (x) (y_k b) for k in grade g, from E's right action.  ``proj``
+    sends these pure tensors to the grade; only nonzero sums are kept.
     """
     E = ext_bimodule(A, n)
     f = A.field
-    adim = A.dim
-
-    # degree 0: A itself with its right regular action
+    q = A.quiver
     base = algebra_from_bqa(A)
-    grades = [{"dim": adim,
-               "R": [base.right_mult_matrix(e) for e in f.eye(adim)]}]
-    if E.dim > 0:
-        while True:
-            prev = grades[-1]
-            W, pairs = _balancing_relations(A, E, prev["R"])
-            width = len(pairs.index)
-            newdim = width - W.shape[0]
-            if newdim == 0:
-                break
-            if len(grades) > cap:
-                raise NotTauFinite(cap, newdim)
-            quot = QuotientBasis(f, W, f.eye(width))
-            proj = quot.proj
-            xs, ys = np.divmod(pairs.index[np.nonzero(quot.comp)[1]], E.dim)
-            del quot  # frees the echelon form
+    gens = ([A.bindex[trivial(v)] for v in range(q.n_vertices)]
+            + [A.bindex[Path(q.source(a), (a,))] for a in range(q.n_arrows)])
+    # E's right action as entries (b, y', y, c): y b has c at y'
+    right_mats = np.stack(E.right_mats)
+    eb, ey2, ey = np.nonzero(right_mats != f.zero)
+    ec = right_mats[eb, ey2, ey]
+    del right_mats
+    # parts[g]: the constants into grade g; offsets[g]: where grade g
+    # starts; xg, yg: the global x_k and the y_k of grades 1, 2, ...
+    parts = [base.constants]
+    offsets = [0, A.dim]
+    xg = yg = np.zeros(0, dtype=np.int64)
+    while E.dim > 0:
+        lo, top = offsets[-2], offsets[-1]
+        i, j, k, c = parts[-1]
+        R = {b: f.zeros(top - lo, top - lo) for b in gens}
+        for b, mat in R.items():
+            sel = j == b
+            mat[k[sel] - lo, i[sel] - lo] = c[sel]
+        W, pairs = _balancing_relations(A, E, R)
+        del R
+        width = len(pairs.index)
+        newdim = width - W.shape[0]
+        if newdim == 0:
+            break
+        if len(parts) > cap:
+            raise NotTauFinite(cap, newdim)
+        quot = QuotientBasis(f, W, f.eye(width))
+        proj = quot.proj
+        xs, ys = np.divmod(pairs.index[np.nonzero(quot.comp)[1]], E.dim)
+        del quot  # frees the echelon form
+        xg, yg = np.concatenate([xg, lo + xs]), np.concatenate([yg, ys])
+        # the terms (left factor, right factor, matched pair, coefficient)
+        # of u (x_k (x) y_k) and of (x_k (x) y_k) b
+        s, t = sparse_join(j, xg)
+        u, v = sparse_join(ys, ey)
+        left, right, at, coef = (np.concatenate(a) for a in zip(
+            (i[s], A.dim + t, pairs.pos[k[s] - lo, yg[t]], c[s]),
+            (top + u, eb[v], pairs.pos[xs[u], ey2[v]], ec[v])))
+        # a pure tensor at an unmatched pair is zero (vertex-adapted bases)
+        ok = at >= 0
+        size = top + newdim
+        key, row = np.unique(left[ok] * size + right[ok], return_inverse=True)
+        sums = f.zeros(len(key), newdim)
+        np.add.at(sums, row, f.reduce(proj[:, at[ok]].T * coef[ok, None]))
+        sums = f.reduce(sums)
+        r, kk = np.nonzero(sums != f.zero)
+        parts.append((key[r] // size, key[r] % size, top + kk, sums[r, kk]))
+        offsets.append(size)
 
-            def right(b: int) -> np.ndarray:
-                # (x_k (x) y_k) b = x_k (x) (y_k b)
-                tens = _on_pairs(f, width, pairs.pos[xs].T,
-                                 E.right_mats[b][:, ys])
-                return f.matmul(proj, tens)
-
-            grades.append({"dim": newdim, "proj": proj, "pos": pairs.pos,
-                           "xs": xs, "ys": ys,
-                           "R": _path_actions(A, right, left=False)})
-
-    dims = [g["dim"] for g in grades]
-    offsets = np.cumsum([0] + dims)
-    total_dim = int(offsets[-1])
-    grading = []
-    for gi, d in enumerate(dims):
-        grading.extend([gi] * d)
-
-    # row[gj][li, :, lj]: coordinates in grade gi + gj of the product of
-    # basis element li of grade gi with basis element lj of grade gj; only
-    # its nonzero entries outlive the row
-    parts = [(offsets[:0],) * 3 + (f.zeros(1, 0)[0],)]
-    for gi in range(len(grades)):
-        row = [np.stack(grades[gi]["R"], axis=2).transpose(1, 0, 2)]
-        for gj in range(1, len(grades) - gi):
-            g, h = grades[gj], grades[gi + gj]
-            # (b_li x_k) (x) y_k for every li and k, on the pairs of h
-            lower = row[gj - 1][:, :, g["xs"]].transpose(1, 2, 0)
-            tens = _on_pairs(f, h["proj"].shape[1], h["pos"][:, g["ys"]],
-                             lower)
-            tens = f.matmul(h["proj"], tens.reshape(tens.shape[0], -1))
-            row.append(tens.reshape(-1, g["dim"], dims[gi])
-                       .transpose(2, 0, 1))
-        for gj, block in enumerate(row):
-            li, k, lj = np.nonzero(block != f.zero)
-            parts.append((offsets[gi] + li, offsets[gj] + lj,
-                          offsets[gi + gj] + k, block[li, k, lj]))
-        del row
+    grading = [g for g in range(len(parts))
+               for _ in range(offsets[g + 1] - offsets[g])]
     i, j, k, c = (np.concatenate(a) for a in zip(*parts))
     order = np.lexsort((k, j, i))
-    idems = [np.concatenate([e, f.zeros(1, total_dim - adim)[0]])
+    idems = [np.concatenate([e, f.zeros(1, offsets[-1] - A.dim)[0]])
              for e in base.idempotents]
-    return FinDimAlgebra(f, total_dim, None, idems, grading, constants=(
+    return FinDimAlgebra(f, offsets[-1], None, idems, grading, constants=(
         i[order], j[order], k[order], f.array(c[order])))
 
 

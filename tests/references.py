@@ -35,6 +35,11 @@
   ``is_isomorphic``, over the opposite algebra for nu and the injective
   envelopes; ``checks.cy_spot_check`` compares Omega^{n+2} of the simple
   that nu sends to S_v with S_v by dimension vectors.
+- ``preprojective_algebra_by_blocks`` keeps the right action of every
+  basis path of A on every grade as dense matrices and each grade pair's
+  products as a dense block, and reads the constants off the blocks;
+  ``preprojective.preprojective_algebra`` builds each grade and the
+  products into it from the constants into the grade before.
 """
 
 from __future__ import annotations
@@ -44,9 +49,9 @@ import numpy as np
 from quiveralg.checks import (Verdict, is_self_injective, nu_module,
                               socle_vertex)
 from quiveralg.derived import _hom_total_spaces
-from quiveralg.errors import AboveCap
+from quiveralg.errors import AboveCap, NotTauFinite
 from quiveralg.exactla import QQ, QuotientBasis
-from quiveralg.findim import FinDimAlgebra
+from quiveralg.findim import FinDimAlgebra, algebra_from_bqa
 from quiveralg.homology import (elements_of_map, injective_dimension,
                                 syzygy)
 from quiveralg.modules import (ModuleMap, Representation, decompose,
@@ -54,6 +59,8 @@ from quiveralg.modules import (ModuleMap, Representation, decompose,
                                is_isomorphic, op_algebra, projective,
                                projective_cover, quotient, radical_series,
                                regular, simple, subrepresentation, zero_rep)
+from quiveralg.preprojective import (_balancing_relations, _path_actions,
+                                     ext_bimodule)
 from quiveralg.quivers import Path, PathElement, Quiver
 
 
@@ -388,3 +395,81 @@ def cy_spot_check_by_isomorphism(A, n: int) -> dict[int, bool]:
         out[v] = (lhs.dims == rhs.dims) and \
             (lhs.is_zero() or is_isomorphic(lhs, rhs))
     return out
+
+
+def _on_pairs(f, size: int, rows: np.ndarray, vals: np.ndarray
+              ) -> np.ndarray:
+    """Vectors on the matched pairs, one per column k: entry
+    ``vals[i, k, ...]`` goes to the pair at ``rows[i, k]``; entries at
+    unmatched pairs (``rows[i, k] == -1``) are dropped."""
+    out = f.zeros(size, int(np.prod(vals.shape[1:])))
+    out = out.reshape((size,) + vals.shape[1:])
+    ok = rows >= 0
+    cols = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)
+    out[rows[ok], cols[ok]] = vals[ok]
+    return out
+
+
+def preprojective_algebra_by_blocks(A, n: int,
+                                    cap: int = 32) -> FinDimAlgebra:
+    """T_A E with the right action of every basis path on each grade, and
+    the products of grades g_i and g_j as a dense block: the products of
+    g_i with grade g_j - 1, tensored with y_k and projected."""
+    E = ext_bimodule(A, n)
+    f = A.field
+    adim = A.dim
+    base = algebra_from_bqa(A)
+    grades = [{"dim": adim,
+               "R": [base.right_mult_matrix(e) for e in f.eye(adim)]}]
+    if E.dim > 0:
+        while True:
+            prev = grades[-1]
+            W, pairs = _balancing_relations(A, E, prev["R"])
+            width = len(pairs.index)
+            newdim = width - W.shape[0]
+            if newdim == 0:
+                break
+            if len(grades) > cap:
+                raise NotTauFinite(cap, newdim)
+            quot = QuotientBasis(f, W, f.eye(width))
+            proj = quot.proj
+            xs, ys = np.divmod(pairs.index[np.nonzero(quot.comp)[1]], E.dim)
+
+            def right(b, proj=proj, pairs=pairs, xs=xs, ys=ys):
+                # (x_k (x) y_k) b = x_k (x) (y_k b)
+                tens = _on_pairs(f, len(pairs.index), pairs.pos[xs].T,
+                                 E.right_mats[b][:, ys])
+                return f.matmul(proj, tens)
+
+            grades.append({"dim": newdim, "proj": proj, "pos": pairs.pos,
+                           "xs": xs, "ys": ys,
+                           "R": _path_actions(A, right, left=False)})
+
+    dims = [g["dim"] for g in grades]
+    offsets = np.cumsum([0] + dims)
+    total_dim = int(offsets[-1])
+    grading = [gi for gi, d in enumerate(dims) for _ in range(d)]
+    # row[gj][li, k, lj]: coordinate k in grade gi + gj of the product of
+    # basis element li of grade gi with basis element lj of grade gj
+    parts = [(offsets[:0],) * 3 + (f.zeros(1, 0)[0],)]
+    for gi in range(len(grades)):
+        row = [np.stack(grades[gi]["R"], axis=2).transpose(1, 0, 2)]
+        for gj in range(1, len(grades) - gi):
+            g, h = grades[gj], grades[gi + gj]
+            # (b_li x_k) (x) y_k for every li and k, on the pairs of h
+            lower = row[gj - 1][:, :, g["xs"]].transpose(1, 2, 0)
+            tens = _on_pairs(f, h["proj"].shape[1], h["pos"][:, g["ys"]],
+                             lower)
+            tens = f.matmul(h["proj"], tens.reshape(tens.shape[0], -1))
+            row.append(tens.reshape(-1, g["dim"], dims[gi])
+                       .transpose(2, 0, 1))
+        for gj, block in enumerate(row):
+            li, k, lj = np.nonzero(block != f.zero)
+            parts.append((offsets[gi] + li, offsets[gj] + lj,
+                          offsets[gi + gj] + k, block[li, k, lj]))
+    i, j, k, c = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((k, j, i))
+    idems = [np.concatenate([e, f.zeros(1, total_dim - adim)[0]])
+             for e in base.idempotents]
+    return FinDimAlgebra(f, total_dim, None, idems, grading, constants=(
+        i[order], j[order], k[order], f.array(c[order])))

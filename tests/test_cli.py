@@ -113,6 +113,14 @@ def test_coefficient_divisible_by_p_vanishes():
     assert relations[0].terms == parse_spec(NAK3_SPEC)[2][0].terms
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_n_below_one_is_an_error(n):
+    code, out = _run(["analyze", "--n", n],
+                     stdin_text="vertices [1]\narrows []\nrelations []\n")
+    assert code == 2
+    assert "--n must be at least 1" in json.loads(out)["error"]
+
+
 @pytest.mark.parametrize("field", ["GF(4)", "GF(4294967311)"])
 def test_bad_field_is_an_error(field):
     code, out = _run(["check", "tau-finite", "--n", "1", "--field", field],

@@ -1,5 +1,7 @@
 
 import functools
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ import pytest
 from quiveralg import preprojective as pp
 from quiveralg.errors import NotTauFinite
 from quiveralg.exactla import GF, QQ, QuotientBasis
-from quiveralg.families import (auslander_algebra, dynkin_path_algebra,
+from quiveralg.families import (auslander_algebra, canonical_2222,
+                                dynkin_path_algebra, higher_auslander_chain,
                                 linear_nakayama, thm39_type2)
 from quiveralg.findim import (FinDimAlgebra, quiver_presentation,
                               vertex_labels)
@@ -17,7 +20,7 @@ from quiveralg.modules import (coregular, map_from_projectives, projective,
 from quiveralg.preprojective import (ext_bimodule, preprojective_algebra,
                                      preprojective_module, stable_endomorphism)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import stable_hom
+from references import preprojective_algebra_by_blocks, stable_hom
 
 F = GF(32003)
 
@@ -484,6 +487,44 @@ def test_dropping_one_arrow_breaks_w(make, n, field, monkeypatch):
         if not same:
             broken.append(alpha)
     assert broken
+
+
+def _aus(s, field=F):
+    return auslander_algebra(dynkin_path_algebra(s, None, field))
+
+
+@pytest.mark.parametrize("make,n", [
+    (lambda: _aus(4), 2), (lambda: linear_nakayama(9, F), 2),
+    (lambda: higher_auslander_chain(3, 3, F)[-1], 4), (lambda: _aus(5), 2),
+    (lambda: canonical_2222(Fraction(2), QQ), 2)],
+    ids=["aus_A4", "nak_9", "3_aus_A3_n4", "aus_A5", "canonical_2222_2_QQ"])
+def test_grade_loop_equals_the_dense_blocks(make, n):
+    """The same constants (values, order and dtype), idempotents and
+    grading as the builder that keeps every right action and product
+    block dense, on inputs too large for the dense ``_reference``."""
+    A = make()
+    B = preprojective_algebra(A, n)
+    ref = preprojective_algebra_by_blocks(A, n)
+    assert B.dim == ref.dim and B.grading == ref.grading
+    for x, y in zip(B.constants, ref.constants):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert len(B.idempotents) == len(ref.idempotents)
+    for e, e_ref in zip(B.idempotents, ref.idempotents):
+        assert e.dtype == e_ref.dtype and np.array_equal(e, e_ref)
+
+
+def test_preprojective_algebra_peak_memory():
+    """With no dense right action of each basis path on each grade and no
+    dense product block, Aus(A5) at n = 2 peaks at about 5 MB (17 MB with
+    them)."""
+    A = _aus(5)
+    tracemalloc.start()
+    try:
+        preprojective_algebra(A, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_vertex_labels_refuse_a_basis_that_is_not_vertex_adapted():
