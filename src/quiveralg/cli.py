@@ -103,7 +103,11 @@ def _parse_relation(expr: str, quiver: Quiver, field: Field, line: int):
         coef = Fraction(sign)
         names = parts
         if re.fullmatch(r"\d+(/\d+)?", parts[0]):
-            coef = coef * Fraction(parts[0])
+            try:
+                coef = coef * Fraction(parts[0])
+            except ZeroDivisionError:
+                raise SpecError(f"zero denominator in {parts[0]!r}",
+                                line) from None
             names = parts[1:]
         if not names:
             raise SpecError("a relation term needs at least one arrow", line)
@@ -458,6 +462,8 @@ def _dispatch(args) -> int:
         return _selftest()
     if args.n < 1:
         raise SpecError(f"--n must be at least 1, got {args.n}")
+    if args.cap < 0:
+        raise SpecError(f"--cap must be at least 0, got {args.cap}")
 
     text = _read_input(args)
     t0 = time.time()

@@ -32,16 +32,17 @@ import numpy as np
 from .errors import (AboveCap, AboveCapError, TermNotInjective,
     TermNotProjective, WindowInconclusive)
 from .exactla import QuotientBasis
-from .homology import (elements_of_map, global_dimension, hom_matrix,
-                       injectives_sum_resolution, map_of_elements,
-                       min_proj_resolution)
+from .homology import (ProjResolution, elements_of_map, global_dimension,
+                       hom_matrix, injectives_sum_resolution,
+                       map_of_elements, min_proj_resolution)
 from .modules import (ModuleMap, Representation, dual, injectives_sum,
                       map_from_projectives, op_algebra, projectives_sum,
                       zero_rep)
 from .quivers import BoundQuiverAlgebra, Path
 
 __all__ = ["ComplexOfModules", "ChainMap", "module_complex",
-           "proj_resolve_complex", "inj_resolve_complex", "SymbolicComplex",
+           "proj_resolve_complex", "inj_resolve_complex",
+           "resolution_complex", "SymbolicComplex",
            "to_symbolic", "nakayama", "nakayama_inv", "serre_n_power",
            "u_window", "amiot_hom", "hom_d", "GradedHom", "SerreContext",
            "serre_context"]
@@ -235,21 +236,25 @@ def dual_chain_map(phi: ChainMap) -> ChainMap:
 # projective resolution of a bounded complex (iterated cones, strict lifts)
 # ---------------------------------------------------------------------------
 
+def resolution_complex(res: ProjResolution, M: Representation,
+                       degree: int = 0):
+    """(P, eps): the resolution ``res`` of M as a complex P with term j of
+    ``res`` in degree ``degree - j``, and its augmentation eps: P -> M,
+    with M placed in ``degree``."""
+    terms = {degree - j: t for j, t in enumerate(res.terms)}
+    diffs = {degree - j - 1: d for j, d in enumerate(res.differentials)}
+    P = ComplexOfModules(M.algebra, terms, diffs, check=False)
+    eps = ChainMap(P, module_complex(M, degree),
+                   {degree: res.augmentation}, check=False)
+    return P, eps
+
+
 def _single_module_resolution(M: Representation, degree: int, cap: int):
     res = (injectives_sum_resolution(M, cap) if M.tag_kind == "I"
            else min_proj_resolution(M, cap))
     if res.truncated:
         raise AboveCapError(cap)
-    terms = {}
-    diffs = {}
-    for j, t in enumerate(res.terms):
-        terms[degree - j] = t
-    for j, d in enumerate(res.differentials):
-        diffs[degree - j - 1] = d
-    P = ComplexOfModules(M.algebra, terms, diffs, check=False)
-    eps = ChainMap(P, module_complex(M, degree),
-                   {degree: res.augmentation}, check=False)
-    return P, eps
+    return resolution_complex(res, M, degree)
 
 
 def _stupid_truncate_above(X: ComplexOfModules, lo: int) -> ComplexOfModules:

@@ -426,47 +426,12 @@ def GF(p: int) -> PrimeField:
 DEFAULT_FIELD = GF(32003)
 
 
-class EchelonState:
-    """Incremental row-echelon tracker: feed rows, learn which extend the
-    span; reduction against accumulated pivots is a vector operation."""
-
-    def __init__(self, field: Field, width: int):
-        self.field = field
-        self.width = width
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        f = self.field
-        v = vec.copy()
-        for r, c in zip(self.rows, self.pivots):
-            coef = v[c]
-            if coef != f.zero:
-                v = f.sub(v, f.smul(coef, r))
-        return v
-
-    def add(self, vec: np.ndarray) -> bool:
-        """Reduce and absorb; True iff the row enlarged the span."""
-        f = self.field
-        v = self.reduce(vec)
-        nz = np.nonzero(v != f.zero)[0]
-        if len(nz) == 0:
-            return False
-        c = int(nz[0])
-        v = f.smul(f.inv_el(v[c]), v)
-        self.rows.append(v)
-        self.pivots.append(c)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
 def complement_rows(field: Field, sub: np.ndarray,
                     total: np.ndarray) -> np.ndarray:
     """Rows of `total` extending rowspace(sub) to rowspace(sub) +
-    rowspace(total), picked greedily in order.
+    rowspace(total), picked greedily in order: a row is picked iff it lies
+    outside the span of `sub` and the rows of `total` before it, that is,
+    iff its column is a pivot of one rref of [sub; total] transposed.
 
     When `total` is the identity, e_i is picked iff no vector of
     rowspace(sub) has its last nonzero entry at i, so the picks are the
@@ -478,16 +443,13 @@ def complement_rows(field: Field, sub: np.ndarray,
     if total.shape[0] == n and field.equal(total, field.eye(n)):
         last = {n - 1 - c for c in field.rref(sub[:, ::-1])[1]}
         return total[[i for i in range(n) if i not in last]]
-    st = EchelonState(field, total.shape[1])
-    for row in sub:
-        st.add(row)
-    out = []
-    for row in total:
-        if st.rank == st.width:
-            break
-        if st.add(row):
-            out.append(row)
-    return np.stack(out) if out else field.zeros(0, total.shape[1])
+    k = sub.shape[0]
+    # a column that is zero in every row is a zero row of the transpose,
+    # which changes no pivot
+    both = np.concatenate([sub, total])
+    picks = [c - k for c in field.rref(both[:, both.any(axis=0)].T)[1]
+             if c >= k]
+    return total[picks] if picks else field.zeros(0, n)
 
 
 class QuotientBasis:

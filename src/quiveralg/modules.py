@@ -241,6 +241,7 @@ def map_from_projectives(P: Representation, M: Representation,
     of basis path p from v is M(p) applied to that image.  Basis paths are
     prefix-closed and sorted by length, so each path's value is one matmul
     of its last arrow with its prefix's value, for all slots at v at once.
+    A vertex whose slots all have zero images keeps its zero columns.
     """
     A = P.algebra
     f = P.field
@@ -248,6 +249,9 @@ def map_from_projectives(P: Representation, M: Representation,
     blocks = [f.zeros(M.dims[j], P.dims[j]) for j in range(nv)]
     for v in dict.fromkeys(P.summands):
         slots = [s for s, w in enumerate(P.summands) if w == v]
+        gens = np.concatenate([gen_images[s] for s in slots], axis=1)
+        if not gens.any():
+            continue
         values = {}
         for b, j, k in A.projective_blocks(v).paths:
             word = A.basis[b].arrows
@@ -255,8 +259,7 @@ def map_from_projectives(P: Representation, M: Representation,
                 prefix = A.bindex[Path(v, word[:-1])]
                 values[b] = f.matmul(M.action[word[-1]], values[prefix])
             else:
-                values[b] = np.concatenate([gen_images[s] for s in slots],
-                                           axis=1)
+                values[b] = gens
             blocks[j][:, [P.offsets[s][j] + k for s in slots]] = values[b]
     return ModuleMap(P, M, blocks)
 

@@ -4,9 +4,12 @@ The bimodule E = Ext^n(D A, A) is computed from a minimal resolution of
 D A with its two A-actions realized exactly: the left action by
 postcomposition with left multiplication on the regular module, the
 right action by precomposition with a comparison lift of left
-multiplication on D A.  Only the trivial paths and the arrows take that
-route; every longer basis path acts by the product of its prefix's and
-its last arrow's matrices.
+multiplication on D A.  Both multiplications are maps between tagged
+sums, which ``homology.map_of_elements`` writes from their one entry,
+and ``derived._strict_lift`` lifts the second along the resolution.
+Only the trivial paths and the arrows take that route; every longer
+basis path acts by the product of its prefix's and its last arrow's
+matrices.
 
 The tensor algebra over A is built iteratively as quotients
 T_g = T_{g-1} (x)_A E.  A is generated by its arrows over A_0 = k^{Q_0},
@@ -28,17 +31,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .derived import ChainMap, _strict_lift, resolution_complex
 from .errors import GldimTooLarge, NotTauFinite, AboveCap
 from .exactla import QuotientBasis
 from .findim import (FinDimAlgebra, algebra_from_bqa, sparse_join,
                      vertex_labels)
-from .homology import (ProjResolution, ext_data, global_dimension,
-                       hom_matrix, min_proj_resolution, op_element,
-                       tau_n_orbit)
+from .homology import (ext_data, global_dimension, hom_matrix,
+                       map_of_elements, min_proj_resolution, tau_n_orbit)
 from .modules import (ModuleMap, Representation, coregular, decompose,
-                      direct_sum, dual_map, hom_space, map_from_projectives,
-                      op_algebra, projective, projective_cover, regular,
-                      zero_rep)
+                      direct_sum, hom_space, projective, projective_cover,
+                      regular, zero_rep)
 from .quivers import BoundQuiverAlgebra, Path, trivial
 
 __all__ = ["ExtBimodule", "ext_bimodule", "PreprojectiveSplit",
@@ -47,72 +49,8 @@ __all__ = ["ExtBimodule", "ext_bimodule", "PreprojectiveSplit",
 
 
 # ---------------------------------------------------------------------------
-# left/right multiplication as module maps
+# the Ext bimodule
 # ---------------------------------------------------------------------------
-
-def left_mult_map(A: BoundQuiverAlgebra, elem: dict[int, object],
-                  R: Representation | None = None) -> ModuleMap:
-    """Left multiplication by an algebra element on the regular module.
-
-    Row/column order at each vertex follows the slot-major layout of
-    projectives_sum, which is how the regular module is materialized.
-    """
-    if R is None:
-        R = regular(A)
-    f = A.field
-    q = A.quiver
-    blocks = []
-    for v in range(q.n_vertices):
-        rows = [b for w in R.summands for b in A.basis_between(w, v)]
-        pos = {b: k for k, b in enumerate(rows)}
-        m = f.zeros(len(rows), len(rows))
-        for col, x in enumerate(rows):
-            src = A.basis[x].source
-            prod = f.accumulate({}, (
-                (t, c * c2) for bi, c in elem.items()
-                if A.basis[bi].target(q) == src
-                for t, c2 in A.mult_basis(bi, x).items()))
-            for t, v2 in prod.items():
-                m[pos[t], col] = v2
-        blocks.append(m)
-    return ModuleMap(R, R, blocks)
-
-
-def left_mult_on_coregular(A: BoundQuiverAlgebra, elem: dict[int, object],
-                           DL: Representation,
-                           Rop: Representation | None = None) -> ModuleMap:
-    """Left multiplication by an element on D(A) as a right-module map;
-    ``Rop`` is the regular module of A^op, built when not given."""
-    Aop = op_algebra(A)
-    mu = left_mult_map(Aop, op_element(A, elem), Rop)
-    lam = dual_map(mu)
-    return ModuleMap(DL, DL, lam.blocks)
-
-
-def lift_through_resolution(res: ProjResolution, g: ModuleMap,
-                            depth: int) -> list[ModuleMap]:
-    """Chain lifts g_i: P_i -> P_i of g: M -> M along a minimal resolution.
-
-    The generator images of all slots at one vertex come from one solve;
-    each column gets the particular solution it would get alone."""
-    f = g.field
-    lifts = []
-    for i in range(depth + 1):
-        P = res.terms[i]
-        # g_i lifts rhs = g_{i-1} d along d: P_i -> P_{i-1} (P_0 -> M at 0)
-        d = res.differentials[i - 1] if i else res.augmentation
-        rhs = d.compose(lifts[-1] if i else g)
-        gen_images = [None] * len(P.summands)
-        for v in dict.fromkeys(P.summands):
-            slots = [s for s, w in enumerate(P.summands) if w == v]
-            cols = [P.offsets[s][v] for s in slots]
-            x = f.solve(d.blocks[v], rhs.blocks[v][:, cols])
-            assert x is not None, "comparison lift must exist"
-            for k, s in enumerate(slots):
-                gen_images[s] = x[:, k:k + 1]
-        lifts.append(map_from_projectives(P, P, gen_images))
-    return lifts
-
 
 @dataclass
 class ExtBimodule:
@@ -156,7 +94,12 @@ def _path_actions(A: BoundQuiverAlgebra, action, left: bool
 def _ext_actions(A: BoundQuiverAlgebra, n: int):
     """dim Ext^n(D A, A) and two functions giving the left and the right
     action matrix of one basis element through the resolution of D A
-    (``(0, None, None)`` when Ext vanishes)."""
+    (``(0, None, None)`` when Ext vanishes).
+
+    Left multiplication by a basis path b in e_s A e_t is the map with the
+    one entry b from slot t to slot s, on A = regular(A) for the left
+    action and on D A = coregular(A) for the right, where slot v is
+    vertex v in both."""
     gl = global_dimension(A, cap=n + 1)
     if isinstance(gl, AboveCap) or gl > n:
         raise GldimTooLarge(f"gldim(A) = {gl} exceeds n = {n}")
@@ -173,7 +116,13 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
     assert ext.dim == dim
     # the columns of the generator image of each slot of P_n in a cocycle
     offs = np.cumsum([0] + [R.dims[v] for v in Pn.summands])
-    Rop = regular(op_algebra(A))
+    # gldim <= n, so the resolution has no term past P_n
+    P, eps = resolution_complex(res, DL)
+
+    def mult(kind: str, M: Representation, b: int) -> ModuleMap:
+        p = A.basis[b]
+        return map_of_elements(A, kind, {(p.source, p.target(A.quiver)):
+                                         {b: f.one}}, M, M)
 
     def action(images: np.ndarray) -> np.ndarray:
         """Matrix whose column r is the class of row r of `images`."""
@@ -182,7 +131,7 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
 
     def left(b: int) -> np.ndarray:
         # postcompose with left multiplication on R, slot by slot
-        lm = left_mult_map(A, {b: f.one}, R)
+        lm = mult("P", R, b)
         images = f.zeros(dim, int(offs[-1]))
         for s, v in enumerate(Pn.summands):
             images[:, offs[s]:offs[s + 1]] = f.matmul(
@@ -190,10 +139,12 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
         return action(images)
 
     def right(b: int) -> np.ndarray:
-        # precompose with the lift of left multiplication on D(A)
-        lam = left_mult_on_coregular(A, {b: f.one}, DL, Rop)
-        lift_n = lift_through_resolution(res, lam, n)[n]
-        return action(f.matmul(basis_rows, hom_matrix(lift_n, R).T))
+        # precompose with the lift of left multiplication lam on D(A):
+        # the chain map P -> P over lam eps
+        lam = mult("I", DL, b)
+        lift = _strict_lift(P, ChainMap(P, eps.target, {
+            0: eps.parts[0].compose(lam)}, check=False), eps)
+        return action(f.matmul(basis_rows, hom_matrix(lift.parts[-n], R).T))
 
     return dim, left, right
 

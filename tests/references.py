@@ -40,6 +40,13 @@
   products as a dense block, and reads the constants off the blocks;
   ``preprojective.preprojective_algebra`` builds each grade and the
   products into it from the constants into the grade before.
+- ``left_mult_map`` and ``left_mult_on_coregular`` are left
+  multiplication by an algebra element on A and on D A, filled one
+  ``mult_basis`` product at a time; ``preprojective._ext_actions`` writes
+  them with ``homology.map_of_elements``.
+- ``complement_rows_greedy`` feeds rows one at a time into an
+  ``EchelonState`` and keeps those that extend the span;
+  ``exactla.complement_rows`` picks the same rows with one rref.
 """
 
 from __future__ import annotations
@@ -50,12 +57,12 @@ from quiveralg.checks import (Verdict, is_self_injective, nu_module,
                               socle_vertex)
 from quiveralg.derived import _hom_total_spaces
 from quiveralg.errors import AboveCap, NotTauFinite
-from quiveralg.exactla import QQ, QuotientBasis
+from quiveralg.exactla import QQ, Field, QuotientBasis
 from quiveralg.findim import FinDimAlgebra, algebra_from_bqa
 from quiveralg.homology import (elements_of_map, injective_dimension,
-                                syzygy)
+                                op_element, syzygy)
 from quiveralg.modules import (ModuleMap, Representation, decompose,
-                               direct_sum, hom_space, injective,
+                               direct_sum, dual_map, hom_space, injective,
                                is_isomorphic, op_algebra, projective,
                                projective_cover, quotient, radical_series,
                                regular, simple, subrepresentation, zero_rep)
@@ -473,3 +480,87 @@ def preprojective_algebra_by_blocks(A, n: int,
              for e in base.idempotents]
     return FinDimAlgebra(f, total_dim, None, idems, grading, constants=(
         i[order], j[order], k[order], f.array(c[order])))
+
+
+def left_mult_map(A, elem: dict[int, object],
+                  R: Representation | None = None) -> ModuleMap:
+    """Left multiplication by an algebra element on the regular module.
+
+    Row/column order at each vertex follows the slot-major layout of
+    projectives_sum, which is how the regular module is materialized.
+    """
+    if R is None:
+        R = regular(A)
+    f = A.field
+    q = A.quiver
+    blocks = []
+    for v in range(q.n_vertices):
+        rows = [b for w in R.summands for b in A.basis_between(w, v)]
+        pos = {b: k for k, b in enumerate(rows)}
+        m = f.zeros(len(rows), len(rows))
+        for col, x in enumerate(rows):
+            src = A.basis[x].source
+            prod = f.accumulate({}, (
+                (t, c * c2) for bi, c in elem.items()
+                if A.basis[bi].target(q) == src
+                for t, c2 in A.mult_basis(bi, x).items()))
+            for t, v2 in prod.items():
+                m[pos[t], col] = v2
+        blocks.append(m)
+    return ModuleMap(R, R, blocks)
+
+
+def left_mult_on_coregular(A, elem: dict[int, object],
+                           DL: Representation) -> ModuleMap:
+    """Left multiplication by an element on D(A) as a right-module map:
+    the k-dual of left multiplication by its image on A^op."""
+    lam = dual_map(left_mult_map(op_algebra(A), op_element(A, elem)))
+    return ModuleMap(DL, DL, lam.blocks)
+
+
+class EchelonState:
+    """Incremental row-echelon tracker: feed rows, learn which extend the
+    span; reduction against accumulated pivots is a vector operation."""
+
+    def __init__(self, field: Field, width: int):
+        self.field = field
+        self.width = width
+        self.rows: list[np.ndarray] = []
+        self.pivots: list[int] = []
+
+    def reduce(self, vec: np.ndarray) -> np.ndarray:
+        f = self.field
+        v = vec.copy()
+        for r, c in zip(self.rows, self.pivots):
+            coef = v[c]
+            if coef != f.zero:
+                v = f.sub(v, f.smul(coef, r))
+        return v
+
+    def add(self, vec: np.ndarray) -> bool:
+        """Reduce and absorb; True iff the row enlarged the span."""
+        f = self.field
+        v = self.reduce(vec)
+        nz = np.nonzero(v != f.zero)[0]
+        if len(nz) == 0:
+            return False
+        c = int(nz[0])
+        v = f.smul(f.inv_el(v[c]), v)
+        self.rows.append(v)
+        self.pivots.append(c)
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def complement_rows_greedy(field: Field, sub: np.ndarray,
+                           total: np.ndarray) -> np.ndarray:
+    """The rows of `total` that extend rowspace(sub), picked one at a time
+    in order with an ``EchelonState``."""
+    st = EchelonState(field, total.shape[1])
+    for row in sub:
+        st.add(row)
+    out = [row for row in total if st.add(row)]
+    return np.stack(out) if out else field.zeros(0, total.shape[1])

@@ -105,6 +105,18 @@ def test_denominator_divisible_by_p_is_a_spec_error():
     assert "32003" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("field", [None, "Q"])
+@pytest.mark.parametrize("coef", ["1/0", "0/0"])
+def test_zero_denominator_is_a_spec_error(coef, field):
+    bad = NAK3_SPEC.replace("a1*a2", f"{coef}*a1*a2")
+    with pytest.raises(SpecError, match="line 4"):
+        parse_spec(bad)
+    argv = ["analyze", "--n", "2"] + (["--field", field] if field else [])
+    code, out = _run(argv, stdin_text=bad)
+    assert code == 2
+    assert "zero denominator" in json.loads(out)["error"]
+
+
 def test_coefficient_divisible_by_p_vanishes():
     with pytest.raises(SpecError, match="relation is empty"):
         parse_spec(NAK3_SPEC.replace("a1*a2", "32003*a1*a2"))
@@ -119,6 +131,15 @@ def test_n_below_one_is_an_error(n):
                      stdin_text="vertices [1]\narrows []\nrelations []\n")
     assert code == 2
     assert "--n must be at least 1" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("argv", [["check", "tau-finite"],
+                                  ["check", "ig-dim"],
+                                  ["check", "vosnex", "--n", "3"]])
+def test_cap_below_zero_is_an_error(argv):
+    code, out = _run(argv + ["--cap", "-1"], stdin_text=A2_SPEC)
+    assert code == 2
+    assert "--cap must be at least 0" in json.loads(out)["error"]
 
 
 @pytest.mark.parametrize("field", ["GF(4)", "GF(4294967311)"])

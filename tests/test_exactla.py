@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiveralg import exactla
-from quiveralg.exactla import (GF, QQ, EchelonState, QuotientBasis,
-                               complement_rows)
-from references import fraction_matmul, prime_rref
+from quiveralg.exactla import GF, QQ, QuotientBasis, complement_rows
+from references import complement_rows_greedy, fraction_matmul, prime_rref
 
 F = GF(32003)
 
@@ -231,14 +230,6 @@ def test_kernel_matches_loop_reference(field, rows, cols, rank, seed):
     assert got.dtype == want.dtype and field.equal(got, want)
 
 
-def _greedy_units(field, sub, n):
-    """The unit vectors that extend rowspace(sub), picked one at a time."""
-    state = EchelonState(field, n)
-    for row in sub:
-        state.add(row)
-    return [i for i, row in enumerate(field.eye(n)) if state.add(row)]
-
-
 @pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
 @given(st.integers(0, 5), st.integers(1, 6), st.integers(0, 4),
        st.integers(0, 2**32 - 1))
@@ -247,8 +238,28 @@ def test_complement_of_identity_matches_greedy_loop(field, rows, cols, rank,
                                                     seed):
     sub = _sparse_low_rank(field, random.Random(seed), rows, cols, rank)
     comp = complement_rows(field, sub, field.eye(cols))
-    want = field.eye(cols)[_greedy_units(field, sub, cols)]
+    want = complement_rows_greedy(field, sub, field.eye(cols))
     assert comp.dtype == want.dtype and field.equal(comp, want)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@given(st.integers(0, 4), st.integers(0, 6), st.integers(1, 6),
+       st.integers(0, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_complement_rows_matches_greedy_loop(field, sub_rows, total_rows,
+                                             cols, rank, seed):
+    # rows of `total` outside rowspace(sub), inside it, and dependent ones
+    rng = random.Random(seed)
+    sub = _sparse_low_rank(field, rng, sub_rows, cols, rank)
+    total = np.concatenate([
+        _sparse_low_rank(field, rng, total_rows, cols, rank),
+        field.matmul(_sparse_low_rank(field, rng, total_rows, sub_rows,
+                                      sub_rows), sub)])
+    total = total[rng.sample(range(len(total)), len(total))]
+    got = complement_rows(field, sub, total)
+    want = complement_rows_greedy(field, sub, total)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert field.equal(got, want)
 
 
 def _rref_every_row(field, a):

@@ -20,7 +20,8 @@ from quiveralg.modules import (coregular, map_from_projectives, projective,
 from quiveralg.preprojective import (ext_bimodule, preprojective_algebra,
                                      preprojective_module, stable_endomorphism)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import preprojective_algebra_by_blocks, stable_hom
+from references import (left_mult_map, left_mult_on_coregular,
+                        preprojective_algebra_by_blocks, stable_hom)
 
 F = GF(32003)
 
@@ -283,14 +284,14 @@ def _row_by_row_actions(A, n):
         return ext.coords(images).T
 
     def left(b):
-        lm = pp.left_mult_map(A, {b: f.one}, R)
+        lm = left_mult_map(A, {b: f.one}, R)
         return classes(np.stack([
             np.concatenate([f.matmul(lm.blocks[v], y)[:, 0] for v, y in
                             zip(Pn.summands, split(row))])
             for row in ext.comp]))
 
     def right(b):
-        lam = pp.left_mult_on_coregular(A, {b: f.one}, DL)
+        lam = left_mult_on_coregular(A, {b: f.one}, DL)
         lift_n = _lift_one_generator_at_a_time(res, lam, n)[n]
         images = []
         for row in ext.comp:
