@@ -249,10 +249,8 @@ class Field:
                 f"dimension mismatch: {a.shape[0]} rows vs {b.shape[0]} rows")
         m, n = a.shape
         k = b.shape[1]
-        if k == 0:
-            return self.zeros(n, 0)
-        if n == 0:
-            return None if not self.is_zero(b) else self.zeros(0, k)
+        if self.is_zero(b):  # the rref's answer, without the rref
+            return self.zeros(n, k)
         aug = self.zeros(m, n + k)
         aug[:, :n] = a
         aug[:, n:] = b

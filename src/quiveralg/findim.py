@@ -5,25 +5,26 @@ of orthogonal idempotents, optionally graded.  Only the nonzero
 constants c_{ij}^k are kept, as four flat arrays, which the builders
 pass directly (``sparse_constants`` makes them from a list of entries);
 End/rad in ``modules.decompose`` alone gives its products one basis row
-at a time through a row callback.  Products, left and right
-multiplication matrices are scatter-adds over them, and the trace form
-that gives the radical is one sparse join of them with themselves.
-``quiver_presentation`` recovers a bound quiver algebra from it: Gabriel
-quiver from rad/rad^2, arrow lifts, and relation generators of the
-kernel I of the induced path algebra surjection, computed degree by
-degree.  The basis must be vertex-adapted: each idempotent acts by a 0/1
-diagonal matrix, so every basis element lies in one corner e_i B e_j and
-the corners are index sets (``vertex_labels`` reads them).  Each corner
-is taken modulo one echelon form of rad; rad^2 is built corner by corner
-from the products (e_i rad e_k)(e_k rad e_j).  The arrow lifts and the
-new relation generators are complements picked by
+at a time through a row callback.  Products, and each action of an
+element as the entries (dst, src, c) of its matrix, are scatter-adds
+over them, and the trace form that gives the radical is one sparse join
+of them with themselves.  ``quiver_presentation`` recovers a bound
+quiver algebra from it: Gabriel quiver from rad/rad^2, arrow lifts, and
+relation generators of the kernel I of the induced path algebra
+surjection, computed degree by degree.  The basis must be
+vertex-adapted: each idempotent acts by a 0/1 diagonal matrix, so every
+basis element lies in one corner e_i B e_j and the corners are index
+sets (``vertex_labels`` reads them off the idempotents' entries).  Each
+corner is taken modulo one echelon form of rad; rad^2 is built corner by
+corner from the products (e_i rad e_k)(e_k rad e_j).  The arrow lifts
+and the new relation generators are complements picked by
 ``exactla.complement_rows``.  With K_d = I on the paths of length 2..d,
 the relations found so far generate K_{d-1} + arrows K_{d-1} + K_{d-1}
 arrows there (u g w = a (u' g w) for u = a u'), and the new relations
 complement that span in K_d.  The loop stops at the first degree whose
-paths all vanish, or earlier, once the relations found so far present
-an algebra of dimension dim B (a bounded completion checks this after
-each degree that adds relations).  The returned algebra must match in
+paths all vanish, or earlier, once the relations found so far present an
+algebra of dimension dim B (a bounded completion checks this after each
+degree that adds relations).  The returned algebra must match in
 dimension; anything else raises.
 """
 
@@ -52,10 +53,10 @@ class FinDimAlgebra:
     coordinates of b_i b_j, and the constructor calls it once per i;
     only End/rad in ``modules.decompose`` is built that way.
 
-    ``quiver_presentation`` needs a vertex-adapted basis: each idempotent
-    acts on the left and on the right by a 0/1 diagonal matrix, so each
-    basis element b has one left label i and one right label j with
-    b = e_i b e_j.  Every builder in the package gives such a basis.
+    ``quiver_presentation`` needs a vertex-adapted basis: the entries of
+    each idempotent's ``left_action`` and ``right_action`` are diagonal
+    ones, so each basis element b has one left label i and one right label
+    j with b = e_i b e_j.  Every builder in the package gives such a basis.
     """
 
     def __init__(self, field: Field, dim: int, mult,
@@ -66,19 +67,11 @@ class FinDimAlgebra:
         self._mult = mult
         self.idempotents = [np.array(e) for e in idempotents]
         self.grading = grading
-        if constants is not None:
-            self.constants = constants
-            return
-        # the empty first entry keeps the concatenation defined for dim 0
-        empty = np.zeros(0, dtype=np.int64)
-        nonzero = [(empty, empty, empty, field.zeros(1, 0)[0])]
-        for i in range(dim):
-            row = self.table(i)
-            j, k = np.nonzero(row != field.zero)
-            nonzero.append((np.full(len(j), i, dtype=np.int64), j, k,
-                            row[j, k]))
-        i, j, k, c = (np.concatenate(a) for a in zip(*nonzero))
-        self.constants = (i, j, k, field.array(c))
+        self.constants = constants if constants is not None else \
+            sparse_constants(field, (
+                (i, j, k, row[j, k]) for i in range(dim)
+                for row in [self.table(i)]
+                for j, k in zip(*np.nonzero(row != field.zero))))
 
     def __repr__(self):
         return f"FinDimAlgebra(dim={self.dim}, e={len(self.idempotents)})"
@@ -90,35 +83,13 @@ class FinDimAlgebra:
             return self._mult(i)
         a, j, k, c = self.constants
         lo, hi = np.searchsorted(a, [i, i + 1])
-        row = self.field.zeros(self.dim, self.dim)
-        row[j[lo:hi], k[lo:hi]] = c[lo:hi]
-        return row
+        return _dense(self.field, self.dim, (j[lo:hi], k[lo:hi], c[lo:hi]))
 
     def mult_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         i, j, k, c = self.constants
         xy = self.field.reduce(x[i] * y[j])
         return _scatter(self.field, self.field.zeros(1, self.dim)[0], k,
                         xy * c)
-
-    def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """x y for each row x of xs and y of ys, as an array of shape
-        (len(xs), len(ys), dim).  Each x reads only the constants c_{ij}^k
-        with i in its support; the constructor stores them in order of i,
-        so those are one contiguous run per i."""
-        f = self.field
-        i, j, k, c = self.constants
-        starts = np.searchsorted(i, np.arange(self.dim + 1))
-        out = f.zeros(len(xs) * len(ys), self.dim).reshape(
-            len(xs), len(ys), self.dim)
-        rows = np.arange(len(ys))[:, None]
-        for a, x in enumerate(xs):
-            sel = np.concatenate(
-                [np.zeros(0, dtype=np.int64)]
-                + [np.arange(starts[b], starts[b + 1])
-                   for b in np.flatnonzero(x != f.zero)])
-            coef = f.reduce(x[i[sel]] * c[sel])
-            np.add.at(out[a], (rows, k[sel]), f.reduce(ys[:, j[sel]] * coef))
-        return f.reduce(out)
 
     def unit(self) -> np.ndarray:
         f = self.field
@@ -127,16 +98,27 @@ class FinDimAlgebra:
             out = f.add(out, e)
         return out
 
+    def left_action(self, x: np.ndarray) -> tuple:
+        """Entries (k, j, c) of y -> x y: x b_j has c at k, summed over the
+        constants c_{ij}^k with x_i nonzero (``sparse_entries``)."""
+        i, j, k, c = self.constants
+        sel = x[i] != self.field.zero
+        return sparse_entries(self.field, self.dim, k[sel], j[sel],
+                              x[i[sel]] * c[sel])
+
+    def right_action(self, x: np.ndarray) -> tuple:
+        """Entries (k, i, c) of y -> y x: b_i x has c at k."""
+        i, j, k, c = self.constants
+        sel = x[j] != self.field.zero
+        return sparse_entries(self.field, self.dim, k[sel], i[sel],
+                              x[j[sel]] * c[sel])
+
     def left_mult_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of y -> x*y on basis coordinates (columns = images)."""
-        i, j, k, c = self.constants
-        return _scatter(self.field, self.field.zeros(self.dim, self.dim),
-                        (k, j), x[i] * c)
+        return _dense(self.field, self.dim, self.left_action(x))
 
     def right_mult_matrix(self, x: np.ndarray) -> np.ndarray:
-        i, j, k, c = self.constants
-        return _scatter(self.field, self.field.zeros(self.dim, self.dim),
-                        (k, i), x[j] * c)
+        return _dense(self.field, self.dim, self.right_action(x))
 
     def check_associativity(self) -> bool:
         """L_{e_i e_j} = L_{e_i} L_{e_j} for every pair of basis elements."""
@@ -153,6 +135,26 @@ def _scatter(f: Field, out: np.ndarray, index, vals: np.ndarray) -> np.ndarray:
     """out[index] += vals, each value and each sum reduced mod p."""
     np.add.at(out, index, f.reduce(vals))
     return f.reduce(out)
+
+
+def _dense(f: Field, n: int, entries: tuple) -> np.ndarray:
+    dst, src, c = entries
+    out = f.zeros(n, n)
+    out[dst, src] = c
+    return out
+
+
+def _act(f: Field, n: int, entries: tuple, rows: np.ndarray) -> np.ndarray:
+    """rows @ M.T for the n x n matrix M with the entries (dst, src, c):
+    one product with the block of the columns src and dst they touch."""
+    dst, src, c = entries
+    cols, i = np.unique(src, return_inverse=True)
+    outs, k = np.unique(dst, return_inverse=True)
+    block = f.zeros(len(cols), len(outs))
+    block[i, k] = c
+    out = f.zeros(len(rows), n)
+    out[:, outs] = f.matmul(rows[:, cols], block)
+    return out
 
 
 def algebra_from_bqa(A: BoundQuiverAlgebra) -> FinDimAlgebra:
@@ -182,6 +184,16 @@ def sparse_constants(f: Field, entries) -> tuple:
     return i, j, k, f.array([e[3] for e in kept])
 
 
+def sparse_entries(f: Field, n: int, dst: np.ndarray, src: np.ndarray,
+                   vals: np.ndarray) -> tuple:
+    """Entries (dst, src, c), in order of (dst, src), of the n x n matrix
+    with the terms ``vals`` at (dst, src), summed, zero sums dropped."""
+    key, at = np.unique(dst * n + src, return_inverse=True)
+    sums = _scatter(f, f.zeros(1, len(key))[0], at, vals)
+    nz = sums != f.zero
+    return key[nz] // n, key[nz] % n, sums[nz]
+
+
 def sparse_join(a: np.ndarray, b: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Every pair of positions (s, t) with a[s] == b[t], in order of s and
@@ -195,25 +207,17 @@ def sparse_join(a: np.ndarray, b: np.ndarray
     return s, t
 
 
-def vertex_labels(f, mats: list[np.ndarray], idems: list[int],
-                   what: str) -> np.ndarray:
-    """The vertex of each basis element: the one v whose idempotent, acting
-    by ``mats[idems[v]]``, fixes it.
-
-    The basis must be vertex-adapted: every idempotent acts by a 0/1
-    diagonal matrix and each element is fixed by exactly one of them.
-    Anything else raises."""
-    fixed = []
-    for v, i in enumerate(idems):
-        off = mats[i].copy()
-        diag = np.diagonal(mats[i])
-        np.fill_diagonal(off, f.zero)
-        if not (f.is_zero(off) and
-                np.all((diag == f.zero) | (diag == f.one))):
+def vertex_labels(f, dim: int, actions: list, what: str) -> np.ndarray:
+    """The vertex of each of ``dim`` basis elements: the one v whose
+    idempotent, acting by the entries (dst, src, c) of ``actions[v]``,
+    fixes it.  The basis must be vertex-adapted: every entry is a diagonal
+    1 and each element is fixed by exactly one idempotent, or it raises."""
+    fixed = np.zeros((len(actions), dim), dtype=bool)
+    for v, (dst, src, c) in enumerate(actions):
+        if np.any(dst != src) or np.any(c != f.one):
             raise ValueError(f"vertex {v} does not act on the {what} by a "
                              "0/1 diagonal matrix")
-        fixed.append(diag == f.one)
-    fixed = np.stack(fixed)
+        fixed[v, src] = True
     if not np.all(fixed.sum(axis=0) == 1):
         raise ValueError(f"a basis element of the {what} is not fixed by "
                          "exactly one vertex idempotent")
@@ -281,10 +285,8 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
     idems = B.idempotents
     m = len(idems)
     rad = _radical_rows(B)
-    left = vertex_labels(f, [B.left_mult_matrix(e) for e in idems],
-                         list(range(m)), "basis")
-    right = vertex_labels(f, [B.right_mult_matrix(e) for e in idems],
-                          list(range(m)), "basis")
+    left = vertex_labels(f, n, [B.left_action(e) for e in idems], "basis")
+    right = vertex_labels(f, n, [B.right_action(e) for e in idems], "basis")
     units = f.eye(n)
 
     # -- basic & split checks on S = B/rad --------------------------------
@@ -315,7 +317,8 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
         for i in range(m):
             if not corners[(i, k)].shape[0]:
                 continue
-            xy = B.products(corners[(i, k)], ys)
+            xy = np.stack([_act(f, n, B.left_action(x), ys)
+                           for x in corners[(i, k)]])
             for j, rows in zip(outs, np.split(xy, ends, axis=1)):
                 prods.setdefault((i, j), []).append(rows.reshape(-1, n))
     corners2 = {key: f.row_space(np.concatenate(rows))
@@ -356,8 +359,8 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
     arrow_degrees = arrow_degs if B.grading is not None else None
 
     # -- kernel of the presentation map, degree by degree -------------------
-    # a path's value extends its prefix's value: (x a) = x R_a^T on rows
-    arrow_rmats = [B.right_mult_matrix(x) for x in arrow_elems]
+    # a path's value is its prefix's times its last arrow, on the right
+    arrow_right = [B.right_action(x) for x in arrow_elems]
     paths = [Path(quiver.vindex[s], (a,)) for a, (_, s, _) in
              enumerate(arrow_list)]
     # the lifts lie in e_s B, so e_s a = a
@@ -381,7 +384,7 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
                 longer.append(Path(p.source, p.arrows + (a,)))
         prev, values = values, f.zeros(len(longer), n)
         for a, (rows, prefixes) in extend.items():
-            values[rows] = f.matmul(prev[prefixes], arrow_rmats[a].T)
+            values[rows] = _act(f, n, arrow_right[a], prev[prefixes])
         paths = longer
         # the paths of length d span rad^d: d is the nilpotency degree
         # once they all vanish, and this is the last degree

@@ -9,7 +9,7 @@ sums, which ``homology.map_of_elements`` writes from their one entry,
 and ``derived._strict_lift`` lifts the second along the resolution.
 Only the trivial paths and the arrows take that route; every longer
 basis path acts by the product of its prefix's and its last arrow's
-matrices.
+actions, each kept as the nonzero entries of its matrix.
 
 The tensor algebra over A is built iteratively as quotients
 T_g = T_{g-1} (x)_A E.  A is generated by its arrows over A_0 = k^{Q_0},
@@ -20,7 +20,7 @@ and each grade is a quotient of the span of those, with a projection
 onto the quotient and a pure tensor representing each of its basis
 elements.  One pass per grade builds the grade and every product into
 it, from the nonzero structure constants into the grade before and E's
-right action alone: each product is a sum of pure tensors on the matched
+actions alone: each product is a sum of pure tensors on the matched
 pairs, projected onto the grade; only the nonzero constants are kept.
 """
 
@@ -34,8 +34,8 @@ import numpy as np
 from .derived import ChainMap, _strict_lift, resolution_complex
 from .errors import GldimTooLarge, NotTauFinite, AboveCap
 from .exactla import QuotientBasis
-from .findim import (FinDimAlgebra, algebra_from_bqa, sparse_join,
-                     vertex_labels)
+from .findim import (FinDimAlgebra, algebra_from_bqa, sparse_entries,
+                     sparse_join, vertex_labels)
 from .homology import (ext_data, global_dimension, hom_matrix,
                        map_of_elements, min_proj_resolution, tau_n_orbit)
 from .modules import (ModuleMap, Representation, coregular, decompose,
@@ -56,45 +56,51 @@ __all__ = ["ExtBimodule", "ext_bimodule", "PreprojectiveSplit",
 class ExtBimodule:
     """E = Ext^n(D A, A) with the action of each basis path of A.
 
-    ``left_mats[b]`` and ``right_mats[b]`` are the left and right actions
-    of basis path b (columns are images).  Only the trivial paths and the
-    arrows go through the resolution; each longer path p = p' a gets its
-    matrices from its prefix, L_p = L_{p'} L_a and R_p = R_a R_{p'}.  The
-    basis of E is vertex-adapted: each vertex idempotent acts on either
-    side by a 0/1 diagonal matrix.
+    ``left`` and ``right`` are the entries (b, y', y, c) of the left and
+    right actions, in order of b: b y, or y b, has c at y'.  Only the
+    trivial paths and the arrows go through the resolution; each longer
+    path p = p' a gets its entries from its prefix's, L_p = L_{p'} L_a
+    and R_p = R_a R_{p'}.  The basis of E is vertex-adapted: each vertex
+    idempotent acts on either side by a 0/1 diagonal matrix.
     """
     algebra: BoundQuiverAlgebra
     n: int
     dim: int
-    left_mats: list[np.ndarray]   # action of each algebra basis element
-    right_mats: list[np.ndarray]
+    left: tuple
+    right: tuple
 
 
-def _path_actions(A: BoundQuiverAlgebra, action, left: bool
-                  ) -> list[np.ndarray]:
-    """The matrix of every basis path acting on one side of a bimodule.
+def _path_actions(A: BoundQuiverAlgebra, dim: int, action, left: bool
+                  ) -> tuple:
+    """The entries (b, y', y, c), in order of b, of every basis path b
+    acting on one side of a bimodule of dimension ``dim``.
 
-    ``action(b)`` gives it for the trivial paths and the arrows.  A longer
-    basis path p = p' a comes after its prefix p' in the (length-ordered,
-    prefix-closed) basis, and its matrix is one product: L_{p'} L_a on
-    the left, R_a R_{p'} on the right."""
+    ``action(b)`` gives the matrix of a trivial path or an arrow.  A longer
+    basis path p = p' a follows its prefix p' in the basis, and its
+    entries are one product joined on the middle index: L_{p'} L_a on the
+    left, R_a R_{p'} on the right."""
     f = A.field
     q = A.quiver
-    mats: list[np.ndarray] = []
+    acts: list[tuple] = []
     for b, p in enumerate(A.basis):
         if len(p.arrows) < 2:
-            mats.append(action(b))
+            mat = action(b)
+            y2, y = np.nonzero(mat != f.zero)
+            acts.append((y2, y, mat[y2, y]))
             continue
-        pre = mats[A.bindex[Path(p.source, p.arrows[:-1])]]
-        last = mats[A.bindex[Path(q.source(p.arrows[-1]), p.arrows[-1:])]]
-        mats.append(f.matmul(pre, last) if left else f.matmul(last, pre))
-    return mats
+        pre = acts[A.bindex[Path(p.source, p.arrows[:-1])]]
+        last = acts[A.bindex[Path(q.source(p.arrows[-1]), p.arrows[-1:])]]
+        (o2, o1, oc), (i2, i1, ic) = (pre, last) if left else (last, pre)
+        s, t = sparse_join(o1, i2)
+        acts.append(sparse_entries(f, dim, o2[s], i1[t], oc[s] * ic[t]))
+    b = np.repeat(np.arange(A.dim), [len(a[0]) for a in acts])
+    return (b,) + tuple(np.concatenate(a) for a in zip(*acts))
 
 
 def _ext_actions(A: BoundQuiverAlgebra, n: int):
     """dim Ext^n(D A, A) and two functions giving the left and the right
     action matrix of one basis element through the resolution of D A
-    (``(0, None, None)`` when Ext vanishes).
+    (0 and 0 x 0 matrices when Ext vanishes).
 
     Left multiplication by a basis path b in e_s A e_t is the map with the
     one entry b from slot t to slot s, on A = regular(A) for the left
@@ -110,7 +116,7 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
     dim, cocycles, (res, cob) = ext_data(DL, R, n, res)
     Pn = res.terms[n] if n <= res.length else None
     if dim == 0 or Pn is None:
-        return 0, None, None
+        return 0, *[lambda b: f.zeros(0, 0)] * 2
     ext = QuotientBasis(f, cob, cocycles)
     basis_rows = ext.comp
     assert ext.dim == dim
@@ -151,12 +157,8 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
 
 def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
     dim, left, right = _ext_actions(A, n)
-    if dim == 0:
-        f = A.field
-        return ExtBimodule(A, n, 0, [f.zeros(0, 0)] * A.dim,
-                           [f.zeros(0, 0)] * A.dim)
-    return ExtBimodule(A, n, dim, _path_actions(A, left, left=True),
-                       _path_actions(A, right, left=False))
+    return ExtBimodule(A, n, dim, _path_actions(A, dim, left, left=True),
+                       _path_actions(A, dim, right, left=False))
 
 
 # ---------------------------------------------------------------------------
@@ -236,37 +238,38 @@ def _matched_pairs(right: np.ndarray, left: np.ndarray) -> MatchedPairs:
     return MatchedPairs(np.flatnonzero(match), pos)
 
 
-def _arrow_relations(A: BoundQuiverAlgebra, alpha: int, R: np.ndarray,
-                     L: np.ndarray, right: np.ndarray, left: np.ndarray,
+def _arrow_relations(A: BoundQuiverAlgebra, alpha: int, R: tuple,
+                     L: tuple, right: np.ndarray, left: np.ndarray,
                      pairs: MatchedPairs) -> np.ndarray:
     """The relations x alpha (x) y - x (x) alpha y of the arrow
-    alpha = e_a alpha e_b, which acts by ``R`` on T_{g-1} and by ``L`` on
-    E, on the matched pairs.
-
-    Only the rows with right(x) = a and left(y) = b are nonzero there; the
-    first term lies in the block of vertex b, the second in that of a."""
+    alpha = e_a alpha e_b, which acts on T_{g-1} and on E by the entries
+    (dst, src, c) of ``R`` and ``L``, on the matched pairs: the rows with
+    right(x) = a, left(y) = b and a term, and only their terms, in the
+    block of vertex b for the first and of a for the second."""
     f = A.field
     a, b = A.quiver.source(alpha), A.quiver.target(alpha)
-    xa, xb = np.flatnonzero(right == a), np.flatnonzero(right == b)
-    ya, yb = np.flatnonzero(left == a), np.flatnonzero(left == b)
-    pos, width = pairs.pos, len(pairs.index)
-    w = f.zeros(len(xa) * len(yb), width).reshape(len(xa), len(yb), width)
-    i = np.arange(len(xa))[:, None, None]
-    j = np.arange(len(yb))[None, :, None]
-    # x alpha = sum of R[x', x] x' over right(x') = b
-    w[i, j, pos[np.ix_(xb, yb)].T[None]] = R[np.ix_(xb, xa)].T[:, None, :]
-    # alpha y = sum of L[y', y] y' over left(y') = a
-    k = pos[np.ix_(xa, ya)][:, None, :]
-    w[i, j, k] = f.sub(w[i, j, k], L[np.ix_(ya, yb)].T[None])
-    return w.reshape(len(xa) * len(yb), width)
+    xa, yb = np.flatnonzero(right == a), np.flatnonzero(left == b)
+    (x2, x, xc), (y2, y, yc) = R, L
+    pos = pairs.pos
+    # the row (x, y), the pair and the coefficient of each term
+    terms = (np.broadcast_arrays(x[:, None], yb, pos[x2[:, None], yb],
+                                 xc[:, None]),
+             np.broadcast_arrays(xa[:, None], y, pos[xa[:, None], y2],
+                                 f.neg(yc)))
+    rx, ry, at, c = (np.concatenate([t.ravel() for t in z])
+                     for z in zip(*terms))
+    keys, row = np.unique(rx * len(left) + ry, return_inverse=True)
+    w = f.zeros(len(keys), len(pairs.index))
+    np.add.at(w, (row, at), c)
+    return f.reduce(w)
 
 
 def _balancing_relations(A: BoundQuiverAlgebra, E: ExtBimodule,
-                         R: dict[int, np.ndarray]
+                         action: tuple, dim: int
                          ) -> tuple[np.ndarray, MatchedPairs]:
     """Row basis of the relations of T_{g-1} (x)_A E on the matched pairs,
-    where ``R[b]`` is the right action on T_{g-1} of each vertex
-    idempotent and arrow b of A, keyed by basis index, and those pairs.
+    where T_{g-1} has dimension ``dim`` and the entries (b, x', x, c) of
+    ``action`` give the right action on it of each basis path b of A.
 
     A is generated over A_0 = k^{Q_0} by its arrows, and the relation of a
     path p q at (x, y) is that of q at (x p, y) plus that of p at
@@ -274,16 +277,22 @@ def _balancing_relations(A: BoundQuiverAlgebra, E: ExtBimodule,
     unmatched pairs, span them all."""
     f = A.field
     q = A.quiver
+
+    def of(entries: tuple, b: int) -> tuple:
+        sel = entries[0] == b
+        return tuple(a[sel] for a in entries[1:])
+
     idems = [A.bindex[trivial(v)] for v in range(q.n_vertices)]
-    right = vertex_labels(f, R, idems, "previous grade")
-    left = vertex_labels(f, E.left_mats, idems, "Ext bimodule")
+    right = vertex_labels(f, dim, [of(action, b) for b in idems],
+                          "previous grade")
+    left = vertex_labels(f, E.dim, [of(E.left, b) for b in idems],
+                         "Ext bimodule")
     pairs = _matched_pairs(right, left)
     rows = [f.zeros(0, len(pairs.index))]
     for a in range(q.n_arrows):
         lam = A.bindex[Path(q.source(a), (a,))]
-        w = _arrow_relations(A, a, R[lam], E.left_mats[lam], right, left,
-                             pairs)
-        rows.append(w[np.any(w != f.zero, axis=1)])
+        rows.append(_arrow_relations(A, a, of(action, lam), of(E.left, lam),
+                                     right, left, pairs))
     return f.row_space(np.concatenate(rows)), pairs
 
 
@@ -295,29 +304,23 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
     x lam (x) y - x (x) lam y.  The bases of T_{g-1} and E are
     vertex-adapted, so every pure tensor x (x) y with right(x) != left(y)
     is a relation, and the rest are spanned by the relations of the arrows
-    on the matched pairs right(x) = left(y).  Those give ``proj``, the
-    coordinates of the grade on the matched pairs.  The complement picks
-    unit vectors, so basis element k of the grade is the class of the pure
-    tensor x_k (x) y_k, and ``xs``, ``ys`` record the pairs.
+    on the matched pairs right(x) = left(y), whose row space is W.  The
+    complement picks unit vectors, at the free columns of W reversed, so
+    basis element k of the grade is the class of the pure tensor
+    x_k (x) y_k (``xs``, ``ys`` record the pairs), and ``proj``, the
+    coordinates on the pairs, is the kernel of W reversed, reversed.
 
     One pass per grade g builds the grade and every product into it from
-    the nonzero constants into grade g-1: the idempotents and arrows act
-    there by the constants whose right factor is theirs, u (x_k (x) y_k)
-    is (u x_k) (x) y_k for k in grades 1..g, and (x_k (x) y_k) b is
-    x_k (x) (y_k b) for k in grade g, from E's right action.  ``proj``
+    the entries of the constants into grade g-1 and of E's actions: the
+    idempotents and arrows act there by the constants whose right factor
+    is theirs, u (x_k (x) y_k) is (u x_k) (x) y_k for k in grades 1..g,
+    and (x_k (x) y_k) b is x_k (x) (y_k b) for k in grade g.  ``proj``
     sends these pure tensors to the grade; only nonzero sums are kept.
     """
     E = ext_bimodule(A, n)
     f = A.field
-    q = A.quiver
     base = algebra_from_bqa(A)
-    gens = ([A.bindex[trivial(v)] for v in range(q.n_vertices)]
-            + [A.bindex[Path(q.source(a), (a,))] for a in range(q.n_arrows)])
-    # E's right action as entries (b, y', y, c): y b has c at y'
-    right_mats = np.stack(E.right_mats)
-    eb, ey2, ey = np.nonzero(right_mats != f.zero)
-    ec = right_mats[eb, ey2, ey]
-    del right_mats
+    eb, ey2, ey, ec = E.right
     # parts[g]: the constants into grade g; offsets[g]: where grade g
     # starts; xg, yg: the global x_k and the y_k of grades 1, 2, ...
     parts = [base.constants]
@@ -326,22 +329,19 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
     while E.dim > 0:
         lo, top = offsets[-2], offsets[-1]
         i, j, k, c = parts[-1]
-        R = {b: f.zeros(top - lo, top - lo) for b in gens}
-        for b, mat in R.items():
-            sel = j == b
-            mat[k[sel] - lo, i[sel] - lo] = c[sel]
-        W, pairs = _balancing_relations(A, E, R)
-        del R
+        # the right action on grade g-1 of a basis path j of A is the
+        # constants into it with right factor j
+        W, pairs = _balancing_relations(A, E, (j, k - lo, i - lo, c), top - lo)
         width = len(pairs.index)
         newdim = width - W.shape[0]
         if newdim == 0:
             break
         if len(parts) > cap:
             raise NotTauFinite(cap, newdim)
-        quot = QuotientBasis(f, W, f.eye(width))
-        proj = quot.proj
-        xs, ys = np.divmod(pairs.index[np.nonzero(quot.comp)[1]], E.dim)
-        del quot  # frees the echelon form
+        # one row per free column: 1 there, nonzero after it only at pivots
+        proj = f.kernel(W[:, ::-1])[::-1, ::-1]
+        xs, ys = np.divmod(pairs.index[np.argmax(proj != f.zero, axis=1)],
+                           E.dim)
         xg, yg = np.concatenate([xg, lo + xs]), np.concatenate([yg, ys])
         # the terms (left factor, right factor, matched pair, coefficient)
         # of u (x_k (x) y_k) and of (x_k (x) y_k) b
@@ -350,15 +350,14 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
         left, right, at, coef = (np.concatenate(a) for a in zip(
             (i[s], A.dim + t, pairs.pos[k[s] - lo, yg[t]], c[s]),
             (top + u, eb[v], pairs.pos[xs[u], ey2[v]], ec[v])))
-        # a pure tensor at an unmatched pair is zero (vertex-adapted bases)
-        ok = at >= 0
+        # each term times the entries of proj in its pair's column; a pure
+        # tensor at an unmatched pair (at = -1) is zero and joins none
+        r, col = np.nonzero(proj != f.zero)
+        s, t = sparse_join(at, col)
         size = top + newdim
-        key, row = np.unique(left[ok] * size + right[ok], return_inverse=True)
-        sums = f.zeros(len(key), newdim)
-        np.add.at(sums, row, f.reduce(proj[:, at[ok]].T * coef[ok, None]))
-        sums = f.reduce(sums)
-        r, kk = np.nonzero(sums != f.zero)
-        parts.append((key[r] // size, key[r] % size, top + kk, sums[r, kk]))
+        key, kk, vals = sparse_entries(f, newdim, left[s] * size + right[s],
+                                       r[t], coef[s] * proj[r[t], col[t]])
+        parts.append((key // size, key % size, top + kk, vals))
         offsets.append(size)
 
     grading = [g for g in range(len(parts))

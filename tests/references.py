@@ -417,6 +417,44 @@ def _on_pairs(f, size: int, rows: np.ndarray, vals: np.ndarray
     return out
 
 
+def action_entries(f, mats: list[np.ndarray]) -> tuple:
+    """The entries (b, y', y, c), in order of b, of an action given by the
+    dense matrix ``mats[b]`` of each basis element b."""
+    stacked = np.stack(mats)
+    b, y2, y = np.nonzero(stacked != f.zero)
+    return b, y2, y, stacked[b, y2, y]
+
+
+def dense_actions(f, entries: tuple, count: int, dim: int
+                  ) -> list[np.ndarray]:
+    """The dense dim x dim matrix of each of ``count`` basis elements, from
+    the entries (b, y', y, c) of an action."""
+    b, y2, y, c = entries
+    out = f.zeros(count * dim, dim).reshape(count, dim, dim)
+    out[b, y2, y] = c
+    return list(out)
+
+
+def vertex_labels_dense(f, mats: list[np.ndarray], what: str) -> np.ndarray:
+    """``findim.vertex_labels`` on the dense matrix of each idempotent's
+    action: each must be 0/1 diagonal, and fix each basis element once."""
+    fixed = []
+    for v, mat in enumerate(mats):
+        off = mat.copy()
+        diag = np.diagonal(mat)
+        np.fill_diagonal(off, f.zero)
+        if not (f.is_zero(off) and
+                np.all((diag == f.zero) | (diag == f.one))):
+            raise ValueError(f"vertex {v} does not act on the {what} by a "
+                             "0/1 diagonal matrix")
+        fixed.append(diag == f.one)
+    fixed = np.stack(fixed)
+    if not np.all(fixed.sum(axis=0) == 1):
+        raise ValueError(f"a basis element of the {what} is not fixed by "
+                         "exactly one vertex idempotent")
+    return fixed.argmax(axis=0)
+
+
 def preprojective_algebra_by_blocks(A, n: int,
                                     cap: int = 32) -> FinDimAlgebra:
     """T_A E with the right action of every basis path on each grade, and
@@ -428,10 +466,12 @@ def preprojective_algebra_by_blocks(A, n: int,
     base = algebra_from_bqa(A)
     grades = [{"dim": adim,
                "R": [base.right_mult_matrix(e) for e in f.eye(adim)]}]
+    E_right = dense_actions(f, E.right, adim, E.dim)
     if E.dim > 0:
         while True:
             prev = grades[-1]
-            W, pairs = _balancing_relations(A, E, prev["R"])
+            W, pairs = _balancing_relations(
+                A, E, action_entries(f, prev["R"]), prev["dim"])
             width = len(pairs.index)
             newdim = width - W.shape[0]
             if newdim == 0:
@@ -445,12 +485,13 @@ def preprojective_algebra_by_blocks(A, n: int,
             def right(b, proj=proj, pairs=pairs, xs=xs, ys=ys):
                 # (x_k (x) y_k) b = x_k (x) (y_k b)
                 tens = _on_pairs(f, len(pairs.index), pairs.pos[xs].T,
-                                 E.right_mats[b][:, ys])
+                                 E_right[b][:, ys])
                 return f.matmul(proj, tens)
 
             grades.append({"dim": newdim, "proj": proj, "pos": pairs.pos,
                            "xs": xs, "ys": ys,
-                           "R": _path_actions(A, right, left=False)})
+                           "R": dense_actions(f, _path_actions(
+                               A, newdim, right, left=False), adim, newdim)})
 
     dims = [g["dim"] for g in grades]
     offsets = np.cumsum([0] + dims)

@@ -75,6 +75,35 @@ def test_solve_dimension_mismatch_rejected():
         F.solve(F.eye(2), F.array([[1], [1], [1]]))
 
 
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+def test_solve_with_zero_right_hand_side_runs_no_rref(field, monkeypatch):
+    """a @ x = 0 gets the zero solution that the rref of [a | 0] gives,
+    with no rref: for a of rank 2 below its width 4, and for a with no
+    columns.  A nonzero b still goes through the rref."""
+    a = field.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]])
+    cases = [(a, 1), (a, 3), (field.zeros(2, 0), 2), (field.zeros(0, 3), 1)]
+    wants = []
+    for m, k in cases:
+        n = m.shape[1]
+        r, piv = field.rref(np.concatenate([m, field.zeros(len(m), k)], 1))
+        want = field.zeros(n, k)
+        for i, c in enumerate(piv):
+            want[c] = r[i, n:]
+        wants.append(want)
+
+    def no_rref(m):
+        raise AssertionError("rref ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(field, "rref", no_rref)
+        for (m, k), want in zip(cases, wants):
+            x = field.solve(m, field.zeros(len(m), k))
+            assert x.dtype == want.dtype and field.equal(x, want)
+    b = field.array([[1], [2], [1]])
+    assert field.equal(field.matmul(a, field.solve(a, b)), b)
+    assert field.solve(field.zeros(2, 0), field.array([[1], [0]])) is None
+
+
 def _random_matrix(field, rng, rows, cols):
     a = field.zeros(rows, cols)
     for i in range(rows):

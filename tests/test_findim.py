@@ -11,11 +11,14 @@ from quiveralg.exactla import GF, QQ, QuotientBasis
 from quiveralg.families import (auslander_algebra, canonical_2222,
                                 dynkin_path_algebra, knit_indecomposables,
                                 linear_nakayama)
-from quiveralg.findim import FinDimAlgebra, _meet, algebra_from_bqa
+from quiveralg.findim import (FinDimAlgebra, _meet, algebra_from_bqa,
+                              quiver_presentation, vertex_labels)
 from quiveralg.modules import direct_sum
 from quiveralg.preprojective import (end_algebra, preprojective_algebra,
-                                     preprojective_module)
-from references import hom_quotient
+                                     preprojective_module,
+                                     stable_endomorphism)
+from references import hom_quotient, vertex_labels_dense
+from test_end_corners import _corpus
 
 P31 = 2**31 - 1
 
@@ -153,3 +156,88 @@ def test_corner_meet_is_the_intersection(field, shared, only_c, only_r, cols,
     assert f.rank(np.concatenate([C, meet])) == C.shape[0]
     assert f.rank(np.concatenate([R, meet])) == R.shape[0]
     assert f.equal(f.row_space(meet), meet)
+
+
+def _scattered(B, x, left):
+    """The dense matrix of y -> x y (left) or y -> y x, with every structure
+    constant scattered into it."""
+    f = B.field
+    i, j, k, c = B.constants
+    by, src = (i, j) if left else (j, i)
+    out = f.zeros(B.dim, B.dim)
+    np.add.at(out, (k, src), f.reduce(x[by] * c))
+    return f.reduce(out)
+
+
+def _spread_idempotent(B):
+    """B with the basis element e_v of the first vertex v whose corner
+    e_v B e_v has a second basis element r replaced by e_v - r, or None:
+    still vertex-adapted, and the idempotent e_v = (e_v - r) + r has two
+    nonzero coordinates."""
+    f = B.field
+    left, right = (vertex_labels_dense(
+        f, [_scattered(B, e, side) for e in B.idempotents], "basis")
+        for side in (True, False))
+    for v, e in enumerate(B.idempotents):
+        p = int(np.flatnonzero(e != f.zero)[0])
+        rest = np.flatnonzero((left == v) & (right == v))
+        rest = rest[rest != p]
+        if len(rest):
+            break
+    else:
+        return None
+    # the new basis in old coordinates, and its inverse
+    new, back = f.eye(B.dim), f.eye(B.dim)
+    new[p, rest[0]], back[p, rest[0]] = f.neg(f.one), f.one
+
+    def mult(a):
+        return f.matmul(np.stack([B.mult_vec(new[a], y) for y in new]), back)
+
+    return FinDimAlgebra(f, B.dim, mult,
+                         [f.matmul(e[None], back)[0] for e in B.idempotents])
+
+
+@pytest.mark.parametrize("label, make, n", [
+    pytest.param(*case, id=case[0]) for case in _corpus(GF(32003))])
+def test_vertex_labels_from_entries_equal_the_dense_route(label, make, n):
+    """The labels that ``vertex_labels`` reads off the entries of each
+    idempotent's action equal those of the dense 0/1 diagonal matrices,
+    on Pi~, Gamma and, where a corner e_v Pi~ e_v has two basis elements,
+    Pi~ in a basis whose idempotent e_v has two nonzero coordinates."""
+    A = make()
+    tilde = preprojective_algebra(A, n)
+    algebras = [tilde, stable_endomorphism(A, n)]
+    spread = _spread_idempotent(tilde)
+    assert (spread is not None) == label.startswith(("canonical", "1-aus"))
+    if spread is not None:
+        assert max(int(np.sum(e != tilde.field.zero))
+                   for e in spread.idempotents) == 2
+        algebras.append(spread)
+    for B in algebras:
+        f = B.field
+        for left in (True, False):
+            dense = [_scattered(B, e, left) for e in B.idempotents]
+            entries = [B.left_action(e) if left else B.right_action(e)
+                       for e in B.idempotents]
+            assert list(vertex_labels(f, B.dim, entries, "basis")) == \
+                list(vertex_labels_dense(f, dense, "basis"))
+            mats = [B.left_mult_matrix(e) if left else B.right_mult_matrix(e)
+                    for e in B.idempotents]
+            assert all(f.equal(m, d) for m, d in zip(mats, dense))
+
+
+def test_quiver_presentation_builds_no_dense_action(monkeypatch):
+    """The presentations of Pi~ and Gamma of Aus(A4), and of Pi~ in a basis
+    whose idempotent e_v has two nonzero coordinates, read every action
+    off the entries."""
+    A = auslander_algebra(dynkin_path_algebra(4, None, GF(32003)))
+    tilde = preprojective_algebra(A, 2)
+    algebras = [tilde, stable_endomorphism(A, 2), _spread_idempotent(tilde)]
+
+    def dense(self, x):
+        raise AssertionError("dense action built")
+
+    monkeypatch.setattr(FinDimAlgebra, "left_mult_matrix", dense)
+    monkeypatch.setattr(FinDimAlgebra, "right_mult_matrix", dense)
+    for B in algebras:
+        assert quiver_presentation(B).dim == B.dim

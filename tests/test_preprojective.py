@@ -20,7 +20,8 @@ from quiveralg.modules import (coregular, map_from_projectives, projective,
 from quiveralg.preprojective import (ext_bimodule, preprojective_algebra,
                                      preprojective_module, stable_endomorphism)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import (left_mult_map, left_mult_on_coregular,
+from references import (action_entries, dense_actions, left_mult_map,
+                        left_mult_on_coregular,
                         preprojective_algebra_by_blocks, stable_hom)
 
 F = GF(32003)
@@ -61,10 +62,11 @@ def test_ext_bimodule_actions_commute():
     A = a2()
     E = ext_bimodule(A, 1)
     f = A.field
+    L, R = (dense_actions(f, a, A.dim, E.dim) for a in (E.left, E.right))
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = f.matmul(E.left_mats[i], E.right_mats[j])
-            rhs = f.matmul(E.right_mats[j], E.left_mats[i])
+            lhs = f.matmul(L[i], R[j])
+            rhs = f.matmul(R[j], L[i])
             assert f.equal(lhs, rhs)
 
 
@@ -314,8 +316,9 @@ def _route_bimodule(make, n, field):
     element taken through the resolution of D A, one Ext row at a time."""
     A = make(field)
     dim, left, right = _row_by_row_actions(A, n)
-    return A, pp.ExtBimodule(A, n, dim, [left(b) for b in range(A.dim)],
-                             [right(b) for b in range(A.dim)])
+    return A, pp.ExtBimodule(
+        A, n, dim, action_entries(field, [left(b) for b in range(A.dim)]),
+        action_entries(field, [right(b) for b in range(A.dim)]))
 
 
 def _right_regular(A):
@@ -337,8 +340,9 @@ def _dense_relations(f, E, R):
     t, e = R[0].shape[0], E.dim
     eye_t = f.eye(t)[:, None, :, None]
     eye_e = f.eye(e)[None, :, None, :]
+    L = dense_actions(f, E.left, len(R), e)
     blocks = [f.sub(R[lam].T[:, None, :, None] * eye_e,
-                    eye_t * E.left_mats[lam].T[None, :, None, :])
+                    eye_t * L[lam].T[None, :, None, :])
               .reshape(t * e, t * e) for lam in range(len(R))]
     rows = np.concatenate([w[np.any(w != f.zero, axis=1)] for w in blocks])
     return f.row_space(rows)
@@ -361,6 +365,7 @@ def _reference(make, n, field):
     A, E = _route_bimodule(make, n, field)
     f = A.field
     grades = [{"dim": A.dim, "R": _right_regular(A)}]
+    right_mats = dense_actions(f, E.right, A.dim, E.dim)
     Ws = []
     while True:
         prev = grades[-1]
@@ -376,7 +381,7 @@ def _reference(make, n, field):
         reps = sigma.reshape(t, e, newdim).transpose(0, 2, 1)
         R = []
         for b in range(A.dim):
-            rv = f.matmul(reps.reshape(t * newdim, e), E.right_mats[b].T)
+            rv = f.matmul(reps.reshape(t * newdim, e), right_mats[b].T)
             rv = rv.reshape(t, newdim, e).transpose(0, 2, 1)
             R.append(f.matmul(proj, rv.reshape(V, newdim)))
         grades.append({"dim": newdim, "R": R, "proj": proj,
@@ -417,14 +422,14 @@ def _same_constants(B, C):
 
 
 def _spy_grades(monkeypatch):
-    """Record (E, R, W, pairs) of every grade that preprojective_algebra
-    builds."""
+    """Record (E, dim, W, pairs) of every grade that preprojective_algebra
+    builds, where dim is that of the grade before."""
     seen = []
     build = pp._balancing_relations
 
-    def spy(A, E, R):
-        W, pairs = build(A, E, R)
-        seen.append((E, R, W, pairs))
+    def spy(A, E, action, dim):
+        W, pairs = build(A, E, action, dim)
+        seen.append((E, dim, W, pairs))
         return W, pairs
 
     monkeypatch.setattr(pp, "_balancing_relations", spy)
@@ -440,8 +445,8 @@ def test_w_from_arrows_equals_dense_relations(make, n, field, monkeypatch):
     B = pp.preprojective_algebra(A, n)
     # every grade, and the last, empty one
     assert len(seen) == len(dense) == max(B.grading) + 1
-    for (E, R, W, pairs), W_ref in zip(seen, dense):
-        V = R[0].shape[0] * E.dim
+    for (E, dim, W, pairs), W_ref in zip(seen, dense):
+        V = dim * E.dim
         assert f.equal(_embedded(f, W, pairs, V), W_ref)
     assert _same_constants(B, reference)
 
@@ -475,7 +480,8 @@ def test_dropping_one_arrow_breaks_w(make, n, field, monkeypatch):
         contributes = []
         with monkeypatch.context() as m:
             _drop_arrow(m, alpha, contributes)
-            W, pairs = pp._balancing_relations(A, E, R)
+            W, pairs = pp._balancing_relations(
+                A, E, action_entries(f, R), A.dim)
             same = f.equal(_embedded(f, W, pairs, R[0].shape[0] * E.dim),
                            dense)
             assert same != contributes[0], alpha
@@ -530,15 +536,20 @@ def test_preprojective_algebra_peak_memory():
 
 def test_vertex_labels_refuse_a_basis_that_is_not_vertex_adapted():
     f = F
-    e0 = f.array([[1, 0], [0, 0]])
-    e1 = f.array([[0, 0], [0, 1]])
-    assert list(vertex_labels(f, [e0, e1], [0, 1], "test")) == [0, 1]
+
+    def entries(*rows):
+        return action_entries(f, [f.array(rows)])[1:]
+
+    e0, e1 = entries([1, 0], [0, 0]), entries([0, 0], [0, 1])
+    assert list(vertex_labels(f, 2, [e0, e1], "test")) == [0, 1]
     with pytest.raises(ValueError, match="0/1 diagonal"):
-        vertex_labels(f, [f.array([[1, 1], [0, 0]]), e1], [0, 1], "test")
+        vertex_labels(f, 2, [entries([1, 1], [0, 0]), e1], "test")
+    with pytest.raises(ValueError, match="0/1 diagonal"):
+        vertex_labels(f, 2, [entries([2, 0], [0, 0]), e1], "test")
     with pytest.raises(ValueError, match="exactly one"):
-        vertex_labels(f, [e0, f.eye(2)], [0, 1], "test")
+        vertex_labels(f, 2, [e0, entries([1, 0], [0, 1])], "test")
     with pytest.raises(ValueError, match="exactly one"):
-        vertex_labels(f, [e0, e0], [0, 1], "test")
+        vertex_labels(f, 2, [e0, e0], "test")
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +571,11 @@ def test_ext_actions_from_prefixes_equal_the_resolution_route(make, n,
     assert any(len(p.arrows) >= 2 for p in A.basis)
     E = ext_bimodule(A, n)
     assert E.dim == ref.dim > 0
-    for b in range(A.dim):
-        assert f.equal(E.left_mats[b], ref.left_mats[b]), b
-        assert f.equal(E.right_mats[b], ref.right_mats[b]), b
+    for side in ("left", "right"):
+        mats, ref_mats = (dense_actions(f, getattr(X, side), A.dim, E.dim)
+                          for X in (E, ref))
+        for b in range(A.dim):
+            assert f.equal(mats[b], ref_mats[b]), (side, b)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -586,8 +599,9 @@ def test_ext_bimodule_actions_commute_aus_a3_nonlinear():
     A = _aus_a3_nonlinear(F)
     E = ext_bimodule(A, 2)
     f = A.field
+    L, R = (dense_actions(f, a, A.dim, E.dim) for a in (E.left, E.right))
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = f.matmul(E.left_mats[i], E.right_mats[j])
-            rhs = f.matmul(E.right_mats[j], E.left_mats[i])
+            lhs = f.matmul(L[i], R[j])
+            rhs = f.matmul(R[j], L[i])
             assert f.equal(lhs, rhs)
