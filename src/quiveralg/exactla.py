@@ -335,7 +335,10 @@ class PrimeField(Field):
         return x % self.p
 
     def inv_el(self, x):
-        return np.int64(pow(int(x), self.p - 2, self.p))
+        x = int(x) % self.p
+        if not x:
+            raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
+        return np.int64(pow(x, self.p - 2, self.p))
 
     def rand_el(self, rng):
         return np.int64(rng.randrange(self.p))

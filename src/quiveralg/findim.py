@@ -15,10 +15,13 @@ surjection, computed degree by degree.  The basis must be
 vertex-adapted: each idempotent acts by a 0/1 diagonal matrix, so every
 basis element lies in one corner e_i B e_j and the corners are index
 sets (``vertex_labels`` reads them off the idempotents' entries).  Each
-corner is taken modulo one echelon form of rad; rad^2 is built corner by
-corner from the products (e_i rad e_k)(e_k rad e_j).  The arrow lifts
-and the new relation generators are complements picked by
-``exactla.complement_rows``.  With K_d = I on the paths of length 2..d,
+corner is worked in the coordinates of its own basis elements: e_i rad
+e_j is the kernel of the trace form's block between the corners (j, i)
+and (i, j), and rad^2 is built corner by corner from the products
+(e_i rad e_k)(e_k rad e_j), read off the constants between those
+corners.  The arrow lifts and the new relation generators are
+complements picked by ``exactla.complement_rows``; only the lifts are
+padded to dim B coordinates.  With K_d = I on the paths of length 2..d,
 the relations found so far generate K_{d-1} + arrows K_{d-1} + K_{d-1}
 arrows there (u g w = a (u' g w) for u = a u'), and the new relations
 complement that span in K_d.  The loop stops at the first degree whose
@@ -35,7 +38,7 @@ import itertools
 import numpy as np
 
 from .errors import NonAdmissible, NotBasic, NotSplit
-from .exactla import Field, QuotientBasis, complement_rows
+from .exactla import Field, complement_rows
 from .quivers import (BoundQuiverAlgebra, Path, PathElement, Quiver,
                       complete_basis)
 
@@ -224,34 +227,75 @@ def vertex_labels(f, dim: int, actions: list, what: str) -> np.ndarray:
     return fixed.argmax(axis=0)
 
 
-def _radical_rows(B: FinDimAlgebra) -> np.ndarray:
-    """Row basis of rad B via the trace form of the regular representation.
+def _runs(keys: np.ndarray) -> dict[int, np.ndarray]:
+    """The positions of each value of ``keys``, in order, by value."""
+    order = np.argsort(keys, kind="stable")
+    vals, starts = np.unique(keys[order], return_index=True)
+    return dict(zip(vals.tolist(), np.split(order, starts[1:])))
 
-    Valid for char 0 or p > dim B (guarded by the caller's field choice).
-    """
+
+def _corner_index(B: FinDimAlgebra) -> tuple:
+    """(label, members, pos) for B's vertex-adapted basis: the corner
+    i * m + j of each basis element b = e_i b e_j (m vertices), the basis
+    elements ``members[(i, j)]`` of each corner e_i B e_j in order, and the
+    place of each basis element in its corner.  Raises a ValueError when
+    the basis is not vertex-adapted, or when a product leaves its factors'
+    corners: b_a b_b = e_i b_a e_k b_b e_j lies in e_i B e_j, and is 0
+    unless b_b lies in e_k B."""
     f = B.field
     n = B.dim
+    idems = B.idempotents
+    m = len(idems)
+    left = vertex_labels(f, n, [B.left_action(e) for e in idems], "basis")
+    right = vertex_labels(f, n, [B.right_action(e) for e in idems], "basis")
+    label = left * m + right
+    runs = _runs(label)
+    empty = np.zeros(0, dtype=np.int64)
+    members = {(i, j): runs.get(i * m + j, empty)
+               for i in range(m) for j in range(m)}
+    pos = np.zeros(n, dtype=np.int64)
+    for at in runs.values():
+        pos[at] = np.arange(len(at))
+    i, j, k, _ = B.constants
+    if np.any(right[i] != left[j]) or \
+            np.any(label[k] != left[i] * m + right[j]):
+        raise ValueError("a product of basis elements leaves the corner "
+                         "e_i B e_j of its factors' vertices")
+    return label, members, pos
+
+
+def _radical_corners(B: FinDimAlgebra, label: np.ndarray, members: dict,
+                     pos: np.ndarray) -> dict:
+    """e_i rad e_j for every pair of vertices (i, j), as the rref of a row
+    basis in the coordinates of the basis elements ``members[(i, j)]``
+    (see ``_corner_index``).
+
+    rad B is the kernel of the trace form tr(L_a L_b) of the regular
+    representation, valid for char 0 or p > dim B.  For a in e_i B e_j,
+    L_a L_b = L_{ab} has trace zero unless b lies in e_j B e_i, so e_j rad
+    e_i is the kernel of the form's block between those two corners."""
+    f = B.field
+    n = B.dim
+    m = len(B.idempotents)
     if f.kind == "GF" and f.p <= n:
         raise NotSplit("field characteristic too small for the trace-form "
                        "radical; use a larger prime")
     # tr(L_a L_b) = sum over j, k of c_{aj}^k c_{bk}^j: pair each stored
     # constant (a, j, k) with every stored constant (b, k, j)
     i, j, k, c = B.constants
-    left, right = sparse_join(j * n + k, k * n + j)
-    g = _scatter(f, f.zeros(n, n), (i[left], i[right]), c[left] * c[right])
-    return f.kernel(g)
-
-
-def _meet(f: Field, rows: np.ndarray, space: QuotientBasis) -> np.ndarray:
-    """Canonical row basis (rref) of rowspace(rows) ∩ the span of `space`.
-
-    ``rows`` must be independent.  The combinations x with x @ rows in the
-    span are the kernel of the residual of `rows` modulo `space`'s echelon
-    form, so rows.shape[0] minus the result's rank is the dimension of
-    rowspace(rows) modulo that span.
-    """
-    ker = f.kernel(space.residual(rows).T)
-    return f.row_space(f.matmul(ker, rows))
+    x, y = sparse_join(j * n + k, k * n + j)
+    a, b, g = sparse_entries(f, n, i[x], i[y], c[x] * c[y])
+    runs = _runs(label[a])
+    out = {}
+    for (r, s), rows in members.items():
+        cols = members[(s, r)]
+        block = f.zeros(len(rows), len(cols))
+        at = runs.get(r * m + s)
+        if at is not None:
+            block[pos[a[at]], pos[b[at]]] = g[at]
+        out[(s, r)] = f.row_space(f.kernel(block)) if len(cols) else \
+            f.zeros(0, 0)
+    return out
 
 
 def _sum_rows(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -262,65 +306,45 @@ def _sum_rows(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return f.row_space(np.concatenate([a, b], axis=0))
 
 
-def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
-    """Bound quiver algebra isomorphic to the basic split algebra B.
-
-    B's basis must be vertex-adapted, so each corner e_i B e_j is spanned
-    by the basis elements with labels (i, j); ``vertex_labels`` raises a
-    ValueError naming the vertex otherwise.
-    rad^2 is built corner by corner from the products
-    (e_i rad e_k)(e_k rad e_j).  The arrows of corner (i, j) lift a basis
-    of it modulo rad^2, taken one degree of B's grading at a time, so a
-    graded B gets homogeneous arrows; a corner whose lifts cannot all be
-    homogeneous raises NotSplit.  Relations are found degree by degree:
-    at degree d, the new ones complement K_{d-1}, a K_{d-1} and K_{d-1} a
-    (a an arrow) in K_d, where K_d is the kernel of evaluation on the
-    paths of length 2..d.  The loop stops at the first degree d whose
-    paths all vanish (rad^d = 0), or earlier, after a degree that adds
-    relations, once the relations so far present an algebra of dimension
-    dim B: kQ/I -> B is onto, so I is then the whole kernel.
-    """
+def _arrows(B: FinDimAlgebra) -> tuple[Quiver, list[np.ndarray],
+                                      list[int] | None]:
+    """The Gabriel quiver of B, the arrow lifts in dim B coordinates and
+    their degrees (None for an ungraded B), each corner worked in its own
+    coordinates (see ``quiver_presentation``)."""
     f = B.field
     n = B.dim
-    idems = B.idempotents
-    m = len(idems)
-    rad = _radical_rows(B)
-    left = vertex_labels(f, n, [B.left_action(e) for e in idems], "basis")
-    right = vertex_labels(f, n, [B.right_action(e) for e in idems], "basis")
-    units = f.eye(n)
+    m = len(B.idempotents)
+    label, members, pos = _corner_index(B)
 
     # -- basic & split checks on S = B/rad --------------------------------
-    # e_i B e_j is spanned by the basis elements labelled (i, j); keep
-    # only its part in rad
-    rad_space = QuotientBasis(f, rad, f.zeros(0, n))
-    corners = {}
-    for i in range(m):
-        for j in range(m):
-            rows = units[(left == i) & (right == j)]
-            corners[(i, j)] = _meet(f, rows, rad_space)
-            excess = rows.shape[0] - corners[(i, j)].shape[0]
-            if i == j and excess != 1:
-                raise NotBasic(
-                    f"e_{i} B e_{i} mod rad has dimension {excess}, not 1")
-            if i != j and excess != 0:
-                raise NotBasic(
-                    f"e_{i} B e_{j} mod rad is nonzero; B is not basic split")
+    corners = _radical_corners(B, label, members, pos)
+    for (i, j), rows in members.items():
+        excess = len(rows) - corners[(i, j)].shape[0]
+        if i == j and excess != 1:
+            raise NotBasic(
+                f"e_{i} B e_{i} mod rad has dimension {excess}, not 1")
+        if i != j and excess != 0:
+            raise NotBasic(
+                f"e_{i} B e_{j} mod rad is nonzero; B is not basic split")
 
-    # -- rad^2 = sum over k of (e_i rad e_k)(e_k rad e_j), corner by corner -
+    # -- rad^2 = sum over k of (e_i rad e_k)(e_k rad e_j), corner by corner,
+    # from the constants c_{ab}^c with b_a in e_i B e_k and b_b in e_k B e_j
+    ci, cj, ck, cc = B.constants
     prods: dict[tuple[int, int], list[np.ndarray]] = {}
-    for k in range(m):
-        outs = [j for j in range(m) if corners[(k, j)].shape[0]]
-        if not outs:
+    for key, at in _runs(label[ci] * m + label[cj] % m).items():
+        (i, k), j = divmod(key // m, m), key % m
+        xs, ys = corners[(i, k)], corners[(k, j)]
+        if not xs.shape[0] or not ys.shape[0]:
             continue
-        ys = np.concatenate([corners[(k, j)] for j in outs])
-        ends = np.cumsum([corners[(k, j)].shape[0] for j in outs])[:-1]
-        for i in range(m):
-            if not corners[(i, k)].shape[0]:
-                continue
-            xy = np.stack([_act(f, n, B.left_action(x), ys)
-                           for x in corners[(i, k)]])
-            for j, rows in zip(outs, np.split(xy, ends, axis=1)):
-                prods.setdefault((i, j), []).append(rows.reshape(-1, n))
+        # xs[s] b_b is the sum of the constants c_{ab}^c xs[s, a] at c; put
+        # them at (s, b, c), and ys times that is every product of two rows
+        nb, nc = ys.shape[1], len(members[(i, j)])
+        table = f.zeros(xs.shape[0], nb * nc)
+        np.add.at(table, (slice(None), pos[cj[at]] * nc + pos[ck[at]]),
+                  f.reduce(xs[:, pos[ci[at]]] * cc[at]))
+        table = f.reduce(table).reshape(-1, nb, nc).transpose(1, 0, 2)
+        prods.setdefault((i, j), []).append(
+            f.matmul(ys, table.reshape(nb, -1)).reshape(-1, nc))
     corners2 = {key: f.row_space(np.concatenate(rows))
                 for key, rows in prods.items()}
 
@@ -330,39 +354,66 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
     arrow_list, arrow_elems, arrow_degs = [], [], []
     grading = np.array(B.grading or [0] * n)
     degrees = sorted(set(grading.tolist()))
-    for i in range(m):
-        for j in range(m):
-            corner = corners[(i, j)]
-            base = corners2.get((i, j), f.zeros(0, n))
-            # rad^2 is an ideal, so its corner lies in rad's corner
-            want = corner.shape[0] - base.shape[0]
-            support = corner != f.zero
-            lifts = []
-            for k, dg in enumerate(degrees):
-                rows = corner[~np.any(support & (grading != dg), axis=1)]
-                if not rows.shape[0]:
-                    continue
-                ext = complement_rows(f, base, rows)
-                lifts.extend((r, dg) for r in ext)
-                if k < len(degrees) - 1:
-                    base = _sum_rows(f, base, ext)
-            if len(lifts) != want:
-                raise NotSplit("radical corner is not graded; cannot "
-                               "choose homogeneous arrow lifts")
-            for r, dg in lifts:
-                arrow_list.append((f"a{len(arrow_list) + 1}",
-                                   vertices[i], vertices[j]))
-                arrow_elems.append(r)
-                arrow_degs.append(dg)
+    for (i, j), at in members.items():
+        corner = corners[(i, j)]
+        if not corner.shape[0]:
+            continue
+        base = corners2.get((i, j), f.zeros(0, len(at)))
+        # rad^2 is an ideal, so its corner lies in rad's corner
+        want = corner.shape[0] - base.shape[0]
+        support = corner != f.zero
+        lifts = []
+        for k, dg in enumerate(degrees):
+            rows = corner[~np.any(support & (grading[at] != dg), axis=1)]
+            if not rows.shape[0]:
+                continue
+            ext = complement_rows(f, base, rows)
+            lifts.extend((r, dg) for r in ext)
+            if k < len(degrees) - 1:
+                base = _sum_rows(f, base, ext)
+        if len(lifts) != want:
+            raise NotSplit("radical corner is not graded; cannot "
+                           "choose homogeneous arrow lifts")
+        for r, dg in lifts:
+            arrow_list.append((f"a{len(arrow_list) + 1}",
+                               vertices[i], vertices[j]))
+            x = f.zeros(1, n)[0]
+            x[at] = r
+            arrow_elems.append(x)
+            arrow_degs.append(dg)
+    return (Quiver(vertices, arrow_list), arrow_elems,
+            arrow_degs if B.grading is not None else None)
 
-    quiver = Quiver(vertices, arrow_list)
-    arrow_degrees = arrow_degs if B.grading is not None else None
+
+def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
+    """Bound quiver algebra isomorphic to the basic split algebra B.
+
+    B's basis must be vertex-adapted, so each corner e_i B e_j is spanned
+    by the basis elements with labels (i, j); ``vertex_labels`` raises a
+    ValueError naming the vertex otherwise.  Each corner is worked in the
+    coordinates of those elements: e_i rad e_j is the kernel of one block
+    of the trace form, and rad^2 is built corner by corner from the
+    products (e_i rad e_k)(e_k rad e_j), read off the constants between
+    those corners.  The arrows of corner (i, j) lift a basis of it modulo
+    rad^2, taken one degree of B's grading at a time, so a graded B gets
+    homogeneous arrows; a corner whose lifts cannot all be homogeneous
+    raises NotSplit.  Only the lifts are padded to dim B coordinates, as
+    ``arrow_elements``.  Relations are found degree by degree: at degree
+    d, the new ones complement K_{d-1}, a K_{d-1} and K_{d-1} a (a an
+    arrow) in K_d, where K_d is the kernel of evaluation on the paths of
+    length 2..d.  The loop stops at the first degree d whose paths all
+    vanish (rad^d = 0), or earlier, after a degree that adds relations,
+    once the relations so far present an algebra of dimension dim B:
+    kQ/I -> B is onto, so I is then the whole kernel.
+    """
+    f = B.field
+    n = B.dim
+    quiver, arrow_elems, arrow_degrees = _arrows(B)
 
     # -- kernel of the presentation map, degree by degree -------------------
     # a path's value is its prefix's times its last arrow, on the right
     arrow_right = [B.right_action(x) for x in arrow_elems]
-    paths = [Path(quiver.vindex[s], (a,)) for a, (_, s, _) in
-             enumerate(arrow_list)]
+    paths = [Path(s, (a,)) for a, (_, s, _) in enumerate(quiver.arrows)]
     # the lifts lie in e_s B, so e_s a = a
     values = np.stack(arrow_elems) if arrow_elems else f.zeros(0, n)
     relations: list[PathElement] = []

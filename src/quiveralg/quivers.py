@@ -5,11 +5,21 @@ arrows compose left to right, so the path ``(i, (a, b))`` means "first a,
 then b".  Relations are two-sided ideal generators; ``complete_basis``
 runs a Buchberger-style completion under the length-then-lex path order
 and returns the finite basis of irreducible paths, or raises
-``NonAdmissible`` if paths longer than the cap survive reduction.
+``NonAdmissible`` if paths longer than the cap survive reduction.  The
+generators are kept interreduced and indexed by the word of their tip
+(leading path): a path is reduced by looking up its subwords among the
+tips, and a new generator is paired only with the generators whose tips
+overlap its own, the overlap criterion of E. L. Green ("Noncommutative
+Gröbner bases, and projective resolutions", Progr. Math. 173, 1999).
+For a fixed ideal the reduced Gröbner basis, the irreducible paths and
+every normal form are unique, so none of them depends on the order in
+which the completion meets its pairs.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +46,10 @@ class Quiver:
                 raise ValueError(f"arrow {name}: undeclared vertex")
             self.arrows.append((name, self.vindex[s], self.vindex[t]))
         self.aindex = {a[0]: i for i, a in enumerate(self.arrows)}
+        self._from = tuple(tuple(i for i, a in enumerate(self.arrows)
+                                 if a[1] == v) for v in range(len(vertices)))
+        self._into = tuple(tuple(i for i, a in enumerate(self.arrows)
+                                 if a[2] == v) for v in range(len(vertices)))
 
     @property
     def n_vertices(self) -> int:
@@ -51,11 +65,11 @@ class Quiver:
     def target(self, a: int) -> int:
         return self.arrows[a][2]
 
-    def arrows_from(self, v: int) -> list[int]:
-        return [i for i, a in enumerate(self.arrows) if a[1] == v]
+    def arrows_from(self, v: int) -> tuple[int, ...]:
+        return self._from[v]
 
-    def arrows_into(self, v: int) -> list[int]:
-        return [i for i, a in enumerate(self.arrows) if a[2] == v]
+    def arrows_into(self, v: int) -> tuple[int, ...]:
+        return self._into[v]
 
     def opposite(self) -> "Quiver":
         return Quiver(list(self.vertices),
@@ -126,20 +140,17 @@ class PathElement:
 # Buchberger-style completion for two-sided path-algebra ideals
 # ---------------------------------------------------------------------------
 
-def _lt(poly: dict[Path, object]) -> Path:
-    return max(poly, key=ordkey)
-
-
-def _monic(field: Field, poly: dict[Path, object]) -> dict[Path, object]:
-    lt = _lt(poly)
-    inv = field.inv_el(poly[lt])
-    return {p: field.smul(inv, c) for p, c in poly.items()}
+def _monic(field: Field, poly: dict[Path, object]
+           ) -> tuple[Path, dict[Path, object]]:
+    """The tip (largest path under ``ordkey``) of a nonzero poly, and the
+    poly scaled so that the tip's coefficient is one."""
+    tip = max(poly, key=ordkey)
+    inv = field.inv_el(poly[tip])
+    return tip, {p: field.smul(inv, c) for p, c in poly.items()}
 
 
 def _find_subword(word: tuple[int, ...], sub: tuple[int, ...]) -> int:
     n, m = len(word), len(sub)
-    if m > n:
-        return -1
     for i in range(n - m + 1):
         if word[i:i + m] == sub:
             return i
@@ -147,12 +158,24 @@ def _find_subword(word: tuple[int, ...], sub: tuple[int, ...]) -> int:
 
 
 class _Reducer:
-    """Two-sided normal forms modulo a set of monic generators."""
+    """Two-sided normal forms modulo a set of monic generators, none of
+    whose tips contains another's.
+
+    ``gens`` maps each generator's tip word to the generator; a tip has
+    length at least 2, so its word fixes its source.  ``lengths`` counts
+    the tips of each length.  A path is reducible iff one of its subwords
+    of those lengths is a key of ``gens``.  ``_prefixes`` and
+    ``_suffixes`` map each proper prefix (suffix) of a tip to the tips
+    that start (end) with it: the tips whose overlaps with a new tip
+    ``_complete`` must resolve."""
 
     def __init__(self, quiver: Quiver, field: Field):
         self.q = quiver
         self.field = field
-        self.gens: list[dict[Path, object]] = []
+        self.gens: dict[tuple[int, ...], dict[Path, object]] = {}
+        self.lengths: dict[int, int] = {}
+        self._prefixes: dict[tuple, set[tuple]] = {}
+        self._suffixes: dict[tuple, set[tuple]] = {}
 
     def _addmul(self, f: dict, coef, left: tuple, g: dict, right: tuple,
                 src: int):
@@ -162,87 +185,123 @@ class _Reducer:
             (Path(self.q.source(w[0]) if w else src, w), coef * c)
             for w, c in words))
 
-    def reduce(self, f: dict[Path, object]) -> dict[Path, object]:
-        f = dict(f)
-        while True:
-            hit = None
-            for p in sorted(f, key=ordkey, reverse=True):
-                for g in self.gens:
-                    lt = _lt(g)
-                    pos = _find_subword(p.arrows, lt.arrows)
-                    if pos < 0:
-                        continue
-                    hit = (p, g, pos, len(lt.arrows))
-                    break
-                if hit:
-                    break
-            if not hit:
-                return f
-            p, g, pos, m = hit
-            coef = f[p]
-            left, right = p.arrows[:pos], p.arrows[pos + m:]
-            self._addmul(f, -coef, left, g, right, p.source)
+    def divisor(self, word: tuple[int, ...]) -> tuple[int, tuple] | None:
+        """(position, tip word) of a tip inside ``word``, or None."""
+        gens = self.gens
+        for m in self.lengths:
+            for pos in range(len(word) - m + 1):
+                if word[pos:pos + m] in gens:
+                    return pos, word[pos:pos + m]
+        return None
 
-    def add(self, f: dict[Path, object]) -> bool:
+    def reduce(self, f: dict[Path, object]) -> dict[Path, object]:
+        """The normal form of f: its largest reducible term is rewritten
+        until none is left.  A rewrite adds only terms below the one it
+        removes, so a term found irreducible stays in f as it is."""
+        f = dict(f)
+        done: set[Path] = set()
+        while True:
+            todo = [p for p in f if p not in done]
+            if not todo:
+                return f
+            p = max(todo, key=ordkey)
+            hit = self.divisor(p.arrows)
+            if hit is None:
+                done.add(p)
+                continue
+            pos, tip = hit
+            left, right = p.arrows[:pos], p.arrows[pos + len(tip):]
+            self._addmul(f, -f[p], left, self.gens[tip], right, p.source)
+
+    def add(self, f: dict[Path, object]) -> list[tuple[int, ...]]:
+        """Keep the normal form of f, unless it is zero, as a monic
+        generator.  Each generator whose tip contains the new tip is
+        retired and added again, reduced.  Returns the tip words of the
+        generators kept, in order."""
         f = self.reduce(f)
         if not f:
-            return False
-        self.gens.append(_monic(self.field, f))
-        return True
+            return []
+        tip, g = _monic(self.field, f)
+        word = tip.arrows
+        retired = [w for w in self.gens if len(w) > len(word)
+                   and _find_subword(w, word) >= 0]
+        olds = [self._retire(w) for w in retired]
+        self.gens[word] = g
+        self.lengths[len(word)] = self.lengths.get(len(word), 0) + 1
+        for k in range(1, len(word)):
+            self._prefixes.setdefault(word[:k], set()).add(word)
+            self._suffixes.setdefault(word[-k:], set()).add(word)
+        kept = [word]
+        for old in olds:
+            kept.extend(self.add(old))
+        return kept
 
+    def _retire(self, word: tuple[int, ...]) -> dict[Path, object]:
+        self.lengths[len(word)] -= 1
+        if not self.lengths[len(word)]:
+            del self.lengths[len(word)]
+        for k in range(1, len(word)):
+            self._prefixes[word[:k]].discard(word)
+            self._suffixes[word[-k:]].discard(word)
+        return self.gens.pop(word)
 
-def _overlaps(w1: tuple, w2: tuple):
-    """Proper overlaps: nonempty suffix of w1 = prefix of w2 (not containment)."""
-    for k in range(1, min(len(w1), len(w2))):
-        if w1[len(w1) - k:] == w2[:k]:
-            yield k
+    def overlaps(self, word: tuple[int, ...]):
+        """(w1, w2, k) for each live tip pair with a proper overlap of k
+        arrows, the last k arrows of w1 being the first k of w2, where w1
+        or w2 is ``word``."""
+        for k in range(1, len(word)):
+            for w2 in self._prefixes.get(word[-k:], ()):
+                yield word, w2, k
+            for w1 in self._suffixes.get(word[:k], ()):
+                if w1 != word:
+                    yield w1, word, k
 
 
 def _complete(reducer: _Reducer, cap: int):
+    """Complete the reducer's generators to a Gröbner basis.
+
+    No tip contains another, so by the overlap criterion for path algebras
+    (E. L. Green, "Noncommutative Gröbner bases, and projective
+    resolutions", 1999) the generators are a Gröbner basis once, for each
+    pair of tips with w1 = u o and w2 = o v (o nonempty, u and v
+    nonempty), g1 v - u g2 reduces to zero.  The overlaps of each new tip
+    with the live ones are queued, shortest overlap word first; a pair
+    whose generator has been retired meanwhile is skipped, since the
+    generator that replaced it brings its own pairs."""
     q, field = reducer.q, reducer.field
-    queue = list(range(len(reducer.gens)))
-    pairs = [(i, j) for i in queue for j in queue]
-    while pairs:
-        i, j = pairs.pop()
-        if i >= len(reducer.gens) or j >= len(reducer.gens):
+    queue: list = []
+    seen: set = set()
+    count = itertools.count()
+
+    def push(words):
+        for w in words:
+            for pair in reducer.overlaps(w):
+                if pair not in seen:
+                    seen.add(pair)
+                    w1, w2, k = pair
+                    heapq.heappush(queue, (len(w1) + len(w2) - k,
+                                           next(count), pair))
+
+    push(list(reducer.gens))
+    while queue:
+        w1, w2, k = heapq.heappop(queue)[2]
+        g1, g2 = reducer.gens.get(w1), reducer.gens.get(w2)
+        if g1 is None or g2 is None:
             continue
-        g1, g2 = reducer.gens[i], reducer.gens[j]
-        w1, w2 = _lt(g1).arrows, _lt(g2).arrows
-        news = []
-        for k in _overlaps(w1, w2):
-            # g1 * v - u * g2 with w1 = u.o, w2 = o.v
-            u, v = w1[:len(w1) - k], w2[k:]
-            s: dict[Path, object] = {}
-            src1 = _lt(g1).source
-            src2 = q.source(u[0]) if u else _lt(g2).source
-            reducer._addmul(s, field.one, (), g1, v, src1)
-            reducer._addmul(s, -field.one, u, g2, (), src2)
-            news.append(s)
-        # containment of w2 inside w1 (as a subword, distinct generators)
-        if i != j and len(w2) <= len(w1):
-            pos = _find_subword(w1, w2)
-            if pos >= 0:
-                s = dict(g1)
-                u, v = w1[:pos], w1[pos + len(w2):]
-                src2 = q.source(u[0]) if u else _lt(g2).source
-                reducer._addmul(s, -field.one, u, g2, v, src2)
-                news.append(s)
-        for s in news:
-            if reducer.add(s):
-                newidx = len(reducer.gens) - 1
-                if len(_lt(reducer.gens[-1]).arrows) > cap:
-                    raise NonAdmissible(cap)
-                pairs.extend((newidx, t) for t in range(len(reducer.gens)))
-                pairs.extend((t, newidx) for t in range(len(reducer.gens) - 1))
+        # g1 * v - u * g2 with w1 = u.o, w2 = o.v
+        u, v = w1[:len(w1) - k], w2[k:]
+        s: dict[Path, object] = {}
+        reducer._addmul(s, field.one, (), g1, v, q.source(w1[0]))
+        reducer._addmul(s, -field.one, u, g2, (), q.source(u[0]))
+        added = reducer.add(s)
+        if any(len(w) > cap for w in added):
+            raise NonAdmissible(cap)
+        push(added)
 
 
 def _irreducible_paths(q: Quiver, reducer: _Reducer, cap: int,
                        max_paths: int | None = None) -> list[Path]:
-    lts = [_lt(g).arrows for g in reducer.gens]
-
-    def reducible(word: tuple) -> bool:
-        return any(_find_subword(word, lt) >= 0 for lt in lts)
-
+    tips, lengths = reducer.gens, sorted(reducer.lengths)
     basis = [trivial(v) for v in range(q.n_vertices)]
     frontier = list(basis)
     while frontier:
@@ -250,9 +309,10 @@ def _irreducible_paths(q: Quiver, reducer: _Reducer, cap: int,
         for p in frontier:
             for a in q.arrows_from(p.target(q)):
                 word = p.arrows + (a,)
-                # a word all of whose proper subwords are irreducible is
-                # irreducible iff no leading term is a suffix-aligned subword
-                if reducible(word):
+                # p is irreducible, so word is irreducible iff no tip is
+                # a suffix of it
+                if any(word[-m:] in tips for m in lengths
+                       if m <= len(word)):
                     continue
                 if len(word) > cap:
                     raise NonAdmissible(cap)
@@ -405,7 +465,10 @@ def complete_basis(quiver: Quiver, field: Field,
                     "relations must be combinations of paths of length >= 2")
     reducer = _Reducer(quiver, field)
     for rel in relations:
-        reducer.add({p: field.el(c) for p, c in rel.terms.items()})
+        # a coefficient can vanish in the field without vanishing in Q;
+        # such a term is no term, and a relation of only such terms none
+        terms = ((p, field.el(c)) for p, c in rel.terms.items())
+        reducer.add({p: c for p, c in terms if c != field.zero})
     _complete(reducer, cap)
     basis = _irreducible_paths(quiver, reducer, cap, _max_paths)
     return BoundQuiverAlgebra(quiver, field, relations, reducer, basis,

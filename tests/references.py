@@ -47,6 +47,16 @@
 - ``complement_rows_greedy`` feeds rows one at a time into an
   ``EchelonState`` and keeps those that extend the span;
   ``exactla.complement_rows`` picks the same rows with one rref.
+- ``complete_basis_by_scan`` completes relations with a ``ScanReducer``,
+  which tests each term against the leading term of every generator,
+  keeps every generator it makes and tries every ordered pair of them;
+  ``quivers.complete_basis`` keeps the generators interreduced, indexed
+  by tip, and pairs only tips that overlap.
+- ``arrows_by_meet`` works each corner of a presentation in dim B
+  coordinates: ``corners_by_meet`` meets the span of its basis elements
+  with the kernel of the whole trace form (``radical_rows``), and rad^2
+  comes from dim-B-wide products; ``findim._arrows`` works each corner
+  in the coordinates of its own basis elements.
 """
 
 from __future__ import annotations
@@ -56,9 +66,10 @@ import numpy as np
 from quiveralg.checks import (Verdict, is_self_injective, nu_module,
                               socle_vertex)
 from quiveralg.derived import _hom_total_spaces
-from quiveralg.errors import AboveCap, NotTauFinite
-from quiveralg.exactla import QQ, Field, QuotientBasis
-from quiveralg.findim import FinDimAlgebra, algebra_from_bqa
+from quiveralg.errors import AboveCap, NonAdmissible, NotTauFinite
+from quiveralg.exactla import QQ, Field, QuotientBasis, complement_rows
+from quiveralg.findim import (FinDimAlgebra, _act, _sum_rows,
+                              algebra_from_bqa, sparse_join, vertex_labels)
 from quiveralg.homology import (elements_of_map, injective_dimension,
                                 op_element, syzygy)
 from quiveralg.modules import (ModuleMap, Representation, decompose,
@@ -68,7 +79,7 @@ from quiveralg.modules import (ModuleMap, Representation, decompose,
                                regular, simple, subrepresentation, zero_rep)
 from quiveralg.preprojective import (_balancing_relations, _path_actions,
                                      ext_bimodule)
-from quiveralg.quivers import Path, PathElement, Quiver
+from quiveralg.quivers import Path, PathElement, Quiver, ordkey
 
 
 def hom_quotient(M: Representation, N: Representation,
@@ -605,3 +616,239 @@ def complement_rows_greedy(field: Field, sub: np.ndarray,
         st.add(row)
     out = [row for row in total if st.add(row)]
     return np.stack(out) if out else field.zeros(0, total.shape[1])
+
+
+# ---------------------------------------------------------------------------
+# the relation completion that scans every generator, and the corners of
+# the presentation taken as meets with one echelon form of rad
+# ---------------------------------------------------------------------------
+
+def _lt(poly: dict[Path, object]) -> Path:
+    return max(poly, key=ordkey)
+
+
+def _find_subword(word: tuple[int, ...], sub: tuple[int, ...]) -> int:
+    n, m = len(word), len(sub)
+    if m > n:
+        return -1
+    for i in range(n - m + 1):
+        if word[i:i + m] == sub:
+            return i
+    return -1
+
+
+class ScanReducer:
+    """Two-sided normal forms modulo a list of monic generators, each term
+    tested against the leading term of every generator."""
+
+    def __init__(self, quiver: Quiver, field: Field):
+        self.q = quiver
+        self.field = field
+        self.gens: list[dict[Path, object]] = []
+
+    def _addmul(self, f: dict, coef, left: tuple, g: dict, right: tuple,
+                src: int):
+        # f += coef * (left . g . right); left/right are arrow words
+        words = ((left + p.arrows + right, c) for p, c in g.items())
+        self.field.accumulate(f, (
+            (Path(self.q.source(w[0]) if w else src, w), coef * c)
+            for w, c in words))
+
+    def reduce(self, f: dict[Path, object]) -> dict[Path, object]:
+        f = dict(f)
+        while True:
+            hit = None
+            for p in sorted(f, key=ordkey, reverse=True):
+                for g in self.gens:
+                    lt = _lt(g)
+                    pos = _find_subword(p.arrows, lt.arrows)
+                    if pos < 0:
+                        continue
+                    hit = (p, g, pos, len(lt.arrows))
+                    break
+                if hit:
+                    break
+            if not hit:
+                return f
+            p, g, pos, m = hit
+            coef = f[p]
+            left, right = p.arrows[:pos], p.arrows[pos + m:]
+            self._addmul(f, -coef, left, g, right, p.source)
+
+    def add(self, f: dict[Path, object]) -> bool:
+        f = self.reduce(f)
+        if not f:
+            return False
+        inv = self.field.inv_el(f[_lt(f)])
+        self.gens.append({p: self.field.smul(inv, c) for p, c in f.items()})
+        return True
+
+
+def _overlaps(w1: tuple, w2: tuple):
+    """Proper overlaps: nonempty suffix of w1 = prefix of w2 (not containment)."""
+    for k in range(1, min(len(w1), len(w2))):
+        if w1[len(w1) - k:] == w2[:k]:
+            yield k
+
+
+def complete_by_scan(reducer: ScanReducer, cap: int):
+    """Every ordered pair of generators ever made, overlaps and
+    containments, until no new generator appears."""
+    q, field = reducer.q, reducer.field
+    queue = list(range(len(reducer.gens)))
+    pairs = [(i, j) for i in queue for j in queue]
+    while pairs:
+        i, j = pairs.pop()
+        if i >= len(reducer.gens) or j >= len(reducer.gens):
+            continue
+        g1, g2 = reducer.gens[i], reducer.gens[j]
+        w1, w2 = _lt(g1).arrows, _lt(g2).arrows
+        news = []
+        for k in _overlaps(w1, w2):
+            # g1 * v - u * g2 with w1 = u.o, w2 = o.v
+            u, v = w1[:len(w1) - k], w2[k:]
+            s: dict[Path, object] = {}
+            src1 = _lt(g1).source
+            src2 = q.source(u[0]) if u else _lt(g2).source
+            reducer._addmul(s, field.one, (), g1, v, src1)
+            reducer._addmul(s, -field.one, u, g2, (), src2)
+            news.append(s)
+        # containment of w2 inside w1 (as a subword, distinct generators)
+        if i != j and len(w2) <= len(w1):
+            pos = _find_subword(w1, w2)
+            if pos >= 0:
+                s = dict(g1)
+                u, v = w1[:pos], w1[pos + len(w2):]
+                src2 = q.source(u[0]) if u else _lt(g2).source
+                reducer._addmul(s, -field.one, u, g2, v, src2)
+                news.append(s)
+        for s in news:
+            if reducer.add(s):
+                newidx = len(reducer.gens) - 1
+                if len(_lt(reducer.gens[-1]).arrows) > cap:
+                    raise NonAdmissible(cap)
+                pairs.extend((newidx, t) for t in range(len(reducer.gens)))
+                pairs.extend((t, newidx) for t in range(len(reducer.gens) - 1))
+
+
+def irreducible_paths_by_scan(q: Quiver, reducer: ScanReducer,
+                              cap: int) -> list[Path]:
+    """The paths with no leading term as a subword, longer ones grown
+    from shorter ones, each tested against every leading term."""
+    lts = [_lt(g).arrows for g in reducer.gens]
+    basis = [Path(v, ()) for v in range(q.n_vertices)]
+    frontier = list(basis)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for a in q.arrows_from(p.target(q)):
+                word = p.arrows + (a,)
+                if any(_find_subword(word, lt) >= 0 for lt in lts):
+                    continue
+                if len(word) > cap:
+                    raise NonAdmissible(cap)
+                nxt.append(Path(p.source, word))
+        basis.extend(nxt)
+        frontier = nxt
+    basis.sort(key=ordkey)
+    return basis
+
+
+def complete_basis_by_scan(quiver: Quiver, field: Field,
+                           relations: list[PathElement], cap: int = 64):
+    """(reducer, basis) of kQ/(relations) by the scanning completion."""
+    reducer = ScanReducer(quiver, field)
+    for rel in relations:
+        reducer.add({p: field.el(c) for p, c in rel.terms.items()})
+    complete_by_scan(reducer, cap)
+    return reducer, irreducible_paths_by_scan(quiver, reducer, cap)
+
+
+def radical_rows(B: FinDimAlgebra) -> np.ndarray:
+    """Row basis of rad B: the kernel of the whole dim B x dim B trace
+    form of the regular representation."""
+    f = B.field
+    n = B.dim
+    i, j, k, c = B.constants
+    left, right = sparse_join(j * n + k, k * n + j)
+    g = f.zeros(n, n)
+    np.add.at(g, (i[left], i[right]), f.reduce(c[left] * c[right]))
+    return f.kernel(f.reduce(g))
+
+
+def meet(f: Field, rows: np.ndarray, space: QuotientBasis) -> np.ndarray:
+    """Canonical row basis (rref) of rowspace(rows) ∩ the span of `space`.
+
+    ``rows`` must be independent.  The combinations x with x @ rows in the
+    span are the kernel of the residual of `rows` modulo `space`'s echelon
+    form, so rows.shape[0] minus the result's rank is the dimension of
+    rowspace(rows) modulo that span.
+    """
+    ker = f.kernel(space.residual(rows).T)
+    return f.row_space(f.matmul(ker, rows))
+
+
+def corners_by_meet(B: FinDimAlgebra) -> dict:
+    """e_i rad e_j in dim B coordinates: the span of the basis elements
+    labelled (i, j) met with rad."""
+    f = B.field
+    n = B.dim
+    idems = B.idempotents
+    m = len(idems)
+    rad_space = QuotientBasis(f, radical_rows(B), f.zeros(0, n))
+    left = vertex_labels(f, n, [B.left_action(e) for e in idems], "basis")
+    right = vertex_labels(f, n, [B.right_action(e) for e in idems], "basis")
+    units = f.eye(n)
+    return {(i, j): meet(f, units[(left == i) & (right == j)], rad_space)
+            for i in range(m) for j in range(m)}
+
+
+def arrows_by_meet(B: FinDimAlgebra):
+    """``findim._arrows`` in dim B coordinates throughout: corners met with
+    rad, rad^2 from dim-B-wide corner products, lifts picked among dim B
+    rows."""
+    f = B.field
+    n = B.dim
+    m = len(B.idempotents)
+    corners = corners_by_meet(B)
+    prods: dict[tuple[int, int], list[np.ndarray]] = {}
+    for k in range(m):
+        outs = [j for j in range(m) if corners[(k, j)].shape[0]]
+        if not outs:
+            continue
+        ys = np.concatenate([corners[(k, j)] for j in outs])
+        ends = np.cumsum([corners[(k, j)].shape[0] for j in outs])[:-1]
+        for i in range(m):
+            if not corners[(i, k)].shape[0]:
+                continue
+            xy = np.stack([_act(f, n, B.left_action(x), ys)
+                           for x in corners[(i, k)]])
+            for j, rows in zip(outs, np.split(xy, ends, axis=1)):
+                prods.setdefault((i, j), []).append(rows.reshape(-1, n))
+    corners2 = {key: f.row_space(np.concatenate(rows))
+                for key, rows in prods.items()}
+    vertices = [str(i + 1) for i in range(m)]
+    arrow_list, arrow_elems, arrow_degs = [], [], []
+    grading = np.array(B.grading or [0] * n)
+    degrees = sorted(set(grading.tolist()))
+    for i in range(m):
+        for j in range(m):
+            corner = corners[(i, j)]
+            base = corners2.get((i, j), f.zeros(0, n))
+            support = corner != f.zero
+            lifts = []
+            for k, dg in enumerate(degrees):
+                rows = corner[~np.any(support & (grading != dg), axis=1)]
+                if not rows.shape[0]:
+                    continue
+                ext = complement_rows(f, base, rows)
+                lifts.extend((r, dg) for r in ext)
+                if k < len(degrees) - 1:
+                    base = _sum_rows(f, base, ext)
+            for r, dg in lifts:
+                arrow_list.append((f"a{len(arrow_list) + 1}",
+                                   vertices[i], vertices[j]))
+                arrow_elems.append(r)
+                arrow_degs.append(dg)
+    return (Quiver(vertices, arrow_list), arrow_elems,
+            arrow_degs if B.grading is not None else None)

@@ -11,13 +11,13 @@ from quiveralg.exactla import GF, QQ, QuotientBasis
 from quiveralg.families import (auslander_algebra, canonical_2222,
                                 dynkin_path_algebra, knit_indecomposables,
                                 linear_nakayama)
-from quiveralg.findim import (FinDimAlgebra, _meet, algebra_from_bqa,
+from quiveralg.findim import (FinDimAlgebra, algebra_from_bqa,
                               quiver_presentation, vertex_labels)
 from quiveralg.modules import direct_sum
 from quiveralg.preprojective import (end_algebra, preprojective_algebra,
                                      preprojective_module,
                                      stable_endomorphism)
-from references import hom_quotient, vertex_labels_dense
+from references import hom_quotient, meet, vertex_labels_dense
 from test_end_corners import _corpus
 
 P31 = 2**31 - 1
@@ -149,13 +149,13 @@ def test_corner_meet_is_the_intersection(field, shared, only_c, only_r, cols,
         [common, _random_rows(f, rng, only_c, cols)]))
     R = f.row_space(np.concatenate(
         [common, _random_rows(f, rng, only_r, cols)]))
-    meet = _meet(f, C, QuotientBasis(f, R, f.zeros(0, cols)))
+    inter = meet(f, C, QuotientBasis(f, R, f.zeros(0, cols)))
     both = f.rank(np.concatenate([C, R]))
-    assert meet.shape[0] == C.shape[0] + R.shape[0] - both
+    assert inter.shape[0] == C.shape[0] + R.shape[0] - both
     # inside both spaces, and already the canonical rref
-    assert f.rank(np.concatenate([C, meet])) == C.shape[0]
-    assert f.rank(np.concatenate([R, meet])) == R.shape[0]
-    assert f.equal(f.row_space(meet), meet)
+    assert f.rank(np.concatenate([C, inter])) == C.shape[0]
+    assert f.rank(np.concatenate([R, inter])) == R.shape[0]
+    assert f.equal(f.row_space(inter), inter)
 
 
 def _scattered(B, x, left):

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from quiveralg import quivers
+from quiveralg import findim, quivers
 from quiveralg.derived import amiot_endomorphism_algebra
 from quiveralg.errors import NotBasic
 from quiveralg.exactla import GF, QQ, QuotientBasis, complement_rows
 from quiveralg.families import linear_nakayama, thm39_type2
-from quiveralg.findim import (FinDimAlgebra, _meet, _radical_rows, _sum_rows,
-                              algebra_from_bqa, quiver_presentation)
-from quiveralg.modules import projective
+from quiveralg.findim import (FinDimAlgebra, _sum_rows, algebra_from_bqa,
+                              quiver_presentation)
+from quiveralg.modules import is_isomorphic, projective, simple
 from quiveralg.preprojective import (end_algebra, preprojective_algebra,
                                      stable_endomorphism)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import ideal_span, is_homog
+from references import (arrows_by_meet, complete_basis_by_scan,
+                        corners_by_meet, ideal_span, is_homog, meet,
+                        radical_rows)
 
 F = GF(32003)
 
@@ -134,7 +136,7 @@ def _reference_presentation(B, cap=64):
     n = B.dim
     idems = B.idempotents
     m = len(idems)
-    rad = _radical_rows(B)
+    rad = radical_rows(B)
     rad_space = QuotientBasis(f, rad, f.zeros(0, n))
     corners = {}
     rmats = [B.right_mult_matrix(e) for e in idems]
@@ -142,7 +144,7 @@ def _reference_presentation(B, cap=64):
         Li = B.left_mult_matrix(idems[i])
         for j in range(m):
             rows = f.row_space(f.matmul(Li, rmats[j]).T)
-            corners[(i, j)] = _meet(f, rows, rad_space)
+            corners[(i, j)] = meet(f, rows, rad_space)
             excess = rows.shape[0] - corners[(i, j)].shape[0]
             if excess != (1 if i == j else 0):
                 raise NotBasic(f"corner ({i}, {j}) mod rad has dimension "
@@ -169,7 +171,7 @@ def _reference_presentation(B, cap=64):
     for i in range(m):
         for j in range(m):
             corner = corners[(i, j)]
-            corner2 = _meet(f, corner, rad2_space)
+            corner2 = meet(f, corner, rad2_space)
             lifts = complement_rows(f, corner2, corner)
             picked = [(r, None) for r in lifts]
             if graded:
@@ -307,13 +309,13 @@ def test_presentation_equals_the_full_loop_reference(name, field):
 
 
 @st.composite
-def bound_quiver_algebras(draw):
-    """kQ/I for an acyclic quiver Q on 2-4 vertices with at most two
-    parallel arrows per pair of vertices; I is generated by some paths of
-    length 2 and one relation p + c r between a path p of length 2 and
-    another path r of length 2 (commutativity) or 3 (mixed length) with
-    the same ends, when Q has such a pair; the monomial relations leave
-    p and r nonzero."""
+def bound_quiver_algebras(draw, field=F):
+    """kQ/I over ``field``, for an acyclic quiver Q on 2-4 vertices with at
+    most two parallel arrows per pair of vertices; I is generated by some
+    paths of length 2 and one relation p + c r between a path p of length
+    2 and another path r of length 2 (commutativity) or 3 (mixed length)
+    with the same ends, when Q has such a pair; the monomial relations
+    leave p and r nonzero."""
     nv = draw(st.integers(2, 4))
     arrows = []
     for i, j in itertools.combinations(range(nv), 2):
@@ -339,7 +341,7 @@ def bound_quiver_algebras(draw):
                 Path(q.target(r.arrows[0]), r.arrows[1:])}
     rels += [PathElement(q, {p: 1}) for p in by_len[2]
              if p not in kept and draw(st.booleans())]
-    return complete_basis(q, F, rels)
+    return complete_basis(q, field, rels)
 
 
 @settings(max_examples=200, deadline=None,
@@ -404,3 +406,115 @@ def test_basis_that_is_not_vertex_adapted_is_refused(field):
     with pytest.raises(ValueError, match=r"vertex \d does not act on the "
                                          "basis by a 0/1 diagonal matrix"):
         quiver_presentation(C)
+
+
+# ---------------------------------------------------------------------------
+# the tip-indexed completion and the corner coordinates against the routes
+# they replace
+# ---------------------------------------------------------------------------
+
+def _assert_same_completion(A, longest=None):
+    """A's basis, and the normal form of every path of length at most
+    ``longest`` (dim A + 1 by default) and of every product of two basis
+    paths, equal those of the completion that scans every generator."""
+    q, f = A.quiver, A.field
+    reducer, basis = complete_basis_by_scan(q, f, A.relations)
+    assert A.basis == basis
+
+    def normal_form(p):
+        return {A.bindex[t]: c for t, c in reducer.reduce({p: f.one}).items()}
+
+    paths = frontier = [Path(v, ()) for v in range(q.n_vertices)]
+    for _ in range(A.dim + 1 if longest is None else longest):
+        frontier = [Path(p.source, p.arrows + (a,)) for p in frontier
+                    for a in q.arrows_from(p.target(q))]
+        paths = paths + frontier
+    for p in paths:
+        assert A.reduce_path(p) == normal_form(p)
+    for i, p1 in enumerate(A.basis):
+        for j, p2 in enumerate(A.basis):
+            want = normal_form(Path(p1.source, p1.arrows + p2.arrows)) \
+                if p1.target(q) == p2.source else {}
+            assert A.mult_basis(i, j) == want
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_completion_equals_the_scanning_reference(field, data):
+    _assert_same_completion(data.draw(bound_quiver_algebras(field)))
+
+
+def tip_inside_tip(field, order):
+    """Two paths d e f and a b c from 1 to 4, with abc = def and ab = 0,
+    given in ``order``: the tip abc of the first relation contains the tip
+    ab of the second, so def = abc = 0 as well."""
+    q = Quiver(["1", "2", "3", "4", "5", "6"],
+               [("d", "1", "5"), ("e", "5", "6"), ("f", "6", "4"),
+                ("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
+    rels = [PathElement(q, {Path(0, (3, 4, 5)): 1, Path(0, (0, 1, 2)): -1}),
+            PathElement(q, {Path(0, (3, 4)): 1})]
+    return complete_basis(q, field, rels[::order])
+
+
+def overlapping_loops(field):
+    """k<x, y>/(xyx - yy, every word of length 6): the tip xyx overlaps
+    itself in x, and that overlap gives xyyy - yyyx."""
+    q = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    rels = [PathElement(q, {Path(0, (0, 1, 0)): 1, Path(0, (1, 1)): -1})]
+    rels += [PathElement(q, {Path(0, w): 1})
+             for w in itertools.product((0, 1), repeat=6)]
+    return complete_basis(q, field, rels)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("make", [
+    cube_loop, mixed_square, aus_a3_nonlinear,
+    lambda f: x_squared_and_words(4, f), lambda f: linear_nakayama(4, f),
+    lambda f: tip_inside_tip(f, 1), lambda f: tip_inside_tip(f, -1),
+    overlapping_loops],
+    ids=["x^3 loop", "mixed-length square", "Aus(A3-nonlinear)",
+         "x^2 and words of length 4", "nak-4", "tip inside tip",
+         "tip inside tip, reversed", "overlapping loops"])
+def test_completion_with_cycles_equals_the_scanning_reference(make, field):
+    A = make(field)
+    _assert_same_completion(A, 6 if A.quiver.n_vertices == 1 else None)
+
+
+def _projectives_and_simples(A):
+    """The indecomposable projectives and the simples of A, each once."""
+    out = []
+    for M in [projective(A, v) for v in range(A.quiver.n_vertices)] + \
+            [simple(A, v) for v in range(A.quiver.n_vertices)]:
+        if not any(M.dims == N.dims and is_isomorphic(M, N) for N in out):
+            out.append(M)
+    return out
+
+
+BUILDERS = {
+    "preprojective_algebra": lambda A: preprojective_algebra(A, 2),
+    "end_algebra": lambda A: end_algebra(A, _projectives_and_simples(A)),
+    "algebra_from_bqa": algebra_from_bqa,
+    "amiot_endomorphism_algebra": lambda A: amiot_endomorphism_algebra(A, 2),
+}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("make", [lambda f: linear_nakayama(4, f),
+                                  aus_a3_nonlinear],
+                         ids=["nak-4", "Aus(A3-nonlinear)"])
+@pytest.mark.parametrize("build", BUILDERS)
+def test_corners_arrows_and_relations_equal_the_meet_reference(
+        monkeypatch, build, make, field):
+    f = field
+    B = BUILDERS[build](make(f))
+    label, members, pos = findim._corner_index(B)
+    corners = findim._radical_corners(B, label, members, pos)
+    for key, want in corners_by_meet(B).items():
+        got = f.zeros(corners[key].shape[0], B.dim)
+        got[:, members[key]] = corners[key]
+        assert f.equal(got, want)
+    P = quiver_presentation(B)
+    monkeypatch.setattr(findim, "_arrows", arrows_by_meet)
+    _assert_same_presentation(P, quiver_presentation(B))

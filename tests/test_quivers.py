@@ -1,7 +1,7 @@
 import pytest
 
 from quiveralg.errors import NonAdmissible, RelationIllFormed
-from quiveralg.exactla import GF
+from quiveralg.exactla import GF, QQ
 from quiveralg.quivers import (Path, PathElement, Quiver,
                                complete_basis, opposite)
 
@@ -142,3 +142,41 @@ def test_dim_partition_by_source_target():
     total = sum(len(A.basis_between(i, j))
                 for i in range(3) for j in range(3))
     assert total == A.dim
+
+
+def two_parallel_pairs():
+    """1 -> 2 -> 3 with arrows a, c: 1 -> 2 and b, d: 2 -> 3."""
+    return Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"),
+                                    ("c", "1", "2"), ("d", "2", "3")])
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF32003", "QQ"])
+@pytest.mark.parametrize("coef", [0, 32003])
+def test_a_term_that_vanishes_in_the_field_is_no_term(field, coef):
+    """ab = 0 cd is the monomial relation ab, whatever the field; over
+    GF(32003), 32003 cd vanishes too.  With no vanishing term, the paths
+    cd and ad, cb stay: dim 3 + 4 + 3 = 10."""
+    q = two_parallel_pairs()
+    A = complete_basis(q, field, [rel(q, (1, ["a", "b"]), (coef, ["c", "d"]))])
+    words = {p.arrows for p in A.basis}
+    assert A.dim == 10
+    if field == QQ and coef:
+        # over Q, 32003 cd is a term, and the larger: cd = -ab / 32003
+        assert (0, 1) in words and (2, 3) not in words
+    else:
+        assert (0, 1) not in words and (2, 3) in words
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF32003", "QQ"])
+def test_a_relation_that_vanishes_in_the_field_is_no_relation(field):
+    q = two_parallel_pairs()
+    A = complete_basis(q, field, [rel(q, (0, ["a", "b"]))])
+    assert A.dim == complete_basis(q, field, []).dim == 11
+
+
+def test_zero_has_no_inverse_in_a_prime_field():
+    with pytest.raises(ZeroDivisionError):
+        F.inv_el(F.zero)
+    with pytest.raises(ZeroDivisionError):
+        F.inv_el(32003)
+    assert F.inv_el(2) * 2 % 32003 == 1
