@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NonSplitEndo
 from .exactla import QuotientBasis, complement_rows
 from .findim import FinDimAlgebra
-from .quivers import BoundQuiverAlgebra, Path, opposite
+from .quivers import BoundQuiverAlgebra, opposite
 
 __all__ = ["Representation", "ModuleMap", "zero_rep", "simple", "projective",
            "injective", "projectives_sum", "injectives_sum", "regular",
@@ -184,26 +184,35 @@ def projectives_sum(A: BoundQuiverAlgebra, vertices) -> Representation:
     """Direct sum of indecomposable projectives e_v A, with bookkeeping.
 
     Vertex-j basis: concatenation over summand slots s of the reduced
-    paths vertices[s] -> j.  Each arrow matrix is a fresh array holding the
-    algebra's ``projective_blocks`` on its diagonal.
+    paths vertices[s] -> j.  Each arrow matrix holds the algebra's
+    ``projective_blocks`` on its diagonal.  Built once per (algebra,
+    vertices) and kept in the algebra's memo under ("P", vertices): every
+    call returns the same module, whose arrays are read-only, so callers
+    share it and must not change it.
     """
+    vertices = tuple(map(int, vertices))
+    key = ("P", vertices)
+    hit = A.memo.get(key)
+    if hit is not None:
+        return hit
     q = A.quiver
     f = A.field
-    vertices = list(vertices)
     projs = [A.projective_blocks(v) for v in vertices]
-    ends = [(q.source(a), q.target(a)) for a in range(q.n_arrows)]
     offsets = []
     dims = [0] * q.n_vertices
     for pb in projs:
         offsets.append(dict(enumerate(dims)))
         dims = [d + e for d, e in zip(dims, pb.dims)]
-    action = [f.zeros(dims[t], dims[s]) for s, t in ends]
+    action = [f.zeros(dims[q.target(a)], dims[q.source(a)])
+              for a in range(q.n_arrows)]
     for off, pb in zip(offsets, projs):
-        for m, blk, (s, t) in zip(action, pb.action, ends):
+        for a, s, t, blk in pb.blocks:
             r, c = off[t], off[s]
-            m[r:r + blk.shape[0], c:c + blk.shape[1]] = blk
-    rep = Representation(A, dims, action)
-    rep.summands = tuple(vertices)
+            action[a][r:r + blk.shape[0], c:c + blk.shape[1]] = blk
+    for m in action:
+        m.setflags(write=False)
+    rep = A.memo[key] = Representation(A, dims, action)
+    rep.summands = vertices
     rep.offsets = offsets
     rep.tag_kind = "P"
     return rep
@@ -220,8 +229,19 @@ def regular(A: BoundQuiverAlgebra) -> Representation:
 
 def injectives_sum(A: BoundQuiverAlgebra, vertices) -> Representation:
     """Direct sum of indecomposable injectives D(A e_v), with bookkeeping:
-    the k-dual of the tagged projective sum over A^op."""
-    return dual(projectives_sum(op_algebra(A), vertices))
+    the k-dual of the tagged projective sum over A^op, with its summands
+    and offsets.  Built once per (algebra, vertices) and kept in the
+    algebra's memo under ("I", vertices); its arrow matrices are the
+    transposed, read-only views of that projective sum's."""
+    vertices = tuple(map(int, vertices))
+    key = ("I", vertices)
+    hit = A.memo.get(key)
+    if hit is not None:
+        return hit
+    P = projectives_sum(op_algebra(A), vertices)
+    rep = A.memo[key] = Representation(A, P.dims, [m.T for m in P.action])
+    rep.summands, rep.offsets, rep.tag_kind = P.summands, P.offsets, "I"
+    return rep
 
 
 def injective(A: BoundQuiverAlgebra, v: int) -> Representation:
@@ -240,8 +260,9 @@ def map_from_projectives(P: Representation, M: Representation,
     gen_images[s]: column vector in M at vertex P.summands[s].  The column
     of basis path p from v is M(p) applied to that image.  Basis paths are
     prefix-closed and sorted by length, so each path's value is one matmul
-    of its last arrow with its prefix's value, for all slots at v at once.
-    A vertex whose slots all have zero images keeps its zero columns.
+    of its last arrow with its prefix's value, for all slots at v at once,
+    along the ``steps`` of the algebra's ``projective_blocks(v)``.  A
+    vertex whose slots all have zero images keeps its zero columns.
     """
     A = P.algebra
     f = P.field
@@ -253,13 +274,9 @@ def map_from_projectives(P: Representation, M: Representation,
         if not gens.any():
             continue
         values = {}
-        for b, j, k in A.projective_blocks(v).paths:
-            word = A.basis[b].arrows
-            if word:
-                prefix = A.bindex[Path(v, word[:-1])]
-                values[b] = f.matmul(M.action[word[-1]], values[prefix])
-            else:
-                values[b] = gens
+        for b, j, k, prefix, a in A.projective_blocks(v).steps:
+            values[b] = (gens if a is None
+                         else f.matmul(M.action[a], values[prefix]))
             blocks[j][:, [P.offsets[s][j] + k for s in slots]] = values[b]
     return ModuleMap(P, M, blocks)
 
@@ -415,14 +432,14 @@ def dual(M: Representation) -> Representation:
     """k-dual over the opposite algebra: transposed arrow actions.
 
     The dual of a tagged projective sum is the tagged injective sum over
-    the opposite algebra with the same summands and offsets, and the
-    reverse: the transposed blocks keep their per-vertex places."""
-    D = Representation(op_algebra(M.algebra), M.dims,
-                       [m.T.copy() for m in M.action])
+    the opposite algebra with the same summands, and the reverse; both are
+    the algebra's own read-only sums, found by lookup, so D(D(P)) is P.
+    The dual of any other module holds transposed copies."""
     if M.tag_kind is not None:
-        D.summands, D.offsets = M.summands, M.offsets
-        D.tag_kind = "I" if M.tag_kind == "P" else "P"
-    return D
+        make = injectives_sum if M.tag_kind == "P" else projectives_sum
+        return make(op_algebra(M.algebra), M.summands)
+    return Representation(op_algebra(M.algebra), M.dims,
+                          [m.T.copy() for m in M.action])
 
 
 def dual_map(phi: ModuleMap) -> ModuleMap:
@@ -482,7 +499,9 @@ def projective_cover(M: Representation) -> ModuleMap:
 def injective_envelope(M: Representation) -> ModuleMap:
     """Minimal embedding into a sum of indecomposable injectives."""
     cov = projective_cover(dual(M))
-    emb = dual_map(cov)  # D(M-dual) -> D(P'); D(D(M)) is literally M again
+    # D(D(M)) -> D(P'), where D(D(M)) equals M, and is M itself only when
+    # M is a tagged sum
+    emb = dual_map(cov)
     return ModuleMap(M, emb.target, emb.blocks)
 
 

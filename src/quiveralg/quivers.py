@@ -328,11 +328,13 @@ def _irreducible_paths(q: Quiver, reducer: _Reducer, cap: int,
 class ProjectiveBlocks(NamedTuple):
     """An indecomposable projective e_v A, as stored by its algebra."""
     dims: tuple[int, ...]
-    # one read-only matrix per arrow
-    action: tuple[np.ndarray, ...]
-    # (b, j, k) for each basis path b from v, in basis order:
-    # b = basis_between(v, j)[k]
-    paths: tuple[tuple[int, int, int], ...]
+    # (a, source, target, matrix) for each arrow a whose read-only matrix
+    # on e_v A has a nonzero entry; every other arrow acts by zero
+    blocks: tuple[tuple[int, int, int, np.ndarray], ...]
+    # (b, j, k, prefix, last) for each basis path b from v, in basis
+    # order: b = basis_between(v, j)[k], and b is the basis path prefix
+    # followed by the arrow last (both None for the trivial path e_v)
+    steps: tuple[tuple[int, int, int, int | None, int | None], ...]
 
 
 class BoundQuiverAlgebra:
@@ -359,8 +361,12 @@ class BoundQuiverAlgebra:
         self._mult_cache: dict[tuple[int, int], dict[int, object]] = {}
         self._projective_blocks: dict[int, ProjectiveBlocks] = {}
         # invariants computed once per algebra, by the function that owns
-        # each key: global_dimension, tau_n_orbit, preprojective_module
-        # and serre_context
+        # each key: global_dimension ("gldim",), tau_n_orbit ("tau_orbit",
+        # n), preprojective_module ("split", n, cap), serre_context
+        # ("serre", n, cap), is_self_injective ("self_injective",),
+        # homology._injective_resolution ("inj_res", v, cap), and
+        # modules.projectives_sum and injectives_sum ("P", vertices) and
+        # ("I", vertices)
         self.memo: dict[tuple, object] = {}
 
     @property
@@ -410,14 +416,16 @@ class BoundQuiverAlgebra:
         ``basis_between(v, j)``.
 
         Computed from ``mult_basis`` on first use and kept for the life of
-        the algebra, so the arrays are read-only: copy before writing."""
+        the algebra, so the arrays are read-only: copy before writing.
+        ``blocks`` holds only the arrows that act by a nonzero matrix, and
+        ``steps`` walks the basis paths from v, each after its prefix."""
         hit = self._projective_blocks.get(v)
         if hit is not None:
             return hit
         f = self.field
         q = self.quiver
         between = [self.basis_between(v, j) for j in range(q.n_vertices)]
-        action = []
+        blocks = []
         for a in range(q.n_arrows):
             s, t = q.source(a), q.target(a)
             apath = self.bindex[Path(s, (a,))]
@@ -426,12 +434,20 @@ class BoundQuiverAlgebra:
             for col, b in enumerate(between[s]):
                 for tb, c in self.mult_basis(b, apath).items():
                     m[pos[tb], col] = f.el(c)
-            m.setflags(write=False)
-            action.append(m)
-        paths = sorted((b, j, k) for j, bs in enumerate(between)
-                       for k, b in enumerate(bs))
+            if not f.is_zero(m):
+                m.setflags(write=False)
+                blocks.append((a, s, t, m))
+        steps = []
+        for b, j, k in sorted((b, j, k) for j, bs in enumerate(between)
+                              for k, b in enumerate(bs)):
+            word = self.basis[b].arrows
+            if word:
+                steps.append((b, j, k, self.bindex[Path(v, word[:-1])],
+                              word[-1]))
+            else:
+                steps.append((b, j, k, None, None))
         hit = self._projective_blocks[v] = ProjectiveBlocks(
-            tuple(map(len, between)), tuple(action), tuple(paths))
+            tuple(map(len, between)), tuple(blocks), tuple(steps))
         return hit
 
     def mult(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:

@@ -57,6 +57,16 @@
   with the kernel of the whole trace form (``radical_rows``), and rad^2
   comes from dim-B-wide products; ``findim._arrows`` works each corner
   in the coordinates of its own basis elements.
+- ``projectives_sum_fresh`` builds a tagged projective sum into fresh,
+  writable arrays, every arrow block of e_v A from ``mult_basis`` one
+  basis pair at a time; ``map_from_projectives_by_paths`` walks the basis
+  paths from v, finding each prefix with a ``Path`` lookup in
+  ``bindex``; ``dual_by_transpose`` transposes every arrow matrix into a
+  copy, tagged sums too.  ``modules.projectives_sum`` and
+  ``injectives_sum`` build each tagged sum once per algebra, read-only,
+  from the nonzero blocks; ``map_from_projectives`` walks the
+  ``ProjectiveBlocks.steps`` made with the projective; ``dual`` of a
+  tagged sum looks up the sum over the opposite algebra.
 """
 
 from __future__ import annotations
@@ -852,3 +862,68 @@ def arrows_by_meet(B: FinDimAlgebra):
                 arrow_degs.append(dg)
     return (Quiver(vertices, arrow_list), arrow_elems,
             arrow_degs if B.grading is not None else None)
+
+
+def projectives_sum_fresh(A, vertices) -> Representation:
+    """The tagged sum of the e_v A, v in ``vertices``, in fresh writable
+    arrays: every arrow block of every summand filled from ``mult_basis``,
+    one basis pair at a time, zero blocks included."""
+    q, f = A.quiver, A.field
+    per_slot = [[A.basis_between(v, j) for j in range(q.n_vertices)]
+                for v in vertices]
+    offsets, dims = [], [0] * q.n_vertices
+    for rows in per_slot:
+        offsets.append(dict(enumerate(dims)))
+        dims = [d + len(r) for d, r in zip(dims, rows)]
+    action = []
+    for a in range(q.n_arrows):
+        s_v, t_v = q.source(a), q.target(a)
+        m = f.zeros(dims[t_v], dims[s_v])
+        apath = A.bindex[Path(s_v, (a,))]
+        for s, rows in enumerate(per_slot):
+            tgt_pos = {b: k for k, b in enumerate(rows[t_v])}
+            for col, b in enumerate(rows[s_v]):
+                for tb, c in A.mult_basis(b, apath).items():
+                    m[offsets[s][t_v] + tgt_pos[tb],
+                      offsets[s][s_v] + col] = f.el(c)
+        action.append(m)
+    rep = Representation(A, dims, action)
+    rep.summands, rep.offsets, rep.tag_kind = tuple(vertices), offsets, "P"
+    return rep
+
+
+def map_from_projectives_by_paths(P: Representation, M: Representation,
+                                  gen_images) -> ModuleMap:
+    """The map out of the tagged sum P with the given generator images,
+    each basis path's column its last arrow applied to its prefix's, the
+    prefix found by a ``Path`` lookup in ``bindex``."""
+    A, f = P.algebra, P.field
+    nv = A.quiver.n_vertices
+    blocks = [f.zeros(M.dims[j], P.dims[j]) for j in range(nv)]
+    for v in dict.fromkeys(P.summands):
+        slots = [s for s, w in enumerate(P.summands) if w == v]
+        gens = np.concatenate([gen_images[s] for s in slots], axis=1)
+        if not gens.any():
+            continue
+        values = {}
+        for b, j, k in sorted((b, j, k) for j in range(nv)
+                              for k, b in enumerate(A.basis_between(v, j))):
+            word = A.basis[b].arrows
+            if word:
+                prefix = A.bindex[Path(v, word[:-1])]
+                values[b] = f.matmul(M.action[word[-1]], values[prefix])
+            else:
+                values[b] = gens
+            blocks[j][:, [P.offsets[s][j] + k for s in slots]] = values[b]
+    return ModuleMap(P, M, blocks)
+
+
+def dual_by_transpose(M: Representation) -> Representation:
+    """The k-dual over the opposite algebra as transposed copies; a tagged
+    sum keeps its summands and offsets and swaps its kind."""
+    D = Representation(op_algebra(M.algebra), M.dims,
+                       [m.T.copy() for m in M.action])
+    if M.tag_kind is not None:
+        D.summands, D.offsets = M.summands, M.offsets
+        D.tag_kind = "I" if M.tag_kind == "P" else "P"
+    return D

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quiveralg.errors import NonSplitEndo
 from quiveralg.exactla import GF, QQ
@@ -9,14 +10,18 @@ from quiveralg.families import (auslander_algebra, canonical_2222,
                                 thm39_type2)
 from quiveralg.modules import (Representation, _has_iso, coregular, decompose,
                                direct_sum, dual, hom_space, injective,
-                               injective_envelope, is_isomorphic,
-                               map_from_projectives, map_kernel, op_algebra,
-                               projective, projective_cover, projectives_sum,
+                               injective_envelope, injectives_sum,
+                               is_isomorphic, map_from_projectives,
+                               map_kernel, op_algebra, projective,
+                               projective_cover, projectives_sum,
                                radical_series, random_module, regular, simple,
                                socle, zero_rep)
 from quiveralg.quivers import PathElement, Path, Quiver, complete_basis
 from quiveralg.preprojective import preprojective_module
-from references import indecomposables_isomorphic, top
+from references import (dual_by_transpose, indecomposables_isomorphic,
+                        map_from_projectives_by_paths, projectives_sum_fresh,
+                        top)
+from test_presentation import bound_quiver_algebras
 
 F = GF(32003)
 
@@ -222,32 +227,6 @@ def _algebras(field):
     return [canonical_2222(3, field), linear_nakayama(4, field)]
 
 
-def _projectives_sum_reference(A, vertices):
-    """Every arrow block from mult_basis, one basis pair at a time."""
-    q, f = A.quiver, A.field
-    per_slot = [[A.basis_between(v, j) for j in range(q.n_vertices)]
-                for v in vertices]
-    offsets, dims = [], [0] * q.n_vertices
-    for rows in per_slot:
-        offsets.append({})
-        for j in range(q.n_vertices):
-            offsets[-1][j] = dims[j]
-            dims[j] += len(rows[j])
-    action = []
-    for a in range(q.n_arrows):
-        s_v, t_v = q.source(a), q.target(a)
-        m = f.zeros(dims[t_v], dims[s_v])
-        apath = A.bindex[Path(s_v, (a,))]
-        for s, rows in enumerate(per_slot):
-            tgt_pos = {b: k for k, b in enumerate(rows[t_v])}
-            for col, b in enumerate(rows[s_v]):
-                for tb, c in A.mult_basis(b, apath).items():
-                    m[offsets[s][t_v] + tgt_pos[tb],
-                      offsets[s][s_v] + col] = f.el(c)
-        action.append(m)
-    return dims, offsets, action
-
-
 def _map_from_projectives_reference(P, M, gen_images):
     """Each basis path's column from its own act_word matmul chain."""
     A, f = P.algebra, P.field
@@ -314,9 +293,9 @@ def test_projectives_sum_matches_mult_basis_reference(field):
         nv = A.quiver.n_vertices
         for verts in ([0], list(range(nv)), [nv - 1, 0, nv - 1, 1]):
             P = projectives_sum(A, verts)
-            dims, offsets, action = _projectives_sum_reference(A, verts)
-            assert P.dims == tuple(dims) and P.offsets == offsets
-            assert _equal_blocks(field, P.action, action)
+            want = projectives_sum_fresh(A, verts)
+            assert P.dims == want.dims and P.offsets == want.offsets
+            assert _equal_blocks(field, P.action, want.action)
             assert P.summands == tuple(verts)
 
 
@@ -354,17 +333,56 @@ def test_projective_cover_matches_top_and_solve_reference(field):
 
 
 @FIELDS
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_tagged_sums_match_the_fresh_references(field, data):
+    """The shared sums equal sums built afresh, the injective sum is the
+    transposed projective sum over the opposite algebra, the precomputed
+    walk gives the Path-lookup walk's map, and D(D(X)) is X."""
+    A = data.draw(bound_quiver_algebras(field))
+    nv = A.quiver.n_vertices
+    vs = tuple(data.draw(st.lists(st.integers(0, nv - 1), max_size=4)))
+    P, I = projectives_sum(A, vs), injectives_sum(A, vs)
+    pairs = ((P, projectives_sum_fresh(A, vs)),
+             (I, dual_by_transpose(projectives_sum_fresh(op_algebra(A), vs))))
+    for got, want in pairs:
+        assert got.algebra is want.algebra
+        assert (got.dims, got.offsets, got.summands, got.tag_kind) == (
+            want.dims, want.offsets, want.summands, want.tag_kind)
+        assert _equal_blocks(field, got.action, want.action)
+        assert dual(dual(got)) is got
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    M = random_module(A, rng)
+    gens = [_random_column(field, rng, M.dims[v]) if data.draw(st.booleans())
+            else field.zeros(M.dims[v], 1) for v in vs]
+    assert _equal_blocks(field, map_from_projectives(P, M, gens).blocks,
+                         map_from_projectives_by_paths(P, M, gens).blocks)
+
+
+@FIELDS
 def test_writing_to_a_projective_leaves_the_next_one_unchanged(field):
+    """A tagged sum is built once per algebra and shared by every caller,
+    so a write made through one caller must not reach the next: every
+    arrow matrix refuses writes, and the next call returns the same module
+    with the same values."""
     A = canonical_2222(3, field)
-    first = projectives_sum(A, [0, 1])
-    kept = [m.copy() for m in first.action]
-    for m in first.action:
-        m[...] = field.one
-    again = projectives_sum(A, [0, 1])
-    assert _equal_blocks(field, again.action, kept)
-    blk = next(m for m in A.projective_blocks(0).action if m.size)
-    with pytest.raises(ValueError):
-        blk[0, 0] = field.one
+    for make in (projectives_sum, injectives_sum):
+        first = make(A, [0, 1])
+        kept = [m.copy() for m in first.action]
+        written = [m for m in first.action if m.size]
+        assert written
+        for m in written:
+            with pytest.raises(ValueError):
+                m[...] = field.one
+        again = make(A, [0, 1])
+        assert again is first
+        assert _equal_blocks(field, again.action, kept)
+    blocks = A.projective_blocks(0).blocks
+    assert blocks
+    for _, _, _, blk in blocks:
+        with pytest.raises(ValueError):
+            blk[0, 0] = field.one
 
 
 def truncated_polynomials(length, field):
