@@ -58,7 +58,7 @@ def is_n_rep_finite(A: BoundQuiverAlgebra, n: int, cap: int = 32) -> Verdict:
     for v in range(A.quiver.n_vertices):
         # minimized projective form: support {0} iff the object is a
         # projective module
-        cur = ctx.minimized_proj(module_complex(injectives_sum(A, [v])))
+        cur = ctx.minimized(module_complex(injectives_sum(A, [v])))
         found = None
         for ell in range(cap + 1):
             hdims = cur.cohomology_dims()
@@ -70,7 +70,7 @@ def is_n_rep_finite(A: BoundQuiverAlgebra, n: int, cap: int = 32) -> Verdict:
             if sorted(cur.terms) == [0]:
                 found = ell
                 break
-            cur = ctx.minimized_proj(ctx.step_pos(cur))
+            cur = ctx.minimized(ctx.step_pos(cur))
         if found is None:
             return Verdict("unknown", {"injective": v, "cap": cap})
         witnesses[v] = found

@@ -9,7 +9,8 @@ The input format is line-oriented key/value with bracketed lists::
     relations [a1*a2, 2*x - 1/3*y*z]
 
 Exit codes: 0 success, 1 a `check` verdict is false, 2 errors,
-3 a verdict is unknown (a cap was hit).
+3 a cap was hit: a verdict is unknown, or a command stopped at its cap
+(window, tau-orbit or resolution length) with an error line.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .checks import (analyze, is_n_rep_finite,
                      is_self_injective, is_tau_n_finite,
                      iwanaga_gorenstein_dim, rigidity, vosnex)
 from .derived import amiot_hom, module_complex
-from .errors import AboveCap, QuiverAlgError, WindowInconclusive
+from .errors import (AboveCap, AboveCapError, NotTauFinite, QuiverAlgError,
+                     WindowInconclusive)
 from .exactla import DEFAULT_FIELD, GF, QQ, Field
 from .families import (auslander_algebra, canonical_2222,
                        dynkin_path_algebra, higher_auslander_chain,
@@ -165,6 +167,9 @@ def _parse_spec(text: str, override: Field | None):
         elif key == "vertices":
             vertices = _split_bracket_list(value, lineno, None)
             vertices = [v for chunk in vertices for v in chunk.split()]
+            if not vertices:
+                raise SpecError("the quiver needs at least one vertex",
+                                lineno)
         elif key == "arrows":
             for item in _split_bracket_list(value, lineno, ","):
                 m = _ARROW_RE.match(item)
@@ -434,12 +439,12 @@ def run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (SpecError, QuiverAlgError) as e:
+    except (WindowInconclusive, NotTauFinite, AboveCapError) as e:
+        _err(args, str(e))  # a cap was hit
+        return 3
+    except QuiverAlgError as e:
         _err(args, str(e))
         return 2
-    except WindowInconclusive as e:
-        _err(args, str(e))
-        return 3
 
 
 def _err(args, msg: str):

@@ -2,25 +2,29 @@
 
 Derived-category objects travel in two forms: concrete bounded complexes
 of modules, and symbolic complexes whose terms are sums of indecomposable
-projectives (or injectives) with differentials recorded as algebra
-elements.  The Nakayama functor is the identity on the symbolic data (it
-only flips the term kind), projective resolutions of arbitrary bounded
-complexes are built by iterated mapping cones with strict comparison
-lifts through degreewise-surjective quasi-isomorphisms, and contractible
-summands are stripped by Gaussian cancellation on unit entries.
+projectives e_v A with differentials recorded as algebra elements.
+Projective resolutions of arbitrary bounded complexes are built by
+iterated mapping cones with strict comparison lifts through
+degreewise-surjective quasi-isomorphisms, and contractible summands are
+stripped by Gaussian cancellation on unit entries.
 
 The symbolic and concrete forms convert through ``homology``'s
 ``elements_of_map`` and ``map_of_elements``, which alone know how an
-algebra element lies in the blocks of a map between tagged sums.  A chain
-map is a quasi-isomorphism iff its mapping cone is acyclic, which is
-checked from the ranks of the cone blocks at each vertex.
+algebra element lies in the blocks of a map between tagged projective
+sums.  A chain map is a quasi-isomorphism iff its mapping cone is
+acyclic, which is checked from the ranks of the cone blocks at each
+vertex.
 
-A complex whose terms are tagged injective sums (every step of S_n and of
-the injective resolutions behind S_n^{-1}) resolves term by term from
-``homology``'s per-summand resolutions of the indecomposable injectives,
-each computed once per algebra.  The k-dual carries the tags, so the dual
-of a complex of tagged projectives over A^op is a complex of tagged
-injectives over A as it stands.
+Every other object comes from two dualities on complexes of tagged
+projectives: the k-dual D, which carries the tags, and ``transposed``,
+Hom_A(-, A) over A^op, which moves each entry through
+``homology.transpose_entries``.  The Nakayama functor is
+nu = D Hom(-, A), and S_n^{-1} X = nu^{-1}(I)[n] for an injective
+resolution I = D P of X is Hom(P, A^op)[n] for a projective resolution P
+of D X, so the Serre orbit is computed with projective complexes only.
+A complex whose terms are tagged injective sums (every step of S_n)
+resolves term by term from ``homology``'s per-summand resolutions of the
+indecomposable injectives, each computed once per algebra.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ from .errors import (AboveCap, AboveCapError, TermNotInjective,
 from .exactla import QuotientBasis
 from .homology import (ProjResolution, elements_of_map, global_dimension,
                        hom_matrix, injectives_sum_resolution,
-                       map_of_elements, min_proj_resolution)
-from .modules import (ModuleMap, Representation, dual, injectives_sum,
+                       map_of_elements, min_proj_resolution,
+                       transpose_entries)
+from .modules import (ModuleMap, Representation, dual,
                       map_from_projectives, op_algebra, projectives_sum,
                       zero_rep)
 from .quivers import BoundQuiverAlgebra, Path
@@ -43,7 +48,8 @@ from .quivers import BoundQuiverAlgebra, Path
 __all__ = ["ComplexOfModules", "ChainMap", "module_complex",
            "proj_resolve_complex", "inj_resolve_complex",
            "resolution_complex", "SymbolicComplex",
-           "to_symbolic", "nakayama", "nakayama_inv", "serre_n_power",
+           "to_symbolic", "transposed", "nakayama", "nakayama_inv",
+           "serre_n_power",
            "u_window", "amiot_hom", "hom_d", "GradedHom", "SerreContext",
            "serre_context"]
 
@@ -435,53 +441,30 @@ def inj_resolve_complex(X: ComplexOfModules, cap: int = 32):
 
 
 # ---------------------------------------------------------------------------
-# symbolic complexes of projectives / injectives
+# symbolic complexes of projectives
 # ---------------------------------------------------------------------------
 
 @dataclass
 class SymbolicComplex:
-    """Terms are sums of e_v A (kind 'P') or D(A e_v) (kind 'I'); the
-    differential entry from summand u in degree i (vertex b) to summand w
-    in degree i+1 (vertex c) is an algebra element in e_c A e_b."""
+    """Terms are sums of e_v A; the differential entry from summand u in
+    degree i (vertex b) to summand w in degree i+1 (vertex c) is an
+    algebra element in e_c A e_b."""
 
     algebra: BoundQuiverAlgebra
-    kind: str  # "P" or "I"
     terms: dict[int, tuple[int, ...]]
     diffs: dict[int, dict[tuple[int, int], dict[int, object]]]
 
     def copy(self) -> "SymbolicComplex":
-        return SymbolicComplex(self.algebra, self.kind,
+        return SymbolicComplex(self.algebra,
                                {i: tuple(v) for i, v in self.terms.items()},
                                {i: {k: dict(e) for k, e in d.items()}
                                 for i, d in self.diffs.items()})
 
-    def shift(self, k: int) -> "SymbolicComplex":
-        out = self.copy()
-        out.terms = {i - k: v for i, v in out.terms.items()}
-        sign = 1 if k % 2 == 0 else -1
-        f = self.algebra.field
-        diffs = {}
-        for i, d in out.diffs.items():
-            if sign == 1:
-                diffs[i - k] = d
-            else:
-                diffs[i - k] = {key: {b: f.neg(c) for b, c in e.items()}
-                                for key, e in d.items()}
-        out.diffs = diffs
-        return out
-
-    def flip(self) -> "SymbolicComplex":
-        """Nakayama: same data, projectives <-> injectives."""
-        out = self.copy()
-        out.kind = "I" if self.kind == "P" else "P"
-        return out
-
     def materialize(self) -> ComplexOfModules:
         A = self.algebra
-        make = projectives_sum if self.kind == "P" else injectives_sum
-        terms = {i: make(A, verts) for i, verts in self.terms.items() if verts}
-        diffs = {i: map_of_elements(A, self.kind, entries, terms[i],
-                                    terms[i + 1])
+        terms = {i: projectives_sum(A, verts)
+                 for i, verts in self.terms.items() if verts}
+        diffs = {i: map_of_elements(A, entries, terms[i], terms[i + 1])
                  for i, entries in self.diffs.items()
                  if i in terms and i + 1 in terms}
         return ComplexOfModules(A, terms, diffs, check=True)
@@ -593,21 +576,28 @@ def _drop_summand(sym: SymbolicComplex, degree: int, slot: int):
         sym.diffs[degree - 1] = fix(sym.diffs[degree - 1], False)
 
 
-def to_symbolic(X: ComplexOfModules, kind: str = "P") -> SymbolicComplex:
-    """Extract the symbolic form of a complex of tagged projective sums
-    (kind 'P') or tagged injective sums (kind 'I')."""
+def to_symbolic(X: ComplexOfModules) -> SymbolicComplex:
+    """The symbolic form of a complex of tagged projective sums."""
     A = X.algebra
-    f = A.field
-    terms = {}
     for i, t in X.terms.items():
-        if t.summands is None:
-            raise (TermNotProjective if kind == "P" else TermNotInjective)(
-                f"term at degree {i} carries no summand tags")
-        terms[i] = tuple(t.summands)
-    diffs = {}
-    for i, d in X.diffs.items():
-        diffs[i] = elements_of_map(A, kind, d, X.terms[i], X.terms[i + 1])
-    return SymbolicComplex(A, kind, terms, diffs)
+        if t.tag_kind != "P":
+            raise TermNotProjective(
+                f"term at degree {i} is not a tagged projective sum")
+    return SymbolicComplex(
+        A, {i: t.summands for i, t in X.terms.items()},
+        {i: elements_of_map(A, d, X.terms[i], X.terms[i + 1])
+         for i, d in X.diffs.items()})
+
+
+def transposed(P: ComplexOfModules) -> SymbolicComplex:
+    """Hom_B(P, B) over B^op for a complex P of tagged projective sums over
+    B: term -i holds the summands of P^i, and the differential from degree
+    -i-1 is Hom(d^i, B), with the entries of ``transpose_entries``."""
+    B = P.algebra
+    sym = to_symbolic(P)
+    return SymbolicComplex(
+        op_algebra(B), {-i: vs for i, vs in sym.terms.items()},
+        {-i - 1: transpose_entries(B, e) for i, e in sym.diffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -615,18 +605,18 @@ def to_symbolic(X: ComplexOfModules, kind: str = "P") -> SymbolicComplex:
 # ---------------------------------------------------------------------------
 
 def nakayama(X: ComplexOfModules) -> ComplexOfModules:
-    """nu on a complex of tagged projective sums: injective complex."""
-    for t in X.terms.values():
-        if getattr(t, "tag_kind", None) != "P":
-            raise TermNotProjective("nakayama needs tagged projective terms")
-    return to_symbolic(X, "P").flip().materialize()
+    """nu = D Hom(-, A) on a complex of tagged projective sums: a complex
+    of tagged injective sums."""
+    return dual_complex(transposed(X).materialize())
 
 
 def nakayama_inv(X: ComplexOfModules) -> ComplexOfModules:
+    """nu^{-1} = Hom(-, A^op) D on a complex of tagged injective sums: a
+    complex of tagged projective sums."""
     for t in X.terms.values():
-        if getattr(t, "tag_kind", None) != "I":
+        if t.tag_kind != "I":
             raise TermNotInjective("nakayama_inv needs tagged injective terms")
-    return to_symbolic(X, "I").flip().materialize()
+    return transposed(dual_complex(X)).materialize()
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +643,11 @@ class SerreContext:
 
     # -- single steps -------------------------------------------------------
     def step_neg(self, X: ComplexOfModules) -> ComplexOfModules:
-        """S_n^{-1} X = nu^{-1}(inj resolution of X) [ +n ]."""
-        I, _ = inj_resolve_complex(X, self.cap)
-        return nakayama_inv(I).shift(self.n)
+        """S_n^{-1} X = nu^{-1}(I)[n] for an injective resolution I = D P
+        of X, that is Hom(P, A^op)[n] for a projective resolution P of
+        D X over A^op."""
+        P, _ = proj_resolve_complex(dual_complex(X), self.cap)
+        return transposed(P).materialize().shift(self.n)
 
     def step_pos(self, X: ComplexOfModules) -> ComplexOfModules:
         """S_n X = nu(projective resolution of X) [ -n ]."""
@@ -663,24 +655,14 @@ class SerreContext:
         return nakayama(P).shift(-self.n)
 
     def minimized(self, X: ComplexOfModules) -> ComplexOfModules:
-        kind = None
-        for t in X.terms.values():
-            kind = getattr(t, "tag_kind", None)
-            break
-        if kind is None:
-            P, _ = proj_resolve_complex(X, self.cap)
-            X, kind = P, "P"
-        before = X.cohomology_dims()
-        out = to_symbolic(X, kind).minimize().materialize()
+        """The minimized complex of projectives quasi-isomorphic to X, so
+        support concentrated in degree 0 certifies a projective module."""
+        P, _ = proj_resolve_complex(X, self.cap)
+        before = P.cohomology_dims()
+        out = to_symbolic(P).minimize().materialize()
         assert out.cohomology_dims() == before, \
             "minimization must preserve cohomology"
         return out
-
-    def minimized_proj(self, X: ComplexOfModules) -> ComplexOfModules:
-        """Minimized complex of projectives quasi-isomorphic to X; unlike
-        ``minimized`` this always converts to projective terms, so support
-        concentrated in degree 0 certifies a projective module."""
-        return self.minimized(proj_resolve_complex(X, self.cap)[0])
 
     def next_neg(self, X: ComplexOfModules) -> ComplexOfModules:
         """minimized(step_neg(X)), computed once per object X."""
@@ -719,22 +701,19 @@ class SerreContext:
         Dg = dual_chain_map(g)  # DV -> DU
         fmap = ChainMap(PDV, DU, _compose_chain(epsV, Dg), check=False)
         lifted = _strict_lift(PDV, fmap, epsU)  # PDV -> PDU
-        dlift = dual_chain_map(lifted)          # D(PDU) -> D(PDV)
-        symU, symV = dual_complex(PDU), dual_complex(PDV)
-        PU = to_symbolic(symU, "I").flip().materialize()
-        PV = to_symbolic(symV, "I").flip().materialize()
-        src = PU.shift(self.n)
-        tgt = PV.shift(self.n)
+        # Hom(lifted, A^op): Hom(PDU, A^op) -> Hom(PDV, A^op), shifted
+        src = transposed(PDU).materialize().shift(self.n)
+        tgt = transposed(PDV).materialize().shift(self.n)
+        Aop = PDU.algebra
         parts = {}
-        for i, p in dlift.parts.items():
-            if i not in symU.terms or i not in symV.terms:
+        for j, p in lifted.parts.items():
+            if j not in PDU.terms or j not in PDV.terms:
                 continue
-            entries = elements_of_map(self.A, "I", p, symU.terms[i],
-                                      symV.terms[i])
-            m = map_of_elements(self.A, "P", entries, PU.terms[i],
-                                PV.terms[i])
-            parts[i - self.n] = ModuleMap(src.term(i - self.n),
-                                          tgt.term(i - self.n), m.blocks)
+            entries = transpose_entries(Aop, elements_of_map(
+                Aop, p, PDV.terms[j], PDU.terms[j]))
+            i = -j - self.n
+            parts[i] = map_of_elements(self.A, entries, src.term(i),
+                                       tgt.term(i))
         return ChainMap(src, tgt, parts, check=False)
 
 
@@ -798,12 +777,19 @@ def hom_d(X: ComplexOfModules, Y: ComplexOfModules, j: int,
     if X.is_zero() or Y.is_zero():
         return 0
     P, _ = proj_resolve_complex(X, cap, verify=False)
-    return _hom_K_dim(P, Y, j)
+    lay_prev, lay, lay_next = (_hom_total_spaces(P, Y, m)
+                               for m in (j - 1, j, j + 1))
+    cols = sum(x[3] for x in lay)
+    if cols == 0:
+        return 0
+    f = P.algebra.field
+    # dim H^j = dim C^j - rank delta^j - rank delta^{j-1}
+    return cols - f.rank(_hom_delta(P, Y, j, lay, lay_next)) \
+        - f.rank(_hom_delta(P, Y, j - 1, lay_prev, lay))
 
 
 def _hom_total_spaces(P: ComplexOfModules, Y: ComplexOfModules, m: int):
     """Coordinate layout of C^m = sum_i Hom(P^i, Y^{i+m}) in Yoneda coords."""
-    A = P.algebra
     layout = []
     for i in sorted(P.terms):
         Yt = Y.terms.get(i + m)
@@ -815,28 +801,11 @@ def _hom_total_spaces(P: ComplexOfModules, Y: ComplexOfModules, m: int):
     return layout
 
 
-def _hom_K_dim(P: ComplexOfModules, Y: ComplexOfModules, m: int) -> int:
+def _hom_delta(P: ComplexOfModules, Y: ComplexOfModules, m: int,
+               lay_m: list, lay_m1: list) -> np.ndarray:
+    """Matrix of delta^m: C^m -> C^{m+1}, delta f = d_Y f - (-1)^m f d_P,
+    on the layouts ``_hom_total_spaces`` of C^m and C^{m+1}."""
     f = P.algebra.field
-    lay0 = _hom_total_spaces(P, Y, m)
-    d0 = _hom_delta(P, Y, m)
-    dim0 = sum(x[3] for x in lay0)
-    if dim0 == 0:
-        return 0
-    z = f.kernel(d0) if d0.shape[0] else f.eye(dim0)
-    dprev = _hom_delta(P, Y, m - 1)
-    if dprev.shape[0] == 0 or dprev.shape[1] == 0:
-        b_rank = 0
-    else:
-        b_rank = f.rank(dprev)
-    return z.shape[0] - b_rank
-
-
-def _hom_delta(P: ComplexOfModules, Y: ComplexOfModules, m: int) -> np.ndarray:
-    """Matrix of delta^m: C^m -> C^{m+1}, delta f = d_Y f - (-1)^m f d_P."""
-    A = P.algebra
-    f = A.field
-    lay_m = _hom_total_spaces(P, Y, m)
-    lay_m1 = _hom_total_spaces(P, Y, m + 1)
     cols = sum(x[3] for x in lay_m)
     rows = sum(x[3] for x in lay_m1)
     out = f.zeros(rows, cols)

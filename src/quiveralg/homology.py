@@ -5,11 +5,15 @@ and tau_inv kill projective (resp. injective) direct summands without
 any explicit stripping; the higher translates are the composites
 tau . syzygy^(n-1) and tau^- . cosyzygy^(n-1) with minimal steps.
 
-A map between sums of indecomposable projectives (or injectives) is a
-matrix of algebra elements.  ``elements_of_map`` reads that matrix off
-the blocks of a map between tagged sums and ``map_of_elements`` writes
-it back; no other code knows that layout.  The Nakayama functor nu and
-the transpose share one presentation, ``nakayama_presentation``.
+A map between sums of indecomposable projectives is a matrix of algebra
+elements.  ``elements_of_map`` reads that matrix off the blocks of a map
+between tagged projective sums and ``map_of_elements`` writes it back;
+no other code knows that layout.  ``transpose_entries`` turns the
+entries of d into those of Hom_A(d, A) over A^op.  Maps between tagged
+injective sums are the k-duals of maps between tagged projective sums
+over A^op, and the Nakayama functor is nu = D Hom(-, A): the transpose
+Tr M is the cokernel of Hom(d, A) for the minimal projective
+presentation d of M, and ``nakayama_presentation`` is its k-dual nu d.
 
 The global dimension, the tau_n^- orbit of A and the minimal resolution
 of each indecomposable injective D(A e_v) (key ``("inj_res", v, cap)``,
@@ -58,67 +62,53 @@ class ProjResolution:
 # maps between tagged sums as matrices of algebra elements
 # ---------------------------------------------------------------------------
 
-def elements_of_map(A: BoundQuiverAlgebra, kind: str, d: ModuleMap,
+def elements_of_map(A: BoundQuiverAlgebra, d: ModuleMap,
                     src: Representation, tgt: Representation
                     ) -> dict[tuple[int, int], dict]:
     """The nonzero entries (w, u) of a map d: src -> tgt between tagged
-    projective sums (kind 'P') or tagged injective sums (kind 'I'), in the
-    order of u, then of w.  The entry from source slot u (vertex b) to
-    target slot w (vertex c) is an element x of e_c A e_b in basis
-    coordinates: for kind 'P' that component is left multiplication
-    e_b A -> e_c A by x, and for kind 'I' its image D(A e_b) -> D(A e_c)
-    under the Nakayama functor.
-
-    Kind 'P' reads the image of the generator of each source slot u: one
-    column of the block at its vertex, which holds every target slot.
-    Kind 'I' reads the dual, one row per target slot w, over A^op, and
-    maps each element back to A with ``op_element``."""
-    if kind == "P":
-        slots, B = tgt, A
-        reads = [(u, bu, d.blocks[bu][:, src.offsets[u][bu]])
-                 for u, bu in enumerate(src.summands)]
-    else:
-        slots, B = src, op_algebra(A)
-        reads = [(w, cw, d.blocks[cw][tgt.offsets[w][cw], :])
-                 for w, cw in enumerate(tgt.summands)]
-    # at each vertex v: the slot and basis path of each position of `slots`
+    projective sums, in the order of u, then of w.  The entry from source
+    slot u (vertex b) to target slot w (vertex c) is the element x of
+    e_c A e_b, in basis coordinates, by which that component e_b A -> e_c A
+    multiplies on the left.  It is read off the image of the generator of
+    slot u: one column of the block at b, which holds every target slot."""
+    # at each vertex v: the slot and basis path of each position of tgt
     where = {}
     found = {}
-    for r, v, line in reads:
-        if v not in where:
-            where[v] = {slots.offsets[s][v] + k: (s, b)
-                        for s, sv in enumerate(slots.summands)
-                        for k, b in enumerate(B.basis_between(sv, v))}
+    for u, bu in enumerate(src.summands):
+        line = d.blocks[bu][:, src.offsets[u][bu]]
+        if bu not in where:
+            where[bu] = {tgt.offsets[w][bu] + k: (w, b)
+                         for w, cw in enumerate(tgt.summands)
+                         for k, b in enumerate(A.basis_between(cw, bu))}
         for k in np.flatnonzero(line):
-            s, b = where[v][k]
-            key = (s, r) if kind == "P" else (r, s)
-            found.setdefault(key, {})[b] = line[k]
-    if kind == "P":
-        return found
-    entries = {}
-    for key in sorted(found, key=lambda wu: (wu[1], wu[0])):
-        elem = op_element(B, found[key])
-        if elem:
-            entries[key] = elem
-    return entries
+            w, b = where[bu][k]
+            found.setdefault((w, u), {})[b] = line[k]
+    return found
 
 
-def map_of_elements(A: BoundQuiverAlgebra, kind: str,
+def transpose_entries(A: BoundQuiverAlgebra,
+                      entries: dict[tuple[int, int], dict]
+                      ) -> dict[tuple[int, int], dict]:
+    """The entries of Hom_A(d, A) over A^op, for the entries of a map d
+    between tagged projective sums over A: entry (w, u) becomes (u, w),
+    its element mapped by ``op_element``, in the order in which
+    ``elements_of_map`` reads the transposed map (its source slot w,
+    then its target slot u)."""
+    out = {}
+    for (w, u), elem in sorted(entries.items()):
+        op = op_element(A, elem)
+        if op:
+            out[(u, w)] = op
+    return out
+
+
+def map_of_elements(A: BoundQuiverAlgebra,
                     entries: dict[tuple[int, int], dict],
                     src: Representation, tgt: Representation) -> ModuleMap:
-    """The map src -> tgt between tagged projective sums (kind 'P') or
-    tagged injective sums (kind 'I') with the given entries, laid out as
-    ``elements_of_map`` reads them back.
-
-    Kind 'P' writes each entry into the generator image of its source
-    slot and extends from the generators.  Kind 'I' is the k-dual of the
-    map D(tgt) -> D(src) between the tagged projective sums over A^op
-    whose entry (u, w) is the image of entry (w, u) under ``op_element``."""
-    if kind == "I":
-        swapped = {(u, w): op_element(A, elem)
-                   for (w, u), elem in entries.items()}
-        m = map_of_elements(op_algebra(A), "P", swapped, dual(tgt), dual(src))
-        return ModuleMap(src, tgt, [b.T.copy() for b in m.blocks])
+    """The map src -> tgt between tagged projective sums with the given
+    entries, laid out as ``elements_of_map`` reads them back: each entry
+    is written into the generator image of its source slot, and the map
+    extends from the generators."""
     gens = [A.field.zeros(tgt.dims[bu], 1) for bu in src.summands]
     for (w, u), elem in entries.items():
         bu = src.summands[u]
@@ -154,7 +144,7 @@ def _injective_resolution(A: BoundQuiverAlgebra, v: int, cap: int):
     hit = A.memo.get(key)
     if hit is None:
         res = min_proj_resolution(injectives_sum(A, [v]), cap)
-        entries = [elements_of_map(A, "P", d, d.source, d.target)
+        entries = [elements_of_map(A, d, d.source, d.target)
                    for d in res.differentials]
         hit = A.memo[key] = (res, entries)
     return hit
@@ -187,8 +177,7 @@ def injectives_sum_resolution(M: Representation,
             if j < len(ents):
                 for (w, u), elem in ents[j].items():
                     entries[(w + starts[j][s], u + starts[j + 1][s])] = elem
-        diffs.append(map_of_elements(A, "P", entries, terms[j + 1],
-                                     terms[j]))
+        diffs.append(map_of_elements(A, entries, terms[j + 1], terms[j]))
     blocks = [f.zeros(M.dims[x], terms[0].dims[x]) for x in range(nv)]
     col = [0] * nv
     for s, (res, _) in enumerate(parts):
@@ -235,7 +224,7 @@ def hom_matrix(d: ModuleMap, N: Representation) -> np.ndarray:
     roff = np.cumsum([0] + [N.dims[v] for v in P1.summands])
     coff = np.cumsum([0] + [N.dims[v] for v in P0.summands])
     m = N.field.zeros(int(roff[-1]), int(coff[-1]))
-    for (w, u), elem in elements_of_map(N.algebra, "P", d, P1, P0).items():
+    for (w, u), elem in elements_of_map(N.algebra, d, P1, P0).items():
         m[roff[u]:roff[u + 1], coff[w]:coff[w + 1]] = \
             N.act_element(elem, P0.summands[w], P1.summands[u])
     return m
@@ -326,24 +315,32 @@ def op_element(A: BoundQuiverAlgebra, elem: dict[int, object]) -> dict[int, obje
             Path(p.target(A.quiver), tuple(reversed(p.arrows)))).items()))
 
 
-def nakayama_presentation(M: Representation) -> ModuleMap:
-    """nu d: nu P1 -> nu P0, a map of tagged injective sums over A, for the
-    minimal projective presentation d: P1 -> P0 of M.  Its cokernel is
-    nu M; the cokernel of its k-dual Hom(P0, A) -> Hom(P1, A) is Tr M.
-    nu P1 is zero when M is projective."""
+def _hom_presentation(M: Representation) -> ModuleMap:
+    """Hom(d, A): Hom(P0, A) -> Hom(P1, A), a map of tagged projective
+    sums over A^op, for the minimal projective presentation d: P1 -> P0
+    of M.  Its cokernel is Tr M; Hom(P1, A) is zero when M is
+    projective."""
     A = M.algebra
     aug = projective_cover(M)
     ker, incl = map_kernel(aug)
     d = projective_cover(ker).compose(incl)
     P1, P0 = d.source, aug.source
-    return map_of_elements(A, "I", elements_of_map(A, "P", d, P1, P0),
-                           injectives_sum(A, P1.summands),
-                           injectives_sum(A, P0.summands))
+    Aop = op_algebra(A)
+    return map_of_elements(
+        Aop, transpose_entries(A, elements_of_map(A, d, P1, P0)),
+        projectives_sum(Aop, P0.summands), projectives_sum(Aop, P1.summands))
+
+
+def nakayama_presentation(M: Representation) -> ModuleMap:
+    """nu d = D Hom(d, A): nu P1 -> nu P0, a map of tagged injective sums
+    over A, for the minimal projective presentation d: P1 -> P0 of M.  Its
+    cokernel is nu M; nu P1 is zero when M is projective."""
+    return dual_map(_hom_presentation(M))
 
 
 def transpose(M: Representation) -> Representation:
-    """Cokernel of Hom(P0, A) -> Hom(P1, A) over the opposite algebra."""
-    coker, _ = map_cokernel(dual_map(nakayama_presentation(M)))
+    """Tr M: the cokernel of Hom(P0, A) -> Hom(P1, A) over A^op."""
+    coker, _ = map_cokernel(_hom_presentation(M))
     return coker
 
 

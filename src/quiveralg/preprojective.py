@@ -4,9 +4,10 @@ The bimodule E = Ext^n(D A, A) is computed from a minimal resolution of
 D A with its two A-actions realized exactly: the left action by
 postcomposition with left multiplication on the regular module, the
 right action by precomposition with a comparison lift of left
-multiplication on D A.  Both multiplications are maps between tagged
-sums, which ``homology.map_of_elements`` writes from their one entry,
-and ``derived._strict_lift`` lifts the second along the resolution.
+multiplication on D A.  Left multiplication on A is the map of tagged
+projective sums that ``homology.map_of_elements`` writes from its one
+entry; on D A it is the k-dual of its transpose over A^op, and
+``derived._strict_lift`` lifts it along the resolution.
 Only the trivial paths and the arrows take that route; every longer
 basis path acts by the product of its prefix's and its last arrow's
 actions, each kept as the nonzero entries of its matrix.
@@ -37,10 +38,11 @@ from .exactla import QuotientBasis
 from .findim import (FinDimAlgebra, algebra_from_bqa, sparse_entries,
                      sparse_join, vertex_labels)
 from .homology import (ext_data, global_dimension, hom_matrix,
-                       map_of_elements, min_proj_resolution, tau_n_orbit)
+                       map_of_elements, min_proj_resolution, tau_n_orbit,
+                       transpose_entries)
 from .modules import (ModuleMap, Representation, coregular, decompose,
-                      direct_sum, hom_space, projective, projective_cover,
-                      regular, zero_rep)
+                      direct_sum, dual_map, hom_space, op_algebra,
+                      projective, projective_cover, regular, zero_rep)
 from .quivers import BoundQuiverAlgebra, Path, trivial
 
 __all__ = ["ExtBimodule", "ext_bimodule", "PreprojectiveSplit",
@@ -103,15 +105,16 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
     (0 and 0 x 0 matrices when Ext vanishes).
 
     Left multiplication by a basis path b in e_s A e_t is the map with the
-    one entry b from slot t to slot s, on A = regular(A) for the left
-    action and on D A = coregular(A) for the right, where slot v is
-    vertex v in both."""
+    one entry b from slot t to slot s on A = regular(A), where slot v is
+    vertex v; on D A = coregular(A) it is D Hom(-, A) of that map."""
     gl = global_dimension(A, cap=n + 1)
     if isinstance(gl, AboveCap) or gl > n:
         raise GldimTooLarge(f"gldim(A) = {gl} exceeds n = {n}")
     f = A.field
     DL = coregular(A)
     R = regular(A)
+    Aop = op_algebra(A)
+    Rop = regular(Aop)  # its dual is DL itself
     res = min_proj_resolution(DL, n + 1)
     dim, cocycles, (res, cob) = ext_data(DL, R, n, res)
     Pn = res.terms[n] if n <= res.length else None
@@ -125,10 +128,10 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
     # gldim <= n, so the resolution has no term past P_n
     P, eps = resolution_complex(res, DL)
 
-    def mult(kind: str, M: Representation, b: int) -> ModuleMap:
+    def mult(b: int) -> dict:
+        # the one entry of left multiplication by b, from slot t to slot s
         p = A.basis[b]
-        return map_of_elements(A, kind, {(p.source, p.target(A.quiver)):
-                                         {b: f.one}}, M, M)
+        return {(p.source, p.target(A.quiver)): {b: f.one}}
 
     def action(images: np.ndarray) -> np.ndarray:
         """Matrix whose column r is the class of row r of `images`."""
@@ -137,7 +140,7 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
 
     def left(b: int) -> np.ndarray:
         # postcompose with left multiplication on R, slot by slot
-        lm = mult("P", R, b)
+        lm = map_of_elements(A, mult(b), R, R)
         images = f.zeros(dim, int(offs[-1]))
         for s, v in enumerate(Pn.summands):
             images[:, offs[s]:offs[s + 1]] = f.matmul(
@@ -145,9 +148,11 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
         return action(images)
 
     def right(b: int) -> np.ndarray:
-        # precompose with the lift of left multiplication lam on D(A):
-        # the chain map P -> P over lam eps
-        lam = mult("I", DL, b)
+        # precompose with the lift of left multiplication lam on D(A),
+        # the k-dual of its transpose on A^op: the chain map P -> P over
+        # lam eps
+        lam = dual_map(map_of_elements(Aop, transpose_entries(A, mult(b)),
+                                       Rop, Rop))
         lift = _strict_lift(P, ChainMap(P, eps.target, {
             0: eps.parts[0].compose(lam)}, check=False), eps)
         return action(f.matmul(basis_rows, hom_matrix(lift.parts[-n], R).T))

@@ -43,7 +43,8 @@
 - ``left_mult_map`` and ``left_mult_on_coregular`` are left
   multiplication by an algebra element on A and on D A, filled one
   ``mult_basis`` product at a time; ``preprojective._ext_actions`` writes
-  them with ``homology.map_of_elements``.
+  the first with ``homology.map_of_elements`` and the second as the
+  k-dual of its transpose over A^op.
 - ``complement_rows_greedy`` feeds rows one at a time into an
   ``EchelonState`` and keeps those that extend the span;
   ``exactla.complement_rows`` picks the same rows with one rref.
@@ -67,6 +68,15 @@
   from the nonzero blocks; ``map_from_projectives`` walks the
   ``ProjectiveBlocks.steps`` made with the projective; ``dual`` of a
   tagged sum looks up the sum over the opposite algebra.
+- ``elements_of_injective_map`` reads a map between tagged injective sums
+  one row per target slot from its dual over the opposite algebra, and
+  ``map_of_injective_elements`` writes one as the k-dual of a map over
+  the opposite algebra.  ``nakayama_by_flip`` and ``nakayama_inv_by_flip``
+  keep the entries of a complex and swap its terms between e_v A and
+  D(A e_v), and ``step_neg_by_injective_resolution`` is
+  nu^{-1}(I)[n] for the injective resolution I of X.  ``derived``
+  computes nu as D Hom(-, A) and S_n^{-1} X as Hom(P, A^op)[n] for a
+  projective resolution P of D X, through ``transpose_entries``.
 """
 
 from __future__ import annotations
@@ -75,15 +85,18 @@ import numpy as np
 
 from quiveralg.checks import (Verdict, is_self_injective, nu_module,
                               socle_vertex)
-from quiveralg.derived import _hom_total_spaces
+from quiveralg.derived import (ComplexOfModules, SymbolicComplex,
+                               _hom_total_spaces, inj_resolve_complex,
+                               to_symbolic)
 from quiveralg.errors import AboveCap, NonAdmissible, NotTauFinite
 from quiveralg.exactla import QQ, Field, QuotientBasis, complement_rows
 from quiveralg.findim import (FinDimAlgebra, _act, _sum_rows,
                               algebra_from_bqa, sparse_join, vertex_labels)
 from quiveralg.homology import (elements_of_map, injective_dimension,
-                                op_element, syzygy)
+                                map_of_elements, op_element, syzygy)
 from quiveralg.modules import (ModuleMap, Representation, decompose,
-                               direct_sum, dual_map, hom_space, injective,
+                               direct_sum, dual, dual_map, hom_space,
+                               injective, injectives_sum,
                                is_isomorphic, op_algebra, projective,
                                projective_cover, quotient, radical_series,
                                regular, simple, subrepresentation, zero_rep)
@@ -264,7 +277,7 @@ def hom_delta_entrywise(P, Y, m: int) -> np.ndarray:
         dP = P.diffs.get(i)
         if dP is None or i not in P.terms:
             continue
-        comps = elements_of_map(P.algebra, "P", dP, P.terms[i], P.terms[i1])
+        comps = elements_of_map(P.algebra, dP, P.terms[i], P.terms[i1])
         for s, v in enumerate(P.terms[i].summands):
             elem = comps.get((w, s))
             if (i, s) not in roff or not elem:
@@ -927,3 +940,69 @@ def dual_by_transpose(M: Representation) -> Representation:
         D.summands, D.offsets = M.summands, M.offsets
         D.tag_kind = "I" if M.tag_kind == "P" else "P"
     return D
+
+
+def elements_of_injective_map(A, d: ModuleMap, src: Representation,
+                              tgt: Representation) -> dict:
+    """The nonzero entries (w, u) of a map d: src -> tgt between tagged
+    injective sums, in the order of u, then of w: the entry from slot u
+    (vertex b) to slot w (vertex c) is the x in e_c A e_b whose image
+    under the Nakayama functor is that component.  Each target slot w is
+    read as one row of the block at its vertex, over A^op, and each
+    element is mapped back to A with ``op_element``."""
+    B = op_algebra(A)
+    where, found = {}, {}
+    for w, cw in enumerate(tgt.summands):
+        line = d.blocks[cw][tgt.offsets[w][cw], :]
+        if cw not in where:
+            where[cw] = {src.offsets[s][cw] + k: (s, b)
+                         for s, sv in enumerate(src.summands)
+                         for k, b in enumerate(B.basis_between(sv, cw))}
+        for k in np.flatnonzero(line):
+            s, b = where[cw][k]
+            found.setdefault((w, s), {})[b] = line[k]
+    entries = {}
+    for key in sorted(found, key=lambda wu: (wu[1], wu[0])):
+        elem = op_element(B, found[key])
+        if elem:
+            entries[key] = elem
+    return entries
+
+
+def map_of_injective_elements(A, entries: dict, src: Representation,
+                              tgt: Representation) -> ModuleMap:
+    """The map src -> tgt between tagged injective sums with the given
+    entries: the k-dual of the map D(tgt) -> D(src) over A^op whose entry
+    (u, w) is the image of entry (w, u) under ``op_element``."""
+    swapped = {(u, w): op_element(A, elem)
+               for (w, u), elem in entries.items()}
+    m = map_of_elements(op_algebra(A), swapped, dual(tgt), dual(src))
+    return ModuleMap(src, tgt, [b.T.copy() for b in m.blocks])
+
+
+def nakayama_by_flip(P: ComplexOfModules) -> ComplexOfModules:
+    """nu P: the entries of P written between the tagged injective sums
+    with the same summands."""
+    A = P.algebra
+    sym = to_symbolic(P)
+    terms = {i: injectives_sum(A, vs) for i, vs in sym.terms.items()}
+    diffs = {i: map_of_injective_elements(A, e, terms[i], terms[i + 1])
+             for i, e in sym.diffs.items()}
+    return ComplexOfModules(A, terms, diffs, check=True)
+
+
+def nakayama_inv_by_flip(I: ComplexOfModules) -> ComplexOfModules:
+    """nu^{-1} I: the entries of I, read by ``elements_of_injective_map``,
+    written between the tagged projective sums with the same summands."""
+    A = I.algebra
+    return SymbolicComplex(
+        A, {i: t.summands for i, t in I.terms.items()},
+        {i: elements_of_injective_map(A, d, I.terms[i], I.terms[i + 1])
+         for i, d in I.diffs.items()}).materialize()
+
+
+def step_neg_by_injective_resolution(X: ComplexOfModules, n: int,
+                                     cap: int = 32) -> ComplexOfModules:
+    """S_n^{-1} X = nu^{-1}(I)[n] for the injective resolution I of X."""
+    I, _ = inj_resolve_complex(X, cap)
+    return nakayama_inv_by_flip(I).shift(n)

@@ -284,6 +284,36 @@ relations []
     assert json.loads(out)["report"]["tau_n_finite"]["value"] == "unknown"
 
 
+KRONECKER_SPEC = """\
+vertices [1 2]
+arrows [a: 1 -> 2, b: 1 -> 2]
+"""
+
+
+@pytest.mark.parametrize("argv,spec,error", [
+    (["amiot-hom", "--n", "1"],
+     "vertices [1]\narrows [a: 1 -> 1]\nrelations [a*a]\n",
+     "orbit scan hit the window cap 32 before support separation"),
+    (["preprojective", "--n", "1", "--cap", "5"], KRONECKER_SPEC,
+     "tau_n^-i(A) still has dimension 52 at iterate cap 5"),
+], ids=["amiot-hom-loop", "preprojective-kronecker"])
+def test_a_hit_cap_exits_3_with_its_error_line(argv, spec, error):
+    code, out = _run(argv, stdin_text=spec)
+    assert code == 3
+    assert json.loads(out) == {"error": error}
+
+
+@pytest.mark.parametrize("command", ["analyze", "preprojective", "gamma"])
+def test_a_spec_with_no_vertices_is_a_spec_error(command):
+    with pytest.raises(SpecError) as ei:
+        parse_spec("vertices []\n")
+    assert ei.value.line == 1
+    code, out = _run([command], stdin_text="name empty\nvertices [ ]\n")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "the quiver needs at least one vertex (line 2)"}
+
+
 # Goldens written by `quiveralg family ... | quiveralg gamma --n 2 --format
 # spec` before Gamma was built corner by corner; the relations depend on
 # the basis of Gamma, so these bytes pin it.

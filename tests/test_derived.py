@@ -2,10 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quiveralg.derived import (ChainMap, ComplexOfModules, SerreContext,
                                SymbolicComplex, _drop_summand, _elem_sub,
-                               _hom_delta,
+                               _hom_delta, _hom_total_spaces,
                                _local_inverse, _trivial_coeff,
                                amiot_endomorphism_algebra,
                                amiot_hom, hom_d, inj_resolve_complex,
@@ -13,12 +14,18 @@ from quiveralg.derived import (ChainMap, ComplexOfModules, SerreContext,
                                proj_resolve_complex, serre_n_power,
                                to_symbolic, u_window)
 from quiveralg.exactla import GF, QQ
-from quiveralg.homology import ext, tau_n, tau_n_inv
-from quiveralg.modules import (coregular, injective, is_isomorphic,
-                               op_algebra, projective, random_module,
+from quiveralg.homology import (elements_of_map, ext, map_of_elements,
+                                tau_n, tau_n_inv, transpose_entries)
+from quiveralg.modules import (coregular, dual, dual_map, injective,
+                               injectives_sum, is_isomorphic, op_algebra,
+                               projective, projectives_sum, random_module,
                                regular, simple)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import cohomology, hom_delta_entrywise
+from references import (cohomology, elements_of_injective_map,
+                        hom_delta_entrywise, map_of_injective_elements,
+                        nakayama_by_flip, nakayama_inv_by_flip,
+                        step_neg_by_injective_resolution)
+from test_presentation import bound_quiver_algebras
 
 F = GF(32003)
 
@@ -202,7 +209,9 @@ def test_hom_delta_matches_the_entrywise_reference(field):
         P, _ = proj_resolve_complex(X, verify=False)
         for Y in cxs[::3]:
             for m in range(-3, 3):
-                got, want = _hom_delta(P, Y, m), hom_delta_entrywise(P, Y, m)
+                got = _hom_delta(P, Y, m, _hom_total_spaces(P, Y, m),
+                                 _hom_total_spaces(P, Y, m + 1))
+                want = hom_delta_entrywise(P, Y, m)
                 assert got.shape == want.shape and field.equal(got, want)
                 seen += int(np.any(got != field.zero))
     assert seen > 0
@@ -273,7 +282,7 @@ def test_minimize_strips_contractible():
         blocks.append(m)
     d = ModuleMap(src, tgt, blocks)
     X = ComplexOfModules(A, {0: src, 1: tgt}, {0: d})
-    sym = to_symbolic(X, "P")
+    sym = to_symbolic(X)
     m = sym.minimize()
     assert m.terms == {0: (1,)}
 
@@ -405,6 +414,18 @@ def _extract_component(A, kind, d, src, u, tgt, w):
     return elem
 
 
+def _injective_entries(A, C):
+    """The entries of a complex of tagged injective sums, each map d read
+    through its dual: ``transpose_entries`` of D d over A^op."""
+    Aop = op_algebra(A)
+    out = {}
+    for i, d in C.diffs.items():
+        Dd = dual_map(d)
+        out[i] = transpose_entries(
+            Aop, elements_of_map(Aop, Dd, Dd.source, Dd.target))
+    return out
+
+
 @pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
 def test_to_symbolic_equals_the_per_entry_reading(field):
     from quiveralg.families import auslander_algebra, dynkin_path_algebra
@@ -432,7 +453,8 @@ def test_to_symbolic_equals_the_per_entry_reading(field):
                        for w in range(len(tgt.summands))
                        for e in [_extract_component(B, kind, d, src, u,
                                                     tgt, w)] if e}
-        got = to_symbolic(C, kind).diffs
+        got = to_symbolic(C).diffs if kind == "P" else \
+            _injective_entries(B, C)
         assert [(i, list(e.items())) for i, e in got.items()] == \
             [(i, list(e.items())) for i, e in want.items()]
         assert all(type(c) is type(field.one)
@@ -539,8 +561,7 @@ def test_minimize_equals_the_rescanning_reference(monkeypatch, field):
     for m in blocks:
         m[0, 0] = field.one  # the identity onto the P1 part
     d = ModuleMap(src, tgt, blocks)
-    seen.append(to_symbolic(ComplexOfModules(A2, {0: src, 1: tgt}, {0: d}),
-                            "P"))
+    seen.append(to_symbolic(ComplexOfModules(A2, {0: src, 1: tgt}, {0: d})))
     assert len(seen) > 20
     cancelled = 0
     for sym in seen:
@@ -574,7 +595,7 @@ def test_minimize_equals_the_reference_on_random_entries(field):
                     if elem:
                         entries[(w, u)] = elem
             diffs[i] = dict(rng.sample(list(entries.items()), len(entries)))
-        sym = SymbolicComplex(A, "P", terms, diffs)
+        sym = SymbolicComplex(A, terms, diffs)
         got = sym.minimize()
         assert _ordered(got) == _ordered(_reference_minimize(sym))
         cancelled += sum(map(len, terms.values())) \
@@ -665,3 +686,79 @@ def test_strict_lift_equals_the_per_generator_reference(monkeypatch, field):
         multi += any(len(set(C.terms[i].summands)) < len(C.terms[i].summands)
                      for i in C.terms)
     assert len(seen) > 10 and multi > 0
+
+
+def _entries(C):
+    """The entries of each differential of a complex of tagged projective
+    or injective sums, as lists in their dict order."""
+    A = C.algebra
+    if all(t.tag_kind == "P" for t in C.terms.values()):
+        diffs = to_symbolic(C).diffs
+    else:
+        diffs = {i: elements_of_injective_map(A, d, C.terms[i],
+                                              C.terms[i + 1])
+                 for i, d in C.diffs.items()}
+    return [(i, list(e.items())) for i, e in diffs.items()]
+
+
+def _same_complex(got, want):
+    f = got.algebra.field
+    assert got.algebra is want.algebra
+    assert [(i, t.summands, t.tag_kind) for i, t in got.terms.items()] == \
+        [(i, t.summands, t.tag_kind) for i, t in want.terms.items()]
+    assert list(got.diffs) == list(want.diffs)
+    for i, d in got.diffs.items():
+        assert d.source is want.diffs[i].source
+        assert all(f.equal(a, b) for a, b in zip(d.blocks,
+                                                  want.diffs[i].blocks))
+    assert _entries(got) == _entries(want)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_the_projective_route_matches_the_injective_references(field, data):
+    """step_neg, nakayama and nakayama_inv, computed through Hom(-, A) and
+    D, and the injective writer D Hom(-, A) give the terms, entries and
+    dict orders of the routes through injective complexes they replace,
+    on modules, tagged sums and complexes over several degrees."""
+    A = data.draw(bound_quiver_algebras(field))
+    Aop = op_algebra(A)
+    nv = A.quiver.n_vertices
+    n = data.draw(st.integers(1, 3))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    vs, ws = (data.draw(st.lists(st.integers(0, nv - 1), min_size=1,
+                                 max_size=3)) for _ in range(2))
+    ctx = SerreContext(A, n)
+    X = module_complex(random_module(A, rng))
+    cxs = [X, module_complex(injectives_sum(A, vs)),
+           module_complex(projectives_sum(A, vs)), ctx.step_pos(X),
+           proj_resolve_complex(X)[0]]
+    for C in cxs:
+        _same_complex(ctx.step_neg(C),
+                      step_neg_by_injective_resolution(C, n))
+        P, _ = proj_resolve_complex(C)
+        _same_complex(nakayama(P), nakayama_by_flip(P))
+        I, _ = inj_resolve_complex(C)
+        _same_complex(nakayama_inv(I), nakayama_inv_by_flip(I))
+    src, tgt = injectives_sum(A, vs), injectives_sum(A, ws)
+    entries = {}
+    for u, b in enumerate(vs):
+        for w, c in enumerate(ws):
+            elem = {p: field.rand_el(rng) for p in A.basis_between(c, b)
+                    if rng.random() < 0.7}
+            elem = {p: x for p, x in elem.items() if x != field.zero}
+            if elem:
+                entries[(w, u)] = elem
+    got = dual_map(map_of_elements(Aop, transpose_entries(A, entries),
+                                   dual(tgt), dual(src)))
+    want = map_of_injective_elements(A, entries, src, tgt)
+    assert got.source is src and got.target is tgt
+    assert all(field.equal(a, b) for a, b in zip(got.blocks, want.blocks))
+    Dgot = dual_map(got)
+    back = transpose_entries(Aop, elements_of_map(Aop, Dgot, Dgot.source,
+                                                   Dgot.target))
+    assert list(back.items()) == list(
+        elements_of_injective_map(A, got, src, tgt).items()) == \
+        list(entries.items())

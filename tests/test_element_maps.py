@@ -14,8 +14,8 @@ from quiveralg.derived import (ChainMap, ComplexOfModules, module_complex,
 from quiveralg.exactla import GF, QQ, QuotientBasis
 from quiveralg.families import auslander_algebra, dynkin_path_algebra
 from quiveralg.homology import (elements_of_map, map_of_elements, op_element,
-                                transpose)
-from quiveralg.modules import (ModuleMap, dual_map, injective,
+                                transpose, transpose_entries)
+from quiveralg.modules import (ModuleMap, dual, dual_map, injective,
                                injectives_sum, map_cokernel,
                                map_from_projectives, map_kernel, op_algebra,
                                projective, projective_cover, projectives_sum,
@@ -239,6 +239,7 @@ def _same_map(m1, m2):
 def test_writer_matches_the_per_entry_writer_and_reads_back(name, fname,
                                                             seed):
     A = algebra(name, fname)
+    Aop = op_algebra(A)
     rng = random.Random(seed)
     nv = A.quiver.n_vertices
     for kind, make in (("P", projectives_sum), ("I", injectives_sum)):
@@ -246,9 +247,18 @@ def test_writer_matches_the_per_entry_writer_and_reads_back(name, fname,
         tgt_verts = [rng.randrange(nv) for _ in range(rng.randint(1, 4))]
         src, tgt = make(A, src_verts), make(A, tgt_verts)
         entries = _random_entries(A, rng, src_verts, tgt_verts)
-        got = map_of_elements(A, kind, entries, src, tgt)
+        if kind == "P":
+            got = map_of_elements(A, entries, src, tgt)
+            back = elements_of_map(A, got, src, tgt)
+        else:
+            # an injective map is the k-dual of the transposed projective
+            # map over A^op, and is read back through its dual
+            got = dual_map(map_of_elements(
+                Aop, transpose_entries(A, entries), dual(tgt), dual(src)))
+            Dgot = dual_map(got)
+            back = transpose_entries(Aop, elements_of_map(
+                Aop, Dgot, Dgot.source, Dgot.target))
         _same_map(got, write_ref(A, kind, entries, src, tgt))
-        back = elements_of_map(A, kind, got, src, tgt)
         assert list(back.items()) == list(entries.items())
         if kind == "P":
             assert back == element_matrix_ref(got)

@@ -77,7 +77,7 @@ def test_injectives_sum_resolution_is_a_minimal_resolution(name, fname):
     assert eps.induces_cohomology_iso()
     # minimal: no entry has a trivial-path coefficient
     for d in res.differentials:
-        for (w, u), elem in elements_of_map(A, "P", d, d.source,
+        for (w, u), elem in elements_of_map(A, d, d.source,
                                             d.target).items():
             c = d.target.summands[w]
             if c == d.source.summands[u]:
