@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .derived import amiot_hom, module_complex, serre_context
-from .errors import AboveCap, GldimTooLarge, WindowInconclusive
+from .errors import AboveCap, AboveCapError, GldimTooLarge, WindowInconclusive
 from .findim import quiver_presentation
 from .homology import (ext, global_dimension, injective_dimension,
-                       nakayama_presentation, syzygy, tau_n_orbit)
+                       min_proj_resolution, nakayama_presentation, syzygy,
+                       tau_n_orbit)
 from .modules import (Representation, injectives_sum, is_isomorphic,
                       map_cokernel, op_algebra, projective, regular, simple)
 from .preprojective import (preprojective_algebra, preprojective_module,
@@ -165,13 +166,17 @@ def is_cm(B: BoundQuiverAlgebra, X: Representation, cap: int = 32) -> bool:
         raise ValueError("X must be a module over B")
     d = iwanaga_gorenstein_dim(B, cap)
     if isinstance(d, AboveCap):
-        raise WindowInconclusive(cap)
+        raise AboveCapError(cap)
     R = regular(B)
     return all(ext(X, R, i) == 0 for i in range(1, d + 1))
 
 
 def rigidity(M: Representation, n: int) -> bool:
-    return all(ext(M, M, i) == 0 for i in range(1, n))
+    """Ext^i(M, M) = 0 for 1 <= i <= n-1, from one resolution of M."""
+    if n < 2:
+        return True
+    res = min_proj_resolution(M, n)
+    return all(ext(M, M, i, res) == 0 for i in range(1, n))
 
 
 def nu_module(M: Representation) -> Representation:

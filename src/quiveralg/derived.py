@@ -63,6 +63,7 @@ class ComplexOfModules:
         self.algebra = algebra
         self.terms = {i: t for i, t in terms.items() if t.total_dim > 0}
         self._zero = None  # the term of every missing degree, built once
+        self._cohomology = None  # cohomology_dims, computed once
         self.diffs = {}
         for i, d in diffs.items():
             if i in self.terms and (i + 1) in self.terms:
@@ -106,7 +107,13 @@ class ComplexOfModules:
     def cohomology_dims(self) -> dict[int, int]:
         """The nonzero total dimensions of H^i: at each vertex v,
         dim ker d^i_v - rank d^{i-1}_v, after checking d^i_v d^{i-1}_v = 0
-        so that the boundaries lie in the cycles."""
+        so that the boundaries lie in the cycles.  Computed on the first
+        call; each call returns a copy."""
+        if self._cohomology is None:
+            self._cohomology = self._compute_cohomology_dims()
+        return dict(self._cohomology)
+
+    def _compute_cohomology_dims(self) -> dict[int, int]:
         f = self.algebra.field
         ranks = {i: [f.rank(b) for b in d.blocks]
                  for i, d in self.diffs.items()}
@@ -307,7 +314,7 @@ def _strict_lift(C: ComplexOfModules, f_map: ChainMap,
                 if dP is not None:
                     rows.append(dP.blocks[v])
                     rhs.append(hvec)
-                elif np.any(hvec != fld.zero):
+                elif np.count_nonzero(hvec):
                     raise AssertionError("no differential to hit")
                 rows.append(eps.parts[i].blocks[v] if i in eps.parts else
                             fld.zeros(X.term(i).dims[v], Pt.dims[v]))
@@ -367,6 +374,11 @@ def _cone(v: ChainMap) -> tuple[ComplexOfModules, dict]:
     return ComplexOfModules(alg, terms, diffs, check=False), layout
 
 
+def _is_projective(X: ComplexOfModules) -> bool:
+    """Is every term of X a tagged projective sum?"""
+    return all(getattr(t, "tag_kind", None) == "P" for t in X.terms.values())
+
+
 def proj_resolve_complex(X: ComplexOfModules, cap: int = 32,
                          verify: bool = True):
     """(P, eps): bounded complex of projectives with a degreewise
@@ -374,8 +386,7 @@ def proj_resolve_complex(X: ComplexOfModules, cap: int = 32,
     if X.is_zero():
         P = ComplexOfModules(X.algebra, {}, {}, check=False)
         return P, ChainMap(P, X, {}, check=False)
-    if all(getattr(t, "tag_kind", None) == "P" for t in X.terms.values()):
-        # already a complex of tagged projective sums
+    if _is_projective(X):
         ident = {i: ModuleMap(t, t, [X.algebra.field.eye(d)
                                      for d in t.dims])
                  for i, t in X.terms.items()}
@@ -468,6 +479,19 @@ class SymbolicComplex:
                  for i, entries in self.diffs.items()
                  if i in terms and i + 1 in terms}
         return ComplexOfModules(A, terms, diffs, check=True)
+
+    def shift(self, k: int) -> "SymbolicComplex":
+        """X[k], as ``ComplexOfModules.shift``: terms (X[k])^i = X^{i+k},
+        every entry scaled by (-1)^k."""
+        f = self.algebra.field
+        diffs = self.diffs
+        if k % 2:
+            diffs = {i: {key: {b: f.neg(c) for b, c in elem.items()}
+                         for key, elem in entries.items()}
+                     for i, entries in diffs.items()}
+        return SymbolicComplex(self.algebra,
+                               {i - k: vs for i, vs in self.terms.items()},
+                               {i - k: e for i, e in diffs.items()})
 
     def minimize(self) -> "SymbolicComplex":
         """Strip contractible summands by unit-entry Gaussian cancellation.
@@ -630,7 +654,13 @@ class SerreContext:
     ``serre_context`` keeps one context per (A, n, cap) in the algebra's
     memo, so every caller walks the same objects: the regular complex,
     the minimized negative steps ``next_neg`` and the literal orbit
-    ``orbit_neg``.  They are shared, so callers must not change them."""
+    ``orbit_neg``.  They are shared, so callers must not change them.
+
+    ``next_neg`` minimizes Hom(P, A^op)[n] in its symbolic form, straight
+    from ``transposed``, and ``minimized`` takes a complex of tagged
+    projective sums as its own resolution.  Each complex computes its
+    ``cohomology_dims`` once, so the support checks of the callers reuse
+    the dimensions that the minimization check measured."""
 
     def __init__(self, A: BoundQuiverAlgebra, n: int, cap: int = 32):
         self.A = A
@@ -646,8 +676,11 @@ class SerreContext:
         """S_n^{-1} X = nu^{-1}(I)[n] for an injective resolution I = D P
         of X, that is Hom(P, A^op)[n] for a projective resolution P of
         D X over A^op."""
+        return self._symbolic_step_neg(X).materialize()
+
+    def _symbolic_step_neg(self, X: ComplexOfModules) -> SymbolicComplex:
         P, _ = proj_resolve_complex(dual_complex(X), self.cap)
-        return transposed(P).materialize().shift(self.n)
+        return transposed(P).shift(self.n)
 
     def step_pos(self, X: ComplexOfModules) -> ComplexOfModules:
         """S_n X = nu(projective resolution of X) [ -n ]."""
@@ -656,20 +689,20 @@ class SerreContext:
 
     def minimized(self, X: ComplexOfModules) -> ComplexOfModules:
         """The minimized complex of projectives quasi-isomorphic to X, so
-        support concentrated in degree 0 certifies a projective module."""
-        P, _ = proj_resolve_complex(X, self.cap)
-        before = P.cohomology_dims()
-        out = to_symbolic(P).minimize().materialize()
-        assert out.cohomology_dims() == before, \
-            "minimization must preserve cohomology"
-        return out
+        support concentrated in degree 0 certifies a projective module.
+        A complex of tagged projective sums is its own resolution."""
+        P = X if _is_projective(X) else proj_resolve_complex(X, self.cap)[0]
+        return _minimized(to_symbolic(P), P)
 
     def next_neg(self, X: ComplexOfModules) -> ComplexOfModules:
-        """minimized(step_neg(X)), computed once per object X."""
+        """minimized(step_neg(X)), computed once per object X.  The step
+        stays symbolic up to the minimization; it is materialized once,
+        for the cohomology that the minimization must keep."""
         hit = self._next_neg.get(id(X))
         if hit is None:
+            step = self._symbolic_step_neg(X)
             hit = self._next_neg[id(X)] = (
-                X, self.minimized(self.step_neg(X)))
+                X, _minimized(step, step.materialize()))
         return hit[1]
 
     # -- the memoized orbit of the regular module ---------------------------
@@ -715,6 +748,16 @@ class SerreContext:
             parts[i] = map_of_elements(self.A, entries, src.term(i),
                                        tgt.term(i))
         return ChainMap(src, tgt, parts, check=False)
+
+
+def _minimized(sym: SymbolicComplex,
+               P: ComplexOfModules) -> ComplexOfModules:
+    """``sym.minimize()`` materialized, for the symbolic form ``sym`` of
+    the complex of projectives P, checked to keep the cohomology of P."""
+    out = sym.minimize().materialize()
+    assert out.cohomology_dims() == P.cohomology_dims(), \
+        "minimization must preserve cohomology"
+    return out
 
 
 def serre_context(A: BoundQuiverAlgebra, n: int,
@@ -1049,5 +1092,5 @@ def _regular_unit_index(A: BoundQuiverAlgebra, v: int) -> int:
 def _gldim(A: BoundQuiverAlgebra, cap: int) -> int:
     g = global_dimension(A, cap)
     if isinstance(g, AboveCap):
-        raise WindowInconclusive(cap)
+        raise AboveCapError(cap)
     return g

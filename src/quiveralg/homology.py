@@ -80,7 +80,7 @@ def elements_of_map(A: BoundQuiverAlgebra, d: ModuleMap,
             where[bu] = {tgt.offsets[w][bu] + k: (w, b)
                          for w, cw in enumerate(tgt.summands)
                          for k, b in enumerate(A.basis_between(cw, bu))}
-        for k in np.flatnonzero(line):
+        for k in line.nonzero()[0]:
             w, b = where[bu][k]
             found.setdefault((w, u), {})[b] = line[k]
     return found
@@ -306,13 +306,21 @@ def injective_dimension(M: Representation, cap: int = 32):
 # ---------------------------------------------------------------------------
 
 def op_element(A: BoundQuiverAlgebra, elem: dict[int, object]) -> dict[int, object]:
-    """Image of an algebra element under the anti-isomorphism A -> A^op."""
-    Aop = op_algebra(A)
-    paths = ((A.basis[bidx], c) for bidx, c in elem.items())
-    return A.field.accumulate({}, (
-        (j, c * c2) for p, c in paths
-        for j, c2 in Aop.reduce_path(
-            Path(p.target(A.quiver), tuple(reversed(p.arrows)))).items()))
+    """Image of an algebra element under the anti-isomorphism A -> A^op.
+
+    The image of each basis path, its reversal reduced over A^op, is
+    kept in the algebra's memo (key ``("op_paths",)``) once it is first
+    asked for."""
+    table = A.memo.setdefault(("op_paths",), {})
+    terms = []
+    for bidx, c in elem.items():
+        image = table.get(bidx)
+        if image is None:
+            p = A.basis[bidx]
+            image = table[bidx] = op_algebra(A).reduce_path(
+                Path(p.target(A.quiver), tuple(reversed(p.arrows))))
+        terms.extend((j, c * c2) for j, c2 in image.items())
+    return A.field.accumulate({}, terms)
 
 
 def _hom_presentation(M: Representation) -> ModuleMap:

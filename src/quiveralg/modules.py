@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from .errors import NonSplitEndo
-from .exactla import QuotientBasis, complement_rows
+from .exactla import QuotientBasis, complement_units
 from .findim import FinDimAlgebra
 from .quivers import BoundQuiverAlgebra, opposite
 
@@ -477,7 +477,7 @@ def projective_cover(M: Representation) -> ModuleMap:
     """Minimal surjection from a sum of indecomposable projectives.
 
     At each vertex v the generators are the unit vectors that
-    ``complement_rows`` picks to extend rad M at v, the column space of
+    ``complement_units`` picks to extend rad M at v, the column space of
     the arrows into v; their classes are a basis of the top at v.
     """
     A = M.algebra
@@ -486,12 +486,14 @@ def projective_cover(M: Representation) -> ModuleMap:
     slots = []
     gens = []
     for v in range(q.n_vertices):
+        d = M.dims[v]
         ins = [M.action[a] for a in q.arrows_into(v)]
-        rad = (np.concatenate(ins, axis=1).T if ins
-               else f.zeros(0, M.dims[v]))
-        for row in complement_rows(f, rad, f.eye(M.dims[v])):
+        rad = np.concatenate(ins, axis=1).T if ins else f.zeros(0, d)
+        for i in complement_units(f, rad, d):
+            gen = f.zeros(d, 1)
+            gen[i, 0] = f.one
             slots.append(v)
-            gens.append(row.reshape(-1, 1))
+            gens.append(gen)
     P = projectives_sum(A, slots)
     return map_from_projectives(P, M, gens)
 

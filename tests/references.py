@@ -77,6 +77,22 @@
   nu^{-1}(I)[n] for the injective resolution I of X.  ``derived``
   computes nu as D Hom(-, A) and S_n^{-1} X as Hom(P, A^op)[n] for a
   projective resolution P of D X, through ``transpose_entries``.
+- ``is_zero_by_all`` and ``equal_by_all`` compare with ``np.all``, and
+  ``eye_by_numpy`` is ``np.eye``; ``Field.is_zero`` and ``Field.equal``
+  count nonzero entries and ``PrimeField.eye`` writes a diagonal.
+  ``complement_rows_of_identity`` is the identity branch of
+  ``complement_rows`` written out, which ``exactla.complement_units``
+  now answers with indices.
+- ``minimized_by_resolution`` resolves a complex of tagged projective
+  sums through ``proj_resolve_complex`` before minimizing it, and
+  ``next_neg_by_step_neg`` minimizes S_n^{-1} X materialized before its
+  shift; ``SerreContext.minimized`` takes such a complex as its own
+  resolution, and ``step_neg`` and ``next_neg`` shift the symbolic step,
+  which ``next_neg`` minimizes.
+  ``op_element_by_reduce_path`` reduces every reversed path on each
+  call; ``homology.op_element`` keeps each reduction in the memo.
+- ``rigidity_per_degree`` resolves M again for each Ext^i(M, M);
+  ``checks.rigidity`` resolves M once.
 """
 
 from __future__ import annotations
@@ -86,13 +102,14 @@ import numpy as np
 from quiveralg.checks import (Verdict, is_self_injective, nu_module,
                               socle_vertex)
 from quiveralg.derived import (ComplexOfModules, SymbolicComplex,
-                               _hom_total_spaces, inj_resolve_complex,
-                               to_symbolic)
+                               _hom_total_spaces, dual_complex,
+                               inj_resolve_complex, proj_resolve_complex,
+                               to_symbolic, transposed)
 from quiveralg.errors import AboveCap, NonAdmissible, NotTauFinite
 from quiveralg.exactla import QQ, Field, QuotientBasis, complement_rows
 from quiveralg.findim import (FinDimAlgebra, _act, _sum_rows,
                               algebra_from_bqa, sparse_join, vertex_labels)
-from quiveralg.homology import (elements_of_map, injective_dimension,
+from quiveralg.homology import (elements_of_map, ext, injective_dimension,
                                 map_of_elements, op_element, syzygy)
 from quiveralg.modules import (ModuleMap, Representation, decompose,
                                direct_sum, dual, dual_map, hom_space,
@@ -1006,3 +1023,59 @@ def step_neg_by_injective_resolution(X: ComplexOfModules, n: int,
     """S_n^{-1} X = nu^{-1}(I)[n] for the injective resolution I of X."""
     I, _ = inj_resolve_complex(X, cap)
     return nakayama_inv_by_flip(I).shift(n)
+
+
+def is_zero_by_all(field: Field, a: np.ndarray) -> bool:
+    return bool(np.all(a == field.zero))
+
+
+def equal_by_all(field: Field, a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and bool(np.all(a == b))
+
+
+def eye_by_numpy(n: int) -> np.ndarray:
+    return np.eye(n, dtype=np.int64)
+
+
+def complement_rows_of_identity(field: Field, sub: np.ndarray,
+                                n: int) -> np.ndarray:
+    """The rows of the n x n identity that extend rowspace(sub): e_i is
+    picked iff no vector of rowspace(sub) has its last nonzero entry at
+    i, read off one rref of `sub` with its columns reversed."""
+    if n == 0:
+        return field.zeros(0, 0)
+    last = {n - 1 - c for c in field.rref(sub[:, ::-1])[1]}
+    return field.eye(n)[[i for i in range(n) if i not in last]]
+
+
+def minimized_by_resolution(ctx, X: ComplexOfModules) -> ComplexOfModules:
+    """The minimized complex of projectives quasi-isomorphic to X, with X
+    resolved first even when its terms are tagged projective sums."""
+    P, _ = proj_resolve_complex(X, ctx.cap)
+    before = P.cohomology_dims()
+    out = to_symbolic(P).minimize().materialize()
+    assert out.cohomology_dims() == before
+    return out
+
+
+def next_neg_by_step_neg(ctx, X: ComplexOfModules) -> ComplexOfModules:
+    """minimized(S_n^{-1} X), from the step Hom(P, A^op) materialized and
+    then shifted by n."""
+    P, _ = proj_resolve_complex(dual_complex(X), ctx.cap)
+    return minimized_by_resolution(
+        ctx, transposed(P).materialize().shift(ctx.n))
+
+
+def op_element_by_reduce_path(A, elem: dict[int, object]) -> dict[int, object]:
+    """Image of an algebra element under A -> A^op, reducing the reversal
+    of each of its basis paths over A^op."""
+    Aop = op_algebra(A)
+    paths = ((A.basis[bidx], c) for bidx, c in elem.items())
+    return A.field.accumulate({}, (
+        (j, c * c2) for p, c in paths
+        for j, c2 in Aop.reduce_path(
+            Path(p.target(A.quiver), tuple(reversed(p.arrows)))).items()))
+
+
+def rigidity_per_degree(M: Representation, n: int) -> bool:
+    return all(ext(M, M, i) == 0 for i in range(1, n))

@@ -5,6 +5,8 @@ from quiveralg.checks import (_self_injective, analyze, cy_spot_check, is_cm,
                               is_n_rep_finite, is_self_injective,
                               is_tau_n_finite, iwanaga_gorenstein_dim,
                               nu_module, rigidity, vosnex)
+from quiveralg import checks, homology
+from quiveralg.errors import AboveCapError
 from quiveralg.exactla import GF
 from quiveralg.families import (auslander_algebra, dynkin_path_algebra,
                                 linear_nakayama)
@@ -14,7 +16,7 @@ from quiveralg.preprojective import (preprojective_algebra,
                                      preprojective_module)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
 from references import (cy_spot_check_by_isomorphism, ig_dim_by_resolution,
-                        self_injective_by_isomorphism)
+                        rigidity_per_degree, self_injective_by_isomorphism)
 from test_end_corners import _corpus
 
 F = GF(32003)
@@ -178,6 +180,40 @@ def test_rigidity():
     split = preprojective_module(A, 2)
     assert rigidity(split.whole, 2)
     assert rigidity(simple(A, 0), 1)  # vacuous
+
+
+def test_is_cm_past_its_cap_names_the_length_cap():
+    """Aus(A3-nonlinear) has IG-dimension 2, so its injective resolutions
+    do not fit under the cap 0."""
+    B = auslander_algebra(dynkin_path_algebra(3, ["f", "b"]))
+    assert iwanaga_gorenstein_dim(B) == 2
+    with pytest.raises(AboveCapError,
+                       match="a resolution exceeded the length cap 0"):
+        is_cm(B, simple(B, 0), cap=0)
+
+
+def test_rigidity_resolves_m_once(monkeypatch):
+    """Ext^1..Ext^{n-1}(M, M) from one resolution of M, with the verdicts
+    of a resolution per degree."""
+    calls = []
+    real = homology.min_proj_resolution
+
+    def counted(M, length_cap=32):
+        calls.append(length_cap)
+        return real(M, length_cap)
+
+    A = linear_nakayama(4)
+    split = preprojective_module(A, 2)
+    mods = [split.whole, simple(A, 0), simple(A, 3), injective(A, 1)]
+    want = [rigidity_per_degree(M, n) for M in mods for n in (1, 2, 4)]
+    assert True in want and False in want
+    monkeypatch.setattr(checks, "min_proj_resolution", counted)
+    monkeypatch.setattr(homology, "min_proj_resolution", counted)
+    for M in mods:
+        calls.clear()
+        assert [rigidity(M, n) for n in (1, 2, 4)] == want[:3]
+        assert calls == [2, 4]
+        del want[:3]
 
 
 def test_nu_module_on_projectives():

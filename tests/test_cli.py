@@ -293,7 +293,7 @@ arrows [a: 1 -> 2, b: 1 -> 2]
 @pytest.mark.parametrize("argv,spec,error", [
     (["amiot-hom", "--n", "1"],
      "vertices [1]\narrows [a: 1 -> 1]\nrelations [a*a]\n",
-     "orbit scan hit the window cap 32 before support separation"),
+     "a resolution exceeded the length cap 32"),
     (["preprojective", "--n", "1", "--cap", "5"], KRONECKER_SPEC,
      "tau_n^-i(A) still has dimension 52 at iterate cap 5"),
 ], ids=["amiot-hom-loop", "preprojective-kronecker"])

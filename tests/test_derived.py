@@ -13,8 +13,9 @@ from quiveralg.derived import (ChainMap, ComplexOfModules, SerreContext,
                                module_complex, nakayama, nakayama_inv,
                                proj_resolve_complex, serre_n_power,
                                to_symbolic, u_window)
-from quiveralg.exactla import GF, QQ
+from quiveralg.exactla import GF, QQ, Field
 from quiveralg.homology import (elements_of_map, ext, map_of_elements,
+                                global_dimension, op_element,
                                 tau_n, tau_n_inv, transpose_entries)
 from quiveralg.modules import (coregular, dual, dual_map, injective,
                                injectives_sum, is_isomorphic, op_algebra,
@@ -23,8 +24,11 @@ from quiveralg.modules import (coregular, dual, dual_map, injective,
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
 from references import (cohomology, elements_of_injective_map,
                         hom_delta_entrywise, map_of_injective_elements,
-                        nakayama_by_flip, nakayama_inv_by_flip,
+                        minimized_by_resolution, nakayama_by_flip,
+                        nakayama_inv_by_flip, next_neg_by_step_neg,
+                        op_element_by_reduce_path,
                         step_neg_by_injective_resolution)
+from test_end_corners import _corpus
 from test_presentation import bound_quiver_algebras
 
 F = GF(32003)
@@ -331,6 +335,19 @@ def test_hom_d_vanishes_on_acyclic_complex():
     lam = module_complex(regular(A))
     for j in range(-2, 3):
         assert hom_d(lam, X, j) == 0
+
+
+def test_cohomology_dims_are_kept_and_handed_out_as_copies(monkeypatch):
+    A = nak_a3()
+    P, _ = proj_resolve_complex(module_complex(simple(A, 0)))
+    dims = P.cohomology_dims()
+    assert dims == {0: 1}
+    dims[0] = 5
+    dims[-1] = 2
+    monkeypatch.setattr(Field, "rank", lambda self, a: pytest.fail(
+        "cohomology_dims computed twice"))
+    assert P.cohomology_dims() == {0: 1}
+    assert P.cohomology_dims() is not P.cohomology_dims()
 
 
 def _complexes(A, rng):
@@ -762,3 +779,78 @@ def test_the_projective_route_matches_the_injective_references(field, data):
     assert list(back.items()) == list(
         elements_of_injective_map(A, got, src, tgt).items()) == \
         list(entries.items())
+
+
+def _same_minimized(ctx, C):
+    """minimized and next_neg of C match the routes through a resolution
+    of every complex and through the materialized step_neg, and next_neg
+    is minimized(step_neg)."""
+    _same_complex(ctx.minimized(C), minimized_by_resolution(ctx, C))
+    got = ctx.next_neg(C)
+    _same_complex(got, next_neg_by_step_neg(ctx, C))
+    _same_complex(got, ctx.minimized(ctx.step_neg(C)))
+    return got
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_next_neg_and_minimized_match_the_materialized_routes(field, data):
+    """In terms, entries and entry orders, on modules, tagged sums, a
+    resolution and a positive step."""
+    A = data.draw(bound_quiver_algebras(field))
+    nv = A.quiver.n_vertices
+    n = data.draw(st.integers(1, 3))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    vs = data.draw(st.lists(st.integers(0, nv - 1), min_size=1, max_size=3))
+    ctx = SerreContext(A, n)
+    X = module_complex(random_module(A, rng))
+    for C in [X, module_complex(injectives_sum(A, vs)),
+              module_complex(projectives_sum(A, vs)), ctx.step_pos(X),
+              proj_resolve_complex(X)[0]]:
+        _same_minimized(ctx, C)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+def test_next_neg_and_minimized_match_on_the_complexes_above(field):
+    q = Quiver(["1", "2", "3"], [("a1", "1", "2"), ("a2", "2", "3")])
+    A = complete_basis(q, field, [PathElement(q, {Path(0, (0, 1)): 1})])
+    ctx = SerreContext(A, 2)
+    for C in _complexes(A, random.Random(35)):
+        _same_minimized(ctx, C)
+
+
+@pytest.mark.parametrize("make, n", [
+    pytest.param(make, n, id=label) for label, make, n in _corpus(F)])
+def test_next_neg_matches_the_step_neg_route_along_the_corpus_orbits(make, n):
+    """The orbit of A under S_n^{-1}, as amiot_hom walks it, until its
+    cohomology lies below -gldim A."""
+    A = make()
+    ctx = SerreContext(A, n)
+    gl = global_dimension(A)
+    cur = ctx.regular_complex()
+    for _ in range(12):
+        hb = cur.support_bounds()
+        if hb is None or hb[1] < -gl:
+            break
+        cur = _same_minimized(ctx, cur)
+    else:
+        raise AssertionError("the orbit did not leave the window")
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_op_element_table_matches_the_reduce_path_route(field, data):
+    A = data.draw(bound_quiver_algebras(field))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    for _ in range(6):
+        picks = rng.sample(range(A.dim), rng.randint(0, min(4, A.dim)))
+        elem = {b: field.rand_el(rng) for b in picks}
+        elem = {b: c for b, c in elem.items() if c != field.zero}
+        assert list(op_element(A, elem).items()) == \
+            list(op_element_by_reduce_path(A, elem).items())
+    for b, image in A.memo[("op_paths",)].items():
+        assert image == op_element_by_reduce_path(A, {b: field.one})

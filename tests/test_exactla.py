@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiveralg import exactla
-from quiveralg.exactla import GF, QQ, QuotientBasis, complement_rows
-from references import complement_rows_greedy, fraction_matmul, prime_rref
+from quiveralg.exactla import (GF, QQ, PrimeField, QuotientBasis,
+                               complement_rows, complement_units)
+from references import (complement_rows_greedy, complement_rows_of_identity,
+                        equal_by_all, eye_by_numpy, fraction_matmul,
+                        is_zero_by_all, prime_rref)
 
 F = GF(32003)
 
@@ -91,11 +94,13 @@ def test_solve_with_zero_right_hand_side_runs_no_rref(field, monkeypatch):
             want[c] = r[i, n:]
         wants.append(want)
 
-    def no_rref(m):
+    def no_rref(self, m):
         raise AssertionError("rref ran")
 
     with monkeypatch.context() as patch:
-        patch.setattr(field, "rref", no_rref)
+        # on the class: undoing a patch of the instance would leave the
+        # bound method behind as an instance attribute
+        patch.setattr(type(field), "rref", no_rref)
         for (m, k), want in zip(cases, wants):
             x = field.solve(m, field.zeros(len(m), k))
             assert x.dtype == want.dtype and field.equal(x, want)
@@ -464,3 +469,68 @@ def test_accumulate_matches_a_summed_dict(field, terms, seed):
     out = dict(start)
     assert field.accumulate(out, iter(terms)) is out
     assert out == want
+
+
+def _drawn_matrix(field, data, rows, cols):
+    """A rows x cols matrix with entries drawn from a few small values,
+    half of them zero."""
+    m = field.zeros(rows, cols)
+    for i in range(rows):
+        for j in range(cols):
+            m[i, j] = field.el(data.draw(st.sampled_from([0, 0, 0, 1, -1, 2])))
+    return m
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_zero_and_equality_tests_match_np_all(field, data):
+    """is_zero and equal count nonzero entries; they answer as np.all of
+    the comparisons does, on empty matrices and on shapes that differ
+    (broadcastable ones too)."""
+    shape = (data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4)))
+    a = _drawn_matrix(field, data, *shape)
+    kind = data.draw(st.sampled_from(["copy", "changed", "other shape"]))
+    if kind == "other shape":
+        b = _drawn_matrix(field, data, data.draw(st.integers(0, 4)),
+                          data.draw(st.integers(0, 4)))
+    else:
+        b = a.copy()
+        if kind == "changed" and a.size:
+            i = data.draw(st.integers(0, a.shape[0] - 1))
+            j = data.draw(st.integers(0, a.shape[1] - 1))
+            b[i, j] = field.add(b[i, j], field.one)
+    for m in (a, b):
+        assert field.is_zero(m) is is_zero_by_all(field, m)
+    assert field.equal(a, b) is equal_by_all(field, a, b)
+    assert field.equal(b, a) is equal_by_all(field, b, a)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_prime_field_eye_is_numpy_eye(n):
+    got, want = F.eye(n), eye_by_numpy(n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_complement_units_match_the_identity_branch(field, data):
+    """The unit vectors complement_units names are the rows that the
+    identity branch of complement_rows picked, and the rows picked one
+    at a time from the identity."""
+    n = data.draw(st.integers(0, 5))
+    sub = _drawn_matrix(field, data, data.draw(st.integers(0, 4)), n)
+    rows = field.eye(n)[complement_units(field, sub, n)]
+    assert field.equal(rows, complement_rows_of_identity(field, sub, n))
+    assert field.equal(rows, complement_rows(field, sub, field.eye(n)))
+    assert field.equal(rows, complement_rows_greedy(field, sub, field.eye(n)))
+
+
+def test_complement_units_of_no_columns_make_no_rref(monkeypatch):
+    def no_rref(self, a):
+        raise AssertionError("rref called")
+    monkeypatch.setattr(PrimeField, "rref", no_rref)
+    assert complement_units(F, F.zeros(0, 0), 0) == []
+    assert complement_units(F, F.zeros(3, 0), 0) == []
