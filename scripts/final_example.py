@@ -12,7 +12,7 @@ from quiveralg.checks import (is_n_rep_finite, is_self_injective,
 from quiveralg.families import auslander_algebra, dynkin_path_algebra
 from quiveralg.findim import quiver_presentation
 from quiveralg.homology import tau_n_inv
-from quiveralg.modules import decompose, projective
+from quiveralg.modules import projective
 from quiveralg.preprojective import (preprojective_algebra,
                                      preprojective_module,
                                      stable_endomorphism)
@@ -38,7 +38,8 @@ def main():
         print(f"  tau^-{it}:  ", "  ".join(dims_str(m) for m in mods))
     print()
     split = preprojective_module(L, 2)
-    parts = [r for r, mult in decompose(split.P_free) for _ in range(mult)]
+    parts = [r for r, g in zip(split.summand_reps, split.summand_grades)
+             if g > 0]
     print(f"preprojective module: dim {split.dim}; non-projective part has "
           f"{len(parts)} summands of dims "
           f"{sorted(r.total_dim for r in parts)}")

@@ -15,17 +15,16 @@ from .derived import amiot_hom, module_complex, serre_context
 from .errors import AboveCap, AboveCapError, GldimTooLarge, WindowInconclusive
 from .findim import quiver_presentation
 from .homology import (ext, global_dimension, injective_dimension,
-                       min_proj_resolution, nakayama_presentation, syzygy,
-                       tau_n_orbit)
-from .modules import (Representation, injectives_sum, is_isomorphic,
-                      map_cokernel, op_algebra, projective, regular, simple)
+                       min_proj_resolution, syzygy, tau_n_orbit)
+from .modules import (Representation, injectives_sum, op_algebra, projective,
+                      regular, simple)
 from .preprojective import (preprojective_algebra, preprojective_module,
                             stable_endomorphism)
 from .quivers import BoundQuiverAlgebra
 
 __all__ = ["is_tau_n_finite", "is_n_rep_finite", "is_self_injective",
            "vosnex", "iwanaga_gorenstein_dim", "is_cm", "rigidity",
-           "cy_spot_check", "nu_module", "AnalysisReport", "analyze"]
+           "cy_spot_check", "AnalysisReport", "analyze"]
 
 
 @dataclass
@@ -171,22 +170,17 @@ def is_cm(B: BoundQuiverAlgebra, X: Representation, cap: int = 32) -> bool:
     return all(ext(X, R, i) == 0 for i in range(1, d + 1))
 
 
-def rigidity(M: Representation, n: int) -> bool:
-    """Ext^i(M, M) = 0 for 1 <= i <= n-1, from one resolution of M."""
+def rigidity(parts: list[Representation], n: int) -> bool:
+    """Ext^i(M, M) = 0 for 1 <= i <= n-1, where M is the sum of the parts.
+    Ext is additive, so this is Ext^i(X, Y) = 0 for every pair of parts,
+    from one resolution of each X; a projective X resolves in length 0."""
     if n < 2:
         return True
-    res = min_proj_resolution(M, n)
-    return all(ext(M, M, i, res) == 0 for i in range(1, n))
-
-
-def nu_module(M: Representation) -> Representation:
-    """Module-level Nakayama functor: coker of nu applied to a minimal
-    projective presentation (nu is right exact)."""
-    nu_d = nakayama_presentation(M)
-    if nu_d.source.is_zero():
-        return nu_d.target
-    out, _ = map_cokernel(nu_d)
-    return out
+    for X in parts:
+        res = min_proj_resolution(X, n)
+        if any(ext(X, Y, i, res) for Y in parts for i in range(1, n)):
+            return False
+    return True
 
 
 def cy_spot_check(B, n: int) -> dict[int, bool]:
@@ -266,7 +260,7 @@ def analyze(A: BoundQuiverAlgebra, n: int, cap: int = 32,
             tilde_si = _verdict_dict(si)
             igv = iwanaga_gorenstein_dim(tilde_pres, cap)
             ig = igv if not isinstance(igv, AboveCap) else "unknown"
-            rig = rigidity(split.whole, n)
+            rig = rigidity(split.orbit, n)
             reg = serre_context(A, n, cap).regular_complex()
             gh = amiot_hom(A, n, reg, reg, window_cap, cap)
             cross = {
@@ -306,23 +300,3 @@ def analyze(A: BoundQuiverAlgebra, n: int, cap: int = 32,
         notes=notes,
     )
 
-
-def hereditary_maximality_check(A: BoundQuiverAlgebra,
-                                cap: int = 200) -> Verdict:
-    """For a hereditary representation-finite algebra: verify that the
-    cluster-tilting module contains every indecomposable (full maximality
-    by AR-quiver knitting, instead of the criterion-based inference)."""
-    from .families import knit_indecomposables
-    indecs = knit_indecomposables(A, cap)
-    split = preprojective_module(A, 1, cap)
-    missing = []
-    for m in indecs:
-        if not any(m.dims == r.dims and is_isomorphic(m, r)
-                   for r in split.summand_reps):
-            missing.append(m.dims)
-    if missing:
-        return Verdict(False, {"missing_indecomposables": missing})
-    extra = len(split.summand_reps) - len(indecs)
-    if extra:
-        return Verdict(False, {"extra_summands": extra})
-    return Verdict(True, {"indecomposables": len(indecs)})

@@ -571,8 +571,7 @@ def _run_check(A, name: str, args):
     elif name == "vosnex":
         v = vosnex(A, n, cap)
     elif name == "rigidity":
-        split = preprojective_module(A, n, cap)
-        return rigidity(split.whole, n), None
+        return rigidity(preprojective_module(A, n, cap).orbit, n), None
     elif name == "ig-dim":
         d = iwanaga_gorenstein_dim(A, cap)
         if isinstance(d, AboveCap):

@@ -46,11 +46,9 @@ from .modules import (ModuleMap, Representation, dual,
 from .quivers import BoundQuiverAlgebra, Path
 
 __all__ = ["ComplexOfModules", "ChainMap", "module_complex",
-           "proj_resolve_complex", "inj_resolve_complex",
-           "resolution_complex", "SymbolicComplex",
+           "proj_resolve_complex", "resolution_complex", "SymbolicComplex",
            "to_symbolic", "transposed", "nakayama", "nakayama_inv",
-           "serre_n_power",
-           "u_window", "amiot_hom", "hom_d", "GradedHom", "SerreContext",
+           "amiot_hom", "hom_d", "GradedHom", "SerreContext",
            "serre_context"]
 
 
@@ -437,20 +435,6 @@ def proj_resolve_complex(X: ComplexOfModules, cap: int = 32,
     return P, eps
 
 
-def inj_resolve_complex(X: ComplexOfModules, cap: int = 32):
-    """(I, eta): bounded complex of injectives with quasi-iso eta: X -> I."""
-    DP, Deps = proj_resolve_complex(dual_complex(X), cap, verify=False)
-    I = dual_complex(DP)  # tagged injective sums over A
-    eta_parts = {-i: ModuleMap(X.term(-i), I.term(-i),
-                               [b.T.copy() for b in p.blocks])
-                 for i, p in Deps.parts.items()}
-    eta = ChainMap(X, I, eta_parts, check=False)
-    assert eta.is_chain_map()
-    assert eta.induces_cohomology_iso(), \
-        "coresolution must be a quasi-isomorphism"
-    return I, eta
-
-
 # ---------------------------------------------------------------------------
 # symbolic complexes of projectives
 # ---------------------------------------------------------------------------
@@ -776,37 +760,6 @@ def _compose_chain(first: ChainMap, then: ChainMap) -> dict[int, ModuleMap]:
         if q is not None:
             parts[i] = p.compose(q)
     return parts
-
-
-def serre_n_power(A: BoundQuiverAlgebra, n: int, X: ComplexOfModules,
-                  e: int, cap: int = 32) -> ComplexOfModules:
-    """S_n^e X, reduced (contractible summands stripped)."""
-    ctx = serre_context(A, n, cap)
-    cur = X
-    for _ in range(abs(e)):
-        cur = ctx.minimized(ctx.step_pos(cur)) if e > 0 else ctx.next_neg(cur)
-    return cur
-
-
-def u_window(A: BoundQuiverAlgebra, n: int, lo: int, hi: int,
-             cap: int = 32) -> list[tuple[int, int, ComplexOfModules]]:
-    """The objects S_n^i(e_v A) for i in [lo, hi], one indecomposable
-    complex per (i, vertex): (i, vertex, complex)."""
-    ctx = serre_context(A, n, cap)
-    out = []
-    for v in range(A.quiver.n_vertices):
-        base = module_complex(projectives_sum(A, [v]))
-        cur = base
-        for i in range(0, hi + 1):
-            if i >= lo:
-                out.append((i, v, cur))
-            cur = ctx.minimized(ctx.step_pos(cur))
-        cur = base
-        for i in range(-1, lo - 1, -1):
-            cur = ctx.next_neg(cur)
-            if i <= hi:
-                out.append((i, v, cur))
-    return out
 
 
 # ---------------------------------------------------------------------------

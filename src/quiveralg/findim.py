@@ -120,19 +120,6 @@ class FinDimAlgebra:
         """Matrix of y -> x*y on basis coordinates (columns = images)."""
         return _dense(self.field, self.dim, self.left_action(x))
 
-    def right_mult_matrix(self, x: np.ndarray) -> np.ndarray:
-        return _dense(self.field, self.dim, self.right_action(x))
-
-    def check_associativity(self) -> bool:
-        """L_{e_i e_j} = L_{e_i} L_{e_j} for every pair of basis elements."""
-        f = self.field
-        basis = f.eye(self.dim)
-        lmats = [self.left_mult_matrix(e) for e in basis]
-        return all(
-            f.equal(self.left_mult_matrix(self.mult_vec(basis[i], basis[j])),
-                    f.matmul(lmats[i], lmats[j]))
-            for i in range(self.dim) for j in range(self.dim))
-
 
 def _scatter(f: Field, out: np.ndarray, index, vals: np.ndarray) -> np.ndarray:
     """out[index] += vals, each value and each sum reduced mod p."""

@@ -41,8 +41,8 @@ from .homology import (ext_data, global_dimension, hom_matrix,
                        map_of_elements, min_proj_resolution, tau_n_orbit,
                        transpose_entries)
 from .modules import (ModuleMap, Representation, coregular, decompose,
-                      direct_sum, dual_map, hom_space, op_algebra,
-                      projective, projective_cover, regular, zero_rep)
+                      dual_map, hom_space, op_algebra, projective,
+                      projective_cover, regular)
 from .quivers import BoundQuiverAlgebra, Path, trivial
 
 __all__ = ["ExtBimodule", "ext_bimodule", "PreprojectiveSplit",
@@ -172,15 +172,21 @@ def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
 
 @dataclass
 class PreprojectiveSplit:
-    whole: Representation
-    P_free: Representation
+    """The preprojective module M, the sum of the nonzero iterates
+    ``orbit[i]`` = tau_n^{-i} A (the modules that ``tau_n_orbit`` keeps,
+    not copies), and its indecomposable summands, each with the index i of
+    its iterate."""
+    orbit: list[Representation]
     summand_reps: list[Representation]
     summand_grades: list[int]
-    grade_dims: list[int]
+
+    @property
+    def grade_dims(self) -> list[int]:
+        return [M.total_dim for M in self.orbit]
 
     @property
     def dim(self) -> int:
-        return self.whole.total_dim
+        return sum(self.grade_dims)
 
 
 def preprojective_module(A: BoundQuiverAlgebra, n: int,
@@ -196,31 +202,20 @@ def preprojective_module(A: BoundQuiverAlgebra, n: int,
     gl = global_dimension(A, cap=n + 1)
     if isinstance(gl, AboveCap) or gl > n:
         raise GldimTooLarge(f"gldim(A) = {gl} exceeds n = {n}")
-    reps: list[Representation] = []
-    grades: list[int] = []
-    grade_dims: list[int] = []
-    for v in range(A.quiver.n_vertices):
-        reps.append(projective(A, v))
-        grades.append(0)
-    grade_dims.append(sum(r.total_dim for r in reps))
-    i = 0
+    orbit = [tau_n_orbit(A, n, 0)]
+    reps = [projective(A, v) for v in range(A.quiver.n_vertices)]
+    grades = [0] * len(reps)
     while True:
-        i += 1
-        cur = tau_n_orbit(A, n, i)
+        cur = tau_n_orbit(A, n, len(orbit))
         if cur.is_zero():
             break
-        if i > cap:
+        if len(orbit) > cap:
             raise NotTauFinite(cap, cur.total_dim)
-        grade_dims.append(cur.total_dim)
         for rep, mult in decompose(cur):
-            for _ in range(mult):
-                reps.append(rep)
-                grades.append(i)
-    whole = direct_sum(reps)
-    nonproj = [r for r, g in zip(reps, grades) if g > 0]
-    p_free = direct_sum(nonproj) if nonproj else zero_rep(A)
-    hit = A.memo[("split", n, cap)] = PreprojectiveSplit(
-        whole, p_free, reps, grades, grade_dims)
+            reps += [rep] * mult
+            grades += [len(orbit)] * mult
+        orbit.append(cur)
+    hit = A.memo[("split", n, cap)] = PreprojectiveSplit(orbit, reps, grades)
     return hit
 
 

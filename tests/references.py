@@ -91,34 +91,45 @@
   which ``next_neg`` minimizes.
   ``op_element_by_reduce_path`` reduces every reversed path on each
   call; ``homology.op_element`` keeps each reduction in the memo.
-- ``rigidity_per_degree`` resolves M again for each Ext^i(M, M);
-  ``checks.rigidity`` resolves M once.
+- ``rigidity_per_degree`` resolves M again for each Ext^i(M, M); with
+  M the ``direct_sum`` of some parts it is the whole-module route, and
+  ``checks.rigidity`` resolves each part once and tests every pair.
+- ``inj_resolve_complex``, ``serre_n_power`` and ``u_window``
+  (injective resolutions of complexes, powers S_n^e and windows of the
+  Serre orbit of each e_v A), ``nu_module`` (the Nakayama functor on
+  modules), ``hereditary_maximality_check`` (every indecomposable of a
+  representation-finite hereditary algebra is a summand of the
+  preprojective module, by knitting), ``right_mult_matrix`` and
+  ``check_associativity`` have no caller in the package; only tests
+  use them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from quiveralg.checks import (Verdict, is_self_injective, nu_module,
-                              socle_vertex)
-from quiveralg.derived import (ComplexOfModules, SymbolicComplex,
+from quiveralg.checks import Verdict, is_self_injective, socle_vertex
+from quiveralg.derived import (ChainMap, ComplexOfModules, SymbolicComplex,
                                _hom_total_spaces, dual_complex,
-                               inj_resolve_complex, proj_resolve_complex,
-                               to_symbolic, transposed)
+                               module_complex, proj_resolve_complex,
+                               serre_context, to_symbolic, transposed)
 from quiveralg.errors import AboveCap, NonAdmissible, NotTauFinite
 from quiveralg.exactla import QQ, Field, QuotientBasis, complement_rows
-from quiveralg.findim import (FinDimAlgebra, _act, _sum_rows,
+from quiveralg.families import knit_indecomposables
+from quiveralg.findim import (FinDimAlgebra, _act, _dense, _sum_rows,
                               algebra_from_bqa, sparse_join, vertex_labels)
 from quiveralg.homology import (elements_of_map, ext, injective_dimension,
-                                map_of_elements, op_element, syzygy)
+                                map_of_elements, nakayama_presentation,
+                                op_element, syzygy)
 from quiveralg.modules import (ModuleMap, Representation, decompose,
                                direct_sum, dual, dual_map, hom_space,
-                               injective, injectives_sum,
-                               is_isomorphic, op_algebra, projective,
-                               projective_cover, quotient, radical_series,
-                               regular, simple, subrepresentation, zero_rep)
+                               injective, injectives_sum, is_isomorphic,
+                               map_cokernel, op_algebra, projective,
+                               projective_cover, projectives_sum, quotient,
+                               radical_series, regular, simple,
+                               subrepresentation, zero_rep)
 from quiveralg.preprojective import (_balancing_relations, _path_actions,
-                                     ext_bimodule)
+                                     ext_bimodule, preprojective_module)
 from quiveralg.quivers import Path, PathElement, Quiver, ordkey
 
 
@@ -516,7 +527,7 @@ def preprojective_algebra_by_blocks(A, n: int,
     adim = A.dim
     base = algebra_from_bqa(A)
     grades = [{"dim": adim,
-               "R": [base.right_mult_matrix(e) for e in f.eye(adim)]}]
+               "R": [right_mult_matrix(base, e) for e in f.eye(adim)]}]
     E_right = dense_actions(f, E.right, adim, E.dim)
     if E.dim > 0:
         while True:
@@ -1079,3 +1090,93 @@ def op_element_by_reduce_path(A, elem: dict[int, object]) -> dict[int, object]:
 
 def rigidity_per_degree(M: Representation, n: int) -> bool:
     return all(ext(M, M, i) == 0 for i in range(1, n))
+
+
+def inj_resolve_complex(X: ComplexOfModules, cap: int = 32):
+    """(I, eta): bounded complex of injectives with quasi-iso eta: X -> I."""
+    DP, Deps = proj_resolve_complex(dual_complex(X), cap, verify=False)
+    I = dual_complex(DP)  # tagged injective sums over A
+    eta_parts = {-i: ModuleMap(X.term(-i), I.term(-i),
+                               [b.T.copy() for b in p.blocks])
+                 for i, p in Deps.parts.items()}
+    eta = ChainMap(X, I, eta_parts, check=False)
+    assert eta.is_chain_map()
+    assert eta.induces_cohomology_iso(), \
+        "coresolution must be a quasi-isomorphism"
+    return I, eta
+
+
+def serre_n_power(A, n: int, X: ComplexOfModules, e: int,
+                  cap: int = 32) -> ComplexOfModules:
+    """S_n^e X, reduced (contractible summands stripped)."""
+    ctx = serre_context(A, n, cap)
+    cur = X
+    for _ in range(abs(e)):
+        cur = ctx.minimized(ctx.step_pos(cur)) if e > 0 else ctx.next_neg(cur)
+    return cur
+
+
+def u_window(A, n: int, lo: int, hi: int,
+             cap: int = 32) -> list[tuple[int, int, ComplexOfModules]]:
+    """The objects S_n^i(e_v A) for i in [lo, hi], one indecomposable
+    complex per (i, vertex): (i, vertex, complex)."""
+    ctx = serre_context(A, n, cap)
+    out = []
+    for v in range(A.quiver.n_vertices):
+        base = module_complex(projectives_sum(A, [v]))
+        cur = base
+        for i in range(0, hi + 1):
+            if i >= lo:
+                out.append((i, v, cur))
+            cur = ctx.minimized(ctx.step_pos(cur))
+        cur = base
+        for i in range(-1, lo - 1, -1):
+            cur = ctx.next_neg(cur)
+            if i <= hi:
+                out.append((i, v, cur))
+    return out
+
+
+def nu_module(M: Representation) -> Representation:
+    """Module-level Nakayama functor: coker of nu applied to a minimal
+    projective presentation (nu is right exact)."""
+    nu_d = nakayama_presentation(M)
+    if nu_d.source.is_zero():
+        return nu_d.target
+    out, _ = map_cokernel(nu_d)
+    return out
+
+
+def hereditary_maximality_check(A, cap: int = 200) -> Verdict:
+    """For a hereditary representation-finite algebra: verify that the
+    cluster-tilting module contains every indecomposable (full maximality
+    by AR-quiver knitting, instead of the criterion-based inference)."""
+    indecs = knit_indecomposables(A, cap)
+    split = preprojective_module(A, 1, cap)
+    missing = []
+    for m in indecs:
+        if not any(m.dims == r.dims and is_isomorphic(m, r)
+                   for r in split.summand_reps):
+            missing.append(m.dims)
+    if missing:
+        return Verdict(False, {"missing_indecomposables": missing})
+    extra = len(split.summand_reps) - len(indecs)
+    if extra:
+        return Verdict(False, {"extra_summands": extra})
+    return Verdict(True, {"indecomposables": len(indecs)})
+
+
+def right_mult_matrix(B: FinDimAlgebra, x: np.ndarray) -> np.ndarray:
+    """Matrix of y -> y*x on basis coordinates (columns = images)."""
+    return _dense(B.field, B.dim, B.right_action(x))
+
+
+def check_associativity(B: FinDimAlgebra) -> bool:
+    """L_{e_i e_j} = L_{e_i} L_{e_j} for every pair of basis elements."""
+    f = B.field
+    basis = f.eye(B.dim)
+    lmats = [B.left_mult_matrix(e) for e in basis]
+    return all(
+        f.equal(B.left_mult_matrix(B.mult_vec(basis[i], basis[j])),
+                f.matmul(lmats[i], lmats[j]))
+        for i in range(B.dim) for j in range(B.dim))

@@ -20,7 +20,7 @@ from quiveralg.families import (auslander_algebra, canonical_2222,
                                 thm39_type2)
 from quiveralg.findim import quiver_presentation
 from quiveralg.homology import global_dimension, tau_n_inv
-from quiveralg.modules import (decompose, projective, regular)
+from quiveralg.modules import (decompose, direct_sum, projective, regular)
 from quiveralg.preprojective import (end_algebra, preprojective_algebra,
                                      preprojective_module,
                                      stable_endomorphism)
@@ -74,7 +74,9 @@ def test_criterion_1_final_example(aus_a3):
                   for v in range(L.quiver.n_vertices))
     ok = tots == [0, 0, 0, 1, 1, 3]
     split = preprojective_module(L, 2)
-    pf = [r for r, m in decompose(split.P_free) for _ in range(m)]
+    nonproj = [r for r, g in zip(split.summand_reps, split.summand_grades)
+               if g > 0]
+    pf = [r for r, m in decompose(direct_sum(nonproj)) for _ in range(m)]
     ok = ok and sorted(r.total_dim for r in pf) == [1, 1, 3]
     gamma = stable_endomorphism(L, 2)
     ok = ok and gamma.dim == 5

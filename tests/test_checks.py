@@ -1,22 +1,27 @@
 
+import random
+
 import pytest
 
 from quiveralg.checks import (_self_injective, analyze, cy_spot_check, is_cm,
                               is_n_rep_finite, is_self_injective,
                               is_tau_n_finite, iwanaga_gorenstein_dim,
-                              nu_module, rigidity, vosnex)
+                              rigidity, vosnex)
 from quiveralg import checks, homology
 from quiveralg.errors import AboveCapError
-from quiveralg.exactla import GF
+from quiveralg.exactla import GF, QQ
 from quiveralg.families import (auslander_algebra, dynkin_path_algebra,
                                 linear_nakayama)
 from quiveralg.findim import quiver_presentation
-from quiveralg.modules import (injective, is_isomorphic, projective, simple)
+from quiveralg.modules import (direct_sum, injective, is_isomorphic,
+                               projective, random_module, simple)
 from quiveralg.preprojective import (preprojective_algebra,
                                      preprojective_module)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import (cy_spot_check_by_isomorphism, ig_dim_by_resolution,
-                        rigidity_per_degree, self_injective_by_isomorphism)
+from references import (cy_spot_check_by_isomorphism,
+                        hereditary_maximality_check, ig_dim_by_resolution,
+                        nu_module, rigidity_per_degree,
+                        self_injective_by_isomorphism)
 from test_end_corners import _corpus
 
 F = GF(32003)
@@ -178,8 +183,45 @@ def test_is_cm():
 def test_rigidity():
     A = nak_a3()
     split = preprojective_module(A, 2)
-    assert rigidity(split.whole, 2)
-    assert rigidity(simple(A, 0), 1)  # vacuous
+    assert rigidity(split.orbit, 2)
+    assert rigidity([simple(A, 0)], 1)  # vacuous
+
+
+def test_rigidity_sees_the_cross_terms():
+    """Over kA2, S_0 and S_1 are each rigid at n = 2, but
+    Ext^1(S_0, S_1) = 1, so their sum is not."""
+    A = dynkin_path_algebra(2)
+    S0, S1 = simple(A, 0), simple(A, 1)
+    assert rigidity([S0], 2) and rigidity([S1], 2)
+    assert not rigidity([S0, S1], 2)
+    assert not rigidity_per_degree(direct_sum([S0, S1]), 2)
+
+
+@pytest.mark.parametrize("label, make, n", [
+    pytest.param(*case, id=case[0]) for case in _corpus(GF(32003))])
+def test_rigidity_of_the_orbit_equals_the_whole_module_route(label, make, n):
+    A = make()
+    parts = preprojective_module(A, n).orbit
+    assert rigidity(parts, n) is rigidity_per_degree(direct_sum(parts), n)
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF", "QQ"])
+def test_rigidity_of_random_parts_equals_the_whole_module_route(field):
+    rng = random.Random(7)
+    algebras = [linear_nakayama(4, field),
+                auslander_algebra(dynkin_path_algebra(3, None, field)),
+                dynkin_path_algebra(3, ["f", "b"], field)]
+    seen = set()
+    for A in algebras:
+        for _ in range(6):
+            parts = [random_module(A, rng)
+                     for _ in range(rng.randint(1, 3))]
+            parts = [M for M in parts if not M.is_zero()] or [simple(A, 0)]
+            n = rng.choice((2, 3))
+            got = rigidity(parts, n)
+            assert got is rigidity_per_degree(direct_sum(parts), n)
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_is_cm_past_its_cap_names_the_length_cap():
@@ -193,8 +235,9 @@ def test_is_cm_past_its_cap_names_the_length_cap():
 
 
 def test_rigidity_resolves_m_once(monkeypatch):
-    """Ext^1..Ext^{n-1}(M, M) from one resolution of M, with the verdicts
-    of a resolution per degree."""
+    """Ext^1..Ext^{n-1} of a sum of k parts from one resolution of each
+    part at cap n, with the verdicts of a resolution of the whole sum per
+    degree; a nonzero Ext ends the test before the later parts."""
     calls = []
     real = homology.min_proj_resolution
 
@@ -203,17 +246,26 @@ def test_rigidity_resolves_m_once(monkeypatch):
         return real(M, length_cap)
 
     A = linear_nakayama(4)
-    split = preprojective_module(A, 2)
-    mods = [split.whole, simple(A, 0), simple(A, 3), injective(A, 1)]
-    want = [rigidity_per_degree(M, n) for M in mods for n in (1, 2, 4)]
+    orbit = preprojective_module(A, 2).orbit
+    assert len(orbit) > 1
+    cases = [orbit, [simple(A, 0)], [simple(A, 3)], [injective(A, 1)],
+             [simple(A, 3), simple(A, 2)]]
+    want = [rigidity_per_degree(direct_sum(parts), n)
+            for parts in cases for n in (1, 2, 4)]
     assert True in want and False in want
     monkeypatch.setattr(checks, "min_proj_resolution", counted)
     monkeypatch.setattr(homology, "min_proj_resolution", counted)
-    for M in mods:
-        calls.clear()
-        assert [rigidity(M, n) for n in (1, 2, 4)] == want[:3]
-        assert calls == [2, 4]
-        del want[:3]
+    for parts in cases:
+        for n in (1, 2, 4):
+            calls.clear()
+            got = rigidity(parts, n)
+            assert got is want.pop(0)
+            if n == 1:
+                assert calls == []
+            elif got:
+                assert calls == [n] * len(parts)
+            else:
+                assert 0 < len(calls) <= len(parts) and set(calls) == {n}
 
 
 def test_nu_module_on_projectives():
@@ -331,8 +383,6 @@ def test_analyze_report_a2():
 
 
 def test_hereditary_maximality_by_knitting():
-    from quiveralg.checks import hereditary_maximality_check
-    from quiveralg.families import dynkin_path_algebra
     for orient in (None, ["f", "b"]):
         A = dynkin_path_algebra(3 if orient else 2, orient)
         v = hereditary_maximality_check(A)

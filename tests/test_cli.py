@@ -82,6 +82,21 @@ def test_family_pipe_analyze_exit_codes():
     assert payload["report"]["value"] is True
 
 
+@pytest.mark.parametrize("family, argv, code", [
+    (["linear_nakayama", "3"], ["--n", "2"], 0),
+    (["auslander", "A3-nonlinear"], ["--n", "1"], 2),
+    (["auslander", "A4"], ["--n", "2", "--cap", "1"], 3),
+], ids=["rigid", "gldim-above-n", "tau-cap-hit"])
+def test_check_rigidity_exit_codes(family, argv, code):
+    """The preprojective module is split first, so gldim > n is an error
+    (2) and a hit tau_n-orbit cap is an unknown (3)."""
+    _, spec = _run(["family"] + family)
+    got, out = _run(["check", "rigidity"] + argv, stdin_text=spec)
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["report"]["value"] is True
+
+
 def test_check_false_exit_code():
     code, spec = _run(["family", "dynkin", "A2"])
     assert code == 0

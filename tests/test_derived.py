@@ -9,10 +9,9 @@ from quiveralg.derived import (ChainMap, ComplexOfModules, SerreContext,
                                _hom_delta, _hom_total_spaces,
                                _local_inverse, _trivial_coeff,
                                amiot_endomorphism_algebra,
-                               amiot_hom, hom_d, inj_resolve_complex,
-                               module_complex, nakayama, nakayama_inv,
-                               proj_resolve_complex, serre_n_power,
-                               to_symbolic, u_window)
+                               amiot_hom, hom_d, module_complex, nakayama,
+                               nakayama_inv, proj_resolve_complex,
+                               to_symbolic)
 from quiveralg.exactla import GF, QQ, Field
 from quiveralg.homology import (elements_of_map, ext, map_of_elements,
                                 global_dimension, op_element,
@@ -22,12 +21,13 @@ from quiveralg.modules import (coregular, dual, dual_map, injective,
                                projective, projectives_sum, random_module,
                                regular, simple)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import (cohomology, elements_of_injective_map,
-                        hom_delta_entrywise, map_of_injective_elements,
+from references import (check_associativity, cohomology,
+                        elements_of_injective_map, hom_delta_entrywise,
+                        inj_resolve_complex, map_of_injective_elements,
                         minimized_by_resolution, nakayama_by_flip,
                         nakayama_inv_by_flip, next_neg_by_step_neg,
-                        op_element_by_reduce_path,
-                        step_neg_by_injective_resolution)
+                        op_element_by_reduce_path, serre_n_power,
+                        step_neg_by_injective_resolution, u_window)
 from test_end_corners import _corpus
 from test_presentation import bound_quiver_algebras
 
@@ -262,7 +262,7 @@ def test_amiot_endo_algebra_a2():
     B = amiot_endomorphism_algebra(A, 1)
     assert B.dim == 4
     assert sorted(B.grading) == [0, 0, 0, 1]
-    assert B.check_associativity()
+    assert check_associativity(B)
     from quiveralg.findim import quiver_presentation
     P = quiver_presentation(B)
     assert P.quiver.n_vertices == 2

@@ -8,7 +8,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiveralg.checks import nu_module
 from quiveralg.derived import (ChainMap, ComplexOfModules, module_complex,
                                proj_resolve_complex)
 from quiveralg.exactla import GF, QQ, QuotientBasis
@@ -21,6 +20,7 @@ from quiveralg.modules import (ModuleMap, dual, dual_map, injective,
                                projective, projective_cover, projectives_sum,
                                random_module, simple, zero_rep)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
+from references import nu_module
 
 FIELDS = {"GF": GF(32003), "QQ": QQ}
 

@@ -18,7 +18,7 @@ from quiveralg.preprojective import (end_algebra, preprojective_algebra,
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
 from references import (arrows_by_meet, complete_basis_by_scan,
                         corners_by_meet, ideal_span, is_homog, meet,
-                        radical_rows)
+                        radical_rows, right_mult_matrix)
 
 F = GF(32003)
 
@@ -139,7 +139,7 @@ def _reference_presentation(B, cap=64):
     rad = radical_rows(B)
     rad_space = QuotientBasis(f, rad, f.zeros(0, n))
     corners = {}
-    rmats = [B.right_mult_matrix(e) for e in idems]
+    rmats = [right_mult_matrix(B, e) for e in idems]
     for i in range(m):
         Li = B.left_mult_matrix(idems[i])
         for j in range(m):
@@ -192,7 +192,7 @@ def _reference_presentation(B, cap=64):
                 arrow_degs.append(dg)
     quiver = Quiver(vertices, arrow_list)
 
-    arrow_rmats = [B.right_mult_matrix(x) for x in arrow_elems]
+    arrow_rmats = [right_mult_matrix(B, x) for x in arrow_elems]
     paths_by_len = {0: [Path(v, ()) for v in range(m)], 1: []}
     for a, (_, s, t) in enumerate(arrow_list):
         paths_by_len[1].append(Path(quiver.vindex[s], (a,)))

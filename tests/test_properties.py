@@ -7,13 +7,13 @@ import random
 
 
 from quiveralg.derived import (SerreContext, module_complex,
-                               proj_resolve_complex, serre_n_power)
+                               proj_resolve_complex)
 from quiveralg.exactla import GF
 from quiveralg.homology import tau_n, tau_n_inv
 from quiveralg.modules import (hom_space, injective, is_isomorphic,
                                projective, random_module)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import cohomology
+from references import cohomology, serre_n_power
 
 F = GF(32003)
 
