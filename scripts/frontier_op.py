@@ -33,7 +33,7 @@ from quiveralg.cli import (_field_from_string, build_family,  # noqa: E402
 STAGES = ["global_dimension", "is_n_rep_finite", "is_tau_n_finite",
           "vosnex", "preprojective_module", "preprojective_algebra",
           "quiver_presentation", "is_self_injective",
-          "iwanaga_gorenstein_dim", "rigidity", "serre_context",
+          "iwanaga_gorenstein_dim", "rigidity",
           "amiot_hom", "stable_endomorphism", "cy_spot_check"]
 
 

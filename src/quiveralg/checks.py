@@ -2,22 +2,25 @@
 
 Every verdict carries a machine-checkable witness; cap overruns surface
 as "unknown" (never as a boolean).  The n-representation-finiteness test
-iterates the shifted Serre functor on each indecomposable injective and
-looks for a projective module among the iterates; leaving module
-territory before that happens refutes the property.
+looks for a projective module among the iterates S_n^l I of each
+indecomposable injective I; leaving module territory before that happens
+refutes the property.  It walks them over A^op, where D S_n = S_n^{-1} D
+makes D S_n^l I the negative Serre orbit of the projective D I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .derived import amiot_hom, module_complex, serre_context
+from .derived import (ComplexOfModules, amiot_hom, module_complex,
+                      serre_context)
 from .errors import AboveCap, AboveCapError, GldimTooLarge, WindowInconclusive
 from .findim import quiver_presentation
 from .homology import (ext, global_dimension, injective_dimension,
-                       min_proj_resolution, syzygy, tau_n_orbit)
-from .modules import (Representation, injectives_sum, op_algebra, projective,
-                      regular, simple)
+                       min_proj_resolution, proj_dimension, syzygy,
+                       tau_n_orbit)
+from .modules import (Representation, dual, map_cokernel, op_algebra,
+                      projective, regular, simple)
 from .preprojective import (preprojective_algebra, preprojective_module,
                             stable_endomorphism)
 from .quivers import BoundQuiverAlgebra
@@ -50,31 +53,44 @@ def is_tau_n_finite(A: BoundQuiverAlgebra, n: int, cap: int = 32) -> Verdict:
 
 
 def is_n_rep_finite(A: BoundQuiverAlgebra, n: int, cap: int = 32) -> Verdict:
+    """Is some S_n^l I_v a projective module, l <= cap, for every vertex v?
+    S_n^l I_v is walked as its k-dual S_n^{-l} (D I_v) over A^op, whose
+    cohomology is that of S_n^l I_v with the degrees negated; it is a
+    projective module iff that cohomology lies in degree 0 and D H^0 is
+    projective over A."""
     gl = global_dimension(A, cap=max(n + 1, 4))
     if isinstance(gl, AboveCap) or gl > n:
         return Verdict(False, {"reason": "gldim", "gldim": str(gl)})
-    ctx = serre_context(A, n, cap)
+    B = op_algebra(A)
+    ctx = serre_context(B, n, cap)
     witnesses = {}
     for v in range(A.quiver.n_vertices):
-        # minimized projective form: support {0} iff the object is a
-        # projective module
-        cur = ctx.minimized(module_complex(injectives_sum(A, [v])))
+        cur = module_complex(projective(B, v))  # D I_v
         found = None
         for ell in range(cap + 1):
-            hdims = cur.cohomology_dims()
+            hdims = dict(sorted((-i, d) for i, d in
+                                cur.cohomology_dims().items()))
             if set(hdims) - {0}:
                 return Verdict(False, {
                     "injective": v, "iterate": ell,
                     "cohomology": hdims,
                     "reason": "iterate left module territory"})
-            if sorted(cur.terms) == [0]:
+            if proj_dimension(dual(_h0(cur)), 0) == 0:
                 found = ell
                 break
-            cur = ctx.minimized(ctx.step_pos(cur))
+            cur = ctx.next_neg(cur)
         if found is None:
             return Verdict("unknown", {"injective": v, "cap": cap})
         witnesses[v] = found
     return Verdict(True, {"serre_power_to_projective": witnesses})
+
+
+def _h0(P: ComplexOfModules) -> Representation:
+    """H^0 of a minimized complex of projectives P with cohomology in
+    degree 0 only: its differentials lie in the radical, so it has no
+    term above degree 0, and H^0 is the cokernel of d^{-1}."""
+    d = P.diffs.get(-1)
+    return map_cokernel(d)[0] if d is not None else P.term(0)
 
 
 def socle_vertex(A: BoundQuiverAlgebra, M: Representation):
@@ -129,10 +145,9 @@ def vosnex(A: BoundQuiverAlgebra, n: int, cap: int = 32,
     if tf.value is not True:
         return Verdict("unknown", {"reason": "tau-finiteness unknown"})
     ctx = serre_context(A, n, cap)
-    cur = ctx.regular_complex()
     ell = 0
     while True:
-        hdims = cur.cohomology_dims()
+        hdims = ctx.orbit(ell).cohomology_dims()
         for i in range(1, n - 1):
             if hdims.get(-i, 0):
                 return Verdict(False, {"i": i, "orbit_index": ell})
@@ -140,7 +155,6 @@ def vosnex(A: BoundQuiverAlgebra, n: int, cap: int = 32,
             return Verdict(True, {"separation_at": ell})
         if ell >= window_cap:
             raise WindowInconclusive(window_cap)
-        cur = ctx.next_neg(cur)
         ell += 1
 
 
@@ -261,8 +275,7 @@ def analyze(A: BoundQuiverAlgebra, n: int, cap: int = 32,
             igv = iwanaga_gorenstein_dim(tilde_pres, cap)
             ig = igv if not isinstance(igv, AboveCap) else "unknown"
             rig = rigidity(split.orbit, n)
-            reg = serre_context(A, n, cap).regular_complex()
-            gh = amiot_hom(A, n, reg, reg, window_cap, cap)
+            gh = amiot_hom(A, n, window_cap, cap)
             cross = {
                 "preprojective_module_dim": split.dim,
                 "preprojective_algebra_dim": tilde_alg.dim,

@@ -28,7 +28,7 @@ from . import __version__
 from .checks import (analyze, is_n_rep_finite,
                      is_self_injective, is_tau_n_finite,
                      iwanaga_gorenstein_dim, rigidity, vosnex)
-from .derived import amiot_hom, module_complex
+from .derived import amiot_hom
 from .errors import (AboveCap, AboveCapError, NotTauFinite, QuiverAlgError,
                      WindowInconclusive)
 from .exactla import DEFAULT_FIELD, GF, QQ, Field
@@ -37,7 +37,7 @@ from .families import (auslander_algebra, canonical_2222,
                        linear_nakayama, thm39_type2)
 from .findim import quiver_presentation
 from .homology import global_dimension, tau_n_inv
-from .modules import projective, regular
+from .modules import projective
 from .preprojective import (preprojective_algebra, preprojective_module,
                             stable_endomorphism)
 from .quivers import (BoundQuiverAlgebra, Path, PathElement, Quiver,
@@ -537,8 +537,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "amiot-hom":
-        lam = module_complex(regular(A))
-        gh = amiot_hom(A, args.n, lam, lam, cap=args.cap)
+        gh = amiot_hom(A, args.n, cap=args.cap)
         payload = {"total": gh.total,
                    "pieces": {str(k): v for k, v in sorted(gh.pieces.items())}}
         sys.stdout.write(emit_report(_envelope(payload, text, args.seed), fmt))
@@ -613,8 +612,7 @@ def _selftest() -> int:
     si = is_self_injective(quiver_presentation(talg))
     check("which is self-injective", si.value is True)
     ka2 = dynkin_path_algebra(2)
-    gh = amiot_hom(ka2, 1, module_complex(regular(ka2)),
-                   module_complex(regular(ka2)))
+    gh = amiot_hom(ka2, 1)
     check("orbit Hom total for kA2 equals 4 with pieces (3, 1)",
           gh.total == 4 and gh.pieces == {0: 3, 1: 1})
     print("selftest:", "ok" if failures == 0 else f"{failures} failures")

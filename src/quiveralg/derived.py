@@ -1,4 +1,4 @@
-"""Bounded complexes, derived Hom, Serre powers, and orbit Hom sums.
+"""Bounded complexes, the Serre orbit of A and its orbit Hom.
 
 Derived-category objects travel in two forms: concrete bounded complexes
 of modules, and symbolic complexes whose terms are sums of indecomposable
@@ -15,16 +15,18 @@ sums.  A chain map is a quasi-isomorphism iff its mapping cone is
 acyclic, which is checked from the ranks of the cone blocks at each
 vertex.
 
-Every other object comes from two dualities on complexes of tagged
-projectives: the k-dual D, which carries the tags, and ``transposed``,
-Hom_A(-, A) over A^op, which moves each entry through
-``homology.transpose_entries``.  The Nakayama functor is
-nu = D Hom(-, A), and S_n^{-1} X = nu^{-1}(I)[n] for an injective
-resolution I = D P of X is Hom(P, A^op)[n] for a projective resolution P
-of D X, so the Serre orbit is computed with projective complexes only.
-A complex whose terms are tagged injective sums (every step of S_n)
-resolves term by term from ``homology``'s per-summand resolutions of the
-indecomposable injectives, each computed once per algebra.
+The Serre functor is walked one way only, by S_n^{-1}, with two
+dualities on complexes of tagged projectives: the k-dual D, which
+carries the tags, and ``transposed``, Hom_A(-, A) over A^op, which moves
+each entry through ``homology.transpose_entries``.  S_n^{-1} X =
+nu^{-1}(I)[n] for an injective resolution I = D P of X is
+Hom(P, A^op)[n] for a projective resolution P of D X, so the orbit is
+computed with projective complexes only.  D X of a complex X of tagged
+projective sums has tagged injective sums as terms, and resolves term by
+term from ``homology``'s per-summand resolutions of the indecomposable
+injectives, each computed once per algebra.  ``checks.is_n_rep_finite``
+walks S_n itself through D S_n = S_n^{-1} D over A^op, and the orbit Hom
+of A is the H^0 of the kept orbit of A.
 """
 
 from __future__ import annotations
@@ -33,23 +35,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AboveCap, AboveCapError, TermNotInjective,
-    TermNotProjective, WindowInconclusive)
-from .exactla import QuotientBasis
+from .errors import (AboveCap, AboveCapError, TermNotProjective,
+                     WindowInconclusive)
 from .homology import (ProjResolution, elements_of_map, global_dimension,
-                       hom_matrix, injectives_sum_resolution,
-                       map_of_elements, min_proj_resolution,
-                       transpose_entries)
+                       injectives_sum_resolution, map_of_elements,
+                       min_proj_resolution, transpose_entries)
 from .modules import (ModuleMap, Representation, dual,
                       map_from_projectives, op_algebra, projectives_sum,
-                      zero_rep)
+                      regular, zero_rep)
 from .quivers import BoundQuiverAlgebra, Path
 
 __all__ = ["ComplexOfModules", "ChainMap", "module_complex",
            "proj_resolve_complex", "resolution_complex", "SymbolicComplex",
-           "to_symbolic", "transposed", "nakayama", "nakayama_inv",
-           "amiot_hom", "hom_d", "GradedHom", "SerreContext",
-           "serre_context"]
+           "to_symbolic", "transposed", "amiot_hom", "GradedHom",
+           "SerreContext", "serre_context"]
 
 
 class ComplexOfModules:
@@ -204,22 +203,6 @@ class ChainMap:
         return True
 
 
-def _cohomology_basis(C: ComplexOfModules, i: int, v: int):
-    """H^i(C) at vertex v: the cocycles modulo the coboundaries, as a
-    QuotientBasis whose ``comp`` rows are cocycle representatives."""
-    f = C.algebra.field
-    dim = C.term(i).dims[v]
-    d = C.diffs.get(i)
-    cycles = f.kernel(d.blocks[v]) if d is not None else f.eye(dim)
-    dprev = C.diffs.get(i - 1)
-    bounds = f.row_space(dprev.blocks[v].T) if dprev is not None else \
-        f.zeros(0, dim)
-    H = QuotientBasis(f, bounds, cycles)
-    assert bounds.shape[0] + H.dim == cycles.shape[0], \
-        "boundaries must lie in the cycles"
-    return H
-
-
 def module_complex(M: Representation, degree: int = 0) -> ComplexOfModules:
     return ComplexOfModules(M.algebra, {degree: M}, {}, check=False)
 
@@ -231,16 +214,6 @@ def dual_complex(X: ComplexOfModules) -> ComplexOfModules:
                                [b.T.copy() for b in d.blocks])
              for i, d in X.diffs.items()}
     return ComplexOfModules(op_algebra(X.algebra), terms, diffs, check=False)
-
-
-def dual_chain_map(phi: ChainMap) -> ChainMap:
-    src = dual_complex(phi.target)
-    tgt = dual_complex(phi.source)
-    parts = {}
-    for i, p in phi.parts.items():
-        parts[-i] = ModuleMap(src.term(-i), tgt.term(-i),
-                              [b.T.copy() for b in p.blocks])
-    return ChainMap(src, tgt, parts, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -609,129 +582,46 @@ def transposed(P: ComplexOfModules) -> SymbolicComplex:
 
 
 # ---------------------------------------------------------------------------
-# Nakayama functor on complexes
-# ---------------------------------------------------------------------------
-
-def nakayama(X: ComplexOfModules) -> ComplexOfModules:
-    """nu = D Hom(-, A) on a complex of tagged projective sums: a complex
-    of tagged injective sums."""
-    return dual_complex(transposed(X).materialize())
-
-
-def nakayama_inv(X: ComplexOfModules) -> ComplexOfModules:
-    """nu^{-1} = Hom(-, A^op) D on a complex of tagged injective sums: a
-    complex of tagged projective sums."""
-    for t in X.terms.values():
-        if t.tag_kind != "I":
-            raise TermNotInjective("nakayama_inv needs tagged injective terms")
-    return transposed(dual_complex(X)).materialize()
-
-
-# ---------------------------------------------------------------------------
-# Serre powers
+# the orbit of A under S_n^{-1}
 # ---------------------------------------------------------------------------
 
 class SerreContext:
-    """Deterministic, memoized single steps of S_n^{+-1} so that iterated
-    objects are literally shared (needed to compose orbit morphisms).
+    """The orbit of A under S_n^{-1}, walked once.
 
     ``serre_context`` keeps one context per (A, n, cap) in the algebra's
-    memo, so every caller walks the same objects: the regular complex,
-    the minimized negative steps ``next_neg`` and the literal orbit
-    ``orbit_neg``.  They are shared, so callers must not change them.
+    memo.  ``orbit(i)`` is the minimized iterate S_n^{-i} A, built on
+    first use and kept in one list, so every caller reads the same
+    objects; they are shared, so callers must not change them.
 
     ``next_neg`` minimizes Hom(P, A^op)[n] in its symbolic form, straight
-    from ``transposed``, and ``minimized`` takes a complex of tagged
-    projective sums as its own resolution.  Each complex computes its
-    ``cohomology_dims`` once, so the support checks of the callers reuse
-    the dimensions that the minimization check measured."""
+    from ``transposed``.  Each complex computes its ``cohomology_dims``
+    once, so the support checks of the callers reuse the dimensions that
+    the minimization check measured."""
 
     def __init__(self, A: BoundQuiverAlgebra, n: int, cap: int = 32):
         self.A = A
         self.n = n
         self.cap = cap
-        self._neg: list[ComplexOfModules] = []
-        self._regular: ComplexOfModules | None = None
-        # id(X) -> (X, next_neg(X)); holding X keeps its id from reuse
-        self._next_neg: dict[int, tuple] = {}
-
-    # -- single steps -------------------------------------------------------
-    def step_neg(self, X: ComplexOfModules) -> ComplexOfModules:
-        """S_n^{-1} X = nu^{-1}(I)[n] for an injective resolution I = D P
-        of X, that is Hom(P, A^op)[n] for a projective resolution P of
-        D X over A^op."""
-        return self._symbolic_step_neg(X).materialize()
-
-    def _symbolic_step_neg(self, X: ComplexOfModules) -> SymbolicComplex:
-        P, _ = proj_resolve_complex(dual_complex(X), self.cap)
-        return transposed(P).shift(self.n)
-
-    def step_pos(self, X: ComplexOfModules) -> ComplexOfModules:
-        """S_n X = nu(projective resolution of X) [ -n ]."""
-        P, _ = proj_resolve_complex(X, self.cap)
-        return nakayama(P).shift(-self.n)
-
-    def minimized(self, X: ComplexOfModules) -> ComplexOfModules:
-        """The minimized complex of projectives quasi-isomorphic to X, so
-        support concentrated in degree 0 certifies a projective module.
-        A complex of tagged projective sums is its own resolution."""
-        P = X if _is_projective(X) else proj_resolve_complex(X, self.cap)[0]
-        return _minimized(to_symbolic(P), P)
+        self._orbit: list[ComplexOfModules] = []
 
     def next_neg(self, X: ComplexOfModules) -> ComplexOfModules:
-        """minimized(step_neg(X)), computed once per object X.  The step
-        stays symbolic up to the minimization; it is materialized once,
-        for the cohomology that the minimization must keep."""
-        hit = self._next_neg.get(id(X))
-        if hit is None:
-            step = self._symbolic_step_neg(X)
-            hit = self._next_neg[id(X)] = (
-                X, _minimized(step, step.materialize()))
-        return hit[1]
+        """S_n^{-1} X = nu^{-1}(I)[n] for an injective resolution I = D P
+        of X, that is Hom(P, A^op)[n] for a projective resolution P of
+        D X over A^op, minimized.  The step stays symbolic up to the
+        minimization; it is materialized once, for the cohomology that
+        the minimization must keep."""
+        P, _ = proj_resolve_complex(dual_complex(X), self.cap)
+        step = transposed(P).shift(self.n)
+        return _minimized(step, step.materialize())
 
-    # -- the memoized orbit of the regular module ---------------------------
-    def regular_complex(self) -> ComplexOfModules:
-        """A as a complex in degree 0, the same object on every call."""
-        if self._regular is None:
-            from .modules import regular
-            self._regular = module_complex(regular(self.A))
-        return self._regular
-
-    def orbit_neg(self, k: int) -> ComplexOfModules:
-        """The literal iterate S_n^{-k}(A-as-complex), not minimized (the
-        minimized steps are ``next_neg``)."""
-        assert k >= 0
-        if not self._neg:
-            self._neg.append(self.regular_complex())
-        while len(self._neg) <= k:
-            self._neg.append(self.step_neg(self._neg[-1]))
-        return self._neg[k]
-
-    # -- transport of chain maps through one negative step -------------------
-    def transport_neg(self, g: ChainMap) -> ChainMap:
-        """S_n^{-1}(g): step_neg(U) -> step_neg(V) for g: U -> V, computed
-        through the same construction as step_neg itself."""
-        U, V = g.source, g.target
-        DU, DV = dual_complex(U), dual_complex(V)
-        PDU, epsU = proj_resolve_complex(DU, self.cap, verify=False)
-        PDV, epsV = proj_resolve_complex(DV, self.cap, verify=False)
-        Dg = dual_chain_map(g)  # DV -> DU
-        fmap = ChainMap(PDV, DU, _compose_chain(epsV, Dg), check=False)
-        lifted = _strict_lift(PDV, fmap, epsU)  # PDV -> PDU
-        # Hom(lifted, A^op): Hom(PDU, A^op) -> Hom(PDV, A^op), shifted
-        src = transposed(PDU).materialize().shift(self.n)
-        tgt = transposed(PDV).materialize().shift(self.n)
-        Aop = PDU.algebra
-        parts = {}
-        for j, p in lifted.parts.items():
-            if j not in PDU.terms or j not in PDV.terms:
-                continue
-            entries = transpose_entries(Aop, elements_of_map(
-                Aop, p, PDV.terms[j], PDU.terms[j]))
-            i = -j - self.n
-            parts[i] = map_of_elements(self.A, entries, src.term(i),
-                                       tgt.term(i))
-        return ChainMap(src, tgt, parts, check=False)
+    def orbit(self, i: int) -> ComplexOfModules:
+        """S_n^{-i} A, minimized: A as a complex in degree 0 at i = 0, then
+        ``next_neg`` of the iterate before."""
+        if not self._orbit:
+            self._orbit.append(module_complex(regular(self.A)))
+        while len(self._orbit) <= i:
+            self._orbit.append(self.next_neg(self._orbit[-1]))
+        return self._orbit[i]
 
 
 def _minimized(sym: SymbolicComplex,
@@ -753,94 +643,8 @@ def serre_context(A: BoundQuiverAlgebra, n: int,
     return ctx
 
 
-def _compose_chain(first: ChainMap, then: ChainMap) -> dict[int, ModuleMap]:
-    parts = {}
-    for i, p in first.parts.items():
-        q = then.parts.get(i)
-        if q is not None:
-            parts[i] = p.compose(q)
-    return parts
-
-
 # ---------------------------------------------------------------------------
-# derived Hom
-# ---------------------------------------------------------------------------
-
-def hom_d(X: ComplexOfModules, Y: ComplexOfModules, j: int,
-          cap: int = 32) -> int:
-    """dim Hom_D(X, Y[j]) via the total Hom complex from a projective
-    resolution of X."""
-    if X.is_zero() or Y.is_zero():
-        return 0
-    P, _ = proj_resolve_complex(X, cap, verify=False)
-    lay_prev, lay, lay_next = (_hom_total_spaces(P, Y, m)
-                               for m in (j - 1, j, j + 1))
-    cols = sum(x[3] for x in lay)
-    if cols == 0:
-        return 0
-    f = P.algebra.field
-    # dim H^j = dim C^j - rank delta^j - rank delta^{j-1}
-    return cols - f.rank(_hom_delta(P, Y, j, lay, lay_next)) \
-        - f.rank(_hom_delta(P, Y, j - 1, lay_prev, lay))
-
-
-def _hom_total_spaces(P: ComplexOfModules, Y: ComplexOfModules, m: int):
-    """Coordinate layout of C^m = sum_i Hom(P^i, Y^{i+m}) in Yoneda coords."""
-    layout = []
-    for i in sorted(P.terms):
-        Yt = Y.terms.get(i + m)
-        if Yt is None:
-            continue
-        Pt = P.terms[i]
-        for s, v in enumerate(Pt.summands):
-            layout.append((i, s, v, Yt.dims[v]))
-    return layout
-
-
-def _hom_delta(P: ComplexOfModules, Y: ComplexOfModules, m: int,
-               lay_m: list, lay_m1: list) -> np.ndarray:
-    """Matrix of delta^m: C^m -> C^{m+1}, delta f = d_Y f - (-1)^m f d_P,
-    on the layouts ``_hom_total_spaces`` of C^m and C^{m+1}."""
-    f = P.algebra.field
-    cols = sum(x[3] for x in lay_m)
-    rows = sum(x[3] for x in lay_m1)
-    out = f.zeros(rows, cols)
-    if rows == 0 or cols == 0:
-        return out
-    coff = {}
-    off = 0
-    for (i, s, v, d) in lay_m:
-        coff[(i, s)] = (off, v, d)
-        off += d
-    roff = {}
-    off = 0
-    for (i, s, v, d) in lay_m1:
-        roff[(i, s)] = (off, v, d)
-        off += d
-    sign = f.one if m % 2 == 0 else f.neg(f.one)
-    for (i, s), (co, v, dcol) in coff.items():
-        # d_Y . f_i : stays at complex degree i, Yoneda slot (i, s)
-        dY = Y.diffs.get(i + m)
-        if dY is not None and (i, s) in roff:
-            ro, v2, drow = roff[(i, s)]
-            out[ro:ro + drow, co:co + dcol] = f.add(
-                out[ro:ro + drow, co:co + dcol], dY.blocks[v])
-    # the second summand - (-1)^m f_{i+1} d_P maps the degree-(i+1)
-    # columns to the degree-i rows by Hom(d_P^i, Y^{i+m+1}); both runs of
-    # slots are contiguous and miss the d_Y blocks above
-    for i, dP in sorted(P.diffs.items()):
-        if i not in P.terms or (i + 1, 0) not in coff:
-            continue
-        block = hom_matrix(dP, Y.terms[i + m + 1])
-        if block.size:
-            ro, co = roff[(i, 0)][0], coff[(i + 1, 0)][0]
-            out[ro:ro + block.shape[0], co:co + block.shape[1]] = \
-                f.smul(f.neg(sign), block)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# orbit Hom sums (Amiot cluster category Hom spaces)
+# the orbit Hom of A (Amiot cluster category Hom spaces)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -852,194 +656,30 @@ class GradedHom:
         return sum(self.pieces.values())
 
 
-def amiot_hom(A: BoundQuiverAlgebra, n: int, X: ComplexOfModules,
-              Y: ComplexOfModules, window_cap: int = 64,
+def amiot_hom(A: BoundQuiverAlgebra, n: int, window_cap: int = 64,
               cap: int = 32) -> GradedHom:
-    """Graded pieces Hom_D(X, S_n^{-i} Y) of the orbit-category Hom.
+    """Graded pieces Hom_D(A, S_n^{-i} A) = H^0(S_n^{-i} A), i >= 0, of the
+    orbit-category Hom of A, read off the kept orbit.
 
-    Scans i >= 0 and i < 0 until cohomological support separation makes
-    all further pieces vanish; WindowInconclusive if the cap is reached
-    first.  The orbit composition on the regular object is
-    ``amiot_endomorphism_algebra``.
-    """
+    The walk stops at the first iterate with no cohomology or with all of
+    it below -gldim A, past which every piece vanishes; WindowInconclusive
+    if the window cap is reached first.  The pieces i < 0 vanish when
+    gldim A <= n: S_n A = D A[-n] lies in degree n > 0, and S_n sends
+    D^{>= k} into D^{>= k + n - gldim A}."""
     gl = _gldim(A, cap)
     ctx = serre_context(A, n, cap)
     out = GradedHom()
-    xb = X.support_bounds()
-    if xb is None:
-        return out
-    xmin, xmax = xb
-    cur = Y
     i = 0
     while True:
-        yb = cur.support_bounds()
-        if yb is None:
-            break
-        ymin, ymax = yb
-        if ymax < xmin - gl:
-            break  # Hom(X, -) vanishes on D^{<= xmin-gl-1} forever after
-        d = hom_d(X, cur, 0, cap)
-        if d:
-            out.pieces[i] = d
+        dims = ctx.orbit(i).cohomology_dims()
+        if not dims or max(dims) < -gl:
+            break  # Hom(A, -) vanishes on D^{<= -gl-1} forever after
+        if dims.get(0):
+            out.pieces[i] = dims[0]
         if i >= window_cap:
             raise WindowInconclusive(window_cap)
-        cur = ctx.next_neg(cur)
         i += 1
-    cur = Y
-    i = 0
-    while True:
-        cur = ctx.minimized(ctx.step_pos(cur))
-        i -= 1
-        yb = cur.support_bounds()
-        if yb is None:
-            break
-        ymin, ymax = yb
-        if ymin > xmax:
-            break  # Hom(D^{<= xmax}, D^{>= xmax+1}) = 0, and S_n keeps rising
-        d = hom_d(X, cur, 0, cap)
-        if d:
-            out.pieces[i] = d
-        if -i >= window_cap:
-            raise WindowInconclusive(window_cap)
     return out
-
-
-# ---------------------------------------------------------------------------
-# the orbit endomorphism algebra of the regular object
-# ---------------------------------------------------------------------------
-
-class _H0Coords:
-    """Per-vertex H^0 coordinates of a complex, for classes of chain maps
-    out of the regular module."""
-
-    def __init__(self, C: ComplexOfModules):
-        self.H = [_cohomology_basis(C, 0, v)
-                  for v in range(C.algebra.quiver.n_vertices)]
-
-    def dim(self) -> int:
-        return sum(H.dim for H in self.H)
-
-    def coords(self, gen_images: list[np.ndarray]) -> np.ndarray:
-        """H^0 class of the chain map with the given generator images."""
-        outs = []
-        for H, img in zip(self.H, gen_images):
-            assert H.spans(img.T).all(), "image must be a cocycle"
-            outs.append(H.coords(img.T)[0])
-        return np.concatenate(outs)
-
-    def representative(self, v: int, k: int) -> np.ndarray:
-        """Generator image (at vertex v) of the k-th basis class there."""
-        return self.H[v].comp[k].reshape(-1, 1)
-
-
-def amiot_endomorphism_algebra(A: BoundQuiverAlgebra, n: int,
-                               window_cap: int = 64, cap: int = 32):
-    """End of the regular object in the orbit category, as a graded
-    FinDimAlgebra: degree-i piece Hom_D(A, S_n^{-i} A), composition via
-    transported chain maps."""
-    from .findim import FinDimAlgebra, sparse_constants
-    f = A.field
-    ctx = serre_context(A, n, cap)
-    nv = A.quiver.n_vertices
-    # collect pieces until support separation (as in amiot_hom)
-    gl = _gldim(A, cap)
-    coords = []
-    k = 0
-    while True:
-        C = ctx.orbit_neg(k)
-        hb = C.support_bounds()
-        if hb is None or hb[1] < -gl:
-            break
-        coords.append(_H0Coords(C))
-        if k >= window_cap:
-            raise WindowInconclusive(window_cap)
-        k += 1
-    while coords and coords[-1].dim() == 0:
-        coords.pop()
-    piece_dims = [c.dim() for c in coords]
-    offsets = np.cumsum([0] + piece_dims)
-    total = int(offsets[-1])
-    grading = []
-    basis_info = []  # (grade, vertex, local index within vertex block)
-    for g, c in enumerate(coords):
-        for v in range(nv):
-            for k2 in range(c.H[v].dim):
-                grading.append(g)
-                basis_info.append((g, v, k2))
-
-    # transported maps cache: (grade_j, basis idx, steps) -> ChainMap
-    tcache: dict[tuple[int, int], ChainMap] = {}
-
-    def chain_of(idx: int) -> ChainMap:
-        g, v, k2 = basis_info[idx]
-        C = ctx.orbit_neg(g)
-        C0 = C.term(0)
-        gen_images = [f.zeros(C0.dims[w], 1) for w in range(nv)]
-        gen_images[v] = coords[g].representative(v, k2)
-        from .modules import regular
-        R = regular(A)
-        part0 = map_from_projectives(R, C0, gen_images)
-        return ChainMap(module_complex(R), C, {0: part0}, check=False)
-
-    def transported(idx: int, steps: int) -> ChainMap:
-        hit = tcache.get((idx, steps))
-        if hit is None:
-            cm = chain_of(idx)
-            for _ in range(steps):
-                cm = ctx.transport_neg(cm)
-            tcache[(idx, steps)] = cm
-            hit = cm
-        return hit
-
-    def products(i: int):
-        """Products x_i x_j as entries (i, j, k, c), in order of (j, k), in
-        the tensor-algebra orientation: x_j acts first, x_i is transported
-        past it by S_n^{-deg(x_j)}."""
-        gi = basis_info[i][0]
-        for j in range(total):
-            gj = basis_info[j][0]
-            if gi + gj >= len(coords):
-                continue
-            fmap = chain_of(j)
-            gmap = transported(i, gj)  # S^{-gj}(x_i): C_gj -> C_{gi+gj}
-            g0 = gmap.parts.get(0)
-            if g0 is None or fmap.parts.get(0) is None:
-                continue
-            comp = fmap.parts[0].compose(
-                ModuleMap(gmap.source.term(0), gmap.target.term(0),
-                          g0.blocks))
-            R = fmap.parts[0].source
-            gen_imgs = []
-            for w in range(nv):
-                col = R.offsets[w][w]
-                gen_imgs.append(comp.blocks[w][:, col:col + 1])
-            for t, c in enumerate(coords[gi + gj].coords(gen_imgs)):
-                yield i, j, int(offsets[gi + gj]) + t, c
-
-    idems = []
-    for v in range(nv):
-        # the class of the idempotent e_v in the degree-0 piece Hom(A, A)
-        C0 = ctx.orbit_neg(0).term(0)
-        gen_images = [f.zeros(C0.dims[w], 1) for w in range(nv)]
-        ev = f.zeros(C0.dims[v], 1)
-        ev[_regular_unit_index(A, v), 0] = f.one
-        gen_images[v] = ev
-        cvec = coords[0].coords(gen_images)
-        vec = f.zeros(1, total)[0]
-        for t in range(piece_dims[0]):
-            vec[t] = cvec[t]
-        idems.append(vec)
-
-    alg = FinDimAlgebra(f, total, None, idems, grading, constants=(
-        sparse_constants(f, (e for i in range(total) for e in products(i)))))
-    alg.piece_dims = piece_dims
-    return alg
-
-
-def _regular_unit_index(A: BoundQuiverAlgebra, v: int) -> int:
-    from .modules import regular
-    R = regular(A)
-    return R.offsets[v][v]  # trivial path is first in basis_between(v, v)
 
 
 def _gldim(A: BoundQuiverAlgebra, cap: int) -> int:

@@ -13,7 +13,7 @@ entries of d into those of Hom_A(d, A) over A^op.  Maps between tagged
 injective sums are the k-duals of maps between tagged projective sums
 over A^op, and the Nakayama functor is nu = D Hom(-, A): the transpose
 Tr M is the cokernel of Hom(d, A) for the minimal projective
-presentation d of M, and ``nakayama_presentation`` is its k-dual nu d.
+presentation d of M.
 
 The global dimension, the tau_n^- orbit of A and the minimal resolution
 of each indecomposable injective D(A e_v) (key ``("inj_res", v, cap)``,
@@ -31,7 +31,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import AboveCap
-from .modules import (ModuleMap, Representation, dual, dual_map,
+from .modules import (ModuleMap, Representation, dual,
                       injective_envelope, injectives_sum, map_cokernel,
                       map_from_projectives, map_kernel, op_algebra,
                       projectives_sum, projective_cover)
@@ -337,13 +337,6 @@ def _hom_presentation(M: Representation) -> ModuleMap:
     return map_of_elements(
         Aop, transpose_entries(A, elements_of_map(A, d, P1, P0)),
         projectives_sum(Aop, P0.summands), projectives_sum(Aop, P1.summands))
-
-
-def nakayama_presentation(M: Representation) -> ModuleMap:
-    """nu d = D Hom(d, A): nu P1 -> nu P0, a map of tagged injective sums
-    over A, for the minimal projective presentation d: P1 -> P0 of M.  Its
-    cokernel is nu M; nu P1 is zero when M is projective."""
-    return dual_map(_hom_presentation(M))
 
 
 def transpose(M: Representation) -> Representation:

@@ -22,7 +22,7 @@ __all__ = ["Representation", "ModuleMap", "zero_rep", "simple", "projective",
            "injective", "projectives_sum", "injectives_sum", "regular",
            "coregular", "direct_sum", "hom_space", "dual", "socle",
            "projective_cover", "injective_envelope", "decompose",
-           "is_isomorphic", "op_algebra", "random_module"]
+           "is_isomorphic", "op_algebra"]
 
 
 def op_algebra(A: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
@@ -868,50 +868,3 @@ def is_isomorphic(M: Representation, N: Representation) -> bool:
         else:
             return False
     return True
-
-
-def random_module(A: BoundQuiverAlgebra, rng: random.Random,
-                  max_gens: int = 3) -> Representation:
-    """A random quotient of a small sum of projectives (always a module)."""
-    nv = A.quiver.n_vertices
-    slots = [rng.randrange(nv) for _ in range(rng.randint(1, max_gens))]
-    P = projectives_sum(A, slots)
-    f = A.field
-    rad, rad_incl = radical_series(P)
-    # random submodule of rad P: generated by a few random elements
-    k = rng.randint(0, 2)
-    gens = []
-    for _ in range(k):
-        v = rng.randrange(nv)
-        if rad.dims[v] == 0:
-            continue
-        col = f.zeros(rad.dims[v], 1)
-        for r in range(rad.dims[v]):
-            col[r, 0] = f.rand_el(rng)
-        gens.append((v, f.matmul(rad_incl.blocks[v], col)))
-    spaces = _generated_submodule_spaces(P, gens)
-    rep, _ = quotient(P, spaces)
-    return rep
-
-
-def _generated_submodule_spaces(M: Representation, gens):
-    """Arrow-stable subspaces generated by (vertex, column) seeds."""
-    q = M.algebra.quiver
-    f = M.field
-    spaces = [f.zeros(M.dims[v], 0) for v in range(q.n_vertices)]
-    frontier = []
-    for v, col in gens:
-        spaces[v] = np.concatenate([spaces[v], col], axis=1)
-        frontier.append((v, col))
-    while frontier:
-        v, col = frontier.pop()
-        for a in q.arrows_from(v):
-            t = q.target(a)
-            img = f.matmul(M.action[a], col)
-            if f.is_zero(img):
-                continue
-            test = np.concatenate([spaces[t], img], axis=1)
-            if f.rank(test.T) > f.rank(spaces[t].T):
-                spaces[t] = test
-                frontier.append((t, img))
-    return spaces

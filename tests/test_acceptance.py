@@ -13,14 +13,14 @@ import pytest
 from quiveralg.checks import (cy_spot_check, is_n_rep_finite,
                               is_self_injective, is_tau_n_finite,
                               iwanaga_gorenstein_dim, vosnex)
-from quiveralg.derived import (amiot_hom, module_complex)
+from quiveralg.derived import amiot_hom
 from quiveralg.exactla import GF
 from quiveralg.families import (auslander_algebra, canonical_2222,
                                 dynkin_path_algebra, linear_nakayama,
                                 thm39_type2)
 from quiveralg.findim import quiver_presentation
 from quiveralg.homology import global_dimension, tau_n_inv
-from quiveralg.modules import (decompose, direct_sum, projective, regular)
+from quiveralg.modules import decompose, direct_sum, projective
 from quiveralg.preprojective import (end_algebra, preprojective_algebra,
                                      preprojective_module,
                                      stable_endomorphism)
@@ -177,8 +177,7 @@ def test_criterion_5_triple_cross_validation(corpus):
     for label, A, n in corpus:
         split = preprojective_module(A, n)
         talg = preprojective_algebra(A, n)
-        lam = module_complex(regular(A))
-        gh = amiot_hom(A, n, lam, lam)
+        gh = amiot_hom(A, n)
         agree = split.dim == talg.dim == gh.total
         if label == "kA2":
             agree = agree and gh.total == 4

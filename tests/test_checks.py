@@ -10,17 +10,19 @@ from quiveralg.checks import (_self_injective, analyze, cy_spot_check, is_cm,
 from quiveralg import checks, homology
 from quiveralg.errors import AboveCapError
 from quiveralg.exactla import GF, QQ
-from quiveralg.families import (auslander_algebra, dynkin_path_algebra,
+from quiveralg.families import (auslander_algebra, canonical_2222,
+                                dynkin_path_algebra, higher_auslander_chain,
                                 linear_nakayama)
 from quiveralg.findim import quiver_presentation
 from quiveralg.modules import (direct_sum, injective, is_isomorphic,
-                               projective, random_module, simple)
+                               projective, simple)
 from quiveralg.preprojective import (preprojective_algebra,
                                      preprojective_module)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
 from references import (cy_spot_check_by_isomorphism,
                         hereditary_maximality_check, ig_dim_by_resolution,
-                        nu_module, rigidity_per_degree,
+                        is_n_rep_finite_forward,
+                        nu_module, random_module, rigidity_per_degree,
                         self_injective_by_isomorphism)
 from test_end_corners import _corpus
 
@@ -91,6 +93,55 @@ def test_n_rep_finite_gldim_obstruction():
     v = is_n_rep_finite(nak_a3(), 1)
     assert v.value is False
     assert v.witness["reason"] == "gldim"
+
+
+def _aus(m, orientation=None):
+    return auslander_algebra(dynkin_path_algebra(m, orientation))
+
+
+# beyond the corpus: True, False with a cohomology witness, "unknown" and
+# the length-cap error all occur at the caps below
+N_RF_CASES = [(label, make, n) for label, make, n in _corpus(GF(32003))] + [
+    ("Aus(A4)", lambda: _aus(4), 2), ("Aus(A5)", lambda: _aus(5), 2),
+    ("nakayama-9", lambda: linear_nakayama(9), 2),
+    ("3-aus-A3", lambda: higher_auslander_chain(3, 3)[-1], 4),
+    ("2-aus-A4", lambda: higher_auslander_chain(4, 2)[-1], 3),
+    ("A3", lambda: dynkin_path_algebra(3), 1),
+    ("A4", lambda: dynkin_path_algebra(4), 2),
+    ("aus-A3-nonlinear-n1", lambda: _aus(3, ["f", "b"]), 1),
+    ("aus-A3-nonlinear-n3", lambda: _aus(3, ["f", "b"]), 3),
+    ("nakayama-4-n3", lambda: linear_nakayama(4), 3),
+    ("nakayama-5-n3", lambda: linear_nakayama(5), 3),
+    ("canonical-lam2-n3", lambda: canonical_2222(2), 3),
+]
+
+
+def _n_rf_outcome(route, A, n, cap):
+    try:
+        v = route(A, n, cap)
+    except AboveCapError as e:
+        return type(e), str(e)
+    return v.value, v.witness
+
+
+def test_n_rep_finite_over_the_opposite_equals_the_forward_route():
+    """D S_n^l I_v walked as S_n^{-l} D I_v over A^op gives the value and
+    witness, or the cap error, of S_n stepped from each I_v."""
+    kinds = set()
+    for label, make, n in N_RF_CASES:
+        A = make()
+        for cap in (32, 0, 1, 2, 3):
+            got = _n_rf_outcome(is_n_rep_finite, A, n, cap)
+            want = _n_rf_outcome(is_n_rep_finite_forward, A, n, cap)
+            assert got == want, (label, cap)
+            if got[0] is False and "cohomology" in got[1]:
+                # in degree order, as the report prints it
+                assert list(got[1]["cohomology"].items()) == \
+                    list(want[1]["cohomology"].items()), (label, cap)
+            kinds.add(got[0] if got[0] is not False
+                      else ("False", got[1]["reason"]))
+    assert kinds == {True, "unknown", AboveCapError, ("False", "gldim"),
+                     ("False", "iterate left module territory")}
 
 
 def test_self_injective_cyclic3():
@@ -395,7 +446,7 @@ def test_cm_examples_on_ig_dim_one():
     from quiveralg.families import auslander_algebra, dynkin_path_algebra
     from quiveralg.findim import quiver_presentation
     from quiveralg.homology import syzygy, ext
-    from quiveralg.modules import random_module, regular
+    from quiveralg.modules import regular
     from quiveralg.preprojective import preprojective_algebra
     import random as _random
     L = auslander_algebra(dynkin_path_algebra(3, ["f", "b"]))

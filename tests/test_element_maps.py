@@ -18,9 +18,9 @@ from quiveralg.modules import (ModuleMap, dual, dual_map, injective,
                                injectives_sum, map_cokernel,
                                map_from_projectives, map_kernel, op_algebra,
                                projective, projective_cover, projectives_sum,
-                               random_module, simple, zero_rep)
+                               simple, zero_rep)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import nu_module
+from references import nu_module, random_module
 
 FIELDS = {"GF": GF(32003), "QQ": QQ}
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiveralg import findim
-from quiveralg.derived import amiot_endomorphism_algebra
 from quiveralg.exactla import GF, QQ, QuotientBasis
 from quiveralg.families import (auslander_algebra, canonical_2222,
                                 dynkin_path_algebra, knit_indecomposables,
@@ -18,8 +17,9 @@ from quiveralg.modules import direct_sum
 from quiveralg.preprojective import (end_algebra, preprojective_algebra,
                                      preprojective_module,
                                      stable_endomorphism)
-from references import (check_associativity, hom_quotient, meet,
-                        right_mult_matrix, vertex_labels_dense)
+from references import (amiot_endomorphism_algebra, check_associativity,
+                        hom_quotient, meet, right_mult_matrix,
+                        vertex_labels_dense)
 from test_end_corners import _corpus
 
 P31 = 2**31 - 1

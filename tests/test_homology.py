@@ -6,9 +6,9 @@ from quiveralg.homology import (ext, global_dimension, injective_dimension,
                                 min_proj_resolution, proj_dimension, syzygy,
                                 tau, tau_inv, tau_n, tau_n_inv, transpose)
 from quiveralg.modules import (hom_space, injective, is_isomorphic,
-                               op_algebra, projective, random_module, simple)
+                               op_algebra, projective, simple)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import stable_hom
+from references import random_module, stable_hom
 
 F = GF(32003)
 

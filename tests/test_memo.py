@@ -11,13 +11,15 @@ from dataclasses import asdict
 
 import pytest
 
-from quiveralg.checks import analyze, is_self_injective, is_tau_n_finite
-from quiveralg.derived import module_complex, serre_context
+from quiveralg.checks import (analyze, is_self_injective, is_tau_n_finite,
+                              vosnex)
+from quiveralg.derived import (SerreContext, amiot_hom, module_complex,
+                               serre_context)
 from quiveralg.errors import AboveCap, NotTauFinite
 from quiveralg.exactla import GF, QQ
 from quiveralg.families import higher_auslander_chain
 from quiveralg.homology import global_dimension, tau_n_inv, tau_n_orbit
-from quiveralg.modules import projective, regular
+from quiveralg.modules import regular
 from quiveralg.preprojective import preprojective_module
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
 
@@ -156,21 +158,37 @@ def _shape(X):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_next_neg_is_kept_per_object(field):
-    A = nak_a3(field)
+def test_orbit_is_kept_once_per_index(field, monkeypatch):
+    """orbit(k) is one object per k, each next_neg of the one before, as a
+    fresh algebra computes it; vosnex and amiot_hom read the same objects,
+    so no iterate is stepped twice."""
+    A = chain_2_2(field)
     ctx = serre_context(A, 3)
+    stepped = []
+    real = SerreContext.next_neg
+
+    def spy(self, X):
+        if self is ctx:
+            stepped.append(X)
+        return real(self, X)
+
+    monkeypatch.setattr(SerreContext, "next_neg", spy)
     assert serre_context(A, 3) is ctx
     assert serre_context(A, 3, cap=5) is not ctx
-    assert ctx.regular_complex() is ctx.regular_complex()
-    # P1 and P2 have the same total dimension but different orbits
-    cxs = [module_complex(projective(A, v)) for v in range(3)]
-    assert cxs[0].term(0).total_dim == cxs[1].term(0).total_dim
-    for v, X in enumerate(cxs):
-        Y = ctx.next_neg(X)
-        assert ctx.next_neg(X) is Y
-        B = nak_a3(field)
-        fresh = serre_context(B, 3).next_neg(module_complex(projective(B, v)))
-        assert _shape(Y) == _shape(fresh)
+    assert vosnex(A, 3).value is True
+    assert len(stepped) >= 2
+    assert amiot_hom(A, 3).total == preprojective_module(A, 3).dim
+    orbit = [ctx.orbit(k) for k in range(len(stepped) + 1)]
+    assert all(ctx.orbit(k) is X for k, X in enumerate(orbit))
+    # each iterate was stepped from once, in order
+    assert all(X is orbit[k] for k, X in enumerate(stepped))
+    assert _shape(orbit[0]) == _shape(module_complex(regular(A)))
+    B = chain_2_2(field)
+    fresh = SerreContext(B, 3)
+    cur = module_complex(regular(B))
+    for X in orbit[1:]:
+        cur = fresh.next_neg(cur)
+        assert _shape(X) == _shape(cur)
 
 
 # over Q, analyze of Aus(A3-nonlinear) takes seconds (Fraction products in

@@ -14,13 +14,13 @@ from quiveralg.modules import (Representation, _has_iso, coregular, decompose,
                                is_isomorphic, map_from_projectives,
                                map_kernel, op_algebra, projective,
                                projective_cover, projectives_sum,
-                               radical_series, random_module, regular, simple,
-                               socle, zero_rep)
+                               radical_series, regular, simple, socle,
+                               zero_rep)
 from quiveralg.quivers import PathElement, Path, Quiver, complete_basis
 from quiveralg.preprojective import preprojective_module
 from references import (dual_by_transpose, indecomposables_isomorphic,
                         map_from_projectives_by_paths, projectives_sum_fresh,
-                        top)
+                        random_module, top)
 from test_presentation import bound_quiver_algebras
 
 F = GF(32003)

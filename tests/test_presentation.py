@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quiveralg import findim, quivers
-from quiveralg.derived import amiot_endomorphism_algebra
 from quiveralg.errors import NotBasic
 from quiveralg.exactla import GF, QQ, QuotientBasis, complement_rows
 from quiveralg.families import linear_nakayama, thm39_type2
@@ -16,9 +15,9 @@ from quiveralg.modules import is_isomorphic, projective, simple
 from quiveralg.preprojective import (end_algebra, preprojective_algebra,
                                      stable_endomorphism)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import (arrows_by_meet, complete_basis_by_scan,
-                        corners_by_meet, ideal_span, is_homog, meet,
-                        radical_rows, right_mult_matrix)
+from references import (amiot_endomorphism_algebra, arrows_by_meet,
+                        complete_basis_by_scan, corners_by_meet, ideal_span,
+                        is_homog, meet, radical_rows, right_mult_matrix)
 
 F = GF(32003)
 

@@ -6,14 +6,13 @@ Exact arithmetic everywhere: zero failures tolerated.
 import random
 
 
-from quiveralg.derived import (SerreContext, module_complex,
-                               proj_resolve_complex)
+from quiveralg.derived import module_complex, proj_resolve_complex
 from quiveralg.exactla import GF
 from quiveralg.homology import tau_n, tau_n_inv
-from quiveralg.modules import (hom_space, injective, is_isomorphic,
-                               projective, random_module)
+from quiveralg.modules import hom_space, injective, is_isomorphic, projective
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import cohomology, serre_n_power
+from references import (SerreSteps, cohomology, hom_d, random_module,
+                        serre_n_power)
 
 F = GF(32003)
 
@@ -69,7 +68,6 @@ def test_yoneda_dimension_identities_200():
 
 
 def test_serre_duality_dimensions_200():
-    from quiveralg.derived import hom_d
     rng = random.Random(803)
     algebras = corpus()
     for case in range(200):
@@ -103,14 +101,14 @@ def test_derived_applications_verified_200():
     """d^2 = 0 and quasi-isomorphism checks fire on every application.
 
     proj_resolve_complex(verify=True) asserts its augmentation is a chain
-    map inducing cohomology isomorphisms; the SerreContext minimizer
+    map inducing cohomology isomorphisms; the SerreSteps minimizer
     asserts cohomology preservation; materialization validates d^2 = 0.
     """
     rng = random.Random(805)
     algebras = corpus()
     for case in range(200):
         A, n = algebras[case % len(algebras)]
-        ctx = SerreContext(A, n)
+        ctx = SerreSteps(A, n)
         m = random_module(A, rng)
         X = module_complex(m)
         P, eps = proj_resolve_complex(X, verify=True)

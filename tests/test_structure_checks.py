@@ -2,7 +2,6 @@
 
 
 from quiveralg.checks import (is_n_rep_finite, is_self_injective, vosnex)
-from quiveralg.derived import amiot_endomorphism_algebra
 from quiveralg.exactla import GF
 from quiveralg.families import (auslander_algebra, dynkin_path_algebra,
                                 higher_auslander_chain, linear_nakayama)
@@ -14,7 +13,7 @@ from quiveralg.preprojective import (preprojective_algebra,
                                      preprojective_module,
                                      stable_endomorphism)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import check_associativity
+from references import amiot_endomorphism_algebra, check_associativity
 
 F = GF(32003)
 
