@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 
 from .derived import (ComplexOfModules, amiot_hom, module_complex,
                       serre_context)
-from .errors import AboveCap, AboveCapError, GldimTooLarge, WindowInconclusive
+from .errors import AboveCap, AboveCapError, WindowInconclusive
 from .findim import quiver_presentation
-from .homology import (ext, global_dimension, injective_dimension,
-                       min_proj_resolution, proj_dimension, syzygy,
+from .homology import (ext, gldim_at_most, global_dimension,
+                       injective_dimension, min_proj_resolution, syzygy,
                        tau_n_orbit)
 from .modules import (Representation, dual, map_cokernel, op_algebra,
-                      projective, regular, simple)
+                      projective, projective_cover, regular, simple)
 from .preprojective import (preprojective_algebra, preprojective_module,
                             stable_endomorphism)
 from .quivers import BoundQuiverAlgebra
@@ -40,9 +40,7 @@ class Verdict:
 
 
 def is_tau_n_finite(A: BoundQuiverAlgebra, n: int, cap: int = 32) -> Verdict:
-    gl = global_dimension(A, cap=n + 1)
-    if isinstance(gl, AboveCap) or gl > n:
-        raise GldimTooLarge(f"gldim(A) = {gl} exceeds n = {n}")
+    gldim_at_most(A, n)
     trace = []
     for i in range(1, cap + 1):
         cur = tau_n_orbit(A, n, i)
@@ -75,7 +73,9 @@ def is_n_rep_finite(A: BoundQuiverAlgebra, n: int, cap: int = 32) -> Verdict:
                     "injective": v, "iterate": ell,
                     "cohomology": hdims,
                     "reason": "iterate left module territory"})
-            if proj_dimension(dual(_h0(cur)), 0) == 0:
+            dh0 = dual(_h0(cur))
+            # its cover is onto, so an isomorphism iff the dims agree
+            if projective_cover(dh0).source.dims == dh0.dims:
                 found = ell
                 break
             cur = ctx.next_neg(cur)

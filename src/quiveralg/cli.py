@@ -128,6 +128,8 @@ def _parse_relation(expr: str, quiver: Quiver, field: Field, line: int):
         p = Path(quiver.source(arrows[0]), tuple(arrows))
         terms[p] = terms.get(p, Fraction(0)) + coef
         expect_term = False
+    if tokens and expect_term:
+        raise SpecError(f"relation {expr!r} ends in a sign", line)
     try:
         terms = {p: field.el(c) for p, c in terms.items()}
     except ZeroDivisionError as e:
@@ -154,12 +156,17 @@ def _parse_spec(text: str, override: Field | None):
     rel_exprs = []
     meta = {}
     name = None
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         linestr = raw.strip()
         if not linestr or linestr.startswith("#"):
             continue
         key, _, value = linestr.partition(" ")
         value = value.strip()
+        if key in seen:
+            raise SpecError(f"a second {key!r} line", lineno)
+        if key != "meta":
+            seen.add(key)
         if key == "name":
             name = value
         elif key == "field":
@@ -175,7 +182,12 @@ def _parse_spec(text: str, override: Field | None):
                 m = _ARROW_RE.match(item)
                 if not m:
                     raise SpecError(f"malformed arrow {item!r}", lineno)
-                arrows.append((m.group(1), m.group(2), m.group(3)))
+                arrow = m.group(1)
+                if re.fullmatch(r"\d+", arrow) or re.search(r"[+-]", arrow):
+                    raise SpecError(
+                        f"arrow name {arrow!r} would read as a "
+                        "coefficient or a sign in a relation", lineno)
+                arrows.append((arrow, m.group(2), m.group(3)))
         elif key == "relations":
             rel_exprs = [(e, lineno)
                          for e in _split_bracket_list(value, lineno, ",")]
@@ -297,10 +309,10 @@ def build_family(name: str, params: list[str],
     if name == "canonical_2222":
         tag = _param(params, 0, "the parameter lambda")
         try:
-            lam = Fraction(tag)
+            lam = field.el(Fraction(tag))
         except (ValueError, ZeroDivisionError):
-            raise SpecError(f"lambda must be a rational number, got {tag!r}") \
-                from None
+            raise SpecError(f"lambda must be a rational number defined "
+                            f"over {field!r}, got {tag!r}") from None
         return canonical_2222(lam, field), f"canonical_2222-{tag}"
     if name == "dynkin":
         return _dynkin_param(params, field), f"dynkin-{params[0]}"

@@ -35,9 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AboveCap, AboveCapError, TermNotProjective,
-                     WindowInconclusive)
-from .homology import (ProjResolution, elements_of_map, global_dimension,
+from .errors import AboveCapError, TermNotProjective, WindowInconclusive
+from .homology import (ProjResolution, elements_of_map, gldim_at_most,
                        injectives_sum_resolution, map_of_elements,
                        min_proj_resolution, transpose_entries)
 from .modules import (ModuleMap, Representation, dual,
@@ -665,8 +664,9 @@ def amiot_hom(A: BoundQuiverAlgebra, n: int, window_cap: int = 64,
     it below -gldim A, past which every piece vanishes; WindowInconclusive
     if the window cap is reached first.  The pieces i < 0 vanish when
     gldim A <= n: S_n A = D A[-n] lies in degree n > 0, and S_n sends
-    D^{>= k} into D^{>= k + n - gldim A}."""
-    gl = _gldim(A, cap)
+    D^{>= k} into D^{>= k + n - gldim A}; so GldimTooLarge when
+    gldim A > n, and AboveCapError when it exceeds the length cap."""
+    gl = gldim_at_most(A, n, cap)
     ctx = serre_context(A, n, cap)
     out = GradedHom()
     i = 0
@@ -681,9 +681,3 @@ def amiot_hom(A: BoundQuiverAlgebra, n: int, window_cap: int = 64,
         i += 1
     return out
 
-
-def _gldim(A: BoundQuiverAlgebra, cap: int) -> int:
-    g = global_dimension(A, cap)
-    if isinstance(g, AboveCap):
-        raise AboveCapError(cap)
-    return g

@@ -48,10 +48,6 @@ class TermNotProjective(QuiverAlgError):
     pass
 
 
-class TermNotInjective(QuiverAlgError):
-    pass
-
-
 class GldimTooLarge(QuiverAlgError):
     pass
 

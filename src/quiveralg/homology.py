@@ -2,8 +2,10 @@
 
 The transpose is taken from a minimal projective presentation, so tau
 and tau_inv kill projective (resp. injective) direct summands without
-any explicit stripping; the higher translates are the composites
-tau . syzygy^(n-1) and tau^- . cosyzygy^(n-1) with minimal steps.
+any explicit stripping.  Every step goes through a projective cover:
+the cosyzygy is Omega^{-k} M = D Omega^k D M, a syzygy over A^op, and
+the higher translates are tau_n = D Tr Omega^{n-1} and
+tau_n^- = tau^- Omega^{-(n-1)} = Tr Omega^{n-1} D.
 
 A map between sums of indecomposable projectives is a matrix of algebra
 elements.  ``elements_of_map`` reads that matrix off the blocks of a map
@@ -30,18 +32,17 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import AboveCap
-from .modules import (ModuleMap, Representation, dual,
-                      injective_envelope, injectives_sum, map_cokernel,
-                      map_from_projectives, map_kernel, op_algebra,
-                      projectives_sum, projective_cover)
+from .errors import AboveCap, AboveCapError, GldimTooLarge
+from .modules import (ModuleMap, Representation, dual, injectives_sum,
+                      map_cokernel, map_from_projectives, map_kernel,
+                      op_algebra, projectives_sum, projective_cover)
 from .quivers import BoundQuiverAlgebra, Path
 
 __all__ = ["ProjResolution", "min_proj_resolution",
            "injectives_sum_resolution", "syzygy", "ext",
            "ext_data", "transpose", "tau", "tau_inv", "tau_n", "tau_n_inv",
-           "tau_n_orbit", "global_dimension", "injective_dimension",
-           "proj_dimension", "hom_matrix"]
+           "tau_n_orbit", "global_dimension", "gldim_at_most",
+           "injective_dimension", "proj_dimension", "hom_matrix"]
 
 
 @dataclass
@@ -191,23 +192,21 @@ def injectives_sum_resolution(M: Representation,
 
 
 def syzygy(M: Representation, i: int) -> Representation:
-    """Omega^i for i>0, Omega^{-|i|} via cosyzygies for i<0, M for i=0.
+    """Omega^i M for i >= 0, and Omega^{-|i|} M = D Omega^{|i|} D M for
+    i < 0: D turns a minimal injective envelope of M into a minimal
+    projective cover of D M over A^op, so each cosyzygy is the k-dual of
+    a syzygy there.
 
-    Each step uses the minimal cover/envelope, so projective (resp.
-    injective) summands of M itself never propagate; a kernel can still
-    be projective (Omega S_1 = P_2 over the A2 quiver) and is returned
+    Each step uses the minimal cover, so projective (resp. injective)
+    summands of M itself never propagate; a kernel can still be
+    projective (Omega S_1 = P_2 over the A2 quiver) and is returned
     as-is.
     """
-    if i >= 0:
-        cur = M
-        for _ in range(i):
-            cov = projective_cover(cur)
-            cur, _ = map_kernel(cov)
-        return cur
+    if i < 0:
+        return dual(syzygy(dual(M), -i))
     cur = M
-    for _ in range(-i):
-        env = injective_envelope(cur)
-        cur, _ = map_cokernel(env)
+    for _ in range(i):
+        cur, _ = map_kernel(projective_cover(cur))
     return cur
 
 
@@ -297,6 +296,21 @@ def global_dimension(A: BoundQuiverAlgebra, cap: int = 32):
     return known
 
 
+def gldim_at_most(A: BoundQuiverAlgebra, n: int,
+                  cap: int | None = None) -> int:
+    """gldim A, or GldimTooLarge when it exceeds n.  Given a length cap,
+    gldim A is computed up to that cap, and AboveCapError raised past it."""
+    gl = global_dimension(A, n + 1 if cap is None else cap)
+    if isinstance(gl, AboveCap):
+        if cap is not None:
+            raise AboveCapError(cap)
+        raise GldimTooLarge(f"gldim(A) is above {n + 1}, so it exceeds "
+                            f"n = {n}")
+    if gl > n:
+        raise GldimTooLarge(f"gldim(A) = {gl} exceeds n = {n}")
+    return gl
+
+
 def injective_dimension(M: Representation, cap: int = 32):
     return proj_dimension(dual(M), cap)
 
@@ -354,15 +368,17 @@ def tau_inv(M: Representation) -> Representation:
 
 
 def tau_n(M: Representation, n: int) -> Representation:
+    """tau_n M = tau Omega^{n-1} M."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return tau(syzygy(M, n - 1) if n > 1 else M)
+    return dual(transpose(syzygy(M, n - 1)))
 
 
 def tau_n_inv(M: Representation, n: int) -> Representation:
+    """tau_n^- M = tau^- Omega^{-(n-1)} M = Tr Omega^{n-1} D M."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return tau_inv(syzygy(M, 1 - n) if n > 1 else M)
+    return transpose(syzygy(dual(M), n - 1))
 
 
 def tau_n_orbit(A: BoundQuiverAlgebra, n: int, i: int) -> Representation:

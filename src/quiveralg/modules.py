@@ -21,8 +21,7 @@ from .quivers import BoundQuiverAlgebra, opposite
 __all__ = ["Representation", "ModuleMap", "zero_rep", "simple", "projective",
            "injective", "projectives_sum", "injectives_sum", "regular",
            "coregular", "direct_sum", "hom_space", "dual", "socle",
-           "projective_cover", "injective_envelope", "decompose",
-           "is_isomorphic", "op_algebra"]
+           "projective_cover", "decompose", "is_isomorphic", "op_algebra"]
 
 
 def op_algebra(A: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
@@ -496,15 +495,6 @@ def projective_cover(M: Representation) -> ModuleMap:
             gens.append(gen)
     P = projectives_sum(A, slots)
     return map_from_projectives(P, M, gens)
-
-
-def injective_envelope(M: Representation) -> ModuleMap:
-    """Minimal embedding into a sum of indecomposable injectives."""
-    cov = projective_cover(dual(M))
-    # D(D(M)) -> D(P'), where D(D(M)) equals M, and is M itself only when
-    # M is a tagged sum
-    emb = dual_map(cov)
-    return ModuleMap(M, emb.target, emb.blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .derived import ChainMap, _strict_lift, resolution_complex
-from .errors import GldimTooLarge, NotTauFinite, AboveCap
+from .errors import NotTauFinite
 from .exactla import QuotientBasis
 from .findim import (FinDimAlgebra, algebra_from_bqa, sparse_entries,
                      sparse_join, vertex_labels)
-from .homology import (ext_data, global_dimension, hom_matrix,
+from .homology import (ext_data, gldim_at_most, hom_matrix,
                        map_of_elements, min_proj_resolution, tau_n_orbit,
                        transpose_entries)
 from .modules import (ModuleMap, Representation, coregular, decompose,
@@ -107,9 +107,7 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
     Left multiplication by a basis path b in e_s A e_t is the map with the
     one entry b from slot t to slot s on A = regular(A), where slot v is
     vertex v; on D A = coregular(A) it is D Hom(-, A) of that map."""
-    gl = global_dimension(A, cap=n + 1)
-    if isinstance(gl, AboveCap) or gl > n:
-        raise GldimTooLarge(f"gldim(A) = {gl} exceeds n = {n}")
+    gldim_at_most(A, n)
     f = A.field
     DL = coregular(A)
     R = regular(A)
@@ -199,9 +197,7 @@ def preprojective_module(A: BoundQuiverAlgebra, n: int,
     hit = A.memo.get(("split", n, cap))
     if hit is not None:
         return hit
-    gl = global_dimension(A, cap=n + 1)
-    if isinstance(gl, AboveCap) or gl > n:
-        raise GldimTooLarge(f"gldim(A) = {gl} exceeds n = {n}")
+    gldim_at_most(A, n)
     orbit = [tau_n_orbit(A, n, 0)]
     reps = [projective(A, v) for v in range(A.quiver.n_vertices)]
     grades = [0] * len(reps)

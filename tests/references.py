@@ -77,6 +77,13 @@
   nu^{-1}(I)[n] for the injective resolution I of X.  ``nakayama`` is
   D Hom(-, A), and ``derived`` computes S_n^{-1} X as Hom(P, A^op)[n]
   for a projective resolution P of D X, through ``transpose_entries``.
+- ``injective_envelope`` is the k-dual of the projective cover of D M
+  over A^op, and ``cosyzygy_by_envelopes`` and ``tau_n_inv_by_envelopes``
+  take Omega^{-k} M and tau_n^- M = tau^- Omega^{-(n-1)} M from the
+  cokernels of envelopes.  ``homology.syzygy`` takes Omega^{-k} M as
+  D Omega^k D M, and ``homology.tau_n_inv`` is Tr Omega^{n-1} D, through
+  projective covers over A^op only.  ``TermNotInjective`` is raised by
+  ``nakayama_inv`` alone, and ``_gldim`` is gldim A under a length cap.
 - ``is_zero_by_all`` and ``equal_by_all`` compare with ``np.all``, and
   ``eye_by_numpy`` is ``np.eye``; ``Field.is_zero`` and ``Field.equal``
   count nonzero entries and ``PrimeField.eye`` writes a diagonal.
@@ -127,12 +134,13 @@ import numpy as np
 from quiveralg import derived
 from quiveralg.checks import Verdict, is_self_injective, socle_vertex
 from quiveralg.derived import (ChainMap, ComplexOfModules, GradedHom,
-                               SerreContext, SymbolicComplex, _gldim,
+                               SerreContext, SymbolicComplex,
                                _is_projective, _minimized, dual_complex,
                                module_complex, proj_resolve_complex,
                                to_symbolic, transposed)
-from quiveralg.errors import (AboveCap, NonAdmissible, NotTauFinite,
-                              TermNotInjective, WindowInconclusive)
+from quiveralg.errors import (AboveCap, AboveCapError, NonAdmissible,
+                              NotTauFinite, QuiverAlgError,
+                              WindowInconclusive)
 from quiveralg.exactla import QQ, Field, QuotientBasis, complement_rows
 from quiveralg.families import knit_indecomposables
 from quiveralg.findim import (FinDimAlgebra, _act, _dense, _sum_rows,
@@ -141,7 +149,8 @@ from quiveralg.findim import (FinDimAlgebra, _act, _dense, _sum_rows,
 from quiveralg.homology import (_hom_presentation, elements_of_map, ext,
                                 global_dimension, hom_matrix,
                                 injective_dimension, map_of_elements,
-                                op_element, syzygy, transpose_entries)
+                                op_element, syzygy, transpose,
+                                transpose_entries)
 from quiveralg.modules import (ModuleMap, Representation, decompose,
                                direct_sum, dual, dual_map, hom_space,
                                injective, injectives_sum, is_isomorphic,
@@ -229,6 +238,26 @@ def top(M: Representation):
     """M/rad M, with the projection onto it."""
     _, rad_incl = radical_series(M)
     return quotient(M, [ri for ri in rad_incl.blocks])
+
+
+def injective_envelope(M: Representation) -> ModuleMap:
+    """Minimal embedding of M into a sum of indecomposable injectives: the
+    k-dual of the projective cover of D M over the opposite algebra."""
+    emb = dual_map(projective_cover(dual(M)))
+    # D(D(M)) equals M, and is M itself only when M is a tagged sum
+    return ModuleMap(M, emb.target, emb.blocks)
+
+
+def cosyzygy_by_envelopes(M: Representation, k: int) -> Representation:
+    """Omega^{-k} M, the cokernel of k minimal injective envelopes."""
+    for _ in range(k):
+        M, _ = map_cokernel(injective_envelope(M))
+    return M
+
+
+def tau_n_inv_by_envelopes(M: Representation, n: int) -> Representation:
+    """tau_n^- M = tau^- Omega^{-(n-1)} M = Tr D of the cosyzygy."""
+    return transpose(dual(cosyzygy_by_envelopes(M, n - 1)))
 
 
 def cohomology(C, i: int) -> Representation:
@@ -1262,6 +1291,10 @@ def _generated_submodule_spaces(M: Representation, gens):
 # the Serre functor walked both ways, and the derived Hom
 # ---------------------------------------------------------------------------
 
+class TermNotInjective(QuiverAlgError):
+    """A complex that must be made of tagged injective sums is not."""
+
+
 def nakayama(X: ComplexOfModules) -> ComplexOfModules:
     """nu = D Hom(-, A) on a complex of tagged projective sums: a complex
     of tagged injective sums."""
@@ -1459,6 +1492,14 @@ def hom_delta(P: ComplexOfModules, Y: ComplexOfModules, m: int,
             out[ro:ro + block.shape[0], co:co + block.shape[1]] = \
                 f.smul(f.neg(sign), block)
     return out
+
+
+def _gldim(A, cap: int) -> int:
+    """gldim A, or AboveCapError when it exceeds the length cap."""
+    g = global_dimension(A, cap)
+    if isinstance(g, AboveCap):
+        raise AboveCapError(cap)
+    return g
 
 
 def amiot_hom(A, n: int, X: ComplexOfModules, Y: ComplexOfModules,

@@ -359,6 +359,79 @@ def test_a_hit_cap_exits_3_with_its_error_line(argv, spec, error):
     assert json.loads(out) == {"error": error}
 
 
+A4_SPEC = """\
+name A4
+field GF(32003)
+vertices [1 2 3 4]
+arrows [a: 1 -> 2, b: 2 -> 3, c: 3 -> 4]
+relations [a*b]
+"""
+
+
+def _with_line(spec: str, key: str, line: str) -> str:
+    """``spec`` with ``line`` added after its ``key`` line."""
+    out = []
+    for ln in spec.splitlines():
+        out.append(ln)
+        if ln.startswith(key + " "):
+            out.append(line)
+    return "\n".join(out) + "\n"
+
+
+# each input that would be misread is refused with exit 2 and one error
+# line that names its spec line
+@pytest.mark.parametrize("argv, spec, error", [
+    (["analyze"], A4_SPEC.replace("a: 1", "2: 1").replace("a*b", "2*b*c"),
+     "arrow name '2' would read as a coefficient or a sign in a relation "
+     "(line 4)"),
+    (["analyze"], A4_SPEC.replace("a: 1", "a-b: 1").replace("a*b", "c*c"),
+     "arrow name 'a-b' would read as a coefficient or a sign in a "
+     "relation (line 4)"),
+    (["analyze"], A4_SPEC.replace("a: 1", "a+b: 1"),
+     "arrow name 'a+b' would read as a coefficient or a sign in a "
+     "relation (line 4)"),
+    (["analyze"], _with_line(A4_SPEC, "name", "name other"),
+     "a second 'name' line (line 2)"),
+    (["analyze"], _with_line(A4_SPEC, "field", "field Q"),
+     "a second 'field' line (line 3)"),
+    (["analyze"], _with_line(A4_SPEC, "vertices", "vertices [1 2]"),
+     "a second 'vertices' line (line 4)"),
+    (["analyze"], _with_line(A4_SPEC, "arrows", "arrows [d: 4 -> 1]"),
+     "a second 'arrows' line (line 5)"),
+    (["analyze"], _with_line(A4_SPEC, "relations", "relations [b*c]"),
+     "a second 'relations' line (line 6)"),
+    (["analyze"], A4_SPEC.replace("a*b", "a*b -"),
+     "relation 'a*b -' ends in a sign (line 5)"),
+    (["analyze"], A4_SPEC.replace("a*b", "a*b +"),
+     "relation 'a*b +' ends in a sign (line 5)"),
+    (["family", "canonical_2222", "1/32003"], "",
+     "lambda must be a rational number defined over GF(32003), got "
+     "'1/32003'"),
+], ids=["digit-arrow", "minus-arrow", "plus-arrow", "second-name",
+        "second-field", "second-vertices", "second-arrows",
+        "second-relations", "trailing-minus", "trailing-plus",
+        "lambda-not-in-the-field"])
+def test_input_that_would_be_misread_is_refused(argv, spec, error):
+    code, out = _run(argv, stdin_text=spec)
+    assert code == 2
+    assert json.loads(out) == {"error": error}
+
+
+def test_meta_lines_may_repeat():
+    spec = A4_SPEC + "meta source test\nmeta note two meta lines\n"
+    assert parse_spec(spec)[3] == {"source": "test",
+                                   "note": "two meta lines", "name": "A4"}
+
+
+def test_amiot_hom_refuses_gldim_above_n():
+    """The pieces i < 0 vanish only when gldim A <= n; linear Nakayama 3
+    has gldim 2."""
+    _, spec = _run(["family", "linear_nakayama", "3"])
+    code, out = _run(["amiot-hom", "--n", "1"], stdin_text=spec)
+    assert code == 2
+    assert json.loads(out) == {"error": "gldim(A) = 2 exceeds n = 1"}
+
+
 @pytest.mark.parametrize("command", ["analyze", "preprojective", "gamma"])
 def test_a_spec_with_no_vertices_is_a_spec_error(command):
     with pytest.raises(SpecError) as ei:

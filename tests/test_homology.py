@@ -1,14 +1,23 @@
 import random
 
-from quiveralg.errors import AboveCap
-from quiveralg.exactla import GF
-from quiveralg.homology import (ext, global_dimension, injective_dimension,
-                                min_proj_resolution, proj_dimension, syzygy,
-                                tau, tau_inv, tau_n, tau_n_inv, transpose)
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from quiveralg.errors import AboveCap, AboveCapError, GldimTooLarge
+from quiveralg.exactla import GF, QQ
+from quiveralg.families import (auslander_algebra, dynkin_path_algebra,
+                                higher_auslander_chain)
+from quiveralg.homology import (ext, gldim_at_most, global_dimension,
+                                injective_dimension, min_proj_resolution,
+                                proj_dimension, syzygy, tau, tau_inv, tau_n,
+                                tau_n_inv, tau_n_orbit, transpose)
 from quiveralg.modules import (hom_space, injective, is_isomorphic,
-                               op_algebra, projective, simple)
+                               op_algebra, projective, regular, simple)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import random_module, stable_hom
+from references import (cosyzygy_by_envelopes, random_module, stable_hom,
+                        tau_n_inv_by_envelopes)
+from test_end_corners import _corpus
+from test_presentation import bound_quiver_algebras
 
 F = GF(32003)
 
@@ -189,3 +198,79 @@ def test_proj_dimension_above_cap():
     A = complete_basis(q, F, rels)  # self-injective, infinite gldim
     pd = proj_dimension(simple(A, 0), 6)
     assert pd == AboveCap(6)
+
+
+def test_gldim_at_most_names_the_gldim_or_the_cap():
+    """The finite gldim in the error line, else the cap it is above; with
+    a length cap, AboveCapError past that cap."""
+    q = Quiver(["1", "2", "3", "4"],
+               [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
+    A = complete_basis(q, F, [PathElement(q, {Path(0, (0, 1)): 1}),
+                              PathElement(q, {Path(1, (1, 2)): 1})])
+    assert gldim_at_most(A, 3) == 3
+    with pytest.raises(GldimTooLarge, match=r"^gldim\(A\) = 3 exceeds n = 2$"):
+        gldim_at_most(A, 2)
+    with pytest.raises(GldimTooLarge,
+                       match=r"^gldim\(A\) is above 2, so it exceeds n = 1$"):
+        gldim_at_most(A, 1)
+    with pytest.raises(GldimTooLarge, match=r"= 3 exceeds n = 1$"):
+        gldim_at_most(A, 1, cap=32)
+    with pytest.raises(AboveCapError, match="length cap 2$"):
+        gldim_at_most(A, 1, cap=2)
+
+
+def _same_module(X, Y) -> bool:
+    """X and Y over one algebra, with equal dimension vectors and arrow
+    matrices."""
+    f = X.field
+    return (X.algebra is Y.algebra and X.dims == Y.dims
+            and all(f.equal(a, b) for a, b in zip(X.action, Y.action)))
+
+
+def _assert_cover_route_is_the_envelope_route(M, n):
+    """Omega^{-k} M for k <= n, and tau_n^- M, taken through projective
+    covers over A^op, equal the cokernels of injective envelopes entry by
+    entry."""
+    for k in range(1, n + 1):
+        assert _same_module(syzygy(M, -k), cosyzygy_by_envelopes(M, k)), k
+    assert _same_module(tau_n_inv(M, n), tau_n_inv_by_envelopes(M, n))
+
+
+ENVELOPE_CASES = [pytest.param(make, n, id=label)
+                  for label, make, n in _corpus(F)] + [
+    pytest.param(lambda: auslander_algebra(dynkin_path_algebra(5)), 2,
+                 id="Aus(A5)"),
+    pytest.param(lambda: higher_auslander_chain(4, 2)[-1], 3,
+                 id="2-aus-A4"),
+    pytest.param(lambda: auslander_algebra(
+        dynkin_path_algebra(3, ["f", "b"], QQ)), 2,
+        id="aus-A3-nonlinear-QQ"),
+]
+
+
+@pytest.mark.parametrize("make, n", ENVELOPE_CASES)
+def test_cosyzygies_and_tau_n_inv_are_the_envelope_route(make, n):
+    """On the regular module, the simples and the iterates tau_n^{-i} A
+    up to the first zero one."""
+    A = make()
+    mods = [regular(A)] + [simple(A, v) for v in range(A.quiver.n_vertices)]
+    for i in range(1, 16):
+        it = tau_n_orbit(A, n, i)
+        if it.is_zero():
+            break
+        mods.append(it)
+    for M in mods:
+        _assert_cover_route_is_the_envelope_route(M, n)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cosyzygies_and_tau_n_inv_are_the_envelope_route_on_drawn_algebras(
+        field, data):
+    A = data.draw(bound_quiver_algebras(field))
+    n = data.draw(st.integers(1, 3))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    for _ in range(2):
+        _assert_cover_route_is_the_envelope_route(random_module(A, rng), n)

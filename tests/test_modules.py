@@ -10,17 +10,17 @@ from quiveralg.families import (auslander_algebra, canonical_2222,
                                 thm39_type2)
 from quiveralg.modules import (Representation, _has_iso, coregular, decompose,
                                direct_sum, dual, hom_space, injective,
-                               injective_envelope, injectives_sum,
-                               is_isomorphic, map_from_projectives,
-                               map_kernel, op_algebra, projective,
+                               injectives_sum, is_isomorphic,
+                               map_from_projectives, map_kernel,
+                               op_algebra, projective,
                                projective_cover, projectives_sum,
                                radical_series, regular, simple, socle,
                                zero_rep)
 from quiveralg.quivers import PathElement, Path, Quiver, complete_basis
 from quiveralg.preprojective import preprojective_module
 from references import (dual_by_transpose, indecomposables_isomorphic,
-                        map_from_projectives_by_paths, projectives_sum_fresh,
-                        random_module, top)
+                        injective_envelope, map_from_projectives_by_paths,
+                        projectives_sum_fresh, random_module, top)
 from test_presentation import bound_quiver_algebras
 
 F = GF(32003)
