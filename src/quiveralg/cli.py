@@ -86,18 +86,18 @@ def _split_bracket_list(value: str, line: int, sep: str):
 
 
 def _parse_relation(expr: str, quiver: Quiver, field: Field, line: int):
-    """A signed sum of (coefficient *)? arrow paths."""
+    """A signed sum of (coefficient *)? arrow paths; consecutive signs
+    compose."""
     tokens = re.findall(r"[+-]|[^+\s-]+", expr)
     terms = {}
     sign = 1
     expect_term = True
     for tok in tokens:
         if tok in "+-":
-            if expect_term and tok == "-":
+            if not expect_term:
+                sign, expect_term = 1, True
+            if tok == "-":
                 sign = -sign
-                continue
-            sign = 1 if tok == "+" else -1
-            expect_term = True
             continue
         if not expect_term:
             raise SpecError(f"unexpected token {tok!r} in relation", line)

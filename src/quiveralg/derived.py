@@ -3,10 +3,11 @@
 Derived-category objects travel in two forms: concrete bounded complexes
 of modules, and symbolic complexes whose terms are sums of indecomposable
 projectives e_v A with differentials recorded as algebra elements.
-Projective resolutions of arbitrary bounded complexes are built by
-iterated mapping cones with strict comparison lifts through
-degreewise-surjective quasi-isomorphisms, and contractible summands are
-stripped by Gaussian cancellation on unit entries.
+A bounded complex X is resolved from its top degree down: each term of
+the resolution P is the projective cover of the fiber product of X and
+the part of P above it.  Maps lift strictly along a resolution, and
+contractible summands are stripped by Gaussian cancellation on unit
+entries.
 
 The symbolic and concrete forms convert through ``homology``'s
 ``elements_of_map`` and ``map_of_elements``, which alone know how an
@@ -21,27 +22,26 @@ carries the tags, and ``transposed``, Hom_A(-, A) over A^op, which moves
 each entry through ``homology.transpose_entries``.  S_n^{-1} X =
 nu^{-1}(I)[n] for an injective resolution I = D P of X is
 Hom(P, A^op)[n] for a projective resolution P of D X, so the orbit is
-computed with projective complexes only.  D X of a complex X of tagged
-projective sums has tagged injective sums as terms, and resolves term by
-term from ``homology``'s per-summand resolutions of the indecomposable
-injectives, each computed once per algebra.  ``checks.is_n_rep_finite``
-walks S_n itself through D S_n = S_n^{-1} D over A^op, and the orbit Hom
-of A is the H^0 of the kept orbit of A.
+computed with projective complexes only; D X of a complex X of tagged
+projective sums has tagged injective sums as terms, resolved like any
+other complex.  ``checks.is_n_rep_finite`` walks S_n itself through
+D S_n = S_n^{-1} D over A^op, and the orbit Hom of A is the H^0 of the
+kept orbit of A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
 from .errors import AboveCapError, TermNotProjective, WindowInconclusive
 from .homology import (ProjResolution, elements_of_map, gldim_at_most,
-                       injectives_sum_resolution, map_of_elements,
-                       min_proj_resolution, transpose_entries)
-from .modules import (ModuleMap, Representation, dual,
-                      map_from_projectives, op_algebra, projectives_sum,
-                      regular, zero_rep)
+                       map_of_elements, transpose_entries)
+from .modules import (ModuleMap, Representation, direct_sum, dual,
+                      map_from_projectives, op_algebra, projective_cover,
+                      projectives_sum, regular, subrepresentation, zero_rep)
 from .quivers import BoundQuiverAlgebra, Path
 
 __all__ = ["ComplexOfModules", "ChainMap", "module_complex",
@@ -216,7 +216,7 @@ def dual_complex(X: ComplexOfModules) -> ComplexOfModules:
 
 
 # ---------------------------------------------------------------------------
-# projective resolution of a bounded complex (iterated cones, strict lifts)
+# projective resolution of a bounded complex, from the top degree down
 # ---------------------------------------------------------------------------
 
 def resolution_complex(res: ProjResolution, M: Representation,
@@ -230,20 +230,6 @@ def resolution_complex(res: ProjResolution, M: Representation,
     eps = ChainMap(P, module_complex(M, degree),
                    {degree: res.augmentation}, check=False)
     return P, eps
-
-
-def _single_module_resolution(M: Representation, degree: int, cap: int):
-    res = (injectives_sum_resolution(M, cap) if M.tag_kind == "I"
-           else min_proj_resolution(M, cap))
-    if res.truncated:
-        raise AboveCapError(cap)
-    return resolution_complex(res, M, degree)
-
-
-def _stupid_truncate_above(X: ComplexOfModules, lo: int) -> ComplexOfModules:
-    terms = {i: t for i, t in X.terms.items() if i > lo}
-    diffs = {i: d for i, d in X.diffs.items() if i > lo}
-    return ComplexOfModules(X.algebra, terms, diffs, check=False)
 
 
 def _strict_lift(C: ComplexOfModules, f_map: ChainMap,
@@ -319,31 +305,6 @@ def _cone_block(phi: ChainMap, i: int, v: int) -> np.ndarray:
     return m
 
 
-def _cone(v: ChainMap) -> tuple[ComplexOfModules, dict]:
-    """cone(v: A -> B): term^i = A^{i+1} (+) B^i, d(a,b) = (-da, v(a)+db).
-
-    All terms must be tagged projective sums; returns the cone with tagged
-    terms and the degreewise embeddings for bookkeeping.
-    """
-    A_cx, B_cx = v.source, v.target
-    alg = A_cx.algebra
-    terms = {}
-    layout = {}
-    for i in range(min(A_cx.lo - 1, B_cx.lo), max(A_cx.hi - 1, B_cx.hi) + 1):
-        At = A_cx.term(i + 1)
-        Bt = B_cx.term(i)
-        verts = list(At.summands or ()) + list(Bt.summands or ())
-        if not verts:
-            continue
-        terms[i] = projectives_sum(alg, verts)
-        layout[i] = (At, Bt)
-    diffs = {i: ModuleMap(terms[i], terms[i + 1],
-                          [_cone_block(v, i, vx)
-                           for vx in range(alg.quiver.n_vertices)])
-             for i in terms if i + 1 in terms}
-    return ComplexOfModules(alg, terms, diffs, check=False), layout
-
-
 def _is_projective(X: ComplexOfModules) -> bool:
     """Is every term of X a tagged projective sum?"""
     return all(getattr(t, "tag_kind", None) == "P" for t in X.terms.values())
@@ -351,54 +312,72 @@ def _is_projective(X: ComplexOfModules) -> bool:
 
 def proj_resolve_complex(X: ComplexOfModules, cap: int = 32,
                          verify: bool = True):
-    """(P, eps): bounded complex of projectives with a degreewise
-    surjective quasi-isomorphism eps: P -> X."""
-    if X.is_zero():
-        P = ComplexOfModules(X.algebra, {}, {}, check=False)
-        return P, ChainMap(P, X, {}, check=False)
+    """(P, eps): a bounded complex of tagged projective sums with a
+    degreewise surjective quasi-isomorphism eps: P -> X.  A complex of
+    tagged projective sums, the zero complex too, is its own resolution.
+
+    Otherwise P is built from the top degree of X down.  P^i is the
+    projective cover of the fiber product F^i = ker(X^i (+) P^{i+1} ->
+    X^{i+1} (+) P^{i+2}), (x, p) -> (d x - eps p, d p), and eps^i and d^i
+    are that cover followed by the two projections.  Up to the sign of p,
+    F^i is the cocycles of the cone of eps in degree i, so covering it
+    makes the cone acyclic; F^{i+1} holds (d x, 0) for each x in X^i, so
+    eps^i is onto.  Below X the loop goes on while F^i is nonzero, and
+    raises AboveCapError for a term more than ``cap`` degrees below the
+    lowest term of X; for a module M in one degree that is pd M > cap,
+    and P is the minimal resolution of M."""
     if _is_projective(X):
         ident = {i: ModuleMap(t, t, [X.algebra.field.eye(d)
                                      for d in t.dims])
                  for i, t in X.terms.items()}
         return X, ChainMap(X, X, ident, check=False)
-    lo = X.lo
-    M = X.term(lo)
-    if len(X.terms) == 1:
-        return _single_module_resolution(M, lo, cap)
-    Xp = _stupid_truncate_above(X, lo)
-    Pp, epsp = proj_resolve_complex(Xp, cap, verify=False)
-    R, epsR = _single_module_resolution(M, lo + 1, cap)
-    # u: M<lo+1> -> X' is the chain map given by d^{lo}
-    dlo = X.diffs.get(lo)
-    u_parts = {}
-    if dlo is not None:
-        u_parts[lo + 1] = dlo
-    u = ChainMap(module_complex(M, lo + 1), Xp, u_parts, check=False)
-    # strict lift of u . epsR through epsp
-    f_parts = {}
-    if dlo is not None:
-        f_parts[lo + 1] = epsR.parts[lo + 1].compose(dlo)
-    f_map = ChainMap(R, Xp, f_parts, check=False)
-    vlift = _strict_lift(R, f_map, epsp)
-    P, layout = _cone(vlift)
-    # eps: cone(vlift) -> cone(u) = X, componentwise
-    fld = X.algebra.field
-    parts = {}
-    for i, t in P.terms.items():
-        At, Bt = layout[i]
-        Xt = X.term(i)
-        m_blocks = []
-        for vx in range(X.algebra.quiver.n_vertices):
-            m = fld.zeros(Xt.dims[vx], t.dims[vx])
-            a_cols = At.dims[vx]
-            # A-part: epsR at degree i+1 lands in M placed at degree lo
-            if i == lo and i + 1 in epsR.parts and a_cols:
-                m[:, :a_cols] = epsR.parts[i + 1].blocks[vx]
-            # B-part: eps' covers X' = X in degrees above lo only
-            if i > lo and i in epsp.parts and Bt.dims[vx]:
-                m[:, a_cols:] = epsp.parts[i].blocks[vx]
-            m_blocks.append(m)
-        parts[i] = ModuleMap(t, Xt, m_blocks)
+    A = X.algebra
+    f = A.field
+    terms: dict[int, Representation] = {}
+    diffs: dict[int, ModuleMap] = {}
+    parts: dict[int, ModuleMap] = {}
+    for i in count(X.hi, -1):
+        Xi, Pn = X.terms.get(i), terms.get(i + 1)
+        F = None
+        if Xi is not None or Pn is not None:
+            S = direct_sum([Xi, Pn]) if Xi is not None and Pn is not None \
+                else Xi or Pn
+            a = Xi.dims if Xi is not None else (0,) * len(S.dims)
+            Xn, Pnn = X.terms.get(i + 1), terms.get(i + 2)
+            if Xn is None and Pnn is None:
+                F, incl = S, None  # the map has no target: F^i is all of S
+            else:
+                dX, e, dP = X.diffs.get(i), parts.get(i + 1), diffs.get(i + 1)
+                spaces = []
+                for v, av in enumerate(a):
+                    xr = Xn.dims[v] if Xn is not None else 0
+                    m = f.zeros(xr + (Pnn.dims[v] if Pnn is not None else 0),
+                                S.dims[v])
+                    if dX is not None:
+                        m[:xr, :av] = dX.blocks[v]
+                    if e is not None:
+                        m[:xr, av:] = f.neg(e.blocks[v])
+                    if dP is not None:
+                        m[xr:, av:] = dP.blocks[v]
+                    spaces.append(f.kernel(m).T)
+                F, incl = subrepresentation(S, spaces)
+        if F is None or F.is_zero():
+            if i < X.lo:
+                break
+            continue
+        if i < X.lo - cap:
+            raise AboveCapError(cap)
+        cover = projective_cover(F)
+        if incl is not None:
+            cover = cover.compose(incl)
+        Pi = terms[i] = cover.source
+        if Xi is not None:
+            parts[i] = ModuleMap(Pi, Xi, [b[:av] for b, av in
+                                          zip(cover.blocks, a)])
+        if Pn is not None:
+            diffs[i] = ModuleMap(Pi, Pn, [b[av:] for b, av in
+                                          zip(cover.blocks, a)])
+    P = ComplexOfModules(A, terms, diffs, check=False)
     eps = ChainMap(P, X, parts, check=False)
     if verify:
         assert eps.is_chain_map(), "resolution augmentation must be a chain map"

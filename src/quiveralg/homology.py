@@ -17,29 +17,23 @@ over A^op, and the Nakayama functor is nu = D Hom(-, A): the transpose
 Tr M is the cokernel of Hom(d, A) for the minimal projective
 presentation d of M.
 
-The global dimension, the tau_n^- orbit of A and the minimal resolution
-of each indecomposable injective D(A e_v) (key ``("inj_res", v, cap)``,
-with the entries of its differentials) are kept in the algebra's
-``memo``, so each is computed once per algebra.
-``injectives_sum_resolution`` resolves any tagged injective sum as the
-direct sum of those resolutions.
+The global dimension and the tau_n^- orbit of A are kept in the
+algebra's ``memo``, so each is computed once per algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import AboveCap, AboveCapError, GldimTooLarge
-from .modules import (ModuleMap, Representation, dual, injectives_sum,
-                      map_cokernel, map_from_projectives, map_kernel,
-                      op_algebra, projectives_sum, projective_cover)
+from .modules import (ModuleMap, Representation, dual, map_cokernel,
+                      map_from_projectives, map_kernel, op_algebra,
+                      projectives_sum, projective_cover)
 from .quivers import BoundQuiverAlgebra, Path
 
-__all__ = ["ProjResolution", "min_proj_resolution",
-           "injectives_sum_resolution", "syzygy", "ext",
+__all__ = ["ProjResolution", "min_proj_resolution", "syzygy", "ext",
            "ext_data", "transpose", "tau", "tau_inv", "tau_n", "tau_n_inv",
            "tau_n_orbit", "global_dimension", "gldim_at_most",
            "injective_dimension", "proj_dimension", "hom_matrix"]
@@ -135,60 +129,6 @@ def min_proj_resolution(M: Representation, length_cap: int = 32) -> ProjResoluti
         terms.append(cov.source)
         ker, incl = map_kernel(cov)
     return ProjResolution(terms, aug, diffs, truncated)
-
-
-def _injective_resolution(A: BoundQuiverAlgebra, v: int, cap: int):
-    """(min_proj_resolution of D(A e_v) at this cap, the entries of its
-    differentials), kept in the algebra's memo; shared, so callers must not
-    change them."""
-    key = ("inj_res", v, cap)
-    hit = A.memo.get(key)
-    if hit is None:
-        res = min_proj_resolution(injectives_sum(A, [v]), cap)
-        entries = [elements_of_map(A, d, d.source, d.target)
-                   for d in res.differentials]
-        hit = A.memo[key] = (res, entries)
-    return hit
-
-
-def injectives_sum_resolution(M: Representation,
-                              length_cap: int = 32) -> ProjResolution:
-    """Minimal projective resolution of a tagged injective sum M, as the
-    direct sum of the memoized resolutions of its summands D(A e_v).
-
-    Term j holds the summands of every part's term j in slot order, each
-    differential is the parts' entries moved to their slots, and the
-    augmentation places each part's augmentation at M's offsets.  A direct
-    sum of minimal resolutions is minimal."""
-    A = M.algebra
-    f = A.field
-    nv = A.quiver.n_vertices
-    parts = [_injective_resolution(A, v, length_cap) for v in M.summands]
-    length = max((len(res.terms) for res, _ in parts), default=1)
-    verts = [[res.terms[j].summands if j < len(res.terms) else ()
-              for res, _ in parts] for j in range(length)]
-    terms = [projectives_sum(A, [v for vs in row for v in vs])
-             for row in verts]
-    starts = [list(accumulate((len(vs) for vs in row), initial=0))
-              for row in verts]
-    diffs = []
-    for j in range(length - 1):
-        entries = {}
-        for s, (_, ents) in enumerate(parts):
-            if j < len(ents):
-                for (w, u), elem in ents[j].items():
-                    entries[(w + starts[j][s], u + starts[j + 1][s])] = elem
-        diffs.append(map_of_elements(A, entries, terms[j + 1], terms[j]))
-    blocks = [f.zeros(M.dims[x], terms[0].dims[x]) for x in range(nv)]
-    col = [0] * nv
-    for s, (res, _) in enumerate(parts):
-        for x, b in enumerate(res.augmentation.blocks):
-            r = M.offsets[s][x]
-            blocks[x][r:r + b.shape[0], col[x]:col[x] + b.shape[1]] = b
-            col[x] += b.shape[1]
-    aug = ModuleMap(terms[0], M, blocks)
-    return ProjResolution(terms, aug, diffs,
-                          any(res.truncated for res, _ in parts))
 
 
 def syzygy(M: Representation, i: int) -> Representation:

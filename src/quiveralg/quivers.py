@@ -364,7 +364,6 @@ class BoundQuiverAlgebra:
         # each key: global_dimension ("gldim",), tau_n_orbit ("tau_orbit",
         # n), preprojective_module ("split", n, cap), serre_context
         # ("serre", n, cap), is_self_injective ("self_injective",),
-        # homology._injective_resolution ("inj_res", v, cap),
         # homology.op_element ("op_paths",), and modules.projectives_sum
         # and injectives_sum ("P", vertices) and ("I", vertices)
         self.memo: dict[tuple, object] = {}

@@ -101,6 +101,11 @@
 - ``rigidity_per_degree`` resolves M again for each Ext^i(M, M); with
   M the ``direct_sum`` of some parts it is the whole-module route, and
   ``checks.rigidity`` resolves each part once and tests every pair.
+- ``proj_resolve_complex_by_cones`` resolves a complex by iterated
+  mapping cones: the minimal resolution of its lowest term, a resolution
+  of the rest, and the cone of a strict lift between them.
+  ``derived.proj_resolve_complex`` builds each term from the top degree
+  down, as the projective cover of one fiber product.
 - ``inj_resolve_complex``, ``serre_n_power`` and ``u_window``
   (injective resolutions of complexes, powers S_n^e and windows of the
   Serre orbit of each e_v A), ``nu_module`` (the Nakayama functor on
@@ -134,9 +139,10 @@ import numpy as np
 from quiveralg import derived
 from quiveralg.checks import Verdict, is_self_injective, socle_vertex
 from quiveralg.derived import (ChainMap, ComplexOfModules, GradedHom,
-                               SerreContext, SymbolicComplex,
-                               _is_projective, _minimized, dual_complex,
-                               module_complex, proj_resolve_complex,
+                               SerreContext, SymbolicComplex, _cone_block,
+                               _is_projective, _minimized, _strict_lift,
+                               dual_complex, module_complex,
+                               proj_resolve_complex, resolution_complex,
                                to_symbolic, transposed)
 from quiveralg.errors import (AboveCap, AboveCapError, NonAdmissible,
                               NotTauFinite, QuiverAlgError,
@@ -149,8 +155,8 @@ from quiveralg.findim import (FinDimAlgebra, _act, _dense, _sum_rows,
 from quiveralg.homology import (_hom_presentation, elements_of_map, ext,
                                 global_dimension, hom_matrix,
                                 injective_dimension, map_of_elements,
-                                op_element, syzygy, transpose,
-                                transpose_entries)
+                                min_proj_resolution, op_element, syzygy,
+                                transpose, transpose_entries)
 from quiveralg.modules import (ModuleMap, Representation, decompose,
                                direct_sum, dual, dual_map, hom_space,
                                injective, injectives_sum, is_isomorphic,
@@ -1141,6 +1147,90 @@ def op_element_by_reduce_path(A, elem: dict[int, object]) -> dict[int, object]:
 
 def rigidity_per_degree(M: Representation, n: int) -> bool:
     return all(ext(M, M, i) == 0 for i in range(1, n))
+
+
+def _single_module_resolution(M: Representation, degree: int, cap: int):
+    res = min_proj_resolution(M, cap)
+    if res.truncated:
+        raise AboveCapError(cap)
+    return resolution_complex(res, M, degree)
+
+
+def _stupid_truncate_above(X: ComplexOfModules, lo: int) -> ComplexOfModules:
+    terms = {i: t for i, t in X.terms.items() if i > lo}
+    diffs = {i: d for i, d in X.diffs.items() if i > lo}
+    return ComplexOfModules(X.algebra, terms, diffs, check=False)
+
+
+def _cone(v: ChainMap) -> tuple[ComplexOfModules, dict]:
+    """cone(v: A -> B): term^i = A^{i+1} (+) B^i, d(a,b) = (-da, v(a)+db),
+    for terms that are tagged projective sums; with the pair of terms
+    (A^{i+1}, B^i) of each degree."""
+    A_cx, B_cx = v.source, v.target
+    alg = A_cx.algebra
+    terms = {}
+    layout = {}
+    for i in range(min(A_cx.lo - 1, B_cx.lo), max(A_cx.hi - 1, B_cx.hi) + 1):
+        At = A_cx.term(i + 1)
+        Bt = B_cx.term(i)
+        verts = list(At.summands or ()) + list(Bt.summands or ())
+        if not verts:
+            continue
+        terms[i] = projectives_sum(alg, verts)
+        layout[i] = (At, Bt)
+    diffs = {i: ModuleMap(terms[i], terms[i + 1],
+                          [_cone_block(v, i, vx)
+                           for vx in range(alg.quiver.n_vertices)])
+             for i in terms if i + 1 in terms}
+    return ComplexOfModules(alg, terms, diffs, check=False), layout
+
+
+def proj_resolve_complex_by_cones(X: ComplexOfModules, cap: int = 32):
+    """(P, eps) for a bounded complex X by iterated mapping cones: the
+    minimal resolution R of the lowest term M, one degree up, and a
+    resolution P' of the rest X' of X, joined as the cone of the strict
+    lift R -> P' of the map M[-lo-1] -> X' that d^{lo} gives.  Each term
+    is resolved under the length cap."""
+    if X.is_zero():
+        P = ComplexOfModules(X.algebra, {}, {}, check=False)
+        return P, ChainMap(P, X, {}, check=False)
+    if _is_projective(X):
+        ident = {i: ModuleMap(t, t, [X.algebra.field.eye(d)
+                                     for d in t.dims])
+                 for i, t in X.terms.items()}
+        return X, ChainMap(X, X, ident, check=False)
+    lo = X.lo
+    M = X.term(lo)
+    if len(X.terms) == 1:
+        return _single_module_resolution(M, lo, cap)
+    Xp = _stupid_truncate_above(X, lo)
+    Pp, epsp = proj_resolve_complex_by_cones(Xp, cap)
+    R, epsR = _single_module_resolution(M, lo + 1, cap)
+    dlo = X.diffs.get(lo)
+    f_parts = {}
+    if dlo is not None:
+        f_parts[lo + 1] = epsR.parts[lo + 1].compose(dlo)
+    vlift = _strict_lift(R, ChainMap(R, Xp, f_parts, check=False), epsp)
+    P, layout = _cone(vlift)
+    # eps: cone(vlift) -> cone(M[-lo-1] -> X') = X, componentwise
+    fld = X.algebra.field
+    parts = {}
+    for i, t in P.terms.items():
+        At, Bt = layout[i]
+        Xt = X.term(i)
+        m_blocks = []
+        for vx in range(X.algebra.quiver.n_vertices):
+            m = fld.zeros(Xt.dims[vx], t.dims[vx])
+            a_cols = At.dims[vx]
+            # the R part: epsR at degree i+1 lands in M placed at degree lo
+            if i == lo and i + 1 in epsR.parts and a_cols:
+                m[:, :a_cols] = epsR.parts[i + 1].blocks[vx]
+            # the P' part: eps' covers X' = X in degrees above lo only
+            if i > lo and i in epsp.parts and Bt.dims[vx]:
+                m[:, a_cols:] = epsp.parts[i].blocks[vx]
+            m_blocks.append(m)
+        parts[i] = ModuleMap(t, Xt, m_blocks)
+    return P, ChainMap(P, X, parts, check=False)
 
 
 def inj_resolve_complex(X: ComplexOfModules, cap: int = 32):

@@ -6,6 +6,7 @@ import pytest
 
 from quiveralg.cli import (SpecError, load_algebra, parse_spec, run,
                            serialize_spec)
+from quiveralg.quivers import Path
 
 A2_SPEC = """\
 name kA2
@@ -279,6 +280,18 @@ SQUARE_SPEC = """\
 arrows [x1: s -> m1, y1: m1 -> z, x2: s -> m2, y2: m2 -> z]
 relations [{relation}]
 """
+
+
+@pytest.mark.parametrize("relation, x, y", [
+    ("x1*y1 - x2*y2", 1, -1), ("x1*y1 -+ x2*y2", 1, -1),
+    ("x1*y1 +- x2*y2", 1, -1), ("x1*y1 + - x2*y2", 1, -1),
+    ("x1*y1 -- x2*y2", 1, 1), ("x1*y1 ++ x2*y2", 1, 1),
+    ("- x1*y1 + x2*y2", -1, 1), ("-x1*y1-x2*y2", -1, -1)])
+def test_consecutive_signs_in_a_relation_compose(relation, x, y):
+    _, field, relations, _ = parse_spec(SQUARE_SPEC.format(
+        field="", relation=relation))
+    assert relations[0].terms == {Path(0, (0, 1)): field.el(x),
+                                  Path(0, (2, 3)): field.el(y)}
 
 
 @pytest.mark.parametrize("field_line", ["", "field GF(32003)\n"],

@@ -8,15 +8,19 @@ from quiveralg.derived import (ChainMap, ComplexOfModules, SymbolicComplex,
                                _drop_summand, _elem_sub, _local_inverse,
                                _trivial_coeff, amiot_hom, dual_complex,
                                module_complex, proj_resolve_complex,
-                               serre_context, to_symbolic)
+                               resolution_complex, serre_context,
+                               to_symbolic)
+from quiveralg.errors import AboveCapError
 from quiveralg.exactla import GF, QQ, Field
 from quiveralg.families import (auslander_algebra, dynkin_path_algebra,
                                 higher_auslander_chain, linear_nakayama)
 from quiveralg.homology import (elements_of_map, ext, map_of_elements,
-                                global_dimension, op_element,
-                                tau_n, tau_n_inv, transpose_entries)
-from quiveralg.modules import (coregular, dual, dual_map, injective,
-                               injectives_sum, is_isomorphic, op_algebra,
+                                global_dimension, min_proj_resolution,
+                                op_element, proj_dimension, tau_n,
+                                tau_n_inv, transpose_entries)
+from quiveralg.modules import (ModuleMap, coregular, dual, dual_map,
+                               hom_space, injective, injectives_sum,
+                               is_isomorphic, map_cokernel, op_algebra,
                                projective, projectives_sum, regular, simple)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
 import references as ref
@@ -910,3 +914,115 @@ def test_amiot_hom_is_the_h0_of_the_kept_orbit(make, n):
     got = amiot_hom(A, n)
     assert got.pieces == ref.amiot_hom(A, n, lam, lam).pieces
     assert got.pieces and got.pieces[0] == A.dim
+
+
+# -- the resolution of a complex, against the route by iterated cones -------
+
+CORPUS_GF = [pytest.param(make, n, id=label) for label, make, n in _corpus(F)]
+
+
+def _one_term_modules(A):
+    """The simples, D A, a random module and I_0 (+) I_0."""
+    nv = A.quiver.n_vertices
+    return [simple(A, v) for v in range(nv)] + [
+        coregular(A), random_module(A, random.Random(A.dim)),
+        injectives_sum(A, [0, 0])]
+
+
+def _equal_maps(f, got, want):
+    return got.source.summands == want.source.summands and all(
+        f.equal(a, b) for a, b in zip(got.blocks, want.blocks))
+
+
+@pytest.mark.parametrize("make, n", CORPUS_GF)
+def test_a_module_resolves_to_its_minimal_resolution(make, n):
+    """A module M in degree k resolves to the minimal resolution of M
+    placed in degrees <= k, every term, differential and augmentation
+    block equal."""
+    A = make()
+    f = A.field
+    for M in _one_term_modules(A):
+        for k in (0, 2):
+            P, eps = proj_resolve_complex(module_complex(M, k))
+            Q, eta = resolution_complex(min_proj_resolution(M), M, k)
+            assert [(i, t.summands) for i, t in sorted(P.terms.items())] == \
+                [(i, t.summands) for i, t in sorted(Q.terms.items())]
+            assert sorted(P.diffs) == sorted(Q.diffs)
+            assert all(_equal_maps(f, d, Q.diffs[i])
+                       for i, d in P.diffs.items())
+            assert list(eps.parts) == list(eta.parts) == [k]
+            assert _equal_maps(f, eps.parts[k], eta.parts[k])
+
+
+@pytest.mark.parametrize("make, n", CORPUS_GF)
+def test_a_module_resolution_raises_exactly_when_pd_exceeds_the_cap(make,
+                                                                    n):
+    A = make()
+    for M in _one_term_modules(A):
+        pd = proj_dimension(M)
+        for k in (0, 2):
+            for cap in range(pd + 2):
+                X = module_complex(M, k)
+                if cap < pd:
+                    with pytest.raises(AboveCapError):
+                        proj_resolve_complex(X, cap)
+                else:
+                    assert min(proj_resolve_complex(X, cap)[0].terms) \
+                        == k - pd
+
+
+def _same_as_by_cones(X):
+    """The resolution of X is one (a chain map and a quasi-isomorphism),
+    and minimized it has the summands in each degree and the cohomology
+    at each vertex of the minimized resolution by iterated cones."""
+    P, eps = proj_resolve_complex(X, verify=False)
+    assert all(t.tag_kind == "P" for t in P.terms.values())
+    assert eps.is_chain_map() and eps.induces_cohomology_iso()
+    Q, _ = ref.proj_resolve_complex_by_cones(X)
+    got, want = (to_symbolic(C).minimize() for C in (P, Q))
+    assert {i: sorted(vs) for i, vs in got.terms.items()} == \
+        {i: sorted(vs) for i, vs in want.terms.items()}
+    assert _vertex_cohomology(got.materialize()) == \
+        _vertex_cohomology(want.materialize()) == _vertex_cohomology(X)
+
+
+@pytest.mark.parametrize("make, n", CORPUS_GF)
+def test_the_dual_orbit_resolves_as_by_cones(make, n):
+    """D of S_n^{-i} A for i = 0, ..., 3: complexes of tagged injective
+    sums over A^op."""
+    A = make()
+    ctx = serre_context(A, n)
+    for i in range(4):
+        _same_as_by_cones(dual_complex(ctx.orbit(i)))
+
+
+def _random_complex(A, rng, length):
+    """Random modules in degrees 0, ..., length - 1; each differential a
+    random combination of the maps that vanish on the image of the one
+    before."""
+    f = A.field
+    terms = {i: random_module(A, rng) for i in range(length)}
+    diffs = {}
+    for i in range(length - 1):
+        src, tgt = terms[i], terms[i + 1]
+        d = ModuleMap(src, tgt, [f.zeros(b, a) for a, b in
+                                 zip(src.dims, tgt.dims)])
+        if i - 1 in diffs:
+            coker, proj = map_cokernel(diffs[i - 1])
+            basis = [proj.compose(h) for h in hom_space(coker, tgt)]
+        else:
+            basis = hom_space(src, tgt)
+        for h in basis:
+            d = d.add(h.scale(f.rand_el(rng)))
+        diffs[i] = d
+    return ComplexOfModules(A, terms, diffs)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_drawn_complexes_resolve_as_by_cones(field, data):
+    A = data.draw(bound_quiver_algebras(field))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    _same_as_by_cones(_random_complex(A, rng, data.draw(st.integers(2, 3))))

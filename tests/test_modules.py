@@ -488,3 +488,57 @@ def test_basis_map_test_equals_product_test_on_indecomposables(field, k):
     assert len(pairs) > len(reps)
     for X, Y in pairs:
         assert _has_iso(X, Y) == indecomposables_isomorphic(X, Y)
+
+
+# -- the k-dual of a tagged sum carries its tags -----------------------------
+
+def aus_a3_nonlinear(field):
+    """The Auslander algebra of A3 with one sink and one source inside,
+    from its presentation."""
+    q = Quiver(["1", "2", "3", "4", "5", "6"],
+               [("a1", "1", "5"), ("a2", "2", "1"), ("a3", "2", "3"),
+                ("a4", "3", "5"), ("a5", "5", "4"), ("a6", "5", "6")])
+    return complete_basis(q, field, [
+        PathElement(q, {Path(0, (0, 4)): 1}),
+        PathElement(q, {Path(1, (1, 0)): 1, Path(1, (2, 3)): 1}),
+        PathElement(q, {Path(2, (3, 5)): 1})])
+
+
+FIELD_NAMED = {"GF": GF(32003), "QQ": QQ}
+BUILDERS = {
+    "nak_a3": nak_a3,
+    "aus_a3_nonlinear": aus_a3_nonlinear,
+    "canonical_2222_2": lambda f: canonical_2222(2, f),
+    "thm39_type2_3": lambda f: thm39_type2(3, ["gamma", "delta"], f),
+}
+CASES = [pytest.param(name, fname, id=f"{name}-{fname}")
+         for name in BUILDERS for fname in FIELD_NAMED]
+
+
+def _sum_vertices(A):
+    """Every vertex once, then the last and the first again, so that
+    repeated summands and slot shifts are exercised."""
+    n = A.quiver.n_vertices
+    return list(range(n)) + [n - 1, 0]
+
+
+def _same_tagged(X, Y):
+    f = X.field
+    return (X.algebra is Y.algebra and X.dims == Y.dims
+            and X.summands == Y.summands and X.offsets == Y.offsets
+            and X.tag_kind == Y.tag_kind
+            and all(f.equal(a, b) for a, b in zip(X.action, Y.action)))
+
+
+@pytest.mark.parametrize("name,fname", CASES)
+def test_dual_carries_the_tags(name, fname):
+    A = BUILDERS[name](FIELD_NAMED[fname])
+    Aop = op_algebra(A)
+    vs = _sum_vertices(A)
+    P = projectives_sum(A, vs)
+    assert _same_tagged(dual(P), injectives_sum(Aop, vs))
+    assert _same_tagged(dual(dual(P)), P)
+    I = injectives_sum(A, vs)
+    assert I.tag_kind == "I" and I.summands == tuple(vs)
+    assert _same_tagged(dual(I), projectives_sum(Aop, vs))
+    assert _same_tagged(dual(dual(I)), I)
