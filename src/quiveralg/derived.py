@@ -40,8 +40,9 @@ from .errors import AboveCapError, TermNotProjective, WindowInconclusive
 from .homology import (ProjResolution, elements_of_map, gldim_at_most,
                        map_of_elements, transpose_entries)
 from .modules import (ModuleMap, Representation, direct_sum, dual,
-                      map_from_projectives, op_algebra, projective_cover,
-                      projectives_sum, regular, subrepresentation, zero_rep)
+                      kernel_subrepresentation, map_from_projectives,
+                      op_algebra, projective_cover, projectives_sum, regular,
+                      zero_rep)
 from .quivers import BoundQuiverAlgebra, Path
 
 __all__ = ["ComplexOfModules", "ChainMap", "module_complex",
@@ -185,10 +186,14 @@ class ChainMap:
     def induces_cohomology_iso(self) -> bool:
         """Quasi-isomorphism test: the mapping cone is acyclic.  At every
         vertex v, after checking d^i_v d^{i-1}_v = 0 for the cone
-        differentials, dim cone^i_v = rank d^i_v + rank d^{i-1}_v."""
+        differentials, dim cone^i_v = rank d^i_v + rank d^{i-1}_v.  A
+        vertex where every term of X and Y is zero, where that reads
+        0 = 0 + 0, is skipped."""
         X, Y = self.source, self.target
         f = X.algebra.field
         for v in range(X.algebra.quiver.n_vertices):
+            if not any(t.dims[v] for C in (X, Y) for t in C.terms.values()):
+                continue  # every cone block here is 0 x 0: 0 = 0 + 0
             prev, prev_rank = None, 0
             for i in range(min(X.lo - 1, Y.lo), max(X.hi - 1, Y.hi) + 1):
                 d = _cone_block(self, i, v)
@@ -348,8 +353,11 @@ def proj_resolve_complex(X: ComplexOfModules, cap: int = 32,
                 F, incl = S, None  # the map has no target: F^i is all of S
             else:
                 dX, e, dP = X.diffs.get(i), parts.get(i + 1), diffs.get(i + 1)
-                spaces = []
+                maps = []
                 for v, av in enumerate(a):
+                    if not S.dims[v]:
+                        maps.append(f.zeros(0, 0))
+                        continue
                     xr = Xn.dims[v] if Xn is not None else 0
                     m = f.zeros(xr + (Pnn.dims[v] if Pnn is not None else 0),
                                 S.dims[v])
@@ -359,8 +367,8 @@ def proj_resolve_complex(X: ComplexOfModules, cap: int = 32,
                         m[:xr, av:] = f.neg(e.blocks[v])
                     if dP is not None:
                         m[xr:, av:] = dP.blocks[v]
-                    spaces.append(f.kernel(m).T)
-                F, incl = subrepresentation(S, spaces)
+                    maps.append(m)
+                F, incl = kernel_subrepresentation(S, maps)
         if F is None or F.is_zero():
             if i < X.lo:
                 break

@@ -1,13 +1,16 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
 Everything downstream (module homomorphism spaces, resolutions, derived
-Hom complexes) reduces to the ``Field`` kernels ``rref``, ``kernel`` and
-``solve``, and to ``QuotientBasis``: a subspace taken modulo another and
-written in coordinates, which is how Ext, the tensor-algebra grades,
-stable Hom and cohomology are all represented.  Arithmetic is exact
-everywhere; no floating point result is ever returned.  The prime-field
-path stores entries as int64 numpy arrays and takes one of three routes
-to a product of inner dimension k: int64 ``matmul`` for small products
+Hom complexes) reduces to the ``Field`` kernels ``rref``, ``kernel``,
+``kernel_rref`` and ``solve``, and to ``QuotientBasis``: a subspace taken
+modulo another and written in coordinates, which is how Ext, the
+tensor-algebra grades, stable Hom and cohomology are all represented.
+``kernel_rref`` gives the unique RREF of a kernel, with its pivots, from
+one rref, which is what a submodule's echelon basis needs.  Arithmetic
+is exact everywhere; no floating point result is ever returned.  The
+prime-field path stores entries as int64 numpy arrays and takes one of
+three routes to a product of inner dimension k: int64 ``matmul`` for
+small products
 (m*n*k at most ``_INT64_MATMUL_MNK``), exact while
 ``k * (p-1)**2 < 2**63``; float64 BLAS, exact while
 ``k * (p-1)**2 <= 2**53``; and object-dtype Python ints when neither
@@ -236,18 +239,38 @@ class Field:
         return len(self.rref(a)[1])
 
     def kernel(self, a: np.ndarray) -> np.ndarray:
-        """Basis of {v : a @ v = 0}, one basis vector per row."""
+        """Basis of {v : a @ v = 0}, one basis vector per row: the vector
+        of each free column c of ``rref(a)`` is 1 at c, 0 at the other free
+        columns, and its last nonzero entry is at c."""
+        return self._kernel_free(a)[0]
+
+    def kernel_rref(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """The RREF of a row basis of {v : a @ v = 0} and its pivot
+        columns, from one rref of ``a`` with its columns reversed: there
+        each kernel vector has its last nonzero entry at its free column
+        and 0 at the other free ones, so read back in the original order
+        it leads with 1 at that column, which is 0 in every other row.
+        Equal to ``row_space(kernel(a))``, as an RREF is unique, without a
+        second elimination."""
+        if not a.size:  # 0 x 0, or the identity: already in RREF
+            return self._kernel_free(a)
+        n = a.shape[1]
+        basis, free = self._kernel_free(a[:, ::-1])
+        return basis[::-1, ::-1].copy(), [n - 1 - c for c in reversed(free)]
+
+    def _kernel_free(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """``kernel(a)`` and the free columns of ``rref(a)``, in order."""
         m, n = a.shape
         if n == 0:
-            return self.zeros(0, 0)
+            return self.zeros(0, 0), []
         if m == 0:
-            return self.eye(n)
+            return self.eye(n), list(range(n))
         r, pivots = self.rref(a)
         free = [c for c in range(n) if c not in pivots]
         out = self.zeros(len(free), n)
         out[np.arange(len(free)), free] = self.one
         out[:, pivots] = self.neg(r[:len(pivots), free].T)
-        return out
+        return out, free
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         """One particular solution of a @ x = b (column-wise), or None."""
@@ -455,12 +478,11 @@ def complement_rows(field: Field, sub: np.ndarray,
     rowspace(total), picked greedily in order: a row is picked iff it lies
     outside the span of `sub` and the rows of `total` before it, that is,
     iff its column is a pivot of one rref of [sub; total] transposed.
-    When `total` is the identity, ``complement_units`` picks them."""
+    When `total` would be the identity, ``complement_units`` names the
+    same rows from a smaller rref."""
     n = total.shape[1]
     if total.shape[0] == 0:
         return field.zeros(0, n)
-    if total.shape[0] == n and field.equal(total, field.eye(n)):
-        return total[complement_units(field, sub, n)]
     k = sub.shape[0]
     # a column that is zero in every row is a zero row of the transpose,
     # which changes no pivot
@@ -475,14 +497,22 @@ class QuotientBasis:
 
     ``sub`` must have independent rows.  ``comp`` holds the rows of
     ``total`` that extend them (``complement_rows``); their classes are the
-    basis of the quotient.  One rref of ``[sub; comp | I]`` gives the pivot
-    columns ``piv`` of ``[sub; comp]`` and the inverse of that pivot block,
-    so coordinates cost one matmul: ``vecs[:, piv] @ inv``.
+    basis of the quotient.  Without ``total`` the quotient is of the whole
+    space: ``comp`` holds the unit vectors that ``complement_units`` names,
+    and no identity is built.  One rref of ``[sub; comp | I]`` gives the
+    pivot columns ``piv`` of ``[sub; comp]`` and the inverse of that pivot
+    block, so coordinates cost one matmul: ``vecs[:, piv] @ inv``.
     """
 
-    def __init__(self, field: Field, sub: np.ndarray, total: np.ndarray):
+    def __init__(self, field: Field, sub: np.ndarray,
+                 total: np.ndarray | None = None):
         self.field = field
-        self.comp = complement_rows(field, sub, total)
+        if total is None:
+            units = complement_units(field, sub, sub.shape[1])
+            self.comp = field.zeros(len(units), sub.shape[1])
+            self.comp[np.arange(len(units)), units] = field.one
+        else:
+            self.comp = complement_rows(field, sub, total)
         full = np.concatenate([sub, self.comp])
         k, n = full.shape
         aug = field.zeros(k, n + k)

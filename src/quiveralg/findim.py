@@ -280,8 +280,7 @@ def _radical_corners(B: FinDimAlgebra, label: np.ndarray, members: dict,
         at = runs.get(r * m + s)
         if at is not None:
             block[pos[a[at]], pos[b[at]]] = g[at]
-        out[(s, r)] = f.row_space(f.kernel(block)) if len(cols) else \
-            f.zeros(0, 0)
+        out[(s, r)] = f.kernel_rref(block)[0]
     return out
 
 

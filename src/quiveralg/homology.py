@@ -217,20 +217,19 @@ def proj_dimension(M: Representation, cap: int = 32):
 def global_dimension(A: BoundQuiverAlgebra, cap: int = 32):
     """gldim A if it is at most cap, else AboveCap(cap).
 
-    The algebra's memo keeps either the exact value or the largest cap
-    known to be exceeded (pd S > cap is what truncates a resolution at
-    that cap), so only a cap above every cap seen so far computes."""
-    from .modules import simple
+    gldim A is the largest pd of a simple module, and pd of a direct sum
+    is the largest pd of its summands, so it is pd of the top of A, the
+    sum of the simples, from one resolution.  The algebra's memo keeps
+    either the exact value or the largest cap known to be exceeded
+    (pd > cap is what truncates a resolution at that cap), so only a cap
+    above every cap seen so far computes."""
     known = A.memo.get(("gldim",))
     if known is None or isinstance(known, AboveCap) and cap > known.cap:
-        known = 0
-        for v in range(A.quiver.n_vertices):
-            pd = proj_dimension(simple(A, v), cap)
-            if isinstance(pd, AboveCap):
-                known = pd
-                break
-            known = max(known, pd)
-        A.memo[("gldim",)] = known
+        f = A.field
+        q = A.quiver
+        top = Representation(A, [1] * q.n_vertices,
+                             [f.zeros(1, 1) for _ in range(q.n_arrows)])
+        known = A.memo[("gldim",)] = proj_dimension(top, cap)
     if isinstance(known, AboveCap) or known > cap:
         return AboveCap(cap)
     return known

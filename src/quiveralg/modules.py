@@ -4,6 +4,15 @@ A module is a quiver representation: one exact matrix per arrow, acting
 source -> target on column vectors, with every algebra relation
 evaluating to the zero matrix.  Arrow matrices compose along a path in
 path order (first arrow acts first).
+
+A submodule is kept on echelon bases: the basis B_v at each vertex is a
+transposed RREF with pivot rows piv_v, so B_v[piv_v] is the identity and
+an arrow acts on the submodule by its image read at those rows, with one
+product to check that the image lies in the span.  Every syzygy step
+Omega M = ker(P(M) -> M) goes this way: its kernel costs one elimination
+(``Field.kernel_rref``) per vertex where the cover is nonzero, and the
+cover, the kernel and the walk that builds the cover's blocks make no
+product at an arrow with a zero end, since that product is zero.
 """
 
 from __future__ import annotations
@@ -261,7 +270,9 @@ def map_from_projectives(P: Representation, M: Representation,
     prefix-closed and sorted by length, so each path's value is one matmul
     of its last arrow with its prefix's value, for all slots at v at once,
     along the ``steps`` of the algebra's ``projective_blocks(v)``.  A
-    vertex whose slots all have zero images keeps its zero columns.
+    vertex whose slots all have zero images keeps its zero columns, and
+    the walk goes no further along a path that reaches a vertex where M is
+    zero: that path, and every path through it, acts by zero.
     """
     A = P.algebra
     f = P.field
@@ -274,8 +285,12 @@ def map_from_projectives(P: Representation, M: Representation,
             continue
         values = {}
         for b, j, k, prefix, a in A.projective_blocks(v).steps:
-            values[b] = (gens if a is None
-                         else f.matmul(M.action[a], values[prefix]))
+            if a is None:
+                values[b] = gens
+            elif M.dims[j] and prefix in values:
+                values[b] = f.matmul(M.action[a], values[prefix])
+            else:
+                continue
             blocks[j][:, [P.offsets[s][j] + k for s in slots]] = values[b]
     return ModuleMap(P, M, blocks)
 
@@ -305,34 +320,67 @@ def direct_sum(reps: list[Representation]) -> Representation:
 # sub/quotient machinery
 # ---------------------------------------------------------------------------
 
-def _column_space(field, m: np.ndarray) -> np.ndarray:
-    """Matrix whose columns are a basis of the column space of m."""
+def _column_echelon(field, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """(B, piv): the columns of B are a basis of the column space of m,
+    and B.T is in RREF with pivot columns piv, so B[piv] is the
+    identity."""
     if m.size == 0:
-        return field.zeros(m.shape[0], 0)
-    return field.row_space(m.T).T
+        return field.zeros(m.shape[0], 0), []
+    r, piv = field.rref(m.T)
+    return r[:len(piv)].copy().T, piv
+
+
+def _echelon_subrepresentation(M: Representation, echelon):
+    """The subrepresentation on the column spans of the bases of
+    ``echelon``, with its inclusion; each echelon[v] is a pair (B_v, piv_v)
+    with B_v[piv_v] the identity.
+
+    Then a vector of the span at t is its own coordinates read at piv_t,
+    so an arrow a: s -> t acts by its image of B_s read there, and that
+    image lies in the span iff B_t times those rows gives it back (else
+    ValueError).  An arrow with a zero space at s, or with M zero at t,
+    acts by a zero block and costs no product."""
+    A = M.algebra
+    q = A.quiver
+    f = M.field
+    bases = [b for b, _ in echelon]
+    pivots = [p for _, p in echelon]
+    dims = [len(p) for p in pivots]
+    action = []
+    for a in range(q.n_arrows):
+        s, t = q.source(a), q.target(a)
+        if not dims[s] or not M.dims[t]:
+            action.append(f.zeros(dims[t], dims[s]))
+            continue
+        img = f.matmul(M.action[a], bases[s])
+        x = img[pivots[t]]
+        if not f.equal(f.matmul(bases[t], x), img):
+            raise ValueError("subspaces are not arrow-stable")
+        action.append(x)
+    rep = Representation(A, dims, action)
+    return rep, ModuleMap(rep, M, bases)
 
 
 def subrepresentation(M: Representation, spaces):
     """Subrepresentation from arrow-stable column-span subspaces.
 
-    spaces[v]: matrix (dims[v] x k_v) whose columns span the subspace.
-    Returns (rep, inclusion).
+    spaces[v]: matrix (dims[v] x k_v) whose columns span the subspace;
+    its basis is the transposed RREF of one elimination per vertex.
+    Returns (rep, inclusion); ValueError if the spaces are not
+    arrow-stable.
     """
-    A = M.algebra
-    q = A.quiver
-    f = M.field
-    bases = [_column_space(f, spaces[v]) for v in range(q.n_vertices)]
-    dims = [b.shape[1] for b in bases]
-    action = []
-    for a in range(q.n_arrows):
-        s, t = q.source(a), q.target(a)
-        img = f.matmul(M.action[a], bases[s])
-        x = f.solve(bases[t], img)
-        if x is None:
-            raise ValueError("subspaces are not arrow-stable")
-        action.append(x)
-    rep = Representation(A, dims, action)
-    return rep, ModuleMap(rep, M, bases)
+    return _echelon_subrepresentation(
+        M, [_column_echelon(M.field, m) for m in spaces])
+
+
+def kernel_subrepresentation(M: Representation, maps):
+    """The subrepresentation whose space at v is ker(maps[v]), with its
+    inclusion; maps[v] has dims[v] columns, and those at a vertex where M
+    is zero may be any 0-column matrix.  Each basis is the transposed
+    ``kernel_rref``, one elimination per vertex where M is nonzero.
+    ValueError if the kernels are not arrow-stable."""
+    return _echelon_subrepresentation(
+        M, [(basis.T, piv) for basis, piv in map(M.field.kernel_rref, maps)])
 
 
 def quotient(M: Representation, spaces):
@@ -344,8 +392,8 @@ def quotient(M: Representation, spaces):
     sections = []
     for v in range(q.n_vertices):
         # extend the columns of S to a basis by standard vectors
-        S = _column_space(f, spaces[v])
-        quot = QuotientBasis(f, S.T, f.eye(M.dims[v]))
+        S, _ = _column_echelon(f, spaces[v])
+        quot = QuotientBasis(f, S.T)
         projs.append(quot.proj)
         sections.append(quot.comp.T)
     dims = [c.shape[1] for c in sections]
@@ -359,9 +407,7 @@ def quotient(M: Representation, spaces):
 
 def map_kernel(phi: ModuleMap):
     """Kernel subrepresentation with inclusion."""
-    f = phi.field
-    spaces = [f.kernel(b).T for b in phi.blocks]
-    return subrepresentation(phi.source, spaces)
+    return kernel_subrepresentation(phi.source, phi.blocks)
 
 
 def map_image(phi: ModuleMap):
@@ -462,14 +508,12 @@ def socle(M: Representation):
     """soc M, the vectors killed by every arrow, with its inclusion."""
     q = M.algebra.quiver
     f = M.field
-    soc_spaces = []
+    outs = []
     for v in range(q.n_vertices):
-        outs = [M.action[a] for a in q.arrows_from(v)]
-        if outs:
-            soc_spaces.append(f.kernel(np.concatenate(outs, axis=0)).T)
-        else:
-            soc_spaces.append(f.eye(M.dims[v]))
-    return subrepresentation(M, soc_spaces)
+        ms = [M.action[a] for a in q.arrows_from(v)]
+        outs.append(np.concatenate(ms, axis=0) if ms
+                    else f.zeros(0, M.dims[v]))
+    return kernel_subrepresentation(M, outs)
 
 
 def projective_cover(M: Representation) -> ModuleMap:
@@ -486,6 +530,8 @@ def projective_cover(M: Representation) -> ModuleMap:
     gens = []
     for v in range(q.n_vertices):
         d = M.dims[v]
+        if not d:
+            continue
         ins = [M.action[a] for a in q.arrows_into(v)]
         rad = np.concatenate(ins, axis=1).T if ins else f.zeros(0, d)
         for i in complement_units(f, rad, d):
@@ -666,7 +712,7 @@ def decompose(M: Representation,
     # End(M) in coordinates of `basis`, and S = End/rad on the classes of
     # the basis maps whose unit vectors complete rad
     end = QuotientBasis(f, f.zeros(0, sum(d * d for d in M.dims)), flat)
-    S = QuotientBasis(f, rad_rows, f.eye(n))
+    S = QuotientBasis(f, rad_rows)
     picks = [basis[c] for c in np.nonzero(S.comp)[1]]
 
     def to_S(maps: list[ModuleMap]) -> np.ndarray:

@@ -114,11 +114,12 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
     Aop = op_algebra(A)
     Rop = regular(Aop)  # its dual is DL itself
     res = min_proj_resolution(DL, n + 1)
-    dim, cocycles, (res, cob) = ext_data(DL, R, n, res)
+    dim, _, (res, cob) = ext_data(DL, R, n, res)
     Pn = res.terms[n] if n <= res.length else None
     if dim == 0 or Pn is None:
         return 0, *[lambda b: f.zeros(0, 0)] * 2
-    ext = QuotientBasis(f, cob, cocycles)
+    # gldim <= n, so P_n is the last term and every cochain is a cocycle
+    ext = QuotientBasis(f, cob)
     basis_rows = ext.comp
     assert ext.dim == dim
     # the columns of the generator image of each slot of P_n in a cocycle
@@ -335,7 +336,7 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
         if len(parts) > cap:
             raise NotTauFinite(cap, newdim)
         # one row per free column: 1 there, nonzero after it only at pivots
-        proj = f.kernel(W[:, ::-1])[::-1, ::-1]
+        proj = f.kernel_rref(W)[0]
         xs, ys = np.divmod(pairs.index[np.argmax(proj != f.zero, axis=1)],
                            E.dim)
         xg, yg = np.concatenate([xg, lo + xs]), np.concatenate([yg, ys])

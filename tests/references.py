@@ -60,10 +60,10 @@
   in the coordinates of its own basis elements.
 - ``projectives_sum_fresh`` builds a tagged projective sum into fresh,
   writable arrays, every arrow block of e_v A from ``mult_basis`` one
-  basis pair at a time; ``map_from_projectives_by_paths`` walks the basis
-  paths from v, finding each prefix with a ``Path`` lookup in
-  ``bindex``; ``dual_by_transpose`` transposes every arrow matrix into a
-  copy, tagged sums too.  ``modules.projectives_sum`` and
+  basis pair at a time; ``map_from_projectives_by_paths`` walks every
+  basis path from v, through the vertices where M is zero too, finding
+  each prefix with a ``Path`` lookup in ``bindex``; ``dual_by_transpose``
+  transposes every arrow matrix into a copy, tagged sums too.  ``modules.projectives_sum`` and
   ``injectives_sum`` build each tagged sum once per algebra, read-only,
   from the nonzero blocks; ``map_from_projectives`` walks the
   ``ProjectiveBlocks.steps`` made with the projective; ``dual`` of a
@@ -90,6 +90,15 @@
   ``complement_rows_of_identity`` is the identity branch of
   ``complement_rows`` written out, which ``exactla.complement_units``
   now answers with indices.
+- ``kernel_rref_by_row_space`` is ``row_space(kernel(a))`` with the
+  pivots of a second rref, two eliminations where ``Field.kernel_rref``
+  makes one.  ``subrepresentation_by_solve`` takes each basis with
+  ``row_space`` and each arrow action with a ``solve``, whose None case
+  raises; ``modules.subrepresentation`` and
+  ``kernel_subrepresentation`` read the action at the pivots of each
+  echelon basis and skip the arrows with a zero end.
+  ``global_dimension_by_simples`` takes pd of each simple from its own
+  resolution; ``homology.global_dimension`` resolves their sum once.
 - ``minimized_by_resolution`` resolves a complex of tagged projective
   sums through ``proj_resolve_complex`` before minimizing it, and
   ``next_neg_by_step_neg`` minimizes S_n^{-1} X materialized before its
@@ -1114,6 +1123,44 @@ def complement_rows_of_identity(field: Field, sub: np.ndarray,
         return field.zeros(0, 0)
     last = {n - 1 - c for c in field.rref(sub[:, ::-1])[1]}
     return field.eye(n)[[i for i in range(n) if i not in last]]
+
+
+def kernel_rref_by_row_space(field: Field, a: np.ndarray
+                             ) -> tuple[np.ndarray, list[int]]:
+    """The RREF of ker(a) as ``row_space(kernel(a))``, and its pivots
+    from one more rref."""
+    basis = field.row_space(field.kernel(a))
+    return basis, field.rref(basis)[1] if basis.size else []
+
+
+def subrepresentation_by_solve(M: Representation, spaces):
+    """The subrepresentation on the column spans ``spaces`` with its
+    inclusion: each basis the transposed ``row_space``, each arrow action
+    the ``solve`` of basis_t x = M_a basis_s, at every arrow."""
+    q, f = M.algebra.quiver, M.field
+    bases = [f.row_space(m.T).T if m.size else f.zeros(m.shape[0], 0)
+             for m in spaces]
+    action = []
+    for a in range(q.n_arrows):
+        s, t = q.source(a), q.target(a)
+        x = f.solve(bases[t], f.matmul(M.action[a], bases[s]))
+        if x is None:
+            raise ValueError("subspaces are not arrow-stable")
+        action.append(x)
+    rep = Representation(M.algebra, [b.shape[1] for b in bases], action)
+    return rep, ModuleMap(rep, M, bases)
+
+
+def global_dimension_by_simples(A, cap: int = 32):
+    """The largest pd of a simple, each from its own resolution, or
+    AboveCap(cap) at the first one above the cap."""
+    known = 0
+    for v in range(A.quiver.n_vertices):
+        res = min_proj_resolution(simple(A, v), cap)
+        if res.truncated:
+            return AboveCap(cap)
+        known = max(known, res.length)
+    return known
 
 
 def minimized_by_resolution(ctx, X: ComplexOfModules) -> ComplexOfModules:

@@ -320,6 +320,9 @@ def test_cone_rank_quasi_iso_matches_the_cohomology_reference(fname):
             for i, t in acyclic.terms.items()}
     cases.append(ChainMap(acyclic, acyclic, zero))
     cases.append(ChainMap(module_complex(zero_rep(A)), acyclic, {}))
+    # X zero at every vertex and Y not: the vertices of Y decide
+    cases += [ChainMap(module_complex(zero_rep(A)), module_complex(M), {})
+              for M in [simple(A, v) for v in range(3)] + [p0]]
     verdicts = [phi.induces_cohomology_iso() for phi in cases]
     assert verdicts == [quasi_iso_ref(phi) for phi in cases]
     assert True in verdicts and False in verdicts

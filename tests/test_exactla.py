@@ -10,7 +10,7 @@ from quiveralg.exactla import (GF, QQ, PrimeField, QuotientBasis,
                                complement_rows, complement_units)
 from references import (complement_rows_greedy, complement_rows_of_identity,
                         equal_by_all, eye_by_numpy, fraction_matmul,
-                        is_zero_by_all, prime_rref)
+                        is_zero_by_all, kernel_rref_by_row_space, prime_rref)
 
 F = GF(32003)
 
@@ -518,8 +518,8 @@ def test_prime_field_eye_is_numpy_eye(n):
 @given(data=st.data())
 def test_complement_units_match_the_identity_branch(field, data):
     """The unit vectors complement_units names are the rows that the
-    identity branch of complement_rows picked, and the rows picked one
-    at a time from the identity."""
+    identity branch of complement_rows picked, the rows complement_rows
+    picks from the identity, and the rows picked one at a time from it."""
     n = data.draw(st.integers(0, 5))
     sub = _drawn_matrix(field, data, data.draw(st.integers(0, 4)), n)
     rows = field.eye(n)[complement_units(field, sub, n)]
@@ -534,3 +534,77 @@ def test_complement_units_of_no_columns_make_no_rref(monkeypatch):
     monkeypatch.setattr(PrimeField, "rref", no_rref)
     assert complement_units(F, F.zeros(0, 0), 0) == []
     assert complement_units(F, F.zeros(3, 0), 0) == []
+
+
+# -- the RREF of a kernel from one elimination --------------------------------
+
+def _assert_kernel_rref(field, a):
+    """kernel_rref(a) is row_space(kernel(a)), with that RREF's pivots: a
+    basis of ker(a) that is the identity at its pivots."""
+    got, piv = field.kernel_rref(a)
+    want, want_piv = kernel_rref_by_row_space(field, a)
+    assert got.dtype == want.dtype and field.equal(got, want)
+    assert piv == want_piv
+    n = a.shape[1]
+    assert got.shape == ((n - field.rank(a), n) if n else (0, 0))
+    assert field.equal(got[:, piv], field.eye(len(piv)))
+    assert field.is_zero(field.matmul(a, got.T))
+    # the inline form it replaced in the tensor algebra's grade loop
+    assert field.equal(got, field.kernel(a[:, ::-1])[::-1, ::-1])
+
+
+def _invertible(field, n, seed):
+    rng = random.Random(seed)
+    while True:
+        m = field.array([[rng.randrange(-3, 4) for _ in range(n)]
+                         for _ in range(n)])
+        if field.rank(m) == n:
+            return m
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@pytest.mark.parametrize("shape, kind", [
+    ((0, 4), "zero"), ((3, 0), "zero"), ((0, 0), "zero"), ((3, 5), "zero"),
+    ((4, 4), "full rank"), ((3, 5), "full rank"), ((6, 4), "full rank"),
+    ((1, 1), "full rank")])
+def test_kernel_rref_on_empty_zero_and_full_rank_matrices(field, shape,
+                                                         kind):
+    m, n = shape
+    a = field.zeros(m, n)
+    if kind == "full rank":
+        k = min(m, n)
+        a[:k, :k] = _invertible(field, k, m * 10 + n)
+        a = a[::-1] if m > n else a
+    _assert_kernel_rref(field, a)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_rref_is_the_row_space_of_the_kernel(field, data):
+    """Drawn matrices up to 6 x 7, half their entries zero; above 1024
+    cells a GF(p) rref takes the numpy route, so a tall drawn matrix is
+    stacked on itself until it does."""
+    a = _drawn_matrix(field, data, data.draw(st.integers(0, 6)),
+                      data.draw(st.integers(0, 7)))
+    _assert_kernel_rref(field, a)
+    if field is F and a.size and data.draw(st.booleans()):
+        _assert_kernel_rref(field, np.concatenate(
+            [a] * (exactla._ROW_RREF_CELLS // a.size + 1)))
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_quotient_of_the_whole_space_is_the_quotient_of_the_identity(
+        field, data):
+    """QuotientBasis without total builds no identity and takes the same
+    rows, pivots and inverse as with the identity as total."""
+    n = data.draw(st.integers(0, 5))
+    sub = field.row_space(_drawn_matrix(field, data,
+                                        data.draw(st.integers(0, 4)), n))
+    got, want = QuotientBasis(field, sub), QuotientBasis(field, sub,
+                                                         field.eye(n))
+    assert got.comp.dtype == want.comp.dtype
+    assert field.equal(got.comp, want.comp)
+    assert got.piv == want.piv and field.equal(got.inv, want.inv)

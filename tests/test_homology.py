@@ -14,8 +14,8 @@ from quiveralg.homology import (ext, gldim_at_most, global_dimension,
 from quiveralg.modules import (hom_space, injective, is_isomorphic,
                                op_algebra, projective, regular, simple)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import (cosyzygy_by_envelopes, random_module, stable_hom,
-                        tau_n_inv_by_envelopes)
+from references import (cosyzygy_by_envelopes, global_dimension_by_simples,
+                        random_module, stable_hom, tau_n_inv_by_envelopes)
 from test_end_corners import _corpus
 from test_presentation import bound_quiver_algebras
 
@@ -161,6 +161,52 @@ def test_global_dimension():
     assert global_dimension(semisimple2()) == 0
     assert global_dimension(a2()) == 1
     assert global_dimension(nak_a3()) == 2
+    assert global_dimension(complete_basis(Quiver([], []), F, [])) == 0
+
+
+def _assert_gldim_is_the_simples_route(A, caps):
+    """gldim from one resolution of the top equals the largest pd of a
+    simple, at each cap in turn on A, so that the memo answers some of
+    them, and at each cap alone on a copy of A with an empty memo."""
+    def fresh():
+        return complete_basis(A.quiver, A.field, A.relations)
+
+    for cap in caps:
+        want = global_dimension_by_simples(fresh(), cap)
+        assert global_dimension(A, cap) == want, cap
+        assert global_dimension(fresh(), cap) == want, cap
+
+
+def _loop_algebra(field=F):
+    """1 <-> 2 with both paths of length 2 zero: self-injective, infinite
+    gldim."""
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    return complete_basis(q, field, [PathElement(q, {Path(0, (0, 1)): 1}),
+                                     PathElement(q, {Path(1, (1, 0)): 1})])
+
+
+GLDIM_CASES = [pytest.param(make, id=label) for label, make, _ in
+               _corpus(F)] + [
+    pytest.param(lambda: higher_auslander_chain(4, 2)[-1], id="2-aus-A4"),
+    pytest.param(_loop_algebra, id="loop"),
+    pytest.param(lambda: _loop_algebra(QQ), id="loop-QQ"),
+    pytest.param(lambda: complete_basis(Quiver([], []), F, []),
+                 id="no-vertices")]
+
+
+@pytest.mark.parametrize("make", GLDIM_CASES)
+def test_gldim_is_the_largest_pd_of_a_simple(make):
+    """Caps below, at and above gldim A, rising and then falling."""
+    _assert_gldim_is_the_simples_route(make(), [0, 1, 2, 3, 5, 4, 2, 0, 6])
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gldim_is_the_largest_pd_of_a_simple_on_drawn_algebras(field, data):
+    A = data.draw(bound_quiver_algebras(field))
+    caps = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    _assert_gldim_is_the_simples_route(A, caps)
 
 
 def test_injective_dimension():
@@ -192,10 +238,7 @@ def test_ar_duality_dims():
 
 
 def test_proj_dimension_above_cap():
-    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
-    rels = [PathElement(q, {Path(0, (0, 1)): 1}),
-            PathElement(q, {Path(1, (1, 0)): 1})]
-    A = complete_basis(q, F, rels)  # self-injective, infinite gldim
+    A = _loop_algebra()
     pd = proj_dimension(simple(A, 0), 6)
     assert pd == AboveCap(6)
 

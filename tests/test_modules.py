@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -11,16 +12,19 @@ from quiveralg.families import (auslander_algebra, canonical_2222,
 from quiveralg.modules import (Representation, _has_iso, coregular, decompose,
                                direct_sum, dual, hom_space, injective,
                                injectives_sum, is_isomorphic,
+                               kernel_subrepresentation,
                                map_from_projectives, map_kernel,
                                op_algebra, projective,
                                projective_cover, projectives_sum,
                                radical_series, regular, simple, socle,
-                               zero_rep)
+                               subrepresentation, zero_rep)
 from quiveralg.quivers import PathElement, Path, Quiver, complete_basis
 from quiveralg.preprojective import preprojective_module
-from references import (dual_by_transpose, indecomposables_isomorphic,
-                        injective_envelope, map_from_projectives_by_paths,
-                        projectives_sum_fresh, random_module, top)
+from references import (_generated_submodule_spaces, dual_by_transpose,
+                        indecomposables_isomorphic, injective_envelope,
+                        map_from_projectives_by_paths, projectives_sum_fresh,
+                        random_module, subrepresentation_by_solve, top)
+from test_end_corners import _corpus
 from test_presentation import bound_quiver_algebras
 
 F = GF(32003)
@@ -542,3 +546,154 @@ def test_dual_carries_the_tags(name, fname):
     assert I.tag_kind == "I" and I.summands == tuple(vs)
     assert _same_tagged(dual(I), projectives_sum(Aop, vs))
     assert _same_tagged(dual(dual(I)), I)
+
+
+# -- the syzygy step on the module's support ---------------------------------
+
+def _assert_same_subrep(f, got, want):
+    (rep, incl), (rep2, incl2) = got, want
+    assert rep.dims == rep2.dims
+    assert _equal_blocks(f, rep.action, rep2.action)
+    assert _equal_blocks(f, incl.blocks, incl2.blocks)
+
+
+def _kernels(f, maps):
+    return [f.kernel(m).T for m in maps]
+
+
+def _outs_and_ins(M):
+    """The stacked arrows out of and into each vertex, as ``socle`` and
+    ``radical_series`` stack them."""
+    q, f = M.algebra.quiver, M.field
+    outs, ins = [], []
+    for v in range(q.n_vertices):
+        o = [M.action[a] for a in q.arrows_from(v)]
+        i = [M.action[a] for a in q.arrows_into(v)]
+        outs.append(np.concatenate(o) if o else f.zeros(0, M.dims[v]))
+        ins.append(np.concatenate(i, axis=1) if i
+                   else f.zeros(M.dims[v], 0))
+    return outs, ins
+
+
+def _assert_support_routes(M, steps=2):
+    """The cover of M and of its first syzygies, their kernels, the socle
+    and the radical equal the parent's routes: the cover from the top and
+    a solve, every subrepresentation by ``row_space`` and ``solve``."""
+    f = M.field
+    outs, ins = _outs_and_ins(M)
+    _assert_same_subrep(f, socle(M),
+                        subrepresentation_by_solve(M, _kernels(f, outs)))
+    _assert_same_subrep(f, radical_series(M),
+                        subrepresentation_by_solve(M, ins))
+    for _ in range(steps):
+        cov = projective_cover(M)
+        want = _projective_cover_reference(M)
+        assert cov.source.summands == want.source.summands
+        assert _equal_blocks(f, cov.blocks, want.blocks)
+        got = map_kernel(cov)
+        _assert_same_subrep(f, got, subrepresentation_by_solve(
+            cov.source, _kernels(f, cov.blocks)))
+        M = got[0]
+
+
+@FIELDS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_support_routes_match_the_solve_routes_on_drawn_algebras(field,
+                                                                 data):
+    A = data.draw(bound_quiver_algebras(field))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    M = random_module(A, rng)
+    for X in (regular(A), coregular(A), zero_rep(A), M, _twist(M, rng)):
+        _assert_support_routes(X)
+
+
+CORPUS_MODULES = [pytest.param(make, id=label)
+                  for label, make, _ in _corpus(F)] + [
+    pytest.param(make, id=label + "-QQ")
+    for label, make, _ in _corpus(QQ)[:6]]
+
+
+@pytest.mark.parametrize("make", CORPUS_MODULES)
+def test_support_routes_match_the_solve_routes_on_the_corpus(make):
+    A = make()
+    for X in [regular(A), coregular(A)] + [
+            simple(A, v) for v in range(A.quiver.n_vertices)]:
+        _assert_support_routes(X, steps=3)
+
+
+@FIELDS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_subrepresentation_raises_where_solve_finds_no_action(field, data):
+    """Spaces that a few random vectors generate are arrow-stable; one
+    more random column at a vertex where some arrow out of it acts by a
+    nonzero matrix mostly makes them unstable.  The pivot route raises
+    exactly where a solve has no solution, and gives the solve's answer
+    everywhere else."""
+    A = data.draw(bound_quiver_algebras(field))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    M = random_module(A, rng)
+    q = A.quiver
+    nz = [v for v in range(q.n_vertices) if M.dims[v]]
+    gens = [(v, _random_column(field, rng, M.dims[v]))
+            for v in (rng.choice(nz) for _ in range(rng.randint(0, 2)))]
+    spaces = _generated_submodule_spaces(M, gens)
+    acting = [v for v in nz if any(M.action[a].any()
+                                   for a in q.arrows_from(v))]
+    if acting and data.draw(st.booleans()):
+        v = rng.choice(acting)
+        spaces[v] = np.concatenate(
+            [spaces[v], _random_column(field, rng, M.dims[v])], axis=1)
+    try:
+        want = subrepresentation_by_solve(M, spaces)
+    except ValueError:
+        with pytest.raises(ValueError, match="not arrow-stable"):
+            subrepresentation(M, spaces)
+        return
+    _assert_same_subrep(field, subrepresentation(M, spaces), want)
+
+
+@FIELDS
+def test_spaces_that_are_not_arrow_stable_raise(field):
+    """On 1 -> 2: the generator of P_1 spans a space whose image under the
+    arrow leaves the space at 2, when that space is 0 and when it is
+    another line of P_1 + P_1."""
+    A = complete_basis(Quiver(["1", "2"], [("a", "1", "2")]), field, [])
+    P, PP = projective(A, 0), projectives_sum(A, [0, 0])
+    e1, e2 = field.array([[1], [0]]), field.array([[0], [1]])
+    cases = [(P, [field.eye(1), field.zeros(1, 0)],
+              [field.zeros(0, 1), field.eye(1)]),
+             (PP, [e1, e2], [e2.T, e1.T])]
+    for M, spaces, maps in cases:
+        for make, arg in ((subrepresentation, spaces),
+                          (subrepresentation_by_solve, spaces),
+                          (kernel_subrepresentation, maps)):
+            with pytest.raises(ValueError, match="not arrow-stable"):
+                make(M, arg)
+    # the same spaces one arrow earlier are stable
+    rep, _ = subrepresentation(PP, [e1, e1])
+    assert rep.dims == (1, 1) and field.equal(rep.action[0], field.eye(1))
+
+
+@pytest.mark.parametrize("make", CORPUS_MODULES[:4] + CORPUS_MODULES[-3:])
+def test_the_syzygy_step_makes_no_empty_product(monkeypatch, make):
+    """A cover, its kernel and a socle multiply only where both ends of
+    an arrow are nonzero: no product they make has an empty result."""
+    A = make()
+    f = A.field
+    mods = [regular(A), coregular(A)] + [
+        simple(A, v) for v in range(A.quiver.n_vertices)]
+    shapes = []
+    real = type(f).matmul
+
+    def recording(self, a, b):
+        shapes.append((a.shape[0], b.shape[1]))
+        return real(self, a, b)
+
+    monkeypatch.setattr(type(f), "matmul", recording)
+    for M in mods:
+        socle(M)
+        for _ in range(3):
+            M, _ = map_kernel(projective_cover(M))
+    assert shapes and all(m and n for m, n in shapes)
