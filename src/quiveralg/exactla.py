@@ -2,17 +2,19 @@
 
 Everything downstream (module homomorphism spaces, resolutions, derived
 Hom complexes) reduces to the ``Field`` kernels ``rref``, ``kernel``,
-``kernel_rref`` and ``solve``, and to ``QuotientBasis``: a subspace taken
-modulo another and written in coordinates, which is how Ext, the
-tensor-algebra grades, stable Hom and cohomology are all represented.
-``kernel_rref`` gives the unique RREF of a kernel, with its pivots, from
-one rref, which is what a submodule's echelon basis needs.  Arithmetic
-is exact everywhere; no floating point result is ever returned.  The
-prime-field path stores entries as int64 numpy arrays and takes one of
-three routes to a product of inner dimension k: int64 ``matmul`` for
-small products
-(m*n*k at most ``_INT64_MATMUL_MNK``), exact while
-``k * (p-1)**2 < 2**63``; float64 BLAS, exact while
+``kernel_rref`` and ``solve``.  ``kernel_rref`` gives the unique RREF of
+a kernel, with its pivots, from one rref.  That is a submodule's echelon
+basis, and it is also every quotient the package takes (cokernels,
+End/rad, Ext, the tensor-algebra grades, stable End): for rows S of
+width n, ``kernel_rref(S)`` is the map of k^n onto k^n / rowspace(S) in
+the coordinates of the classes of the unit vectors at its pivots, which
+complete rowspace(S).
+
+Arithmetic is exact everywhere; no floating point result is ever
+returned.  The prime-field path stores entries as int64 numpy arrays and
+takes one of three routes to a product of inner dimension k: int64
+``matmul`` for small products (m*n*k at most ``_INT64_MATMUL_MNK``),
+exact while ``k * (p-1)**2 < 2**63``; float64 BLAS, exact while
 ``k * (p-1)**2 <= 2**53``; and object-dtype Python ints when neither
 applies (each bound checked at every product).  A product over Q runs
 on Python rows: each row of the right factor keeps its nonzero entries,
@@ -46,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = ["Field", "PrimeField", "RationalField", "GF", "QQ",
-           "complement_rows", "complement_units", "QuotientBasis"]
+           "complement_rows", "complement_units"]
 
 # Size switches of the two kernels, below which numpy's per-call overhead
 # outweighs the arithmetic (timings in CHANGES.md).  int64 products stop
@@ -251,7 +253,15 @@ class Field:
         and 0 at the other free ones, so read back in the original order
         it leads with 1 at that column, which is 0 in every other row.
         Equal to ``row_space(kernel(a))``, as an RREF is unique, without a
-        second elimination."""
+        second elimination.
+
+        Read as a map on columns, the result K is the quotient map of
+        k^n onto k^n / rowspace(a), for any rows ``a``, dependent or zero
+        ones too: each row of K is orthogonal to the rows of ``a``, K has
+        rank n - rank(a), and its column at a pivot c is a unit vector.
+        So K x is the coordinates of the class of x on the unit vectors
+        e_c of the pivots, which are the units that ``complement_units``
+        picks to complete rowspace(a)."""
         if not a.size:  # 0 x 0, or the identity: already in RREF
             return self._kernel_free(a)
         n = a.shape[1]
@@ -491,66 +501,3 @@ def complement_rows(field: Field, sub: np.ndarray,
              if c >= k]
     return total[picks] if picks else field.zeros(0, n)
 
-
-class QuotientBasis:
-    """Coordinates on rowspace(sub) + rowspace(total) modulo rowspace(sub).
-
-    ``sub`` must have independent rows.  ``comp`` holds the rows of
-    ``total`` that extend them (``complement_rows``); their classes are the
-    basis of the quotient.  Without ``total`` the quotient is of the whole
-    space: ``comp`` holds the unit vectors that ``complement_units`` names,
-    and no identity is built.  One rref of ``[sub; comp | I]`` gives the
-    pivot columns ``piv`` of ``[sub; comp]`` and the inverse of that pivot
-    block, so coordinates cost one matmul: ``vecs[:, piv] @ inv``.
-    """
-
-    def __init__(self, field: Field, sub: np.ndarray,
-                 total: np.ndarray | None = None):
-        self.field = field
-        if total is None:
-            units = complement_units(field, sub, sub.shape[1])
-            self.comp = field.zeros(len(units), sub.shape[1])
-            self.comp[np.arange(len(units)), units] = field.one
-        else:
-            self.comp = complement_rows(field, sub, total)
-        full = np.concatenate([sub, self.comp])
-        k, n = full.shape
-        aug = field.zeros(k, n + k)
-        aug[:, :n] = full
-        aug[:, n:] = field.eye(k)
-        r, piv = field.rref(aug)
-        if piv and piv[-1] >= n:
-            raise ValueError("the rows of sub are linearly dependent")
-        self.piv = piv
-        self._echelon = r[:, :n]
-        # columns of the pivot-block inverse that give comp coordinates
-        self.inv = r[:, n + sub.shape[0]:]
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the quotient."""
-        return self.comp.shape[0]
-
-    def coords(self, vecs: np.ndarray) -> np.ndarray:
-        """comp coordinates of each row of `vecs`, which must lie in the
-        span (see ``spans``); one row of coordinates per row."""
-        return self.field.matmul(vecs[:, self.piv], self.inv)
-
-    @property
-    def proj(self) -> np.ndarray:
-        """The map of ``coords`` as a matrix acting on columns:
-        ``proj @ vecs.T == coords(vecs).T``."""
-        out = self.field.zeros(self.dim, self._echelon.shape[1])
-        out[:, self.piv] = self.inv.T
-        return out
-
-    def residual(self, vecs: np.ndarray) -> np.ndarray:
-        """Each row of `vecs` reduced against the echelon form of
-        ``[sub; comp]``: zero at its pivot columns, and zero exactly on the
-        rows that lie in its span.  A linear map with kernel that span."""
-        f = self.field
-        return f.sub(vecs, f.matmul(vecs[:, self.piv], self._echelon))
-
-    def spans(self, vecs: np.ndarray) -> np.ndarray:
-        """For each row of `vecs`: does it lie in rowspace([sub; comp])?"""
-        return np.all(self.residual(vecs) == self.field.zero, axis=1)

@@ -13,7 +13,7 @@ from .errors import QuiverAlgError
 from .exactla import DEFAULT_FIELD, Field
 from .findim import quiver_presentation
 from .homology import global_dimension, tau_inv
-from .modules import is_isomorphic, projective
+from .modules import projective
 from .preprojective import end_algebra, preprojective_module
 from .quivers import (BoundQuiverAlgebra, Path, PathElement, Quiver,
                       complete_basis)
@@ -153,7 +153,13 @@ def dynkin_path_algebra(s: int, orientation=None,
 
 def knit_indecomposables(A: BoundQuiverAlgebra, cap: int = 200):
     """All indecomposables of a hereditary representation-finite algebra,
-    by tau^- iteration from the indecomposable projectives."""
+    by tau^- iteration from the indecomposable projectives.
+
+    A module was seen when a module found has its dimension vector.  That
+    is exact: every module found is some tau^{-i} P, so preprojective, and
+    a preprojective indecomposable over a hereditary algebra is directing,
+    so determined by its dimension vector (Ringel, *Tame Algebras and
+    Integral Quadratic Forms*, LNM 1099, 1984)."""
     if A.relations:
         raise QuiverAlgError("knitting requires a hereditary algebra "
                              "(no relations)")
@@ -163,7 +169,7 @@ def knit_indecomposables(A: BoundQuiverAlgebra, cap: int = 200):
     found = []
 
     def seen(m):
-        return any(m.dims == x.dims and is_isomorphic(m, x) for x in found)
+        return any(m.dims == x.dims for x in found)
 
     frontier = []
     for v in range(A.quiver.n_vertices):

@@ -148,8 +148,15 @@ def _act(f: Field, n: int, entries: tuple, rows: np.ndarray) -> np.ndarray:
 
 
 def algebra_from_bqa(A: BoundQuiverAlgebra) -> FinDimAlgebra:
-    """The structure-constant view of a bound quiver algebra."""
+    """The structure-constant view of a bound quiver algebra.
+
+    b_i b_j is zero unless b_j starts where b_i ends, so only those pairs
+    are multiplied, each j in increasing order."""
     f = A.field
+    q = A.quiver
+    starts: list[list[int]] = [[] for _ in range(q.n_vertices)]
+    for j, p in enumerate(A.basis):
+        starts[p.source].append(j)
     idems = []
     for v in range(A.quiver.n_vertices):
         e = f.zeros(1, A.dim)[0]
@@ -161,7 +168,8 @@ def algebra_from_bqa(A: BoundQuiverAlgebra) -> FinDimAlgebra:
 
     return FinDimAlgebra(f, A.dim, None, idems, grading, constants=(
         sparse_constants(f, (
-            (i, j, k, c) for i in range(A.dim) for j in range(A.dim)
+            (i, j, k, c) for i, p in enumerate(A.basis)
+            for j in starts[p.target(q)]
             for k, c in sorted(A.mult_basis(i, j).items())))))
 
 

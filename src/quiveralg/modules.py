@@ -23,7 +23,7 @@ import random
 import numpy as np
 
 from .errors import NonSplitEndo
-from .exactla import QuotientBasis, complement_units
+from .exactla import complement_units
 from .findim import FinDimAlgebra
 from .quivers import BoundQuiverAlgebra, opposite
 
@@ -384,25 +384,23 @@ def kernel_subrepresentation(M: Representation, maps):
 
 
 def quotient(M: Representation, spaces):
-    """Quotient by the arrow-stable column-span subspaces; (rep, projection)."""
+    """Quotient by the arrow-stable column-span subspaces; (rep, projection).
+
+    At each vertex v one ``kernel_rref`` of the spanning columns, read as
+    rows, gives the projection of M_v onto M_v / S_v in the coordinates of
+    the classes of the unit vectors at its pivots, which complete S_v; an
+    arrow acts on the quotient by its columns at the source's pivots,
+    projected at the target."""
     A = M.algebra
     q = A.quiver
     f = M.field
-    projs = []
-    sections = []
-    for v in range(q.n_vertices):
-        # extend the columns of S to a basis by standard vectors
-        S, _ = _column_echelon(f, spaces[v])
-        quot = QuotientBasis(f, S.T)
-        projs.append(quot.proj)
-        sections.append(quot.comp.T)
-    dims = [c.shape[1] for c in sections]
+    quots = [f.kernel_rref(m.T) for m in spaces]
     action = []
     for a in range(q.n_arrows):
         s, t = q.source(a), q.target(a)
-        action.append(f.matmul(projs[t], f.matmul(M.action[a], sections[s])))
-    rep = Representation(A, dims, action)
-    return rep, ModuleMap(M, rep, projs)
+        action.append(f.matmul(quots[t][0], M.action[a][:, quots[s][1]]))
+    rep = Representation(A, [len(units) for _, units in quots], action)
+    return rep, ModuleMap(M, rep, [proj for proj, _ in quots])
 
 
 def map_kernel(phi: ModuleMap):
@@ -471,6 +469,14 @@ def hom_space(M: Representation, N: Representation) -> list[ModuleMap]:
                 N.dims[v], M.dims[v]))
         out.append(ModuleMap(M, N, blocks))
     return out
+
+
+def _free_columns(f, flat: np.ndarray) -> np.ndarray:
+    """The free column of each ``hom_space`` basis map flattened into a
+    row of ``flat``: its last nonzero entry, where it is 1 and the other
+    basis maps are 0.  So the coordinates of a map of the span in that
+    basis are its entries at these columns."""
+    return flat.shape[1] - 1 - np.argmax((flat != f.zero)[:, ::-1], axis=1)
 
 
 def dual(M: Representation) -> Representation:
@@ -693,6 +699,11 @@ def decompose(M: Representation,
     roots tried, but that of a matrix unit E_ii is x^2 - x.  Raises
     NonSplitEndo when a split into matrix algebras over k cannot be
     certified (division-algebra quotient bigger than k suspected).
+
+    A map of End(M) has its ``hom_space`` coordinates at the basis's free
+    columns, and End/rad is End(M) modulo the kernel of the trace form:
+    one ``kernel_rref`` of that kernel gives the projection onto End/rad,
+    whose basis is the classes of the basis maps at its pivots.
     """
     if M.is_zero():
         return []
@@ -709,16 +720,17 @@ def decompose(M: Representation,
     if sdim == 1:
         return [(M, 1)]
 
-    # End(M) in coordinates of `basis`, and S = End/rad on the classes of
-    # the basis maps whose unit vectors complete rad
-    end = QuotientBasis(f, f.zeros(0, sum(d * d for d in M.dims)), flat)
-    S = QuotientBasis(f, rad_rows)
-    picks = [basis[c] for c in np.nonzero(S.comp)[1]]
+    # End(M) in coordinates of `basis`, read at its free columns, and
+    # S = End/rad on the classes of the basis maps at the pivots of proj
+    free = _free_columns(f, flat)
+    proj, units = f.kernel_rref(rad_rows)
+    picks = [basis[c] for c in units]
 
     def to_S(maps: list[ModuleMap]) -> np.ndarray:
         vecs = np.concatenate([phi.flatten() for phi in maps])
-        assert end.spans(vecs).all()
-        return f.matmul(end.coords(vecs), S.proj.T)
+        coords = vecs[:, free]
+        assert f.equal(f.matmul(coords, flat), vecs), "not in End(M)"
+        return f.matmul(coords, proj.T)
 
     one = ModuleMap(M, M, [f.eye(d) for d in M.dims])
     # the product b_i b_j is b_j after b_i (apply b_i first); the only
@@ -746,7 +758,9 @@ def decompose(M: Representation,
                            "32 random trials and its basis")
 
     # lift to an exact idempotent of End(M) by Newton iteration
-    phi = _combine(M, basis, f.matmul(idem.reshape(1, -1), S.comp)[0])
+    coeffs = f.zeros(1, n)[0]
+    coeffs[units] = idem
+    phi = _combine(M, basis, coeffs)
     for _ in range(2 * M.total_dim + 4):
         sq = phi.compose(phi)
         if all(f.equal(a, b) for a, b in zip(sq.blocks, phi.blocks)):

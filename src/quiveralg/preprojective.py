@@ -34,15 +34,13 @@ import numpy as np
 
 from .derived import ChainMap, _strict_lift, resolution_complex
 from .errors import NotTauFinite
-from .exactla import QuotientBasis
 from .findim import (FinDimAlgebra, algebra_from_bqa, sparse_entries,
                      sparse_join, vertex_labels)
-from .homology import (ext_data, gldim_at_most, hom_matrix,
-                       map_of_elements, min_proj_resolution, tau_n_orbit,
-                       transpose_entries)
-from .modules import (ModuleMap, Representation, coregular, decompose,
-                      dual_map, hom_space, op_algebra, projective,
-                      projective_cover, regular)
+from .homology import (gldim_at_most, hom_matrix, map_of_elements,
+                       min_proj_resolution, tau_n_orbit, transpose_entries)
+from .modules import (ModuleMap, Representation, _free_columns, coregular,
+                      decompose, dual_map, hom_space, op_algebra,
+                      projective, projective_cover, regular)
 from .quivers import BoundQuiverAlgebra, Path, trivial
 
 __all__ = ["ExtBimodule", "ext_bimodule", "PreprojectiveSplit",
@@ -104,6 +102,11 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
     action matrix of one basis element through the resolution of D A
     (0 and 0 x 0 matrices when Ext vanishes).
 
+    gldim A <= n, so the resolution ends at P_n and every cochain in
+    Hom(P_n, A) is a cocycle: E is the cochains modulo the coboundaries,
+    and one ``kernel_rref`` of the coboundaries gives the class of each
+    cochain on the unit cochains at its pivots, the basis of E.
+
     Left multiplication by a basis path b in e_s A e_t is the map with the
     one entry b from slot t to slot s on A = regular(A), where slot v is
     vertex v; on D A = coregular(A) it is D Hom(-, A) of that map."""
@@ -114,17 +117,21 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
     Aop = op_algebra(A)
     Rop = regular(Aop)  # its dual is DL itself
     res = min_proj_resolution(DL, n + 1)
-    dim, _, (res, cob) = ext_data(DL, R, n, res)
-    Pn = res.terms[n] if n <= res.length else None
-    if dim == 0 or Pn is None:
-        return 0, *[lambda b: f.zeros(0, 0)] * 2
-    # gldim <= n, so P_n is the last term and every cochain is a cocycle
-    ext = QuotientBasis(f, cob)
-    basis_rows = ext.comp
-    assert ext.dim == dim
-    # the columns of the generator image of each slot of P_n in a cocycle
+    vanishing = 0, *[lambda b: f.zeros(0, 0)] * 2
+    if res.length < n:
+        return vanishing
+    assert res.length == n, "the resolution of D A must end at P_n"
+    Pn = res.terms[n]
+    # the columns of the generator image of each slot of P_n in a cochain
     offs = np.cumsum([0] + [R.dims[v] for v in Pn.summands])
-    # gldim <= n, so the resolution has no term past P_n
+    cob = hom_matrix(res.differentials[n - 1], R).T if n else \
+        f.zeros(0, int(offs[-1]))
+    proj, units = f.kernel_rref(cob)
+    dim = len(units)
+    if dim == 0:
+        return vanishing
+    basis_rows = f.zeros(dim, int(offs[-1]))
+    basis_rows[np.arange(dim), units] = f.one
     P, eps = resolution_complex(res, DL)
 
     def mult(b: int) -> dict:
@@ -134,8 +141,7 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
 
     def action(images: np.ndarray) -> np.ndarray:
         """Matrix whose column r is the class of row r of `images`."""
-        assert ext.spans(images).all(), "vector must be a cocycle"
-        return ext.coords(images).T
+        return f.matmul(proj, images.T)
 
     def left(b: int) -> np.ndarray:
         # postcompose with left multiplication on R, slot by slot
@@ -264,9 +270,11 @@ def _arrow_relations(A: BoundQuiverAlgebra, alpha: int, R: tuple,
 def _balancing_relations(A: BoundQuiverAlgebra, E: ExtBimodule,
                          action: tuple, dim: int
                          ) -> tuple[np.ndarray, MatchedPairs]:
-    """Row basis of the relations of T_{g-1} (x)_A E on the matched pairs,
-    where T_{g-1} has dimension ``dim`` and the entries (b, x', x, c) of
-    ``action`` give the right action on it of each basis path b of A.
+    """Rows spanning the relations of T_{g-1} (x)_A E on the matched
+    pairs, where T_{g-1} has dimension ``dim`` and the entries
+    (b, x', x, c) of ``action`` give the right action on it of each basis
+    path b of A: the relations of each arrow, stacked, with no
+    elimination, so they may be dependent.
 
     A is generated over A_0 = k^{Q_0} by its arrows, and the relation of a
     path p q at (x, y) is that of q at (x p, y) plus that of p at
@@ -290,7 +298,7 @@ def _balancing_relations(A: BoundQuiverAlgebra, E: ExtBimodule,
         lam = A.bindex[Path(q.source(a), (a,))]
         rows.append(_arrow_relations(A, a, of(action, lam), of(E.left, lam),
                                      right, left, pairs))
-    return f.row_space(np.concatenate(rows)), pairs
+    return np.concatenate(rows), pairs
 
 
 def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
@@ -300,12 +308,11 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
     Grade g > 0 is T_{g-1} (x)_k E modulo the balancing relations
     x lam (x) y - x (x) lam y.  The bases of T_{g-1} and E are
     vertex-adapted, so every pure tensor x (x) y with right(x) != left(y)
-    is a relation, and the rest are spanned by the relations of the arrows
-    on the matched pairs right(x) = left(y), whose row space is W.  The
-    complement picks unit vectors, at the free columns of W reversed, so
-    basis element k of the grade is the class of the pure tensor
-    x_k (x) y_k (``xs``, ``ys`` record the pairs), and ``proj``, the
-    coordinates on the pairs, is the kernel of W reversed, reversed.
+    is a relation, and the rest are spanned by the relations W of the
+    arrows on the matched pairs right(x) = left(y).  The grade is one
+    ``kernel_rref`` of W: ``proj`` maps the matched pairs onto the grade,
+    and basis element k is the class of the pure tensor x_k (x) y_k at
+    its k-th pivot (``xs``, ``ys`` record the pairs).
 
     One pass per grade g builds the grade and every product into it from
     the entries of the constants into grade g-1 and of E's actions: the
@@ -329,16 +336,13 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
         # the right action on grade g-1 of a basis path j of A is the
         # constants into it with right factor j
         W, pairs = _balancing_relations(A, E, (j, k - lo, i - lo, c), top - lo)
-        width = len(pairs.index)
-        newdim = width - W.shape[0]
+        proj, units = f.kernel_rref(W)
+        newdim = len(units)
         if newdim == 0:
             break
         if len(parts) > cap:
             raise NotTauFinite(cap, newdim)
-        # one row per free column: 1 there, nonzero after it only at pivots
-        proj = f.kernel_rref(W)[0]
-        xs, ys = np.divmod(pairs.index[np.argmax(proj != f.zero, axis=1)],
-                           E.dim)
+        xs, ys = np.divmod(pairs.index[units], E.dim)
         xg, yg = np.concatenate([xg, lo + xs]), np.concatenate([yg, ys])
         # the terms (left factor, right factor, matched pair, coefficient)
         # of u (x_k (x) y_k) and of (x_k (x) y_k) b
@@ -392,26 +396,31 @@ def _places(pos: np.ndarray, di: np.ndarray, dj: np.ndarray):
 
 
 def _corner(f, homs: list[ModuleMap], sub: list[np.ndarray], di, dj):
-    """The span of ``homs`` modulo that of the flat maps ``sub``; None if
-    zero.  Each kernel vector of ``hom_space``'s RREF is 1 at its free
-    column, its last nonzero entry, and 0 at the other free columns, so
-    without a quotient the coordinates are the values there."""
+    """The span of ``homs``, a ``hom_space`` basis, modulo that of the
+    flat maps ``sub``; None if zero.  A map of the span has its
+    coordinates at the basis's free columns, so without a quotient they
+    are the values there.  The maps ``sub`` go into those coordinates, and
+    one ``kernel_rref`` of them projects onto the quotient, whose basis is
+    the classes of the basis maps at its pivots."""
     if not homs:
         return None
     rows = np.stack([h.flatten()[0] for h in homs])
-    read = to_coords = None
+    free = _free_columns(f, rows)
+    to_coords = None
+    read = _places(free, di, dj)
     if sub:
-        quot = QuotientBasis(f, f.row_space(np.stack(sub)), rows)
-        if not quot.dim:
+        sub = np.stack(sub)
+        through = sub[:, free]
+        assert f.equal(f.matmul(through, rows), sub), \
+            "a map through a projective must lie in Hom(X_j, X_i)"
+        proj, units = f.kernel_rref(through)
+        if not units:
             return None
-        rows, to_coords = quot.comp, quot.inv
-        read = _places(np.array(quot.piv, dtype=np.int64), di, dj)
-    last = rows.shape[1] - 1 - np.argmax((rows != f.zero)[:, ::-1], axis=1)
-    free = _places(last, di, dj)
+        rows, free, to_coords = rows[units], free[units], proj.T
     maps = np.split(rows, np.cumsum(di * dj)[:-1], axis=1)
     return _Corner([a.reshape(len(rows), di[v], dj[v])
                     for v, a in enumerate(maps)],
-                   free if read is None else read, to_coords, free)
+                   read, to_coords, _places(free, di, dj))
 
 
 def end_algebra(A: BoundQuiverAlgebra, summands: list[Representation],
@@ -427,10 +436,10 @@ def end_algebra(A: BoundQuiverAlgebra, summands: list[Representation],
     one corner, and the corner bases merge in the order of their free
     columns in X's flattened coordinates.  Modulo projectives, corner
     (i, j) is taken modulo the image of Hom(X_j, P(X_i)) under the
-    projective cover of X_i, with the greedy basis of ``QuotientBasis``
-    that one quotient over all of X picks corner by corner; a source with
-    no map to A needs none.  Projective summands vanish there, so the
-    caller leaves them out.
+    projective cover of X_i (``_corner``); its basis is the classes of
+    the Hom(X_j, X_i) basis maps that a greedy pick over all of X would
+    keep, and a source with no map to A needs no quotient.  Projective
+    summands vanish there, so the caller leaves them out.
 
     The products through a middle summand b take one matmul per vertex v:
     the blocks at v of the basis maps out of b, one above the other, times

@@ -90,6 +90,21 @@
   ``complement_rows_of_identity`` is the identity branch of
   ``complement_rows`` written out, which ``exactla.complement_units``
   now answers with indices.
+- ``algebra_from_bqa_all_pairs`` calls ``mult_basis`` on every pair of
+  basis paths; ``findim.algebra_from_bqa`` multiplies only the pairs where
+  b_j starts at the end of b_i.
+- ``knit_indecomposables_by_isomorphism`` knits with ``is_isomorphic``
+  deciding whether a module was seen; ``families.knit_indecomposables``
+  compares dimension vectors, which is exact there.
+- ``quotient_by_complement`` is ``modules.quotient`` with each vertex's
+  subspace put in echelon form by ``row_space``, then taken modulo with a
+  whole-space ``QuotientBasis``, its arrows acting through the unit
+  columns that complete it.
+- ``QuotientBasis`` takes rowspace(sub) + rowspace(total) modulo
+  rowspace(sub), for independent rows ``sub``, with up to three
+  eliminations: ``complement_rows`` (or ``complement_units``), and an
+  augmented-inverse rref of ``[sub; comp | I]``.  The package takes every
+  quotient with one ``Field.kernel_rref``.
 - ``kernel_rref_by_row_space`` is ``row_space(kernel(a))`` with the
   pivots of a second rref, two eliminations where ``Field.kernel_rref``
   makes one.  ``subrepresentation_by_solve`` takes each basis with
@@ -156,7 +171,8 @@ from quiveralg.derived import (ChainMap, ComplexOfModules, GradedHom,
 from quiveralg.errors import (AboveCap, AboveCapError, NonAdmissible,
                               NotTauFinite, QuiverAlgError,
                               WindowInconclusive)
-from quiveralg.exactla import QQ, Field, QuotientBasis, complement_rows
+from quiveralg.exactla import (QQ, Field, complement_rows,
+                               complement_units)
 from quiveralg.families import knit_indecomposables
 from quiveralg.findim import (FinDimAlgebra, _act, _dense, _sum_rows,
                               algebra_from_bqa, sparse_constants,
@@ -165,7 +181,7 @@ from quiveralg.homology import (_hom_presentation, elements_of_map, ext,
                                 global_dimension, hom_matrix,
                                 injective_dimension, map_of_elements,
                                 min_proj_resolution, op_element, syzygy,
-                                transpose, transpose_entries)
+                                tau_inv, transpose, transpose_entries)
 from quiveralg.modules import (ModuleMap, Representation, decompose,
                                direct_sum, dual, dual_map, hom_space,
                                injective, injectives_sum, is_isomorphic,
@@ -598,8 +614,9 @@ def preprojective_algebra_by_blocks(A, n: int,
     if E.dim > 0:
         while True:
             prev = grades[-1]
-            W, pairs = _balancing_relations(
+            relations, pairs = _balancing_relations(
                 A, E, action_entries(f, prev["R"]), prev["dim"])
+            W = f.row_space(relations)
             width = len(pairs.index)
             newdim = width - W.shape[0]
             if newdim == 0:
@@ -1837,3 +1854,128 @@ def amiot_endomorphism_algebra(A, n: int, window_cap: int = 64,
 def _regular_unit_index(A, v: int) -> int:
     R = regular(A)
     return R.offsets[v][v]  # trivial path is first in basis_between(v, v)
+
+
+class QuotientBasis:
+    """Coordinates on rowspace(sub) + rowspace(total) modulo rowspace(sub).
+
+    ``sub`` must have independent rows.  ``comp`` holds the rows of
+    ``total`` that extend them (``complement_rows``); their classes are the
+    basis of the quotient.  Without ``total`` the quotient is of the whole
+    space: ``comp`` holds the unit vectors that ``complement_units`` names,
+    and no identity is built.  One rref of ``[sub; comp | I]`` gives the
+    pivot columns ``piv`` of ``[sub; comp]`` and the inverse of that pivot
+    block, so coordinates cost one matmul: ``vecs[:, piv] @ inv``.
+    """
+
+    def __init__(self, field: Field, sub: np.ndarray,
+                 total: np.ndarray | None = None):
+        self.field = field
+        if total is None:
+            units = complement_units(field, sub, sub.shape[1])
+            self.comp = field.zeros(len(units), sub.shape[1])
+            self.comp[np.arange(len(units)), units] = field.one
+        else:
+            self.comp = complement_rows(field, sub, total)
+        full = np.concatenate([sub, self.comp])
+        k, n = full.shape
+        aug = field.zeros(k, n + k)
+        aug[:, :n] = full
+        aug[:, n:] = field.eye(k)
+        r, piv = field.rref(aug)
+        if piv and piv[-1] >= n:
+            raise ValueError("the rows of sub are linearly dependent")
+        self.piv = piv
+        self._echelon = r[:, :n]
+        # columns of the pivot-block inverse that give comp coordinates
+        self.inv = r[:, n + sub.shape[0]:]
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the quotient."""
+        return self.comp.shape[0]
+
+    def coords(self, vecs: np.ndarray) -> np.ndarray:
+        """comp coordinates of each row of `vecs`, which must lie in the
+        span (see ``spans``); one row of coordinates per row."""
+        return self.field.matmul(vecs[:, self.piv], self.inv)
+
+    @property
+    def proj(self) -> np.ndarray:
+        """The map of ``coords`` as a matrix acting on columns:
+        ``proj @ vecs.T == coords(vecs).T``."""
+        out = self.field.zeros(self.dim, self._echelon.shape[1])
+        out[:, self.piv] = self.inv.T
+        return out
+
+    def residual(self, vecs: np.ndarray) -> np.ndarray:
+        """Each row of `vecs` reduced against the echelon form of
+        ``[sub; comp]``: zero at its pivot columns, and zero exactly on the
+        rows that lie in its span.  A linear map with kernel that span."""
+        f = self.field
+        return f.sub(vecs, f.matmul(vecs[:, self.piv], self._echelon))
+
+    def spans(self, vecs: np.ndarray) -> np.ndarray:
+        """For each row of `vecs`: does it lie in rowspace([sub; comp])?"""
+        return np.all(self.residual(vecs) == self.field.zero, axis=1)
+
+
+def algebra_from_bqa_all_pairs(A) -> FinDimAlgebra:
+    """``findim.algebra_from_bqa`` with ``mult_basis`` called on all
+    dim A ** 2 pairs of basis paths."""
+    f = A.field
+    idems = [f.array([A.idempotent(v).get(k, 0) for k in range(A.dim)])
+             for v in range(A.quiver.n_vertices)]
+    grading = [A.path_degree(p) for p in A.basis] \
+        if A.arrow_degrees is not None else None
+    return FinDimAlgebra(f, A.dim, None, idems, grading, constants=(
+        sparse_constants(f, (
+            (i, j, k, c) for i in range(A.dim) for j in range(A.dim)
+            for k, c in sorted(A.mult_basis(i, j).items())))))
+
+
+def knit_indecomposables_by_isomorphism(A, cap: int = 200):
+    """``families.knit_indecomposables`` with a module seen when it is
+    isomorphic to one found, tested by ``is_isomorphic``."""
+    found = []
+
+    def seen(m):
+        return any(m.dims == x.dims and is_isomorphic(m, x) for x in found)
+
+    frontier = []
+    for v in range(A.quiver.n_vertices):
+        p = projective(A, v)
+        if not seen(p):
+            found.append(p)
+            frontier.append(p)
+    while frontier:
+        nxt = []
+        for m in frontier:
+            t = tau_inv(m)
+            if t.is_zero() or seen(t):
+                continue
+            found.append(t)
+            nxt.append(t)
+            if len(found) > cap:
+                raise QuiverAlgError(f"more than {cap} indecomposables")
+        frontier = nxt
+    return found
+
+
+def quotient_by_complement(M: Representation, spaces):
+    """``modules.quotient`` through a ``row_space`` and a whole-space
+    ``QuotientBasis`` per vertex."""
+    q = M.algebra.quiver
+    f = M.field
+    projs, sections = [], []
+    for v in range(q.n_vertices):
+        m = spaces[v]
+        S = f.row_space(m.T) if m.size else f.zeros(0, M.dims[v])
+        quot = QuotientBasis(f, S)
+        projs.append(quot.proj)
+        sections.append(quot.comp.T)
+    action = [f.matmul(projs[q.target(a)],
+                       f.matmul(M.action[a], sections[q.source(a)]))
+              for a in range(q.n_arrows)]
+    rep = Representation(M.algebra, [c.shape[1] for c in sections], action)
+    return rep, ModuleMap(M, rep, projs)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from quiveralg.derived import (ChainMap, ComplexOfModules, module_complex,
                                proj_resolve_complex)
-from quiveralg.exactla import GF, QQ, QuotientBasis
+from quiveralg.exactla import GF, QQ
 from quiveralg.families import auslander_algebra, dynkin_path_algebra
 from quiveralg.homology import (elements_of_map, map_of_elements, op_element,
                                 transpose, transpose_entries)
@@ -20,7 +20,7 @@ from quiveralg.modules import (ModuleMap, dual, dual_map, injective,
                                projective, projective_cover, projectives_sum,
                                simple, zero_rep)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import nu_module, random_module
+from references import QuotientBasis, nu_module, random_module
 
 FIELDS = {"GF": GF(32003), "QQ": QQ}
 

@@ -18,7 +18,7 @@ from quiveralg.homology import tau_inv
 from quiveralg.modules import (direct_sum, hom_space, projective,
                                projective_cover, quotient, regular, simple,
                                socle)
-from quiveralg.preprojective import end_algebra, stable_endomorphism
+from quiveralg.preprojective import _corner, end_algebra, stable_endomorphism
 from references import hom_quotient, whole_end_algebra
 
 FIELDS = [pytest.param(GF(32003), id="GF"), pytest.param(QQ, id="QQ")]
@@ -58,6 +58,37 @@ def test_end_of_permuted_and_repeated_summands_over_both_fields(field):
     reps = knit_indecomposables(A)
     for summands in (reps, reps[::-1], [reps[2], reps[0], reps[2]]):
         assert_same(end_algebra(A, summands), whole_end_algebra(summands))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_a_corner_modulo_one_basis_map_keeps_the_others(field):
+    """Hom(A, A) modulo each of its basis maps in turn: the corner's basis
+    is the other basis maps, a map reads as its quotient coordinates, and
+    a map outside Hom(A, A) is refused."""
+    X = regular(dynkin_path_algebra(3, None, field))
+    d = np.array(X.dims)
+    homs = hom_space(X, X)
+    rows = np.stack([h.flatten()[0] for h in homs])
+    assert len(homs) == 6
+    for k in range(len(homs)):
+        corner = _corner(field, homs, [rows[k]], d, d)
+        others = [j for j in range(len(homs)) if j != k]
+        got = np.concatenate([m.reshape(len(others), -1)
+                              for m in corner.maps], axis=1)
+        assert field.equal(got, rows[others])
+        v, r, c = corner.read
+        for j, h in enumerate(homs):
+            vals = np.array([[h.blocks[x][y, z] for x, y, z in zip(v, r, c)]],
+                            dtype=rows.dtype)
+            want = field.zeros(1, len(others))
+            if j != k:
+                want[0, others.index(j)] = field.one
+            assert field.equal(field.matmul(vals, corner.to_coords), want)
+    outside = field.zeros(1, rows.shape[1])[0]
+    outside[[c for c in range(rows.shape[1]) if not rows[:, c].any()][0]] = \
+        field.one
+    with pytest.raises(AssertionError):
+        _corner(field, homs, [outside], d, d)
 
 
 @settings(max_examples=15, deadline=None)

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiveralg import exactla
-from quiveralg.exactla import (GF, QQ, PrimeField, QuotientBasis,
-                               complement_rows, complement_units)
-from references import (complement_rows_greedy, complement_rows_of_identity,
-                        equal_by_all, eye_by_numpy, fraction_matmul,
-                        is_zero_by_all, kernel_rref_by_row_space, prime_rref)
+from quiveralg.exactla import (GF, QQ, PrimeField, complement_rows,
+                               complement_units)
+from references import (QuotientBasis, complement_rows_greedy,
+                        complement_rows_of_identity, equal_by_all,
+                        eye_by_numpy, fraction_matmul, is_zero_by_all,
+                        kernel_rref_by_row_space, prime_rref)
 
 F = GF(32003)
 
@@ -596,15 +597,42 @@ def test_kernel_rref_is_the_row_space_of_the_kernel(field, data):
 @pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_quotient_of_the_whole_space_is_the_quotient_of_the_identity(
-        field, data):
-    """QuotientBasis without total builds no identity and takes the same
-    rows, pivots and inverse as with the identity as total."""
+def test_kernel_rref_is_the_quotient_of_the_whole_space(field, data):
+    """kernel_rref(S), for rows S with dependent rows, zero rows and zero
+    columns, is the whole-space QuotientBasis of rowspace(S): its pivots
+    are the unit vectors that complete rowspace(S), and it maps each
+    vector to the coordinates of its class on them."""
     n = data.draw(st.integers(0, 5))
-    sub = field.row_space(_drawn_matrix(field, data,
-                                        data.draw(st.integers(0, 4)), n))
-    got, want = QuotientBasis(field, sub), QuotientBasis(field, sub,
-                                                         field.eye(n))
-    assert got.comp.dtype == want.comp.dtype
-    assert field.equal(got.comp, want.comp)
-    assert got.piv == want.piv and field.equal(got.inv, want.inv)
+    S = _drawn_matrix(field, data, data.draw(st.integers(0, 4)), n)
+    if n and data.draw(st.booleans()):
+        S[:, data.draw(st.integers(0, n - 1))] = field.zero
+    if S.shape[0] and data.draw(st.booleans()):
+        # a repeated row, a sum of two rows and a zero row
+        S = np.concatenate([S, S[:1], field.add(S[:1], S[-1:]),
+                            field.zeros(1, n)])
+    proj, units = field.kernel_rref(S)
+    want = QuotientBasis(field, field.row_space(S))
+    assert units == complement_units(field, S, n)
+    assert field.equal(field.eye(n)[units], want.comp)
+    assert proj.dtype == want.proj.dtype and field.equal(proj, want.proj)
+    assert field.is_zero(field.matmul(proj, S.T))
+    assert field.equal(proj[:, units], field.eye(len(units)))
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_kernel_rref_pivots_are_the_greedy_picks_of_a_kernel_basis(field,
+                                                                  data):
+    """Rows S in the span of a kernel basis K have their K coordinates at
+    its free columns, and the pivots of kernel_rref of those coordinates
+    name the rows of K that complement_rows picks to extend rowspace(S)."""
+    a = _drawn_matrix(field, data, data.draw(st.integers(0, 4)),
+                      data.draw(st.integers(1, 6)))
+    K = field.kernel(a)
+    free = [c for c in range(a.shape[1]) if c not in field.rref(a)[1]]
+    C = _drawn_matrix(field, data, data.draw(st.integers(0, 4)), len(free))
+    S = field.matmul(C, K)
+    assert field.equal(S[:, free], C)
+    proj, units = field.kernel_rref(S[:, free])
+    assert field.equal(K[units], complement_rows(field, field.row_space(S), K))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from quiveralg.errors import QuiverAlgError
@@ -7,6 +9,7 @@ from quiveralg.families import (auslander_algebra, canonical_2222,
                                 knit_indecomposables, linear_nakayama,
                                 thm39_type2)
 from quiveralg.homology import global_dimension
+from references import knit_indecomposables_by_isomorphism
 
 F = GF(32003)
 
@@ -64,6 +67,20 @@ def test_knit_counts_match_positive_roots():
         assert len(knit_indecomposables(A)) == s * (s + 1) // 2
     B = dynkin_path_algebra(3, ["f", "b"])
     assert len(knit_indecomposables(B)) == 6
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_knitting_by_dimension_vector_equals_the_isomorphism_route(s):
+    """On every orientation of A_s: the same modules, in the same order,
+    with the same arrow blocks."""
+    for orientation in itertools.product("fb", repeat=s - 1):
+        A = dynkin_path_algebra(s, list(orientation), F)
+        got = knit_indecomposables(A)
+        want = knit_indecomposables_by_isomorphism(A)
+        assert len(got) == len(want) == s * (s + 1) // 2
+        for M, N in zip(got, want):
+            assert M.dims == N.dims
+            assert all(F.equal(x, y) for x, y in zip(M.action, N.action))
 
 
 def test_knit_rejects_bound_algebra():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiveralg import findim
-from quiveralg.exactla import GF, QQ, QuotientBasis
+from quiveralg.exactla import GF, QQ
 from quiveralg.families import (auslander_algebra, canonical_2222,
                                 dynkin_path_algebra, knit_indecomposables,
                                 linear_nakayama)
@@ -17,10 +17,12 @@ from quiveralg.modules import direct_sum
 from quiveralg.preprojective import (end_algebra, preprojective_algebra,
                                      preprojective_module,
                                      stable_endomorphism)
-from references import (amiot_endomorphism_algebra, check_associativity,
+from references import (QuotientBasis, algebra_from_bqa_all_pairs,
+                        amiot_endomorphism_algebra, check_associativity,
                         hom_quotient, meet, right_mult_matrix,
                         vertex_labels_dense)
 from test_end_corners import _corpus
+from test_presentation import bound_quiver_algebras
 
 P31 = 2**31 - 1
 
@@ -47,6 +49,33 @@ def test_stored_constants_match_mult_basis(bqa_and_view):
             want = {k: c for k, c in A.mult_basis(i, j).items()
                     if c != A.field.zero}
             assert stored.get((i, j), {}) == want
+
+
+def _assert_same_view(A, B, C):
+    f = A.field
+    assert B.dim == C.dim and B.grading == C.grading
+    for x, y in zip(B.constants, C.constants):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert len(B.idempotents) == len(C.idempotents)
+    assert all(f.equal(e, g) for e, g in zip(B.idempotents, C.idempotents))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(make, id=f"{label}-{field}")
+    for field in (GF(32003), QQ) for label, make, _ in _corpus(field)])
+def test_constants_of_the_composable_pairs_equal_all_pairs_on_the_corpus(
+        make):
+    A = make()
+    _assert_same_view(A, algebra_from_bqa(A), algebra_from_bqa_all_pairs(A))
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF", "QQ"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_constants_of_the_composable_pairs_equal_all_pairs_when_drawn(
+        field, data):
+    A = data.draw(bound_quiver_algebras(field))
+    _assert_same_view(A, algebra_from_bqa(A), algebra_from_bqa_all_pairs(A))
 
 
 def test_left_right_and_vector_products_agree(bqa_and_view):

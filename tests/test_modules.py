@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from quiveralg import modules
 from quiveralg.errors import NonSplitEndo
 from quiveralg.exactla import GF, QQ
 from quiveralg.families import (auslander_algebra, canonical_2222,
@@ -16,14 +17,15 @@ from quiveralg.modules import (Representation, _has_iso, coregular, decompose,
                                map_from_projectives, map_kernel,
                                op_algebra, projective,
                                projective_cover, projectives_sum,
-                               radical_series, regular, simple, socle,
-                               subrepresentation, zero_rep)
+                               quotient, radical_series, regular, simple,
+                               socle, subrepresentation, zero_rep)
 from quiveralg.quivers import PathElement, Path, Quiver, complete_basis
 from quiveralg.preprojective import preprojective_module
 from references import (_generated_submodule_spaces, dual_by_transpose,
                         indecomposables_isomorphic, injective_envelope,
                         map_from_projectives_by_paths, projectives_sum_fresh,
-                        random_module, subrepresentation_by_solve, top)
+                        quotient_by_complement, random_module,
+                        subrepresentation_by_solve, top)
 from test_end_corners import _corpus
 from test_presentation import bound_quiver_algebras
 
@@ -652,6 +654,51 @@ def test_subrepresentation_raises_where_solve_finds_no_action(field, data):
             subrepresentation(M, spaces)
         return
     _assert_same_subrep(field, subrepresentation(M, spaces), want)
+
+
+@FIELDS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quotient_equals_the_complement_route_on_drawn_modules(field, data):
+    """One ``kernel_rref`` per vertex gives the blocks and dtypes of the
+    route through ``row_space`` and ``QuotientBasis``: modulo a drawn
+    submodule spanned with a repeated and a zero column, modulo the
+    radical, spanned by the arrows into each vertex, and modulo nothing
+    and everything."""
+    A = data.draw(bound_quiver_algebras(field))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    M = random_module(A, rng)
+    if data.draw(st.booleans()):
+        M = _twist(M, rng)
+    nz = [v for v in range(A.quiver.n_vertices) if M.dims[v]]
+    gens = [(v, _random_column(field, rng, M.dims[v]))
+            for v in (rng.choice(nz) for _ in range(rng.randint(0, 3)))]
+    sub = [np.concatenate([s, s[:, :1], field.zeros(s.shape[0], 1)], axis=1)
+           for s in _generated_submodule_spaces(M, gens)]
+    for spaces in (sub, _outs_and_ins(M)[1],
+                   [field.zeros(d, 0) for d in M.dims],
+                   [field.eye(d) for d in M.dims]):
+        (rep, pi), (want, want_pi) = (quotient(M, spaces),
+                                      quotient_by_complement(M, spaces))
+        assert rep.dims == want.dims
+        for x, y in zip(rep.action + tuple(pi.blocks),
+                        want.action + tuple(want_pi.blocks)):
+            assert x.dtype == y.dtype and field.equal(x, y)
+
+
+@FIELDS
+def test_decompose_checks_each_product_against_its_end_coordinates(
+        field, monkeypatch):
+    """End(M) is read at the free columns of its Hom basis, and each
+    product of End/rad is checked to be the combination those entries
+    give; read at the first nonzero entries instead, the check fails."""
+    M = _twist(regular(dynkin_path_algebra(3, None, field)),
+               random.Random(3))
+    assert len(decompose(M)) == 3
+    monkeypatch.setattr(modules, "_free_columns",
+                        lambda f, flat: np.argmax(flat != f.zero, axis=1))
+    with pytest.raises(AssertionError, match="not in End"):
+        decompose(M)
 
 
 @FIELDS

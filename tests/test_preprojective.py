@@ -8,7 +8,7 @@ import pytest
 
 from quiveralg import preprojective as pp
 from quiveralg.errors import NotTauFinite
-from quiveralg.exactla import GF, QQ, QuotientBasis
+from quiveralg.exactla import GF, QQ
 from quiveralg.families import (auslander_algebra, canonical_2222,
                                 dynkin_path_algebra, higher_auslander_chain,
                                 linear_nakayama, thm39_type2)
@@ -20,7 +20,7 @@ from quiveralg.modules import (coregular, direct_sum, map_from_projectives,
 from quiveralg.preprojective import (ext_bimodule, preprojective_algebra,
                                      preprojective_module, stable_endomorphism)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import (action_entries, check_associativity,
+from references import (QuotientBasis, action_entries, check_associativity,
                         dense_actions, left_mult_map,
                         left_mult_on_coregular,
                         preprojective_algebra_by_blocks, stable_hom)

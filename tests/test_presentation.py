@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quiveralg import findim, quivers
 from quiveralg.errors import NotBasic
-from quiveralg.exactla import GF, QQ, QuotientBasis, complement_rows
+from quiveralg.exactla import GF, QQ, complement_rows
 from quiveralg.families import linear_nakayama, thm39_type2
 from quiveralg.findim import (FinDimAlgebra, _sum_rows, algebra_from_bqa,
                               quiver_presentation)
@@ -15,9 +15,10 @@ from quiveralg.modules import is_isomorphic, projective, simple
 from quiveralg.preprojective import (end_algebra, preprojective_algebra,
                                      stable_endomorphism)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import (amiot_endomorphism_algebra, arrows_by_meet,
-                        complete_basis_by_scan, corners_by_meet, ideal_span,
-                        is_homog, meet, radical_rows, right_mult_matrix)
+from references import (QuotientBasis, amiot_endomorphism_algebra,
+                        arrows_by_meet, complete_basis_by_scan,
+                        corners_by_meet, ideal_span, is_homog, meet,
+                        radical_rows, right_mult_matrix)
 
 F = GF(32003)
 
