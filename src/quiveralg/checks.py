@@ -102,11 +102,10 @@ def socle_vertex(A: BoundQuiverAlgebra, M: Representation):
     return None
 
 
-def is_self_injective(B) -> Verdict:
+def is_self_injective(A: BoundQuiverAlgebra) -> Verdict:
     """True iff every indecomposable projective is injective; witness is
     the Nakayama permutation vertex -> socle vertex.  Kept in the
     algebra's memo, so callers share one verdict and must not change it."""
-    A = B if isinstance(B, BoundQuiverAlgebra) else quiver_presentation(B)
     hit = A.memo.get(("self_injective",))
     if hit is None:
         hit = A.memo[("self_injective",)] = _self_injective(A)
@@ -158,10 +157,9 @@ def vosnex(A: BoundQuiverAlgebra, n: int, cap: int = 32,
         ell += 1
 
 
-def iwanaga_gorenstein_dim(B, cap: int = 32):
+def iwanaga_gorenstein_dim(A: BoundQuiverAlgebra, cap: int = 32):
     """max(id A_A, id _A A), or ``AboveCap``; 0 for a self-injective
     algebra, read off its memoized verdict without a resolution."""
-    A = B if isinstance(B, BoundQuiverAlgebra) else quiver_presentation(B)
     if is_self_injective(A).value is True:
         return 0
     right = injective_dimension(regular(A), cap)
@@ -174,14 +172,16 @@ def iwanaga_gorenstein_dim(B, cap: int = 32):
 
 
 def is_cm(B: BoundQuiverAlgebra, X: Representation, cap: int = 32) -> bool:
-    """Cohen-Macaulay test: Ext^i(X, B) = 0 for 1 <= i <= IG-dim(B)."""
+    """Cohen-Macaulay test: Ext^i(X, B) = 0 for 1 <= i <= IG-dim(B), from
+    one resolution of X of length IG-dim(B) + 1."""
     if X.algebra is not B:
         raise ValueError("X must be a module over B")
     d = iwanaga_gorenstein_dim(B, cap)
     if isinstance(d, AboveCap):
         raise AboveCapError(cap)
     R = regular(B)
-    return all(ext(X, R, i) == 0 for i in range(1, d + 1))
+    res = min_proj_resolution(X, d + 1)
+    return all(ext(X, R, i, res) == 0 for i in range(1, d + 1))
 
 
 def rigidity(parts: list[Representation], n: int) -> bool:
@@ -197,7 +197,7 @@ def rigidity(parts: list[Representation], n: int) -> bool:
     return True
 
 
-def cy_spot_check(B, n: int) -> dict[int, bool]:
+def cy_spot_check(A: BoundQuiverAlgebra, n: int) -> dict[int, bool]:
     """For a self-injective algebra: nu(S) = Omega^{-(n+2)}(S) per simple,
     up to projective summands, the object-level shadow of the stable
     category being (n+1)-Calabi-Yau.
@@ -208,7 +208,6 @@ def cy_spot_check(B, n: int) -> dict[int, bool]:
     has no projective summand and S_v is the only module of dimension
     vector e_v, so the dimension vectors decide it.  When P_v is simple,
     S_v = S_w is projective and both sides vanish."""
-    A = B if isinstance(B, BoundQuiverAlgebra) else quiver_presentation(B)
     si = is_self_injective(A)
     if si.value is not True:
         raise ValueError("cy_spot_check requires a self-injective algebra")

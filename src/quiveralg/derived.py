@@ -37,8 +37,8 @@ from itertools import count
 import numpy as np
 
 from .errors import AboveCapError, TermNotProjective, WindowInconclusive
-from .homology import (ProjResolution, elements_of_map, gldim_at_most,
-                       map_of_elements, transpose_entries)
+from .homology import (elements_of_map, gldim_at_most, map_of_elements,
+                       transpose_entries)
 from .modules import (ModuleMap, Representation, direct_sum, dual,
                       kernel_subrepresentation, map_from_projectives,
                       op_algebra, projective_cover, projectives_sum, regular,
@@ -46,17 +46,18 @@ from .modules import (ModuleMap, Representation, direct_sum, dual,
 from .quivers import BoundQuiverAlgebra, Path
 
 __all__ = ["ComplexOfModules", "ChainMap", "module_complex",
-           "proj_resolve_complex", "resolution_complex", "SymbolicComplex",
+           "proj_resolve_complex", "SymbolicComplex",
            "to_symbolic", "transposed", "amiot_hom", "GradedHom",
            "SerreContext", "serre_context"]
 
 
 class ComplexOfModules:
-    """Bounded cochain complex: d^i: X^i -> X^{i+1}, d.d = 0 exactly."""
+    """Bounded cochain complex: d^i: X^i -> X^{i+1}, d.d = 0 exactly.
+    The constructor checks nothing; ``check_d_squared`` does."""
 
     def __init__(self, algebra: BoundQuiverAlgebra,
                  terms: dict[int, Representation],
-                 diffs: dict[int, ModuleMap], check: bool = True):
+                 diffs: dict[int, ModuleMap]):
         self.algebra = algebra
         self.terms = {i: t for i, t in terms.items() if t.total_dim > 0}
         self._zero = None  # the term of every missing degree, built once
@@ -65,8 +66,6 @@ class ComplexOfModules:
         for i, d in diffs.items():
             if i in self.terms and (i + 1) in self.terms:
                 self.diffs[i] = d
-        if check:
-            self.check_d_squared()
 
     @property
     def lo(self) -> int:
@@ -142,17 +141,18 @@ class ComplexOfModules:
         terms = {i - k: t for i, t in self.terms.items()}
         sign = f.one if k % 2 == 0 else f.neg(f.one)
         diffs = {i - k: d.scale(sign) for i, d in self.diffs.items()}
-        return ComplexOfModules(self.algebra, terms, diffs, check=False)
+        return ComplexOfModules(self.algebra, terms, diffs)
 
 
 class ChainMap:
+    """Maps parts[i]: X^i -> Y^i.  The constructor checks nothing;
+    ``is_chain_map`` does."""
+
     def __init__(self, source: ComplexOfModules, target: ComplexOfModules,
-                 parts: dict[int, ModuleMap], check: bool = True):
+                 parts: dict[int, ModuleMap]):
         self.source = source
         self.target = target
         self.parts = dict(parts)
-        if check:
-            assert self.is_chain_map()
 
     def is_chain_map(self) -> bool:
         for i in range(min(self.source.lo, self.target.lo) - 1,
@@ -208,7 +208,7 @@ class ChainMap:
 
 
 def module_complex(M: Representation, degree: int = 0) -> ComplexOfModules:
-    return ComplexOfModules(M.algebra, {degree: M}, {}, check=False)
+    return ComplexOfModules(M.algebra, {degree: M}, {})
 
 
 def dual_complex(X: ComplexOfModules) -> ComplexOfModules:
@@ -217,25 +217,12 @@ def dual_complex(X: ComplexOfModules) -> ComplexOfModules:
     diffs = {-i - 1: ModuleMap(terms[-i - 1], terms[-i],
                                [b.T.copy() for b in d.blocks])
              for i, d in X.diffs.items()}
-    return ComplexOfModules(op_algebra(X.algebra), terms, diffs, check=False)
+    return ComplexOfModules(op_algebra(X.algebra), terms, diffs)
 
 
 # ---------------------------------------------------------------------------
 # projective resolution of a bounded complex, from the top degree down
 # ---------------------------------------------------------------------------
-
-def resolution_complex(res: ProjResolution, M: Representation,
-                       degree: int = 0):
-    """(P, eps): the resolution ``res`` of M as a complex P with term j of
-    ``res`` in degree ``degree - j``, and its augmentation eps: P -> M,
-    with M placed in ``degree``."""
-    terms = {degree - j: t for j, t in enumerate(res.terms)}
-    diffs = {degree - j - 1: d for j, d in enumerate(res.differentials)}
-    P = ComplexOfModules(M.algebra, terms, diffs, check=False)
-    eps = ChainMap(P, module_complex(M, degree),
-                   {degree: res.augmentation}, check=False)
-    return P, eps
-
 
 def _strict_lift(C: ComplexOfModules, f_map: ChainMap,
                  eps: ChainMap) -> ChainMap:
@@ -286,7 +273,7 @@ def _strict_lift(C: ComplexOfModules, f_map: ChainMap,
             for k, s in enumerate(slots):
                 gen_images[s] = x[:, k:k + 1]
         parts[i] = map_from_projectives(Ct, Pt, gen_images)
-    return ChainMap(C, P, parts, check=False)
+    return ChainMap(C, P, parts)
 
 
 def _cone_block(phi: ChainMap, i: int, v: int) -> np.ndarray:
@@ -315,8 +302,7 @@ def _is_projective(X: ComplexOfModules) -> bool:
     return all(getattr(t, "tag_kind", None) == "P" for t in X.terms.values())
 
 
-def proj_resolve_complex(X: ComplexOfModules, cap: int = 32,
-                         verify: bool = True):
+def proj_resolve_complex(X: ComplexOfModules, cap: int = 32):
     """(P, eps): a bounded complex of tagged projective sums with a
     degreewise surjective quasi-isomorphism eps: P -> X.  A complex of
     tagged projective sums, the zero complex too, is its own resolution.
@@ -335,7 +321,7 @@ def proj_resolve_complex(X: ComplexOfModules, cap: int = 32,
         ident = {i: ModuleMap(t, t, [X.algebra.field.eye(d)
                                      for d in t.dims])
                  for i, t in X.terms.items()}
-        return X, ChainMap(X, X, ident, check=False)
+        return X, ChainMap(X, X, ident)
     A = X.algebra
     f = A.field
     terms: dict[int, Representation] = {}
@@ -385,12 +371,11 @@ def proj_resolve_complex(X: ComplexOfModules, cap: int = 32,
         if Pn is not None:
             diffs[i] = ModuleMap(Pi, Pn, [b[av:] for b, av in
                                           zip(cover.blocks, a)])
-    P = ComplexOfModules(A, terms, diffs, check=False)
-    eps = ChainMap(P, X, parts, check=False)
-    if verify:
-        assert eps.is_chain_map(), "resolution augmentation must be a chain map"
-        assert eps.induces_cohomology_iso(), \
-            "resolution must be a quasi-isomorphism"
+    P = ComplexOfModules(A, terms, diffs)
+    eps = ChainMap(P, X, parts)
+    assert eps.is_chain_map(), "resolution augmentation must be a chain map"
+    assert eps.induces_cohomology_iso(), \
+        "resolution must be a quasi-isomorphism"
     return P, eps
 
 
@@ -421,7 +406,9 @@ class SymbolicComplex:
         diffs = {i: map_of_elements(A, entries, terms[i], terms[i + 1])
                  for i, entries in self.diffs.items()
                  if i in terms and i + 1 in terms}
-        return ComplexOfModules(A, terms, diffs, check=True)
+        X = ComplexOfModules(A, terms, diffs)
+        X.check_d_squared()
+        return X
 
     def shift(self, k: int) -> "SymbolicComplex":
         """X[k], as ``ComplexOfModules.shift``: terms (X[k])^i = X^{i+k},

@@ -34,23 +34,30 @@ from .modules import (ModuleMap, Representation, dual, map_cokernel,
 from .quivers import BoundQuiverAlgebra, Path
 
 __all__ = ["ProjResolution", "min_proj_resolution", "syzygy", "ext",
-           "ext_data", "transpose", "tau", "tau_inv", "tau_n", "tau_n_inv",
+           "transpose", "tau", "tau_inv", "tau_n", "tau_n_inv",
            "tau_n_orbit", "global_dimension", "gldim_at_most",
            "injective_dimension", "proj_dimension", "hom_matrix"]
 
 
 @dataclass
 class ProjResolution:
-    """... -> P1 -> P0 -> M -> 0 with tagged projective terms."""
+    """P_{L} -> ... -> P1 -> P0 -> M -> 0 with tagged projective terms,
+    L = ``length``, and the kernel Omega^{L+1} M at which the walk stopped,
+    with its inclusion into P_L: zero unless the walk hit its length cap."""
 
     terms: list[Representation]
     augmentation: ModuleMap              # P0 -> M
     differentials: list[ModuleMap]       # differentials[i]: P(i+1) -> P(i)
-    truncated: bool
+    kernel: Representation               # Omega^{L+1} M
+    inclusion: ModuleMap                 # kernel -> P_L
 
     @property
     def length(self) -> int:
         return len(self.terms) - 1
+
+    @property
+    def truncated(self) -> bool:
+        return not self.kernel.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -115,27 +122,28 @@ def map_of_elements(A: BoundQuiverAlgebra,
 
 
 def min_proj_resolution(M: Representation, length_cap: int = 32) -> ProjResolution:
+    """The minimal projective resolution of M, walked by projective covers
+    and kernels until a kernel is zero or the resolution has length
+    ``length_cap``; that last kernel, Omega^{L+1} M, stays in the result.
+    This is the one walk of a module's resolution: syzygies, the
+    presentations behind Tr and tau_n^{+-}, and Ext are read off it."""
     aug = projective_cover(M)
     terms = [aug.source]
     diffs: list[ModuleMap] = []
     ker, incl = map_kernel(aug)  # kernel inside the last term, with inclusion
-    truncated = False
-    while not ker.is_zero():
-        if len(terms) > length_cap:
-            truncated = True
-            break
+    while not ker.is_zero() and len(terms) <= length_cap:
         cov = projective_cover(ker)
         diffs.append(cov.compose(incl))
         terms.append(cov.source)
         ker, incl = map_kernel(cov)
-    return ProjResolution(terms, aug, diffs, truncated)
+    return ProjResolution(terms, aug, diffs, ker, incl)
 
 
 def syzygy(M: Representation, i: int) -> Representation:
-    """Omega^i M for i >= 0, and Omega^{-|i|} M = D Omega^{|i|} D M for
-    i < 0: D turns a minimal injective envelope of M into a minimal
-    projective cover of D M over A^op, so each cosyzygy is the k-dual of
-    a syzygy there.
+    """Omega^i M for i >= 0, the kernel at which a resolution of length
+    i - 1 stops, and Omega^{-|i|} M = D Omega^{|i|} D M for i < 0: D turns
+    a minimal injective envelope of M into a minimal projective cover of
+    D M over A^op, so each cosyzygy is the k-dual of a syzygy there.
 
     Each step uses the minimal cover, so projective (resp. injective)
     summands of M itself never propagate; a kernel can still be
@@ -144,10 +152,9 @@ def syzygy(M: Representation, i: int) -> Representation:
     """
     if i < 0:
         return dual(syzygy(dual(M), -i))
-    cur = M
-    for _ in range(i):
-        cur, _ = map_kernel(projective_cover(cur))
-    return cur
+    if i == 0:
+        return M
+    return min_proj_resolution(M, i - 1).kernel
 
 
 # ---------------------------------------------------------------------------
@@ -169,40 +176,25 @@ def hom_matrix(d: ModuleMap, N: Representation) -> np.ndarray:
     return m
 
 
-def ext_data(M: Representation, N: Representation, i: int,
-             res: ProjResolution | None = None):
-    """(dimension, cocycle row-basis, context) of Ext^i(M, N).
-
-    Cocycles are coordinate vectors in Hom(P_i, N) = sum over slots of
-    N at the slot vertex; the context carries the resolution and the
-    coboundary row space for reduction.
-    """
+def ext(M: Representation, N: Representation, i: int,
+        res: ProjResolution | None = None) -> int:
+    """dim Ext^i(M, N) = dim Hom(P_i, N) - rank Hom(d_i, N)
+    - rank Hom(d_{i-1}, N), from ``res`` when it reaches P_{i+1} or is
+    not truncated, else from a resolution of M of length i + 1."""
     if i < 0:
         raise ValueError("ext degree must be >= 0")
-    f = N.field
     if res is None or (res.truncated and res.length < i + 1):
         res = min_proj_resolution(M, length_cap=i + 1)
     if i > res.length:
-        return 0, None, (res, None)
-    dim_i = sum(N.dims[v] for v in res.terms[i].summands)
-    if dim_i == 0:
-        return 0, f.zeros(0, 0), (res, f.zeros(0, 0))
+        return 0
+    f = N.field
     diffs = res.differentials
-    if i < len(diffs):
-        cocycles = f.kernel(hom_matrix(diffs[i], N))  # rows
-    else:
-        cocycles = f.eye(dim_i)
-    if i == 0:
-        return cocycles.shape[0], cocycles, (res, f.zeros(0, dim_i))
-    # rows spanning the coboundaries
-    cob = f.row_space(hom_matrix(diffs[i - 1], N).T)
-    dim = cocycles.shape[0] - cob.shape[0]
-    return dim, cocycles, (res, cob)
-
-
-def ext(M: Representation, N: Representation, i: int,
-        res: ProjResolution | None = None) -> int:
-    return ext_data(M, N, i, res)[0]
+    dim = sum(N.dims[v] for v in res.terms[i].summands)
+    if dim and i < len(diffs):
+        dim -= f.rank(hom_matrix(diffs[i], N))
+    if dim and i:
+        dim -= f.rank(hom_matrix(diffs[i - 1], N))
+    return dim
 
 
 def proj_dimension(M: Representation, cap: int = 32):
@@ -276,16 +268,16 @@ def op_element(A: BoundQuiverAlgebra, elem: dict[int, object]) -> dict[int, obje
     return A.field.accumulate({}, terms)
 
 
-def _hom_presentation(M: Representation) -> ModuleMap:
+def _hom_presentation(res: ProjResolution) -> ModuleMap:
     """Hom(d, A): Hom(P0, A) -> Hom(P1, A), a map of tagged projective
     sums over A^op, for the minimal projective presentation d: P1 -> P0
-    of M.  Its cokernel is Tr M; Hom(P1, A) is zero when M is
-    projective."""
-    A = M.algebra
-    aug = projective_cover(M)
-    ker, incl = map_kernel(aug)
-    d = projective_cover(ker).compose(incl)
-    P1, P0 = d.source, aug.source
+    of Omega^L M, L = ``res.length``: the cover of the kernel at which
+    ``res`` stopped, followed by its inclusion into P_L.  Its cokernel is
+    Tr Omega^L M; Hom(P1, A) is zero when Omega^L M is projective, and
+    every term is zero when Omega^L M is (the walk stopped before L)."""
+    A = res.kernel.algebra
+    d = projective_cover(res.kernel).compose(res.inclusion)
+    P1, P0 = d.source, d.target
     Aop = op_algebra(A)
     return map_of_elements(
         Aop, transpose_entries(A, elements_of_map(A, d, P1, P0)),
@@ -294,8 +286,7 @@ def _hom_presentation(M: Representation) -> ModuleMap:
 
 def transpose(M: Representation) -> Representation:
     """Tr M: the cokernel of Hom(P0, A) -> Hom(P1, A) over A^op."""
-    coker, _ = map_cokernel(_hom_presentation(M))
-    return coker
+    return map_cokernel(_hom_presentation(min_proj_resolution(M, 0)))[0]
 
 
 def tau(M: Representation) -> Representation:
@@ -307,17 +298,21 @@ def tau_inv(M: Representation) -> Representation:
 
 
 def tau_n(M: Representation, n: int) -> Representation:
-    """tau_n M = tau Omega^{n-1} M."""
+    """tau_n M = tau Omega^{n-1} M = D Tr Omega^{n-1} M, from one
+    resolution of M of length n - 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return dual(transpose(syzygy(M, n - 1)))
+    res = min_proj_resolution(M, n - 1)
+    return dual(map_cokernel(_hom_presentation(res))[0])
 
 
 def tau_n_inv(M: Representation, n: int) -> Representation:
-    """tau_n^- M = tau^- Omega^{-(n-1)} M = Tr Omega^{n-1} D M."""
+    """tau_n^- M = tau^- Omega^{-(n-1)} M = Tr Omega^{n-1} D M, from one
+    resolution of D M of length n - 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return transpose(syzygy(dual(M), n - 1))
+    res = min_proj_resolution(dual(M), n - 1)
+    return map_cokernel(_hom_presentation(res))[0]
 
 
 def tau_n_orbit(A: BoundQuiverAlgebra, n: int, i: int) -> Representation:

@@ -44,8 +44,7 @@ def op_algebra(A: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
 
 
 class Representation:
-    def __init__(self, algebra: BoundQuiverAlgebra, dims, action,
-                 validate: bool = False):
+    def __init__(self, algebra: BoundQuiverAlgebra, dims, action):
         self.algebra = algebra
         self.dims = tuple(int(d) for d in dims)
         self.action = tuple(action)
@@ -55,8 +54,6 @@ class Representation:
             if m.shape != want:
                 raise ValueError(f"arrow {a}: matrix shape {m.shape}, "
                                  f"expected {want}")
-        if validate:
-            self.check_relations()
         # optional bookkeeping for sums of projectives/injectives
         self.summands: tuple[int, ...] | None = None
         self.offsets: list[dict[int, int]] | None = None
@@ -109,7 +106,7 @@ class Representation:
 
 class ModuleMap:
     def __init__(self, source: Representation, target: Representation,
-                 blocks, verify: bool = False):
+                 blocks):
         self.source = source
         self.target = target
         self.blocks = tuple(blocks)
@@ -117,8 +114,6 @@ class ModuleMap:
             want = (target.dims[v], source.dims[v])
             if b.shape != want:
                 raise ValueError(f"vertex {v}: block {b.shape}, want {want}")
-        if verify:
-            assert self.is_morphism()
 
     @property
     def field(self):

@@ -32,12 +32,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .derived import ChainMap, _strict_lift, resolution_complex
+from .derived import (ChainMap, _strict_lift, module_complex,
+                      proj_resolve_complex)
 from .errors import NotTauFinite
 from .findim import (FinDimAlgebra, algebra_from_bqa, sparse_entries,
                      sparse_join, vertex_labels)
 from .homology import (gldim_at_most, hom_matrix, map_of_elements,
-                       min_proj_resolution, tau_n_orbit, transpose_entries)
+                       tau_n_orbit, transpose_entries)
 from .modules import (ModuleMap, Representation, _free_columns, coregular,
                       decompose, dual_map, hom_space, op_algebra,
                       projective, projective_cover, regular)
@@ -102,10 +103,11 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
     action matrix of one basis element through the resolution of D A
     (0 and 0 x 0 matrices when Ext vanishes).
 
-    gldim A <= n, so the resolution ends at P_n and every cochain in
-    Hom(P_n, A) is a cocycle: E is the cochains modulo the coboundaries,
-    and one ``kernel_rref`` of the coboundaries gives the class of each
-    cochain on the unit cochains at its pivots, the basis of E.
+    D A is resolved as a complex P, with P_j in degree -j.  gldim A <= n,
+    so P ends at P_n and every cochain in Hom(P_n, A) is a cocycle: E is
+    the cochains modulo the coboundaries, and one ``kernel_rref`` of the
+    coboundaries gives the class of each cochain on the unit cochains at
+    its pivots, the basis of E.
 
     Left multiplication by a basis path b in e_s A e_t is the map with the
     one entry b from slot t to slot s on A = regular(A), where slot v is
@@ -116,15 +118,15 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
     R = regular(A)
     Aop = op_algebra(A)
     Rop = regular(Aop)  # its dual is DL itself
-    res = min_proj_resolution(DL, n + 1)
+    P, eps = proj_resolve_complex(module_complex(DL))
     vanishing = 0, *[lambda b: f.zeros(0, 0)] * 2
-    if res.length < n:
+    if P.lo > -n:
         return vanishing
-    assert res.length == n, "the resolution of D A must end at P_n"
-    Pn = res.terms[n]
+    assert P.lo == -n, "the resolution of D A must end at P_n"
+    Pn = P.term(-n)
     # the columns of the generator image of each slot of P_n in a cochain
     offs = np.cumsum([0] + [R.dims[v] for v in Pn.summands])
-    cob = hom_matrix(res.differentials[n - 1], R).T if n else \
+    cob = hom_matrix(P.diffs[-n], R).T if n else \
         f.zeros(0, int(offs[-1]))
     proj, units = f.kernel_rref(cob)
     dim = len(units)
@@ -132,7 +134,6 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
         return vanishing
     basis_rows = f.zeros(dim, int(offs[-1]))
     basis_rows[np.arange(dim), units] = f.one
-    P, eps = resolution_complex(res, DL)
 
     def mult(b: int) -> dict:
         # the one entry of left multiplication by b, from slot t to slot s
@@ -159,7 +160,7 @@ def _ext_actions(A: BoundQuiverAlgebra, n: int):
         lam = dual_map(map_of_elements(Aop, transpose_entries(A, mult(b)),
                                        Rop, Rop))
         lift = _strict_lift(P, ChainMap(P, eps.target, {
-            0: eps.parts[0].compose(lam)}, check=False), eps)
+            0: eps.parts[0].compose(lam)}), eps)
         return action(f.matmul(basis_rows, hom_matrix(lift.parts[-n], R).T))
 
     return dim, left, right

@@ -84,6 +84,19 @@
   D Omega^k D M, and ``homology.tau_n_inv`` is Tr Omega^{n-1} D, through
   projective covers over A^op only.  ``TermNotInjective`` is raised by
   ``nakayama_inv`` alone, and ``_gldim`` is gldim A under a length cap.
+- ``syzygy_by_loop`` takes Omega^i M by covers and kernels with no
+  resolution kept, and ``hom_presentation_by_cover`` takes the minimal
+  presentation of M from its own cover, kernel and cover;
+  ``transpose_by_presentation``, ``tau_n_by_loop`` and
+  ``tau_n_inv_by_loop`` chain them.  ``homology.min_proj_resolution`` is
+  the package's only walk of a module's resolution: ``syzygy`` is the
+  kernel a resolution stops at, and the presentation of Omega^L M is the
+  cover of that kernel followed by its inclusion.
+- ``ext_by_cocycles`` is Ext^i(M, N) with a cocycle basis and the
+  coboundary rows; ``homology.ext`` reads its dimension off two ranks.
+- ``resolution_complex`` places a module's resolution in a complex;
+  ``preprojective._ext_actions`` resolves D A with
+  ``proj_resolve_complex``.
 - ``is_zero_by_all`` and ``equal_by_all`` compare with ``np.all``, and
   ``eye_by_numpy`` is ``np.eye``; ``Field.is_zero`` and ``Field.equal``
   count nonzero entries and ``PrimeField.eye`` writes a diagonal.
@@ -166,8 +179,7 @@ from quiveralg.derived import (ChainMap, ComplexOfModules, GradedHom,
                                SerreContext, SymbolicComplex, _cone_block,
                                _is_projective, _minimized, _strict_lift,
                                dual_complex, module_complex,
-                               proj_resolve_complex, resolution_complex,
-                               to_symbolic, transposed)
+                               proj_resolve_complex, to_symbolic, transposed)
 from quiveralg.errors import (AboveCap, AboveCapError, NonAdmissible,
                               NotTauFinite, QuiverAlgError,
                               WindowInconclusive)
@@ -177,7 +189,7 @@ from quiveralg.families import knit_indecomposables
 from quiveralg.findim import (FinDimAlgebra, _act, _dense, _sum_rows,
                               algebra_from_bqa, sparse_constants,
                               sparse_join, vertex_labels)
-from quiveralg.homology import (_hom_presentation, elements_of_map, ext,
+from quiveralg.homology import (ProjResolution, elements_of_map, ext,
                                 global_dimension, hom_matrix,
                                 injective_dimension, map_of_elements,
                                 min_proj_resolution, op_element, syzygy,
@@ -186,7 +198,8 @@ from quiveralg.modules import (ModuleMap, Representation, decompose,
                                direct_sum, dual, dual_map, hom_space,
                                injective, injectives_sum, is_isomorphic,
                                map_cokernel, map_from_projectives,
-                               op_algebra, projective, projective_cover,
+                               map_kernel, op_algebra, projective,
+                               projective_cover,
                                projectives_sum, quotient,
                                radical_series, regular, simple,
                                subrepresentation, zero_rep)
@@ -289,6 +302,73 @@ def cosyzygy_by_envelopes(M: Representation, k: int) -> Representation:
 def tau_n_inv_by_envelopes(M: Representation, n: int) -> Representation:
     """tau_n^- M = tau^- Omega^{-(n-1)} M = Tr D of the cosyzygy."""
     return transpose(dual(cosyzygy_by_envelopes(M, n - 1)))
+
+
+def syzygy_by_loop(M: Representation, i: int) -> Representation:
+    """Omega^i M by i covers and kernels, keeping no resolution, and
+    Omega^{-|i|} M = D Omega^{|i|} D M."""
+    if i < 0:
+        return dual(syzygy_by_loop(dual(M), -i))
+    for _ in range(i):
+        M, _ = map_kernel(projective_cover(M))
+    return M
+
+
+def hom_presentation_by_cover(M: Representation) -> ModuleMap:
+    """Hom(d, A): Hom(P0, A) -> Hom(P1, A) over A^op for the minimal
+    projective presentation d: P1 -> P0 of M, from a cover of M, its
+    kernel and a cover of that."""
+    A = M.algebra
+    aug = projective_cover(M)
+    ker, incl = map_kernel(aug)
+    d = projective_cover(ker).compose(incl)
+    P1, P0 = d.source, aug.source
+    Aop = op_algebra(A)
+    return map_of_elements(
+        Aop, transpose_entries(A, elements_of_map(A, d, P1, P0)),
+        projectives_sum(Aop, P0.summands), projectives_sum(Aop, P1.summands))
+
+
+def transpose_by_presentation(M: Representation) -> Representation:
+    """Tr M, the cokernel of ``hom_presentation_by_cover(M)``."""
+    return map_cokernel(hom_presentation_by_cover(M))[0]
+
+
+def tau_n_by_loop(M: Representation, n: int) -> Representation:
+    """tau_n M = D Tr Omega^{n-1} M, the syzygy by ``syzygy_by_loop``."""
+    return dual(transpose_by_presentation(syzygy_by_loop(M, n - 1)))
+
+
+def tau_n_inv_by_loop(M: Representation, n: int) -> Representation:
+    """tau_n^- M = Tr Omega^{n-1} D M, the syzygy by ``syzygy_by_loop``."""
+    return transpose_by_presentation(syzygy_by_loop(dual(M), n - 1))
+
+
+def ext_by_cocycles(M: Representation, N: Representation, i: int,
+                    res: ProjResolution | None = None):
+    """(dimension, cocycle row-basis, (resolution, coboundary rows)) of
+    Ext^i(M, N): the cocycles are a kernel of Hom(d_i, N), in coordinates
+    of Hom(P_i, N) = the sum over the slots of N at the slot vertex, and
+    the coboundaries the row space of Hom(d_{i-1}, N)."""
+    if i < 0:
+        raise ValueError("ext degree must be >= 0")
+    f = N.field
+    if res is None or (res.truncated and res.length < i + 1):
+        res = min_proj_resolution(M, length_cap=i + 1)
+    if i > res.length:
+        return 0, None, (res, None)
+    dim_i = sum(N.dims[v] for v in res.terms[i].summands)
+    if dim_i == 0:
+        return 0, f.zeros(0, 0), (res, f.zeros(0, 0))
+    diffs = res.differentials
+    if i < len(diffs):
+        cocycles = f.kernel(hom_matrix(diffs[i], N))
+    else:
+        cocycles = f.eye(dim_i)
+    if i == 0:
+        return cocycles.shape[0], cocycles, (res, f.zeros(0, dim_i))
+    cob = f.row_space(hom_matrix(diffs[i - 1], N).T)
+    return cocycles.shape[0] - cob.shape[0], cocycles, (res, cob)
 
 
 def cohomology(C, i: int) -> Representation:
@@ -1099,7 +1179,9 @@ def nakayama_by_flip(P: ComplexOfModules) -> ComplexOfModules:
     terms = {i: injectives_sum(A, vs) for i, vs in sym.terms.items()}
     diffs = {i: map_of_injective_elements(A, e, terms[i], terms[i + 1])
              for i, e in sym.diffs.items()}
-    return ComplexOfModules(A, terms, diffs, check=True)
+    X = ComplexOfModules(A, terms, diffs)
+    X.check_d_squared()
+    return X
 
 
 def nakayama_inv_by_flip(I: ComplexOfModules) -> ComplexOfModules:
@@ -1213,6 +1295,18 @@ def rigidity_per_degree(M: Representation, n: int) -> bool:
     return all(ext(M, M, i) == 0 for i in range(1, n))
 
 
+def resolution_complex(res: ProjResolution, M: Representation,
+                       degree: int = 0):
+    """(P, eps): the resolution ``res`` of M as a complex P with term j of
+    ``res`` in degree ``degree - j``, and its augmentation eps: P -> M,
+    with M placed in ``degree``."""
+    terms = {degree - j: t for j, t in enumerate(res.terms)}
+    diffs = {degree - j - 1: d for j, d in enumerate(res.differentials)}
+    P = ComplexOfModules(M.algebra, terms, diffs)
+    eps = ChainMap(P, module_complex(M, degree), {degree: res.augmentation})
+    return P, eps
+
+
 def _single_module_resolution(M: Representation, degree: int, cap: int):
     res = min_proj_resolution(M, cap)
     if res.truncated:
@@ -1223,7 +1317,7 @@ def _single_module_resolution(M: Representation, degree: int, cap: int):
 def _stupid_truncate_above(X: ComplexOfModules, lo: int) -> ComplexOfModules:
     terms = {i: t for i, t in X.terms.items() if i > lo}
     diffs = {i: d for i, d in X.diffs.items() if i > lo}
-    return ComplexOfModules(X.algebra, terms, diffs, check=False)
+    return ComplexOfModules(X.algebra, terms, diffs)
 
 
 def _cone(v: ChainMap) -> tuple[ComplexOfModules, dict]:
@@ -1246,7 +1340,7 @@ def _cone(v: ChainMap) -> tuple[ComplexOfModules, dict]:
                           [_cone_block(v, i, vx)
                            for vx in range(alg.quiver.n_vertices)])
              for i in terms if i + 1 in terms}
-    return ComplexOfModules(alg, terms, diffs, check=False), layout
+    return ComplexOfModules(alg, terms, diffs), layout
 
 
 def proj_resolve_complex_by_cones(X: ComplexOfModules, cap: int = 32):
@@ -1256,13 +1350,13 @@ def proj_resolve_complex_by_cones(X: ComplexOfModules, cap: int = 32):
     lift R -> P' of the map M[-lo-1] -> X' that d^{lo} gives.  Each term
     is resolved under the length cap."""
     if X.is_zero():
-        P = ComplexOfModules(X.algebra, {}, {}, check=False)
-        return P, ChainMap(P, X, {}, check=False)
+        P = ComplexOfModules(X.algebra, {}, {})
+        return P, ChainMap(P, X, {})
     if _is_projective(X):
         ident = {i: ModuleMap(t, t, [X.algebra.field.eye(d)
                                      for d in t.dims])
                  for i, t in X.terms.items()}
-        return X, ChainMap(X, X, ident, check=False)
+        return X, ChainMap(X, X, ident)
     lo = X.lo
     M = X.term(lo)
     if len(X.terms) == 1:
@@ -1274,7 +1368,7 @@ def proj_resolve_complex_by_cones(X: ComplexOfModules, cap: int = 32):
     f_parts = {}
     if dlo is not None:
         f_parts[lo + 1] = epsR.parts[lo + 1].compose(dlo)
-    vlift = _strict_lift(R, ChainMap(R, Xp, f_parts, check=False), epsp)
+    vlift = _strict_lift(R, ChainMap(R, Xp, f_parts), epsp)
     P, layout = _cone(vlift)
     # eps: cone(vlift) -> cone(M[-lo-1] -> X') = X, componentwise
     fld = X.algebra.field
@@ -1294,17 +1388,17 @@ def proj_resolve_complex_by_cones(X: ComplexOfModules, cap: int = 32):
                 m[:, a_cols:] = epsp.parts[i].blocks[vx]
             m_blocks.append(m)
         parts[i] = ModuleMap(t, Xt, m_blocks)
-    return P, ChainMap(P, X, parts, check=False)
+    return P, ChainMap(P, X, parts)
 
 
 def inj_resolve_complex(X: ComplexOfModules, cap: int = 32):
     """(I, eta): bounded complex of injectives with quasi-iso eta: X -> I."""
-    DP, Deps = proj_resolve_complex(dual_complex(X), cap, verify=False)
+    DP, Deps = proj_resolve_complex(dual_complex(X), cap)
     I = dual_complex(DP)  # tagged injective sums over A
     eta_parts = {-i: ModuleMap(X.term(-i), I.term(-i),
                                [b.T.copy() for b in p.blocks])
                  for i, p in Deps.parts.items()}
-    eta = ChainMap(X, I, eta_parts, check=False)
+    eta = ChainMap(X, I, eta_parts)
     assert eta.is_chain_map()
     assert eta.induces_cohomology_iso(), \
         "coresolution must be a quasi-isomorphism"
@@ -1346,7 +1440,7 @@ def nakayama_presentation(M: Representation) -> ModuleMap:
     """nu d = D Hom(d, A): nu P1 -> nu P0, a map of tagged injective sums
     over A, for the minimal projective presentation d: P1 -> P0 of M.  Its
     cokernel is nu M; nu P1 is zero when M is projective."""
-    return dual_map(_hom_presentation(M))
+    return dual_map(hom_presentation_by_cover(M))
 
 
 def nu_module(M: Representation) -> Representation:
@@ -1506,10 +1600,10 @@ class SerreSteps(SerreContext):
         through the same construction as step_neg itself."""
         U, V = g.source, g.target
         DU, DV = dual_complex(U), dual_complex(V)
-        PDU, epsU = proj_resolve_complex(DU, self.cap, verify=False)
-        PDV, epsV = proj_resolve_complex(DV, self.cap, verify=False)
+        PDU, epsU = proj_resolve_complex(DU, self.cap)
+        PDV, epsV = proj_resolve_complex(DV, self.cap)
         Dg = dual_chain_map(g)  # DV -> DU
-        fmap = ChainMap(PDV, DU, _compose_chain(epsV, Dg), check=False)
+        fmap = ChainMap(PDV, DU, _compose_chain(epsV, Dg))
         lifted = derived._strict_lift(PDV, fmap, epsU)  # PDV -> PDU
         # Hom(lifted, A^op): Hom(PDU, A^op) -> Hom(PDV, A^op), shifted
         src = transposed(PDU).materialize().shift(self.n)
@@ -1524,7 +1618,7 @@ class SerreSteps(SerreContext):
             i = -j - self.n
             parts[i] = map_of_elements(self.A, entries, src.term(i),
                                        tgt.term(i))
-        return ChainMap(src, tgt, parts, check=False)
+        return ChainMap(src, tgt, parts)
 
 
 def dual_chain_map(phi: ChainMap) -> ChainMap:
@@ -1534,7 +1628,7 @@ def dual_chain_map(phi: ChainMap) -> ChainMap:
     for i, p in phi.parts.items():
         parts[-i] = ModuleMap(src.term(-i), tgt.term(-i),
                               [b.T.copy() for b in p.blocks])
-    return ChainMap(src, tgt, parts, check=False)
+    return ChainMap(src, tgt, parts)
 
 
 def _compose_chain(first: ChainMap, then: ChainMap) -> dict[int, ModuleMap]:
@@ -1581,7 +1675,7 @@ def hom_d(X: ComplexOfModules, Y: ComplexOfModules, j: int,
     resolution of X."""
     if X.is_zero() or Y.is_zero():
         return 0
-    P, _ = proj_resolve_complex(X, cap, verify=False)
+    P, _ = proj_resolve_complex(X, cap)
     lay_prev, lay, lay_next = (hom_total_spaces(P, Y, m)
                                for m in (j - 1, j, j + 1))
     cols = sum(x[3] for x in lay)
@@ -1794,7 +1888,7 @@ def amiot_endomorphism_algebra(A, n: int, window_cap: int = 64,
         gen_images[v] = coords[g].representative(v, k2)
         R = regular(A)
         part0 = map_from_projectives(R, C0, gen_images)
-        return ChainMap(module_complex(R), C, {0: part0}, check=False)
+        return ChainMap(module_complex(R), C, {0: part0})
 
     def transported(idx: int, steps: int) -> ChainMap:
         hit = tcache.get((idx, steps))

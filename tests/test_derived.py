@@ -8,8 +8,7 @@ from quiveralg.derived import (ChainMap, ComplexOfModules, SymbolicComplex,
                                _drop_summand, _elem_sub, _local_inverse,
                                _trivial_coeff, amiot_hom, dual_complex,
                                module_complex, proj_resolve_complex,
-                               resolution_complex, serre_context,
-                               to_symbolic)
+                               serre_context, to_symbolic)
 from quiveralg.errors import AboveCapError
 from quiveralg.exactla import GF, QQ, Field
 from quiveralg.families import (auslander_algebra, dynkin_path_algebra,
@@ -76,6 +75,7 @@ def test_resolve_two_term_complex():
     zero = ModuleMap(s1, s2, [f.zeros(s2.dims[v], s1.dims[v])
                               for v in range(3)])
     X = ComplexOfModules(A, {0: s1, 1: s2}, {0: zero})
+    X.check_d_squared()
     P, eps = proj_resolve_complex(X)
     assert eps.induces_cohomology_iso()
     assert X.cohomology_dims() == {0: 1, 1: 1}
@@ -90,8 +90,10 @@ def test_cohomology_iso_needs_the_induced_map_to_be_invertible():
     X = module_complex(S)
     zero = ModuleMap(S, S, [f.zeros(d, d) for d in S.dims])
     one = ModuleMap(S, S, [f.eye(d) for d in S.dims])
-    assert not ChainMap(X, X, {0: zero}).induces_cohomology_iso()
-    assert ChainMap(X, X, {0: one}).induces_cohomology_iso()
+    maps = [ChainMap(X, X, {0: zero}), ChainMap(X, X, {0: one})]
+    assert all(phi.is_chain_map() for phi in maps)
+    assert not maps[0].induces_cohomology_iso()
+    assert maps[1].induces_cohomology_iso()
 
 
 def test_inj_resolve():
@@ -216,7 +218,7 @@ def test_hom_delta_matches_the_entrywise_reference(field):
         [serre_n_power(A, 2, module_complex(m), -1) for m in mods]
     seen = 0
     for X in cxs:
-        P, _ = proj_resolve_complex(X, verify=False)
+        P, _ = proj_resolve_complex(X)
         for Y in cxs[::3]:
             for m in range(-3, 3):
                 got = hom_delta(P, Y, m, hom_total_spaces(P, Y, m),
@@ -257,6 +259,7 @@ def test_amiot_hom_nak_a3():
 def test_amiot_hom_zero_object():
     A = a2()
     Z = ComplexOfModules(A, {}, {})
+    Z.check_d_squared()
     gh = ref.amiot_hom(A, 1, Z, module_complex(regular(A)))
     assert gh.total == 0
 
@@ -290,6 +293,7 @@ def test_minimize_strips_contractible():
         blocks.append(m)
     d = ModuleMap(src, tgt, blocks)
     X = ComplexOfModules(A, {0: src, 1: tgt}, {0: d})
+    X.check_d_squared()
     sym = to_symbolic(X)
     m = sym.minimize()
     assert m.terms == {0: (1,)}
@@ -335,6 +339,7 @@ def test_hom_d_vanishes_on_acyclic_complex():
     p1b = projective(A, 0)
     ident = ModuleMap(p1, p1b, [f.eye(d) for d in p1.dims])
     X = ComplexOfModules(A, {0: p1, 1: p1b}, {0: ident})
+    X.check_d_squared()
     assert X.cohomology_dims() == {}
     lam = module_complex(regular(A))
     for j in range(-2, 3):
@@ -366,6 +371,8 @@ def _complexes(A, rng):
     out = [module_complex(s1),
            ComplexOfModules(A, {0: s1, 1: s2}, {0: zero}),
            ComplexOfModules(A, {0: p1, 1: p1}, {0: ident})]
+    for X in out[1:]:
+        X.check_d_squared()
     P, _ = proj_resolve_complex(module_complex(s1))
     I, _ = inj_resolve_complex(module_complex(s1))
     out += [P, I, nakayama(P), nakayama_inv(nakayama(P)),
@@ -393,8 +400,7 @@ def test_cohomology_dims_checks_that_boundaries_are_cycles():
     A = nak_a3()
     p1 = projective(A, 0)
     ident = ModuleMap(p1, p1, [A.field.eye(d) for d in p1.dims])
-    X = ComplexOfModules(A, {0: p1, 1: p1, 2: p1}, {0: ident, 1: ident},
-                         check=False)
+    X = ComplexOfModules(A, {0: p1, 1: p1, 2: p1}, {0: ident, 1: ident})
     with pytest.raises(AssertionError):
         X.cohomology_dims()
 
@@ -581,7 +587,9 @@ def test_minimize_equals_the_rescanning_reference(monkeypatch, field):
     for m in blocks:
         m[0, 0] = field.one  # the identity onto the P1 part
     d = ModuleMap(src, tgt, blocks)
-    seen.append(to_symbolic(ComplexOfModules(A2, {0: src, 1: tgt}, {0: d})))
+    X = ComplexOfModules(A2, {0: src, 1: tgt}, {0: d})
+    X.check_d_squared()
+    seen.append(to_symbolic(X))
     assert len(seen) > 20
     cancelled = 0
     for sym in seen:
@@ -665,7 +673,7 @@ def _strict_lift_per_generator(C, f_map, eps):
                 x = fld.zeros(0, 1)
             gen_images.append(x)
         parts[i] = map_from_projectives(Ct, Pt, gen_images)
-    return ChainMap(C, P, parts, check=False)
+    return ChainMap(C, P, parts)
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF32003", "QQ"])
@@ -944,7 +952,7 @@ def test_a_module_resolves_to_its_minimal_resolution(make, n):
     for M in _one_term_modules(A):
         for k in (0, 2):
             P, eps = proj_resolve_complex(module_complex(M, k))
-            Q, eta = resolution_complex(min_proj_resolution(M), M, k)
+            Q, eta = ref.resolution_complex(min_proj_resolution(M), M, k)
             assert [(i, t.summands) for i, t in sorted(P.terms.items())] == \
                 [(i, t.summands) for i, t in sorted(Q.terms.items())]
             assert sorted(P.diffs) == sorted(Q.diffs)
@@ -975,7 +983,7 @@ def _same_as_by_cones(X):
     """The resolution of X is one (a chain map and a quasi-isomorphism),
     and minimized it has the summands in each degree and the cohomology
     at each vertex of the minimized resolution by iterated cones."""
-    P, eps = proj_resolve_complex(X, verify=False)
+    P, eps = proj_resolve_complex(X)
     assert all(t.tag_kind == "P" for t in P.terms.values())
     assert eps.is_chain_map() and eps.induces_cohomology_iso()
     Q, _ = ref.proj_resolve_complex_by_cones(X)
@@ -1015,7 +1023,9 @@ def _random_complex(A, rng, length):
         for h in basis:
             d = d.add(h.scale(f.rand_el(rng)))
         diffs[i] = d
-    return ComplexOfModules(A, terms, diffs)
+    X = ComplexOfModules(A, terms, diffs)
+    X.check_d_squared()
+    return X
 
 
 @pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])

@@ -304,25 +304,28 @@ def test_cone_rank_quasi_iso_matches_the_cohomology_reference(fname):
     for M in [simple(A, v) for v in range(3)] + \
             [random_module(A, rng) for _ in range(4)]:
         X = module_complex(M)
-        P, eps = proj_resolve_complex(X, verify=False)
+        P, eps = proj_resolve_complex(X)
         cases.append(eps)
         # the zero map from the resolution
-        cases.append(ChainMap(P, X, {}, check=False))
+        cases.append(ChainMap(P, X, {}))
         ident = {i: ModuleMap(t, t, [f.eye(d) for d in t.dims])
                  for i, t in P.terms.items()}
-        cases.append(ChainMap(P, P, ident, check=False))
+        cases.append(ChainMap(P, P, ident))
         double = {i: p.scale(f.el(2)) for i, p in ident.items()}
-        cases.append(ChainMap(P, P, double, check=False))
+        cases.append(ChainMap(P, P, double))
     p0 = projective(A, 0)
     ident = ModuleMap(p0, p0, [f.eye(d) for d in p0.dims])
     acyclic = ComplexOfModules(A, {0: p0, 1: p0}, {0: ident})
+    acyclic.check_d_squared()
     zero = {i: ModuleMap(t, t, [f.zeros(d, d) for d in t.dims])
             for i, t in acyclic.terms.items()}
-    cases.append(ChainMap(acyclic, acyclic, zero))
-    cases.append(ChainMap(module_complex(zero_rep(A)), acyclic, {}))
+    checked = [ChainMap(acyclic, acyclic, zero),
+               ChainMap(module_complex(zero_rep(A)), acyclic, {})]
     # X zero at every vertex and Y not: the vertices of Y decide
-    cases += [ChainMap(module_complex(zero_rep(A)), module_complex(M), {})
-              for M in [simple(A, v) for v in range(3)] + [p0]]
+    checked += [ChainMap(module_complex(zero_rep(A)), module_complex(M), {})
+                for M in [simple(A, v) for v in range(3)] + [p0]]
+    assert all(phi.is_chain_map() for phi in checked)
+    cases += checked
     verdicts = [phi.induces_cohomology_iso() for phi in cases]
     assert verdicts == [quasi_iso_ref(phi) for phi in cases]
     assert True in verdicts and False in verdicts

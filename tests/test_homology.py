@@ -14,8 +14,11 @@ from quiveralg.homology import (ext, gldim_at_most, global_dimension,
 from quiveralg.modules import (hom_space, injective, is_isomorphic,
                                op_algebra, projective, regular, simple)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import (cosyzygy_by_envelopes, global_dimension_by_simples,
-                        random_module, stable_hom, tau_n_inv_by_envelopes)
+from references import (cosyzygy_by_envelopes, ext_by_cocycles,
+                        global_dimension_by_simples, random_module,
+                        stable_hom, syzygy_by_loop, tau_n_by_loop,
+                        tau_n_inv_by_envelopes, tau_n_inv_by_loop,
+                        transpose_by_presentation)
 from test_end_corners import _corpus
 from test_presentation import bound_quiver_algebras
 
@@ -317,3 +320,52 @@ def test_cosyzygies_and_tau_n_inv_are_the_envelope_route_on_drawn_algebras(
     rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
     for _ in range(2):
         _assert_cover_route_is_the_envelope_route(random_module(A, rng), n)
+
+
+def _assert_one_walk_is_the_loop_route(M, N, n):
+    """Ext^i(M, N) for i <= 3, read off ranks, equals the cocycle route,
+    from a fresh resolution and from one of length 1, truncated when
+    pd M > 1; Omega^k M for |k| <= n + 1, Tr M, tau_n M and tau_n^- M,
+    each read off one resolution, equal the route by covers and kernels
+    with its own presentation, entry by entry."""
+    short = min_proj_resolution(M, 1)
+    for i in range(4):
+        want = ext_by_cocycles(M, N, i)[0]
+        assert ext(M, N, i) == want == ext(M, N, i, short), i
+    for k in range(-n - 1, n + 2):
+        assert _same_module(syzygy(M, k), syzygy_by_loop(M, k)), k
+    assert _same_module(transpose(M), transpose_by_presentation(M))
+    assert _same_module(tau_n(M, n), tau_n_by_loop(M, n))
+    assert _same_module(tau_n_inv(M, n), tau_n_inv_by_loop(M, n))
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_resolution_walk_is_the_loop_route_on_drawn_algebras(field,
+                                                                 data):
+    A = data.draw(bound_quiver_algebras(field))
+    n = data.draw(st.integers(1, 3))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    M, N = random_module(A, rng), random_module(A, rng)
+    for X in (M, simple(A, 0), regular(A)):
+        _assert_one_walk_is_the_loop_route(X, N, n)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+def test_ext_from_a_truncated_resolution_is_the_cocycle_route(field):
+    """Over the loop algebra every simple has infinite pd, so the
+    resolution of length 1 stops at a nonzero kernel and Ext^i for
+    i >= 1 needs a longer one."""
+    A = _loop_algebra(field)
+    rng = random.Random(5)
+    for M in [simple(A, 0), simple(A, 1), random_module(A, rng)]:
+        res = min_proj_resolution(M, 1)
+        assert res.truncated and res.length == 1
+        assert not res.kernel.is_zero()
+        assert isinstance(proj_dimension(M, 6), AboveCap)
+        for N in [simple(A, 0), regular(A), random_module(A, rng)]:
+            _assert_one_walk_is_the_loop_route(M, N, 2)
+            for i in range(4):
+                assert ext(M, N, i, res) == ext_by_cocycles(M, N, i, res)[0]

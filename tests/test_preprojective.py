@@ -14,14 +14,14 @@ from quiveralg.families import (auslander_algebra, canonical_2222,
                                 linear_nakayama, thm39_type2)
 from quiveralg.findim import (FinDimAlgebra, quiver_presentation,
                               vertex_labels)
-from quiveralg.homology import ext_data, min_proj_resolution, tau_n_inv
+from quiveralg.homology import min_proj_resolution, tau_n_inv
 from quiveralg.modules import (coregular, direct_sum, map_from_projectives,
                                projective, regular, simple)
 from quiveralg.preprojective import (ext_bimodule, preprojective_algebra,
                                      preprojective_module, stable_endomorphism)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
 from references import (QuotientBasis, action_entries, check_associativity,
-                        dense_actions, left_mult_map,
+                        dense_actions, ext_by_cocycles, left_mult_map,
                         left_mult_on_coregular,
                         preprojective_algebra_by_blocks, stable_hom)
 
@@ -278,7 +278,7 @@ def _row_by_row_actions(A, n):
     f = A.field
     DL, R = coregular(A), regular(A)
     res = min_proj_resolution(DL, n + 1)
-    dim, cocycles, (res, cob) = ext_data(DL, R, n, res)
+    dim, cocycles, (res, cob) = ext_by_cocycles(DL, R, n, res)
     Pn = res.terms[n]
     ext = QuotientBasis(f, cob, cocycles)
     offs = np.cumsum([0] + [R.dims[v] for v in Pn.summands])

@@ -100,8 +100,8 @@ def test_h0_serre_power_is_translate_200():
 def test_derived_applications_verified_200():
     """d^2 = 0 and quasi-isomorphism checks fire on every application.
 
-    proj_resolve_complex(verify=True) asserts its augmentation is a chain
-    map inducing cohomology isomorphisms; the SerreSteps minimizer
+    proj_resolve_complex asserts its augmentation is a chain map inducing
+    cohomology isomorphisms; the SerreSteps minimizer
     asserts cohomology preservation; materialization validates d^2 = 0.
     """
     rng = random.Random(805)
@@ -111,7 +111,7 @@ def test_derived_applications_verified_200():
         ctx = SerreSteps(A, n)
         m = random_module(A, rng)
         X = module_complex(m)
-        P, eps = proj_resolve_complex(X, verify=True)
+        P, eps = proj_resolve_complex(X)
         assert eps.is_chain_map()
         assert eps.induces_cohomology_iso()
         step = ctx.step_pos(X) if case % 2 else ctx.step_neg(X)
