@@ -37,7 +37,7 @@ from .families import (auslander_algebra, canonical_2222,
                        linear_nakayama, thm39_type2)
 from .findim import quiver_presentation
 from .homology import global_dimension, tau_n_inv
-from .modules import projective
+from .modules import projective, radical_series, regular
 from .preprojective import (preprojective_algebra, preprojective_module,
                             stable_endomorphism)
 from .quivers import (BoundQuiverAlgebra, Path, PathElement, Quiver,
@@ -248,11 +248,36 @@ def serialize_spec(A: BoundQuiverAlgebra, name: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _has_oriented_cycle(q: Quiver) -> bool:
+    """Does a cycle survive removing, again and again, every vertex with
+    no arrow in from the vertices left?"""
+    left = set(range(q.n_vertices))
+    while True:
+        sources = {v for v in left
+                   if all(q.source(a) not in left for a in q.arrows_into(v))}
+        if not sources:
+            return bool(left)
+        left -= sources
+
+
 def load_algebra(text: str, field_override: str | None = None,
                  cap: int = 64) -> BoundQuiverAlgebra:
+    """The algebra of a spec.  The ideal must be admissible: the arrows
+    generate a nilpotent ideal, so the radical series of A reaches 0.  An
+    acyclic quiver ensures that; over a quiver with an oriented cycle a
+    radical step that leaves a nonzero module unchanged refuses it."""
     override = _field_from_string(field_override) if field_override else None
     quiver, field, relations, meta = _parse_spec(text, override)
     A = complete_basis(quiver, field, relations, cap=cap)
+    if _has_oriented_cycle(quiver):
+        M = regular(A)
+        while not M.is_zero():
+            rad = radical_series(M)[0]
+            if rad.total_dim == M.total_dim:
+                raise SpecError("the relation ideal is not admissible: the "
+                                f"radical series of A stops at dimension "
+                                f"{M.total_dim}, not at 0")
+            M = rad
     A.meta = meta
     return A
 

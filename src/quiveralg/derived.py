@@ -297,31 +297,20 @@ def _cone_block(phi: ChainMap, i: int, v: int) -> np.ndarray:
     return m
 
 
-def _is_projective(X: ComplexOfModules) -> bool:
-    """Is every term of X a tagged projective sum?"""
-    return all(getattr(t, "tag_kind", None) == "P" for t in X.terms.values())
-
-
 def proj_resolve_complex(X: ComplexOfModules, cap: int = 32):
     """(P, eps): a bounded complex of tagged projective sums with a
-    degreewise surjective quasi-isomorphism eps: P -> X.  A complex of
-    tagged projective sums, the zero complex too, is its own resolution.
+    degreewise surjective quasi-isomorphism eps: P -> X.
 
-    Otherwise P is built from the top degree of X down.  P^i is the
-    projective cover of the fiber product F^i = ker(X^i (+) P^{i+1} ->
-    X^{i+1} (+) P^{i+2}), (x, p) -> (d x - eps p, d p), and eps^i and d^i
-    are that cover followed by the two projections.  Up to the sign of p,
+    P is built from the top degree of X down.  P^i is the projective
+    cover of the fiber product F^i = ker(X^i (+) P^{i+1} -> X^{i+1} (+)
+    P^{i+2}), (x, p) -> (d x - eps p, d p), and eps^i and d^i are that
+    cover followed by the two projections.  Up to the sign of p,
     F^i is the cocycles of the cone of eps in degree i, so covering it
     makes the cone acyclic; F^{i+1} holds (d x, 0) for each x in X^i, so
     eps^i is onto.  Below X the loop goes on while F^i is nonzero, and
     raises AboveCapError for a term more than ``cap`` degrees below the
     lowest term of X; for a module M in one degree that is pd M > cap,
     and P is the minimal resolution of M."""
-    if _is_projective(X):
-        ident = {i: ModuleMap(t, t, [X.algebra.field.eye(d)
-                                     for d in t.dims])
-                 for i, t in X.terms.items()}
-        return X, ChainMap(X, X, ident)
     A = X.algebra
     f = A.field
     terms: dict[int, Representation] = {}

@@ -5,7 +5,7 @@ Hom complexes) reduces to the ``Field`` kernels ``rref``, ``kernel``,
 ``kernel_rref`` and ``solve``.  ``kernel_rref`` gives the unique RREF of
 a kernel, with its pivots, from one rref.  That is a submodule's echelon
 basis, and it is also every quotient the package takes (cokernels,
-End/rad, Ext, the tensor-algebra grades, stable End): for rows S of
+End/rad, Ext, the tensor-algebra grades): for rows S of
 width n, ``kernel_rref(S)`` is the map of k^n onto k^n / rowspace(S) in
 the coordinates of the classes of the unit vectors at its pivots, which
 complete rowspace(S).

@@ -23,7 +23,7 @@ algebra's ``memo``, so each is computed once per algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,22 +42,35 @@ __all__ = ["ProjResolution", "min_proj_resolution", "syzygy", "ext",
 @dataclass
 class ProjResolution:
     """P_{L} -> ... -> P1 -> P0 -> M -> 0 with tagged projective terms,
-    L = ``length``, and the kernel Omega^{L+1} M at which the walk stopped,
-    with its inclusion into P_L: zero unless the walk hit its length cap."""
+    L = ``length``, kept as each kernel's cover and inclusion.  The walk
+    stopped at the kernel Omega^{L+1} M, the source of the last
+    inclusion: zero unless the walk hit its length cap."""
 
     terms: list[Representation]
     augmentation: ModuleMap              # P0 -> M
-    differentials: list[ModuleMap]       # differentials[i]: P(i+1) -> P(i)
-    kernel: Representation               # Omega^{L+1} M
-    inclusion: ModuleMap                 # kernel -> P_L
+    covers: list[ModuleMap]              # covers[i]: P(i+1) -> Omega^{i+1} M
+    inclusions: list[ModuleMap]          # inclusions[i]: Omega^{i+1} M -> P(i)
+    _diffs: dict[int, ModuleMap] = field(default_factory=dict, repr=False)
 
     @property
     def length(self) -> int:
         return len(self.terms) - 1
 
     @property
+    def kernel(self) -> Representation:
+        """Omega^{L+1} M."""
+        return self.inclusions[-1].source
+
+    @property
     def truncated(self) -> bool:
         return not self.kernel.is_zero()
+
+    def differential(self, i: int) -> ModuleMap:
+        """d_i: P(i+1) -> P(i), composed on first use and kept."""
+        d = self._diffs.get(i)
+        if d is None:
+            d = self._diffs[i] = self.covers[i].compose(self.inclusions[i])
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +142,15 @@ def min_proj_resolution(M: Representation, length_cap: int = 32) -> ProjResoluti
     presentations behind Tr and tau_n^{+-}, and Ext are read off it."""
     aug = projective_cover(M)
     terms = [aug.source]
-    diffs: list[ModuleMap] = []
-    ker, incl = map_kernel(aug)  # kernel inside the last term, with inclusion
-    while not ker.is_zero() and len(terms) <= length_cap:
-        cov = projective_cover(ker)
-        diffs.append(cov.compose(incl))
+    covers: list[ModuleMap] = []
+    # each kernel inside the last term, with its inclusion
+    inclusions = [map_kernel(aug)[1]]
+    while not inclusions[-1].source.is_zero() and len(terms) <= length_cap:
+        cov = projective_cover(inclusions[-1].source)
+        covers.append(cov)
         terms.append(cov.source)
-        ker, incl = map_kernel(cov)
-    return ProjResolution(terms, aug, diffs, ker, incl)
+        inclusions.append(map_kernel(cov)[1])
+    return ProjResolution(terms, aug, covers, inclusions)
 
 
 def syzygy(M: Representation, i: int) -> Representation:
@@ -188,12 +202,11 @@ def ext(M: Representation, N: Representation, i: int,
     if i > res.length:
         return 0
     f = N.field
-    diffs = res.differentials
     dim = sum(N.dims[v] for v in res.terms[i].summands)
-    if dim and i < len(diffs):
-        dim -= f.rank(hom_matrix(diffs[i], N))
+    if dim and i < res.length:
+        dim -= f.rank(hom_matrix(res.differential(i), N))
     if dim and i:
-        dim -= f.rank(hom_matrix(diffs[i - 1], N))
+        dim -= f.rank(hom_matrix(res.differential(i - 1), N))
     return dim
 
 
@@ -276,7 +289,7 @@ def _hom_presentation(res: ProjResolution) -> ModuleMap:
     Tr Omega^L M; Hom(P1, A) is zero when Omega^L M is projective, and
     every term is zero when Omega^L M is (the walk stopped before L)."""
     A = res.kernel.algebra
-    d = projective_cover(res.kernel).compose(res.inclusion)
+    d = projective_cover(res.kernel).compose(res.inclusions[-1])
     P1, P0 = d.source, d.target
     Aop = op_algebra(A)
     return map_of_elements(

@@ -41,7 +41,7 @@ from .homology import (gldim_at_most, hom_matrix, map_of_elements,
                        tau_n_orbit, transpose_entries)
 from .modules import (ModuleMap, Representation, _free_columns, coregular,
                       decompose, dual_map, hom_space, op_algebra,
-                      projective, projective_cover, regular)
+                      projective, regular)
 from .quivers import BoundQuiverAlgebra, Path, trivial
 
 __all__ = ["ExtBimodule", "ext_bimodule", "PreprojectiveSplit",
@@ -377,14 +377,11 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
 # ---------------------------------------------------------------------------
 
 class _Corner(NamedTuple):
-    """A basis of e_i End e_j = Hom(X_j, X_i), or of a quotient of it:
-    ``maps[v]`` stacks the basis maps' blocks at v, and the coordinates of
-    a map are its entries at the places ``read``, times ``to_coords``
-    unless that is None.  Places are (v, row, column) arrays."""
+    """A basis of e_i End e_j = Hom(X_j, X_i): ``maps[v]`` stacks the basis
+    maps' blocks at v, and the coordinates of a map are its entries at
+    ``places``, (v, row, column) arrays."""
     maps: list[np.ndarray]
-    read: tuple
-    to_coords: np.ndarray | None
-    free: tuple
+    places: tuple
 
 
 def _places(pos: np.ndarray, di: np.ndarray, dj: np.ndarray):
@@ -396,51 +393,30 @@ def _places(pos: np.ndarray, di: np.ndarray, dj: np.ndarray):
     return v, r, c
 
 
-def _corner(f, homs: list[ModuleMap], sub: list[np.ndarray], di, dj):
-    """The span of ``homs``, a ``hom_space`` basis, modulo that of the
-    flat maps ``sub``; None if zero.  A map of the span has its
-    coordinates at the basis's free columns, so without a quotient they
-    are the values there.  The maps ``sub`` go into those coordinates, and
-    one ``kernel_rref`` of them projects onto the quotient, whose basis is
-    the classes of the basis maps at its pivots."""
+def _corner(f, homs: list[ModuleMap], di, dj):
+    """The corner spanned by ``homs``, a ``hom_space`` basis; None if it
+    is empty.  A map of the span has its coordinates at the basis's free
+    columns: they are its values there."""
     if not homs:
         return None
     rows = np.stack([h.flatten()[0] for h in homs])
-    free = _free_columns(f, rows)
-    to_coords = None
-    read = _places(free, di, dj)
-    if sub:
-        sub = np.stack(sub)
-        through = sub[:, free]
-        assert f.equal(f.matmul(through, rows), sub), \
-            "a map through a projective must lie in Hom(X_j, X_i)"
-        proj, units = f.kernel_rref(through)
-        if not units:
-            return None
-        rows, free, to_coords = rows[units], free[units], proj.T
     maps = np.split(rows, np.cumsum(di * dj)[:-1], axis=1)
     return _Corner([a.reshape(len(rows), di[v], dj[v])
                     for v, a in enumerate(maps)],
-                   read, to_coords, _places(free, di, dj))
+                   _places(_free_columns(f, rows), di, dj))
 
 
-def end_algebra(A: BoundQuiverAlgebra, summands: list[Representation],
-                modulo_projectives: bool = False) -> FinDimAlgebra:
-    """End(X) of X = the sum of ``summands``, or its stable End modulo the
-    maps that factor through projectives, with the summands' identities
-    as idempotents.
+def end_algebra(A: BoundQuiverAlgebra,
+                summands: list[Representation]) -> FinDimAlgebra:
+    """End(X) of X = the sum of ``summands``, with the summands'
+    identities as idempotents.
 
     End(X) is the matrix of the corners e_i End e_j = Hom(X_j, X_i)
     (Auslander-Reiten-Smalo, *Representation Theory of Artin Algebras*,
     1995).  Hom(X, X) solved in one system gives the same basis: each of
     its equations involves one summand pair, so each kernel vector lies in
     one corner, and the corner bases merge in the order of their free
-    columns in X's flattened coordinates.  Modulo projectives, corner
-    (i, j) is taken modulo the image of Hom(X_j, P(X_i)) under the
-    projective cover of X_i (``_corner``); its basis is the classes of
-    the Hom(X_j, X_i) basis maps that a greedy pick over all of X would
-    keep, and a source with no map to A needs no quotient.  Projective
-    summands vanish there, so the caller leaves them out.
+    columns in X's flattened coordinates.
 
     The products through a middle summand b take one matmul per vertex v:
     the blocks at v of the basis maps out of b, one above the other, times
@@ -452,23 +428,14 @@ def end_algebra(A: BoundQuiverAlgebra, summands: list[Representation],
     starts = np.cumsum(dims, axis=0) - dims      # where X_i starts at v
     total = dims.sum(axis=0)
     flat_start = np.cumsum(total ** 2) - total ** 2
-    regular_A = regular(A) if modulo_projectives else None
-    covers: dict[int, ModuleMap] = {}
     corners: dict[tuple[int, int], _Corner] = {}
     places = [np.zeros(0, dtype=np.int64)]
     for j, Xj in enumerate(summands):
-        modulo = modulo_projectives and bool(hom_space(Xj, regular_A))
         for i, Xi in enumerate(summands):
-            homs, sub = hom_space(Xj, Xi), []
-            if homs and modulo:
-                if i not in covers:
-                    covers[i] = projective_cover(Xi)
-                sub = [t.compose(covers[i]).flatten()[0]
-                       for t in hom_space(Xj, covers[i].source)]
-            corner = _corner(f, homs, sub, dims[i], dims[j])
+            corner = _corner(f, hom_space(Xj, Xi), dims[i], dims[j])
             if corner is not None:
                 corners[(i, j)] = corner
-                v, r, c = corner.free
+                v, r, c = corner.places
                 places.append(flat_start[v] + (starts[i][v] + r) * total[v]
                               + starts[j][v] + c)
     # each corner's basis numbers, in the order of its free columns in X
@@ -477,16 +444,11 @@ def end_algebra(A: BoundQuiverAlgebra, summands: list[Representation],
         [len(c.maps[0]) for c in corners.values()])[:-1])))
     dim = len(number)
 
-    def coords(corner: _Corner, vals: np.ndarray) -> np.ndarray:
-        return vals if corner.to_coords is None else \
-            f.matmul(vals, corner.to_coords)
-
     idems = [f.zeros(1, dim)[0] for _ in range(m)]
     for s, e in enumerate(idems):
         if (s, s) in corners:
-            _, r, c = corners[(s, s)].read
-            ident = np.where(r == c, f.one, f.zero)
-            e[index[(s, s)]] = coords(corners[(s, s)], ident[None, :])[0]
+            _, r, c = corners[(s, s)].places
+            e[index[(s, s)]] = np.where(r == c, f.one, f.zero)
 
     parts = [(number[:0],) * 3 + (f.zeros(1, 0)[0],)]
     for b in range(m):
@@ -515,13 +477,13 @@ def end_algebra(A: BoundQuiverAlgebra, summands: list[Representation],
             for q, j in enumerate(ins):
                 if (i, j) not in corners:
                     continue
-                v, r, c = corners[(i, j)].read
+                v, r, c = corners[(i, j)].places
                 ny, nx = len(index[(i, b)]), len(index[(b, j)])
                 y = np.arange(ny)[:, None]
                 x = np.arange(nx)[:, None, None]
                 at = (base[v] + col0[q][v] + x * dims[j][v] + c
                       + (row0[p][v] + y * dims[i][v] + r) * row_len[v])
-                vals = coords(corners[(i, j)], prods[at].reshape(-1, len(r)))
+                vals = prods[at].reshape(-1, len(r))
                 xy, k = np.nonzero(vals != f.zero)
                 parts.append((index[(b, j)][xy // ny], index[(i, b)][xy % ny],
                               index[(i, j)][k], vals[xy, k]))
@@ -533,12 +495,17 @@ def end_algebra(A: BoundQuiverAlgebra, summands: list[Representation],
 
 def stable_endomorphism(A: BoundQuiverAlgebra, n: int,
                         cap: int = 32) -> FinDimAlgebra:
-    """Stable endomorphism algebra of the preprojective module: End of its
-    non-projective summands modulo the maps that factor through
-    projectives."""
+    """Stable endomorphism algebra of the preprojective module, the plain
+    End of its non-projective summands.
+
+    No map between them factors through a projective, as none maps to A.
+    A non-projective summand lies in tau_n^- M = Tr Z for some M, with
+    Z = Omega^{n-1} D M over A^op, and Hom_A(Tr Z, A) = Omega^2 Z
+    (Auslander-Reiten-Smalo, 1995), so Hom(tau_n^- M, A) = Omega^{n+1} D M.
+    That is zero, since ``preprojective_module`` refuses gldim A > n."""
     split = preprojective_module(A, n, cap)
     gamma = end_algebra(
         A, [r for r, g in zip(split.summand_reps, split.summand_grades)
-            if g > 0], modulo_projectives=True)
+            if g > 0])
     gamma.split = split
     return gamma

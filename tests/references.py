@@ -177,7 +177,7 @@ from quiveralg import derived
 from quiveralg.checks import Verdict, is_self_injective, socle_vertex
 from quiveralg.derived import (ChainMap, ComplexOfModules, GradedHom,
                                SerreContext, SymbolicComplex, _cone_block,
-                               _is_projective, _minimized, _strict_lift,
+                               _minimized, _strict_lift,
                                dual_complex, module_complex,
                                proj_resolve_complex, to_symbolic, transposed)
 from quiveralg.errors import (AboveCap, AboveCapError, NonAdmissible,
@@ -360,14 +360,13 @@ def ext_by_cocycles(M: Representation, N: Representation, i: int,
     dim_i = sum(N.dims[v] for v in res.terms[i].summands)
     if dim_i == 0:
         return 0, f.zeros(0, 0), (res, f.zeros(0, 0))
-    diffs = res.differentials
-    if i < len(diffs):
-        cocycles = f.kernel(hom_matrix(diffs[i], N))
+    if i < res.length:
+        cocycles = f.kernel(hom_matrix(res.differential(i), N))
     else:
         cocycles = f.eye(dim_i)
     if i == 0:
         return cocycles.shape[0], cocycles, (res, f.zeros(0, dim_i))
-    cob = f.row_space(hom_matrix(diffs[i - 1], N).T)
+    cob = f.row_space(hom_matrix(res.differential(i - 1), N).T)
     return cocycles.shape[0] - cob.shape[0], cocycles, (res, cob)
 
 
@@ -1262,10 +1261,16 @@ def global_dimension_by_simples(A, cap: int = 32):
     return known
 
 
+def _is_projective(X: ComplexOfModules) -> bool:
+    """Is every term of X a tagged projective sum?"""
+    return all(getattr(t, "tag_kind", None) == "P" for t in X.terms.values())
+
+
 def minimized_by_resolution(ctx, X: ComplexOfModules) -> ComplexOfModules:
-    """The minimized complex of projectives quasi-isomorphic to X, with X
-    resolved first even when its terms are tagged projective sums."""
-    P, _ = proj_resolve_complex(X, ctx.cap)
+    """The minimized complex of projectives quasi-isomorphic to X: X
+    itself minimized when its terms are tagged projective sums, else its
+    resolution."""
+    P = X if _is_projective(X) else proj_resolve_complex(X, ctx.cap)[0]
     before = P.cohomology_dims()
     out = to_symbolic(P).minimize().materialize()
     assert out.cohomology_dims() == before
@@ -1301,7 +1306,7 @@ def resolution_complex(res: ProjResolution, M: Representation,
     ``res`` in degree ``degree - j``, and its augmentation eps: P -> M,
     with M placed in ``degree``."""
     terms = {degree - j: t for j, t in enumerate(res.terms)}
-    diffs = {degree - j - 1: d for j, d in enumerate(res.differentials)}
+    diffs = {degree - j - 1: res.differential(j) for j in range(res.length)}
     P = ComplexOfModules(M.algebra, terms, diffs)
     eps = ChainMap(P, module_complex(M, degree), {degree: res.augmentation})
     return P, eps

@@ -490,3 +490,40 @@ def test_gamma_spec_matches_golden(family, param):
                          ids=[f"{f}_{p}" for f, p in GAMMA_GOLDENS])
 def test_preprojective_spec_matches_golden(family, param):
     _assert_spec_matches_golden("preprojective", family, param)
+
+
+@pytest.mark.parametrize("family, param", GAMMA_GOLDENS,
+                         ids=[f"{f}_{p}" for f, p in GAMMA_GOLDENS])
+def test_a_preprojective_golden_loads_with_its_verdict(family, param):
+    """Each golden's quiver has oriented cycles, so loading it walks the
+    radical series of the algebra, which reaches 0; Aus(A3-nonlinear) is
+    not 2-representation-finite, so its preprojective algebra is not
+    self-injective."""
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        f"preprojective_{family}_{param}_n2.spec")
+    with open(path) as fh:
+        spec = fh.read()
+    code, out = _run(["check", "self-injective"], stdin_text=spec)
+    want = param != "A3-nonlinear"
+    assert code == (0 if want else 1)
+    assert json.loads(out)["report"]["value"] is want
+
+
+# Ideals with a finite path basis that are not admissible: a^3 = a^2 makes
+# a^2 an idempotent (A is k[a]/(a^2) x k, with two simples), and
+# (ab)^2 = ab makes ab one.
+NON_ADMISSIBLE = [
+    "vertices [1]\narrows [a: 1 -> 1]\nrelations [a*a*a - a*a]\n",
+    "vertices [1 2]\narrows [a: 1 -> 2, b: 2 -> 1]\n"
+    "relations [a*b - a*b*a*b, b*a*b - b*a*b*a*b]\n"]
+
+
+@pytest.mark.parametrize("spec", NON_ADMISSIBLE, ids=["aaa-aa", "ab-abab"])
+@pytest.mark.parametrize("argv", [["check", "self-injective"],
+                                  ["analyze", "--n", "3"]])
+def test_a_non_admissible_ideal_is_refused_at_load(spec, argv):
+    with pytest.raises(SpecError, match="not admissible"):
+        load_algebra(spec)
+    code, out = _run(argv, stdin_text=spec)
+    assert code == 2
+    assert "not admissible" in json.loads(out)["error"]

@@ -56,6 +56,13 @@ def test_resolve_single_projective_is_itself():
     assert len(P.terms) == 1
 
 
+def test_resolve_the_zero_complex_is_zero():
+    Z = ComplexOfModules(a2(), {}, {})
+    P, eps = proj_resolve_complex(Z)
+    assert P.is_zero()
+    assert eps.parts == {}
+
+
 def test_resolve_module_matches_minimal_resolution():
     A = nak_a3()
     X = module_complex(simple(A, 0))

@@ -244,7 +244,7 @@ def _lift_one_generator_at_a_time(res, g, depth):
                 a = res.augmentation.blocks[v]
                 x = f.solve(a, f.matmul(g.blocks[v], f.matmul(a, gen)))
             else:
-                d = res.differentials[i - 1]
+                d = res.differential(i - 1)
                 x = f.solve(d.blocks[v],
                             f.matmul(d.compose(prev).blocks[v], gen))
             assert x is not None
