@@ -506,6 +506,9 @@ def _dispatch(args) -> int:
         raise SpecError(f"--n must be at least 1, got {args.n}")
     if args.cap < 0:
         raise SpecError(f"--cap must be at least 0, got {args.cap}")
+    if fmt == "spec" and args.command in ("analyze", "check", "amiot-hom"):
+        raise SpecError("--format spec writes an algebra, and "
+                        f"{args.command} gives none")
 
     text = _read_input(args)
     t0 = time.time()
@@ -555,6 +558,8 @@ def _dispatch(args) -> int:
 
     if args.command == "gamma":
         gamma = stable_endomorphism(A, args.n, args.cap)
+        if fmt == "spec" and not gamma.dim:
+            raise SpecError("--format spec writes an algebra, and Gamma is 0")
         payload: dict = {"dim": gamma.dim}
         if gamma.dim:
             gp = quiver_presentation(gamma)

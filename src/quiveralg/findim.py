@@ -2,13 +2,12 @@
 
 A FinDimAlgebra is a basis, its structure constants and a complete list
 of orthogonal idempotents, optionally graded.  Only the nonzero
-constants c_{ij}^k are kept, as four flat arrays, which the builders
-pass directly (``sparse_constants`` makes them from a list of entries);
-End/rad in ``modules.decompose`` alone gives its products one basis row
-at a time through a row callback.  Products, and each action of an
-element as the entries (dst, src, c) of its matrix, are scatter-adds
-over them, and the trace form that gives the radical is one sparse join
-of them with themselves.  ``quiver_presentation`` recovers a bound
+constants c_{ij}^k are kept, as four flat arrays, which every builder
+passes directly (``sparse_constants`` makes them from a list of
+entries).  Products, and each action of an element as the entries
+(dst, src, c) of its matrix, are scatter-adds over them, and the trace
+form that gives the radical is one sparse join of them with themselves.
+``quiver_presentation`` recovers a bound
 quiver algebra from it: Gabriel quiver from rad/rad^2, arrow lifts, and
 relation generators of the kernel I of the induced path algebra
 surjection, computed degree by degree.  The basis must be
@@ -50,11 +49,7 @@ class FinDimAlgebra:
 
     The nonzero constants c_{ij}^k are four flat arrays
     ``constants = (i, j, k, c)``, in order of (i, j, k), and every product
-    is a scatter-add over them.  The builders pass them, with ``mult``
-    None.  Otherwise ``mult(i)`` gives the products of basis element i
-    with every basis element, as a dim x dim array whose row j holds the
-    coordinates of b_i b_j, and the constructor calls it once per i;
-    only End/rad in ``modules.decompose`` is built that way.
+    is a scatter-add over them.
 
     ``quiver_presentation`` needs a vertex-adapted basis: the entries of
     each idempotent's ``left_action`` and ``right_action`` are diagonal
@@ -62,28 +57,20 @@ class FinDimAlgebra:
     j with b = e_i b e_j.  Every builder in the package gives such a basis.
     """
 
-    def __init__(self, field: Field, dim: int, mult,
-                 idempotents: list[np.ndarray],
-                 grading: list[int] | None = None, constants=None):
+    def __init__(self, field: Field, dim: int, idempotents: list[np.ndarray],
+                 grading: list[int] | None = None, *, constants: tuple):
         self.field = field
         self.dim = dim
-        self._mult = mult
         self.idempotents = [np.array(e) for e in idempotents]
         self.grading = grading
-        self.constants = constants if constants is not None else \
-            sparse_constants(field, (
-                (i, j, k, row[j, k]) for i in range(dim)
-                for row in [self.table(i)]
-                for j, k in zip(*np.nonzero(row != field.zero))))
+        self.constants = constants
 
     def __repr__(self):
         return f"FinDimAlgebra(dim={self.dim}, e={len(self.idempotents)})"
 
     def table(self, i: int) -> np.ndarray:
-        """Products of basis element i, from ``mult`` or the constants: row
-        j holds the coordinates of b_i b_j."""
-        if self._mult is not None:
-            return self._mult(i)
+        """Products of basis element i, from the constants: row j holds the
+        coordinates of b_i b_j."""
         a, j, k, c = self.constants
         lo, hi = np.searchsorted(a, [i, i + 1])
         return _dense(self.field, self.dim, (j[lo:hi], k[lo:hi], c[lo:hi]))
@@ -166,7 +153,7 @@ def algebra_from_bqa(A: BoundQuiverAlgebra) -> FinDimAlgebra:
     grading = [A.path_degree(p) for p in A.basis] \
         if A.arrow_degrees is not None else None
 
-    return FinDimAlgebra(f, A.dim, None, idems, grading, constants=(
+    return FinDimAlgebra(f, A.dim, idems, grading, constants=(
         sparse_constants(f, (
             (i, j, k, c) for i, p in enumerate(A.basis)
             for j in starts[p.target(q)]
@@ -292,14 +279,6 @@ def _radical_corners(B: FinDimAlgebra, label: np.ndarray, members: dict,
     return out
 
 
-def _sum_rows(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[0] == 0:
-        return f.row_space(b) if b.shape[0] else b
-    if b.shape[0] == 0:
-        return f.row_space(a)
-    return f.row_space(np.concatenate([a, b], axis=0))
-
-
 def _arrows(B: FinDimAlgebra) -> tuple[Quiver, list[np.ndarray],
                                       list[int] | None]:
     """The Gabriel quiver of B, the arrow lifts in dim B coordinates and
@@ -355,26 +334,23 @@ def _arrows(B: FinDimAlgebra) -> tuple[Quiver, list[np.ndarray],
         base = corners2.get((i, j), f.zeros(0, len(at)))
         # rad^2 is an ideal, so its corner lies in rad's corner
         want = corner.shape[0] - base.shape[0]
-        support = corner != f.zero
-        lifts = []
-        for k, dg in enumerate(degrees):
-            rows = corner[~np.any(support & (grading[at] != dg), axis=1)]
-            if not rows.shape[0]:
-                continue
-            ext = complement_rows(f, base, rows)
-            lifts.extend((r, dg) for r in ext)
-            if k < len(degrees) - 1:
-                base = _sum_rows(f, base, ext)
+        # the corner's homogeneous rows in order of degree: a row is picked
+        # iff it lies outside rad^2 and the rows before it, which span what
+        # rad^2 and the picks of the lower degrees span
+        deg, support = grading[at], corner != f.zero
+        lifts = complement_rows(f, base, np.concatenate(
+            [corner[~np.any(support & (deg != dg), axis=1)]
+             for dg in degrees]))
         if len(lifts) != want:
             raise NotSplit("radical corner is not graded; cannot "
                            "choose homogeneous arrow lifts")
-        for r, dg in lifts:
+        for r in lifts:
             arrow_list.append((f"a{len(arrow_list) + 1}",
                                vertices[i], vertices[j]))
             x = f.zeros(1, n)[0]
             x[at] = r
             arrow_elems.append(x)
-            arrow_degs.append(dg)
+            arrow_degs.append(int(deg[np.argmax(r != f.zero)]))
     return (Quiver(vertices, arrow_list), arrow_elems,
             arrow_degs if B.grading is not None else None)
 
@@ -389,16 +365,16 @@ def quiver_presentation(B: FinDimAlgebra, cap: int = 64) -> BoundQuiverAlgebra:
     of the trace form, and rad^2 is built corner by corner from the
     products (e_i rad e_k)(e_k rad e_j), read off the constants between
     those corners.  The arrows of corner (i, j) lift a basis of it modulo
-    rad^2, taken one degree of B's grading at a time, so a graded B gets
-    homogeneous arrows; a corner whose lifts cannot all be homogeneous
-    raises NotSplit.  Only the lifts are padded to dim B coordinates, as
-    ``arrow_elements``.  Relations are found degree by degree: at degree
-    d, the new ones complement K_{d-1}, a K_{d-1} and K_{d-1} a (a an
-    arrow) in K_d, where K_d is the kernel of evaluation on the paths of
-    length 2..d.  The loop stops at the first degree d whose paths all
-    vanish (rad^d = 0), or earlier, after a degree that adds relations,
-    once the relations so far present an algebra of dimension dim B:
-    kQ/I -> B is onto, so I is then the whole kernel.
+    rad^2, picked from its rows that are homogeneous for B's grading, in
+    order of degree, so a graded B gets homogeneous arrows; a corner whose
+    lifts cannot all be homogeneous raises NotSplit.  Only the lifts are
+    padded to dim B coordinates, as ``arrow_elements``.  Relations are
+    found degree by degree: at degree d, the new ones complement K_{d-1},
+    a K_{d-1} and K_{d-1} a (a an arrow) in K_d, where K_d is the kernel of
+    evaluation on the paths of length 2..d.  The loop stops at the first
+    degree d whose paths all vanish (rad^d = 0), or earlier, after a degree
+    that adds relations, once the relations so far present an algebra of
+    dimension dim B: kQ/I -> B is onto, so I is then the whole kernel.
     """
     f = B.field
     n = B.dim

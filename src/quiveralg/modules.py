@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NonSplitEndo
 from .exactla import complement_units
-from .findim import FinDimAlgebra
+from .findim import FinDimAlgebra, sparse_constants
 from .quivers import BoundQuiverAlgebra, opposite
 
 __all__ = ["Representation", "ModuleMap", "zero_rep", "simple", "projective",
@@ -548,17 +548,17 @@ def projective_cover(M: Representation) -> ModuleMap:
 # endomorphism rings, idempotent splitting, isomorphism testing
 # ---------------------------------------------------------------------------
 
-def _gram_radical(f, flat: np.ndarray, dims) -> np.ndarray:
-    """Kernel (row basis) of the trace form on End(M), for the basis maps
-    whose blocks (at vertex dimensions ``dims``) are flattened into the rows
-    of ``flat``; = rad End(M) whenever char k = 0 or char k > dim M."""
+def _trace_form(f, flat: np.ndarray, dims) -> np.ndarray:
+    """The trace form tr(B_i B_j) on End(M), for the basis maps whose
+    blocks (at vertex dimensions ``dims``) are flattened into the rows of
+    ``flat``; its kernel is rad End(M) when char k = 0 or > dim M."""
     # tr(B_i B_j) = <vec B_i, vec B_j^T>: one product with the columns of
     # flat permuted so that each block is read transposed
     perm, off = [], 0
     for d in dims:
         perm.append(off + np.arange(d * d).reshape(d, d).T.ravel())
         off += d * d
-    return f.kernel(f.matmul(flat, flat[:, np.concatenate(perm)].T))
+    return f.matmul(flat, flat[:, np.concatenate(perm)].T)
 
 
 # -- univariate polynomial helpers (coefficient lists, low degree first) ----
@@ -686,19 +686,15 @@ def decompose(M: Representation,
               _depth: int = 0) -> list[tuple[Representation, int]]:
     """Indecomposable direct summands with multiplicities.
 
-    The splitting elements of End/rad are drawn from a generator seeded
-    with 11 plus the recursion depth, so the summands, and their bases,
-    are the same on every run.  After 32 random draws, the basis elements
-    of End/rad are tried in turn: over Q the minimal polynomial of a
-    random element of M_k(Q) rarely has a root in [-12, 12], the only
-    roots tried, but that of a matrix unit E_ii is x^2 - x.  Raises
-    NonSplitEndo when a split into matrix algebras over k cannot be
-    certified (division-algebra quotient bigger than k suspected).
-
-    A map of End(M) has its ``hom_space`` coordinates at the basis's free
-    columns, and End/rad is End(M) modulo the kernel of the trace form:
-    one ``kernel_rref`` of that kernel gives the projection onto End/rad,
-    whose basis is the classes of the basis maps at its pivots.
+    The splitting elements of End/rad (``_end_rad``) are drawn from a
+    generator seeded with 11 plus the recursion depth, so the summands,
+    and their bases, are the same on every run.  After 32 random draws,
+    the basis elements of End/rad are tried in turn: over Q the minimal
+    polynomial of a random element of M_k(Q) rarely has a root in
+    [-12, 12], the only roots tried, but that of a matrix unit E_ii is
+    x^2 - x.  Raises NonSplitEndo when a split into matrix algebras over
+    k cannot be certified (division-algebra quotient bigger than k
+    suspected).
     """
     if M.is_zero():
         return []
@@ -706,54 +702,15 @@ def decompose(M: Representation,
     if f.kind == "GF" and f.p <= M.total_dim:
         raise NonSplitEndo("field characteristic too small for the "
                            "trace-form radical; use a larger prime")
-    rng = random.Random(11 + _depth)
     basis = hom_space(M, M)
-    n = len(basis)
-    flat = np.concatenate([b.flatten() for b in basis])
-    rad_rows = _gram_radical(f, flat, M.dims)
-    sdim = n - rad_rows.shape[0]
-    if sdim == 1:
+    end_rad = _end_rad(M, basis)
+    if end_rad is None:
         return [(M, 1)]
-
-    # End(M) in coordinates of `basis`, read at its free columns, and
-    # S = End/rad on the classes of the basis maps at the pivots of proj
-    free = _free_columns(f, flat)
-    proj, units = f.kernel_rref(rad_rows)
-    picks = [basis[c] for c in units]
-
-    def to_S(maps: list[ModuleMap]) -> np.ndarray:
-        vecs = np.concatenate([phi.flatten() for phi in maps])
-        coords = vecs[:, free]
-        assert f.equal(f.matmul(coords, flat), vecs), "not in End(M)"
-        return f.matmul(coords, proj.T)
-
-    one = ModuleMap(M, M, [f.eye(d) for d in M.dims])
-    # the product b_i b_j is b_j after b_i (apply b_i first); the only
-    # algebra built from rows, which keeps FinDimAlgebra.table's row
-    # callback live for the benchmark's findim.table counter
-    S_alg = FinDimAlgebra(
-        f, sdim, lambda i: to_S([picks[i].compose(b) for b in picks]),
-        [to_S([one])[0]])
-
-    idem = None
-    draws = (f.array([f.rand_el(rng) for _ in range(sdim)])
-             for _ in range(32))
-    for svec in itertools.chain(draws, f.eye(sdim)):
-        m = _minpoly_in(S_alg, svec)
-        split = _coprime_split(f, m, rng)
-        if split is None:
-            continue
-        f1, f2 = split
-        e = _crt_idempotent(S_alg, svec, m, f1, f2)
-        if e is not None:
-            idem = e
-            break
-    if idem is None:
-        raise NonSplitEndo("no splitting idempotent found in End/rad after "
-                           "32 random trials and its basis")
+    S_alg, units = end_rad
+    idem = _splitting_idempotent(S_alg, random.Random(11 + _depth))
 
     # lift to an exact idempotent of End(M) by Newton iteration
-    coeffs = f.zeros(1, n)[0]
+    coeffs = f.zeros(1, len(basis))[0]
     coeffs[units] = idem
     phi = _combine(M, basis, coeffs)
     for _ in range(2 * M.total_dim + 4):
@@ -767,7 +724,8 @@ def decompose(M: Representation,
         raise NonSplitEndo("idempotent lifting did not converge")
 
     img1, _ = map_image(phi)
-    phic = one.add(phi.scale(f.el(-1)))
+    phic = ModuleMap(M, M, [f.eye(d) for d in M.dims]).add(
+        phi.scale(f.el(-1)))
     img2, _ = map_image(phic)
     assert img1.total_dim + img2.total_dim == M.total_dim
     if img1.is_zero() or img2.is_zero():
@@ -785,6 +743,67 @@ def decompose(M: Representation,
     return grouped
 
 
+def _end_rad(M: Representation, basis: list[ModuleMap]):
+    """(S, units): S = End(M)/rad from its structure constants, on the
+    classes of the picks, the basis maps ``basis[c]`` for c in ``units``;
+    None when S is k, so that M is indecomposable.
+
+    The row space of the trace form is the orthogonal of the radical, so
+    its rref, read as a map on columns, projects End(M) onto S, and its
+    pivots are the units.  A map of End(M) has its ``hom_space``
+    coordinates at the basis's free columns.  The product b_i b_j of two
+    picks is b_j after b_i: one matmul per vertex gives those of b_i with
+    every pick."""
+    f = M.field
+    flat = np.concatenate([b.flatten() for b in basis])
+    proj, units = f.rref(_trace_form(f, flat, M.dims))
+    sdim = len(units)
+    if sdim == 1:
+        return None
+    proj = proj[:sdim]
+    free = _free_columns(f, flat)
+    # the blocks at v of every pick, one above the other
+    stacks = [(v, np.concatenate([basis[c].blocks[v] for c in units]))
+              for v, d in enumerate(M.dims) if d]
+
+    def to_S(vecs: np.ndarray) -> np.ndarray:
+        coords = vecs[:, free]
+        assert f.equal(f.matmul(coords, flat), vecs), "not in End(M)"
+        return f.matmul(coords, proj.T)
+
+    def products(i: int) -> np.ndarray:
+        # row j: b_i b_j, every B_j^v @ B_i^v at once, flattened as maps
+        return to_S(np.concatenate(
+            [f.matmul(stack, basis[units[i]].blocks[v]).reshape(sdim, -1)
+             for v, stack in stacks], axis=1))
+
+    one = ModuleMap(M, M, [f.eye(d) for d in M.dims])
+    return FinDimAlgebra(f, sdim, [to_S(one.flatten())[0]], constants=(
+        sparse_constants(f, (
+            (i, j, k, row[j, k]) for i in range(sdim)
+            for row in [products(i)]
+            for j, k in zip(*np.nonzero(row != f.zero)))))), units
+
+
+def _splitting_idempotent(S: FinDimAlgebra, rng) -> np.ndarray:
+    """A nontrivial idempotent of the semisimple algebra S, from the
+    minimal polynomial of an element split into coprime factors: 32
+    elements drawn from ``rng``, then S's basis elements."""
+    f = S.field
+    draws = (f.array([f.rand_el(rng) for _ in range(S.dim)])
+             for _ in range(32))
+    for svec in itertools.chain(draws, f.eye(S.dim)):
+        m = _minpoly_in(S, svec)
+        split = _coprime_split(f, m, rng)
+        if split is None:
+            continue
+        e = _crt_idempotent(S, svec, m, *split)
+        if e is not None:
+            return e
+    raise NonSplitEndo("no splitting idempotent found in End/rad after "
+                       "32 random trials and its basis")
+
+
 def _combine(M, basis, coeffs) -> ModuleMap:
     f = M.field
     blocks = [f.zeros(d, d) for d in M.dims]
@@ -796,23 +815,22 @@ def _combine(M, basis, coeffs) -> ModuleMap:
 
 
 def _minpoly_in(alg, s):
-    """Minimal polynomial of s in the FinDimAlgebra alg."""
+    """Minimal polynomial of s in the FinDimAlgebra alg: each power times
+    the matrix of x -> x s, whose row i, the coordinates of b_i s, is
+    s @ table(i), until one rref of the powers as columns finds s^k
+    dependent on the powers before it, with its coordinates in column k."""
     f = alg.field
-    one = alg.unit()
-    rows = [one]
-    cur = one
-    while True:
-        cur = alg.mult_vec(cur, s)
-        stack = np.stack(rows + [cur])
-        if f.rank(stack) < len(rows) + 1:
-            # solve dependence: cur = sum c_i rows[i]
-            x = f.solve(np.stack(rows).T, cur.reshape(-1, 1))
-            assert x is not None
-            coeffs = [f.neg(x[i, 0]) for i in range(len(rows))] + [f.one]
-            return _pnorm(f, coeffs)
-        rows.append(cur)
-        if len(rows) > alg.dim + 1:
-            raise AssertionError("minpoly search exceeded algebra dimension")
+    n = alg.dim
+    right = f.matmul(s[None], np.concatenate(
+        [alg.table(i) for i in range(n)], axis=1)).reshape(n, n)
+    powers = [alg.unit()]
+    for k in range(1, n + 2):
+        powers.append(f.matmul(powers[-1][None], right)[0])
+        r, pivots = f.rref(np.stack(powers).T)
+        if len(pivots) == k:
+            assert pivots == list(range(k))
+            return _pnorm(f, [f.neg(c) for c in r[:k, k]] + [f.one])
+    raise AssertionError("minpoly search exceeded algebra dimension")
 
 
 def _crt_idempotent(alg, s, m, f1, f2):

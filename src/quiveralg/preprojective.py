@@ -368,7 +368,7 @@ def preprojective_algebra(A: BoundQuiverAlgebra, n: int,
     order = np.lexsort((k, j, i))
     idems = [np.concatenate([e, f.zeros(1, offsets[-1] - A.dim)[0]])
              for e in base.idempotents]
-    return FinDimAlgebra(f, offsets[-1], None, idems, grading, constants=(
+    return FinDimAlgebra(f, offsets[-1], idems, grading, constants=(
         i[order], j[order], k[order], f.array(c[order])))
 
 
@@ -489,7 +489,7 @@ def end_algebra(A: BoundQuiverAlgebra,
                               index[(i, j)][k], vals[xy, k]))
     i, j, k, c = (np.concatenate(a) for a in zip(*parts))
     order = np.lexsort((k, j, i))
-    return FinDimAlgebra(f, dim, None, idems, constants=(
+    return FinDimAlgebra(f, dim, idems, constants=(
         i[order], j[order], k[order], f.array(c[order])))
 
 

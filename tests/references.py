@@ -56,8 +56,21 @@
 - ``arrows_by_meet`` works each corner of a presentation in dim B
   coordinates: ``corners_by_meet`` meets the span of its basis elements
   with the kernel of the whole trace form (``radical_rows``), and rad^2
-  comes from dim-B-wide products; ``findim._arrows`` works each corner
-  in the coordinates of its own basis elements.
+  comes from dim-B-wide products, and the lifts of a graded algebra are
+  picked one degree at a time, the span grown by ``sum_rows`` after each;
+  ``findim._arrows`` works each corner in the coordinates of its own
+  basis elements and picks its lifts with one ``complement_rows`` of its
+  homogeneous rows in order of degree.
+- ``algebra_from_rows`` builds a FinDimAlgebra from a callback that gives
+  the products of one basis element at a time, as ``FinDimAlgebra``
+  itself did for End/rad; every builder in the package passes the
+  constants.  ``end_rad_by_compositions`` is End/rad built that way: the
+  projection from ``kernel_rref`` of the trace form's kernel, and one
+  ``ModuleMap.compose`` per pair of picks; ``minpoly_by_mult_vec`` and
+  ``splitting_idempotent_by_mult_vec`` take each power of an element by
+  one ``mult_vec``.  ``modules._end_rad`` takes one ``rref`` of the trace
+  form and one matmul per vertex per pick, and ``modules._minpoly_in``
+  multiplies each power by the matrix of x -> x s, read from ``table``.
 - ``projectives_sum_fresh`` builds a tagged projective sum into fresh,
   writable arrays, every arrow block of e_v A from ``mult_basis`` one
   basis pair at a time; ``map_from_projectives_by_paths`` walks every
@@ -127,12 +140,13 @@
   echelon basis and skip the arrows with a zero end.
   ``global_dimension_by_simples`` takes pd of each simple from its own
   resolution; ``homology.global_dimension`` resolves their sum once.
-- ``minimized_by_resolution`` resolves a complex of tagged projective
-  sums through ``proj_resolve_complex`` before minimizing it, and
+- ``minimized_by_resolution`` minimizes a complex of tagged projective
+  sums, or else its ``proj_resolve_complex`` resolution, and
   ``next_neg_by_step_neg`` minimizes S_n^{-1} X materialized before its
-  shift; ``SerreSteps.minimized`` takes such a complex as its own
-  resolution, and ``SerreContext.next_neg`` shifts the symbolic step and
-  minimizes it.
+  shift; ``SerreContext.next_neg`` shifts the symbolic step and
+  minimizes it.  ``SerreSteps.minimized`` takes the same route as
+  ``minimized_by_resolution``, so the tests compare it with the
+  minimized resolution by cones.
   ``op_element_by_reduce_path`` reduces every reversed path on each
   call; ``homology.op_element`` keeps each reduction in the memo.
 - ``rigidity_per_degree`` resolves M again for each Ext^i(M, M); with
@@ -169,6 +183,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -181,12 +196,12 @@ from quiveralg.derived import (ChainMap, ComplexOfModules, GradedHom,
                                dual_complex, module_complex,
                                proj_resolve_complex, to_symbolic, transposed)
 from quiveralg.errors import (AboveCap, AboveCapError, NonAdmissible,
-                              NotTauFinite, QuiverAlgError,
+                              NonSplitEndo, NotTauFinite, QuiverAlgError,
                               WindowInconclusive)
 from quiveralg.exactla import (QQ, Field, complement_rows,
                                complement_units)
 from quiveralg.families import knit_indecomposables
-from quiveralg.findim import (FinDimAlgebra, _act, _dense, _sum_rows,
+from quiveralg.findim import (FinDimAlgebra, _act, _dense,
                               algebra_from_bqa, sparse_constants,
                               sparse_join, vertex_labels)
 from quiveralg.homology import (ProjResolution, elements_of_map, ext,
@@ -194,14 +209,14 @@ from quiveralg.homology import (ProjResolution, elements_of_map, ext,
                                 injective_dimension, map_of_elements,
                                 min_proj_resolution, op_element, syzygy,
                                 tau_inv, transpose, transpose_entries)
-from quiveralg.modules import (ModuleMap, Representation, decompose,
-                               direct_sum, dual, dual_map, hom_space,
-                               injective, injectives_sum, is_isomorphic,
-                               map_cokernel, map_from_projectives,
-                               map_kernel, op_algebra, projective,
-                               projective_cover,
-                               projectives_sum, quotient,
-                               radical_series, regular, simple,
+from quiveralg.modules import (ModuleMap, Representation, _coprime_split,
+                               _crt_idempotent, _free_columns, _pnorm,
+                               _trace_form, decompose, direct_sum, dual,
+                               dual_map, hom_space, injective,
+                               injectives_sum, is_isomorphic, map_cokernel,
+                               map_from_projectives, map_kernel, op_algebra,
+                               projective, projective_cover, projectives_sum,
+                               quotient, radical_series, regular, simple,
                                subrepresentation, zero_rep)
 from quiveralg.preprojective import (_balancing_relations, _path_actions,
                                      ext_bimodule, preprojective_module)
@@ -275,7 +290,74 @@ def whole_end_algebra(summands: list[Representation],
             start[v] += d
         if keep is None or keep[k]:
             idems.append(quot.coords(ModuleMap(X, X, blocks).flatten())[0])
-    return FinDimAlgebra(f, dim, mult, idems)
+    return algebra_from_rows(f, dim, mult, idems)
+
+
+def algebra_from_rows(f: Field, dim: int, mult, idempotents,
+                      grading=None) -> FinDimAlgebra:
+    """The FinDimAlgebra whose products ``mult(i)`` gives one basis element
+    at a time: a dim x dim array whose row j holds the coordinates of
+    b_i b_j, called once per i."""
+    return FinDimAlgebra(f, dim, idempotents, grading, constants=(
+        sparse_constants(f, (
+            (i, j, k, row[j, k]) for i in range(dim) for row in [mult(i)]
+            for j, k in zip(*np.nonzero(row != f.zero))))))
+
+
+def end_rad_by_compositions(M: Representation, basis: list[ModuleMap]):
+    """``modules._end_rad`` built a row at a time: the radical as the
+    kernel of the trace form, End/rad as the ``kernel_rref`` of that
+    kernel, and each row i from the compositions b_j after b_i, one
+    ``ModuleMap.compose`` per pair."""
+    f = M.field
+    flat = np.concatenate([b.flatten() for b in basis])
+    proj, units = f.kernel_rref(f.kernel(_trace_form(f, flat, M.dims)))
+    sdim = len(units)
+    if sdim == 1:
+        return None
+    free = _free_columns(f, flat)
+    picks = [basis[c] for c in units]
+
+    def to_S(maps: list[ModuleMap]) -> np.ndarray:
+        vecs = np.concatenate([phi.flatten() for phi in maps])
+        coords = vecs[:, free]
+        assert f.equal(f.matmul(coords, flat), vecs), "not in End(M)"
+        return f.matmul(coords, proj.T)
+
+    one = ModuleMap(M, M, [f.eye(d) for d in M.dims])
+    return algebra_from_rows(
+        f, sdim, lambda i: to_S([picks[i].compose(b) for b in picks]),
+        [to_S([one])[0]]), units
+
+
+def minpoly_by_mult_vec(alg: FinDimAlgebra, s: np.ndarray) -> list:
+    """The minimal polynomial of s in alg, each power taken by one
+    ``mult_vec`` over all the constants."""
+    f = alg.field
+    rows = [alg.unit()]
+    while True:
+        cur = alg.mult_vec(rows[-1], s)
+        if f.rank(np.stack(rows + [cur])) < len(rows) + 1:
+            x = f.solve(np.stack(rows).T, cur.reshape(-1, 1))
+            return _pnorm(f, [f.neg(x[i, 0]) for i in range(len(rows))]
+                          + [f.one])
+        rows.append(cur)
+
+
+def splitting_idempotent_by_mult_vec(S: FinDimAlgebra, rng) -> np.ndarray:
+    """``modules._splitting_idempotent`` with ``minpoly_by_mult_vec``."""
+    f = S.field
+    draws = (f.array([f.rand_el(rng) for _ in range(S.dim)])
+             for _ in range(32))
+    for svec in itertools.chain(draws, f.eye(S.dim)):
+        m = minpoly_by_mult_vec(S, svec)
+        split = _coprime_split(f, m, rng)
+        if split is None:
+            continue
+        e = _crt_idempotent(S, svec, m, *split)
+        if e is not None:
+            return e
+    raise NonSplitEndo("no splitting idempotent found")
 
 
 def top(M: Representation):
@@ -743,7 +825,7 @@ def preprojective_algebra_by_blocks(A, n: int,
     order = np.lexsort((k, j, i))
     idems = [np.concatenate([e, f.zeros(1, total_dim - adim)[0]])
              for e in base.idempotents]
-    return FinDimAlgebra(f, total_dim, None, idems, grading, constants=(
+    return FinDimAlgebra(f, total_dim, idems, grading, constants=(
         i[order], j[order], k[order], f.array(c[order])))
 
 
@@ -1016,6 +1098,15 @@ def corners_by_meet(B: FinDimAlgebra) -> dict:
             for i in range(m) for j in range(m)}
 
 
+def sum_rows(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """row_space of the rows of a and b, each possibly empty."""
+    if a.shape[0] == 0:
+        return f.row_space(b) if b.shape[0] else b
+    if b.shape[0] == 0:
+        return f.row_space(a)
+    return f.row_space(np.concatenate([a, b], axis=0))
+
+
 def arrows_by_meet(B: FinDimAlgebra):
     """``findim._arrows`` in dim B coordinates throughout: corners met with
     rad, rad^2 from dim-B-wide corner products, lifts picked among dim B
@@ -1057,7 +1148,7 @@ def arrows_by_meet(B: FinDimAlgebra):
                 ext = complement_rows(f, base, rows)
                 lifts.extend((r, dg) for r in ext)
                 if k < len(degrees) - 1:
-                    base = _sum_rows(f, base, ext)
+                    base = sum_rows(f, base, ext)
             for r, dg in lifts:
                 arrow_list.append((f"a{len(arrow_list) + 1}",
                                    vertices[i], vertices[j]))
@@ -1944,7 +2035,7 @@ def amiot_endomorphism_algebra(A, n: int, window_cap: int = 64,
             vec[t] = cvec[t]
         idems.append(vec)
 
-    alg = FinDimAlgebra(f, total, None, idems, grading, constants=(
+    alg = FinDimAlgebra(f, total, idems, grading, constants=(
         sparse_constants(f, (e for i in range(total) for e in products(i)))))
     alg.piece_dims = piece_dims
     return alg
@@ -2027,7 +2118,7 @@ def algebra_from_bqa_all_pairs(A) -> FinDimAlgebra:
              for v in range(A.quiver.n_vertices)]
     grading = [A.path_degree(p) for p in A.basis] \
         if A.arrow_degrees is not None else None
-    return FinDimAlgebra(f, A.dim, None, idems, grading, constants=(
+    return FinDimAlgebra(f, A.dim, idems, grading, constants=(
         sparse_constants(f, (
             (i, j, k, c) for i in range(A.dim) for j in range(A.dim)
             for k, c in sorted(A.mult_basis(i, j).items())))))

@@ -238,6 +238,23 @@ def test_preprojective_command_spec_format():
     assert A.quiver.n_arrows == 3
 
 
+@pytest.mark.parametrize("family, argv", [
+    (["linear_nakayama", "3"], ["analyze", "--n", "2"]),
+    (["linear_nakayama", "3"], ["check", "self-injective"]),
+    (["dynkin", "A2"], ["amiot-hom", "--n", "1"]),
+    (["dynkin", "A1"], ["gamma", "--n", "1"]),
+], ids=["analyze", "check", "amiot-hom", "gamma-zero"])
+def test_format_spec_without_an_algebra_is_refused(family, argv, capsys):
+    """--format spec writes an algebra's spec; where a command has none to
+    write (Gamma of A1 is 0), it exits 2 with an error line and prints
+    nothing on stdout."""
+    _, spec = _run(["family"] + family)
+    code, out = _run(argv + ["--format", "spec"], stdin_text=spec)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: --format spec ")
+
+
 def test_json_determinism():
     code, spec = _run(["family", "linear_nakayama", "3"])
     out1 = _run(["analyze", "--n", "2", "--seed", "7"], stdin_text=spec)[1]

@@ -28,8 +28,8 @@ from references import (SerreSteps, amiot_endomorphism_algebra,
                         elements_of_injective_map, hom_d, hom_delta,
                         hom_delta_entrywise, hom_total_spaces,
                         inj_resolve_complex, map_of_injective_elements,
-                        minimized_by_resolution, nakayama, nakayama_by_flip,
-                        nakayama_inv, nakayama_inv_by_flip,
+                        nakayama, nakayama_by_flip, nakayama_inv,
+                        nakayama_inv_by_flip,
                         next_neg_by_step_neg, op_element_by_reduce_path,
                         random_module, serre_n_power,
                         step_neg_by_injective_resolution, u_window)
@@ -799,10 +799,16 @@ def test_the_projective_route_matches_the_injective_references(field, data):
 
 
 def _same_minimized(ctx, C):
-    """minimized and next_neg of C match the routes through a resolution
-    of every complex and through the materialized step_neg, and next_neg
-    is minimized(step_neg)."""
-    _same_complex(ctx.minimized(C), minimized_by_resolution(ctx, C))
+    """minimized(C) has the summands in each degree and the cohomology at
+    each vertex of the minimized resolution of C by iterated cones; next_neg
+    of C matches the route through the materialized step_neg, and is
+    minimized(step_neg)."""
+    mini = ctx.minimized(C)
+    Q, _ = ref.proj_resolve_complex_by_cones(C, ctx.cap)
+    want = to_symbolic(Q).minimize()
+    assert {i: sorted(t.summands) for i, t in mini.terms.items()} == \
+        {i: sorted(vs) for i, vs in want.terms.items()}
+    assert _vertex_cohomology(mini) == _vertex_cohomology(want.materialize())
     got = ctx.next_neg(C)
     _same_complex(got, next_neg_by_step_neg(ctx, C))
     _same_complex(got, ctx.minimized(ctx.step_neg(C)))

@@ -636,3 +636,25 @@ def test_kernel_rref_pivots_are_the_greedy_picks_of_a_kernel_basis(field,
     assert field.equal(S[:, free], C)
     proj, units = field.kernel_rref(S[:, free])
     assert field.equal(K[units], complement_rows(field, field.row_space(S), K))
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rref_rows_are_the_kernel_rref_of_the_kernel(field, data):
+    """The nonzero rows of rref(G) and their pivots are kernel_rref of
+    kernel(G): both are the RREF of the row space of G, which is the
+    orthogonal of its kernel.  ``modules._end_rad`` reads End/rad off the
+    rref of the trace form this way.  Drawn G, square and symmetric like
+    that form or not, of every rank down to zero."""
+    n = data.draw(st.integers(1, 6))
+    rank = data.draw(st.integers(0, n))
+    a = _drawn_matrix(field, data, n, rank)
+    G = field.matmul(a, a.T) if data.draw(st.booleans()) else \
+        field.matmul(a, _drawn_matrix(field, data, rank,
+                                      data.draw(st.integers(1, 6))))
+    r, pivots = field.rref(G)
+    want, want_pivots = field.kernel_rref(field.kernel(G))
+    assert pivots == want_pivots
+    assert r[:len(pivots)].dtype == want.dtype
+    assert field.equal(r[:len(pivots)], want)

@@ -18,9 +18,9 @@ from quiveralg.preprojective import (end_algebra, preprojective_algebra,
                                      preprojective_module,
                                      stable_endomorphism)
 from references import (QuotientBasis, algebra_from_bqa_all_pairs,
-                        amiot_endomorphism_algebra, check_associativity,
-                        hom_quotient, meet, right_mult_matrix,
-                        vertex_labels_dense)
+                        algebra_from_rows, amiot_endomorphism_algebra,
+                        check_associativity, hom_quotient, meet,
+                        right_mult_matrix, vertex_labels_dense)
 from test_end_corners import _corpus
 from test_presentation import bound_quiver_algebras
 
@@ -115,8 +115,8 @@ def test_check_associativity_detects_non_associative_table():
     # e0 (e0 e0) = e0 e1 = 0
     f = GF(32003)
     # row j of mult(i) is e_i e_j: both rows have e_i e0 = e1, e_i e1 = 0
-    B = FinDimAlgebra(f, 2, lambda i: f.array([[0, 1], [0, 0]]),
-                      [f.eye(2)[0], f.eye(2)[1]])
+    B = algebra_from_rows(f, 2, lambda i: f.array([[0, 1], [0, 0]]),
+                          [f.eye(2)[0], f.eye(2)[1]])
     assert check_associativity(B) is False
 
 
@@ -155,7 +155,8 @@ def test_builders_pass_constants_in_the_row_format(make, field):
     for B in (preprojective_algebra(A, 2),
               end_algebra(A, preprojective_module(A, 2).summand_reps),
               algebra_from_bqa(A), amiot_endomorphism_algebra(A, 2)):
-        rows = FinDimAlgebra(field, B.dim, B.table, B.idempotents, B.grading)
+        rows = algebra_from_rows(field, B.dim, B.table, B.idempotents,
+                                 B.grading)
         for got, want in zip(rows.constants, B.constants):
             assert got.dtype == want.dtype
             assert got.tolist() == want.tolist()
@@ -224,8 +225,8 @@ def _spread_idempotent(B):
     def mult(a):
         return f.matmul(np.stack([B.mult_vec(new[a], y) for y in new]), back)
 
-    return FinDimAlgebra(f, B.dim, mult,
-                         [f.matmul(e[None], back)[0] for e in B.idempotents])
+    return algebra_from_rows(f, B.dim, mult, [f.matmul(e[None], back)[0]
+                                              for e in B.idempotents])
 
 
 @pytest.mark.parametrize("label, make, n", [

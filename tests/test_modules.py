@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from quiveralg.modules import (Representation, _has_iso, coregular, decompose,
 from quiveralg.quivers import PathElement, Path, Quiver, complete_basis
 from quiveralg.preprojective import preprojective_module
 from references import (_generated_submodule_spaces, dual_by_transpose,
-                        indecomposables_isomorphic, injective_envelope,
-                        map_from_projectives_by_paths, projectives_sum_fresh,
+                        end_rad_by_compositions, indecomposables_isomorphic,
+                        injective_envelope, map_from_projectives_by_paths,
+                        minpoly_by_mult_vec, projectives_sum_fresh,
                         quotient_by_complement, random_module,
+                        splitting_idempotent_by_mult_vec,
                         subrepresentation_by_solve, top)
 from test_end_corners import _corpus
 from test_presentation import bound_quiver_algebras
@@ -703,6 +706,97 @@ def test_decompose_checks_each_product_against_its_end_coordinates(
                         lambda f, flat: np.argmax(flat != f.zero, axis=1))
     with pytest.raises(AssertionError, match="not in End"):
         decompose(M)
+
+
+def _assert_end_rad_as_by_compositions(M):
+    """For M and every module that decompose(M) splits on the way: End/rad
+    from constants has the constants, idempotents and units of the route
+    that composes every pair of picks; a drawn element and each basis
+    element have the minimal polynomial that ``mult_vec`` powers give; and
+    the splitting idempotent is the one that route finds from the same
+    generator state, or both routes raise."""
+    found, splits = [], {}
+    real_end_rad, real_split = modules._end_rad, modules._splitting_idempotent
+
+    def end_rad(N, basis):
+        found.append((N, basis, real_end_rad(N, basis)))
+        return found[-1][2]
+
+    def split(S, rng):
+        state = rng.getstate()
+        try:
+            splits[id(S)] = (state, real_split(S, rng))
+        except NonSplitEndo:
+            splits[id(S)] = (state, None)
+            raise
+        return splits[id(S)][1]
+
+    with mock.patch.object(modules, "_end_rad", side_effect=end_rad), \
+            mock.patch.object(modules, "_splitting_idempotent",
+                              side_effect=split):
+        try:
+            decompose(M)
+        except NonSplitEndo:
+            pass
+    assert found
+    for N, basis, got in found:
+        want = end_rad_by_compositions(N, basis)
+        if want is None:
+            assert got is None
+            continue
+        (S, units), (R, want_units) = got, want
+        f = S.field
+        assert units == want_units and S.dim == R.dim
+        for x, y in zip(S.constants + tuple(S.idempotents),
+                        R.constants + tuple(R.idempotents)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        rng = random.Random(S.dim)
+        for s in [f.array([f.rand_el(rng) for _ in range(S.dim)])] + \
+                list(f.eye(S.dim)):
+            assert modules._minpoly_in(S, s) == minpoly_by_mult_vec(R, s)
+        state, idem = splits[id(S)]
+        rng.setstate(state)
+        try:
+            ref = splitting_idempotent_by_mult_vec(R, rng)
+        except NonSplitEndo:
+            ref = None
+        assert (idem is None) == (ref is None)
+        assert idem is None or np.array_equal(idem, ref)
+
+
+@pytest.mark.parametrize("make, n", [
+    pytest.param(make, n, id=label) for label, make, n in _corpus(F)])
+def test_end_rad_from_constants_is_the_composition_route_on_the_orbit(make,
+                                                                      n):
+    """On tau_n^{-i} A for each i, over the corpus algebras."""
+    A = make()
+    for M in preprojective_module(A, n).orbit:
+        if not M.is_zero():
+            _assert_end_rad_as_by_compositions(M)
+
+
+def _drawn_sum(field, data, gens):
+    """M + N + M for modules M and N drawn over a drawn algebra, each a
+    quotient of a sum of at most ``gens`` projectives."""
+    A = data.draw(bound_quiver_algebras(field))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    M, N = random_module(A, rng, gens), random_module(A, rng, gens)
+    return direct_sum([M, N, M])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_end_rad_from_constants_is_the_composition_route_on_drawn_modules(
+        data):
+    _assert_end_rad_as_by_compositions(_drawn_sum(F, data, 3))
+
+
+# over Q the repeated summand makes End/rad a matrix algebra whose drawn
+# elements rarely split, so most splits try all 32 draws, on Fractions
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_end_rad_from_constants_is_the_composition_route_over_q(data):
+    _assert_end_rad_as_by_compositions(_drawn_sum(QQ, data, 2))
 
 
 @FIELDS

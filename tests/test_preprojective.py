@@ -12,17 +12,16 @@ from quiveralg.exactla import GF, QQ
 from quiveralg.families import (auslander_algebra, canonical_2222,
                                 dynkin_path_algebra, higher_auslander_chain,
                                 linear_nakayama, thm39_type2)
-from quiveralg.findim import (FinDimAlgebra, quiver_presentation,
-                              vertex_labels)
+from quiveralg.findim import quiver_presentation, vertex_labels
 from quiveralg.homology import min_proj_resolution, tau_n_inv
 from quiveralg.modules import (coregular, direct_sum, map_from_projectives,
                                projective, regular, simple)
 from quiveralg.preprojective import (ext_bimodule, preprojective_algebra,
                                      preprojective_module, stable_endomorphism)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import (QuotientBasis, action_entries, check_associativity,
-                        dense_actions, ext_by_cocycles, left_mult_map,
-                        left_mult_on_coregular,
+from references import (QuotientBasis, action_entries, algebra_from_rows,
+                        check_associativity, dense_actions, ext_by_cocycles,
+                        left_mult_map, left_mult_on_coregular,
                         preprojective_algebra_by_blocks, stable_hom)
 
 F = GF(32003)
@@ -418,7 +417,7 @@ def _reference(make, n, field):
     idems = [f.eye(total)[k] for v in range(A.quiver.n_vertices)
              for k in A.idempotent(v)]
     grading = [gi for gi, d in enumerate(dims) for _ in range(d)]
-    return A, FinDimAlgebra(f, total, mult, idems, grading), Ws
+    return A, algebra_from_rows(f, total, mult, idems, grading), Ws
 
 
 def _same_constants(B, C):

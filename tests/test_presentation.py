@@ -9,16 +9,16 @@ from quiveralg import findim, quivers
 from quiveralg.errors import NotBasic
 from quiveralg.exactla import GF, QQ, complement_rows
 from quiveralg.families import linear_nakayama, thm39_type2
-from quiveralg.findim import (FinDimAlgebra, _sum_rows, algebra_from_bqa,
-                              quiver_presentation)
+from quiveralg.findim import algebra_from_bqa, quiver_presentation
 from quiveralg.modules import is_isomorphic, projective, simple
 from quiveralg.preprojective import (end_algebra, preprojective_algebra,
                                      stable_endomorphism)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import (QuotientBasis, amiot_endomorphism_algebra,
-                        arrows_by_meet, complete_basis_by_scan,
-                        corners_by_meet, ideal_span, is_homog, meet,
-                        radical_rows, right_mult_matrix)
+from references import (QuotientBasis, algebra_from_rows,
+                        amiot_endomorphism_algebra, arrows_by_meet,
+                        complete_basis_by_scan, corners_by_meet, ideal_span,
+                        is_homog, meet, radical_rows, right_mult_matrix,
+                        sum_rows)
 
 F = GF(32003)
 
@@ -63,7 +63,7 @@ def test_matrix_algebra_with_only_the_unit_rejected():
             row[2 * b + d, 2 * a + d] = F.one
         return row
 
-    B = FinDimAlgebra(F, 4, mult, [F.array([1, 0, 0, 1])])
+    B = algebra_from_rows(F, 4, mult, [F.array([1, 0, 0, 1])])
     with pytest.raises(NotBasic, match="dimension 4, not 1"):
         quiver_presentation(B)
 
@@ -183,7 +183,7 @@ def _reference_presentation(B, cap=64):
                         continue
                     ext = complement_rows(f, base, np.stack(rows))
                     picked.extend((r, dg) for r in ext)
-                    base = _sum_rows(f, base, ext)
+                    base = sum_rows(f, base, ext)
                 assert len(picked) == lifts.shape[0]
             for r, dg in picked:
                 arrow_list.append((f"a{len(arrow_list) + 1}", vertices[i],
@@ -401,8 +401,8 @@ def test_basis_that_is_not_vertex_adapted_is_refused(field):
             P = f.add(P, f.smul(T[i, a], B.table(a)))
         return f.matmul(f.matmul(T, P), Tinv)
 
-    C = FinDimAlgebra(f, B.dim, mult,
-                      [f.matmul(e[None, :], Tinv)[0] for e in B.idempotents])
+    C = algebra_from_rows(f, B.dim, mult, [f.matmul(e[None, :], Tinv)[0]
+                                           for e in B.idempotents])
     with pytest.raises(ValueError, match=r"vertex \d does not act on the "
                                          "basis by a 0/1 diagonal matrix"):
         quiver_presentation(C)
