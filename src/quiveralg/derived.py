@@ -37,12 +37,11 @@ from itertools import count
 import numpy as np
 
 from .errors import AboveCapError, TermNotProjective, WindowInconclusive
-from .homology import (elements_of_map, gldim_at_most, map_of_elements,
-                       transpose_entries)
+from .homology import (_gen_offsets, _hom_apply, elements_of_map,
+                       gldim_at_most, map_of_elements, transpose_entries)
 from .modules import (ModuleMap, Representation, direct_sum, dual,
-                      kernel_subrepresentation, map_from_projectives,
-                      op_algebra, projective_cover, projectives_sum, regular,
-                      zero_rep)
+                      kernel_subrepresentation, op_algebra, projective_cover,
+                      projectives_sum, regular, zero_rep)
 from .quivers import BoundQuiverAlgebra, Path
 
 __all__ = ["ComplexOfModules", "ChainMap", "module_complex",
@@ -224,56 +223,65 @@ def dual_complex(X: ComplexOfModules) -> ComplexOfModules:
 # projective resolution of a bounded complex, from the top degree down
 # ---------------------------------------------------------------------------
 
-def _strict_lift(C: ComplexOfModules, f_map: ChainMap,
-                 eps: ChainMap) -> ChainMap:
-    """Strict chain lift g: C -> P of f: C -> X through a degreewise
-    surjective quasi-isomorphism eps: P -> X (C bounded, projective terms).
-    Built descending from the top degree: the generator images of all
-    slots at one vertex solve one [d_P; eps]-stacked system, one column
-    per slot, each column getting the solution it would get alone."""
-    P = eps.source
-    X = eps.target
+def _side_by_side(fld, m: np.ndarray | None, off: np.ndarray, slots: list,
+                  rows: int, k: int) -> np.ndarray:
+    """The k columns of generator images of each of ``slots`` in ``m``,
+    side by side (zero when ``m`` is None): one block per vertex."""
+    if m is None:
+        return fld.zeros(rows, len(slots) * k)
+    return np.concatenate([m[off[s]:off[s + 1]] for s in slots], axis=1)
+
+
+def _strict_lift(C: ComplexOfModules, eps: ChainMap,
+                 targets: dict[int, np.ndarray], k: int
+                 ) -> dict[int, np.ndarray]:
+    """Strict chain lifts g_j: C -> P of k chain maps f_j: C -> X through a
+    degreewise surjective quasi-isomorphism eps: P -> X (C bounded, with
+    tagged projective sums as terms).  Column j of ``targets[i]`` holds the
+    generator images of f_j^i in X^i (``homology._gen_offsets``; a missing
+    degree is zero), and column j of the result's entry i those of g_j^i
+    in P^i, for each nonzero term of C.
+
+    Built descending from the top degree, carrying only generator images:
+    those of g^{i+1} d_C are Hom(d_C, P^{i+1}) applied to those of g^{i+1},
+    and at each vertex the images of every slot there and every map solve
+    one [d_P; eps]-stacked system, each column getting the solution it
+    would get alone.  A single map is the case k = 1."""
+    P, X = eps.source, eps.target
     fld = C.algebra.field
-    parts: dict[int, ModuleMap] = {}
+    gens: dict[int, np.ndarray] = {}
     for i in range(C.hi, C.lo - 1, -1):
         Ct = C.term(i)
         if Ct.total_dim == 0:
             continue
-        Pt = P.term(i)
-        gen_images = [None] * len(Ct.summands)
-        dP = P.diffs.get(i)
-        gnext = parts.get(i + 1)
-        dC = C.diffs.get(i)
-        fi = f_map.parts.get(i)
+        Pt, Pn, Xt = P.term(i), P.term(i + 1), X.term(i)
+        goff, hoff, toff = (_gen_offsets(Ct, N) for N in (Pt, Pn, Xt))
+        g = gens[i] = fld.zeros(int(goff[-1]), k)
+        if not Pt.total_dim:
+            continue
+        dP, dC = P.diffs.get(i), C.diffs.get(i)
+        # the generator images of g^{i+1} d_C, the targets under d_P
+        h = _hom_apply(dC, Pn, gens[i + 1]) \
+            if dC is not None and i + 1 in gens else None
+        t = targets.get(i)
         for v in dict.fromkeys(Ct.summands):
             slots = [s for s, w in enumerate(Ct.summands) if w == v]
-            cols = [Ct.offsets[s][v] for s in slots]
-            if not Pt.total_dim:
-                x = fld.zeros(0, len(slots))
-            else:
-                # the targets: f under eps, h = g_{i+1} d_C under d_P
-                tvec = fi.blocks[v][:, cols] if fi is not None else \
-                    fld.zeros(X.term(i).dims[v], len(slots))
-                if dC is not None and gnext is not None:
-                    hvec = fld.matmul(gnext.blocks[v], dC.blocks[v][:, cols])
-                else:
-                    hvec = fld.zeros(P.term(i + 1).dims[v], len(slots))
-                rows, rhs = [], []
-                if dP is not None:
-                    rows.append(dP.blocks[v])
-                    rhs.append(hvec)
-                elif np.count_nonzero(hvec):
-                    raise AssertionError("no differential to hit")
-                rows.append(eps.parts[i].blocks[v] if i in eps.parts else
-                            fld.zeros(X.term(i).dims[v], Pt.dims[v]))
-                rhs.append(tvec)
-                x = fld.solve(np.concatenate(rows, axis=0),
-                              np.concatenate(rhs, axis=0))
-                assert x is not None, "comparison lift system must be solvable"
-            for k, s in enumerate(slots):
-                gen_images[s] = x[:, k:k + 1]
-        parts[i] = map_from_projectives(Ct, Pt, gen_images)
-    return ChainMap(C, P, parts)
+            hvec = _side_by_side(fld, h, hoff, slots, Pn.dims[v], k)
+            rows, rhs = [], []
+            if dP is not None:
+                rows.append(dP.blocks[v])
+                rhs.append(hvec)
+            elif np.count_nonzero(hvec):
+                raise AssertionError("no differential to hit")
+            rows.append(eps.parts[i].blocks[v] if i in eps.parts else
+                        fld.zeros(Xt.dims[v], Pt.dims[v]))
+            rhs.append(_side_by_side(fld, t, toff, slots, Xt.dims[v], k))
+            x = fld.solve(np.concatenate(rows, axis=0),
+                          np.concatenate(rhs, axis=0))
+            assert x is not None, "comparison lift system must be solvable"
+            for j, s in enumerate(slots):
+                g[goff[s]:goff[s + 1]] = x[:, j * k:(j + 1) * k]
+    return gens
 
 
 def _cone_block(phi: ChainMap, i: int, v: int) -> np.ndarray:

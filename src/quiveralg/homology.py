@@ -8,9 +8,11 @@ the higher translates are tau_n = D Tr Omega^{n-1} and
 tau_n^- = tau^- Omega^{-(n-1)} = Tr Omega^{n-1} D.
 
 A map between sums of indecomposable projectives is a matrix of algebra
-elements.  ``elements_of_map`` reads that matrix off the blocks of a map
-between tagged projective sums and ``map_of_elements`` writes it back;
-no other code knows that layout.  ``transpose_entries`` turns the
+elements.  ``_slot_paths`` gives the slot and basis path at each position
+of a tagged projective sum, and ``_gen_offsets`` where each slot's
+generator image starts in a map out of it; ``elements_of_map`` reads the
+matrix off the blocks of a map between tagged projective sums and
+``map_of_elements`` writes it back.  ``transpose_entries`` turns the
 entries of d into those of Hom_A(d, A) over A^op.  Maps between tagged
 injective sums are the k-duals of maps between tagged projective sums
 over A^op, and the Nakayama functor is nu = D Hom(-, A): the transpose
@@ -77,6 +79,24 @@ class ProjResolution:
 # maps between tagged sums as matrices of algebra elements
 # ---------------------------------------------------------------------------
 
+def _slot_paths(P: Representation, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slot and the basis path (its index in the algebra's basis) at
+    each position of the tagged projective sum P at vertex v: slot after
+    slot, each slot's paths in ``basis_between`` order."""
+    between = [P.algebra.basis_between(c, v) for c in P.summands]
+    slots = np.repeat(np.arange(len(between), dtype=np.int64),
+                      [len(b) for b in between])
+    paths = np.array([b for bs in between for b in bs], dtype=np.int64)
+    return slots, paths
+
+
+def _gen_offsets(P: Representation, N: Representation) -> np.ndarray:
+    """Where the generator image of each slot of the tagged projective sum
+    P starts in a map P -> N: the images are vectors of N at the slots'
+    vertices, slot after slot."""
+    return np.cumsum([0] + [N.dims[v] for v in P.summands])
+
+
 def elements_of_map(A: BoundQuiverAlgebra, d: ModuleMap,
                     src: Representation, tgt: Representation
                     ) -> dict[tuple[int, int], dict]:
@@ -86,18 +106,15 @@ def elements_of_map(A: BoundQuiverAlgebra, d: ModuleMap,
     e_c A e_b, in basis coordinates, by which that component e_b A -> e_c A
     multiplies on the left.  It is read off the image of the generator of
     slot u: one column of the block at b, which holds every target slot."""
-    # at each vertex v: the slot and basis path of each position of tgt
     where = {}
     found = {}
     for u, bu in enumerate(src.summands):
         line = d.blocks[bu][:, src.offsets[u][bu]]
         if bu not in where:
-            where[bu] = {tgt.offsets[w][bu] + k: (w, b)
-                         for w, cw in enumerate(tgt.summands)
-                         for k, b in enumerate(A.basis_between(cw, bu))}
+            where[bu] = [a.tolist() for a in _slot_paths(tgt, bu)]
+        slots, paths = where[bu]
         for k in line.nonzero()[0]:
-            w, b = where[bu][k]
-            found.setdefault((w, u), {})[b] = line[k]
+            found.setdefault((slots[k], u), {})[paths[k]] = line[k]
     return found
 
 
@@ -175,19 +192,48 @@ def syzygy(M: Representation, i: int) -> Representation:
 # Ext groups via Hom(resolution, N) in Yoneda coordinates
 # ---------------------------------------------------------------------------
 
+def _act_columns(N: Representation, elem: dict, y: np.ndarray,
+                 acc: np.ndarray) -> np.ndarray:
+    """acc plus c p y for each term c p of the algebra element ``elem``:
+    p acts on the columns y, vectors of N at its source, arrow by arrow."""
+    f = N.field
+    for b, c in elem.items():
+        z = y
+        for a in N.algebra.basis[b].arrows:
+            z = f.matmul(N.action[a], z)
+        acc = f.add(acc, f.smul(f.el(c), z))
+    return acc
+
+
 def hom_matrix(d: ModuleMap, N: Representation) -> np.ndarray:
     """Hom(d, N): Hom(P0, N) -> Hom(P1, N), y -> y d, for a map d: P1 -> P0
     between tagged projective sums.  A map out of a tagged projective sum
-    is given by its generator images, one vector of N at the vertex of each
-    slot, concatenated; the matrix acts on such columns."""
+    is given by its generator images (``_gen_offsets``); the matrix acts
+    on such columns, and its block (u, w) is the entry (w, u) of d acting
+    on N."""
     P1, P0 = d.source, d.target
-    roff = np.cumsum([0] + [N.dims[v] for v in P1.summands])
-    coff = np.cumsum([0] + [N.dims[v] for v in P0.summands])
-    m = N.field.zeros(int(roff[-1]), int(coff[-1]))
+    f = N.field
+    roff, coff = _gen_offsets(P1, N), _gen_offsets(P0, N)
+    m = f.zeros(int(roff[-1]), int(coff[-1]))
     for (w, u), elem in elements_of_map(N.algebra, d, P1, P0).items():
-        m[roff[u]:roff[u + 1], coff[w]:coff[w + 1]] = \
-            N.act_element(elem, P0.summands[w], P1.summands[u])
+        rows, cols = slice(roff[u], roff[u + 1]), slice(coff[w], coff[w + 1])
+        m[rows, cols] = _act_columns(N, elem, f.eye(N.dims[P0.summands[w]]),
+                                     m[rows, cols])
     return m
+
+
+def _hom_apply(d: ModuleMap, N: Representation, ys: np.ndarray
+               ) -> np.ndarray:
+    """``hom_matrix(d, N) @ ys`` without the matrix: the generator images
+    of y d for each column y of ``ys``, each entry (w, u) of d acting on
+    the images of slot w and adding to those of slot u."""
+    P1, P0 = d.source, d.target
+    roff, coff = _gen_offsets(P1, N), _gen_offsets(P0, N)
+    out = N.field.zeros(int(roff[-1]), ys.shape[1])
+    for (w, u), elem in elements_of_map(N.algebra, d, P1, P0).items():
+        rows = slice(roff[u], roff[u + 1])
+        out[rows] = _act_columns(N, elem, ys[coff[w]:coff[w + 1]], out[rows])
+    return out
 
 
 def ext(M: Representation, N: Representation, i: int,

@@ -93,16 +93,6 @@ class Representation:
             m = self.field.matmul(self.action[a], m)
         return m
 
-    def act_element(self, elem: dict[int, object], source: int,
-                    target: int) -> np.ndarray:
-        """Matrix of an algebra element supported on paths source->target."""
-        f = self.field
-        acc = f.zeros(self.dims[target], self.dims[source])
-        for bidx, c in elem.items():
-            p = self.algebra.basis[bidx]
-            acc = f.add(acc, f.smul(f.el(c), self.act_word(p.arrows, p.source)))
-        return acc
-
 
 class ModuleMap:
     def __init__(self, source: Representation, target: Representation,
@@ -486,11 +476,6 @@ def dual(M: Representation) -> Representation:
         return make(op_algebra(M.algebra), M.summands)
     return Representation(op_algebra(M.algebra), M.dims,
                           [m.T.copy() for m in M.action])
-
-
-def dual_map(phi: ModuleMap) -> ModuleMap:
-    return ModuleMap(dual(phi.target), dual(phi.source),
-                     [b.T.copy() for b in phi.blocks])
 
 
 def radical_series(M: Representation):

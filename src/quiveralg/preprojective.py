@@ -4,11 +4,11 @@ The bimodule E = Ext^n(D A, A) is computed from a minimal resolution of
 D A with its two A-actions realized exactly: the left action by
 postcomposition with left multiplication on the regular module, the
 right action by precomposition with a comparison lift of left
-multiplication on D A.  Left multiplication on A is the map of tagged
-projective sums that ``homology.map_of_elements`` writes from its one
-entry; on D A it is the k-dual of its transpose over A^op, and
-``derived._strict_lift`` lifts it along the resolution.
-Only the trivial paths and the arrows take that route; every longer
+multiplication on D A.  Both multiplications are read off structure
+constants: on A those of A, on D A, the k-dual of regular(A^op), those of
+A^op.  ``derived._strict_lift`` lifts the multiplications by all the
+trivial paths and arrows along the resolution at once, with one solve per
+degree and vertex, and keeps only their generator images.  Every longer
 basis path acts by the product of its prefix's and its last arrow's
 actions, each kept as the nonzero entries of its matrix.
 
@@ -32,16 +32,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .derived import (ChainMap, _strict_lift, module_complex,
-                      proj_resolve_complex)
+from .derived import _strict_lift, module_complex, proj_resolve_complex
 from .errors import NotTauFinite
-from .findim import (FinDimAlgebra, algebra_from_bqa, sparse_entries,
-                     sparse_join, vertex_labels)
-from .homology import (gldim_at_most, hom_matrix, map_of_elements,
-                       tau_n_orbit, transpose_entries)
+from .findim import (FinDimAlgebra, _scatter, algebra_from_bqa,
+                     sparse_entries, sparse_join, vertex_labels)
+from .homology import (_gen_offsets, _slot_paths, gldim_at_most, hom_matrix,
+                       op_element, tau_n_orbit)
 from .modules import (ModuleMap, Representation, _free_columns, coregular,
-                      decompose, dual_map, hom_space, op_algebra,
-                      projective, regular)
+                      decompose, hom_space, op_algebra, projective, regular)
 from .quivers import BoundQuiverAlgebra, Path, trivial
 
 __all__ = ["ExtBimodule", "ext_bimodule", "PreprojectiveSplit",
@@ -59,10 +57,11 @@ class ExtBimodule:
 
     ``left`` and ``right`` are the entries (b, y', y, c) of the left and
     right actions, in order of b: b y, or y b, has c at y'.  Only the
-    trivial paths and the arrows go through the resolution; each longer
-    path p = p' a gets its entries from its prefix's, L_p = L_{p'} L_a
-    and R_p = R_a R_{p'}.  The basis of E is vertex-adapted: each vertex
-    idempotent acts on either side by a 0/1 diagonal matrix.
+    trivial paths and the arrows go through the resolution, all in one
+    batched lift; each longer path p = p' a gets its entries from its
+    prefix's, L_p = L_{p'} L_a and R_p = R_a R_{p'}.  The basis of E is
+    vertex-adapted: each vertex idempotent acts on either side by a 0/1
+    diagonal matrix.
     """
     algebra: BoundQuiverAlgebra
     n: int
@@ -71,23 +70,26 @@ class ExtBimodule:
     right: tuple
 
 
-def _path_actions(A: BoundQuiverAlgebra, dim: int, action, left: bool
-                  ) -> tuple:
+def _path_actions(A: BoundQuiverAlgebra, dim: int, short: list[int],
+                  entries: tuple, left: bool) -> tuple:
     """The entries (b, y', y, c), in order of b, of every basis path b
     acting on one side of a bimodule of dimension ``dim``.
 
-    ``action(b)`` gives the matrix of a trivial path or an arrow.  A longer
-    basis path p = p' a follows its prefix p' in the basis, and its
-    entries are one product joined on the middle index: L_{p'} L_a on the
-    left, R_a R_{p'} on the right."""
+    ``entries`` (e, y', y, c), in order of e, give the action of the
+    trivial path or arrow ``short[e]``.  A longer basis path p = p' a
+    follows its prefix p' in the basis, and its entries are one product
+    joined on the middle index: L_{p'} L_a on the left, R_a R_{p'} on the
+    right."""
     f = A.field
     q = A.quiver
+    e, *rest = entries
+    cuts = np.searchsorted(e, np.arange(len(short) + 1))
+    given = {b: tuple(a[lo:hi] for a in rest)
+             for b, lo, hi in zip(short, cuts, cuts[1:])}
     acts: list[tuple] = []
     for b, p in enumerate(A.basis):
         if len(p.arrows) < 2:
-            mat = action(b)
-            y2, y = np.nonzero(mat != f.zero)
-            acts.append((y2, y, mat[y2, y]))
+            acts.append(given[b])
             continue
         pre = acts[A.bindex[Path(p.source, p.arrows[:-1])]]
         last = acts[A.bindex[Path(q.source(p.arrows[-1]), p.arrows[-1:])]]
@@ -98,78 +100,141 @@ def _path_actions(A: BoundQuiverAlgebra, dim: int, action, left: bool
     return (b,) + tuple(np.concatenate(a) for a in zip(*acts))
 
 
-def _ext_actions(A: BoundQuiverAlgebra, n: int):
-    """dim Ext^n(D A, A) and two functions giving the left and the right
-    action matrix of one basis element through the resolution of D A
-    (0 and 0 x 0 matrices when Ext vanishes).
+def _regular_coords(B: BoundQuiverAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """``pos``, the coordinate of each basis path of B in ``regular(B)`` at
+    its target vertex, and ``at``, the basis path at each (vertex,
+    coordinate)."""
+    R = regular(B)
+    pos = np.zeros(B.dim, dtype=np.int64)
+    at = np.full((B.quiver.n_vertices, max(R.dims, default=0)), -1)
+    for v in range(B.quiver.n_vertices):
+        paths = _slot_paths(R, v)[1]
+        pos[paths] = np.arange(len(paths))
+        at[v, :len(paths)] = paths
+    return pos, at
+
+
+def _lift_targets(A: BoundQuiverAlgebra, paths: list[int], P0, eps0
+                  ) -> np.ndarray:
+    """Column e: the generator images in D A of lam eps_0, for lam the left
+    multiplication by ``paths[e]`` on D A and eps_0: P_0 -> D A the cover.
+
+    D A = coregular(A) is D regular(A^op), so lam at vertex v is the
+    transpose of left multiplication by op(b) on regular(A^op): its entry
+    (x, c) is the coefficient of c in op(b) x, read off the constants of
+    A^op.  The image of slot s is lam applied to phi_s, its image under
+    eps_0."""
+    f = A.field
+    Aop = op_algebra(A)
+    ci, cj, ck, cc = algebra_from_bqa(Aop).constants
+    pos, _ = _regular_coords(Aop)
+    ends = np.array([p.target(Aop.quiver) for p in Aop.basis], dtype=np.int64)
+    # op(b) of each element, in A^op coordinates
+    oe, oi, oc = (np.array(a) for a in zip(*[
+        (e, i, c) for e, b in enumerate(paths)
+        for i, c in op_element(A, {b: f.one}).items()]))
+    s, t = sparse_join(oi, ci)
+    e, col, row = oe[s], pos[cj[t]], pos[ck[t]]
+    coef = f.reduce(oc[s] * cc[t])
+    # each entry of lam at vertex v, on phi_s for each slot s at v
+    toff = _gen_offsets(P0, eps0.target)
+    phis = np.concatenate([f.zeros(0, 1)[:, 0]] + [
+        eps0.blocks[w][:, P0.offsets[slot][w]]
+        for slot, w in enumerate(P0.summands)])
+    u, slot = sparse_join(ends[cj[t]], np.array(P0.summands))
+    return _scatter(f, f.zeros(int(toff[-1]), len(paths)),
+                    (toff[slot] + col[u], e[u]),
+                    coef[u] * phis[toff[slot] + row[u]])
+
+
+def _ext_actions(A: BoundQuiverAlgebra, n: int, paths: list[int]):
+    """dim Ext^n(D A, A) and the entries (e, y', y, c), in order of
+    (e, y', y), of the left and the right action of each basis path
+    ``paths[e]`` (no entries when Ext vanishes).
 
     D A is resolved as a complex P, with P_j in degree -j.  gldim A <= n,
     so P ends at P_n and every cochain in Hom(P_n, A) is a cocycle: E is
     the cochains modulo the coboundaries, and one ``kernel_rref`` of the
     coboundaries gives the class of each cochain on the unit cochains at
-    its pivots, the basis of E.
+    its pivots, the basis of E.  The unit cochain y sends the generator of
+    one slot t to one basis path q of A and the others to 0.
 
-    Left multiplication by a basis path b in e_s A e_t is the map with the
-    one entry b from slot t to slot s on A = regular(A), where slot v is
-    vertex v; on D A = coregular(A) it is D Hom(-, A) of that map."""
+    The left action of b is postcomposition with left multiplication by b
+    on A: b y sends slot t to b q.  The right action of b is precomposition
+    with the chain map g_b: P -> P over left multiplication by b on D A:
+    y g_b sends slot s to the sum of q p over the terms p of the image of
+    the generator of s in slot t.  ``derived._strict_lift`` lifts every
+    b at once and returns only the generator images of the g_b.  Both
+    products are read off the structure constants of A, each image is
+    kept only where it is nonzero, and one product with the projection
+    onto E gives the classes of all of them."""
     gldim_at_most(A, n)
     f = A.field
-    DL = coregular(A)
-    R = regular(A)
-    Aop = op_algebra(A)
-    Rop = regular(Aop)  # its dual is DL itself
-    P, eps = proj_resolve_complex(module_complex(DL))
-    vanishing = 0, *[lambda b: f.zeros(0, 0)] * 2
+    none = (np.zeros(0, dtype=np.int64),) * 3 + (f.zeros(1, 0)[0],)
+    P, eps = proj_resolve_complex(module_complex(coregular(A)))
     if P.lo > -n:
-        return vanishing
+        return 0, none, none
     assert P.lo == -n, "the resolution of D A must end at P_n"
-    Pn = P.term(-n)
+    Pn, R = P.term(-n), regular(A)
     # the columns of the generator image of each slot of P_n in a cochain
-    offs = np.cumsum([0] + [R.dims[v] for v in Pn.summands])
+    offs = _gen_offsets(Pn, R)
     cob = hom_matrix(P.diffs[-n], R).T if n else \
         f.zeros(0, int(offs[-1]))
     proj, units = f.kernel_rref(cob)
     dim = len(units)
     if dim == 0:
-        return vanishing
-    basis_rows = f.zeros(dim, int(offs[-1]))
-    basis_rows[np.arange(dim), units] = f.one
+        return 0, none, none
+    k = len(paths)
+    ci, cj, ck, cc = algebra_from_bqa(A).constants
+    pos, at = _regular_coords(A)
+    slots = np.array(Pn.summands, dtype=np.int64)
+    ut = np.searchsorted(offs, units, side="right") - 1
+    uq = at[slots[ut], units - offs[ut]]
+    elem = np.full(A.dim, -1)
+    elem[paths] = np.arange(k)
 
-    def mult(b: int) -> dict:
-        # the one entry of left multiplication by b, from slot t to slot s
-        p = A.basis[b]
-        return {(p.source, p.target(A.quiver)): {b: f.one}}
+    # left: the constants b q, for b an element and q a unit's path
+    s, y = sparse_join(cj[elem[ci] >= 0], uq)
+    sel = np.flatnonzero(elem[ci] >= 0)[s]
+    left = (elem[ci[sel]], y, offs[ut[y]] + pos[ck[sel]], cc[sel])
 
-    def action(images: np.ndarray) -> np.ndarray:
-        """Matrix whose column r is the class of row r of `images`."""
-        return f.matmul(proj, images.T)
+    # right: in the generator images of the g_b at P_n, row r is the
+    # coefficient of p gen_t in the image of gen_s, for (s, t, p) = (rs[r],
+    # rt[r], rp[r]); a unit of slot t sends p gen_t to q p.  Its values are
+    # reduced before the product with proj: over GF(p) an int64 holds a
+    # product of two field elements, not of three
+    gens = _strict_lift(P, eps, {0: _lift_targets(A, paths, P.term(0),
+                                                   eps.parts[0])}, k)[-n]
+    layout = {v: _slot_paths(Pn, v) for v in dict.fromkeys(Pn.summands)}
+    rs = np.repeat(np.arange(len(Pn.summands)),
+                   [Pn.dims[v] for v in Pn.summands])
+    rt, rp = (np.concatenate([layout[v][h] for v in Pn.summands])
+              for h in (0, 1))
+    r, e = np.nonzero(gens != f.zero)
+    s, y = sparse_join(rt[r], ut)
+    r, e = r[s], e[s]
+    s, j = sparse_join(uq[y] * A.dim + rp[r], ci * A.dim + cj)
+    right = (e[s], y[s], offs[rs[r[s]]] + pos[ck[j]],
+             f.reduce(gens[r[s], e[s]] * cc[j]))
 
-    def left(b: int) -> np.ndarray:
-        # postcompose with left multiplication on R, slot by slot
-        lm = map_of_elements(A, mult(b), R, R)
-        images = f.zeros(dim, int(offs[-1]))
-        for s, v in enumerate(Pn.summands):
-            images[:, offs[s]:offs[s + 1]] = f.matmul(
-                basis_rows[:, offs[s]:offs[s + 1]], lm.blocks[v].T)
-        return action(images)
-
-    def right(b: int) -> np.ndarray:
-        # precompose with the lift of left multiplication lam on D(A),
-        # the k-dual of its transpose on A^op: the chain map P -> P over
-        # lam eps
-        lam = dual_map(map_of_elements(Aop, transpose_entries(A, mult(b)),
-                                       Rop, Rop))
-        lift = _strict_lift(P, ChainMap(P, eps.target, {
-            0: eps.parts[0].compose(lam)}), eps)
-        return action(f.matmul(basis_rows, hom_matrix(lift.parts[-n], R).T))
-
-    return dim, left, right
+    # one product with proj for the images of both sides, term by term:
+    # the entry (y', col) of proj sends the image entry (y, col) to y'
+    side = np.repeat([0, 1], [len(left[0]), len(right[0])])
+    e, y, col, val = (np.concatenate(a) for a in zip(left, right))
+    pr, pc = np.nonzero(proj != f.zero)
+    s, t = sparse_join(col, pc)
+    key, y, c = sparse_entries(f, dim, (side[s] * k + e[s]) * dim + pr[t],
+                               y[s], val[s] * proj[pr[t], pc[t]])
+    side, e, y2 = key // (k * dim), key // dim % k, key % dim
+    return dim, *((e[side == h], y2[side == h], y[side == h], c[side == h])
+                  for h in (0, 1))
 
 
 def ext_bimodule(A: BoundQuiverAlgebra, n: int) -> ExtBimodule:
-    dim, left, right = _ext_actions(A, n)
-    return ExtBimodule(A, n, dim, _path_actions(A, dim, left, left=True),
-                       _path_actions(A, dim, right, left=False))
+    short = [b for b, p in enumerate(A.basis) if len(p.arrows) < 2]
+    dim, left, right = _ext_actions(A, n, short)
+    return ExtBimodule(A, n, dim, _path_actions(A, dim, short, left, True),
+                       _path_actions(A, dim, short, right, False))
 
 
 # ---------------------------------------------------------------------------

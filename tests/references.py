@@ -42,9 +42,18 @@
   products into it from the constants into the grade before.
 - ``left_mult_map`` and ``left_mult_on_coregular`` are left
   multiplication by an algebra element on A and on D A, filled one
-  ``mult_basis`` product at a time; ``preprojective._ext_actions`` writes
+  ``mult_basis`` product at a time; ``ext_actions_per_element`` writes
   the first with ``homology.map_of_elements`` and the second as the
-  k-dual of its transpose over A^op.
+  k-dual of its transpose over A^op, and ``preprojective._ext_actions``
+  reads both off the structure constants of A and of A^op.
+- ``ext_actions_per_element`` and ``ext_bimodule_per_element`` give E's
+  actions with one ``strict_lift`` and one product with the projection
+  onto E per trivial path and arrow; ``preprojective._ext_actions`` lifts
+  them all at once, with one solve per degree and vertex, and reads every
+  class with one product.  ``strict_lift`` is the single-map lift as a
+  ``ChainMap``: ``derived._strict_lift`` with k = 1, its generator images
+  extended to maps.  ``dual_map``, the k-dual of a module map, has no
+  caller in the package since then.
 - ``complement_rows_greedy`` feeds rows one at a time into an
   ``EchelonState`` and keeps those that extend the span;
   ``exactla.complement_rows`` picks the same rows with one rref.
@@ -192,8 +201,7 @@ from quiveralg import derived
 from quiveralg.checks import Verdict, is_self_injective, socle_vertex
 from quiveralg.derived import (ChainMap, ComplexOfModules, GradedHom,
                                SerreContext, SymbolicComplex, _cone_block,
-                               _minimized, _strict_lift,
-                               dual_complex, module_complex,
+                               _minimized, dual_complex, module_complex,
                                proj_resolve_complex, to_symbolic, transposed)
 from quiveralg.errors import (AboveCap, AboveCapError, NonAdmissible,
                               NonSplitEndo, NotTauFinite, QuiverAlgError,
@@ -204,23 +212,31 @@ from quiveralg.families import knit_indecomposables
 from quiveralg.findim import (FinDimAlgebra, _act, _dense,
                               algebra_from_bqa, sparse_constants,
                               sparse_join, vertex_labels)
-from quiveralg.homology import (ProjResolution, elements_of_map, ext,
+from quiveralg.homology import (ProjResolution, _act_columns, _gen_offsets,
+                                elements_of_map, ext, gldim_at_most,
                                 global_dimension, hom_matrix,
                                 injective_dimension, map_of_elements,
                                 min_proj_resolution, op_element, syzygy,
                                 tau_inv, transpose, transpose_entries)
 from quiveralg.modules import (ModuleMap, Representation, _coprime_split,
                                _crt_idempotent, _free_columns, _pnorm,
-                               _trace_form, decompose, direct_sum, dual,
-                               dual_map, hom_space, injective,
+                               _trace_form, coregular, decompose, direct_sum,
+                               dual, hom_space, injective,
                                injectives_sum, is_isomorphic, map_cokernel,
                                map_from_projectives, map_kernel, op_algebra,
                                projective, projective_cover, projectives_sum,
                                quotient, radical_series, regular, simple,
                                subrepresentation, zero_rep)
-from quiveralg.preprojective import (_balancing_relations, _path_actions,
-                                     ext_bimodule, preprojective_module)
+from quiveralg.preprojective import (ExtBimodule, _balancing_relations,
+                                     _path_actions, ext_bimodule,
+                                     preprojective_module)
 from quiveralg.quivers import Path, PathElement, Quiver, ordkey
+
+
+def dual_map(phi: ModuleMap) -> ModuleMap:
+    """D phi: D N -> D M over A^op for phi: M -> N, blocks transposed."""
+    return ModuleMap(dual(phi.target), dual(phi.source),
+                     [b.T.copy() for b in phi.blocks])
 
 
 def hom_quotient(M: Representation, N: Representation,
@@ -554,7 +570,9 @@ def hom_delta_entrywise(P, Y, m: int) -> np.ndarray:
             if (i, s) not in roff or not elem:
                 continue
             ro, _, drow = roff[(i, s)]
-            act = Y.terms[i + m + 1].act_element(elem, vw, v)
+            N = Y.terms[i + m + 1]
+            act = _act_columns(N, elem, f.eye(N.dims[vw]),
+                               f.zeros(N.dims[v], N.dims[vw]))
             out[ro:ro + drow, co:co + dcol] = f.add(
                 out[ro:ro + drow, co:co + dcol], f.smul(f.neg(sign), act))
     return out
@@ -772,6 +790,7 @@ def preprojective_algebra_by_blocks(A, n: int,
     grades = [{"dim": adim,
                "R": [right_mult_matrix(base, e) for e in f.eye(adim)]}]
     E_right = dense_actions(f, E.right, adim, E.dim)
+    short = _short_paths(A)
     if E.dim > 0:
         while True:
             prev = grades[-1]
@@ -797,7 +816,9 @@ def preprojective_algebra_by_blocks(A, n: int,
             grades.append({"dim": newdim, "proj": proj, "pos": pairs.pos,
                            "xs": xs, "ys": ys,
                            "R": dense_actions(f, _path_actions(
-                               A, newdim, right, left=False), adim, newdim)})
+                               A, newdim, short, action_entries(
+                                   f, [right(b) for b in short]),
+                               left=False), adim, newdim)})
 
     dims = [g["dim"] for g in grades]
     offsets = np.cumsum([0] + dims)
@@ -863,6 +884,78 @@ def left_mult_on_coregular(A, elem: dict[int, object],
     the k-dual of left multiplication by its image on A^op."""
     lam = dual_map(left_mult_map(op_algebra(A), op_element(A, elem)))
     return ModuleMap(DL, DL, lam.blocks)
+
+
+def _short_paths(A) -> list[int]:
+    """The trivial paths and the arrows, by basis index."""
+    return [b for b, p in enumerate(A.basis) if len(p.arrows) < 2]
+
+
+def ext_actions_per_element(A, n: int):
+    """dim Ext^n(D A, A) and two functions giving the dense left and right
+    action matrix of one basis element through the resolution of D A (0
+    and 0 x 0 matrices when Ext vanishes), one element at a time.
+
+    The left action postcomposes each unit cochain with left
+    multiplication on A, written by ``map_of_elements``; the right action
+    precomposes it with one ``strict_lift`` of left multiplication on
+    D A, the k-dual of its transpose over A^op, and takes the Hom matrix
+    of the lift's last part."""
+    gldim_at_most(A, n)
+    f = A.field
+    DL = coregular(A)
+    R = regular(A)
+    Aop = op_algebra(A)
+    Rop = regular(Aop)  # its dual is DL itself
+    P, eps = proj_resolve_complex(module_complex(DL))
+    vanishing = 0, *[lambda b: f.zeros(0, 0)] * 2
+    if P.lo > -n:
+        return vanishing
+    Pn = P.term(-n)
+    offs = _gen_offsets(Pn, R)
+    cob = hom_matrix(P.diffs[-n], R).T if n else \
+        f.zeros(0, int(offs[-1]))
+    proj, units = f.kernel_rref(cob)
+    dim = len(units)
+    if dim == 0:
+        return vanishing
+    basis_rows = f.zeros(dim, int(offs[-1]))
+    basis_rows[np.arange(dim), units] = f.one
+
+    def mult(b: int) -> dict:
+        # the one entry of left multiplication by b, from slot t to slot s
+        p = A.basis[b]
+        return {(p.source, p.target(A.quiver)): {b: f.one}}
+
+    def left(b: int) -> np.ndarray:
+        lm = map_of_elements(A, mult(b), R, R)
+        images = f.zeros(dim, int(offs[-1]))
+        for s, v in enumerate(Pn.summands):
+            images[:, offs[s]:offs[s + 1]] = f.matmul(
+                basis_rows[:, offs[s]:offs[s + 1]], lm.blocks[v].T)
+        return f.matmul(proj, images.T)
+
+    def right(b: int) -> np.ndarray:
+        lam = dual_map(map_of_elements(Aop, transpose_entries(A, mult(b)),
+                                       Rop, Rop))
+        lift = strict_lift(P, ChainMap(P, eps.target, {
+            0: eps.parts[0].compose(lam)}), eps)
+        return f.matmul(proj, f.matmul(
+            basis_rows, hom_matrix(lift.parts[-n], R).T).T)
+
+    return dim, left, right
+
+
+def ext_bimodule_per_element(A, n: int) -> ExtBimodule:
+    """E with the action of each trivial path and arrow from
+    ``ext_actions_per_element`` and of each longer path from its prefix's,
+    as ``preprojective.ext_bimodule`` builds it from one batched lift."""
+    dim, left, right = ext_actions_per_element(A, n)
+    short = _short_paths(A)
+    return ExtBimodule(A, n, dim, *(
+        _path_actions(A, dim, short, action_entries(
+            A.field, [act(b) for b in short]), side)
+        for act, side in ((left, True), (right, False))))
 
 
 class EchelonState:
@@ -1416,6 +1509,28 @@ def _stupid_truncate_above(X: ComplexOfModules, lo: int) -> ComplexOfModules:
     return ComplexOfModules(X.algebra, terms, diffs)
 
 
+def strict_lift(C: ComplexOfModules, f_map: ChainMap,
+                eps: ChainMap) -> ChainMap:
+    """The strict chain lift g: C -> P of one chain map f: C -> X through
+    eps: P -> X, as a ``ChainMap``: ``derived._strict_lift`` with k = 1,
+    its generator images extended to maps."""
+    P, X = eps.source, eps.target
+    targets = {}
+    for i, part in f_map.parts.items():
+        Ct = C.term(i)
+        targets[i] = np.concatenate([C.algebra.field.zeros(0, 1)] + [
+            part.blocks[v][:, Ct.offsets[s][v]:Ct.offsets[s][v] + 1]
+            for s, v in enumerate(Ct.summands)])
+    gens = derived._strict_lift(C, eps, targets, 1)
+    parts = {}
+    for i, g in gens.items():
+        Ct = C.term(i)
+        off = _gen_offsets(Ct, P.term(i))
+        parts[i] = map_from_projectives(Ct, P.term(i), [
+            g[off[s]:off[s + 1]] for s in range(len(Ct.summands))])
+    return ChainMap(C, P, parts)
+
+
 def _cone(v: ChainMap) -> tuple[ComplexOfModules, dict]:
     """cone(v: A -> B): term^i = A^{i+1} (+) B^i, d(a,b) = (-da, v(a)+db),
     for terms that are tagged projective sums; with the pair of terms
@@ -1464,7 +1579,7 @@ def proj_resolve_complex_by_cones(X: ComplexOfModules, cap: int = 32):
     f_parts = {}
     if dlo is not None:
         f_parts[lo + 1] = epsR.parts[lo + 1].compose(dlo)
-    vlift = _strict_lift(R, ChainMap(R, Xp, f_parts), epsp)
+    vlift = strict_lift(R, ChainMap(R, Xp, f_parts), epsp)
     P, layout = _cone(vlift)
     # eps: cone(vlift) -> cone(M[-lo-1] -> X') = X, componentwise
     fld = X.algebra.field
@@ -1700,7 +1815,7 @@ class SerreSteps(SerreContext):
         PDV, epsV = proj_resolve_complex(DV, self.cap)
         Dg = dual_chain_map(g)  # DV -> DU
         fmap = ChainMap(PDV, DU, _compose_chain(epsV, Dg))
-        lifted = derived._strict_lift(PDV, fmap, epsU)  # PDV -> PDU
+        lifted = strict_lift(PDV, fmap, epsU)  # PDV -> PDU
         # Hom(lifted, A^op): Hom(PDU, A^op) -> Hom(PDV, A^op), shifted
         src = transposed(PDU).materialize().shift(self.n)
         tgt = transposed(PDV).materialize().shift(self.n)

@@ -14,13 +14,12 @@ from quiveralg.exactla import GF, QQ
 from quiveralg.families import auslander_algebra, dynkin_path_algebra
 from quiveralg.homology import (elements_of_map, map_of_elements, op_element,
                                 transpose, transpose_entries)
-from quiveralg.modules import (ModuleMap, dual, dual_map, injective,
-                               injectives_sum, map_cokernel,
-                               map_from_projectives, map_kernel, op_algebra,
-                               projective, projective_cover, projectives_sum,
-                               simple, zero_rep)
+from quiveralg.modules import (ModuleMap, dual, injective, injectives_sum,
+                               map_cokernel, map_from_projectives, map_kernel,
+                               op_algebra, projective, projective_cover,
+                               projectives_sum, simple, zero_rep)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
-from references import QuotientBasis, nu_module, random_module
+from references import QuotientBasis, dual_map, nu_module, random_module
 
 FIELDS = {"GF": GF(32003), "QQ": QQ}
 

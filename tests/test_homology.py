@@ -7,12 +7,14 @@ from quiveralg.errors import AboveCap, AboveCapError, GldimTooLarge
 from quiveralg.exactla import GF, QQ
 from quiveralg.families import (auslander_algebra, dynkin_path_algebra,
                                 higher_auslander_chain)
-from quiveralg.homology import (ext, gldim_at_most, global_dimension,
+from quiveralg.homology import (_hom_apply, ext, gldim_at_most,
+                                global_dimension, hom_matrix,
                                 injective_dimension, min_proj_resolution,
                                 proj_dimension, syzygy, tau, tau_inv, tau_n,
                                 tau_n_inv, tau_n_orbit, transpose)
-from quiveralg.modules import (hom_space, injective, is_isomorphic,
-                               op_algebra, projective, regular, simple)
+from quiveralg.modules import (coregular, hom_space, injective,
+                               is_isomorphic, op_algebra, projective, regular,
+                               simple)
 from quiveralg.quivers import Path, PathElement, Quiver, complete_basis
 from references import (cosyzygy_by_envelopes, ext_by_cocycles,
                         global_dimension_by_simples, random_module,
@@ -369,3 +371,23 @@ def test_ext_from_a_truncated_resolution_is_the_cocycle_route(field):
             _assert_one_walk_is_the_loop_route(M, N, 2)
             for i in range(4):
                 assert ext(M, N, i, res) == ext_by_cocycles(M, N, i, res)[0]
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_hom_apply_is_hom_matrix_times_the_columns(field, data):
+    """On the differentials of the resolutions of D A and of a drawn
+    module, into the regular module and into another drawn module, for
+    several columns."""
+    A = data.draw(bound_quiver_algebras(field))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    for M in (coregular(A), random_module(A, rng)):
+        res = min_proj_resolution(M, 3)
+        for i in range(res.length):
+            d = res.differential(i)
+            for N in (regular(A), random_module(A, rng)):
+                H = hom_matrix(d, N)
+                ys = field.array([[rng.randrange(-3, 4) for _ in range(3)]
+                                  for _ in range(H.shape[1])]).reshape(-1, 3)
+                assert field.equal(_hom_apply(d, N, ys), field.matmul(H, ys))

@@ -308,6 +308,30 @@ def test_presentation_equals_the_full_loop_reference(name, field):
                               _reference_presentation(B))
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_arrow_lifts_are_taken_in_order_of_degree(field):
+    """A radical corner whose lifts modulo rad^2 come in two degrees: the
+    arrows b (degree 1) and a (degree 0) from 1 to 2, b first in the quiver
+    and in the basis, with c: 2 -> 3 and the relation a c.  The lifts are
+    taken in order of degree, so a1 lifts a, a2 lifts b, and the one
+    relation of the presentation is a1 a3."""
+    f = field
+    q = Quiver(["1", "2", "3"],
+               [("b", "1", "2"), ("a", "1", "2"), ("c", "2", "3")])
+    A = complete_basis(q, f, [PathElement(q, {Path(0, (1, 2)): 1})],
+                       arrow_degrees=[1, 0, 1])
+    B = algebra_from_bqa(A)
+    P = quiver_presentation(B)
+    assert P.quiver.arrows == [("a1", 0, 1), ("a2", 0, 1), ("a3", 1, 2)]
+    assert P.arrow_degrees == [0, 1, 1]
+    assert [A.basis[int(np.flatnonzero(x != f.zero)[0])]
+            for x in P.arrow_elements] == [Path(0, (1,)), Path(0, (0,)),
+                                           Path(1, (2,))]
+    assert [list(r.terms.items()) for r in P.relations] == \
+        [[(Path(0, (0, 2)), f.one)]]
+    _assert_same_presentation(P, _reference_presentation(B))
+
+
 @st.composite
 def bound_quiver_algebras(draw, field=F):
     """kQ/I over ``field``, for an acyclic quiver Q on 2-4 vertices with at
